@@ -354,8 +354,3 @@ func (a *Arena) Free(addr mem.Addr) error {
 	}
 	return nil
 }
-
-// SizeClasses returns a copy of the slot-size table (for tests).
-func SizeClasses() []uint64 {
-	return append([]uint64(nil), sizeClasses...)
-}

@@ -73,7 +73,7 @@ func TestSlotAlignmentAndDistinctness(t *testing.T) {
 func TestSizeClassBoundaries(t *testing.T) {
 	h, _, _ := testHeap(t)
 	a := h.Arena("p")
-	classes := SizeClasses()
+	classes := sizeClasses
 	// Allocating exactly a class size and one past it must both work
 	// and be freeable.
 	for _, c := range classes {

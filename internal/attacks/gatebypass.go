@@ -288,16 +288,5 @@ func firstLine(s string) string {
 	return s
 }
 
-// NewGateBypassWorld builds the scenario world for external callers
-// (tests, the privilege analyzer's corpus enumeration).
-func NewGateBypassWorld(kind core.BackendKind) (*gateBypassWorld, error) {
-	return buildGateBypassWorld(kind)
-}
-
 // Space exposes the world's address space (for tests).
 func (w *gateBypassWorld) Space() *mem.AddressSpace { return w.space }
-
-// MPKUnitOf returns a fresh scan-only MPK unit over the world's space,
-// letting tests run the plain per-section ScanText against the planted
-// module without touching the backend under test.
-func (w *gateBypassWorld) MPKUnitOf() *mpk.Unit { return mpk.NewUnit(w.space, w.clock) }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/mem"
+	"github.com/litterbox-project/enclosure/internal/mpk"
 )
 
 // TestGateBypassPlainScanMisses is the acceptance pin for the gadget
@@ -13,7 +14,7 @@ import (
 func TestGateBypassPlainScanMisses(t *testing.T) {
 	for _, variant := range []GateBypassVariant{StraddleWRPKRU, MidGateCall} {
 		t.Run(variant.String(), func(t *testing.T) {
-			w, err := NewGateBypassWorld(core.Baseline)
+			w, err := buildGateBypassWorld(core.Baseline)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -21,7 +22,7 @@ func TestGateBypassPlainScanMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unit := w.MPKUnitOf()
+			unit := mpk.NewUnit(w.space, w.clock)
 			for _, sec := range secs {
 				if sec.Kind != mem.KindText {
 					continue

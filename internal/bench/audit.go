@@ -114,21 +114,16 @@ func driveWiki(prog *core.Program, requests int) error {
 	})
 }
 
-// RunWikiAudit runs the seccomp-notify-style policy-derivation cycle
+// RunWikiAuditTo runs the seccomp-notify-style policy-derivation cycle
 // on one backend. Phase one runs the wiki under empty policies in
 // audit mode: every restricted operation is recorded and allowed
 // through, so the recorder observes the enclosures' full syscall and
-// connect footprint. The derived minimal policies are then enforced in
+// connect footprint, and its events stream to jsonl as JSON lines (nil
+// disables the sink). The derived minimal policies are then enforced in
 // phase two over the same workload, which must complete without a
 // single protection fault — the derived literal is sufficient, and
 // anything outside it (the attacks suite's exfiltration attempts, say)
 // still faults.
-func RunWikiAudit(kind core.BackendKind) (AuditOutcome, error) {
-	return RunWikiAuditTo(kind, nil)
-}
-
-// RunWikiAuditTo is RunWikiAudit with the audit phase's events also
-// streamed to jsonl as JSON lines (nil disables the sink).
 func RunWikiAuditTo(kind core.BackendKind, jsonl io.Writer) (AuditOutcome, error) {
 	tr := obs.New(512)
 	if jsonl != nil {

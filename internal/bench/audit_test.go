@@ -15,9 +15,9 @@ import (
 func TestWikiAuditDeriveEnforce(t *testing.T) {
 	for _, kind := range ProjectionBackends {
 		t.Run(kind.String(), func(t *testing.T) {
-			out, err := RunWikiAudit(kind)
+			out, err := RunWikiAuditTo(kind, nil)
 			if err != nil {
-				t.Fatalf("RunWikiAudit: %v", err)
+				t.Fatalf("RunWikiAuditTo: %v", err)
 			}
 			if out.ReRunFaults != 0 {
 				t.Errorf("re-run under derived policies raised %d faults", out.ReRunFaults)

@@ -157,10 +157,6 @@ func (c *Cluster) buildNodeProg() (*core.Program, error) {
 	return prog, nil
 }
 
-// WarmJoins reports how many nodes were instantiated from the warm-join
-// snapshot template rather than cold-built.
-func (c *Cluster) WarmJoins() int64 { return c.warmJoined.Load() }
-
 func (c *Cluster) AddNode() (*Node, error) {
 	c.mu.Lock()
 	idx := c.nextID
@@ -407,14 +403,6 @@ func (c *Cluster) MigrateSession(session, fromID, toID string) error {
 	c.migrations.Add(1)
 	c.emit(obs.Event{Kind: obs.KindMigrate, Worker: toID, Detail: fmt.Sprintf("%s: %s -> %s", session, fromID, toID)})
 	return nil
-}
-
-// Pinned returns the node a session was migrated to, if any.
-func (c *Cluster) Pinned(session string) (string, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	id, ok := c.pins[session]
-	return id, ok
 }
 
 // emit records a cluster control-plane event. Cluster coordination is

@@ -190,7 +190,7 @@ func TestClusterMigrateSessionPins(t *testing.T) {
 	if err := c.MigrateSession(session, from.ID(), to.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if pin, ok := c.Pinned(session); !ok || pin != to.ID() {
+	if pin := c.pins[session]; pin != to.ID() {
 		t.Fatalf("session pinned to %q, want %q", pin, to.ID())
 	}
 	now, err := c.Route(session)
@@ -220,7 +220,7 @@ func TestClusterMigrateSessionPins(t *testing.T) {
 	if err := c.MigrateSession(session, to.ID(), "node9"); err == nil {
 		t.Fatal("migration to a missing node succeeded")
 	}
-	if pin, _ := c.Pinned(session); pin != to.ID() {
+	if pin := c.pins[session]; pin != to.ID() {
 		t.Fatalf("failed migration moved the pin to %q", pin)
 	}
 }
@@ -243,10 +243,10 @@ func TestClusterBalancesAwayFromLoadedNode(t *testing.T) {
 
 	// Wedge the primary's single worker.
 	release := make(chan struct{})
-	if err := primary.Engine().SubmitE(0, "wedge", func(tk *core.Task) error {
+	if err := primary.Engine().Submit(engine.JobSpec{Name: "wedge", Fn: func(tk *core.Task) error {
 		<-release
 		return nil
-	}, nil); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	defer close(release)
@@ -269,16 +269,16 @@ func TestClusterBackpressureSurfacesTyped(t *testing.T) {
 
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if err := n.Engine().SubmitE(0, "wedge", func(tk *core.Task) error {
+	if err := n.Engine().Submit(engine.JobSpec{Name: "wedge", Fn: func(tk *core.Task) error {
 		close(started)
 		<-release
 		return nil
-	}, nil); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // the worker is busy; the queue slot is free again
 	// Fill the single queue slot behind the wedged job.
-	if err := n.Engine().SubmitE(0, "fill", func(tk *core.Task) error { return nil }, nil); err != nil {
+	if err := n.Engine().Submit(engine.JobSpec{Name: "fill", Fn: func(tk *core.Task) error { return nil }}); err != nil {
 		t.Fatal(err)
 	}
 

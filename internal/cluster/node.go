@@ -178,7 +178,7 @@ func (n *Node) Load() int {
 func (n *Node) Do(name string, fn engine.Job) error {
 	done := make(chan error, 1)
 	pref := int(n.pref.Add(1) - 1)
-	if err := n.eng.SubmitE(pref, name, fn, func(err error) { done <- err }); err != nil {
+	if err := n.eng.Submit(engine.JobSpec{Pref: pref, Name: name, Fn: fn, Done: func(err error) { done <- err }}); err != nil {
 		return err
 	}
 	n.routed.Add(1)

@@ -111,16 +111,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Members returns the member set in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for n := range r.members {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Size returns the member count.
 func (r *Ring) Size() int { return len(r.members) }
 

@@ -22,8 +22,8 @@ func TestWarmJoinInstantiatesNodesFromTemplate(t *testing.T) {
 	if got := builds.Load(); got != 1 {
 		t.Fatalf("cold builds = %d, want 1 (template capture only)", got)
 	}
-	if got := c.WarmJoins(); got != 3 {
-		t.Fatalf("WarmJoins = %d, want 3", got)
+	if got := c.warmJoined.Load(); got != 3 {
+		t.Fatalf("warm joins = %d, want 3", got)
 	}
 	for _, n := range c.Nodes() {
 		if !n.prog.IsSnapshotInstance() {
@@ -38,8 +38,8 @@ func TestWarmJoinInstantiatesNodesFromTemplate(t *testing.T) {
 	if got := builds.Load(); got != 1 {
 		t.Fatalf("join after capture cold-built (builds = %d)", got)
 	}
-	if got := c.WarmJoins(); got != 4 {
-		t.Fatalf("WarmJoins = %d, want 4", got)
+	if got := c.warmJoined.Load(); got != 4 {
+		t.Fatalf("warm joins = %d, want 4", got)
 	}
 	done := make(chan error, 1)
 	if err := c.Do("session-1", "probe", func(task *core.Task) error {
@@ -65,7 +65,7 @@ func TestColdJoinWithoutOption(t *testing.T) {
 	if got := builds.Load(); got != 2 {
 		t.Fatalf("cold builds = %d, want 2", got)
 	}
-	if got := c.WarmJoins(); got != 0 {
-		t.Fatalf("WarmJoins = %d, want 0", got)
+	if got := c.warmJoined.Load(); got != 0 {
+		t.Fatalf("warm joins = %d, want 0", got)
 	}
 }

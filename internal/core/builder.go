@@ -79,9 +79,6 @@ type Builder struct {
 	audit         *obs.Audit
 	engineWorkers int
 
-	// noTableSharing disables LB_VTX page-table sharing (options.go).
-	noTableSharing bool
-
 	// ringDepth enables the batched syscall submission ring when
 	// positive (options.go WithSyscallRing; 0 keeps it off).
 	ringDepth int
@@ -98,14 +95,6 @@ func NewBuilder(backend BackendKind, opts ...Option) *Builder {
 	for _, opt := range opts {
 		opt(b)
 	}
-	return b
-}
-
-// SetAddressSpaceSize overrides the simulated address-space capacity.
-//
-// Deprecated: pass WithAddressSpaceSize to NewBuilder instead.
-func (b *Builder) SetAddressSpaceSize(bytes uint64) *Builder {
-	b.spaceCap = bytes
 	return b
 }
 
@@ -290,11 +279,7 @@ func (b *Builder) Build() (*Program, error) {
 	case MPK:
 		backend = litterbox.NewMPK(mpk.NewUnit(space, clock))
 	case VTX:
-		vb := litterbox.NewVTX(vtx.NewMachine(space, clock))
-		if b.noTableSharing {
-			vb.SetSharing(false)
-		}
-		backend = vb
+		backend = litterbox.NewVTX(vtx.NewMachine(space, clock))
 	case CHERI:
 		backend = litterbox.NewCHERI(cheri.NewUnit(clock))
 	default:

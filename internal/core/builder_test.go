@@ -31,15 +31,13 @@ func TestBuilderBadInitPolicy(t *testing.T) {
 }
 
 func TestBuilderAddressSpaceSize(t *testing.T) {
-	b := NewBuilder(Baseline)
-	b.SetAddressSpaceSize(64 * mem.PageSize)
+	b := NewBuilder(Baseline, WithAddressSpaceSize(64*mem.PageSize))
 	b.Package(PackageSpec{Name: "main", Vars: map[string]int{"big": 16 * mem.PageSize}})
 	if _, err := b.Build(); err != nil {
 		t.Fatalf("sized build: %v", err)
 	}
 
-	tiny := NewBuilder(Baseline)
-	tiny.SetAddressSpaceSize(2 * mem.PageSize)
+	tiny := NewBuilder(Baseline, WithAddressSpaceSize(2*mem.PageSize))
 	tiny.Package(PackageSpec{Name: "main", Vars: map[string]int{"big": 64 * mem.PageSize}})
 	if _, err := tiny.Build(); err == nil {
 		t.Fatal("oversized program built in a tiny address space")

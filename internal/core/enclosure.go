@@ -26,10 +26,6 @@ func (e *Enclosure) Name() string { return e.name }
 // Pkg returns the closure's own package identity (its arena).
 func (e *Enclosure) Pkg() string { return e.pkg }
 
-// DeclPkg returns the package that declared the enclosure (and owns its
-// closure's text section).
-func (e *Enclosure) DeclPkg() string { return e.declPkg }
-
 // Env returns the enclosure's (pre-intersection) execution environment.
 func (e *Enclosure) Env() *litterbox.Env { return e.env }
 

@@ -48,14 +48,6 @@ func WithAddressSpaceSize(bytes uint64) Option {
 	return func(b *Builder) { b.spaceCap = bytes }
 }
 
-// WithoutPageTableSharing disables LB_VTX's content-addressed page
-// table sharing: every environment builds its table from scratch and
-// transfers walk every table individually. This is the fastpath
-// benchmark's reference arm; it has no effect on other backends.
-func WithoutPageTableSharing() Option {
-	return func(b *Builder) { b.noTableSharing = true }
-}
-
 // WithSyscallRing enables the batched syscall submission ring at the
 // given queue depth: tasks queue entries with Task.SubmitSyscall and
 // drain them with Task.FlushSyscalls, and each drained batch pays one

@@ -129,13 +129,10 @@ func (p *Program) LitterBox() *litterbox.LitterBox { return p.lb }
 // concurrent dynamic import (see litterbox.StateExport).
 func (p *Program) ExportEnvState() litterbox.StateExport { return p.lb.ExportState() }
 
-// VerifyEnvState is the migration target's policy re-verification: the
-// shipped snapshot must match this program's own environment state
-// exactly, or the migration is rejected.
-func (p *Program) VerifyEnvState(exp litterbox.StateExport) error { return p.lb.VerifyState(exp) }
-
-// VerifyEnvPolicy is VerifyEnvState without the heap-span comparison —
-// what a cluster node verifies when a *session* migrates in: both
+// VerifyEnvPolicy re-verifies a shipped snapshot against this
+// program's own environment policies, without the heap-span
+// comparison — what a cluster node verifies when a *session* migrates
+// in: both
 // nodes run the same image under the same policy, but each heap
 // reflects its own request history (see litterbox.VerifyPolicy).
 func (p *Program) VerifyEnvPolicy(exp litterbox.StateExport) error { return p.lb.VerifyPolicy(exp) }
@@ -152,11 +149,6 @@ func (p *Program) Audit() *obs.Audit { return p.lb.Audit() }
 // WithEngineWorkers (zero when unset: the engine picks its own
 // default).
 func (p *Program) DefaultEngineWorkers() int { return p.engineWorkers }
-
-// SyscallRingDepth returns the submission-ring depth set via
-// WithSyscallRing (zero when the ring is off and batch submissions
-// execute sequentially).
-func (p *Program) SyscallRingDepth() int { return p.ringDepth }
 
 // WarmPoolSize returns the per-worker warm-pool capacity set via
 // WithWarmPool (zero when warm instantiation is off and the engine runs

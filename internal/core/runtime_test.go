@@ -303,8 +303,6 @@ func TestTaskHelpers(t *testing.T) {
 		if task.Load8(r.Addr) != 9 {
 			t.Error("Load8/Store8")
 		}
-		buf := make([]byte, 3)
-		task.ReadInto(r.Slice(1, 3), buf)
 		task.Free(r)
 
 		if task.CurrentPkg() != "main" {
@@ -366,8 +364,8 @@ func TestEnclosureAccessors(t *testing.T) {
 		return nil, nil
 	})
 	e := prog.MustEnclosure("rcl")
-	if e.Name() != "rcl" || e.DeclPkg() != "main" || e.Pkg() != EnclPkgName("rcl") {
-		t.Fatalf("accessors: %s %s %s", e.Name(), e.DeclPkg(), e.Pkg())
+	if e.Name() != "rcl" || e.declPkg != "main" || e.Pkg() != EnclPkgName("rcl") {
+		t.Fatalf("accessors: %s %s %s", e.Name(), e.declPkg, e.Pkg())
 	}
 	if e.Env() == nil {
 		t.Fatal("nil env")

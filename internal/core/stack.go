@@ -50,6 +50,3 @@ func (t *Task) popFrame() {
 		t.Free(f.refs[i])
 	}
 }
-
-// FrameDepth reports the current split-stack depth (for tests).
-func (t *Task) FrameDepth() int { return len(t.frames) }

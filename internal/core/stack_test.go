@@ -52,7 +52,7 @@ func TestSplitStackFrameLifecycle(t *testing.T) {
 	var inDepth int
 	b.Enclosure("e", "main", "sys:none",
 		func(t *Task, args ...Value) ([]Value, error) {
-			inDepth = t.FrameDepth()
+			inDepth = len(t.frames)
 			tmp := t.StackAlloc(128)
 			t.WriteBytes(tmp.Slice(0, 4), []byte("temp"))
 			return nil, nil
@@ -63,7 +63,7 @@ func TestSplitStackFrameLifecycle(t *testing.T) {
 	}
 	err = prog.Run(func(task *Task) error {
 		_ = task.StackAlloc(32) // outer frame materialises
-		base := task.FrameDepth()
+		base := len(task.frames)
 		live := prog.Heap().Arena(EnclPkgName("e")).Live()
 		if _, err := prog.MustEnclosure("e").Call(task); err != nil {
 			return err
@@ -71,8 +71,8 @@ func TestSplitStackFrameLifecycle(t *testing.T) {
 		if inDepth != base+1 {
 			t.Errorf("depth inside enclosure %d, want %d", inDepth, base+1)
 		}
-		if task.FrameDepth() != base {
-			t.Errorf("depth after return %d, want %d", task.FrameDepth(), base)
+		if len(task.frames) != base {
+			t.Errorf("depth after return %d, want %d", len(task.frames), base)
 		}
 		// The enclosure's stack temporary was freed with its frame.
 		if got := prog.Heap().Arena(EnclPkgName("e")).Live(); got != live {

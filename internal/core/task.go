@@ -93,21 +93,6 @@ func (t *Task) ReadBytes(r Ref) []byte {
 	return buf
 }
 
-// ReadInto copies the referenced memory into buf (len(buf) bytes).
-func (t *Task) ReadInto(r Ref, buf []byte) {
-	t.checkAlive()
-	n := uint64(len(buf))
-	if n > r.Size {
-		n = r.Size
-	}
-	if err := t.prog.lb.CheckRead(t.cpu, t.env, r.Addr, n); err != nil {
-		t.fail(err)
-	}
-	if err := t.prog.space.ReadAt(r.Addr, buf[:n]); err != nil {
-		t.fail(err)
-	}
-}
-
 // WriteBytes stores data at the referenced memory, enforcing the view.
 func (t *Task) WriteBytes(r Ref, data []byte) {
 	t.checkAlive()

@@ -19,24 +19,24 @@ func TestSubmitEBackpressureVsClosed(t *testing.T) {
 	// Wedge the only worker so queued work cannot drain.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if err := e.SubmitE(0, "wedge", func(t *core.Task) error {
+	if err := e.Submit(JobSpec{Name: "wedge", Fn: func(t *core.Task) error {
 		close(started)
 		<-release
 		return nil
-	}, nil); err != nil {
+	}}); err != nil {
 		t.Fatalf("wedge submit: %v", err)
 	}
 	<-started
 
 	// Fill the single queue slot.
-	if err := e.SubmitE(0, "fill", func(t *core.Task) error { return nil }, nil); err != nil {
+	if err := e.Submit(JobSpec{Name: "fill", Fn: nop}); err != nil {
 		t.Fatalf("fill submit: %v", err)
 	}
 
 	// Saturated: typed backpressure, not a hard failure.
-	err := e.SubmitE(0, "overflow", func(t *core.Task) error { return nil }, nil)
+	err := e.Submit(JobSpec{Name: "overflow", Fn: nop})
 	if !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("saturated SubmitE = %v, want ErrBackpressure", err)
+		t.Fatalf("saturated Submit = %v, want ErrBackpressure", err)
 	}
 	if errors.Is(err, ErrClosed) {
 		t.Fatal("ErrBackpressure must not match ErrClosed")
@@ -44,8 +44,8 @@ func TestSubmitEBackpressureVsClosed(t *testing.T) {
 
 	// A second saturated submission sheds identically and counts the
 	// rejection.
-	if err := e.SubmitE(0, "overflow2", func(t *core.Task) error { return nil }, nil); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("saturated second SubmitE = %v, want ErrBackpressure", err)
+	if err := e.Submit(JobSpec{Name: "overflow2", Fn: nop}); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("saturated second Submit = %v, want ErrBackpressure", err)
 	}
 
 	// Draining clears the backpressure: the same submission is admitted
@@ -54,11 +54,11 @@ func TestSubmitEBackpressureVsClosed(t *testing.T) {
 	e.Quiesce()
 	var doneCalls atomic.Int64
 	done := make(chan error, 1)
-	if err := e.SubmitE(0, "after-drain", func(t *core.Task) error { return nil }, func(err error) {
+	if err := e.Submit(JobSpec{Name: "after-drain", Fn: nop, Done: func(err error) {
 		doneCalls.Add(1)
 		done <- err
-	}); err != nil {
-		t.Fatalf("post-drain SubmitE = %v, want nil", err)
+	}}); err != nil {
+		t.Fatalf("post-drain Submit = %v, want nil", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("job error: %v", err)
@@ -69,9 +69,9 @@ func TestSubmitEBackpressureVsClosed(t *testing.T) {
 
 	// Closed: the hard-failure error, distinguishable from saturation.
 	e.Close()
-	err = e.SubmitE(0, "late", func(t *core.Task) error { return nil }, nil)
+	err = e.Submit(JobSpec{Name: "late", Fn: nop})
 	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed SubmitE = %v, want ErrClosed", err)
+		t.Fatalf("closed Submit = %v, want ErrClosed", err)
 	}
 	if errors.Is(err, ErrBackpressure) {
 		t.Fatal("ErrClosed must not match ErrBackpressure")
@@ -93,11 +93,11 @@ func TestLoadAndQueueDepths(t *testing.T) {
 	started := make(chan struct{}, 2)
 	release := make(chan struct{})
 	for i := 0; i < 2; i++ {
-		if err := e.SubmitE(i, "busy", func(t *core.Task) error {
+		if err := e.Submit(JobSpec{Pref: i, Name: "busy", Fn: func(t *core.Task) error {
 			started <- struct{}{}
 			<-release
 			return nil
-		}, nil); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestLoadAndQueueDepths(t *testing.T) {
 
 	// Queue three more on worker 0: depths must attribute them.
 	for i := 0; i < 3; i++ {
-		if err := e.SubmitE(0, "queued", func(t *core.Task) error { return nil }, nil); err != nil {
+		if err := e.Submit(JobSpec{Name: "queued", Fn: nop}); err != nil {
 			t.Fatal(err)
 		}
 	}

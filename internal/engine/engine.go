@@ -132,7 +132,7 @@ type Engine struct {
 	opts Opts
 
 	mu     sync.Mutex
-	cond   *sync.Cond // signals both "work queued" and "space freed"
+	cond   *sync.Cond // signals "work queued", "job dequeued" and busy→idle
 	queues []*classQueue
 	closed bool
 
@@ -229,54 +229,24 @@ func (e *Engine) Workers() int { return len(e.workers) }
 // apps that pin long-lived service tasks to specific workers).
 func (e *Engine) WorkerCtx(i int) *core.WorkerCtx { return e.workers[i].ctx }
 
-// Submit enqueues fn with affinity for worker pref, spilling to the
-// shortest other queue when pref's is full. It returns false when the
-// job was not admitted.
+// Submit is the engine's one admission entry point. It enqueues
+// spec.Fn with affinity for worker spec.Pref, spilling to the shortest
+// other queue when that one is full, and returns nil on admission or
+// one of three typed errors, to be told apart with errors.Is:
 //
-// Deprecated: the bare bool folds ErrBackpressure (transient — shed or
-// re-route and retry) and ErrClosed (terminal) into one value, so
-// callers cannot tell a saturated engine from a dead one. Use SubmitE
-// (or SubmitSpec for QoS class and deadline metadata) and distinguish
-// the typed errors with errors.Is.
-func (e *Engine) Submit(pref int, name string, fn Job) bool {
-	return e.SubmitE(pref, name, fn, nil) == nil
-}
-
-// SubmitE enqueues like Submit but reports the admission outcome as a
-// typed error: nil on admission, ErrBackpressure when every queue is at
-// depth, ErrClosed after Close. done, when non-nil, runs on the
-// executing worker after the job finishes with the job's error — the
-// completion edge a synchronous caller blocks on. Jobs admitted before
-// Close still execute (Close drains the queues), so a nil return is a
-// guarantee that done will be called exactly once.
-func (e *Engine) SubmitE(pref int, name string, fn Job, done func(error)) error {
-	return e.SubmitSpec(JobSpec{Pref: pref, Name: name, Fn: fn, Done: done})
-}
-
-// SubmitSpec is the full admission path: SubmitE plus QoS class,
-// virtual arrival time, and deadline. It returns nil on admission,
-// ErrBackpressure when every run queue is at depth, ErrDeadline when
-// deadline-aware admission predicts the job cannot finish in time, and
-// ErrClosed after Close.
-func (e *Engine) SubmitSpec(spec JobSpec) error {
+//   - ErrBackpressure: every run queue is at depth. Transient — shed,
+//     or re-route and retry.
+//   - ErrDeadline: spec.DeadlineVT is set and deadline-aware admission
+//     predicts the job cannot finish in time.
+//   - ErrClosed: the engine was closed. Terminal.
+//
+// Jobs admitted before Close still execute (Close drains the queues),
+// so a nil return guarantees spec.Done, when set, is called exactly
+// once.
+func (e *Engine) Submit(spec JobSpec) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.admitLocked(spec)
-}
-
-// submitBlocking enqueues like SubmitE but waits for queue space
-// instead of rejecting. Pool admission uses it so batch work throttles
-// the producer rather than dropping jobs.
-func (e *Engine) submitBlocking(spec JobSpec) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for {
-		err := e.admitLocked(spec)
-		if !errors.Is(err, ErrBackpressure) {
-			return err // admitted, closed, or past-deadline
-		}
-		e.cond.Wait()
-	}
 }
 
 // admitLocked runs the admission decision: pick a queue (preferred
@@ -560,15 +530,6 @@ func (e *Engine) StepWorker(i int) (StepResult, bool) {
 	}, true
 }
 
-// WorkerFreeVT returns worker i's virtual backlog horizon: the
-// completion time of the last job it executed on the ArrivalVT
-// timeline.
-func (e *Engine) WorkerFreeVT(i int) int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.workers[i].vtFree
-}
-
 // ResetVT zeroes every worker's virtual backlog horizon while keeping
 // the learned EWMA service estimates — the reset a load generator
 // performs between its calibration phase and the measured run, so
@@ -628,11 +589,10 @@ func (e *Engine) StealCounts() []int64 {
 }
 
 // Quiesce blocks until every run queue is empty and no worker is
-// executing a job — the drain barrier a cluster node crosses before
-// leaving the ring. It does not stop admission; callers that need a
-// terminal drain gate submissions themselves (or use Close, which
-// drains and joins the workers). Quiesce returns immediately on a
-// closed, drained engine.
+// executing a job: a drain barrier that leaves the engine open. It
+// does not stop admission; callers that need a terminal drain gate
+// submissions themselves (or use Close, which drains and joins the
+// workers). Quiesce returns immediately on a closed, drained engine.
 func (e *Engine) Quiesce() {
 	e.mu.Lock()
 	defer e.mu.Unlock()

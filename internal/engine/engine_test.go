@@ -36,6 +36,19 @@ func buildProg(t *testing.T, kind core.BackendKind, body core.Func) *core.Progra
 	return prog
 }
 
+// submit admits fn with affinity for worker pref and returns the
+// channel its completion error arrives on.
+func submit(t *testing.T, e *Engine, pref int, name string, fn Job) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	if err := e.Submit(JobSpec{Pref: pref, Name: name, Fn: fn, Done: func(err error) { done <- err }}); err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
+func nop(*core.Task) error { return nil }
+
 func TestPoolRunsJobsAcrossWorkers(t *testing.T) {
 	prog := buildProg(t, core.MPK, nil)
 	e := New(prog, Opts{Workers: 4})
@@ -46,42 +59,42 @@ func TestPoolRunsJobsAcrossWorkers(t *testing.T) {
 	// engaged.
 	arrived := make(chan struct{}, 4)
 	release := make(chan struct{})
-	barrier := e.NewPool()
+	var barrier []<-chan error
 	for i := 0; i < 4; i++ {
-		if err := barrier.Go(fmt.Sprintf("barrier%d", i), func(t *core.Task) error {
+		barrier = append(barrier, submit(t, e, i, fmt.Sprintf("barrier%d", i), func(t *core.Task) error {
 			t.Compute(1000)
 			arrived <- struct{}{}
 			<-release
 			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		}))
 	}
 	for i := 0; i < 4; i++ {
 		<-arrived
 	}
 	close(release)
-	if err := barrier.Wait(); err != nil {
-		t.Fatal(err)
+	for _, done := range barrier {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Phase 2: a larger batch, checked by totals.
 	const jobs = 64
 	var ran atomic.Int64
-	p := e.NewPool()
+	var batch []<-chan error
 	for i := 0; i < jobs; i++ {
-		if err := p.Go(fmt.Sprintf("job%d", i), func(t *core.Task) error {
+		batch = append(batch, submit(t, e, i, fmt.Sprintf("job%d", i), func(t *core.Task) error {
 			t.Compute(1000)
 			r := t.AllocIn("main", 64)
 			t.WriteBytes(r, []byte("hello"))
 			ran.Add(1)
 			return nil
-		}); err != nil {
+		}))
+	}
+	for _, done := range batch {
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
 	}
 	if ran.Load() != jobs {
 		t.Fatalf("ran %d/%d jobs", ran.Load(), jobs)
@@ -117,15 +130,16 @@ func TestWorkStealing(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(jobs)
 	for i := 0; i < jobs; i++ {
-		err := e.SubmitE(0, "flood", func(t *core.Task) error {
-			defer wg.Done()
+		// wg.Done runs from Done, after the engine has counted the job;
+		// from inside the body it raced the metrics read below.
+		err := e.Submit(JobSpec{Name: "flood", Fn: func(t *core.Task) error {
 			if inflight.Add(1) == 4 {
 				close(gate)
 			}
 			<-gate
 			t.Compute(5000)
 			return nil
-		}, nil)
+		}, Done: func(error) { wg.Done() }})
 		if err != nil {
 			t.Fatalf("submit rejected below queue depth: %v", err)
 		}
@@ -149,19 +163,19 @@ func TestBackpressureRejects(t *testing.T) {
 
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	if err := e.SubmitE(0, "blocker", func(t *core.Task) error {
+	if err := e.Submit(JobSpec{Name: "blocker", Fn: func(t *core.Task) error {
 		close(started)
 		<-gate
 		return nil
-	}, nil); err != nil {
+	}}); err != nil {
 		t.Fatalf("blocker rejected: %v", err)
 	}
 	<-started
 	// Worker busy; depth-1 queue takes exactly one more.
-	if err := e.SubmitE(0, "queued", func(t *core.Task) error { return nil }, nil); err != nil {
+	if err := e.Submit(JobSpec{Name: "queued", Fn: nop}); err != nil {
 		t.Fatalf("queue should have room for one job: %v", err)
 	}
-	if err := e.SubmitE(0, "overflow", func(t *core.Task) error { return nil }, nil); !errors.Is(err, ErrBackpressure) {
+	if err := e.Submit(JobSpec{Name: "overflow", Fn: nop}); !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("full engine: err = %v, want ErrBackpressure", err)
 	}
 	close(gate)
@@ -174,14 +188,11 @@ func TestBackpressureRejects(t *testing.T) {
 		t.Fatalf("executed %d, want 2", TotalRequests(ms))
 	}
 	// Closed engine rejects everything, with the terminal error.
-	if err := e.SubmitE(0, "late", func(t *core.Task) error { return nil }, nil); !errors.Is(err, ErrClosed) {
+	if err := e.Submit(JobSpec{Name: "late", Fn: nop}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed engine: err = %v, want ErrClosed", err)
 	}
-	if err := e.SubmitE(0, "late2", func(t *core.Task) error { return nil }, nil); !errors.Is(err, ErrClosed) {
+	if err := e.Submit(JobSpec{Name: "late2", Fn: nop}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed engine second submit: err = %v, want ErrClosed", err)
-	}
-	if err := e.NewPool().Go("late", func(t *core.Task) error { return nil }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("pool on closed engine: %v", err)
 	}
 }
 
@@ -238,19 +249,16 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 				bIn = make(chan struct{})
 
 				running := make(chan *core.WorkerCtx, 1)
-				pa, pb := e.NewPool(), e.NewPool()
-				if err := pa.Go("faulter", func(task *core.Task) error {
+				pa := submit(t, e, 0, "faulter", func(task *core.Task) error {
 					running <- task.Worker()
 					_, err := guard.Call(task, "fault")
 					return err
-				}); err != nil {
-					t.Fatal(err)
-				}
+				})
 				// The worker running the faulter is only known once it
 				// starts; the worker pool steals, so it is not fixed.
 				victim = <-running
 				faultsBefore = victim.Domain().Faults()
-				if err := pb.Go("worker", func(task *core.Task) error {
+				pb := submit(t, e, 1, "worker", func(task *core.Task) error {
 					res, err := guard.Call(task, "work")
 					if err != nil {
 						return err
@@ -259,12 +267,10 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 						return fmt.Errorf("enclosure result %v", res[0])
 					}
 					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
+				})
 
 				// The faulting job dies with the protection fault...
-				errA := pa.Wait()
+				errA := <-pa
 				var f *litterbox.Fault
 				if !errors.As(errA, &f) {
 					t.Fatalf("round %d: faulter returned %v, want *litterbox.Fault", i, errA)
@@ -274,7 +280,7 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 				}
 				// ...while the sibling worker's enclosure call, running
 				// concurrently in the same enclosure, is untouched.
-				if err := pb.Wait(); err != nil {
+				if err := <-pb; err != nil {
 					t.Fatalf("round %d: innocent worker aborted: %v", i, err)
 				}
 				// The program-wide abort never fires: faults stay in the
@@ -292,11 +298,7 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 				t.Fatalf("fault count %d, want %d\n%s", faults, rounds, MetricsString(ms))
 			}
 			// Engine still serves after every round's fault.
-			p := e.NewPool()
-			if err := p.Go("after", func(task *core.Task) error { return nil }); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Wait(); err != nil {
+			if err := <-submit(t, e, 0, "after", nop); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -359,8 +361,8 @@ func TestServeShardedAccept(t *testing.T) {
 	}
 	srv.Close()
 	e.Close()
-	if srv.Accepted() != reqs {
-		t.Fatalf("accepted %d, want %d", srv.Accepted(), reqs)
+	if srv.accepted.Load() != reqs {
+		t.Fatalf("accepted %d, want %d", srv.accepted.Load(), reqs)
 	}
 	ms := e.Metrics()
 	if TotalRequests(ms) != reqs {
@@ -424,7 +426,7 @@ func TestServeBackpressureSheds(t *testing.T) {
 	close(gate)
 	srv.Close()
 	e.Close()
-	if srv.Accepted()+srv.Shed() == 0 || srv.Shed() == 0 {
-		t.Fatalf("accepted=%d shed=%d", srv.Accepted(), srv.Shed())
+	if srv.accepted.Load()+srv.Shed() == 0 || srv.Shed() == 0 {
+		t.Fatalf("accepted=%d shed=%d", srv.accepted.Load(), srv.Shed())
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
-	"github.com/litterbox-project/enclosure/internal/obs"
 )
 
 // WorkerMetrics is one worker's cumulative execution statistics.
@@ -31,12 +30,12 @@ type WorkerMetrics struct {
 	DeadlineRejects int64 `json:"deadline_rejects,omitempty"`
 	DeadlineMisses  int64 `json:"deadline_misses,omitempty"`
 
-	Depth    int    `json:"depth"`     // instantaneous queue depth
-	Faults   int64  `json:"faults"`    // protection faults contained to this worker
-	ClockNs  int64  `json:"clock_ns"`  // accrued virtual time
-	EnvHits  int64  `json:"env_hits"`  // Prolog cache hits
-	EnvMiss  int64  `json:"env_miss"`  // Prolog cache misses
-	EnvGen   uint64 `json:"env_gen"`   // snapshot view generation the cache entries resolve under
+	Depth   int    `json:"depth"`    // instantaneous queue depth
+	Faults  int64  `json:"faults"`   // protection faults contained to this worker
+	ClockNs int64  `json:"clock_ns"` // accrued virtual time
+	EnvHits int64  `json:"env_hits"` // Prolog cache hits
+	EnvMiss int64  `json:"env_miss"` // Prolog cache misses
+	EnvGen  uint64 `json:"env_gen"`  // snapshot view generation the cache entries resolve under
 
 	Counters hw.CounterSnapshot `json:"counters"` // hardware events on this worker
 }
@@ -91,26 +90,6 @@ func TotalSteals(ms []WorkerMetrics) int64 {
 	return n
 }
 
-// TotalRingBatches sums syscall-ring batch drains across the snapshot.
-func TotalRingBatches(ms []WorkerMetrics) int64 {
-	var n int64
-	for _, m := range ms {
-		n += m.Counters.RingBatches
-	}
-	return n
-}
-
-// TotalRingEntries sums ring-submitted syscall entries across the
-// snapshot; divided by TotalRingBatches it gives the achieved batch
-// depth, the quantity the amortized trap cost scales with.
-func TotalRingEntries(ms []WorkerMetrics) int64 {
-	var n int64
-	for _, m := range ms {
-		n += m.Counters.RingEntries
-	}
-	return n
-}
-
 // MaxQueueDepth returns the highest per-worker queue high-water mark.
 func MaxQueueDepth(ms []WorkerMetrics) int64 {
 	var d int64
@@ -146,18 +125,6 @@ func ElapsedNs(before, after []WorkerMetrics) int64 {
 		}
 	}
 	return max
-}
-
-// TraceSnapshot returns the observability snapshot of the program's
-// trace — per-worker events from every engine CPU merged into the one
-// shared collector, with per-kind, per-syscall, and per-worker
-// aggregates. ok is false when the program is untraced.
-func (e *Engine) TraceSnapshot() (obs.Snapshot, bool) {
-	tr := e.prog.Tracer()
-	if tr == nil {
-		return obs.Snapshot{}, false
-	}
-	return tr.Snapshot(), true
 }
 
 // Fault returns the fault currently aborting worker i's domain, if any

@@ -82,11 +82,16 @@ func (q *classQueue) pop(weights [NumClasses]int, mode DequeueMode, lifoThreshol
 	q.credit[best] -= total
 	lane := q.jobs[best]
 	var j job
+	// Clear the vacated slot before reslicing: the backing array
+	// outlives the pop, and a stale copy would keep the job's closure
+	// (and the request state it captures) reachable.
 	if mode == LIFOUnderOverload && q.depth > lifoThreshold {
 		j = lane[len(lane)-1]
+		lane[len(lane)-1] = job{}
 		q.jobs[best] = lane[:len(lane)-1]
 	} else {
 		j = lane[0]
+		lane[0] = job{}
 		q.jobs[best] = lane[1:]
 	}
 	q.depth--
@@ -105,6 +110,7 @@ func (q *classQueue) steal() (job, bool) {
 			continue
 		}
 		j := q.jobs[c][0]
+		q.jobs[c][0] = job{} // as in pop
 		q.jobs[c] = q.jobs[c][1:]
 		q.depth--
 		return j, true

@@ -36,6 +36,40 @@ func TestClassQueueSWRRWeights(t *testing.T) {
 	}
 }
 
+// TestClassQueueClearsPoppedSlots: pop (FIFO and LIFO) and steal
+// leave no copy of the dequeued job in the lane's backing array, so a
+// finished job's closure is unreachable once it runs.
+func TestClassQueueClearsPoppedSlots(t *testing.T) {
+	fn := func(*core.Task) error { return nil }
+	q := &classQueue{}
+	for i := 0; i < 4; i++ {
+		q.push(job{name: "j", fn: fn})
+	}
+	lane := q.jobs[0] // the original slice header over the backing array
+
+	if _, ok := q.pop(defaultClassWeights, FIFO, 0); !ok {
+		t.Fatal("FIFO pop failed")
+	}
+	if lane[0].fn != nil {
+		t.Error("FIFO pop left the job in slot 0")
+	}
+	if _, ok := q.pop(defaultClassWeights, LIFOUnderOverload, 0); !ok {
+		t.Fatal("LIFO pop failed")
+	}
+	if lane[3].fn != nil {
+		t.Error("LIFO pop left the job in slot 3")
+	}
+	if _, ok := q.steal(); !ok {
+		t.Fatal("steal failed")
+	}
+	if lane[1].fn != nil {
+		t.Error("steal left the job in slot 1")
+	}
+	if lane[2].fn == nil {
+		t.Error("the still-queued job in slot 2 was cleared")
+	}
+}
+
 // TestClassQueueNoStarvationEitherWay: a backlog purely of one class
 // drains regardless of its weight, and a flood of low-priority work
 // cannot lock out a late-arriving high-priority job for more than its
@@ -130,8 +164,8 @@ func TestManualModeStepWorker(t *testing.T) {
 		{Name: "b", ArrivalVT: 500, Fn: work},   // arrives while a runs
 		{Name: "c", ArrivalVT: 99000, Fn: work}, // arrives long after b completes
 	} {
-		if err := e.SubmitSpec(spec); err != nil {
-			t.Fatalf("SubmitSpec(%s): %v", spec.Name, err)
+		if err := e.Submit(spec); err != nil {
+			t.Fatalf("Submit(%s): %v", spec.Name, err)
 		}
 	}
 
@@ -159,15 +193,15 @@ func TestManualModeStepWorker(t *testing.T) {
 	if _, ok := e.StepWorker(0); ok {
 		t.Fatal("StepWorker on a drained engine returned work")
 	}
-	if got := e.WorkerFreeVT(0); got != c.CompletionVT {
-		t.Fatalf("WorkerFreeVT = %d, want %d", got, c.CompletionVT)
+	if got := e.workers[0].vtFree; got != c.CompletionVT {
+		t.Fatalf("vtFree = %d, want %d", got, c.CompletionVT)
 	}
 
 	// ResetVT rewinds the horizon (calibration → measurement boundary)
 	// but keeps the learned service estimate.
 	e.ResetVT()
-	if got := e.WorkerFreeVT(0); got != 0 {
-		t.Fatalf("WorkerFreeVT after ResetVT = %d, want 0", got)
+	if got := e.workers[0].vtFree; got != 0 {
+		t.Fatalf("vtFree after ResetVT = %d, want 0", got)
 	}
 }
 
@@ -180,7 +214,7 @@ func TestManualModeStepSteals(t *testing.T) {
 
 	work := func(t *core.Task) error { t.Compute(1000); return nil }
 	for i := 0; i < 2; i++ {
-		if err := e.SubmitSpec(JobSpec{Pref: 0, Name: "w0-job", Fn: work}); err != nil {
+		if err := e.Submit(JobSpec{Pref: 0, Name: "w0-job", Fn: work}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,14 +240,14 @@ func TestDeadlineAdmission(t *testing.T) {
 
 	// Warm the predictor with one observed execution, then rewind the
 	// horizon so the next arrival sees an idle worker.
-	if err := e.SubmitSpec(JobSpec{Name: "warm", Fn: work}); err != nil {
+	if err := e.Submit(JobSpec{Name: "warm", Fn: work}); err != nil {
 		t.Fatal(err)
 	}
 	warm, _ := e.StepWorker(0)
 	e.ResetVT()
 
 	// Infeasible: the deadline is half the observed service time.
-	err := e.SubmitSpec(JobSpec{Name: "tight", ArrivalVT: 0, DeadlineVT: warm.ServiceNs / 2, Fn: work})
+	err := e.Submit(JobSpec{Name: "tight", ArrivalVT: 0, DeadlineVT: warm.ServiceNs / 2, Fn: work})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("infeasible deadline: err = %v, want ErrDeadline", err)
 	}
@@ -222,7 +256,7 @@ func TestDeadlineAdmission(t *testing.T) {
 	}
 
 	// Feasible: twice the service estimate.
-	if err := e.SubmitSpec(JobSpec{Name: "loose", ArrivalVT: 0, DeadlineVT: 2 * warm.ServiceNs, Fn: work}); err != nil {
+	if err := e.Submit(JobSpec{Name: "loose", ArrivalVT: 0, DeadlineVT: 2 * warm.ServiceNs, Fn: work}); err != nil {
 		t.Fatalf("feasible deadline rejected: %v", err)
 	}
 	if r, ok := e.StepWorker(0); !ok || r.Name != "loose" {
@@ -244,7 +278,7 @@ func TestDeadlineMissAccounting(t *testing.T) {
 
 	// Cold EWMA predicts zero service, so a 1ns deadline is admitted —
 	// then the job computes 1000ns and misses it.
-	err := e.SubmitSpec(JobSpec{
+	err := e.Submit(JobSpec{
 		Name: "miss", DeadlineVT: 1,
 		Fn: func(t *core.Task) error { t.Compute(1000); return nil },
 	})
@@ -269,7 +303,7 @@ func TestSubmitSpecClassClamp(t *testing.T) {
 	defer e.Close()
 
 	for _, class := range []int{-3, NumClasses + 5} {
-		if err := e.SubmitSpec(JobSpec{Name: "clamped", Class: class, Fn: func(t *core.Task) error { return nil }}); err != nil {
+		if err := e.Submit(JobSpec{Name: "clamped", Class: class, Fn: func(t *core.Task) error { return nil }}); err != nil {
 			t.Fatalf("class %d: %v", class, err)
 		}
 	}

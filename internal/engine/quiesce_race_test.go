@@ -10,7 +10,7 @@ import (
 )
 
 // TestQuiesceRacesCloseAndSubmit hammers the drain barrier the latency
-// harness leans on: concurrent SubmitE, Quiesce, and one Close, under
+// harness leans on: concurrent Submit, Quiesce, and one Close, under
 // -race in CI. The invariant is the admission guarantee — every
 // submission either returns an error and never runs its done callback,
 // or returns nil and runs done exactly once, even when Close lands
@@ -30,17 +30,17 @@ func TestQuiesceRacesCloseAndSubmit(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 32; i++ {
-					err := e.SubmitE(i, "race", func(t *core.Task) error {
+					err := e.Submit(JobSpec{Pref: i, Name: "race", Fn: func(t *core.Task) error {
 						t.Compute(200)
 						return nil
-					}, func(error) { doneCalls.Add(1) })
+					}, Done: func(error) { doneCalls.Add(1) }})
 					switch {
 					case err == nil:
 						admitted.Add(1)
 					case errors.Is(err, ErrBackpressure) || errors.Is(err, ErrClosed):
 						errored.Add(1)
 					default:
-						t.Errorf("SubmitE returned untyped error: %v", err)
+						t.Errorf("Submit returned untyped error: %v", err)
 						return
 					}
 				}

@@ -68,14 +68,14 @@ func (s *Server) accept(shard int, ln *simnet.Listener, opts ServeOpts) {
 		if err != nil {
 			return // shard closed
 		}
-		err = s.e.SubmitE(pref, fmt.Sprintf("conn-s%d", shard), func(t *core.Task) error {
+		err = s.e.Submit(JobSpec{Pref: pref, Name: fmt.Sprintf("conn-s%d", shard), Fn: func(t *core.Task) error {
 			// Inject at exec time into the *executor's* proc: a stolen
 			// job runs on a different worker than the acceptor's
 			// preference, and the fd must live in the fd table its
 			// syscalls resolve against.
 			fd := t.Worker().Proc().InjectConn(conn)
 			return opts.Conn(t, fd)
-		}, nil)
+		}})
 		if err != nil {
 			// Either way the client sees a reset (ErrClosed on its
 			// conn), but the accounting differs: ErrBackpressure is a
@@ -96,18 +96,10 @@ func (s *Server) accept(shard int, ln *simnet.Listener, opts ServeOpts) {
 	}
 }
 
-// Accepted returns how many connections were admitted.
-func (s *Server) Accepted() int64 { return s.accepted.Load() }
-
 // Shed returns how many connections were dropped under backpressure
-// (SubmitE returned ErrBackpressure). Connections dropped because the
-// engine had already closed are counted by ClosedDrops, not here.
+// (Submit returned ErrBackpressure). Connections dropped because the
+// engine had already closed are counted separately, not here.
 func (s *Server) Shed() int64 { return s.shed.Load() }
-
-// ClosedDrops returns how many connections were dropped because the
-// engine was closed when they arrived — shutdown artifacts, distinct
-// from backpressure sheds.
-func (s *Server) ClosedDrops() int64 { return s.closedDrops.Load() }
 
 // Close stops the accept shards and waits for the acceptor goroutines.
 // Already-queued connections still execute; drain them with

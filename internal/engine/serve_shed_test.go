@@ -13,7 +13,7 @@ import (
 // test: Shed() must count only ErrBackpressure rejections — connections
 // dropped because the engine had already closed are shutdown artifacts
 // and land in ClosedDrops. Before the fix, Shed() incremented on any
-// SubmitE error, so every shutdown inflated the shed rate the latency
+// Submit error, so every shutdown inflated the shed rate the latency
 // SLOs report.
 func TestServeShedCountsOnlyBackpressure(t *testing.T) {
 	prog := buildProg(t, core.Baseline, nil)
@@ -41,7 +41,7 @@ func TestServeShedCountsOnlyBackpressure(t *testing.T) {
 	defer conn.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.ClosedDrops() == 0 {
+	for srv.closedDrops.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("closed-engine drop never recorded")
 		}
@@ -52,7 +52,7 @@ func TestServeShedCountsOnlyBackpressure(t *testing.T) {
 	if got := srv.Shed(); got != 0 {
 		t.Fatalf("Shed = %d after an ErrClosed drop, want 0 (closed-engine drops are not sheds)", got)
 	}
-	if got := srv.ClosedDrops(); got != 1 {
+	if got := srv.closedDrops.Load(); got != 1 {
 		t.Fatalf("ClosedDrops = %d, want 1", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestServeBackpressureDoesNotCountAsClosedDrop(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := srv.ClosedDrops(); got != 0 {
+	if got := srv.closedDrops.Load(); got != 0 {
 		t.Fatalf("ClosedDrops = %d during pure backpressure, want 0", got)
 	}
 	close(gate)

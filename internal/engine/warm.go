@@ -48,11 +48,6 @@ func (e *Engine) acquireWarm(w *worker, name string) (*core.Task, func(), error)
 	return prog.NewTaskOn(wctx, name), func() { pool.Put(prog) }, nil
 }
 
-// WarmEnabled reports whether the engine serves jobs from warm snapshot
-// instances (the program was built with core.WithWarmPool and captured
-// cleanly).
-func (e *Engine) WarmEnabled() bool { return e.warm != nil }
-
 // WarmTemplate returns the engine's snapshot template (nil when warm
 // mode is off) — tests and benchmarks read its clone/recycle counters.
 func (e *Engine) WarmTemplate() *core.Template {

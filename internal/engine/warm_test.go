@@ -34,7 +34,7 @@ func TestWarmAdmissionIsolatesJobs(t *testing.T) {
 	prog := buildWarmEngineProgram(t, core.WithWarmPool(2))
 	e := New(prog, Opts{Workers: 2})
 	defer e.Close()
-	if !e.WarmEnabled() {
+	if e.warm == nil {
 		t.Fatal("warm mode off despite WithWarmPool")
 	}
 
@@ -45,7 +45,7 @@ func TestWarmAdmissionIsolatesJobs(t *testing.T) {
 	dirty := bytes.Repeat([]byte{0xEE}, 32)
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
-		err := e.SubmitE(i%2, fmt.Sprintf("job%d", i), func(task *core.Task) error {
+		err := e.Submit(JobSpec{Pref: i % 2, Name: fmt.Sprintf("job%d", i), Fn: func(task *core.Task) error {
 			p := task.Prog()
 			if !p.IsSnapshotInstance() {
 				return fmt.Errorf("job ran on the shared program, not a warm clone")
@@ -59,14 +59,14 @@ func TestWarmAdmissionIsolatesJobs(t *testing.T) {
 			}
 			task.WriteBytes(ref, dirty)
 			return nil
-		}, func(err error) {
+		}, Done: func(err error) {
 			mu.Lock()
 			if err != nil {
 				errs = append(errs, err)
 			}
 			mu.Unlock()
 			wg.Done()
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,16 +99,16 @@ func TestWarmDisabledWithoutOption(t *testing.T) {
 	prog := buildWarmEngineProgram(t)
 	e := New(prog, Opts{Workers: 1})
 	defer e.Close()
-	if e.WarmEnabled() {
+	if e.warm != nil {
 		t.Fatal("warm mode on without WithWarmPool")
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var shared bool
-	if err := e.SubmitE(0, "probe", func(task *core.Task) error {
+	if err := e.Submit(JobSpec{Name: "probe", Fn: func(task *core.Task) error {
 		shared = task.Prog() == prog
 		return nil
-	}, func(error) { wg.Done() }); err != nil {
+	}, Done: func(error) { wg.Done() }}); err != nil {
 		t.Fatal(err)
 	}
 	e.Quiesce()

@@ -16,7 +16,6 @@ package hw
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Cost model, in nanoseconds. Calibrated against Table 1 of the paper
@@ -131,11 +130,6 @@ func (c *Clock) Now() int64 { return c.ns.Load() }
 
 // Reset rewinds the clock to zero (between benchmark iterations).
 func (c *Clock) Reset() { c.ns.Store(0) }
-
-// Elapsed returns the virtual nanoseconds accrued since the mark.
-func (c *Clock) Elapsed(mark int64) time.Duration {
-	return time.Duration(c.Now() - mark)
-}
 
 // Counters tallies simulated hardware events. All fields are maintained
 // with atomic adds so concurrent simulated goroutines may share one set.

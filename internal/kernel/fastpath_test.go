@@ -29,7 +29,7 @@ func (w *world) filtered(nr Nr, args ...uint64) (uint64, Errno) {
 
 func TestCompiledFilterFastPath(t *testing.T) {
 	w := fastWorld(t)
-	if !w.k.FastPathEnabled() {
+	if w.k.fastOff.Load() {
 		t.Fatal("fast path should default on")
 	}
 	if ret, errno := w.filtered(NrGetpid); errno != OK || ret != 42 {

@@ -156,9 +156,6 @@ func (k *Kernel) SetCompiledFilter(art *seccomp.Artifacts) {
 // two paths bit-for-bit.
 func (k *Kernel) SetFastPath(enabled bool) { k.fastOff.Store(!enabled) }
 
-// FastPathEnabled reports whether verdict tables are consulted.
-func (k *Kernel) FastPathEnabled() bool { return !k.fastOff.Load() }
-
 // SetCrossCheck makes every fast-path verdict also run the BPF
 // interpreter; disagreements are counted (and the interpreter, being
 // the reference, wins).
@@ -243,13 +240,6 @@ func (k *Kernel) NewProc(uid, pid, hostIP uint32) *Proc {
 	return &Proc{k: k, UID: uid, PID: pid, HostIP: hostIP, fds: make(map[int]*fdEntry), nextFD: 3}
 }
 
-// Exited reports whether exit(2) was called, and its status code.
-func (p *Proc) Exited() (bool, int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.exited, p.code
-}
-
 func (p *Proc) allocFD(e *fdEntry) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -295,11 +285,6 @@ func (p *Proc) closeFD(fd int) Errno {
 // enclosure that may not create its own).
 func (p *Proc) InjectConn(c *simnet.Conn) int {
 	return p.allocFD(&fdEntry{conn: c})
-}
-
-// InjectListener registers a pre-bound listener in the fd table.
-func (p *Proc) InjectListener(l *simnet.Listener) int {
-	return p.allocFD(&fdEntry{ln: l})
 }
 
 // maxIO bounds single-call I/O, as real kernels bound with RLIMIT-ish caps.

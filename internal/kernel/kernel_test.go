@@ -231,9 +231,8 @@ func TestIdentityAndMisc(t *testing.T) {
 		t.Fatalf("unknown syscall: %v", errno)
 	}
 	w.sys(NrExit, 3)
-	exited, code := w.p.Exited()
-	if !exited || code != 3 {
-		t.Fatalf("exit state %v %d", exited, code)
+	if !w.p.exited || w.p.code != 3 {
+		t.Fatalf("exit state %v %d", w.p.exited, w.p.code)
 	}
 }
 
@@ -300,7 +299,7 @@ func TestInjectConnAndListener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lfd := w.p.InjectListener(ln)
+	lfd := w.p.allocFD(&fdEntry{ln: ln})
 	go func() {
 		c, _ := w.k.Net.Dial(8, simnet.Addr{Host: 7, Port: 7})
 		if c != nil {

@@ -350,16 +350,6 @@ func (img *Image) ReadVerif() ([]VerifEntry, error) {
 	return out, err
 }
 
-// FindEnclosure returns the declaration with the given name.
-func (img *Image) FindEnclosure(name string) *EnclosureDecl {
-	for _, d := range img.Enclosures {
-		if d.Name == name {
-			return d
-		}
-	}
-	return nil
-}
-
 func sectionDesc(s *mem.Section) SectionDesc {
 	return SectionDesc{Name: s.Name, Kind: uint8(s.Kind), Base: s.Base, Size: s.Size, Perm: uint8(s.Perm)}
 }

@@ -60,9 +60,6 @@ func (b *VTXBackend) SetSharing(on bool) {
 	}
 }
 
-// SharingEnabled reports whether table sharing is active.
-func (b *VTXBackend) SharingEnabled() bool { return !b.noShare.Load() }
-
 // ShareStats returns (table clones, copy-on-write splits) so far.
 func (b *VTXBackend) ShareStats() (clones, splits int64) { return b.machine.ShareStats() }
 

@@ -100,9 +100,6 @@ func (lb *LitterBox) auditSyscall(cpu *hw.CPU, env *Env, callerPkg string, nr ke
 // the reference arm ring-off probe sweeps diff against.
 func (lb *LitterBox) SetRingBatching(on bool) { lb.ringSeq.Store(!on) }
 
-// RingBatching reports whether the amortized drain is active.
-func (lb *LitterBox) RingBatching() bool { return !lb.ringSeq.Load() }
-
 // SyscallBatch drains one submission-ring batch on behalf of env,
 // writing one completion per entry into out. The batch executes in
 // submission order under one amortized trap (and, on LB_VTX, one

@@ -95,8 +95,8 @@ type Backend interface {
 	// executed. Execution stops at the first filter denial, whose index
 	// is returned (-1 when the whole batch executed); the denied entry's
 	// completion is left for the caller, who owns the fault/audit
-	// decision. Entries marked Runtime dispatch unfiltered, as the
-	// sequential RuntimeSyscall path does.
+	// decision. Entries marked Runtime dispatch unfiltered, as a
+	// sequential SyscallGateway request with Runtime set does.
 	SyscallBatch(cpu *hw.CPU, env *Env, entries []ring.Entry, out []ring.Completion) int
 }
 
@@ -722,31 +722,6 @@ func (lb *LitterBox) CheckExec(cpu *hw.CPU, env *Env, pkg string, entry mem.Addr
 		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "exec", Detail: err.Error(), Cause: err})
 	}
 	return nil
-}
-
-// FilterSyscall performs a system call under env's filter; a rejected
-// call faults and aborts the program (§4.2).
-//
-// Deprecated: use SyscallGateway. This survives as a thin wrapper.
-func (lb *LitterBox) FilterSyscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno, error) {
-	return lb.SyscallGateway(cpu, env, SyscallReq{Nr: nr, Args: args})
-}
-
-// FilterSyscallFrom is FilterSyscall with the calling package recorded
-// for event attribution.
-//
-// Deprecated: use SyscallGateway. This survives as a thin wrapper.
-func (lb *LitterBox) FilterSyscallFrom(cpu *hw.CPU, env *Env, callerPkg string, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno, error) {
-	return lb.SyscallGateway(cpu, env, SyscallReq{Nr: nr, Args: args, CallerPkg: callerPkg})
-}
-
-// RuntimeSyscall performs a system call on behalf of the language
-// runtime (scheduler wakeups, deadline clock reads, entropy).
-//
-// Deprecated: use SyscallGateway with Runtime set. This survives as a
-// thin wrapper.
-func (lb *LitterBox) RuntimeSyscall(cpu *hw.CPU, cur *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno, error) {
-	return lb.SyscallGateway(cpu, cur, SyscallReq{Nr: nr, Args: args, Runtime: true})
 }
 
 // Transfer reassigns a heap section to another package's arena and

@@ -23,11 +23,6 @@ func (lb *LitterBox) EnableTrace(capacity int) *Trace {
 	return tr
 }
 
-// SetTracer attaches an existing trace (nil detaches).
-func (lb *LitterBox) SetTracer(tr *Trace) {
-	lb.trace.Store(tr)
-}
-
 // DisableTrace stops recording.
 func (lb *LitterBox) DisableTrace() { lb.trace.Store((*Trace)(nil)) }
 

@@ -18,7 +18,6 @@
 package loadgen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -57,19 +56,6 @@ func (p ArrivalProcess) String() string {
 	default:
 		return "poisson"
 	}
-}
-
-// ParseArrivalProcess resolves a table/flag name.
-func ParseArrivalProcess(s string) (ArrivalProcess, error) {
-	switch s {
-	case "poisson":
-		return Poisson, nil
-	case "mmpp":
-		return MMPP, nil
-	case "sessions":
-		return SessionThink, nil
-	}
-	return 0, fmt.Errorf("loadgen: unknown arrival process %q", s)
 }
 
 // expNs draws an exponential interarrival with the given mean, floored

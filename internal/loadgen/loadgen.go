@@ -199,13 +199,13 @@ func Run(tg Target, spec Spec) (Result, error) {
 		if m.DeadlineMult > 0 {
 			deadline = ta + int64(m.DeadlineMult*float64(service[m.Kind]))
 		}
-		err := e.SubmitSpec(engine.JobSpec{
-			Pref:      i % W,
-			Name:      m.Kind + "#" + strconv.Itoa(i),
-			Class:     m.Class,
-			ArrivalVT: ta,
+		err := e.Submit(engine.JobSpec{
+			Pref:       i % W,
+			Name:       m.Kind + "#" + strconv.Itoa(i),
+			Class:      m.Class,
+			ArrivalVT:  ta,
 			DeadlineVT: deadline,
-			Fn:        tg.NewRequest(m.Kind),
+			Fn:         tg.NewRequest(m.Kind),
 		})
 		switch {
 		case err == nil:
@@ -232,10 +232,10 @@ func Run(tg Target, spec Spec) (Result, error) {
 
 	// --- Statistics ---------------------------------------------------
 	res := Result{
-		Target:  tg.Name(),
-		Backend: tg.Backend(),
-		Dequeue: e.DequeueMode().String(),
-		Workers: W,
+		Target:           tg.Name(),
+		Backend:          tg.Backend(),
+		Dequeue:          e.DequeueMode().String(),
+		Workers:          W,
 		OfferedLoad:      spec.OfferedLoad,
 		Arrivals:         spec.Arrivals.String(),
 		Requests:         spec.Requests,
@@ -326,7 +326,7 @@ func requestIndex(name string) (int, bool) {
 // calibrate runs one kind request synchronously on worker w; observe,
 // when non-nil, receives the measured service time.
 func calibrate(e *engine.Engine, tg Target, kind string, w int, observe func(int64)) error {
-	if err := e.SubmitSpec(engine.JobSpec{Pref: w, Name: "cal-" + kind, Fn: tg.NewRequest(kind)}); err != nil {
+	if err := e.Submit(engine.JobSpec{Pref: w, Name: "cal-" + kind, Fn: tg.NewRequest(kind)}); err != nil {
 		return fmt.Errorf("loadgen: calibration submit (%s): %w", kind, err)
 	}
 	r, ok := e.StepWorker(w)

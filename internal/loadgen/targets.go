@@ -54,10 +54,10 @@ type requestKind struct {
 	wantBody int
 }
 
-func (a *appTarget) Name() string          { return a.name }
-func (a *appTarget) Backend() string       { return a.backend.String() }
+func (a *appTarget) Name() string           { return a.name }
+func (a *appTarget) Backend() string        { return a.backend.String() }
 func (a *appTarget) Engine() *engine.Engine { return a.eng }
-func (a *appTarget) Kinds() []string       { return a.kinds }
+func (a *appTarget) Kinds() []string        { return a.kinds }
 
 func (a *appTarget) Close() error {
 	a.eng.Close()

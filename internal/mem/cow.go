@@ -154,18 +154,3 @@ func (as *AddressSpace) Revert() error {
 	as.next = as.snap.next
 	return nil
 }
-
-// DirtyPages returns how many pages the clone has touched since birth —
-// the recycling cost driver, surfaced for benchmarks and pool stats.
-func (as *AddressSpace) DirtyPages() int {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return len(as.dirty)
-}
-
-// SharedPages returns how many pages are still aliased copy-on-write.
-func (as *AddressSpace) SharedPages() int {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return len(as.cow)
-}

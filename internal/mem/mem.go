@@ -391,10 +391,3 @@ func (as *AddressSpace) Mapped(addr Addr, size uint64) bool {
 	}
 	return true
 }
-
-// Used returns the number of bytes of address space consumed so far.
-func (as *AddressSpace) Used() uint64 {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return uint64(as.next - baseVA)
-}

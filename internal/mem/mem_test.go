@@ -248,8 +248,8 @@ func TestSetOwnerAndUsed(t *testing.T) {
 	if s.Pkg != "b" {
 		t.Fatalf("owner %q", s.Pkg)
 	}
-	if as.Used() != PageSize {
-		t.Fatalf("used %d", as.Used())
+	if used := as.next - baseVA; used != PageSize {
+		t.Fatalf("used %d", used)
 	}
 }
 

@@ -116,16 +116,6 @@ func (u *Unit) PkeyMprotect(base mem.Addr, size uint64, perm mem.Perm, key int) 
 	return kernel.OK
 }
 
-// KeyOf returns the key tagging the page containing addr.
-func (u *Unit) KeyOf(addr mem.Addr) int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if e, ok := u.pages[addr.PageNumber()]; ok {
-		return e.key
-	}
-	return DefaultKey
-}
-
 // AccessError describes an MPK protection fault.
 type AccessError struct {
 	Addr  mem.Addr
@@ -183,9 +173,10 @@ func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) 
 }
 
 // ScanText searches a text section's bytes for a WRPKRU occurrence,
-// including sequences straddling any offset. LitterBox's Init runs this
-// over every non-LitterBox text section, mirroring ERIM's binary
-// inspection; finding one aborts initialisation.
+// including sequences straddling any offset — the plain opcode scan.
+// LitterBox's Init runs the decode-aware ScanGadgets instead; this one
+// stays as the reference the gadget scanner's tests show is blind to
+// the seeded gate-bypass modules.
 func (u *Unit) ScanText(sec *mem.Section) error {
 	buf := make([]byte, sec.Size)
 	if err := u.space.ReadAt(sec.Base, buf); err != nil {
@@ -197,17 +188,4 @@ func (u *Unit) ScanText(sec *mem.Section) error {
 		}
 	}
 	return nil
-}
-
-// KeysInUse returns the number of allocated keys (including key 0).
-func (u *Unit) KeysInUse() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	n := 0
-	for _, b := range u.used {
-		if b {
-			n++
-		}
-	}
-	return n
 }

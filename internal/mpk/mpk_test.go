@@ -19,8 +19,10 @@ func newUnit(t *testing.T) (*Unit, *mem.AddressSpace, *hw.CPU) {
 
 func TestPkeyAllocFree(t *testing.T) {
 	u, _, _ := newUnit(t)
-	if u.KeysInUse() != 1 { // key 0
-		t.Fatalf("fresh unit keys = %d", u.KeysInUse())
+	for k, used := range u.used {
+		if used != (k == 0) {
+			t.Fatalf("fresh unit: key %d in use = %v, want only key 0", k, used)
+		}
 	}
 	seen := map[int]bool{0: true}
 	for i := 0; i < hw.NumKeys-1; i++ {
@@ -70,10 +72,10 @@ func TestPkeyMprotectValidation(t *testing.T) {
 	if errno := u.PkeyMprotect(sec.Base, sec.Size, mem.PermR|mem.PermW, key); errno != kernel.OK {
 		t.Fatalf("valid mprotect: %v", errno)
 	}
-	if u.KeyOf(sec.Base) != key || u.KeyOf(sec.Base+mem.PageSize) != key {
+	if u.keyOf(sec.Base) != key || u.keyOf(sec.Base+mem.PageSize) != key {
 		t.Fatal("pages not tagged")
 	}
-	if u.KeyOf(0x999000) != DefaultKey {
+	if u.keyOf(0x999000) != DefaultKey {
 		t.Fatal("untracked page not default key")
 	}
 }
@@ -186,4 +188,14 @@ func TestAccessErrorMessage(t *testing.T) {
 	if e.Error() == "" {
 		t.Fatal("empty error")
 	}
+}
+
+// keyOf returns the key tagging the page containing addr.
+func (u *Unit) keyOf(addr mem.Addr) int {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if e, ok := u.pages[addr.PageNumber()]; ok {
+		return e.key
+	}
+	return DefaultKey
 }

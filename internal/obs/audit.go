@@ -194,18 +194,6 @@ func (a *Audit) Policies() map[string]string {
 	return out
 }
 
-// Summary renders the audit findings, one environment per paragraph.
-func (a *Audit) Summary() string {
-	var sb strings.Builder
-	for _, env := range a.Envs() {
-		a.mu.Lock()
-		v := a.encls[env].violations
-		a.mu.Unlock()
-		fmt.Fprintf(&sb, "%s (%d audited violations)\n  %s\n", env, v, a.Derive(env))
-	}
-	return sb.String()
-}
-
 // FormatHost renders an IPv4 host word as a dotted quad.
 func FormatHost(h uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", h>>24&0xff, h>>16&0xff, h>>8&0xff, h&0xff)

@@ -389,16 +389,3 @@ func (g *Graph) TopoOrder() ([]string, error) {
 	}
 	return order, nil
 }
-
-// TotalLOC sums the Meta.LOC of the named packages (for the TCB table).
-func (g *Graph) TotalLOC(names []string) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	sum := 0
-	for _, n := range names {
-		if p, ok := g.pkgs[n]; ok {
-			sum += p.Meta.LOC
-		}
-	}
-	return sum
-}

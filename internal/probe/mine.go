@@ -127,12 +127,6 @@ func minable(m *Model, op Op) bool {
 	return true
 }
 
-// MineTrace is MineTraceWith under fully stripped (empty) enclosure
-// policies — the first iteration of the analyzer's mining fixpoint.
-func MineTrace(tr Trace, backend string) (*obs.Audit, MineStats, error) {
-	return MineTraceWith(tr, backend, make([]litterbox.Policy, len(tr.Spec.Encls)))
-}
-
 // MineTraceWith replays tr under one backend in audit mode with the
 // given per-enclosure policies installed and returns the audit recorder
 // holding the residual needs — everything those policies denied —

@@ -229,11 +229,6 @@ func (in *Interp) Decref(t *core.Task, obj PyObject) uint64 {
 	})
 }
 
-// Refcount reads the current count (mode-independent read for tests).
-func (in *Interp) Refcount(t *core.Task, obj PyObject) uint64 {
-	return t.Load64(obj.headerAddr() + offRefcount)
-}
-
 // Collect sweeps a module's generation-0 list, unlinking and freeing
 // objects whose refcount reached zero. The traversal reads and rewrites
 // embedded list pointers — every hop is a metadata access. In Separated

@@ -115,7 +115,7 @@ func TestSeparatedObjectLifecycle(t *testing.T) {
 		"run": func(t *core.Task, args ...core.Value) ([]core.Value, error) {
 			a := in.NewObject(t, []byte("alpha"))
 			bObj := in.NewObject(t, []byte("beta"))
-			if in.Refcount(t, a) != 1 {
+			if refcount(t, a) != 1 {
 				return nil, errFmt("refcount")
 			}
 			if string(t.ReadBytes(a.Payload())) != "alpha" {

@@ -24,8 +24,8 @@ import (
 // Entry is one submission-queue element: a syscall the submitter wants
 // executed, plus a caller-chosen tag echoed on its completion. Runtime
 // marks a trusted language-runtime call (netpoller futexes, deadline
-// clocks): it dispatches unfiltered, as the sequential RuntimeSyscall
-// path does.
+// clocks): it dispatches unfiltered, as a sequential runtime syscall
+// does.
 type Entry struct {
 	Nr      kernel.Nr
 	Args    [6]uint64
@@ -69,9 +69,6 @@ func New(depth int) *Ring {
 
 // Depth returns the submission-queue capacity.
 func (r *Ring) Depth() int { return r.depth }
-
-// Pending returns the number of queued, un-drained entries.
-func (r *Ring) Pending() int { return len(r.sq) }
 
 // Full reports whether the submission queue is at capacity; the next
 // Submit requires a drain first.

@@ -44,8 +44,8 @@ func TestSubmitTakeRoundTrip(t *testing.T) {
 			t.Errorf("batch[%d].Tag = %d, want %d", i, e.Tag, i)
 		}
 	}
-	if r.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Take, want 0", r.Pending())
+	if len(r.sq) != 0 {
+		t.Fatalf("pending = %d after Take, want 0", len(r.sq))
 	}
 	// The SQ is reusable after Take; the taken batch is an independent
 	// copy, so later submissions cannot touch it.
@@ -76,8 +76,8 @@ func TestTakeCopyOnResubmit(t *testing.T) {
 	}
 	// The resubmitted entry is its own pending work, not part of the
 	// taken batch.
-	if r.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", r.Pending())
+	if len(r.sq) != 1 {
+		t.Fatalf("pending = %d, want 1", len(r.sq))
 	}
 	next := r.Take()
 	if len(next) != 1 || next[0].Tag != 99 {
@@ -93,7 +93,7 @@ func TestPostBoundsCompletionQueue(t *testing.T) {
 	cs := []Completion{
 		{Tag: 1, Errno: kernel.OK},
 		{Tag: 2, Errno: kernel.OK},
-		{Tag: 3, Errno: kernel.OK}, // overflows
+		{Tag: 3, Errno: kernel.OK},        // overflows
 		{Tag: 4, Errno: kernel.ECANCELED}, // overflows, still counted canceled
 	}
 	r.Post(cs)
@@ -150,8 +150,8 @@ func TestResetClearsQueuesKeepsStats(t *testing.T) {
 	r.Post([]Completion{{Tag: 1, Errno: kernel.OK}})
 	r.Submit(Entry{Nr: kernel.NrGetpid, Tag: 2})
 	r.Reset()
-	if r.Pending() != 0 {
-		t.Errorf("Pending() = %d after Reset, want 0", r.Pending())
+	if len(r.sq) != 0 {
+		t.Errorf("pending = %d after Reset, want 0", len(r.sq))
 	}
 	if r.Reap() != nil {
 		t.Error("Reap() after Reset should return nil")

@@ -307,8 +307,3 @@ func CompileArtifactsCached(rules []EnvRule, defaultAction, denyAction uint32) (
 	artCache.mu.Unlock()
 	return art, nil
 }
-
-// ArtifactCacheStats reports (hits, misses) since process start.
-func ArtifactCacheStats() (hits, misses int64) {
-	return artCache.hits.Load(), artCache.misses.Load()
-}

@@ -186,7 +186,7 @@ func TestCompileArtifactsCachedSharing(t *testing.T) {
 }
 
 func TestArtifactCacheStatsMove(t *testing.T) {
-	h0, m0 := ArtifactCacheStats()
+	h0, m0 := artCache.hits.Load(), artCache.misses.Load()
 	rules := []EnvRule{{PKRU: 0xABCD, Allowed: []uint32{1, 2}}}
 	if _, err := CompileArtifactsCached(rules, RetTrap, RetTrap); err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestArtifactCacheStatsMove(t *testing.T) {
 	if _, err := CompileArtifactsCached(rules, RetTrap, RetTrap); err != nil {
 		t.Fatal(err)
 	}
-	h1, m1 := ArtifactCacheStats()
+	h1, m1 := artCache.hits.Load(), artCache.misses.Load()
 	if h1 <= h0 {
 		t.Errorf("hits did not move: %d -> %d", h0, h1)
 	}

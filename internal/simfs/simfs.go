@@ -123,14 +123,6 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 	return append([]byte(nil), in.data...), nil
 }
 
-// Exists reports whether the path names a file or directory.
-func (fs *FS) Exists(p string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.inodes[clean(p)]
-	return ok
-}
-
 // Remove unlinks a file (directories must be empty).
 func (fs *FS) Remove(p string) error {
 	p = clean(p)

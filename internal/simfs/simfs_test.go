@@ -19,7 +19,7 @@ func TestWriteReadFile(t *testing.T) {
 	if string(got) != "hello" {
 		t.Fatalf("got %q", got)
 	}
-	if !fs.Exists("/a/b") || !fs.Exists("/a") {
+	if !fs.exists("/a/b") || !fs.exists("/a") {
 		t.Fatal("parents not created")
 	}
 	if _, err := fs.ReadFile("/missing"); !errors.Is(err, ErrNotExist) {
@@ -158,7 +158,7 @@ func TestRemoveAndReadDir(t *testing.T) {
 	if err := fs.Remove("/d/one"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("/d/one") {
+	if fs.exists("/d/one") {
 		t.Fatal("file survives Remove")
 	}
 	if err := fs.Remove("/d/one"); !errors.Is(err, ErrNotExist) {
@@ -172,4 +172,12 @@ func TestMkdirAllOverFile(t *testing.T) {
 	if err := fs.MkdirAll("/a/b"); !errors.Is(err, ErrNotDir) {
 		t.Fatalf("mkdir over file: %v", err)
 	}
+}
+
+// exists reports whether the path names a file or directory.
+func (fs *FS) exists(p string) bool {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	_, ok := fs.inodes[clean(p)]
+	return ok
 }

@@ -128,12 +128,6 @@ type Conn struct {
 	once          sync.Once
 }
 
-// LocalAddr returns the endpoint's own address.
-func (c *Conn) LocalAddr() Addr { return c.local }
-
-// RemoteAddr returns the peer's address.
-func (c *Conn) RemoteAddr() Addr { return c.remote }
-
 // ReadFlags receives bytes from the peer under the given flags: it
 // blocks until data or EOF, or under Nonblock returns ErrWouldBlock
 // instead of waiting.
@@ -141,10 +135,6 @@ func (c *Conn) ReadFlags(p []byte, f IOFlags) (int, error) { return c.rd.readFla
 
 // Read receives bytes from the peer, blocking until data or EOF.
 func (c *Conn) Read(p []byte) (int, error) { return c.ReadFlags(p, IOFlags{}) }
-
-// TryRead is the O_NONBLOCK Read: it returns ErrWouldBlock instead of
-// waiting when no data is buffered and the peer has not closed.
-func (c *Conn) TryRead(p []byte) (int, error) { return c.ReadFlags(p, IOFlags{Nonblock: true}) }
 
 // Write sends bytes to the peer.
 func (c *Conn) Write(p []byte) (int, error) { return c.wr.write(p) }
@@ -210,10 +200,6 @@ func (l *Listener) AcceptFlags(f IOFlags) (*Conn, error) {
 // Accept blocks until a connection arrives or the listener closes.
 func (l *Listener) Accept() (*Conn, error) { return l.AcceptFlags(IOFlags{}) }
 
-// TryAccept is the O_NONBLOCK Accept: it returns ErrWouldBlock instead
-// of waiting when the backlog is empty and the listener is still open.
-func (l *Listener) TryAccept() (*Conn, error) { return l.AcceptFlags(IOFlags{Nonblock: true}) }
-
 // Close stops the listener and releases its address. For a sharded
 // listener only this shard stops; the address stays bound until the
 // last shard in the group closes.
@@ -267,9 +253,6 @@ type Net struct {
 	listeners map[Addr]*Listener
 	shards    map[Addr]*shardGroup
 	nextPort  uint16
-	// connectLog records every successful connect destination, letting
-	// the attack tests assert on exfiltration attempts.
-	connectLog []Addr
 }
 
 // New returns an empty network.
@@ -381,7 +364,6 @@ func (n *Net) Dial(localHost uint32, remote Addr) (*Conn, error) {
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, remote)
 	}
 	local := Addr{Host: localHost, Port: n.ephemeralLocked()}
-	n.connectLog = append(n.connectLog, remote)
 	n.mu.Unlock()
 
 	a2b := newStream()
@@ -394,20 +376,6 @@ func (n *Net) Dial(localHost uint32, remote Addr) (*Conn, error) {
 	return clientSide, nil
 }
 
-// ConnectLog returns a copy of all successful connect destinations.
-func (n *Net) ConnectLog() []Addr {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]Addr(nil), n.connectLog...)
-}
-
-// ResetConnectLog clears the connect log (between test cases).
-func (n *Net) ResetConnectLog() {
-	n.mu.Lock()
-	n.connectLog = nil
-	n.mu.Unlock()
-}
-
 // ErrNotQuiescent is returned by Clone when the namespace still has live
 // listeners or accept shards: streams and accept queues hold goroutine
 // rendezvous state that cannot be meaningfully duplicated, so snapshot
@@ -415,7 +383,7 @@ func (n *Net) ResetConnectLog() {
 var ErrNotQuiescent = errors.New("simnet: cannot clone a namespace with live listeners")
 
 // Clone returns an independent copy of a quiescent network namespace:
-// the ephemeral port cursor and the connect log carry over, so a cloned
+// the ephemeral port cursor carries over, so a cloned
 // world draws the same port sequence a cold-built one would.
 func (n *Net) Clone() (*Net, error) {
 	n.mu.Lock()
@@ -424,9 +392,8 @@ func (n *Net) Clone() (*Net, error) {
 		return nil, ErrNotQuiescent
 	}
 	return &Net{
-		listeners:  make(map[Addr]*Listener),
-		shards:     make(map[Addr]*shardGroup),
-		nextPort:   n.nextPort,
-		connectLog: append([]Addr(nil), n.connectLog...),
+		listeners: make(map[Addr]*Listener),
+		shards:    make(map[Addr]*shardGroup),
+		nextPort:  n.nextPort,
 	}, nil
 }

@@ -45,8 +45,8 @@ func TestDialAcceptRoundTrip(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if c.LocalAddr().Host != HostIP(10, 0, 0, 99) || c.RemoteAddr().Port != 80 {
-		t.Fatalf("addrs: %v -> %v", c.LocalAddr(), c.RemoteAddr())
+	if c.local.Host != HostIP(10, 0, 0, 99) || c.remote.Port != 80 {
+		t.Fatalf("addrs: %v -> %v", c.local, c.remote)
 	}
 }
 
@@ -225,22 +225,6 @@ func TestLargeTransferBeyondBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-}
-
-func TestConnectLog(t *testing.T) {
-	n := New()
-	ln, _ := n.Listen(Addr{Host: 1, Port: 80})
-	defer ln.Close()
-	c, _ := n.Dial(2, Addr{Host: 1, Port: 80})
-	c.Close()
-	log := n.ConnectLog()
-	if len(log) != 1 || log[0].Port != 80 {
-		t.Fatalf("connect log %v", log)
-	}
-	n.ResetConnectLog()
-	if len(n.ConnectLog()) != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestAddrString(t *testing.T) {

@@ -8,13 +8,14 @@
 // set, the clock, the kernel (file system, network, RNG cursor), the
 // process, and the backend enforcement unit.
 //
-// On top of single-shot cloning, Pool keeps a bounded free-list of
-// live instances recycled in place: a returned instance's memory is
-// reverted to the snapshot (O(dirty pages)), its kernel and litterbox
-// are re-cloned from the template (cheap map copies), and its backend
-// hardware unit is adopted as-is when a mutation-generation check
-// proves it untouched since birth — the expensive page-tag/page-table
-// copies are skipped entirely on the common path.
+// A live instance can also be recycled in place (Instance.Recycle):
+// its memory is reverted to the snapshot (O(dirty pages)), its kernel
+// and litterbox are re-cloned from the template (cheap map copies), and
+// its backend hardware unit is adopted as-is when a mutation-generation
+// check proves it untouched since birth — the expensive
+// page-tag/page-table copies are skipped entirely on the common path.
+// The bounded free-list of recycled instances the engine draws from is
+// core.WarmPool.
 //
 // Correctness contract, proved by the probe corpus (probe.CompareWarmSweep):
 // a cloned or recycled instance is digest-identical to a cold-built
@@ -34,12 +35,6 @@ import (
 	"github.com/litterbox-project/enclosure/internal/linker"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
 	"github.com/litterbox-project/enclosure/internal/mem"
-)
-
-// Errors reported by the snapshot layer.
-var (
-	// ErrPoolClosed reports Get on a closed pool.
-	ErrPoolClosed = errors.New("snapstart: pool is closed")
 )
 
 // Parts names the pieces of a fully initialised enclosure world a
@@ -205,105 +200,4 @@ func (inst *Instance) Remap(sec *mem.Section) *mem.Section {
 		return ns
 	}
 	return sec
-}
-
-// PoolStats counts pool traffic.
-type PoolStats struct {
-	Hits     int64 // Get served from the free-list (recycled instance)
-	Misses   int64 // Get had to instantiate fresh
-	Discards int64 // Put dropped an instance (pool full or recycle failed)
-}
-
-// Pool is a bounded free-list of warm instances over one template.
-// Instances are recycled on Put — off the Get critical path — so a Get
-// that hits the free-list pays nothing but a pop.
-type Pool struct {
-	t   *Template
-	max int
-
-	mu     sync.Mutex
-	free   []*Instance
-	closed bool
-	stats  PoolStats
-}
-
-// NewPool returns a warm pool holding at most max idle instances.
-// max <= 0 disables pooling: every Get instantiates, every Put discards.
-func NewPool(t *Template, max int) *Pool {
-	if max < 0 {
-		max = 0
-	}
-	return &Pool{t: t, max: max}
-}
-
-// Template returns the pool's underlying template.
-func (p *Pool) Template() *Template { return p.t }
-
-// Get returns a warm instance, preferring the free-list.
-func (p *Pool) Get() (*Instance, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
-	}
-	if n := len(p.free); n > 0 {
-		inst := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.stats.Hits++
-		p.mu.Unlock()
-		return inst, nil
-	}
-	p.stats.Misses++
-	p.mu.Unlock()
-	return p.t.Instantiate()
-}
-
-// Put recycles the instance and returns it to the free-list. Instances
-// that fail to recycle, or that arrive when the pool is full or closed,
-// are discarded — never pooled dirty.
-func (p *Pool) Put(inst *Instance) {
-	if inst == nil {
-		return
-	}
-	p.mu.Lock()
-	full := p.closed || len(p.free) >= p.max
-	p.mu.Unlock()
-	if full {
-		p.noteDiscard()
-		return
-	}
-	if err := inst.Recycle(); err != nil {
-		p.noteDiscard()
-		return
-	}
-	p.mu.Lock()
-	if p.closed || len(p.free) >= p.max {
-		p.mu.Unlock()
-		p.noteDiscard()
-		return
-	}
-	p.free = append(p.free, inst)
-	p.mu.Unlock()
-}
-
-func (p *Pool) noteDiscard() {
-	p.mu.Lock()
-	p.stats.Discards++
-	p.mu.Unlock()
-}
-
-// Stats returns a snapshot of pool traffic counters.
-func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
-// Close empties the free-list; subsequent Gets fail.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.free = nil
-	p.mu.Unlock()
 }
