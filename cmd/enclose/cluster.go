@@ -10,6 +10,7 @@ import (
 	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
 	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/core"
+	"github.com/litterbox-project/enclosure/internal/probe"
 	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
@@ -146,12 +147,16 @@ func runCluster(args []string) {
 
 	if *sweep > 0 {
 		fmt.Printf("Migration digest sweep: %d probe traces, every world force-migrated mid-trace...\n", *sweep)
-		stats, err := cluster.MigrationSweep(*seed, *sweep, 40)
+		migrations := 0
+		stats, div, err := probe.Sweep(*seed, *sweep, 40, probe.Arm{}, cluster.MigrateArm(0, &migrations))
 		if err != nil {
 			fail(err)
 		}
+		if div != nil {
+			fail(fmt.Errorf("migration sweep diverged:\n%s", div))
+		}
 		fmt.Printf("  %d traces, %d ops, %d world migrations: outcome digests identical to the unmigrated runs on all four backends.\n",
-			stats.Traces, stats.Ops, stats.Migrations)
+			stats.Traces, stats.Ops, migrations)
 	}
 }
 

@@ -19,11 +19,12 @@
 //
 // The probe subcommand runs the adversarial probe engine: seeded random
 // enclosure programs executed on all four backends under a differential
-// oracle, with any divergence shrunk to a minimal reproducer:
+// oracle, each replayed under every arm (reference, interpreter,
+// sequential drain, clone, recycled, migrate), with any divergence
+// shrunk to a minimal reproducer:
 //
 //	enclose probe -n 500                    # sweep 500 traces
-//	enclose probe -seed 0xec705e            # replay one trace deterministically
-//	enclose probe -n 300 -warm              # cold vs clone vs recycled digests
+//	enclose probe -seed 0xec705e -ops 40    # replay one trace deterministically
 //
 // The cluster subcommand runs N engine nodes behind a consistent-hash
 // load balancer on a simulated network: content-addressed image

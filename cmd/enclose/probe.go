@@ -4,64 +4,38 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/probe"
 )
 
 // runProbe implements the probe subcommand: a seeded adversarial sweep
-// across all four backends under the differential oracle. A divergence
-// is shrunk to a minimal reproducer and the process exits non-zero; the
-// printed seed replays the exact trace.
+// across all four backends under the differential oracle. Every trace
+// replays under the reference arm and under each fast path's arm, whose
+// outcome digests must match the reference's. A divergence is shrunk to
+// a minimal reproducer and the process exits non-zero; the printed seed
+// replays the exact trace.
 func runProbe(args []string) {
 	fs := flag.NewFlagSet("enclose probe", flag.ExitOnError)
 	seed := fs.Uint64("seed", 0xEC705E, "base seed; the same seed always replays the same traces")
 	n := fs.Int("n", 1, "number of traces to sweep from the seed")
 	ops := fs.Int("ops", 40, "operations per trace")
-	fastpath := fs.Bool("fastpath", true, "use the compiled verdict table (false: reference BPF interpreter)")
-	ringMode := fs.Bool("ring", true, "drain syscall batches through the ring (false: sequential per-entry gateway)")
-	warm := fs.Bool("warm", false, "replay every trace on snapshot clones and recycled instances; digests must match the cold build")
 	fs.Parse(args)
 
-	if *warm {
-		fmt.Printf("warm sweep: %d trace(s) from seed %#x (%d ops each): cold vs clone vs recycled on baseline/mpk/vtx/cheri\n",
-			*n, *seed, *ops)
-		stats, div, err := probe.CompareWarmSweep(*seed, *n, *ops, true)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  %d traces, %d ops, %d clones, %d recycles\n",
-			stats.Traces, stats.Ops, stats.Clones, stats.Recycles)
-		if div == nil {
-			fmt.Println("  digest-identical: clone and recycled replays match the cold build on every backend")
-			return
-		}
-		fmt.Printf("\n%s\n", div)
-		os.Exit(1)
+	var warm probe.Warm
+	migrations := 0
+	arms := []probe.Arm{
+		{Name: "reference"}, probe.Interpreter, probe.SequentialDrain,
+		warm.Clone(), warm.Recycled(), cluster.MigrateArm(0, &migrations),
 	}
-
-	var hooks []func(*probe.World)
-	mode := "verdict-table fast path"
-	if !*fastpath {
-		hooks = append(hooks, func(w *probe.World) { w.K.SetFastPath(false) })
-		mode = "reference BPF interpreter"
+	names := make([]string, len(arms))
+	for i, a := range arms {
+		names[i] = a.Name
 	}
-	if !*ringMode {
-		hooks = append(hooks, func(w *probe.World) { w.LB.SetRingBatching(false) })
-		mode += ", sequential batch drain"
-	} else {
-		mode += ", batched ring drain"
-	}
-	var configure func(*probe.World)
-	if len(hooks) > 0 {
-		configure = func(w *probe.World) {
-			for _, h := range hooks {
-				h(w)
-			}
-		}
-	}
-	fmt.Printf("probing %d trace(s) from seed %#x (%d ops each) on baseline/mpk/vtx/cheri, %s\n",
-		*n, *seed, *ops, mode)
-	stats, div, err := probe.SweepConfigured(*seed, *n, *ops, configure)
+	fmt.Printf("probing %d trace(s) from seed %#x (%d ops each) on baseline/mpk/vtx/cheri\n  arms: %s\n",
+		*n, *seed, *ops, strings.Join(names, ", "))
+	stats, div, err := probe.Sweep(*seed, *n, *ops, arms...)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,13 +43,15 @@ func runProbe(args []string) {
 		stats.Traces, stats.Ops, stats.Skipped, stats.Faults)
 	fmt.Printf("  %d traces with dynamic imports, %d with fault injections (%d errno, %d transfer)\n",
 		stats.DynImportTraces, stats.InjectionTraces, stats.InjectedErrnos, stats.InjectedTransfers)
+	clones, recycles := warm.Stats()
+	fmt.Printf("  %d snapshot clones, %d recycles, %d world migrations\n", clones, recycles, migrations)
 	if div == nil {
-		fmt.Println("  no divergences: all four backends agree with each other and the model")
+		fmt.Println("  no divergences: all four backends agree with each other and the model, and every arm matches the reference digest")
 		return
 	}
 
 	fmt.Printf("\n%s\n", div)
-	shrunk, sdiv := probe.Shrink(probe.Gen(div.Seed, *ops))
+	shrunk, sdiv := probe.Shrink(probe.Gen(div.Seed, *ops), arms...)
 	if sdiv != nil {
 		fmt.Printf("\nminimal reproducer (%d ops, seed %#x):\n", len(shrunk.Ops), shrunk.Seed)
 		for i, op := range shrunk.Ops {

@@ -302,15 +302,17 @@ func RunChurn(sweepTraces int) (ChurnResult, error) {
 		}
 	}
 
-	stats, div, err := probe.CompareWarmSweep(42, sweepTraces, 40, true)
+	var warm probe.Warm
+	stats, div, err := probe.Sweep(42, sweepTraces, 40, probe.Arm{}, warm.Clone(), warm.Recycled())
 	if err != nil {
 		return res, fmt.Errorf("warm sweep: %w", err)
 	}
+	clones, recycles := warm.Stats()
 	res.Sweep = ChurnSweepEntry{
 		Traces:       stats.Traces,
 		Ops:          stats.Ops,
-		Clones:       stats.Clones,
-		Recycles:     stats.Recycles,
+		Clones:       clones,
+		Recycles:     recycles,
 		DigestsMatch: div == nil,
 	}
 	if div != nil {

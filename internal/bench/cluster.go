@@ -10,6 +10,7 @@ import (
 	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/engine"
+	"github.com/litterbox-project/enclosure/internal/probe"
 )
 
 // ClusterNodeCounts is the node sweep of the cluster scaling table.
@@ -253,18 +254,22 @@ type ClusterMigrationResult struct {
 }
 
 // RunClusterMigration runs the migration sweep for the JSON results.
-// MigrationSweep fails on the first digest mismatch, so a returned
-// result always has DigestsMatch true; the error carries the seed
-// otherwise.
+// The sweep stops at the first digest mismatch and returns it as an
+// error carrying the seed, so a returned result always has DigestsMatch
+// true. Migrations counts the migrate arm's swaps.
 func RunClusterMigration(traces int) (ClusterMigrationResult, error) {
-	stats, err := cluster.MigrationSweep(0xC1057E2, traces, 40)
+	migrations := 0
+	stats, div, err := probe.Sweep(0xC1057E2, traces, 40, probe.Arm{}, cluster.MigrateArm(0, &migrations))
 	if err != nil {
 		return ClusterMigrationResult{}, err
+	}
+	if div != nil {
+		return ClusterMigrationResult{}, fmt.Errorf("migration sweep diverged:\n%s", div)
 	}
 	return ClusterMigrationResult{
 		Traces:       stats.Traces,
 		Ops:          stats.Ops,
-		Migrations:   stats.Migrations,
+		Migrations:   migrations,
 		DynImports:   stats.DynImports,
 		DigestsMatch: true,
 	}, nil

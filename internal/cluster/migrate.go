@@ -25,9 +25,9 @@ import (
 //
 // This is the checkpoint/restore discipline of the rest of the repo
 // applied across nodes: no mechanism without a cross-checked reference.
-// The probe integration (RunTraceMigrated + MigrateWorld) pins the end
-// result — a migrated environment produces bit-identical outcomes to
-// one that never moved, on all four backends.
+// The probe integration (MigrateArm) pins the end result — a migrated
+// environment produces bit-identical outcomes to one that never moved,
+// on all four backends.
 
 // Checkpoint is one world's migratable state.
 type Checkpoint struct {
@@ -129,6 +129,18 @@ func RestoreWorld(cp *Checkpoint) (*probe.World, error) {
 func MigrateWorld(w *probe.World, journal []probe.Executed) (*probe.World, error) {
 	src, dst := simnet.Pair()
 	return migrateOver(w, journal, simnet.NewMsgConn(src), simnet.NewMsgConn(dst))
+}
+
+// MigrateArm is the probe arm that live-migrates every world through
+// MigrateWorld after at executed operations (zero: half the trace's
+// executed operations). migrations, if non-nil, counts the swaps.
+func MigrateArm(at int, migrations *int) probe.Arm {
+	return probe.Arm{Name: "migrate", SwapAt: at, Swap: func(w *probe.World, journal []probe.Executed) (*probe.World, error) {
+		if migrations != nil {
+			*migrations++
+		}
+		return MigrateWorld(w, journal)
+	}}
 }
 
 // migrateOver runs the transfer over explicit endpoints so tests can

@@ -1,43 +1,11 @@
 package probe
 
-// Differential validation of the compiled-policy fast path: replaying
-// the same seeded traces with the verdict table enabled and disabled
-// must produce bit-identical outcome digests, and the in-kernel
+// In-kernel validation of the compiled-policy fast path: the
 // cross-check (table and interpreter run side by side, interpreter
-// authoritative) must record zero divergences across the sweep.
+// authoritative) must record zero divergences across a sweep. The
+// Interpreter arm's digest equivalence is in arm_test.go.
 
 import "testing"
-
-// TestSweepFastPathDigestEquivalence replays each trace twice — fast
-// path on (the default) and off (pure BPF interpretation) — and
-// requires the outcome digests to match bit for bit. Any behavioural
-// difference between the verdict table and the interpreter, on any
-// backend, in any layer the oracle watches, shows up here.
-func TestSweepFastPathDigestEquivalence(t *testing.T) {
-	n := 300
-	if testing.Short() {
-		n = 30
-	}
-	for i := 0; i < n; i++ {
-		tr := Gen(sweepSeed+uint64(i)*0x9E3779B97F4A7C15, 40)
-		divFast, fast, err := RunTraceConfigured(tr, nil)
-		if err != nil {
-			t.Fatalf("seed %#x fast: %v", tr.Seed, err)
-		}
-		divSlow, slow, err := RunTraceConfigured(tr, func(w *World) {
-			w.K.SetFastPath(false)
-		})
-		if err != nil {
-			t.Fatalf("seed %#x slow: %v", tr.Seed, err)
-		}
-		if (divFast == nil) != (divSlow == nil) {
-			t.Fatalf("seed %#x: divergence only on one path: fast=%v slow=%v", tr.Seed, divFast, divSlow)
-		}
-		if fast.Digest != slow.Digest {
-			t.Fatalf("seed %#x: outcome digest differs: fast=%#x slow=%#x", tr.Seed, fast.Digest, slow.Digest)
-		}
-	}
-}
 
 // TestSweepFastPathCrossCheck runs traces with the kernel's
 // cross-check armed: every verdict is computed by both the table and
@@ -53,10 +21,10 @@ func TestSweepFastPathCrossCheck(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr := Gen(sweepSeed+uint64(i)*0x9E3779B97F4A7C15, 40)
 		var worlds []*World
-		div, _, err := RunTraceConfigured(tr, func(w *World) {
+		div, _, err := RunTrace(tr, Arm{Configure: func(w *World) {
 			w.K.SetCrossCheck(true)
 			worlds = append(worlds, w)
-		})
+		}})
 		if err != nil {
 			t.Fatalf("seed %#x: %v", tr.Seed, err)
 		}

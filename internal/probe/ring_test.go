@@ -1,11 +1,12 @@
 package probe
 
-// Differential validation of the batched syscall ring: replaying the
-// same seeded traces with batching on (the default SyscallBatch drain)
-// and off (every batch entry routed through the sequential per-entry
-// gateway) must produce bit-identical outcome digests on all four
-// backends. Mid-batch denial, post-denial cancellation, injected
-// errnos, and dynamic imports between batches are all covered.
+// Differential validation of the batched syscall ring on hand-built
+// traces: batching on (the default SyscallBatch drain) and off (the
+// SequentialDrain arm, every batch entry routed through the sequential
+// per-entry gateway) must produce bit-identical outcome digests on all
+// four backends. Mid-batch denial, post-denial cancellation, injected
+// errnos, and dynamic imports between batches are all covered; the
+// seeded sweep is in arm_test.go.
 
 import (
 	"testing"
@@ -13,50 +14,6 @@ import (
 	"github.com/litterbox-project/enclosure/internal/kernel"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
 )
-
-// ringOff routes SyscallBatch through the sequential reference arm.
-func ringOff(w *World) { w.LB.SetRingBatching(false) }
-
-// TestSweepRingDigestEquivalence replays each trace twice — batched
-// drain and sequential reference — and requires the outcome digests to
-// match bit for bit. Any behavioural difference in verdicts, per-entry
-// results, denial position, cancellation, or injection consumption
-// shows up here.
-func TestSweepRingDigestEquivalence(t *testing.T) {
-	n := 300
-	if testing.Short() {
-		n = 30
-	}
-	batches := 0
-	for i := 0; i < n; i++ {
-		tr := Gen(sweepSeed+uint64(i)*0x9E3779B97F4A7C15, 40)
-		for _, op := range tr.Ops {
-			if op.Kind == OpBatch {
-				batches++
-			}
-		}
-		divOn, on, err := RunTraceConfigured(tr, nil)
-		if err != nil {
-			t.Fatalf("seed %#x batched: %v", tr.Seed, err)
-		}
-		divOff, off, err := RunTraceConfigured(tr, ringOff)
-		if err != nil {
-			t.Fatalf("seed %#x sequential: %v", tr.Seed, err)
-		}
-		if (divOn == nil) != (divOff == nil) {
-			t.Fatalf("seed %#x: divergence only in one mode: on=%v off=%v", tr.Seed, divOn, divOff)
-		}
-		if divOn != nil {
-			t.Fatalf("seed %#x: oracle divergence:\n%s", tr.Seed, divOn)
-		}
-		if on.Digest != off.Digest {
-			t.Fatalf("seed %#x: outcome digest differs: batched=%#x sequential=%#x", tr.Seed, on.Digest, off.Digest)
-		}
-	}
-	if batches == 0 {
-		t.Fatal("sweep never generated a batch op")
-	}
-}
 
 // ringSpec is a minimal hand-built world: one enclosure over p0 allowed
 // only proc-category calls.
@@ -73,28 +30,19 @@ func ringSpec() WorldSpec {
 	}
 }
 
-// runBothModes replays a hand-built trace batched and sequential and
-// returns the batched stats after asserting digest equality.
+// runBothModes replays a hand-built trace batched and sequential,
+// asserting no divergence and digest equality, and returns the batched
+// stats.
 func runBothModes(t *testing.T, tr Trace) TraceStats {
 	t.Helper()
-	divOn, on, err := RunTraceConfigured(tr, nil)
+	div, stats, err := RunTrace(tr, Arm{}, SequentialDrain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if divOn != nil {
-		t.Fatalf("batched divergence:\n%s", divOn)
+	if div != nil {
+		t.Fatalf("divergence:\n%s", div)
 	}
-	divOff, off, err := RunTraceConfigured(tr, ringOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if divOff != nil {
-		t.Fatalf("sequential divergence:\n%s", divOff)
-	}
-	if on.Digest != off.Digest {
-		t.Fatalf("digest differs: batched=%#x sequential=%#x", on.Digest, off.Digest)
-	}
-	return on
+	return stats
 }
 
 // TestRingMidBatchDenialDigest pins the exact denial shape: entries
@@ -189,10 +137,10 @@ func TestSweepRingCrossCheck(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr := Gen(sweepSeed+uint64(i)*0x9E3779B97F4A7C15, 40)
 		var worlds []*World
-		div, _, err := RunTraceConfigured(tr, func(w *World) {
+		div, _, err := RunTrace(tr, Arm{Configure: func(w *World) {
 			w.K.SetRingCrossCheck(true)
 			worlds = append(worlds, w)
-		})
+		}})
 		if err != nil {
 			t.Fatalf("seed %#x: %v", tr.Seed, err)
 		}

@@ -13,14 +13,18 @@ import (
 	"github.com/litterbox-project/enclosure/internal/ring"
 )
 
-// Divergence is a cross-backend disagreement flushed out by a trace —
-// the probe engine's bug report. Kind names the oracle layer that
-// fired: "backend" (the enforcing backends disagree among themselves),
-// "baseline" (the no-enforcement world faulted, or its kernel results
-// drifted before any filter denial), or "model" (all backends agree on
-// a verdict class the reference model rejects).
+// Divergence is a disagreement flushed out by a trace — the probe
+// engine's bug report. Arm names the replay it was found in. Kind names
+// the check that fired: "backend" (the enforcing backends disagree
+// among themselves), "baseline" (the no-enforcement world faulted, or
+// its kernel results drifted before any filter denial), "model" (all
+// backends agree on a verdict class the reference model rejects), or
+// "digest" (the arm passed the oracle but its outcomes differ from the
+// first arm's; Index is then -1, and Op and Outcomes are unset).
 type Divergence struct {
 	Seed     uint64
+	TraceLen int // ops in the generated trace the reproduce line replays
+	Arm      string
 	Index    int
 	Op       Op
 	Kind     string
@@ -30,11 +34,15 @@ type Divergence struct {
 
 func (d *Divergence) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "divergence [%s] at op %d: %s\n  %s\n", d.Kind, d.Index, d.Op.String(), d.Detail)
-	for _, name := range backendNames {
-		fmt.Fprintf(&b, "  %-8s %s\n", name, d.Outcomes[name])
+	if d.Kind == "digest" {
+		fmt.Fprintf(&b, "divergence [digest] in arm %s: %s\n", d.Arm, d.Detail)
+	} else {
+		fmt.Fprintf(&b, "divergence [%s] in arm %s at op %d: %s\n  %s\n", d.Kind, d.Arm, d.Index, d.Op.String(), d.Detail)
+		for _, name := range backendNames {
+			fmt.Fprintf(&b, "  %-8s %s\n", name, d.Outcomes[name])
+		}
 	}
-	fmt.Fprintf(&b, "  reproduce: enclose probe -seed %d", d.Seed)
+	fmt.Fprintf(&b, "  reproduce: enclose probe -seed %d -ops %d", d.Seed, d.TraceLen)
 	return b.String()
 }
 
@@ -48,29 +56,75 @@ type TraceStats struct {
 	Digest            uint64 // FNV over all outcomes: determinism witness
 }
 
-// RunTrace builds the four worlds, replays the trace, and applies the
-// differential oracle after every operation. It returns the first
-// divergence (nil if the backends stayed in lockstep) and the stats.
-func RunTrace(tr Trace) (*Divergence, TraceStats, error) {
-	return RunTraceConfigured(tr, nil)
+// Arm is one way to replay a trace: how its four worlds are built, how
+// they are configured, and whether they are swapped mid-trace. Every
+// fast path (verdict table, ring drain, snapshot clones, migration) is
+// an arm checked against a reference arm by outcome digest. An arm must
+// not change verdicts or virtual costs.
+type Arm struct {
+	// Name labels the arm in divergences; empty reads as "reference".
+	Name string
+	// Build returns the four worlds of a spec in backendNames order;
+	// nil means BuildWorlds.
+	Build func(WorldSpec) ([]*World, error)
+	// Configure, if set, runs on every world after it is built and
+	// before the first operation.
+	Configure func(*World)
+	// Swap, if set, receives every world and its journal after SwapAt
+	// executed operations and returns the world to continue on — a
+	// restored copy on another node, or the original if the migration
+	// failed and execution resumes on the source.
+	Swap func(w *World, journal []Executed) (*World, error)
+	// SwapAt is the executed-operation count at which Swap runs; zero
+	// means half the trace's executed operations.
+	SwapAt int
 }
 
-// RunTraceConfigured is RunTrace with a per-world hook applied after
-// construction and before the first operation — the harness for A/B
-// replays of one trace under different host-side execution modes
-// (syscall-verdict fast path on vs off, cross-checked, locked env
-// reads). Configurations must not change verdicts or virtual costs;
-// the digest equality tests pin exactly that.
-func RunTraceConfigured(tr Trace, configure func(*World)) (*Divergence, TraceStats, error) {
-	return runTrace(tr, configure, -1, nil, nil)
+func (a Arm) name() string {
+	if a.Name == "" {
+		return "reference"
+	}
+	return a.Name
 }
 
-// RunTraceWorlds is RunTrace with a custom world builder — the warm-
-// snapshot harness uses it to replay a trace against worlds instantiated
-// from templates instead of cold-built ones. build(spec) must return the
-// four worlds in backendNames order; nil falls back to BuildWorlds.
-func RunTraceWorlds(tr Trace, build func(WorldSpec) ([]*World, error)) (*Divergence, TraceStats, error) {
-	return runTrace(tr, nil, -1, nil, build)
+// Interpreter replays with the compiled verdict table off: every
+// seccomp verdict comes from the reference BPF interpreter.
+var Interpreter = Arm{Name: "interpreter", Configure: func(w *World) { w.K.SetFastPath(false) }}
+
+// SequentialDrain replays with ring batching off: every batch entry
+// goes through the sequential per-entry gateway.
+var SequentialDrain = Arm{Name: "sequential", Configure: func(w *World) { w.LB.SetRingBatching(false) }}
+
+// cold is the default arm list: one reference arm on cold-built worlds.
+var cold = []Arm{{}}
+
+// RunTrace replays the trace under the first arm (a cold build if none
+// is given) and then under every further arm, applying the
+// differential oracle after every operation of every replay. Each
+// further arm must also reproduce the first arm's outcome digest. It
+// returns the first divergence (nil if every arm stayed in lockstep)
+// and the first arm's stats.
+func RunTrace(tr Trace, arms ...Arm) (*Divergence, TraceStats, error) {
+	if len(arms) == 0 {
+		arms = cold
+	}
+	div, ref, err := arms[0].run(tr)
+	if div != nil || err != nil {
+		return div, ref, err
+	}
+	for _, a := range arms[1:] {
+		div, st, err := a.run(tr)
+		if div != nil || err != nil {
+			return div, ref, err
+		}
+		if st.Digest != ref.Digest {
+			return &Divergence{
+				Seed: tr.Seed, TraceLen: len(tr.Ops), Arm: a.name(), Index: -1, Kind: "digest",
+				Detail: fmt.Sprintf("outcome digest %#x != %s arm's %#x", st.Digest, arms[0].name(), ref.Digest),
+			}, ref, nil
+		}
+	}
+	return nil, ref, nil
 }
 
 // Executed is one journal entry of a trace execution: an operation that
@@ -91,30 +145,35 @@ type Executed struct {
 	Pushed bool `json:"pushed,omitempty"`
 }
 
-// RunTraceMigrated replays a trace like RunTrace but migrates every
-// world after its at-th executed operation: swap receives the world and
-// its journal so far and returns the world to continue on — a restored
-// copy on another "node", or the original if the migration failed and
-// execution resumes on the source. Because the digest covers every
-// outcome of every world, RunTraceMigrated's digest equals RunTrace's
-// exactly when migration is state-faithful; the cluster's migration
-// sweep pins that equality on all four backends.
-func RunTraceMigrated(tr Trace, at int, swap func(w *World, journal []Executed) (*World, error)) (*Divergence, TraceStats, error) {
-	return runTrace(tr, nil, at, swap, nil)
+// executedOps counts the operations of tr the model does not skip —
+// the same count in every arm, since skips depend on the model alone.
+func executedOps(tr Trace) int {
+	model, n := NewModel(tr.Spec), 0
+	for _, op := range tr.Ops {
+		if !model.Step(op).skip {
+			n++
+		}
+	}
+	return n
 }
 
-func runTrace(tr Trace, configure func(*World), migrateAt int, swap func(*World, []Executed) (*World, error), build func(WorldSpec) ([]*World, error)) (*Divergence, TraceStats, error) {
+// run replays the trace under this arm alone.
+func (a Arm) run(tr Trace) (*Divergence, TraceStats, error) {
 	var stats TraceStats
+	build, swap, migrateAt := a.Build, a.Swap, a.SwapAt
 	if build == nil {
 		build = BuildWorlds
 	}
+	if swap != nil && migrateAt == 0 {
+		migrateAt = executedOps(tr) / 2
+	}
 	worlds, err := build(tr.Spec)
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, fmt.Errorf("%s arm: %w", a.name(), err)
 	}
-	if configure != nil {
+	if a.Configure != nil {
 		for _, w := range worlds {
-			configure(w)
+			a.Configure(w)
 		}
 	}
 	model := NewModel(tr.Spec)
@@ -134,7 +193,7 @@ func runTrace(tr Trace, configure func(*World), migrateAt int, swap func(*World,
 			for idx, w := range worlds {
 				nw, err := swap(w, journals[w.Name])
 				if err != nil {
-					return nil, stats, fmt.Errorf("probe: migrating %s world at op %d: %w", w.Name, i, err)
+					return nil, stats, fmt.Errorf("probe: %s arm: migrating %s world at op %d: %w", a.name(), w.Name, i, err)
 				}
 				worlds[idx] = nw
 			}
@@ -167,7 +226,7 @@ func runTrace(tr Trace, configure func(*World), migrateAt int, swap func(*World,
 		report := func(kind, detail string) (*Divergence, TraceStats, error) {
 			stats.Digest = digest.Sum64()
 			return &Divergence{
-				Seed: tr.Seed, Index: i, Op: op,
+				Seed: tr.Seed, TraceLen: len(tr.Ops), Arm: a.name(), Index: i, Op: op,
 				Kind: kind, Detail: detail, Outcomes: outs,
 			}, stats, nil
 		}
@@ -389,32 +448,27 @@ func outcome(err error, opName string) string {
 	}
 }
 
-// SweepStats aggregates a multi-trace sweep.
+// SweepStats aggregates a multi-trace sweep over the first arm's
+// replays.
 type SweepStats struct {
 	Traces, Ops, Skipped int
 	Faults               int
+	DynImports           int
 	DynImportTraces      int
 	InjectionTraces      int
 	InjectedErrnos       int
 	InjectedTransfers    int
 }
 
-// Sweep runs n independent traces derived from the base seed and
-// returns the first divergence found, if any. Per-trace seeds are
-// decorrelated by the golden-ratio increment so neighbouring sweeps
-// do not share prefixes.
-func Sweep(seed uint64, n, opsPerTrace int) (SweepStats, *Divergence, error) {
-	return SweepConfigured(seed, n, opsPerTrace, nil)
-}
-
-// SweepConfigured is Sweep with a per-world hook (see
-// RunTraceConfigured) — `enclose probe -fastpath=false` uses it to
-// drive the whole sweep through the reference BPF interpreter.
-func SweepConfigured(seed uint64, n, opsPerTrace int, configure func(*World)) (SweepStats, *Divergence, error) {
+// Sweep runs n independent traces derived from the base seed through
+// RunTrace under the given arms and returns the first divergence found,
+// if any. Per-trace seeds are decorrelated by the golden-ratio
+// increment so neighbouring sweeps do not share prefixes.
+func Sweep(seed uint64, n, opsPerTrace int, arms ...Arm) (SweepStats, *Divergence, error) {
 	var stats SweepStats
 	for i := 0; i < n; i++ {
 		tr := Gen(seed+uint64(i)*0x9E3779B97F4A7C15, opsPerTrace)
-		div, ts, err := RunTraceConfigured(tr, configure)
+		div, ts, err := RunTrace(tr, arms...)
 		if err != nil {
 			return stats, nil, fmt.Errorf("probe: trace %d (seed %#x): %w", i, tr.Seed, err)
 		}
@@ -422,6 +476,7 @@ func SweepConfigured(seed uint64, n, opsPerTrace int, configure func(*World)) (S
 		stats.Ops += ts.Ops
 		stats.Skipped += ts.Skipped
 		stats.Faults += ts.Faults
+		stats.DynImports += ts.DynImports
 		if ts.DynImports > 0 {
 			stats.DynImportTraces++
 		}
@@ -437,13 +492,21 @@ func SweepConfigured(seed uint64, n, opsPerTrace int, configure func(*World)) (S
 	return stats, nil, nil
 }
 
+// SweepConfigured is Sweep with one configured arm. It stays only
+// because the benchmark module, which changes separately, calls it.
+func SweepConfigured(seed uint64, n, opsPerTrace int, configure func(*World)) (SweepStats, *Divergence, error) {
+	return Sweep(seed, n, opsPerTrace, Arm{Configure: configure})
+}
+
 // Shrink reduces a diverging trace to a locally minimal reproducer
 // with greedy delta debugging: repeatedly drop chunks of operations,
-// keeping any candidate that still diverges. Because the model decides
-// skips, every subsequence of a trace is a valid trace, so removal can
-// never produce an ill-formed program.
-func Shrink(tr Trace) (Trace, *Divergence) {
-	div, _, err := RunTrace(tr)
+// keeping any candidate that still diverges in the same arm. Because
+// the model decides skips, every subsequence of a trace is a valid
+// trace, so removal can never produce an ill-formed program. The
+// returned divergence's reproduce line replays the unshrunk trace:
+// the shrunk one is not a generator output.
+func Shrink(tr Trace, arms ...Arm) (Trace, *Divergence) {
+	div, _, err := RunTrace(tr, arms...)
 	if div == nil || err != nil {
 		return tr, div
 	}
@@ -452,12 +515,13 @@ func Shrink(tr Trace) (Trace, *Divergence) {
 		for start := 0; start+chunk <= len(best.Ops); {
 			cand := best
 			cand.Ops = append(append([]Op{}, best.Ops[:start]...), best.Ops[start+chunk:]...)
-			if d, _, err := RunTrace(cand); err == nil && d != nil {
+			if d, _, err := RunTrace(cand, arms...); err == nil && d != nil && d.Arm == div.Arm {
 				best, bestDiv = cand, d
 			} else {
 				start += chunk
 			}
 		}
 	}
+	bestDiv.TraceLen = len(tr.Ops)
 	return best, bestDiv
 }

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
@@ -9,172 +10,106 @@ import (
 	"github.com/litterbox-project/enclosure/internal/snapstart"
 )
 
-// WarmRunner replays probe traces against snapshot-cloned worlds: each
-// backend's world is cold-built once, captured as a snapstart template,
-// and every subsequent replay runs on a clone (or a recycled clone)
-// instead of a fresh build. The differential contract is digest
-// equality: a warm world must produce bit-identical outcomes to a cold
-// one on every trace — that is the tentpole's correctness proof.
-type WarmRunner struct {
+// Warm holds the state the clone and recycled arms share for one trace:
+// each backend's world is cold-built once, captured as a snapstart
+// template, and replayed on the template's instance — fresh under the
+// clone arm, recycled in place under the recycled arm. A warm world
+// must produce bit-identical outcomes to a cold one on every trace;
+// RunTrace's digest check against the reference arm pins exactly that.
+// The zero value is ready to use.
+type Warm struct {
 	spec      WorldSpec
-	templates map[string]*snapstart.Template
-	spans     map[string][]*mem.Section // template-side heap spans per backend
-	insts     map[string]*snapstart.Instance
-	recycle   bool // reuse instances across replays via Recycle
+	templates []*snapstart.Template // per backend, backendNames order
+	spans     [][]*mem.Section      // template-side heap spans per backend
+	insts     []*snapstart.Instance
+
+	clones, recycles int64 // counts of earlier traces' templates
 }
 
-// NewWarmRunner cold-builds the spec under every backend and captures
-// each world as a template. recycle selects the pool fast path: replays
-// after the first recycle the same instance in place instead of
-// instantiating a fresh clone.
-func NewWarmRunner(spec WorldSpec, recycle bool) (*WarmRunner, error) {
-	r := &WarmRunner{
-		spec:      spec,
-		templates: make(map[string]*snapstart.Template, len(backendNames)),
-		spans:     make(map[string][]*mem.Section, len(backendNames)),
-		insts:     make(map[string]*snapstart.Instance, len(backendNames)),
-		recycle:   recycle,
+// Clone is the arm that captures the trace's templates and replays on
+// fresh clones.
+func (w *Warm) Clone() Arm { return Arm{Name: "clone", Build: w.capture} }
+
+// Recycled is the arm that recycles the clone arm's instances in place
+// and replays on them; it must follow the clone arm in the arm list.
+func (w *Warm) Recycled() Arm { return Arm{Name: "recycled", Build: w.recycle} }
+
+// Stats returns the snapstart instances cloned and recycled across
+// every template the arms captured, as the templates count them.
+func (w *Warm) Stats() (clones, recycles int64) {
+	clones, recycles = w.clones, w.recycles
+	for _, t := range w.templates {
+		c, r := t.Stats()
+		clones += c
+		recycles += r
 	}
+	return clones, recycles
+}
+
+func (w *Warm) capture(spec WorldSpec) ([]*World, error) {
+	w.clones, w.recycles = w.Stats()
+	w.spec, w.templates, w.spans, w.insts = spec, nil, nil, nil
 	for _, name := range backendNames {
-		w, err := BuildWorld(spec, name)
+		cold, err := BuildWorld(spec, name)
 		if err != nil {
 			return nil, fmt.Errorf("probe: building %s template: %w", name, err)
 		}
 		t, err := snapstart.Capture(snapstart.Parts{
-			Space: w.LB.Space, Img: w.Img, K: w.K, Proc: w.LB.Proc,
-			LB: w.LB, Clock: w.Clock,
+			Space: cold.LB.Space, Img: cold.Img, K: cold.K, Proc: cold.LB.Proc,
+			LB: cold.LB, Clock: cold.Clock,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("probe: capturing %s template: %w", name, err)
 		}
-		r.templates[name] = t
-		r.spans[name] = w.Spans
+		w.templates = append(w.templates, t)
+		w.spans = append(w.spans, cold.Spans)
 	}
-	return r, nil
+	for i, t := range w.templates {
+		inst, err := t.Instantiate()
+		if err != nil {
+			return nil, fmt.Errorf("probe: warm %s world: %w", backendNames[i], err)
+		}
+		w.insts = append(w.insts, inst)
+	}
+	return w.worlds()
 }
 
-// Worlds instantiates one warm world per backend, in backendNames
-// order — the builder hook RunTraceWorlds expects.
-func (r *WarmRunner) Worlds(spec WorldSpec) ([]*World, error) {
-	worlds := make([]*World, 0, len(backendNames))
-	for _, name := range backendNames {
-		var inst *snapstart.Instance
-		var err error
-		if prev := r.insts[name]; r.recycle && prev != nil {
-			err = prev.Recycle()
-			inst = prev
-		} else {
-			inst, err = r.templates[name].Instantiate()
+func (w *Warm) recycle(WorldSpec) ([]*World, error) {
+	if w.insts == nil {
+		return nil, errors.New("probe: the recycled arm has no clone arm's instances to recycle")
+	}
+	for i, inst := range w.insts {
+		if err := inst.Recycle(); err != nil {
+			return nil, fmt.Errorf("probe: recycling %s world: %w", backendNames[i], err)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("probe: warm %s world: %w", name, err)
+	}
+	return w.worlds()
+}
+
+// worlds binds each instance into a probe World: fresh CPU, injector,
+// fault domain, and env cache; heap spans remapped from the template's
+// sections onto the clone's.
+func (w *Warm) worlds() ([]*World, error) {
+	worlds := make([]*World, 0, len(w.insts))
+	for i, inst := range w.insts {
+		name := backendNames[i]
+		cpu := hw.NewCPU(inst.Clock)
+		cpu.Inj = hw.NewInjector()
+		dom := &litterbox.FaultDomain{}
+		inst.LB.BindWorker(inst.Clock, &litterbox.CPUState{Proc: inst.Proc, Domain: dom, Name: "probe-" + name})
+		if err := inst.LB.InstallEnv(cpu, inst.LB.Trusted()); err != nil {
+			return nil, fmt.Errorf("probe: installing trusted env in warm %s world: %w", name, err)
 		}
-		r.insts[name] = inst
-		w, err := r.wrap(name, inst)
-		if err != nil {
-			return nil, err
+		wd := &World{
+			Name: name, Spec: w.spec, LB: inst.LB, Img: inst.Img, Graph: inst.Img.Graph,
+			CPU: cpu, Clock: inst.Clock, K: inst.K, Dom: dom,
+			Cache: litterbox.NewEnvCache(),
+			stack: []frame{{env: inst.LB.Trusted(), encl: 0}},
 		}
-		worlds = append(worlds, w)
+		for _, sec := range w.spans[i] {
+			wd.Spans = append(wd.Spans, inst.Remap(sec))
+		}
+		worlds = append(worlds, wd)
 	}
 	return worlds, nil
-}
-
-// wrap binds a snapstart instance into a probe World: fresh CPU,
-// injector, fault domain, and env cache; heap spans remapped from the
-// template's sections onto the clone's.
-func (r *WarmRunner) wrap(name string, inst *snapstart.Instance) (*World, error) {
-	cpu := hw.NewCPU(inst.Clock)
-	cpu.Inj = hw.NewInjector()
-	dom := &litterbox.FaultDomain{}
-	inst.LB.BindWorker(inst.Clock, &litterbox.CPUState{Proc: inst.Proc, Domain: dom, Name: "probe-" + name})
-	if err := inst.LB.InstallEnv(cpu, inst.LB.Trusted()); err != nil {
-		return nil, fmt.Errorf("probe: installing trusted env in warm %s world: %w", name, err)
-	}
-	w := &World{
-		Name: name, Spec: r.spec, LB: inst.LB, Img: inst.Img, Graph: inst.Img.Graph,
-		CPU: cpu, Clock: inst.Clock, K: inst.K, Dom: dom,
-		Cache: litterbox.NewEnvCache(),
-		stack: []frame{{env: inst.LB.Trusted(), encl: 0}},
-	}
-	for _, sec := range r.spans[name] {
-		w.Spans = append(w.Spans, inst.Remap(sec))
-	}
-	return w, nil
-}
-
-// WarmDivergence reports a digest mismatch between cold-built and
-// snapshot-cloned replays of one trace — a warm world behaving
-// differently from a cold one.
-type WarmDivergence struct {
-	Seed       uint64
-	Mode       string // "clone" or "recycled"
-	ColdDigest uint64
-	WarmDigest uint64
-}
-
-func (d *WarmDivergence) String() string {
-	return fmt.Sprintf("warm divergence [%s]: seed %#x cold digest %#x != warm digest %#x",
-		d.Mode, d.Seed, d.ColdDigest, d.WarmDigest)
-}
-
-// WarmSweepStats aggregates a clone-equivalence sweep.
-type WarmSweepStats struct {
-	Traces   int
-	Ops      int
-	Clones   int64 // snapstart instances created across all templates
-	Recycles int64 // in-place recycles across all instances
-}
-
-// CompareWarmSweep is the clone-on vs clone-off differential sweep: for
-// n traces it replays each trace cold (BuildWorlds) and warm (template
-// clones), requiring identical outcome digests; when recycle is set it
-// replays a third time on recycled instances, requiring the digest a
-// third time. Any ordinary cross-backend divergence aborts the sweep
-// first — the warm comparison is only meaningful on agreeing traces.
-func CompareWarmSweep(seed uint64, n, opsPerTrace int, recycle bool) (WarmSweepStats, *WarmDivergence, error) {
-	var stats WarmSweepStats
-	for i := 0; i < n; i++ {
-		tr := Gen(seed+uint64(i)*0x9E3779B97F4A7C15, opsPerTrace)
-		div, cold, err := RunTrace(tr)
-		if err != nil {
-			return stats, nil, fmt.Errorf("probe: cold trace %d (seed %#x): %w", i, tr.Seed, err)
-		}
-		if div != nil {
-			return stats, nil, fmt.Errorf("probe: trace %d diverged cold (seed %#x): %s", i, tr.Seed, div)
-		}
-		runner, err := NewWarmRunner(tr.Spec, recycle)
-		if err != nil {
-			return stats, nil, err
-		}
-		div, warm, err := RunTraceWorlds(tr, runner.Worlds)
-		if err != nil {
-			return stats, nil, fmt.Errorf("probe: warm trace %d (seed %#x): %w", i, tr.Seed, err)
-		}
-		if div != nil {
-			return stats, nil, fmt.Errorf("probe: trace %d diverged warm (seed %#x): %s", i, tr.Seed, div)
-		}
-		if warm.Digest != cold.Digest {
-			return stats, &WarmDivergence{Seed: tr.Seed, Mode: "clone", ColdDigest: cold.Digest, WarmDigest: warm.Digest}, nil
-		}
-		if recycle {
-			div, rec, err := RunTraceWorlds(tr, runner.Worlds)
-			if err != nil {
-				return stats, nil, fmt.Errorf("probe: recycled trace %d (seed %#x): %w", i, tr.Seed, err)
-			}
-			if div != nil {
-				return stats, nil, fmt.Errorf("probe: trace %d diverged recycled (seed %#x): %s", i, tr.Seed, div)
-			}
-			if rec.Digest != cold.Digest {
-				return stats, &WarmDivergence{Seed: tr.Seed, Mode: "recycled", ColdDigest: cold.Digest, WarmDigest: rec.Digest}, nil
-			}
-		}
-		stats.Traces++
-		stats.Ops += cold.Ops
-		for _, t := range runner.templates {
-			c, rc := t.Stats()
-			stats.Clones += c
-			stats.Recycles += rc
-		}
-	}
-	return stats, nil, nil
 }

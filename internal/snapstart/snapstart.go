@@ -17,11 +17,11 @@
 // The bounded free-list of recycled instances the engine draws from is
 // core.WarmPool.
 //
-// Correctness contract, proved by the probe corpus (probe.CompareWarmSweep):
-// a cloned or recycled instance is digest-identical to a cold-built
-// world, and recycling leaks nothing across tenants — Revert rolls
-// back every memory write, and kernel/process/backend state is rebuilt
-// from the pre-tenant template.
+// Correctness contract, proved by the probe corpus (probe.Warm's clone
+// and recycled arms): a cloned or recycled instance is digest-identical
+// to a cold-built world, and recycling leaks nothing across tenants —
+// Revert rolls back every memory write, and kernel/process/backend
+// state is rebuilt from the pre-tenant template.
 package snapstart
 
 import (
