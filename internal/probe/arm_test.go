@@ -9,18 +9,29 @@ import (
 )
 
 // TestSweepArmEquivalence replays each seeded trace under the reference
-// arm and under every fast path's arm — the reference BPF interpreter,
-// the sequential batch drain, fresh snapshot clones, and recycled
+// arm and under the snapshot arms — fresh snapshot clones and recycled
 // instances — and requires every arm's outcome digest to match the
 // reference's bit for bit, on all four backends, with the oracle
-// applied inside every replay.
+// applied inside every replay. The interpreter and sequential-drain
+// arms have their own sweeps in fastpath_test.go and ring_test.go.
 func TestSweepArmEquivalence(t *testing.T) {
 	n := 300
 	if testing.Short() {
 		n = 30
 	}
 	var warm Warm
-	arms := []Arm{{}, Interpreter, SequentialDrain, warm.Clone(), warm.Recycled()}
+	sweepArms(t, n, Arm{}, warm.Clone(), warm.Recycled())
+	// Every trace captures one template per backend (its validation
+	// clone is the clone arm's instance) and recycles each instance once.
+	if clones, recycles := warm.Stats(); clones != int64(4*n) || recycles != int64(4*n) {
+		t.Fatalf("templates report %d clones, %d recycles; want %d each", clones, recycles, 4*n)
+	}
+}
+
+// sweepArms sweeps n seeded traces under arms and fails with the shrunk
+// reproducer of the first divergence.
+func sweepArms(t *testing.T, n int, arms ...Arm) {
+	t.Helper()
 	stats, div, err := Sweep(sweepSeed, n, 40, arms...)
 	if err != nil {
 		t.Fatal(err)
@@ -31,22 +42,6 @@ func TestSweepArmEquivalence(t *testing.T) {
 	}
 	if stats.Traces != n {
 		t.Fatalf("swept %d traces, want %d", stats.Traces, n)
-	}
-	batches := 0
-	for i := 0; i < n; i++ {
-		for _, op := range Gen(sweepSeed+uint64(i)*0x9E3779B97F4A7C15, 40).Ops {
-			if op.Kind == OpBatch {
-				batches++
-			}
-		}
-	}
-	if batches == 0 {
-		t.Fatal("sweep never generated a batch op")
-	}
-	// Every trace captures one template per backend (its validation
-	// clone is the clone arm's instance) and recycles each instance once.
-	if clones, recycles := warm.Stats(); clones != int64(4*n) || recycles != int64(4*n) {
-		t.Fatalf("templates report %d clones, %d recycles; want %d each", clones, recycles, 4*n)
 	}
 }
 

@@ -1,11 +1,26 @@
 package probe
 
-// In-kernel validation of the compiled-policy fast path: the
+// Differential validation of the compiled-policy fast path: replaying
+// the same seeded traces under the reference arm and the Interpreter arm
+// must produce bit-identical outcome digests, and the in-kernel
 // cross-check (table and interpreter run side by side, interpreter
-// authoritative) must record zero divergences across a sweep. The
-// Interpreter arm's digest equivalence is in arm_test.go.
+// authoritative) must record zero divergences across the sweep.
 
 import "testing"
+
+// TestSweepFastPathDigestEquivalence replays each trace twice — fast
+// path on (the reference arm) and off (the Interpreter arm, pure BPF
+// interpretation) — and requires the outcome digests to match bit for
+// bit. Any behavioural difference between the verdict table and the
+// interpreter, on any backend, in any layer the oracle watches, shows
+// up here.
+func TestSweepFastPathDigestEquivalence(t *testing.T) {
+	n := 300
+	if testing.Short() {
+		n = 30
+	}
+	sweepArms(t, n, Arm{}, Interpreter)
+}
 
 // TestSweepFastPathCrossCheck runs traces with the kernel's
 // cross-check armed: every verdict is computed by both the table and

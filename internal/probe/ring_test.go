@@ -5,8 +5,7 @@ package probe
 // SequentialDrain arm, every batch entry routed through the sequential
 // per-entry gateway) must produce bit-identical outcome digests on all
 // four backends. Mid-batch denial, post-denial cancellation, injected
-// errnos, and dynamic imports between batches are all covered; the
-// seeded sweep is in arm_test.go.
+// errnos, and dynamic imports between batches are all covered.
 
 import (
 	"testing"
@@ -43,6 +42,30 @@ func runBothModes(t *testing.T, tr Trace) TraceStats {
 		t.Fatalf("divergence:\n%s", div)
 	}
 	return stats
+}
+
+// TestSweepRingDigestEquivalence replays each trace twice — batched
+// drain (the reference arm) and sequential reference (the
+// SequentialDrain arm) — and requires the outcome digests to match bit
+// for bit. Any behavioural difference in verdicts, per-entry results,
+// denial position, cancellation, or injection consumption shows up here.
+func TestSweepRingDigestEquivalence(t *testing.T) {
+	n := 300
+	if testing.Short() {
+		n = 30
+	}
+	batches := 0
+	for i := 0; i < n; i++ {
+		for _, op := range Gen(sweepSeed+uint64(i)*0x9E3779B97F4A7C15, 40).Ops {
+			if op.Kind == OpBatch {
+				batches++
+			}
+		}
+	}
+	if batches == 0 {
+		t.Fatal("sweep never generated a batch op")
+	}
+	sweepArms(t, n, Arm{}, SequentialDrain)
 }
 
 // TestRingMidBatchDenialDigest pins the exact denial shape: entries
