@@ -49,7 +49,7 @@ latency:
 	$(GO) run ./cmd/enclosebench -table latency
 
 security:
-	$(GO) run ./cmd/enclosebench -security
+	$(GO) run ./cmd/enclosebench -table security
 
 examples:
 	$(GO) run ./examples/quickstart

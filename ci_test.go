@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +51,20 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 				t.Errorf("ci.yml: ./%s -run alternative %q matches no test in the package", dir, alt)
 			}
 		}
+	}
+}
+
+// TestCIRunsNoPython keeps the workflow's checks typed: a result check
+// belongs in a Go test over the typed results, where `go test ./...`
+// runs it locally, not in an inline script only CI executes.
+func TestCIRunsNoPython(t *testing.T) {
+	data, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loc := regexp.MustCompile(`\bpython3?\b`).FindIndex(data); loc != nil {
+		line := 1 + strings.Count(string(data[:loc[0]]), "\n")
+		t.Errorf("ci.yml:%d runs python; write the check as a Go test instead", line)
 	}
 }
 

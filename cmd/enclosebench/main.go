@@ -1,272 +1,103 @@
 // Command enclosebench regenerates every table and figure of the
-// paper's evaluation (§6) from the simulated implementation:
+// paper's evaluation (§6) from the simulated implementation. Each
+// -table name is one section of the evaluation:
 //
-//	enclosebench -table 1        # micro-benchmarks (call/transfer/syscall)
-//	enclosebench -table 2        # bild, HTTP, FastHTTP + TCB study
-//	enclosebench -table scale    # multi-core engine scaling sweep
-//	enclosebench -table probe    # adversarial differential probe sweep
-//	enclosebench -table fastpath # compiled-policy fast path before/after
-//	enclosebench -table ring     # batched syscall ring off/on per backend
-//	enclosebench -table churn    # warm-enclosure instantiation: cold vs clone vs recycled
-//	enclosebench -table cluster  # multi-node cluster scaling + migration sweep
-//	enclosebench -table latency  # open-loop latency sweep (p50/p99/p99.9 + shed)
-//	enclosebench -figure 4    # linked executable image layout
-//	enclosebench -figure 5    # wiki web-app with two enclosures
-//	enclosebench -python      # §6.4 CPython frontend experiments
-//	enclosebench -security    # §6.5 recreated malicious packages
-//	enclosebench -ablations   # design-choice ablations
-//	enclosebench -all         # everything above
+//	enclosebench -table 1         # micro-benchmarks (call/transfer/syscall)
+//	enclosebench -table 2         # bild, HTTP, FastHTTP + TCB study
+//	enclosebench -table scale     # multi-core engine scaling sweep
+//	enclosebench -table probe     # adversarial differential probe sweep
+//	enclosebench -table fastpath  # compiled-policy fast path before/after
+//	enclosebench -table ring      # batched syscall ring off/on per backend
+//	enclosebench -table churn     # warm-enclosure instantiation: cold vs clone vs recycled
+//	enclosebench -table cluster   # multi-node cluster scaling + migration sweep
+//	enclosebench -table latency   # open-loop latency sweep (p50/p99/p99.9 + shed)
+//	enclosebench -table figure4   # linked executable image layout
+//	enclosebench -table figure5   # wiki web-app with two enclosures
+//	enclosebench -table python    # §6.4 CPython frontend experiments
+//	enclosebench -table security  # §6.5 recreated malicious packages
+//	enclosebench -table ablations # design-choice ablations
+//	enclosebench -all                    # every section
 //	enclosebench -table 2 -projections   # adds the LB_CHERI column
-//	enclosebench -json results.json      # machine-readable everything
-//	enclosebench -table scale -json -    # scale sweep only, with trace snapshot
-//	enclosebench -trajectory BENCH_5.json  # fastpath + scale + probe point
+//	enclosebench -json results.json      # machine-readable evaluation (all but figure4 and ablations)
+//	enclosebench -table scale -json -    # one section only, to stdout
+//	enclosebench -trajectory BENCH_N.json  # acceptance-size trajectory point
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"github.com/litterbox-project/enclosure/internal/bench"
-	"github.com/litterbox-project/enclosure/internal/core"
 )
 
-// benchKind maps 1→MPK, 2→VTX for the ablation loop.
-func benchKind(i int) core.BackendKind { return core.BackendKind(i) }
-
 func main() {
-	table := flag.String("table", "", "regenerate a table: 1, 2, scale, probe, fastpath, ring, churn, cluster, or latency")
-	trajectory := flag.String("trajectory", "", "write the benchmark trajectory point (fastpath + scale + probe) to the given file")
-	figure := flag.Int("figure", 0, "regenerate Figure N (4 or 5)")
-	python := flag.Bool("python", false, "run the §6.4 Python experiments")
-	security := flag.Bool("security", false, "run the §6.5 attack scenarios")
-	ablations := flag.Bool("ablations", false, "run the design-choice ablations")
+	table := flag.String("table", "", "run one section: "+strings.Join(bench.Sections(), ", "))
+	trajectory := flag.String("trajectory", "", "write the acceptance-size benchmark trajectory point to the given file")
+	jsonOut := flag.String("json", "", "write machine-readable results of the -table section (default: the whole evaluation) to the given file ('-' for stdout)")
+	all := flag.Bool("all", false, "run every section")
+	iters := flag.Int("iters", bench.Smoke.Iters, "micro-benchmark and fast-path dispatch iterations")
 	projections := flag.Bool("projections", false, "add the LB_CHERI projection column to Table 2")
-	jsonOut := flag.String("json", "", "run everything and write machine-readable results to the given file ('-' for stdout)")
-	all := flag.Bool("all", false, "run everything")
-	iters := flag.Int("iters", 100000, "micro-benchmark iterations")
 	flag.Parse()
 
-	ran := false
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "enclosebench:", err)
-		os.Exit(1)
-	}
-
-	if *trajectory != "" {
-		results, err := bench.CollectTrajectoryResults()
-		if err != nil {
-			fail(err)
-		}
-		if results.Probe.Divergences > 0 {
-			fail(fmt.Errorf("differential probe found %d divergence(s)", results.Probe.Divergences))
-		}
-		blob, err := bench.MarshalResults(results)
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*trajectory, blob, 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", *trajectory, len(blob))
-		return
-	}
-
-	if *jsonOut != "" {
-		var results *bench.Results
-		var err error
-		if *table == "scale" {
-			// Scale-only smoke run: the sweep with a merged event trace.
-			results, err = bench.CollectScaleResults()
-		} else if *table == "cluster" {
-			// Cluster-only smoke run: node scaling plus the migration sweep.
-			results, err = bench.CollectClusterResults()
-		} else if *table == "ring" {
-			// Ring-only smoke run: the batched-syscall sweep.
-			results, err = bench.CollectRingResults()
-		} else if *table == "churn" {
-			// Churn-only smoke run: warm-enclosure instantiation sweep.
-			results, err = bench.CollectChurnResults()
-		} else if *table == "latency" {
-			// Latency-only smoke run: the open-loop generator sweep.
-			results, err = bench.CollectLatencyResults()
-		} else {
-			results, err = bench.CollectResults(*iters)
-		}
-		if err != nil {
-			fail(err)
-		}
-		blob, err := bench.MarshalResults(results)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut == "-" {
-			_, _ = os.Stdout.Write(blob)
-		} else if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *all || *table == "1" {
-		ran = true
-		results, err := bench.Table1(*iters)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderTable1(results))
-	}
-	if *all || *table == "2" {
-		ran = true
-		kinds := bench.PaperBackends
-		if *projections {
-			kinds = bench.ProjectionBackends
-		}
-		bild, err := bench.Sweep(bench.RunBild, kinds)
-		if err != nil {
-			fail(err)
-		}
-		http, err := bench.Sweep(bench.RunHTTP, kinds)
-		if err != nil {
-			fail(err)
-		}
-		fast, err := bench.Sweep(bench.RunFastHTTP, kinds)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderTable2(
-			[][]bench.MacroResult{bild, http, fast},
-			[]bench.TCBRow{bench.BildTCB(), bench.HTTPTCB(), bench.FastHTTPTCB()},
-		))
-	}
-	if *all || *table == "scale" {
-		ran = true
-		entries, err := bench.RunScale()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderScaleTable(entries))
-	}
-	if *all || *table == "probe" {
-		ran = true
-		result, err := bench.RunProbeBench(200, 40)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderProbeTable(result))
-		if result.Divergences > 0 {
-			fail(fmt.Errorf("differential probe found %d divergence(s)", result.Divergences))
-		}
-	}
-	if *all || *table == "cluster" {
-		ran = true
-		entries, err := bench.RunCluster()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderClusterTable(entries))
-		mig, err := bench.RunClusterMigration(60)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("Migration sweep: %d traces, %d world migrations, digests match on all four backends.\n\n",
-			mig.Traces, mig.Migrations)
-	}
-	if *all || *table == "ring" {
-		ran = true
-		entries, err := bench.RunRing()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderRingTable(entries))
-	}
-	if *all || *table == "churn" {
-		ran = true
-		res, err := bench.RunChurn(bench.ChurnSweepTraces)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderChurnTable(res))
-	}
-	if *all || *table == "latency" {
-		ran = true
-		entries, err := bench.RunLatency(bench.LatencyRequests)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderLatencyTable(entries))
-	}
-	if *all || *table == "fastpath" {
-		ran = true
-		result, err := bench.RunFastpath(*iters)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderFastpathTable(result))
-	}
-	if *all || *figure == 4 {
-		ran = true
-		dump, err := bench.Figure4Dump()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(dump)
-	}
-	if *all || *figure == 5 {
-		ran = true
-		results, err := bench.Figure5Wiki()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderFigure5(results))
-	}
-	if *all || *python {
-		ran = true
-		results, err := bench.PythonExperiments()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.RenderPython(results))
-	}
-	if *all || *security {
-		ran = true
-		reports, err := bench.SecuritySuite()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("§6.5: recreated malicious packages.")
-		fmt.Println()
-		for _, r := range reports {
-			fmt.Println(" ", r)
-		}
-		fmt.Println()
-	}
-	if *all || *ablations {
-		ran = true
-		fmt.Println("Ablations:")
-		fmt.Println()
-		ca, err := bench.RunClusteringAblation()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("  %s (%s)\n    %v\n", ca.Name, ca.Detail, ca.Metrics)
-		va, err := bench.RunVirtKeysAblation(20)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("  %s (%s)\n    %v\n", va.Name, va.Detail, va.Metrics)
-		for _, kind := range []string{"mpk", "vtx"} {
-			k := map[string]int{"mpk": 1, "vtx": 2}[kind]
-			sa, err := bench.RunSchedulerAblation(benchKind(k), 8, 10)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("  %s (%s)\n    %v\n", sa.Name, sa.Detail, sa.Metrics)
-		}
-		fmt.Println()
-	}
-	if !ran {
+	var names []string
+	switch {
+	case *all:
+		names = bench.Sections()
+	case slices.Contains(bench.Sections(), *table):
+		names = []string{*table}
+	case *table != "":
 		flag.Usage()
 		os.Exit(2)
 	}
+	size := bench.Smoke
+	size.Iters = *iters
+	size.Projections = *projections
+
+	switch {
+	case *trajectory != "":
+		results, err := bench.Collect(bench.Acceptance,
+			"fastpath", "scale", "ring", "probe", "cluster", "latency", "churn")
+		write(results, err, *trajectory)
+		fmt.Printf("wrote %s\n", *trajectory)
+	case *jsonOut != "":
+		results, err := bench.Collect(size, names...)
+		write(results, err, *jsonOut)
+	case len(names) > 0:
+		results, err := bench.Collect(size, names...)
+		if err != nil {
+			fail(err)
+		}
+		text, err := bench.Render(results, names...)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Print(text)
+	default:
+		flag.Usage()
+		os.Exit(2)
+	}
+}
+
+// write marshals collected results to path ('-' for stdout).
+func write(results *bench.Results, err error, path string) {
+	if err != nil {
+		fail(err)
+	}
+	blob, err := bench.MarshalResults(results)
+	if err != nil {
+		fail(err)
+	}
+	if path == "-" {
+		_, _ = os.Stdout.Write(blob)
+	} else if err := os.WriteFile(path, blob, 0o644); err != nil {
+		fail(err)
+	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "enclosebench:", err)
+	os.Exit(1)
 }

@@ -10,9 +10,9 @@ import (
 
 // AblationResult quantifies one design-choice study.
 type AblationResult struct {
-	Name    string
-	Detail  string
-	Metrics map[string]float64
+	Name    string             `json:"name"`
+	Detail  string             `json:"detail"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 // RunVirtKeysAblation measures the libmpk-style key-virtualisation
@@ -163,12 +163,12 @@ func boolMetric(b bool) float64 {
 	return 0
 }
 
-// RunClusteringAblation quantifies §5.3's clustering argument on the
+// runClusteringAblation quantifies §5.3's clustering argument on the
 // paper's richest program (the Figure 5 wiki): without clustering every
 // package would need its own MPK key; with it, packages sharing an
 // access signature share one — which is what keeps real programs within
 // the 16 keys.
-func RunClusteringAblation() (AblationResult, error) {
+func runClusteringAblation() (AblationResult, error) {
 	b := core.NewBuilder(core.MPK)
 	b.Package(core.PackageSpec{
 		Name:    "main",

@@ -55,7 +55,7 @@ func TestSchedulerAblation(t *testing.T) {
 }
 
 func TestClusteringAblation(t *testing.T) {
-	r, err := RunClusteringAblation()
+	r, err := runClusteringAblation()
 	if err != nil {
 		t.Fatal(err)
 	}

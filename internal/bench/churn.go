@@ -18,7 +18,7 @@ package bench
 // validated functionally: the enclosure must compute the same result
 // on a cold, cloned, and recycled instance. The result also carries a
 // clone-vs-cold digest-equivalence probe sweep — the correctness gate
-// CI's churn-smoke job enforces alongside the speedup floor.
+// the package tests enforce alongside the speedup floors.
 
 import (
 	"fmt"
@@ -44,10 +44,6 @@ const ChurnClones = 48
 // backend — 1 isolates per-instance cost, 4 exposes contention on the
 // template's space lock.
 var ChurnWorkerCounts = []int{1, 4}
-
-// ChurnSweepTraces is the default digest-equivalence sweep size; the
-// checked-in trajectory point runs the acceptance-grade 300.
-const ChurnSweepTraces = 40
 
 // ChurnEntry is one backend × workers row of `enclosebench -table churn`.
 type ChurnEntry struct {
@@ -286,11 +282,11 @@ func churnCell(kind core.BackendKind, workers int) (ChurnEntry, error) {
 	return e, nil
 }
 
-// RunChurn sweeps instantiation cost over the four backends ×
+// runChurn sweeps instantiation cost over the four backends ×
 // ChurnWorkerCounts and attaches a digest-equivalence probe sweep of
 // the given size (clone and recycled replays of every trace must
 // digest-match the cold run on all four backends).
-func RunChurn(sweepTraces int) (ChurnResult, error) {
+func runChurn(sweepTraces int) (ChurnResult, error) {
 	var res ChurnResult
 	for _, kind := range ProjectionBackends {
 		for _, workers := range ChurnWorkerCounts {
@@ -321,8 +317,8 @@ func RunChurn(sweepTraces int) (ChurnResult, error) {
 	return res, nil
 }
 
-// RenderChurnTable formats the churn sweep.
-func RenderChurnTable(res ChurnResult) string {
+// renderChurnTable formats the churn sweep.
+func renderChurnTable(res ChurnResult) string {
 	var sb strings.Builder
 	sb.WriteString("Warm-enclosure churn: host cost per isolated program instance\n")
 	fmt.Fprintf(&sb, "(%d cold builds, %d clones/recycles per cell; times are host wall-clock).\n\n",

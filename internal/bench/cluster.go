@@ -216,10 +216,10 @@ func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, er
 	}, nil
 }
 
-// RunCluster sweeps the cluster scaling matrix: every app/backend pair
+// runCluster sweeps the cluster scaling matrix: every app/backend pair
 // at 1, 2, 4, and 8 nodes, with speedups computed against each pair's
 // one-node cell.
-func RunCluster() ([]ClusterEntry, error) {
+func runCluster() ([]ClusterEntry, error) {
 	var out []ClusterEntry
 	base := make(map[string]float64) // app/backend → 1-node reqs/s
 	for _, pair := range ClusterPairs {
@@ -253,11 +253,11 @@ type ClusterMigrationResult struct {
 	DigestsMatch bool `json:"digests_match"`
 }
 
-// RunClusterMigration runs the migration sweep for the JSON results.
+// runClusterMigration runs the migration sweep for the JSON results.
 // The sweep stops at the first digest mismatch and returns it as an
 // error carrying the seed, so a returned result always has DigestsMatch
 // true. Migrations counts the migrate arm's swaps.
-func RunClusterMigration(traces int) (ClusterMigrationResult, error) {
+func runClusterMigration(traces int) (ClusterMigrationResult, error) {
 	migrations := 0
 	stats, div, err := probe.Sweep(0xC1057E2, traces, 40, probe.Arm{}, cluster.MigrateArm(0, &migrations))
 	if err != nil {
@@ -275,8 +275,8 @@ func RunClusterMigration(traces int) (ClusterMigrationResult, error) {
 	}, nil
 }
 
-// RenderClusterTable formats the cluster scaling sweep.
-func RenderClusterTable(entries []ClusterEntry) string {
+// renderClusterTable formats the cluster scaling sweep.
+func renderClusterTable(entries []ClusterEntry) string {
 	var sb strings.Builder
 	sb.WriteString("Cluster: aggregate throughput across engine nodes (8 vCPUs each)\n")
 	sb.WriteString("behind the consistent-hash balancer. Elapsed virtual time is the\n")

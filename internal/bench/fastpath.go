@@ -311,12 +311,9 @@ func RunContentionBench(workers, iters int) (ContentionResult, error) {
 	return out, nil
 }
 
-// RunFastpath runs all three fast-path measurements at the given
+// runFastpath runs all three fast-path measurements at the given
 // dispatch iteration count.
-func RunFastpath(iters int) (FastpathResult, error) {
-	if iters <= 0 {
-		iters = 200000
-	}
+func runFastpath(iters int) (FastpathResult, error) {
 	var out FastpathResult
 	var err error
 	if out.Dispatch, err = RunDispatchBench(iters); err != nil {
@@ -338,8 +335,8 @@ func RunFastpath(iters int) (FastpathResult, error) {
 	return out, nil
 }
 
-// RenderFastpathTable formats the fast-path comparison.
-func RenderFastpathTable(r FastpathResult) string {
+// renderFastpathTable formats the fast-path comparison.
+func renderFastpathTable(r FastpathResult) string {
 	var b strings.Builder
 	b.WriteString("Compiled-policy fast path: host-side cost of the three hot paths,\n")
 	b.WriteString("reference implementation vs compiled artifact. Virtual costs (Table 1)\n")

@@ -176,6 +176,3 @@ func RunWiki(kind core.BackendKind) (MacroResult, error) {
 		Counters:  prog.Counters().Snapshot(),
 	}, nil
 }
-
-// Figure5Wiki sweeps the paper's backends over the wiki application.
-func Figure5Wiki() ([]MacroResult, error) { return Sweep(RunWiki, PaperBackends) }

@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"github.com/litterbox-project/enclosure/internal/attacks"
-	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/obs"
 )
 
-// Results is the machine-readable form of a full evaluation run,
-// written by `enclosebench -json` for CI-style regression tracking.
+// Results is the machine-readable form of an evaluation run: Collect
+// fills the fields of the sections it runs, `enclosebench -json`
+// writes it, and the package tests check it.
 type Results struct {
 	Table1  []MicroEntry   `json:"table1"`
 	Table2  []MacroEntry   `json:"table2"`
@@ -36,11 +35,15 @@ type Results struct {
 	Probe    *ProbeBenchResult `json:"probe,omitempty"`
 	Python   []PythonEntry     `json:"python"`
 	Security []SecurityEntry   `json:"security"`
-	Paper    map[string]string `json:"paper_reference"`
+	// Figure4 is the linked image dump and Ablations the design-choice
+	// studies; both are text-only sections.
+	Figure4   string            `json:"figure4,omitempty"`
+	Ablations []AblationResult  `json:"ablations,omitempty"`
+	Paper     map[string]string `json:"paper_reference"`
 
-	// Trace is the merged observability snapshot of the run when it was
-	// traced (enclosebench -table scale -json): per-kind, per-syscall,
-	// and per-worker aggregates over every traced program.
+	// Trace is the merged observability snapshot of the scale section:
+	// per-kind, per-syscall, and per-worker aggregates over every cell's
+	// program.
 	Trace *obs.Snapshot `json:"trace,omitempty"`
 }
 
@@ -80,277 +83,8 @@ type SecurityEntry struct {
 	Protected bool   `json:"protected"`
 	LegitOK   bool   `json:"legit_ok"`
 	Blocked   bool   `json:"blocked"`
+	FaultOp   string `json:"-"` // text only: the enforcement path that blocked
 	LootBytes int    `json:"loot_bytes"`
-}
-
-// CollectResults runs the full evaluation and assembles the JSON form.
-func CollectResults(microIters int) (*Results, error) {
-	out := &Results{Paper: map[string]string{
-		"title": "Enclosure: Language-Based Restriction of Untrusted Libraries",
-		"venue": "ASPLOS 2021",
-	}}
-
-	micro, err := Table1(microIters)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range micro {
-		out.Table1 = append(out.Table1, MicroEntry{Backend: r.Backend.String(), Op: r.Op, Ns: r.NsPerOp})
-	}
-
-	addMacro := func(dst *[]MacroEntry, rs []MacroResult) {
-		for _, r := range rs {
-			*dst = append(*dst, MacroEntry{
-				Benchmark: r.Benchmark, Backend: r.Backend.String(),
-				Raw: r.Raw, Unit: r.Unit, Slowdown: r.Slowdown,
-				Switches: r.Counters.Switches, Syscalls: r.Counters.Syscalls,
-				Transfers: r.Counters.Transfers,
-			})
-		}
-	}
-	for _, fn := range []func() ([]MacroResult, error){Table2Bild, Table2HTTP, Table2FastHTTP} {
-		rs, err := fn()
-		if err != nil {
-			return nil, err
-		}
-		addMacro(&out.Table2, rs)
-	}
-	out.TCB = []TCBRow{BildTCB(), HTTPTCB(), FastHTTPTCB()}
-
-	wiki, err := Figure5Wiki()
-	if err != nil {
-		return nil, err
-	}
-	addMacro(&out.Figure5, wiki)
-
-	scale, err := RunScale()
-	if err != nil {
-		return nil, err
-	}
-	out.Scale = scale
-
-	clusterEntries, err := RunCluster()
-	if err != nil {
-		return nil, err
-	}
-	out.Cluster = clusterEntries
-	mig, err := RunClusterMigration(100)
-	if err != nil {
-		return nil, err
-	}
-	out.ClusterMigration = &mig
-
-	fp, err := RunFastpath(microIters)
-	if err != nil {
-		return nil, err
-	}
-	out.Fastpath = &fp
-
-	ringEntries, err := RunRing()
-	if err != nil {
-		return nil, err
-	}
-	out.Ring = ringEntries
-
-	churn, err := RunChurn(ChurnSweepTraces)
-	if err != nil {
-		return nil, err
-	}
-	out.Churn = &churn
-
-	latency, err := RunLatency(LatencySmokeRequests)
-	if err != nil {
-		return nil, err
-	}
-	out.Latency = latency
-
-	pr, err := RunProbeBench(200, 40)
-	if err != nil {
-		return nil, err
-	}
-	out.Probe = &pr
-
-	py, err := PythonExperiments()
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range py {
-		out.Python = append(out.Python, PythonEntry{
-			Mode: r.Mode.String(), Backend: r.Backend.String(),
-			Slowdown: r.Slowdown, Switches: r.Switches,
-			InitShare: r.InitShare, SysShare: r.SysShare,
-		})
-	}
-
-	sec, err := SecuritySuite()
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range sec {
-		out.Security = append(out.Security, SecurityEntry{
-			Scenario: r.Scenario, Backend: r.Backend.String(),
-			Protected: r.Protected, LegitOK: r.LegitOK,
-			Blocked: r.Blocked, LootBytes: r.LootBytes,
-		})
-	}
-	_ = attacks.Report{} // keep the attacks dependency explicit
-	return out, nil
-}
-
-// CollectScaleResults runs only the scaling sweep with a shared event
-// trace attached to every cell's program and returns the entries plus
-// the merged trace snapshot and a quick fast-path comparison — the
-// fast machine-readable smoke run CI uses
-// (`enclosebench -table scale -json -`).
-func CollectScaleResults() (*Results, error) {
-	tr := obs.New(1024)
-	entries, err := RunScale(core.WithTracer(tr))
-	if err != nil {
-		return nil, err
-	}
-	fp, err := RunFastpath(50000)
-	if err != nil {
-		return nil, err
-	}
-	snap := tr.Snapshot()
-	return &Results{
-		Scale:    entries,
-		Fastpath: &fp,
-		Trace:    &snap,
-		Paper: map[string]string{
-			"title": "Enclosure: Language-Based Restriction of Untrusted Libraries",
-			"venue": "ASPLOS 2021",
-		},
-	}, nil
-}
-
-// CollectTrajectoryResults assembles the benchmark trajectory point
-// checked into the repo root (BENCH_N.json): the fast-path comparison,
-// the scaling sweep, and the differential probe sweep.
-func CollectTrajectoryResults() (*Results, error) {
-	fp, err := RunFastpath(200000)
-	if err != nil {
-		return nil, err
-	}
-	scale, err := RunScale()
-	if err != nil {
-		return nil, err
-	}
-	ringEntries, err := RunRing()
-	if err != nil {
-		return nil, err
-	}
-	pr, err := RunProbeBench(200, 40)
-	if err != nil {
-		return nil, err
-	}
-	clusterEntries, err := RunCluster()
-	if err != nil {
-		return nil, err
-	}
-	// The acceptance-grade migration sweep: 300 traces, digests must
-	// match the unmigrated run on all four backends.
-	mig, err := RunClusterMigration(300)
-	if err != nil {
-		return nil, err
-	}
-	latency, err := RunLatency(LatencyRequests)
-	if err != nil {
-		return nil, err
-	}
-	// The acceptance-grade warm sweep: 300 traces, clone and recycled
-	// replays digest-identical to cold on all four backends.
-	churn, err := RunChurn(300)
-	if err != nil {
-		return nil, err
-	}
-	return &Results{
-		Fastpath:         &fp,
-		Scale:            scale,
-		Ring:             ringEntries,
-		Churn:            &churn,
-		Cluster:          clusterEntries,
-		ClusterMigration: &mig,
-		Probe:            &pr,
-		Latency:          latency,
-		Paper: map[string]string{
-			"title": "Enclosure: Language-Based Restriction of Untrusted Libraries",
-			"venue": "ASPLOS 2021",
-		},
-	}, nil
-}
-
-// CollectClusterResults runs only the cluster scaling sweep plus the
-// migration digest sweep — the machine-readable smoke run CI's schema
-// check drives (`enclosebench -table cluster -json -`).
-func CollectClusterResults() (*Results, error) {
-	entries, err := RunCluster()
-	if err != nil {
-		return nil, err
-	}
-	mig, err := RunClusterMigration(60)
-	if err != nil {
-		return nil, err
-	}
-	return &Results{
-		Cluster:          entries,
-		ClusterMigration: &mig,
-		Paper: map[string]string{
-			"title": "Enclosure: Language-Based Restriction of Untrusted Libraries",
-			"venue": "ASPLOS 2021",
-		},
-	}, nil
-}
-
-// CollectRingResults runs only the batched-syscall-ring sweep — the
-// machine-readable smoke run CI's schema check drives
-// (`enclosebench -table ring -json -`).
-func CollectRingResults() (*Results, error) {
-	entries, err := RunRing()
-	if err != nil {
-		return nil, err
-	}
-	return &Results{
-		Ring: entries,
-		Paper: map[string]string{
-			"title": "Enclosure: Language-Based Restriction of Untrusted Libraries",
-			"venue": "ASPLOS 2021",
-		},
-	}, nil
-}
-
-// CollectChurnResults runs only the warm-enclosure churn sweep at the
-// CI smoke size — the machine-readable run CI's schema and
-// speedup-floor checks drive (`enclosebench -table churn -json -`).
-func CollectChurnResults() (*Results, error) {
-	churn, err := RunChurn(ChurnSweepTraces)
-	if err != nil {
-		return nil, err
-	}
-	return &Results{
-		Churn: &churn,
-		Paper: map[string]string{
-			"title": "Enclosure: Language-Based Restriction of Untrusted Libraries",
-			"venue": "ASPLOS 2021",
-		},
-	}, nil
-}
-
-// CollectLatencyResults runs only the open-loop latency sweep at the
-// CI smoke size — the machine-readable run CI's schema and SLO checks
-// drive (`enclosebench -table latency -json -`).
-func CollectLatencyResults() (*Results, error) {
-	entries, err := RunLatency(LatencySmokeRequests)
-	if err != nil {
-		return nil, err
-	}
-	return &Results{
-		Latency: entries,
-		Paper: map[string]string{
-			"title": "Enclosure: Language-Based Restriction of Untrusted Libraries",
-			"venue": "ASPLOS 2021",
-		},
-	}, nil
 }
 
 // MarshalResults renders the results as indented JSON.

@@ -2,14 +2,41 @@ package bench
 
 import (
 	"encoding/json"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 )
 
-func TestCollectResultsRoundTrip(t *testing.T) {
-	r, err := CollectResults(2000)
-	if err != nil {
-		t.Fatal(err)
+// smoke is one Collect of every section at the Smoke size, shared by
+// the round-trip test and the result checks in check_test.go.
+var smoke struct {
+	once sync.Once
+	r    *Results
+	err  error
+}
+
+// smokeResults runs the shared Collect on one OS thread. Which engine
+// worker serves a closed-loop request is decided by host goroutine
+// scheduling, so with parallel threads the scale and cluster speedups
+// swing with host load (8-node cluster speedups of 3.9x-10x on a
+// 2-CPU host); one thread gives the cooperative interleaving the
+// virtual-time model assumes. The host-wall sections time one thread
+// either way.
+func smokeResults(t *testing.T) *Results {
+	t.Helper()
+	smoke.once.Do(func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		smoke.r, smoke.err = Collect(Smoke, Sections()...)
+	})
+	if smoke.err != nil {
+		t.Fatal(smoke.err)
 	}
+	return smoke.r
+}
+
+func TestCollectResultsRoundTrip(t *testing.T) {
+	r := smokeResults(t)
 	if len(r.Table1) != 9 {
 		t.Errorf("table1 cells %d", len(r.Table1))
 	}
@@ -24,6 +51,18 @@ func TestCollectResultsRoundTrip(t *testing.T) {
 	}
 	if len(r.Security) == 0 {
 		t.Error("no security rows")
+	}
+	if len(r.Ablations) != 4 || r.Figure4 == "" {
+		t.Errorf("ablations %d, figure4 %d bytes", len(r.Ablations), len(r.Figure4))
+	}
+	for _, name := range Sections() {
+		text, err := Render(r, name)
+		if err != nil || len(strings.TrimSpace(text)) == 0 {
+			t.Errorf("section %s renders %q, %v", name, text, err)
+		}
+	}
+	if _, err := Collect(Smoke, "bogus"); err == nil {
+		t.Error("Collect accepted an unknown section")
 	}
 	blob, err := MarshalResults(r)
 	if err != nil {

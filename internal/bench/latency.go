@@ -9,13 +9,6 @@ import (
 	"github.com/litterbox-project/enclosure/internal/loadgen"
 )
 
-// LatencyRequests is the measured arrival count per latency cell in
-// the full (trajectory) sweep; LatencySmokeRequests the CI smoke size.
-const (
-	LatencyRequests      = 1000
-	LatencySmokeRequests = 240
-)
-
 // LatencyEntry is one row of the latency table: an open-loop
 // loadgen.Result plus the sweep knobs that produced it.
 type LatencyEntry struct {
@@ -95,15 +88,12 @@ func latencyCell(app string, kind core.BackendKind, workers, requests int, row l
 	return LatencyEntry{Result: res, DeadlineMult: row.deadline}, nil
 }
 
-// RunLatency sweeps the open-loop latency matrix: FastHTTP (heavy-tail
+// runLatency sweeps the open-loop latency matrix: FastHTTP (heavy-tail
 // mix) on every backend and worker count across the offered-load rows,
 // plus single-point coverage of net/http under Poisson and the wiki
 // under a session population. Seeds are fixed per cell, so the sweep
 // is reproducible end to end.
-func RunLatency(requests int) ([]LatencyEntry, error) {
-	if requests <= 0 {
-		requests = LatencyRequests
-	}
+func runLatency(requests int) ([]LatencyEntry, error) {
 	var out []LatencyEntry
 	seed := int64(1)
 	for _, kind := range ScaleBackends {
@@ -142,8 +132,8 @@ func RunLatency(requests int) ([]LatencyEntry, error) {
 	return out, nil
 }
 
-// RenderLatencyTable formats the latency sweep.
-func RenderLatencyTable(entries []LatencyEntry) string {
+// renderLatencyTable formats the latency sweep.
+func renderLatencyTable(entries []LatencyEntry) string {
 	var sb strings.Builder
 	sb.WriteString("Latency under open-loop load: per-request latency from scheduled arrival\n")
 	sb.WriteString("to virtual completion (coordinated-omission-free: arrivals are drawn on\n")

@@ -169,6 +169,3 @@ var PaperBackends = core.Backends
 
 // ProjectionBackends adds the CHERI projection column.
 var ProjectionBackends = []core.BackendKind{core.Baseline, core.MPK, core.VTX, core.CHERI}
-
-// Table2Bild sweeps the paper's backends over the bild benchmark.
-func Table2Bild() ([]MacroResult, error) { return Sweep(RunBild, PaperBackends) }

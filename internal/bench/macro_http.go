@@ -221,12 +221,6 @@ func RunFastHTTP(kind core.BackendKind) (MacroResult, error) {
 	}, nil
 }
 
-// Table2HTTP sweeps the paper's backends over the net/http benchmark.
-func Table2HTTP() ([]MacroResult, error) { return Sweep(RunHTTP, PaperBackends) }
-
-// Table2FastHTTP sweeps the paper's backends over FastHTTP.
-func Table2FastHTTP() ([]MacroResult, error) { return Sweep(RunFastHTTP, PaperBackends) }
-
 // HTTPTCB and FastHTTPTCB return the remaining Table 2 TCB rows.
 func HTTPTCB() TCBRow {
 	return TCBRow{App: "HTTP", AppLOC: 31} // stdlib-only: no public deps

@@ -35,7 +35,7 @@ func checkSweep(t *testing.T, results []MacroResult) {
 }
 
 func TestTable2BildMatchesPaper(t *testing.T) {
-	rs, err := Table2Bild()
+	rs, err := Sweep(RunBild, PaperBackends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTable2BildMatchesPaper(t *testing.T) {
 }
 
 func TestTable2HTTPMatchesPaper(t *testing.T) {
-	rs, err := Table2HTTP()
+	rs, err := Sweep(RunHTTP, PaperBackends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestTable2HTTPMatchesPaper(t *testing.T) {
 }
 
 func TestTable2FastHTTPMatchesPaper(t *testing.T) {
-	rs, err := Table2FastHTTP()
+	rs, err := Sweep(RunFastHTTP, PaperBackends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTable2FastHTTPMatchesPaper(t *testing.T) {
 	// The paper's cross-benchmark observation: FastHTTP's VTX slowdown
 	// exceeds HTTP's because its service time is smaller while the
 	// syscall overhead stays the same.
-	http, err := Table2HTTP()
+	http, err := Sweep(RunHTTP, PaperBackends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTable2FastHTTPMatchesPaper(t *testing.T) {
 }
 
 func TestFigure5WikiSimilarToFastHTTP(t *testing.T) {
-	rs, err := Figure5Wiki()
+	rs, err := Sweep(RunWiki, PaperBackends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,44 +174,29 @@ func TestFigure4DumpContents(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	micro, err := Table1(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := RenderTable1(micro); !strings.Contains(out, "LB_MPK") || !strings.Contains(out, "syscall") {
+	r := smokeResults(t)
+	if out := renderTable1(r.Table1); !strings.Contains(out, "LB_MPK") || !strings.Contains(out, "syscall") {
 		t.Error("Table 1 rendering incomplete")
 	}
-	rs, err := Table2Bild()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderTable2([][]MacroResult{rs}, []TCBRow{BildTCB(), HTTPTCB()})
+	out := renderTable2(r.Table2, r.TCB)
 	if !strings.Contains(out, "bild") || !strings.Contains(out, "TCB") {
 		t.Error("Table 2 rendering incomplete")
 	}
-	wiki, err := Figure5Wiki()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := RenderFigure5(wiki); !strings.Contains(out, "reqs/s") {
+	if out := renderFigure5(r.Figure5); !strings.Contains(out, "reqs/s") {
 		t.Error("Figure 5 rendering incomplete")
 	}
-	py, err := PythonExperiments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pyOut := RenderPython(py)
+	pyOut := renderPython(r.Python)
 	for _, want := range []string{"conservative", "decoupled", "separated", "cheri-colocated"} {
 		if !strings.Contains(pyOut, want) {
 			t.Errorf("Python rendering missing %q", want)
 		}
 	}
 	// Projection sweeps render a fourth column pair.
-	proj, err := Sweep(RunBild, ProjectionBackends)
+	proj, err := Collect(Size{Projections: true}, "2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := RenderTable2([][]MacroResult{proj}, nil); !strings.Contains(out, "LB_CHERI") {
+	if out := renderTable2(proj.Table2, nil); !strings.Contains(out, "LB_CHERI") {
 		t.Error("projection rendering missing the CHERI column")
 	}
 }

@@ -2,8 +2,8 @@
 // Table 1 micro-benchmarks (call, transfer, syscall), the Table 2
 // macro-benchmarks (bild, HTTP, FastHTTP) with their TCB study, the
 // Figure 5 wiki application, and the §6.4 Python-frontend experiments.
-// Each function reproduces one measurement; cmd/enclosebench renders
-// them as the paper's tables.
+// Each function reproduces one measurement; Collect runs them by section
+// name and Render formats the results as the paper's tables.
 package bench
 
 import (
@@ -143,9 +143,9 @@ func MicroSyscall(kind core.BackendKind, iters int) (MicroResult, error) {
 	return MicroResult{Backend: kind, Op: "syscall", NsPerOp: float64(ns) / float64(iters)}, nil
 }
 
-// Table1 runs every Table 1 cell and returns results in the paper's
+// table1 runs every Table 1 cell and returns results in the paper's
 // row-major order (call, transfer, syscall × Baseline, MPK, VTX).
-func Table1(iters int) ([]MicroResult, error) {
+func table1(iters int) ([]MicroResult, error) {
 	var out []MicroResult
 	type fn func(core.BackendKind, int) (MicroResult, error)
 	for _, f := range []fn{MicroCall, MicroTransfer, MicroSyscall} {

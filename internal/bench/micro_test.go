@@ -34,7 +34,7 @@ func TestCHERIProjectionNumbers(t *testing.T) {
 // TestTable1MatchesPaper checks every micro-benchmark cell lands within
 // 5% (or 10ns absolute for the small ones) of the paper's measurement.
 func TestTable1MatchesPaper(t *testing.T) {
-	results, err := Table1(1000)
+	results, err := table1(1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,20 +23,22 @@ type ProbeBenchResult struct {
 	Faults          int     `json:"faults"`
 	DynImportTraces int     `json:"dyn_import_traces"`
 	InjectionTraces int     `json:"injection_traces"`
-	Divergences     int     `json:"divergences"`
-	Divergence      string  `json:"divergence,omitempty"`
+	Divergences     int     `json:"divergences"` // always 0: a divergence fails the sweep
 	WallMS          float64 `json:"wall_ms"`
 	OpsPerSec       float64 `json:"ops_per_sec"`
 }
 
-// RunProbeBench sweeps n seeded traces through the differential oracle
-// and reports coverage and throughput. Divergences do not error — the
-// row reports them, the caller decides severity.
-func RunProbeBench(n, opsPerTrace int) (ProbeBenchResult, error) {
+// runProbeBench sweeps n seeded traces through the differential oracle
+// and reports coverage and throughput. A divergence is an error that
+// carries the shrunk, seed-addressed reproducer.
+func runProbeBench(n, opsPerTrace int) (ProbeBenchResult, error) {
 	start := time.Now()
 	stats, div, err := probe.Sweep(ProbeSeed, n, opsPerTrace)
 	if err != nil {
 		return ProbeBenchResult{}, err
+	}
+	if div != nil {
+		return ProbeBenchResult{}, fmt.Errorf("differential probe found a divergence:\n%s", div)
 	}
 	wall := time.Since(start)
 	out := ProbeBenchResult{
@@ -50,16 +52,12 @@ func RunProbeBench(n, opsPerTrace int) (ProbeBenchResult, error) {
 	if wall > 0 {
 		out.OpsPerSec = float64(stats.Ops) / wall.Seconds()
 	}
-	if div != nil {
-		out.Divergences = 1
-		out.Divergence = div.String()
-	}
 	return out, nil
 }
 
-// RenderProbeTable renders the probe row in the evaluation's table
+// renderProbeTable renders the probe row in the evaluation's table
 // style.
-func RenderProbeTable(r ProbeBenchResult) string {
+func renderProbeTable(r ProbeBenchResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Adversarial probe: differential sweep over baseline/LB_MPK/LB_VTX/LB_CHERI.\n\n")
 	fmt.Fprintf(&b, "  %-26s %12s\n", "traces", fmt.Sprint(r.Traces))
@@ -70,8 +68,5 @@ func RenderProbeTable(r ProbeBenchResult) string {
 	fmt.Fprintf(&b, "  %-26s %12s\n", "divergences", fmt.Sprint(r.Divergences))
 	fmt.Fprintf(&b, "  %-26s %12.1f\n", "wall ms", r.WallMS)
 	fmt.Fprintf(&b, "  %-26s %12.0f\n", "ops/s", r.OpsPerSec)
-	if r.Divergences > 0 {
-		fmt.Fprintf(&b, "\n%s\n", r.Divergence)
-	}
 	return b.String()
 }

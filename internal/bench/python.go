@@ -5,11 +5,11 @@ import (
 	"github.com/litterbox-project/enclosure/internal/pyfront"
 )
 
-// PythonExperiments runs the §6.4 study under LB_VTX (as the paper
+// pythonExperiments runs the §6.4 study under LB_VTX (as the paper
 // does): the conservative refcount/GC-switching prototype, the
 // decoupled-metadata simulation, and the fully separated layout the
 // paper names as future work (which keeps the secret read-only).
-func PythonExperiments() ([]pyfront.Result, error) {
+func pythonExperiments() ([]pyfront.Result, error) {
 	var out []pyfront.Result
 	for _, mode := range []pyfront.Mode{pyfront.Conservative, pyfront.Decoupled, pyfront.Separated} {
 		r, err := pyfront.RunExperiment(core.VTX, mode)

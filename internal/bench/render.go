@@ -3,43 +3,44 @@ package bench
 import (
 	"fmt"
 	"strings"
-
-	"github.com/litterbox-project/enclosure/internal/core"
-	"github.com/litterbox-project/enclosure/internal/pyfront"
 )
 
-// RenderTable1 formats micro-benchmark results like the paper's Table 1.
-func RenderTable1(results []MicroResult) string {
-	cell := make(map[string]map[core.BackendKind]float64)
-	for _, r := range results {
-		if cell[r.Op] == nil {
-			cell[r.Op] = make(map[core.BackendKind]float64)
+// renderTable1 formats micro-benchmark results like the paper's Table 1.
+func renderTable1(entries []MicroEntry) string {
+	cell := make(map[string]map[string]float64)
+	for _, e := range entries {
+		if cell[e.Op] == nil {
+			cell[e.Op] = make(map[string]float64)
 		}
-		cell[r.Op][r.Backend] = r.NsPerOp
+		cell[e.Op][e.Backend] = e.Ns
 	}
 	var sb strings.Builder
 	sb.WriteString("Table 1: Microbenchmarks results in nanoseconds.\n\n")
 	fmt.Fprintf(&sb, "%-10s %10s %10s %10s\n", "", "Baseline", "LB_MPK", "LB_VTX")
 	for _, op := range []string{"call", "transfer", "syscall"} {
 		fmt.Fprintf(&sb, "%-10s %10.0f %10.0f %10.0f\n",
-			op, cell[op][core.Baseline], cell[op][core.MPK], cell[op][core.VTX])
+			op, cell[op]["baseline"], cell[op]["mpk"], cell[op]["vtx"])
 	}
 	return sb.String()
 }
 
-// RenderTable2 formats macro-benchmark sweeps like the paper's Table 2.
-// Columns follow the backends present in the results, so projection
+// renderTable2 formats macro-benchmark sweeps like the paper's Table 2,
+// one row per run of consecutive entries of the same benchmark.
+// Columns follow the backends present in the entries, so projection
 // sweeps including LB_CHERI render an extra pair.
-func RenderTable2(groups [][]MacroResult, tcb []TCBRow) string {
-	present := map[core.BackendKind]bool{}
-	for _, rs := range groups {
-		for _, r := range rs {
-			present[r.Backend] = true
+func renderTable2(entries []MacroEntry, tcb []TCBRow) string {
+	present := map[string]bool{}
+	var groups [][]MacroEntry
+	for i, e := range entries {
+		present[e.Backend] = true
+		if i == 0 || e.Benchmark != entries[i-1].Benchmark {
+			groups = append(groups, nil)
 		}
+		groups[len(groups)-1] = append(groups[len(groups)-1], e)
 	}
-	order := []core.BackendKind{core.MPK, core.VTX, core.CHERI}
-	label := map[core.BackendKind]string{
-		core.MPK: "LB_MPK raw", core.VTX: "LB_VTX raw", core.CHERI: "LB_CHERI raw",
+	order := []string{"mpk", "vtx", "cheri"}
+	label := map[string]string{
+		"mpk": "LB_MPK raw", "vtx": "LB_VTX raw", "cheri": "LB_CHERI raw",
 	}
 
 	var sb strings.Builder
@@ -52,7 +53,7 @@ func RenderTable2(groups [][]MacroResult, tcb []TCBRow) string {
 	}
 	sb.WriteByte('\n')
 	for _, rs := range groups {
-		byKind := make(map[core.BackendKind]MacroResult)
+		byKind := make(map[string]MacroEntry)
 		var name, unit string
 		for _, r := range rs {
 			byKind[r.Backend] = r
@@ -64,7 +65,7 @@ func RenderTable2(groups [][]MacroResult, tcb []TCBRow) string {
 			}
 			return fmt.Sprintf("%.0freqs/s", v)
 		}
-		fmt.Fprintf(&sb, "%-10s %16s", name, format(byKind[core.Baseline].Raw))
+		fmt.Fprintf(&sb, "%-10s %16s", name, format(byKind["baseline"].Raw))
 		for _, k := range order {
 			if present[k] {
 				fmt.Fprintf(&sb, " %16s %8.2fx", format(byKind[k].Raw), byKind[k].Slowdown)
@@ -94,26 +95,53 @@ func RenderTable2(groups [][]MacroResult, tcb []TCBRow) string {
 	return sb.String()
 }
 
-// RenderFigure5 formats the wiki sweep.
-func RenderFigure5(results []MacroResult) string {
+// renderFigure5 formats the wiki sweep.
+func renderFigure5(entries []MacroEntry) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 5: wiki web-app (mux enclosure ○B + pq proxy enclosure ○C).\n\n")
-	for _, r := range results {
+	for _, e := range entries {
 		fmt.Fprintf(&sb, "  %-9s %9.0f reqs/s  slowdown %.2fx  (switches=%d syscalls=%d transfers=%d)\n",
-			r.Backend, r.Raw, r.Slowdown, r.Counters.Switches, r.Counters.Syscalls, r.Counters.Transfers)
+			e.Backend, e.Raw, e.Slowdown, e.Switches, e.Syscalls, e.Transfers)
 	}
 	return sb.String()
 }
 
-// RenderPython formats the §6.4 experiments.
-func RenderPython(results []pyfront.Result) string {
+// renderPython formats the §6.4 experiments.
+func renderPython(entries []PythonEntry) string {
 	var sb strings.Builder
 	sb.WriteString("§6.4: Python enclosures (matplotlib plot of secret data, LB_VTX).\n\n")
-	for _, r := range results {
+	for _, e := range entries {
 		fmt.Fprintf(&sb, "  %-13s slowdown %5.2fx  switches %7d  init %4.1f%% of overhead  syscalls %4.2f%%\n",
-			r.Mode, r.Slowdown, r.Switches, r.InitShare*100, r.SysShare*100)
+			e.Mode, e.Slowdown, e.Switches, e.InitShare*100, e.SysShare*100)
 	}
 	sb.WriteString("\n  (paper: conservative ~18x with ~1M switches; decoupled-metadata ~1.4x\n")
 	sb.WriteString("   dominated by delayed initialisation; syscall overhead <1%)\n")
+	return sb.String()
+}
+
+// renderSecurity formats the §6.5 scenarios in attacks.Report's layout.
+func renderSecurity(entries []SecurityEntry) string {
+	var sb strings.Builder
+	sb.WriteString("§6.5: recreated malicious packages.\n\n")
+	for _, e := range entries {
+		verdict := "COMPROMISED"
+		if e.Blocked {
+			verdict = "BLOCKED(" + e.FaultOp + ")"
+		} else if e.Protected {
+			verdict = "ALLOWED"
+		}
+		fmt.Fprintf(&sb, "  %-22s %-8s protected=%-5v legit=%-5v loot=%4dB %s\n",
+			e.Scenario, e.Backend, e.Protected, e.LegitOK, e.LootBytes, verdict)
+	}
+	return sb.String()
+}
+
+// renderAblations formats the design-choice studies.
+func renderAblations(results []AblationResult) string {
+	var sb strings.Builder
+	sb.WriteString("Ablations:\n\n")
+	for _, a := range results {
+		fmt.Fprintf(&sb, "  %s (%s)\n    %v\n", a.Name, a.Detail, a.Metrics)
+	}
 	return sb.String()
 }

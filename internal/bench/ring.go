@@ -116,9 +116,9 @@ func runRingFastHTTP(kind core.BackendKind, depth int) (float64, hw.CounterSnaps
 	return float64(reqs) / (float64(elapsed) / 1e9), prog.Counters().Snapshot(), nil
 }
 
-// RunRing sweeps the four backends over the /stream workload, ring off
+// runRing sweeps the four backends over the /stream workload, ring off
 // vs ring on at RingDepth.
-func RunRing() ([]RingEntry, error) {
+func runRing() ([]RingEntry, error) {
 	var out []RingEntry
 	for _, kind := range ProjectionBackends {
 		off, _, err := runRingFastHTTP(kind, 0)
@@ -148,8 +148,8 @@ func RunRing() ([]RingEntry, error) {
 	return out, nil
 }
 
-// RenderRingTable formats the ring sweep.
-func RenderRingTable(entries []RingEntry) string {
+// renderRingTable formats the ring sweep.
+func renderRingTable(entries []RingEntry) string {
 	var sb strings.Builder
 	sb.WriteString("Batched syscall submission ring: FastHTTP GET /stream\n")
 	fmt.Fprintf(&sb, "(%d chunk sends per request, queue depth %d, %d closed-loop requests).\n\n",

@@ -276,11 +276,11 @@ func scaleWiki(kind core.BackendKind, workers int, opts ...core.Option) (ScaleEn
 	return entry, err
 }
 
-// RunScale sweeps the full scaling matrix: every app × backend ×
+// runScale sweeps the full scaling matrix: every app × backend ×
 // worker count, with speedups computed against each pair's one-worker
 // cell. Options apply to every cell's program — pass
 // core.WithTracer(tr) to collect one merged trace over the sweep.
-func RunScale(opts ...core.Option) ([]ScaleEntry, error) {
+func runScale(opts ...core.Option) ([]ScaleEntry, error) {
 	var out []ScaleEntry
 	base := make(map[string]float64) // app/backend → 1-worker reqs/s
 	for _, app := range ScaleApps {
@@ -304,8 +304,8 @@ func RunScale(opts ...core.Option) ([]ScaleEntry, error) {
 	return out, nil
 }
 
-// RenderScaleTable formats the scaling sweep.
-func RenderScaleTable(entries []ScaleEntry) string {
+// renderScaleTable formats the scaling sweep.
+func renderScaleTable(entries []ScaleEntry) string {
 	var sb strings.Builder
 	sb.WriteString("Scaling: aggregate throughput across engine workers (virtual CPUs).\n")
 	sb.WriteString("Elapsed virtual time is the max per-worker clock advance; speedup is\n")

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/litterbox-project/enclosure/internal/core"
+	"github.com/litterbox-project/enclosure/internal/obs"
 )
 
 // TestScaleSpeedup locks the PR's acceptance bar: aggregate throughput
@@ -11,6 +13,9 @@ import (
 // Baseline and LB_MPK. One worker-count pair per backend keeps the test
 // fast; `enclosebench -table scale` runs the full matrix.
 func TestScaleSpeedup(t *testing.T) {
+	// One OS thread, as in smokeResults: with parallel threads the
+	// speedup follows host load rather than the model.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, kind := range []core.BackendKind{core.Baseline, core.MPK} {
 		one, err := scaleHTTP(kind, 1)
 		if err != nil {
@@ -46,5 +51,21 @@ func TestScaleCellsServeCorrectly(t *testing.T) {
 		}
 		t.Logf("%-9s 2 workers: %.0f reqs/s, steals %d, maxdepth %d",
 			app, entry.ReqsPerSec, entry.Steals, entry.MaxQueueDepth)
+	}
+}
+
+// TestTracingIsFreeInVirtualTime pins DESIGN §9's claim on one scale
+// cell: attaching a tracer leaves the virtual-time throughput unchanged.
+func TestTracingIsFreeInVirtualTime(t *testing.T) {
+	plain, err := scaleCell("HTTP", core.MPK, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := scaleCell("HTTP", core.MPK, 1, core.WithTracer(obs.New(1024)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.ReqsPerSec != traced.ReqsPerSec {
+		t.Errorf("traced HTTP/mpk cell %.2f reqs/s, untraced %.2f", traced.ReqsPerSec, plain.ReqsPerSec)
 	}
 }

@@ -84,6 +84,9 @@ func RestoreWorld(cp *Checkpoint) (*probe.World, error) {
 		return nil, fmt.Errorf("cluster: restore %s: build: %w", cp.World, err)
 	}
 	for i, ex := range cp.Journal {
+		if err := w.CheckOp(ex.Op); err != nil {
+			return nil, fmt.Errorf("cluster: restore %s: journal op %d: %w", cp.World, i, err)
+		}
 		out, env := probe.ExecOp(w, ex.Op)
 		if out != ex.Out {
 			return nil, fmt.Errorf(

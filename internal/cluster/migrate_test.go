@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -217,7 +218,11 @@ func TestMigrateCrashDuringTransferResumesOnSource(t *testing.T) {
 // The restore's three verification layers each reject a tampered
 // checkpoint: a journal outcome that does not reproduce, an env state
 // that does not match the replayed table, a frame stack that disagrees.
-func TestRestoreRejectsTamperedCheckpoints(t *testing.T) {
+// checkpointedWorld runs a three-op journal (a span read, a pushed
+// Prolog, a package read) on an mpk world and returns the world and its
+// journal: the source of every tampered and fuzzed checkpoint below.
+func checkpointedWorld(t testing.TB) (*probe.World, []probe.Executed) {
+	t.Helper()
 	w, err := probe.BuildWorld(twinSpec(), "mpk")
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +244,11 @@ func TestRestoreRejectsTamperedCheckpoints(t *testing.T) {
 	record(probe.Op{Kind: probe.OpRead, Span: 0})
 	record(probe.Op{Kind: probe.OpProlog, Encl: 1, Span: -1})
 	record(probe.Op{Kind: probe.OpRead, Pkg: "p1", Sec: 0, Span: -1})
+	return w, journal
+}
+
+func TestRestoreRejectsTamperedCheckpoints(t *testing.T) {
+	w, journal := checkpointedWorld(t)
 
 	// Untampered: the checkpoint round-trips.
 	if _, err := MigrateWorld(w, journal); err != nil {
@@ -269,5 +279,34 @@ func TestRestoreRejectsTamperedCheckpoints(t *testing.T) {
 	})
 	tamper("frame stack", "frame stack", func(cp *Checkpoint) {
 		cp.Frames = append(cp.Frames, 2)
+	})
+	// Malformed journal ops are rejected before replay indexes them.
+	tamper("prolog e0", "no enclosure e0", func(cp *Checkpoint) {
+		cp.Journal[0] = probe.Executed{Op: probe.Op{Kind: probe.OpProlog, Encl: 0, Span: -1}}
+	})
+	tamper("prolog e99", "no enclosure e99", func(cp *Checkpoint) {
+		cp.Journal[0] = probe.Executed{Op: probe.Op{Kind: probe.OpProlog, Encl: 99, Span: -1}}
+	})
+	tamper("epilog at base", "below the base frame", func(cp *Checkpoint) {
+		cp.Journal[0] = probe.Executed{Op: probe.Op{Kind: probe.OpEpilog, Span: -1}}
+	})
+}
+
+// FuzzRestoreCheckpoint feeds mutated checkpoint bytes from the wire
+// through RestoreWorld: every input must restore or be rejected with an
+// error, never panic.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	w, journal := checkpointedWorld(f)
+	seed, err := json.Marshal(CheckpointWorld(w, journal))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cp Checkpoint
+		if json.Unmarshal(data, &cp) != nil {
+			return
+		}
+		_, _ = RestoreWorld(&cp)
 	})
 }

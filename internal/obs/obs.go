@@ -159,15 +159,25 @@ type Trace struct {
 	// pool hands out emission buffers processor-locally; registry keeps
 	// every buffer ever created so aggregates survive pool eviction at
 	// GC (an evicted buffer stops being written but is still merged).
+	// reuse picks the registered buffer a pool miss gets once the
+	// registry is full.
 	pool     sync.Pool
 	regMu    sync.Mutex
 	registry []*shard
+	reuse    int
 
 	hasSink atomic.Bool
 	sinkMu  sync.Mutex
 	jsonl   io.Writer
 	jerr    error
 }
+
+// maxShards bounds the emission buffers one trace allocates. The pool
+// drops buffers at every GC, and under the race detector on a quarter of
+// its Puts; past the bound a pool miss is handed a registered buffer
+// (round-robin, its lock makes sharing safe) instead of a fresh ring, so
+// a trace's memory stays bounded however long the traced run.
+const maxShards = 64
 
 // New returns a trace keeping a bounded window of recent events
 // verbatim — the last capacity (default 256 when capacity <= 0) per
@@ -178,15 +188,19 @@ func New(capacity int) *Trace {
 	}
 	t := &Trace{capacity: capacity}
 	t.pool.New = func() any {
+		t.regMu.Lock()
+		defer t.regMu.Unlock()
+		if len(t.registry) >= maxShards {
+			t.reuse++
+			return t.registry[t.reuse%len(t.registry)]
+		}
 		s := &shard{
 			ring:    make([]Event, t.capacity),
 			kinds:   make(map[kindKey]*kindAgg),
 			sys:     make(map[string]*sysAgg),
 			workers: make(map[string]int64),
 		}
-		t.regMu.Lock()
 		t.registry = append(t.registry, s)
-		t.regMu.Unlock()
 		return s
 	}
 	return t

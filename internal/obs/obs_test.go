@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -238,4 +239,22 @@ func TestSummaryAndHistogram(t *testing.T) {
 		t.Errorf("Histogram missing buckets:\n%s", h)
 	}
 	_ = fmt.Sprintf("%v", s) // snapshots are plain data
+}
+
+// TestShardRegistryBounded pins the emission-buffer bound: the pool
+// drops buffers at every GC, and each miss used to allocate (and
+// register forever) a fresh ring.
+func TestShardRegistryBounded(t *testing.T) {
+	tr := New(16)
+	for i := 0; i < 4*maxShards; i++ {
+		tr.Emit(Event{Kind: KindSyscall, Backend: "mpk"})
+		runtime.GC()
+		runtime.GC()
+	}
+	if n := len(tr.shards()); n > maxShards {
+		t.Errorf("%d emission buffers, want at most %d", n, maxShards)
+	}
+	if s := tr.Snapshot(); s.Events != 4*maxShards {
+		t.Errorf("snapshot counts %d events, want %d", s.Events, 4*maxShards)
+	}
 }

@@ -1,6 +1,7 @@
 package privan
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -153,6 +154,43 @@ func TestAnalyzeCorpusRoundTrip(t *testing.T) {
 	}
 	if len(corpora) != 4 {
 		t.Fatalf("analysis must span all four corpora, got %v", corpora)
+	}
+
+	// The JSON report (`enclose privcheck -json`) keeps the field names
+	// downstream tooling reads, and the corpus seeds over-privileged
+	// enclosures the report must surface.
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Entries []map[string]json.RawMessage `json:"entries"`
+	}
+	if err := json.Unmarshal(blob, &report); err != nil {
+		t.Fatal(err)
+	}
+	overPrivileged := 0
+	for _, e := range report.Entries {
+		for _, k := range []string{"corpus", "enclosure", "declared", "derived", "metrics"} {
+			if _, ok := e[k]; !ok {
+				t.Fatalf("report entry missing %q: %v", k, e)
+			}
+		}
+		var metrics map[string]json.RawMessage
+		if err := json.Unmarshal(e["metrics"], &metrics); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"pages_r", "pages_w", "pages_x", "syscalls", "connect_hosts"} {
+			if _, ok := metrics[k]; !ok {
+				t.Fatalf("report metrics missing %q: %s", k, e["metrics"])
+			}
+		}
+		if _, ok := e["excess"]; ok {
+			overPrivileged++
+		}
+	}
+	if overPrivileged == 0 {
+		t.Fatal("no over-privileged enclosure in a corpus that seeds several")
 	}
 
 	// The analysis gates cleanly against its own ledger...

@@ -61,6 +61,9 @@ func BuildWorld(spec WorldSpec, name string) (*World, error) {
 // optional audit recorder — non-nil switches the world into
 // observe-don't-enforce mode, the privilege analyzer's mining shape.
 func BuildWorldWith(spec WorldSpec, name string, policies []litterbox.Policy, audit *obs.Audit) (*World, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	g := pkggraph.New()
 	for i := 0; i < spec.NPkgs; i++ {
 		var imports []string
@@ -192,6 +195,85 @@ func BuildWorldWith(spec WorldSpec, name string, policies []litterbox.Policy, au
 		}
 	}
 	return w, nil
+}
+
+// validate rejects a spec whose indices fall outside its own package
+// list, so a spec from the wire (a migration checkpoint) cannot index
+// past the world it describes.
+func (spec WorldSpec) validate() error {
+	pkg := func(i int) bool { return i >= 0 && i < spec.NPkgs }
+	if len(spec.Imports) != spec.NPkgs {
+		return fmt.Errorf("probe: spec: %d import lists for %d packages", len(spec.Imports), spec.NPkgs)
+	}
+	for i, imports := range spec.Imports {
+		for _, j := range imports {
+			if j < 0 || j >= i {
+				return fmt.Errorf("probe: spec: p%d imports p%d, want an earlier package", i, j)
+			}
+		}
+	}
+	for e, es := range spec.Encls {
+		if !pkg(es.Pkg) {
+			return fmt.Errorf("probe: spec: enclosure e%d declared in unknown package %d", e+1, es.Pkg)
+		}
+		for p := range es.Mods {
+			if !pkg(p) {
+				return fmt.Errorf("probe: spec: enclosure e%d modifies unknown package %d", e+1, p)
+			}
+		}
+	}
+	if len(spec.SpanOwners) != NSpans {
+		return fmt.Errorf("probe: spec: %d span owners, want %d", len(spec.SpanOwners), NSpans)
+	}
+	for i, owner := range spec.SpanOwners {
+		if owner != -1 && !pkg(owner) {
+			return fmt.Errorf("probe: spec: span %d owned by unknown package %d", i, owner)
+		}
+	}
+	return nil
+}
+
+// CheckOp rejects an operation that names something this world does not
+// have — an enclosure ID, span, buffer slot or package out of range, or
+// an epilog below the trusted base frame — before ExecOp indexes it. A
+// generated trace never fails it; a journal from the wire might.
+func (w *World) CheckOp(op Op) error {
+	known := func(pkg string) bool { return w.Img.Layout(pkg) != nil }
+	buf := func(slot int) bool { return slot < len(w.Spans) || known(pkgName(slot-len(w.Spans))) }
+	span := func(i int) bool { return i >= 0 && i < len(w.Spans) }
+	switch op.Kind {
+	case OpProlog, OpDynImport:
+		if op.Encl < 1 || op.Encl > len(w.Img.Enclosures) {
+			return fmt.Errorf("probe: %s: no enclosure e%d", op, op.Encl)
+		}
+	case OpEpilog:
+		if len(w.stack) < 2 {
+			return fmt.Errorf("probe: epilog below the base frame")
+		}
+	case OpRead, OpWrite:
+		if op.Span >= 0 && !span(op.Span) || op.Span < 0 && !known(op.Pkg) {
+			return fmt.Errorf("probe: %s: no such target", op)
+		}
+	case OpExec:
+		if !known(op.Pkg) {
+			return fmt.Errorf("probe: %s: no such package", op)
+		}
+	case OpSyscall:
+		if !buf(op.Buf) {
+			return fmt.Errorf("probe: %s: no buffer slot %d", op, op.Buf)
+		}
+	case OpBatch:
+		for _, sub := range op.Batch {
+			if !buf(sub.Buf) {
+				return fmt.Errorf("probe: batch entry %s: no buffer slot %d", sub, sub.Buf)
+			}
+		}
+	case OpTransfer:
+		if !span(op.Span) || op.Pkg != "" && !known(op.Pkg) {
+			return fmt.Errorf("probe: %s: no such span or package", op)
+		}
+	}
+	return nil
 }
 
 // BuildWorlds instantiates the spec under all four backends, baseline
