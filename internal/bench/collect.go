@@ -79,7 +79,7 @@ var sections = []section{
 		return err
 	}, render: func(r *Results) string { return renderFigure5(r.Figure5) }},
 	{name: "python", run: collectPython, render: func(r *Results) string { return renderPython(r.Python) }},
-	{name: "security", run: collectSecurity, render: func(r *Results) string { return renderSecurity(r.Security) }},
+	{name: "security", run: collectSecurity, render: func(r *Results) string { return renderSecurity(r.securityReports) }},
 	{name: "ablations", textOnly: true, run: collectAblations, render: func(r *Results) string { return renderAblations(r.Ablations) }},
 }
 
@@ -225,11 +225,12 @@ func collectPython(r *Results, _ Size) error {
 
 func collectSecurity(r *Results, _ Size) error {
 	sec, err := SecuritySuite()
+	r.securityReports = sec
 	for _, s := range sec {
 		r.Security = append(r.Security, SecurityEntry{
 			Scenario: s.Scenario, Backend: s.Backend.String(),
 			Protected: s.Protected, LegitOK: s.LegitOK,
-			Blocked: s.Blocked, FaultOp: s.FaultOp, LootBytes: s.LootBytes,
+			Blocked: s.Blocked, LootBytes: s.LootBytes,
 		})
 	}
 	return err

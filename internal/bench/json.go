@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"github.com/litterbox-project/enclosure/internal/attacks"
 	"github.com/litterbox-project/enclosure/internal/obs"
 )
 
@@ -45,6 +46,10 @@ type Results struct {
 	// per-kind, per-syscall, and per-worker aggregates over every cell's
 	// program.
 	Trace *obs.Snapshot `json:"trace,omitempty"`
+
+	// securityReports are the §6.5 reports Security was made from; the
+	// text table renders them with attacks.Report.String.
+	securityReports []attacks.Report
 }
 
 // MicroEntry is one Table 1 cell.
@@ -83,7 +88,6 @@ type SecurityEntry struct {
 	Protected bool   `json:"protected"`
 	LegitOK   bool   `json:"legit_ok"`
 	Blocked   bool   `json:"blocked"`
-	FaultOp   string `json:"-"` // text only: the enforcement path that blocked
 	LootBytes int    `json:"loot_bytes"`
 }
 

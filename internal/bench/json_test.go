@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,17 +15,10 @@ var smoke struct {
 	err  error
 }
 
-// smokeResults runs the shared Collect on one OS thread. Which engine
-// worker serves a closed-loop request is decided by host goroutine
-// scheduling, so with parallel threads the scale and cluster speedups
-// swing with host load (8-node cluster speedups of 3.9x-10x on a
-// 2-CPU host); one thread gives the cooperative interleaving the
-// virtual-time model assumes. The host-wall sections time one thread
-// either way.
+// smokeResults runs the shared Collect once per test binary.
 func smokeResults(t *testing.T) *Results {
 	t.Helper()
 	smoke.once.Do(func() {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		smoke.r, smoke.err = Collect(Smoke, Sections()...)
 	})
 	if smoke.err != nil {

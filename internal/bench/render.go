@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
+
+	"github.com/litterbox-project/enclosure/internal/attacks"
 )
 
 // renderTable1 formats micro-benchmark results like the paper's Table 1.
@@ -119,19 +121,12 @@ func renderPython(entries []PythonEntry) string {
 	return sb.String()
 }
 
-// renderSecurity formats the §6.5 scenarios in attacks.Report's layout.
-func renderSecurity(entries []SecurityEntry) string {
+// renderSecurity formats the §6.5 scenario reports.
+func renderSecurity(reports []attacks.Report) string {
 	var sb strings.Builder
 	sb.WriteString("§6.5: recreated malicious packages.\n\n")
-	for _, e := range entries {
-		verdict := "COMPROMISED"
-		if e.Blocked {
-			verdict = "BLOCKED(" + e.FaultOp + ")"
-		} else if e.Protected {
-			verdict = "ALLOWED"
-		}
-		fmt.Fprintf(&sb, "  %-22s %-8s protected=%-5v legit=%-5v loot=%4dB %s\n",
-			e.Scenario, e.Backend, e.Protected, e.LegitOK, e.LootBytes, verdict)
+	for _, r := range reports {
+		sb.WriteString("  " + r.String() + "\n")
 	}
 	return sb.String()
 }

@@ -1,21 +1,20 @@
 package bench
 
 import (
-	"runtime"
 	"testing"
 
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/obs"
 )
 
-// TestScaleSpeedup locks the PR's acceptance bar: aggregate throughput
-// at 4 workers must exceed 2× the 1-worker figure for net/http on both
-// Baseline and LB_MPK. One worker-count pair per backend keeps the test
-// fast; `enclosebench -table scale` runs the full matrix.
+// TestScaleSpeedup holds net/http on Baseline and LB_MPK to
+// near-linear scaling: aggregate throughput at 4 workers must exceed
+// 3.5× the 1-worker figure. Steals follow the virtual horizon, so host
+// load no longer decides which worker runs ahead; the speedup reads
+// 3.87–4.00× with every host CPU saturated. One worker-count pair per
+// backend keeps the test fast; `enclosebench -table scale` runs the full
+// matrix.
 func TestScaleSpeedup(t *testing.T) {
-	// One OS thread, as in smokeResults: with parallel threads the
-	// speedup follows host load rather than the model.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, kind := range []core.BackendKind{core.Baseline, core.MPK} {
 		one, err := scaleHTTP(kind, 1)
 		if err != nil {
@@ -28,8 +27,8 @@ func TestScaleSpeedup(t *testing.T) {
 		speedup := four.ReqsPerSec / one.ReqsPerSec
 		t.Logf("HTTP/%v: 1 worker %.0f reqs/s, 4 workers %.0f reqs/s (%.2fx)",
 			kind, one.ReqsPerSec, four.ReqsPerSec, speedup)
-		if speedup <= 2 {
-			t.Errorf("HTTP/%v: 4-worker speedup %.2fx, want > 2x", kind, speedup)
+		if speedup <= 3.5 {
+			t.Errorf("HTTP/%v: 4-worker speedup %.2fx, want > 3.5x", kind, speedup)
 		}
 	}
 }

@@ -296,9 +296,11 @@ func (c *Cluster) Size() int {
 
 // candidates returns the session's routing candidates in preference
 // order: its migration pin first (if active), then the ring's
-// Replication owners sorted by instantaneous load, ring order breaking
-// ties (a stable sort keeps the hash order, so routing at equal load is
-// deterministic under the seed).
+// Replication owners, least loaded first. Load is read on the virtual
+// timeline (Engine.PredictVT), so placement follows the cost model, not
+// which goroutines the host runs; host load breaks ties (a wedged node
+// with no service history yet), then ring order (a stable sort keeps the
+// hash order, so routing at equal load is deterministic under the seed).
 func (c *Cluster) candidates(session string) []*Node {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -317,7 +319,10 @@ func (c *Cluster) candidates(session string) []*Node {
 			ranked = append(ranked, n)
 		}
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Load() < ranked[j].Load() })
+	sort.SliceStable(ranked, func(i, j int) bool {
+		a, b := ranked[i].Engine().PredictVT(), ranked[j].Engine().PredictVT()
+		return a < b || (a == b && ranked[i].Load() < ranked[j].Load())
+	})
 	return append(out, ranked...)
 }
 

@@ -260,6 +260,28 @@ func TestClusterBalancesAwayFromLoadedNode(t *testing.T) {
 	}
 }
 
+// The balancer ranks candidates on the virtual timeline: with host load
+// equal, a session leaves the primary once the primary has more virtual
+// work queued ahead of the next job than its replica.
+func TestClusterRoutesByVirtualLoad(t *testing.T) {
+	c := newTestCluster(t, Opts{Nodes: 2, Seed: 3, WorkersPerNode: 1})
+	const session = "s"
+	primary, err := c.Route(session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Do("busy", func(tk *core.Task) error { tk.Compute(1_000_000); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Route(session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == primary {
+		t.Fatalf("session stayed on %s after it served 1ms of virtual work and its replica none", primary.ID())
+	}
+}
+
 // When every candidate is saturated the typed backpressure error
 // surfaces — the caller can distinguish "shed, try later" from a
 // failure of the job itself.

@@ -165,8 +165,9 @@ func (n *Node) Inflight() int {
 	return n.inflight
 }
 
-// Load is the balancer's least-loaded signal: engine load (queued plus
-// executing jobs) plus requests admitted but not yet retired.
+// Load is the node's instantaneous host load: engine load (queued plus
+// executing jobs) plus requests admitted but not yet retired. The
+// balancer ranks by virtual-time load first and uses this to break ties.
 func (n *Node) Load() int {
 	return n.eng.Load() + n.Inflight()
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
@@ -157,7 +158,11 @@ type worker struct {
 
 	// Everything below is guarded by Engine.mu.
 	maxDepth int64
-	busy     bool // executing a job right now
+	busy     bool      // executing a job right now
+	since    time.Time // host time the current job was dequeued (while busy)
+	// stall wakes the worker, idle, once a busy sibling it may not yet
+	// steal from has held its job for stallGrace (concurrent mode).
+	stall *time.Timer
 
 	// vtFree is the worker's virtual-time backlog horizon: the
 	// completion time of the last job it executed, on the submitters'
@@ -348,6 +353,11 @@ func (e *Engine) pushLocked(i int, j job, spilled bool) {
 // empty, exit when the engine closes with nothing left anywhere.
 func (e *Engine) run(w *worker) {
 	defer e.wg.Done()
+	defer func() {
+		if w.stall != nil {
+			w.stall.Stop()
+		}
+	}()
 	for {
 		j, ok := e.next(w)
 		if !ok {
@@ -363,7 +373,8 @@ func (e *Engine) run(w *worker) {
 // about to drain its own queue, and racing it would defeat affinity (on
 // a virtual-time substrate every job looks instantaneous in real time,
 // so an unconditional steal lets one OS-favoured worker absorb the
-// whole load and serialise the virtual clocks).
+// whole load and serialise the virtual clocks). For the same reason a
+// thief must not be virtually ahead of its victim: see dequeueLocked.
 func (e *Engine) next(w *worker) (job, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -373,7 +384,7 @@ func (e *Engine) next(w *worker) (job, bool) {
 	}
 	for {
 		if j, stolen, ok := e.dequeueLocked(w, true); ok {
-			w.busy = true
+			w.busy, w.since = true, time.Now()
 			if stolen {
 				w.steals.Add(1)
 			}
@@ -383,24 +394,71 @@ func (e *Engine) next(w *worker) (job, bool) {
 		if e.closed {
 			return job{}, false
 		}
+		if e.queuedElsewhereLocked(w) {
+			// Work is queued that the guard kept from w: re-check once
+			// its owner may have stalled.
+			if w.stall == nil {
+				w.stall = time.AfterFunc(stallGrace, func() {
+					e.mu.Lock()
+					e.cond.Broadcast()
+					e.mu.Unlock()
+				})
+			} else {
+				w.stall.Reset(stallGrace)
+			}
+		}
 		e.cond.Wait()
 	}
+}
+
+// stallGrace is how long, in host time, a busy worker keeps its queue
+// from siblings that are virtually ahead of it. A job can block on work
+// queued behind it (two jobs that rendezvous); past the grace any idle
+// sibling takes that work, so the engine stays live. A request job can
+// wait for its client goroutine to run, under the race detector on a
+// loaded host for over 100ms, so a shorter grace lets the cluster
+// speedups follow host load again.
+const stallGrace = time.Second
+
+// queuedElsewhereLocked reports whether any sibling of w has queued work.
+func (e *Engine) queuedElsewhereLocked(w *worker) bool {
+	for i := range e.queues {
+		if i != w.idx && e.queues[i].len() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // dequeueLocked takes worker w's next job: its own queue drained per
 // the engine's policy (QoS-weighted, FIFO or LIFO-under-overload),
 // else a steal from the longest eligible sibling queue. In the
-// concurrent engine only busy victims are eligible (requireBusyVictim);
-// the manual-mode stepper steals from any sibling, because its caller
-// steps every virtually-idle worker eagerly — a sibling with queued
-// work is by construction virtually busy.
+// concurrent engine (requireBusyVictim) a victim is eligible only while
+// busy, and only if the thief's virtual horizon is not past the
+// victim's: a thief that is virtually ahead would start the job later
+// than its owner will, so the steal would only let whichever worker
+// the host schedules run ahead in virtual time, and placement would
+// follow host load instead of the model. A victim that has held one
+// job for stallGrace, or any busy victim once the engine is closing, is
+// eligible to every thief. The manual-mode
+// stepper steals from any sibling, because its caller steps every
+// virtually-idle worker eagerly — a sibling with queued work is by
+// construction virtually busy.
 func (e *Engine) dequeueLocked(w *worker, requireBusyVictim bool) (job, bool, bool) {
 	if j, ok := e.queues[w.idx].pop(e.opts.ClassWeights, e.opts.Dequeue, e.opts.LIFOThreshold); ok {
 		return j, false, true
 	}
+	var now time.Time
+	if requireBusyVictim {
+		now = time.Now()
+	}
 	victim, depth := -1, 0
 	for i := range e.queues {
-		if i == w.idx || (requireBusyVictim && !e.workers[i].busy) {
+		if i == w.idx {
+			continue
+		}
+		if v := e.workers[i]; requireBusyVictim &&
+			(!v.busy || (w.vtFree > v.vtFree && !e.closed && now.Sub(v.since) < stallGrace)) {
 			continue
 		}
 		if e.queues[i].len() > depth {
@@ -564,6 +622,21 @@ func (e *Engine) Load() int {
 		}
 	}
 	return n
+}
+
+// PredictVT is the engine's load on the virtual timeline: the earliest
+// predicted completion, over its workers, of a job arriving now — the
+// deadline-admission predictor (predictLocked) at arrival zero. Host
+// occupancy (Load) says which jobs the host happens to be running; this
+// says which engine would serve the next job first in the model.
+func (e *Engine) PredictVT() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	best := e.predictLocked(0, 0)
+	for i := 1; i < len(e.workers); i++ {
+		best = min(best, e.predictLocked(i, 0))
+	}
+	return best
 }
 
 // QueueDepths returns every worker's instantaneous run-queue depth,

@@ -157,6 +157,59 @@ func TestWorkStealing(t *testing.T) {
 	}
 }
 
+// A thief steals only from a busy victim it is not virtually ahead of.
+// A worker whose virtual horizon is past the victim's would start the
+// job later than its owner will, so the job waits for its owner until
+// the owner has held one job for stallGrace (then anyone may take it,
+// or two jobs that rendezvous would deadlock); a worker behind the
+// victim takes it at once.
+func TestStealRespectsVirtualHorizon(t *testing.T) {
+	prog := buildProg(t, core.Baseline, nil)
+	e := New(prog, Opts{Workers: 2})
+	t.Cleanup(e.Close) // after the wedges' cleanups, which release them
+
+	// Put worker 1 1ms ahead on the virtual timeline. Worker 0 cannot
+	// steal it: a victim is eligible only while busy.
+	if err := <-submit(t, e, 1, "ahead", func(tk *core.Task) error { tk.Compute(1_000_000); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// wedge blocks worker pref until released and returns when the
+	// wedge started.
+	wedge := func(pref int) (started time.Time, release func()) {
+		running, hold := make(chan time.Time), make(chan struct{})
+		submit(t, e, pref, "wedge", func(*core.Task) error { running <- time.Now(); <-hold; return nil })
+		release = sync.OnceFunc(func() { close(hold) })
+		t.Cleanup(release)
+		return <-running, release
+	}
+	// queue submits a job behind the wedge and returns when it started.
+	queue := func(pref int) time.Time {
+		ran := make(chan time.Time, 1)
+		submit(t, e, pref, "queued", func(*core.Task) error { ran <- time.Now(); return nil })
+		select {
+		case at := <-ran:
+			return at
+		case <-time.After(10 * time.Second):
+			t.Fatal("a job queued behind a wedged worker never ran")
+		}
+		return time.Time{}
+	}
+
+	// Worker 0 wedged: idle worker 1 is ahead, so it takes the queued
+	// job only once worker 0 has held its job for stallGrace.
+	wedged, release := wedge(0)
+	if waited := queue(0).Sub(wedged); waited < stallGrace/2 {
+		t.Fatalf("a worker virtually ahead of its victim stole after %v, before the %v grace", waited, stallGrace)
+	}
+	release()
+	// Worker 1 wedged: idle worker 0 is behind, so it takes the job.
+	wedge(1)
+	queue(1)
+	if got := e.StealCounts(); got[0] != 1 || got[1] != 1 {
+		t.Fatalf("steal counts %v, want [1 1]", got)
+	}
+}
+
 func TestBackpressureRejects(t *testing.T) {
 	prog := buildProg(t, core.Baseline, nil)
 	e := New(prog, Opts{Workers: 1, QueueDepth: 1})

@@ -122,10 +122,12 @@ func (s *Server) serveConn(conn *simnet.Conn) {
 				}
 				continue
 			}
-			if _, err := conn.Write([]byte(fmt.Sprintf("VAL %d\n", len(val)))); err != nil {
-				return
-			}
-			if _, err := conn.Write(val); err != nil {
+			// Header and value go out in one write: written apart, a
+			// client could wake between them, and how many recv calls
+			// it needs (each one charged in virtual time) would depend
+			// on host scheduling.
+			resp := append([]byte(fmt.Sprintf("VAL %d\n", len(val))), val...)
+			if _, err := conn.Write(resp); err != nil {
 				return
 			}
 		case len(fields) == 3 && fields[0] == "SET":
