@@ -40,17 +40,7 @@ func runCluster(args []string) {
 	}
 
 	const port = 8200
-	build := func() (*core.Program, error) {
-		b := core.NewBuilder(kind)
-		b.Package(core.PackageSpec{
-			Name:    "main",
-			Imports: []string{httpserv.Pkg, httpserv.HandlerPkg},
-			Origin:  "app", LOC: 31,
-		})
-		httpserv.Register(b)
-		b.Enclosure("handler", "main", "sys:none", httpserv.HandlerBody, httpserv.HandlerPkg)
-		return b.Build()
-	}
+	build := func() (*core.Program, error) { return httpserv.ConnProgram(kind) }
 	start := func(n *cluster.Node) (func(), error) {
 		srv, err := httpserv.ServeEngine(n.Engine(), port, n.Prog().MustEnclosure("handler"))
 		if err != nil {

@@ -18,6 +18,26 @@ type engineWorker struct {
 	handler *core.Handle
 }
 
+// ConnProgram builds the program NewConnHandler serves: main (holding
+// the db_password secret) importing FastHTTP, and the "server"
+// enclosure wrapping the package's ServeConn under Policy. Options
+// apply to the builder (a tracer, say).
+func ConnProgram(kind core.BackendKind, opts ...core.Option) (*core.Program, error) {
+	b := core.NewBuilder(kind, opts...)
+	b.Package(core.PackageSpec{
+		Name:    "main",
+		Imports: []string{Pkg},
+		Vars:    map[string]int{"db_password": 64},
+		Origin:  "app", LOC: 76,
+	})
+	Register(b)
+	b.Enclosure("server", "main", Policy,
+		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
+			return t.Call(Pkg, "ServeConn", args...)
+		}, Pkg)
+	return b.Build()
+}
+
 // NewConnHandler returns the per-connection service function FastHTTP
 // runs on an engine worker — the connection is serviced *inside the
 // server enclosure* (entered per connection; server must wrap the

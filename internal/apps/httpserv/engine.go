@@ -7,6 +7,22 @@ import (
 	"github.com/litterbox-project/enclosure/internal/engine"
 )
 
+// ConnProgram builds the program NewConnHandler serves: main importing
+// net/http and the handler package, and the "handler" enclosure over
+// HandlerBody with no system calls. Options apply to the builder (a
+// tracer, say).
+func ConnProgram(kind core.BackendKind, opts ...core.Option) (*core.Program, error) {
+	b := core.NewBuilder(kind, opts...)
+	b.Package(core.PackageSpec{
+		Name:    "main",
+		Imports: []string{Pkg, HandlerPkg},
+		Origin:  "app", LOC: 31,
+	})
+	Register(b)
+	b.Enclosure("handler", "main", "sys:none", HandlerBody, HandlerPkg)
+	return b.Build()
+}
+
 // NewConnHandler returns the per-connection service function the
 // net/http benchmark runs on an engine worker: the same per-request
 // trace as the serial Serve loop, dispatching into the shared handler

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/core"
-	"github.com/litterbox-project/enclosure/internal/engine"
 )
 
 // wikiWorker is one worker's replica of the Figure 5 topology: the
@@ -20,6 +19,30 @@ type wikiWorker struct {
 	proxy *core.Handle
 }
 
+// ConnProgram builds the program NewConnHandler serves (the Figure 5
+// topology): main holding the secrets, the ○B "http-server" enclosure
+// wrapping mux's ServeConn, and the ○C "db-proxy" enclosure wrapping
+// pq's Proxy. Options apply to the builder (a tracer, say).
+func ConnProgram(kind core.BackendKind, opts ...core.Option) (*core.Program, error) {
+	b := core.NewBuilder(kind, opts...)
+	b.Package(core.PackageSpec{
+		Name:    "main",
+		Imports: []string{MuxPkg, PqPkg},
+		Vars:    map[string]int{"db_password": 32, "page_templates": 4096},
+		Origin:  "app", LOC: 120,
+	})
+	Register(b)
+	b.Enclosure("http-server", "main", PolicyServer,
+		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
+			return t.Call(MuxPkg, "ServeConn", args...)
+		}, MuxPkg)
+	b.Enclosure("db-proxy", "main", PolicyProxy,
+		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
+			return t.Call(PqPkg, "Proxy", args[0])
+		}, PqPkg)
+	return b.Build()
+}
+
 // NewConnHandler returns the per-connection service function the wiki
 // runs on an engine worker. server must be the ○B enclosure wrapping
 // mux's ServeConn; proxy must be the ○C enclosure wrapping pq's Proxy.
@@ -27,7 +50,8 @@ type wikiWorker struct {
 // database connection). The returned stop function shuts the
 // per-worker pipelines down and returns every worker error joined
 // (errors.As and AsFault see through the join); call it after the work
-// is drained. Shared by ServeEngine and the open-loop load generator.
+// is drained. Shared by the open-loop load generator and any sharded
+// accept loop (engine.ServeOpts.Conn).
 func NewConnHandler(server, proxy *core.Enclosure) (conn func(t *core.Task, fd int) error, stop func() error) {
 	var mu sync.Mutex
 	workers := make(map[*core.WorkerCtx]*wikiWorker)
@@ -67,18 +91,4 @@ func NewConnHandler(server, proxy *core.Enclosure) (conn func(t *core.Task, fd i
 		return errors.Join(errs...)
 	}
 	return conn, stop
-}
-
-// ServeEngine runs the wiki across an engine's workers: a sharded
-// accept loop feeds each accepted connection to the NewConnHandler
-// per-connection function. The returned stop function shuts the
-// per-worker pipelines down; call it after the accept loop and engine
-// are drained.
-func ServeEngine(e *engine.Engine, port uint16, server, proxy *core.Enclosure) (*engine.Server, func() error, error) {
-	conn, stop := NewConnHandler(server, proxy)
-	srv, err := e.Serve(engine.ServeOpts{Port: port, Conn: conn})
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, stop, nil
 }

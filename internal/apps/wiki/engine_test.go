@@ -14,8 +14,8 @@ import (
 )
 
 // TestEngineStopSurfacesFault: when a per-worker task faults, the
-// ServeEngine stop function joins every worker's Handle errors, and the
-// fault must stay extractable from that joined error via AsFault —
+// NewConnHandler stop function joins every worker's Handle errors, and
+// the fault must stay extractable from that joined error via AsFault —
 // the regression for faults disappearing inside multi-worker shutdown.
 //
 // The db-proxy enclosure here attempts an exfiltration connect after
@@ -65,8 +65,8 @@ func TestEngineStopSurfacesFault(t *testing.T) {
 			e := engine.New(prog, engine.Opts{Workers: 2})
 			defer e.Close()
 			const port = 8096
-			srv, stop, err := wiki.ServeEngine(e, port,
-				prog.MustEnclosure("http-server"), prog.MustEnclosure("db-proxy"))
+			conn, stop := wiki.NewConnHandler(prog.MustEnclosure("http-server"), prog.MustEnclosure("db-proxy"))
+			srv, err := e.Serve(engine.ServeOpts{Port: port, Conn: conn})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,13 +49,20 @@ func TestScaleCheck(t *testing.T) {
 	}
 	for _, e := range r.Scale {
 		requireKeys(t, "scale entry", e, "app", "backend", "workers", "reqs_per_sec", "speedup")
+		// Saturated discrete-event cells scale linearly and shed nothing.
+		if e.Speedup < 0.99*float64(e.Workers) || e.Shed != 0 {
+			t.Errorf("scale cell below 0.99x linear or shedding: %+v", e)
+		}
+	}
+	if len(r.Scale) != len(ScaleApps)*len(ScaleBackends)*len(ScaleWorkerCounts) {
+		t.Errorf("%d scale cells, want the full matrix", len(r.Scale))
 	}
 	tr := r.Trace
 	if tr == nil || tr.Events == 0 {
 		t.Fatal("empty trace")
 	}
-	// Tracing is free in virtual time and every backend serves the same
-	// requests, so each event kind counts the same on every backend.
+	// Every backend serves the same discrete-event schedule, so each
+	// event kind counts the same on every backend.
 	counts := map[string]map[string]int64{} // kind → backend → count
 	for _, k := range tr.Kinds {
 		if counts[k.Kind] == nil {

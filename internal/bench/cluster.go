@@ -68,17 +68,7 @@ func clusterApp(app string, kind core.BackendKind) (
 ) {
 	switch app {
 	case "HTTP":
-		build = func() (*core.Program, error) {
-			b := core.NewBuilder(kind)
-			b.Package(core.PackageSpec{
-				Name:    "main",
-				Imports: []string{httpserv.Pkg, httpserv.HandlerPkg},
-				Origin:  "app", LOC: 31,
-			})
-			httpserv.Register(b)
-			b.Enclosure("handler", "main", "sys:none", httpserv.HandlerBody, httpserv.HandlerPkg)
-			return b.Build()
-		}
+		build = func() (*core.Program, error) { return httpserv.ConnProgram(kind) }
 		start = func(n *cluster.Node) (func(), error) {
 			srv, err := httpserv.ServeEngine(n.Engine(), clusterPort, n.Prog().MustEnclosure("handler"))
 			if err != nil {
@@ -87,21 +77,7 @@ func clusterApp(app string, kind core.BackendKind) (
 			return func() { srv.Close() }, nil
 		}
 	case "FastHTTP":
-		build = func() (*core.Program, error) {
-			b := core.NewBuilder(kind)
-			b.Package(core.PackageSpec{
-				Name:    "main",
-				Imports: []string{fasthttp.Pkg},
-				Vars:    map[string]int{"db_password": 64},
-				Origin:  "app", LOC: 76,
-			})
-			fasthttp.Register(b)
-			b.Enclosure("server", "main", fasthttp.Policy,
-				func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-					return t.Call(fasthttp.Pkg, "ServeConn", args...)
-				}, fasthttp.Pkg)
-			return b.Build()
-		}
+		build = func() (*core.Program, error) { return fasthttp.ConnProgram(kind) }
 		start = func(n *cluster.Node) (func(), error) {
 			srv, stop, err := fasthttp.ServeEngine(n.Engine(), clusterPort, n.Prog().MustEnclosure("server"), httpserv.StaticPage())
 			if err != nil {

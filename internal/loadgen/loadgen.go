@@ -56,8 +56,9 @@ type Spec struct {
 	// Requests is the measured arrival count (after warmup).
 	Requests int
 	// Warmup arrivals precede the measured ones and are excluded from
-	// every statistic; they prime per-worker state (buffers, handler
-	// tasks, caches). Default 32.
+	// every statistic but ThroughputRPS, which counts the completions
+	// that land after the first measured arrival; they prime
+	// per-worker state (buffers, handler tasks, caches). Default 32.
 	Warmup int
 	// OfferedLoad is the arrival rate as a fraction of the target's
 	// calibrated capacity (workers / mean service time): 0.5 is half
@@ -103,7 +104,10 @@ type Result struct {
 	P999Ns int64 `json:"p999_ns"`
 	MaxNs  int64 `json:"max_ns"`
 
-	ShedRate      float64 `json:"shed_rate"`
+	ShedRate float64 `json:"shed_rate"`
+	// ThroughputRPS is completions per virtual second from the first
+	// measured arrival to the last completion, counting every
+	// completion inside that window (warm-up included).
 	ThroughputRPS float64 `json:"reqs_per_sec"`
 	Steals        int64   `json:"steals"`
 }
@@ -180,7 +184,7 @@ func Run(tg Target, spec Spec) (Result, error) {
 
 	// --- Discrete-event loop -----------------------------------------
 	st := &runState{
-		e: e, warmup: spec.Warmup,
+		e: e, warmup: spec.Warmup, windowStart: times[spec.Warmup],
 		freeAt:    make([]int64, W),
 		latencies: make([]int64, 0, spec.Requests),
 	}
@@ -262,8 +266,8 @@ func Run(tg Target, spec Spec) (Result, error) {
 		res.P99Ns = percentile(sorted, 0.99)
 		res.P999Ns = percentile(sorted, 0.999)
 		res.MaxNs = sorted[n-1]
-		if window := st.lastCompletion - times[spec.Warmup]; window > 0 {
-			res.ThroughputRPS = float64(n) / (float64(window) / 1e9)
+		if window := st.lastCompletion - st.windowStart; window > 0 {
+			res.ThroughputRPS = float64(st.inWindow) / (float64(window) / 1e9)
 		}
 	}
 	return res, nil
@@ -278,6 +282,11 @@ type runState struct {
 	freeAt         []int64
 	latencies      []int64
 	lastCompletion int64
+	// windowStart is the first measured arrival; inWindow counts every
+	// completion after it, warm-up included — under overload the
+	// warm-up backlog drains inside the throughput window too.
+	windowStart int64
+	inWindow    int
 }
 
 // stepFreeUntil lets every worker whose horizon is ≤ T execute queued
@@ -306,6 +315,9 @@ func (st *runState) stepFreeUntil(T int64) error {
 		st.freeAt[w] = r.CompletionVT
 		if r.CompletionVT > st.lastCompletion {
 			st.lastCompletion = r.CompletionVT
+		}
+		if r.CompletionVT > st.windowStart {
+			st.inWindow++
 		}
 		if idx, ok := requestIndex(r.Name); ok && idx >= st.warmup {
 			st.latencies = append(st.latencies, r.CompletionVT-r.ArrivalVT)

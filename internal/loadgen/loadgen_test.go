@@ -1,11 +1,15 @@
 package loadgen
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/engine"
+	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
 func httpTarget(t *testing.T, kind core.BackendKind, opts EngineOpts) Target {
@@ -258,5 +262,60 @@ func TestWikiTargetServes(t *testing.T) {
 				t.Fatalf("completed %d/60", res.Completed)
 			}
 		})
+	}
+}
+
+// TestSaturatedThroughputIsCapacity: with every arrival queued at once,
+// each worker stays busy from the first measured arrival to the last
+// completion, so throughput over that window must be W workers'
+// calibrated capacity. Counting only measured completions over a
+// window that also drains the warm-up backlog reads low by the
+// warm-up share.
+func TestSaturatedThroughputIsCapacity(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		res, err := Run(httpTarget(t, core.MPK, EngineOpts{Workers: w, QueueDepth: 512}), Spec{
+			Seed: 1, Requests: 240, OfferedLoad: 1e6,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		capacity := float64(w) * 1e9 / float64(res.MeanServiceNs)
+		if res.Shed != 0 || math.Abs(res.ThroughputRPS-capacity) > 0.01*capacity {
+			t.Errorf("%d workers: %.0f reqs/s (shed %d), want capacity %.0f within 1%%",
+				w, res.ThroughputRPS, res.Shed, capacity)
+		}
+	}
+}
+
+// TestCheckResponseExactBody: a response body one byte longer than the
+// kind's exact length, or missing its expected text, is rejected.
+func TestCheckResponseExactBody(t *testing.T) {
+	respond := func(body string) *simnet.Conn {
+		client, server := simnet.Pair()
+		if _, err := server.Write([]byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n" + body)); err != nil {
+			t.Fatal(err)
+		}
+		server.Close()
+		return client
+	}
+	page := requestKind{bodyLen: httpserv.PageSize13KB}
+	view := requestKind{bodyHas: "hello"}
+	cases := []struct {
+		name string
+		rk   requestKind
+		body string
+		ok   bool
+	}{
+		{"exact page", page, strings.Repeat("x", httpserv.PageSize13KB), true},
+		{"page one byte long", page, strings.Repeat("x", httpserv.PageSize13KB+1), false},
+		{"page one byte short", page, strings.Repeat("x", httpserv.PageSize13KB-1), false},
+		{"view with text", view, "<p>hello</p>", true},
+		{"view without text", view, "<p>bye</p>", false},
+	}
+	for _, c := range cases {
+		err := checkResponse(respond(c.body), c.rk)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }

@@ -37,7 +37,6 @@ func (o EngineOpts) engineOpts() engine.Opts {
 type appTarget struct {
 	name    string
 	backend core.BackendKind
-	prog    *core.Program
 	eng     *engine.Engine
 	conn    func(t *core.Task, fd int) error
 	stop    func() error
@@ -47,11 +46,13 @@ type appTarget struct {
 }
 
 // requestKind is one entry in a target's request table: the wire
-// request the simulated client sends and the response bytes it expects
-// back (0 = any 200 response).
+// request the simulated client sends and the 200 response body it
+// expects back — exactly bodyLen bytes when bodyLen is set, containing
+// bodyHas when that is set.
 type requestKind struct {
-	wire     string
-	wantBody int
+	wire    string
+	bodyLen int
+	bodyHas string
 }
 
 func (a *appTarget) Name() string           { return a.name }
@@ -99,13 +100,13 @@ func (a *appTarget) NewRequest(kind string) engine.Job {
 		if err := a.conn(t, fd); err != nil {
 			return err
 		}
-		return checkResponse(client, rk.wantBody)
+		return checkResponse(client, rk)
 	}
 }
 
 // checkResponse drains the client half of the connection (host-side,
-// free) and validates status and body length.
-func checkResponse(client *simnet.Conn, wantBody int) error {
+// free) and validates the status and body against rk.
+func checkResponse(client *simnet.Conn, rk requestKind) error {
 	var resp []byte
 	buf := make([]byte, 32*1024)
 	for {
@@ -121,11 +122,15 @@ func checkResponse(client *simnet.Conn, wantBody int) error {
 	if !strings.HasPrefix(s, "HTTP/1.1 200 OK") {
 		return fmt.Errorf("loadgen: bad response: %.60q", s)
 	}
-	if wantBody > 0 {
-		_, body, ok := strings.Cut(s, "\r\n\r\n")
-		if !ok || len(body) < wantBody {
-			return fmt.Errorf("loadgen: short body: %d bytes, want >= %d", len(body), wantBody)
-		}
+	_, body, ok := strings.Cut(s, "\r\n\r\n")
+	if !ok {
+		return fmt.Errorf("loadgen: no header/body separator: %.60q", s)
+	}
+	if rk.bodyLen > 0 && len(body) != rk.bodyLen {
+		return fmt.Errorf("loadgen: body %d bytes, want %d", len(body), rk.bodyLen)
+	}
+	if !strings.Contains(body, rk.bodyHas) {
+		return fmt.Errorf("loadgen: body lacks %q: %.80q", rk.bodyHas, body)
 	}
 	return nil
 }
@@ -135,27 +140,19 @@ func get(path string) string {
 }
 
 // NewHTTPTarget builds the net/http app (13KB page behind an enclosed
-// handler) on a manual-mode engine. Kinds: "page".
-func NewHTTPTarget(kind core.BackendKind, opts EngineOpts) (Target, error) {
-	b := core.NewBuilder(kind)
-	b.Package(core.PackageSpec{
-		Name:    "main",
-		Imports: []string{httpserv.Pkg, httpserv.HandlerPkg},
-		Origin:  "app", LOC: 31,
-	})
-	httpserv.Register(b)
-	b.Enclosure("handler", "main", "sys:none", httpserv.HandlerBody, httpserv.HandlerPkg)
-	prog, err := b.Build()
+// handler) on a manual-mode engine. Kinds: "page". Options apply to
+// the program (a tracer, say), as in every target constructor.
+func NewHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
+	prog, err := httpserv.ConnProgram(kind, progOpts...)
 	if err != nil {
 		return nil, err
 	}
-	e := engine.New(prog, opts.engineOpts())
 	return &appTarget{
-		name: "HTTP", backend: kind, prog: prog, eng: e,
+		name: "HTTP", backend: kind, eng: engine.New(prog, opts.engineOpts()),
 		conn:  httpserv.NewConnHandler(prog.MustEnclosure("handler")),
 		kinds: []string{"page"},
 		reqs: map[string]requestKind{
-			"page": {wire: get("/"), wantBody: httpserv.PageSize13KB},
+			"page": {wire: get("/"), bodyLen: httpserv.PageSize13KB},
 		},
 	}, nil
 }
@@ -164,56 +161,31 @@ func NewHTTPTarget(kind core.BackendKind, opts EngineOpts) (Target, error) {
 // manual-mode engine. Kinds: "page" (13KB static page through the
 // trusted handler) and "stream" (the syscall-dense chunked-streaming
 // path) — the heavy-tail pair of the latency table.
-func NewFastHTTPTarget(kind core.BackendKind, opts EngineOpts) (Target, error) {
-	b := core.NewBuilder(kind)
-	b.Package(core.PackageSpec{
-		Name:    "main",
-		Imports: []string{fasthttp.Pkg},
-		Vars:    map[string]int{"db_password": 64},
-		Origin:  "app", LOC: 76,
-	})
-	fasthttp.Register(b)
-	b.Enclosure("server", "main", fasthttp.Policy,
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-			return t.Call(fasthttp.Pkg, "ServeConn", args...)
-		}, fasthttp.Pkg)
-	prog, err := b.Build()
+func NewFastHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
+	prog, err := fasthttp.ConnProgram(kind, progOpts...)
 	if err != nil {
 		return nil, err
 	}
-	e := engine.New(prog, opts.engineOpts())
 	conn, stop := fasthttp.NewConnHandler(prog.MustEnclosure("server"), httpserv.StaticPage())
 	return &appTarget{
-		name: "FastHTTP", backend: kind, prog: prog, eng: e,
+		name: "FastHTTP", backend: kind, eng: engine.New(prog, opts.engineOpts()),
 		conn: conn, stop: stop,
 		kinds: []string{"page", "stream"},
 		reqs: map[string]requestKind{
-			"page":   {wire: get("/"), wantBody: httpserv.PageSize13KB},
-			"stream": {wire: get("/stream")},
+			"page":   {wire: get("/"), bodyLen: httpserv.PageSize13KB},
+			"stream": {wire: get("/stream"), bodyLen: fasthttp.StreamBodyBytes},
 		},
 	}, nil
 }
 
+// wikiPage is the text the wiki target stores and every view must
+// render back.
+const wikiPage = "hello from the enclosure wiki"
+
 // NewWikiTarget builds the two-enclosure wiki (Figure 5 topology) with
 // a simulated Postgres on a manual-mode engine. Kinds: "view".
-func NewWikiTarget(kind core.BackendKind, opts EngineOpts) (Target, error) {
-	b := core.NewBuilder(kind)
-	b.Package(core.PackageSpec{
-		Name:    "main",
-		Imports: []string{wiki.MuxPkg, wiki.PqPkg},
-		Vars:    map[string]int{"db_password": 32, "page_templates": 4096},
-		Origin:  "app", LOC: 120,
-	})
-	wiki.Register(b)
-	b.Enclosure("http-server", "main", wiki.PolicyServer,
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-			return t.Call(wiki.MuxPkg, "ServeConn", args...)
-		}, wiki.MuxPkg)
-	b.Enclosure("db-proxy", "main", wiki.PolicyProxy,
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-			return t.Call(wiki.PqPkg, "Proxy", args[0])
-		}, wiki.PqPkg)
-	prog, err := b.Build()
+func NewWikiTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
+	prog, err := wiki.ConnProgram(kind, progOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -221,30 +193,29 @@ func NewWikiTarget(kind core.BackendKind, opts EngineOpts) (Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.Put("welcome", []byte("hello from the enclosure wiki"))
-	e := engine.New(prog, opts.engineOpts())
+	db.Put("welcome", []byte(wikiPage))
 	conn, stop := wiki.NewConnHandler(prog.MustEnclosure("http-server"), prog.MustEnclosure("db-proxy"))
 	return &appTarget{
-		name: "wiki", backend: kind, prog: prog, eng: e,
+		name: "wiki", backend: kind, eng: engine.New(prog, opts.engineOpts()),
 		conn: conn, stop: stop,
 		closers: []func() error{func() error { db.Close(); return nil }},
 		kinds:   []string{"view"},
 		reqs: map[string]requestKind{
-			"view": {wire: get("/view/welcome")},
+			"view": {wire: get("/view/welcome"), bodyHas: wikiPage},
 		},
 	}, nil
 }
 
 // NewTarget resolves an app name ("HTTP", "FastHTTP", "wiki") to its
 // target constructor.
-func NewTarget(app string, kind core.BackendKind, opts EngineOpts) (Target, error) {
+func NewTarget(app string, kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
 	switch app {
 	case "HTTP":
-		return NewHTTPTarget(kind, opts)
+		return NewHTTPTarget(kind, opts, progOpts...)
 	case "FastHTTP":
-		return NewFastHTTPTarget(kind, opts)
+		return NewFastHTTPTarget(kind, opts, progOpts...)
 	case "wiki":
-		return NewWikiTarget(kind, opts)
+		return NewWikiTarget(kind, opts, progOpts...)
 	}
 	return nil, fmt.Errorf("loadgen: unknown target app %q", app)
 }

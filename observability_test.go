@@ -83,8 +83,8 @@ func TestPublicAPIOptions(t *testing.T) {
 }
 
 // TestAsFaultJoinedErrors: a fault that travels inside an errors.Join
-// tree — as ServeEngine's stop function returns when it joins every
-// worker's Handle errors — must still be extracted by AsFault.
+// tree — as wiki.NewConnHandler's stop function returns when it joins
+// every worker's Handle errors — must still be extracted by AsFault.
 func TestAsFaultJoinedErrors(t *testing.T) {
 	prog := buildDoc(t, enclosure.MPK, func(task *enclosure.Task, args ...enclosure.Value) ([]enclosure.Value, error) {
 		task.Store8(args[0].(enclosure.Ref).Addr, 0) // main is read-only: faults
