@@ -4,14 +4,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
+	"github.com/litterbox-project/enclosure/internal/bench"
 	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/probe"
-	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
 // runCluster demonstrates the cluster subsystem end to end: N engine
@@ -62,12 +61,12 @@ func runCluster(args []string) {
 	fmt.Printf("  image replication: %d blobs shipped by node0, %d deduplicated by the %d later joins (%d bytes saved)\n\n",
 		st.BlobsShipped, st.BlobsDeduped, *nodes-1, st.BytesDeduped)
 
-	get := func(session string) error {
+	get := func(session string, buf *[]byte) error {
 		n, err := c.Route(session)
 		if err != nil {
 			return err
 		}
-		got, err := httpGet(n.Prog().Net(), port, "/")
+		got, err := bench.HTTPGet(n.Prog().Net(), port, "/", buf)
 		if err != nil {
 			return err
 		}
@@ -84,8 +83,9 @@ func runCluster(args []string) {
 			go func(cl int) {
 				defer wg.Done()
 				session := fmt.Sprintf("client-%d", cl)
+				var buf []byte
 				for i := 0; i < total/conc; i++ {
-					if err := get(session); err != nil {
+					if err := get(session, &buf); err != nil {
 						errs <- err
 						return
 					}
@@ -148,38 +148,4 @@ func runCluster(args []string) {
 		fmt.Printf("  %d traces, %d ops, %d world migrations: outcome digests identical to the unmigrated runs on all four backends.\n",
 			stats.Traces, stats.Ops, migrations)
 	}
-}
-
-// httpGet performs one closed-loop request against a node's data-plane
-// network and returns the body length. The client dials from its own
-// host IP — the external load generator, billed to no virtual clock.
-func httpGet(net *simnet.Net, port uint16, path string) (int, error) {
-	conn, err := net.Dial(simnet.HostIP(10, 0, 0, 99), simnet.Addr{Host: core.DefaultHostIP, Port: port})
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("GET " + path + " HTTP/1.1\r\nHost: demo\r\n\r\n")); err != nil {
-		return 0, err
-	}
-	var resp []byte
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := conn.Read(buf)
-		if n > 0 {
-			resp = append(resp, buf[:n]...)
-		}
-		if err != nil {
-			break // server closed: response complete
-		}
-	}
-	s := string(resp)
-	if !strings.HasPrefix(s, "HTTP/1.1 200 OK") {
-		return 0, fmt.Errorf("bad response: %.60q", s)
-	}
-	_, body, ok := strings.Cut(s, "\r\n\r\n")
-	if !ok {
-		return 0, fmt.Errorf("no header/body separator")
-	}
-	return len(body), nil
 }

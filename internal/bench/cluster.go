@@ -58,12 +58,11 @@ type ClusterEntry struct {
 	BytesDeduped int64 `json:"bytes_deduped"`
 }
 
-// clusterApp returns the Build and Start hooks plus the per-request
-// check for one app/backend pair.
+// clusterApp returns the Build and Start hooks for one app/backend
+// pair.
 func clusterApp(app string, kind core.BackendKind) (
 	build func() (*core.Program, error),
 	start func(n *cluster.Node) (func(), error),
-	check func(n *cluster.Node) error,
 	err error,
 ) {
 	switch app {
@@ -89,19 +88,9 @@ func clusterApp(app string, kind core.BackendKind) (
 			}, nil
 		}
 	default:
-		return nil, nil, nil, fmt.Errorf("bench: unknown cluster app %q", app)
+		return nil, nil, fmt.Errorf("bench: unknown cluster app %q", app)
 	}
-	check = func(n *cluster.Node) error {
-		got, err := httpGet(n.Prog().Net(), clusterPort, "/")
-		if err != nil {
-			return err
-		}
-		if got != httpserv.PageSize13KB {
-			return fmt.Errorf("body %dB, want %dB", got, httpserv.PageSize13KB)
-		}
-		return nil
-	}
-	return build, start, check, nil
+	return build, start, nil
 }
 
 // clusterCell drives one (app, backend, nodes) measurement: a cluster
@@ -111,7 +100,7 @@ func clusterApp(app string, kind core.BackendKind) (
 // slowest-worker clock advance — the wall clock of a cluster whose
 // nodes run in parallel.
 func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, error) {
-	build, start, check, err := clusterApp(app, kind)
+	build, start, err := clusterApp(app, kind)
 	if err != nil {
 		return ClusterEntry{}, err
 	}
@@ -129,12 +118,19 @@ func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, er
 
 	total := ClusterRequestsPerVCPU * nodes * ClusterWorkersPerNode
 	conc := 2 * nodes * ClusterWorkersPerNode
-	get := func(session string) error {
+	get := func(session string, buf *[]byte) error {
 		n, err := c.Route(session)
 		if err != nil {
 			return err
 		}
-		return check(n)
+		got, err := HTTPGet(n.Prog().Net(), clusterPort, "/", buf)
+		if err != nil {
+			return err
+		}
+		if got != httpserv.PageSize13KB {
+			return fmt.Errorf("body %dB, want %dB", got, httpserv.PageSize13KB)
+		}
+		return nil
 	}
 	drive := func(perClient int) error {
 		var wg sync.WaitGroup
@@ -144,8 +140,9 @@ func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, er
 			go func(cl int) {
 				defer wg.Done()
 				session := fmt.Sprintf("client-%d", cl)
+				var buf []byte
 				for i := 0; i < perClient; i++ {
-					if err := get(session); err != nil {
+					if err := get(session, &buf); err != nil {
 						errs <- err
 						return
 					}

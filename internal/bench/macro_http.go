@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 
 	"github.com/litterbox-project/enclosure/internal/apps/fasthttp"
 	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
@@ -16,37 +16,50 @@ import (
 // billed to the program's virtual clock.
 var clientHostIP = simnet.HostIP(10, 0, 0, 99)
 
-// httpGet performs one closed-loop request and returns the body length.
-func httpGet(net *simnet.Net, port uint16, path string) (int, error) {
+// HTTPGet performs one closed-loop request from the load generator's
+// host and returns the body length. The response lands in *buf, which
+// grows only when a response outgrows it, so a client that keeps its
+// buffer across requests reads each response without a new copy.
+// Concurrent clients each own their buffer.
+func HTTPGet(net *simnet.Net, port uint16, path string, buf *[]byte) (int, error) {
 	conn, err := net.Dial(clientHostIP, simnet.Addr{Host: core.DefaultHostIP, Port: port})
 	if err != nil {
 		return 0, err
 	}
 	defer conn.Close()
-	req := "GET " + path + " HTTP/1.1\r\nHost: bench\r\n\r\n"
-	if _, err := conn.Write([]byte(req)); err != nil {
+	b := append((*buf)[:0], "GET "...)
+	b = append(append(b, path...), " HTTP/1.1\r\nHost: bench\r\n\r\n"...)
+	if _, err := conn.Write(b); err != nil {
+		*buf = b
 		return 0, err
 	}
-	var resp []byte
-	buf := make([]byte, 32*1024)
+	b, n := b[:cap(b)], 0
 	for {
-		n, err := conn.Read(buf)
-		if n > 0 {
-			resp = append(resp, buf[:n]...)
+		if n == len(b) {
+			b = append(b, make([]byte, max(len(b), 32<<10))...)
 		}
+		m, err := conn.Read(b[n:])
+		n += m
 		if err != nil {
 			break // server closed: response complete
 		}
 	}
-	if !strings.HasPrefix(string(resp), "HTTP/1.1 200 OK") {
+	*buf = b
+	resp := b[:n]
+	if !bytes.HasPrefix(resp, statusOK) {
 		return 0, fmt.Errorf("bad response: %.60q", resp)
 	}
-	_, body, ok := strings.Cut(string(resp), "\r\n\r\n")
-	if !ok {
+	i := bytes.Index(resp, headerEnd)
+	if i < 0 {
 		return 0, fmt.Errorf("no header/body separator")
 	}
-	return len(body), nil
+	return n - i - len(headerEnd), nil
 }
+
+var (
+	statusOK  = []byte("HTTP/1.1 200 OK")
+	headerEnd = []byte("\r\n\r\n")
+)
 
 // HTTPRequests is the closed-loop request count per backend run.
 const HTTPRequests = 400
@@ -77,6 +90,7 @@ func driveHTTP(prog *core.Program, requests int) (int, int64, error) {
 	ready := make(chan struct{})
 	var reqs int
 	var elapsed int64
+	var buf []byte // the closed-loop client's response buffer
 	err := prog.Run(func(t *core.Task) error {
 		srv := t.Go("http-server", func(t *core.Task) error {
 			_, err := t.Call(httpserv.Pkg, "Serve", httpserv.ServeArgs{
@@ -88,12 +102,12 @@ func driveHTTP(prog *core.Program, requests int) (int, int64, error) {
 		})
 		<-ready
 		// Warm-up request, then the measured closed loop.
-		if _, err := httpGet(prog.Net(), port, "/warmup"); err != nil {
+		if _, err := HTTPGet(prog.Net(), port, "/warmup", &buf); err != nil {
 			return err
 		}
 		start := prog.Clock().Now()
 		for i := 0; i < requests; i++ {
-			n, err := httpGet(prog.Net(), port, "/")
+			n, err := HTTPGet(prog.Net(), port, "/", &buf)
 			if err != nil {
 				return fmt.Errorf("request %d: %w", i, err)
 			}
@@ -103,7 +117,7 @@ func driveHTTP(prog *core.Program, requests int) (int, int64, error) {
 			reqs++
 		}
 		elapsed = prog.Clock().Now() - start
-		if _, err := httpGet(prog.Net(), port, "/quit"); err != nil {
+		if _, err := HTTPGet(prog.Net(), port, "/quit", &buf); err != nil {
 			return err
 		}
 		return srv.Join()
@@ -160,6 +174,7 @@ func driveFastHTTP(prog *core.Program, requests int) (int, int64, error) {
 	page := httpserv.StaticPage()
 	var reqs int
 	var elapsed int64
+	var buf []byte // the closed-loop client's response buffer
 	err := prog.Run(func(t *core.Task) error {
 		handler := t.Go("trusted-handler", func(t *core.Task) error {
 			return fasthttp.HandleLoop(t, reqCh, page)
@@ -173,12 +188,12 @@ func driveFastHTTP(prog *core.Program, requests int) (int, int64, error) {
 			return err
 		})
 		<-ready
-		if _, err := httpGet(prog.Net(), port, "/warmup"); err != nil {
+		if _, err := HTTPGet(prog.Net(), port, "/warmup", &buf); err != nil {
 			return err
 		}
 		start := prog.Clock().Now()
 		for i := 0; i < requests; i++ {
-			n, err := httpGet(prog.Net(), port, "/")
+			n, err := HTTPGet(prog.Net(), port, "/", &buf)
 			if err != nil {
 				return fmt.Errorf("request %d: %w", i, err)
 			}
@@ -188,7 +203,7 @@ func driveFastHTTP(prog *core.Program, requests int) (int, int64, error) {
 			reqs++
 		}
 		elapsed = prog.Clock().Now() - start
-		if _, err := httpGet(prog.Net(), port, "/quit"); err != nil {
+		if _, err := HTTPGet(prog.Net(), port, "/quit", &buf); err != nil {
 			return err
 		}
 		if err := srv.Join(); err != nil {

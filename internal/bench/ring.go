@@ -74,6 +74,7 @@ func runRingFastHTTP(kind core.BackendKind, depth int) (float64, hw.CounterSnaps
 	page := httpserv.StaticPage()
 	var reqs int
 	var elapsed int64
+	var buf []byte // the closed-loop client's response buffer
 	err = prog.Run(func(t *core.Task) error {
 		handler := t.Go("trusted-handler", func(t *core.Task) error {
 			return fasthttp.HandleLoop(t, reqCh, page)
@@ -87,12 +88,12 @@ func runRingFastHTTP(kind core.BackendKind, depth int) (float64, hw.CounterSnaps
 			return err
 		})
 		<-ready
-		if _, err := httpGet(prog.Net(), port, "/warmup"); err != nil {
+		if _, err := HTTPGet(prog.Net(), port, "/warmup", &buf); err != nil {
 			return err
 		}
 		start := prog.Clock().Now()
 		for i := 0; i < RingRequests; i++ {
-			n, err := httpGet(prog.Net(), port, "/stream")
+			n, err := HTTPGet(prog.Net(), port, "/stream", &buf)
 			if err != nil {
 				return fmt.Errorf("request %d: %w", i, err)
 			}
@@ -102,7 +103,7 @@ func runRingFastHTTP(kind core.BackendKind, depth int) (float64, hw.CounterSnaps
 			reqs++
 		}
 		elapsed = prog.Clock().Now() - start
-		if _, err := httpGet(prog.Net(), port, "/quit"); err != nil {
+		if _, err := HTTPGet(prog.Net(), port, "/quit", &buf); err != nil {
 			return err
 		}
 		if err := srv.Join(); err != nil {

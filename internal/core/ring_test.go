@@ -240,3 +240,36 @@ func TestRingAmortizesTrapCost(t *testing.T) {
 		})
 	}
 }
+
+// TestRingFlushZeroAlloc pins the ring's storage reuse: once warm, a
+// 3-entry batch submitted and flushed on a ring-built program allocates
+// nothing on any backend — the drain runs the batch in place, writes
+// completions into ring-owned slots and reaps the CQ without copying.
+func TestRingFlushZeroAlloc(t *testing.T) {
+	for _, kind := range []BackendKind{Baseline, MPK, VTX, CHERI} {
+		t.Run(kind.String(), func(t *testing.T) {
+			prog := buildRingProbe(t, kind, "sys:proc",
+				func(task *Task, args ...Value) ([]Value, error) {
+					batch := func() {
+						task.SubmitSyscall(1, kernel.NrGetpid)
+						task.SubmitSyscall(2, kernel.NrGetuid)
+						task.SubmitRuntimeSyscall(3, kernel.NrGetpid)
+						if cs := task.FlushSyscalls(); len(cs) != 3 || cs[2].Tag != 3 {
+							t.Fatalf("FlushSyscalls = %+v, want 3 completions", cs)
+						}
+					}
+					batch() // warm: the ring's slots and CQ are lazily made
+					if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+						t.Errorf("3-entry submit+flush allocates %.1f objects/op, want 0", allocs)
+					}
+					return nil, nil
+				}, WithSyscallRing(8))
+			if err := prog.Run(func(task *Task) error {
+				_, err := prog.MustEnclosure("e").Call(task)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

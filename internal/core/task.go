@@ -342,7 +342,9 @@ func (t *Task) submitEntry(e ring.Entry) {
 // FlushSyscalls drains every queued entry and returns all posted
 // completions, oldest first. A mid-batch denial faults (panics with
 // the *litterbox.Fault) after the batch's completions post, exactly
-// like the corresponding sequence of Task.Syscall calls.
+// like the corresponding sequence of Task.Syscall calls. With the ring
+// on, the slice is the ring's completion queue: it stays valid until
+// the task's next SubmitSyscall, FlushSyscalls or ReapSyscalls.
 func (t *Task) FlushSyscalls() []ring.Completion {
 	t.checkAlive()
 	r := t.syscallRing()
@@ -361,7 +363,7 @@ func (t *Task) FlushSyscalls() []ring.Completion {
 // ReapSyscalls so the bounded completion queue never overflows (the
 // ring auto-drains a full SQ on submit, posting up to depth
 // completions); FlushSyscalls at the end collects the final partial
-// batch.
+// batch. The slice has FlushSyscalls' lifetime.
 func (t *Task) ReapSyscalls() []ring.Completion {
 	t.checkAlive()
 	r := t.syscallRing()
@@ -376,13 +378,9 @@ func (t *Task) ReapSyscalls() []ring.Completion {
 // drainRing pushes the ring's queued batch through the LitterBox batch
 // gateway and posts the completions.
 func (t *Task) drainRing(r *ring.Ring) {
-	batch := r.Take()
-	if len(batch) == 0 {
-		return
-	}
-	out := make([]ring.Completion, len(batch))
-	err := t.prog.lb.SyscallBatch(t.cpu, t.env, t.CurrentPkg(), batch, out)
-	r.Post(out)
+	err := r.Drain(func(batch []ring.Entry, out []ring.Completion) error {
+		return t.prog.lb.SyscallBatch(t.cpu, t.env, t.CurrentPkg(), batch, out)
+	})
 	if err != nil {
 		// The fault abandoned the batch: drop in-flight ring state so a
 		// later task on this worker cannot reap a dead batch's tail.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -532,7 +533,9 @@ func (k *Kernel) dispatch(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, 
 	case NrClockGettime:
 		// CLOCK_MONOTONIC is per-core here: each worker CPU reads the
 		// virtual time its own core has accrued.
-		if err := k.space.Store64(mem.Addr(args[0]), uint64(cpu.Clock.Now())); err != nil {
+		var ts [8]byte
+		binary.LittleEndian.PutUint64(ts[:], uint64(cpu.Clock.Now()))
+		if err := k.copyOut(mem.Addr(args[0]), ts[:]); err != nil {
 			return 0, EFAULT
 		}
 		return 0, OK
@@ -558,17 +561,38 @@ func (k *Kernel) dispatch(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, 
 	}
 }
 
+// copyIn copies len(dst) user bytes starting at src into the kernel
+// buffer dst, and copyOut copies the kernel bytes src to user memory
+// at dst. They are the one place user bytes cross the kernel boundary:
+// every handler that dereferences a user buffer goes through them, in
+// pieces no larger than a stream block or a stack chunk, so no handler
+// allocates a staging copy. Both fault on unmapped pages and check no
+// permissions yet; a per-view check of the calling environment belongs
+// here and nowhere else. Callers may hold a stream's lock but never
+// wait while holding the address space's.
+func (k *Kernel) copyIn(dst []byte, src mem.Addr) error { return k.space.ReadAt(src, dst) }
+
+func (k *Kernel) copyOut(dst mem.Addr, src []byte) error { return k.space.WriteAt(dst, src) }
+
+// chunkSize bounds the stack buffer that file reads and writes,
+// getrandom and readdir stage user bytes through.
+const chunkSize = 512
+
 func (k *Kernel) readPath(addr mem.Addr, n uint64) (string, Errno) {
 	if n == 0 || n > 4096 {
 		return "", EINVAL
 	}
 	buf := make([]byte, n)
-	if err := k.space.ReadAt(addr, buf); err != nil {
+	if err := k.copyIn(buf, addr); err != nil {
 		return "", EFAULT
 	}
 	return string(buf), OK
 }
 
+// sysRead copies up to n bytes from fd to the user buffer. A read whose
+// first piece faults returns EFAULT and consumes nothing: the bytes
+// stay readable, as with Linux recv. A fault after the first piece
+// ends the read short.
 func (k *Kernel) sysRead(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errno) {
 	if n > maxIO {
 		n = maxIO
@@ -577,37 +601,59 @@ func (k *Kernel) sysRead(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errno
 	if errno != OK {
 		return 0, errno
 	}
-	tmp := make([]byte, n)
-	var got int
-	var err error
 	switch {
 	case e.file != nil:
-		got, err = e.file.Read(tmp)
-		if err != nil && simfs.IsEOF(err) {
-			return 0, OK // POSIX: read at EOF returns 0
-		}
+		return k.readFile(e.file, buf, n)
 	case e.conn != nil:
-		got, err = e.conn.ReadFlags(tmp, simnet.IOFlags{Nonblock: p.nonBlocking()})
-		if err == simnet.ErrWouldBlock {
+		got, err := e.conn.ReadTo(int(n), simnet.IOFlags{Nonblock: p.nonBlocking()}, func(src []byte, off int) error {
+			return k.copyOut(buf+mem.Addr(off), src)
+		})
+		switch {
+		case err == nil || got > 0:
+			return uint64(got), OK
+		case errors.Is(err, simnet.ErrWouldBlock):
 			return 0, EAGAIN
-		}
-		if err != nil && got == 0 {
+		case errors.Is(err, simnet.ErrClosed):
 			return 0, OK // closed stream reads as EOF
+		default:
+			return 0, EFAULT
 		}
 	default:
 		return 0, EBADF
 	}
-	if err != nil && got == 0 {
-		return 0, EBADF
-	}
-	if got > 0 {
-		if werr := k.space.WriteAt(buf, tmp[:got]); werr != nil {
-			return 0, EFAULT
-		}
-	}
-	return uint64(got), OK
 }
 
+// readFile is sysRead for a file, staged through a stack chunk. A
+// chunk that faults is handed back to the file cursor.
+func (k *Kernel) readFile(f *simfs.File, buf mem.Addr, n uint64) (uint64, Errno) {
+	var chunk [chunkSize]byte
+	var done uint64
+	for {
+		want := min(n-done, chunkSize)
+		got, err := f.Read(chunk[:want])
+		if err != nil {
+			if done == 0 && !simfs.IsEOF(err) {
+				return 0, EBADF
+			}
+			return done, OK // POSIX: read at EOF returns 0
+		}
+		if k.copyOut(buf+mem.Addr(done), chunk[:got]) != nil {
+			_, _ = f.Seek(-int64(got), simfs.SeekCur)
+			if done == 0 {
+				return 0, EFAULT
+			}
+			return done, OK
+		}
+		done += uint64(got)
+		if done == n || uint64(got) < want {
+			return done, OK
+		}
+	}
+}
+
+// sysWrite copies n bytes from the user buffer to fd. A source that is
+// not fully mapped returns EFAULT before the first byte, so a faulting
+// write delivers nothing.
 func (k *Kernel) sysWrite(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errno) {
 	if n > maxIO {
 		n = maxIO
@@ -616,24 +662,47 @@ func (k *Kernel) sysWrite(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errn
 	if errno != OK {
 		return 0, errno
 	}
-	tmp := make([]byte, n)
-	if err := k.space.ReadAt(buf, tmp); err != nil {
+	if !k.space.Mapped(buf, n) {
 		return 0, EFAULT
 	}
-	var wrote int
-	var err error
 	switch {
 	case e.file != nil:
-		wrote, err = e.file.Write(tmp)
+		return k.writeFile(e.file, buf, n)
 	case e.conn != nil:
-		wrote, err = e.conn.Write(tmp)
+		wrote, err := e.conn.WriteFrom(int(n), func(dst []byte, off int) error {
+			return k.copyIn(dst, buf+mem.Addr(off))
+		})
+		switch {
+		case errors.Is(err, simnet.ErrClosed):
+			return uint64(wrote), EBADF
+		case err == nil || wrote > 0:
+			return uint64(wrote), OK
+		default:
+			return 0, EFAULT
+		}
 	default:
 		return 0, EBADF
 	}
-	if err != nil {
-		return uint64(wrote), EBADF
+}
+
+// writeFile is sysWrite for a file, staged through a stack chunk.
+func (k *Kernel) writeFile(f *simfs.File, buf mem.Addr, n uint64) (uint64, Errno) {
+	var chunk [chunkSize]byte
+	var done uint64
+	for {
+		m := min(n-done, chunkSize)
+		if k.copyIn(chunk[:m], buf+mem.Addr(done)) != nil {
+			return done, EFAULT
+		}
+		wrote, err := f.Write(chunk[:m])
+		done += uint64(wrote)
+		if err != nil {
+			return done, EBADF
+		}
+		if done == n {
+			return done, OK
+		}
 	}
-	return uint64(wrote), OK
 }
 
 func (k *Kernel) sysOpen(p *Proc, pathAddr mem.Addr, pathLen uint64, flags int) (uint64, Errno) {
@@ -679,22 +748,38 @@ func (k *Kernel) sysReadDir(p *Proc, pathAddr mem.Addr, pathLen uint64, buf mem.
 	if err != nil {
 		return 0, fsErrno(err)
 	}
-	out := []byte{}
-	for i, n := range names {
-		if i > 0 {
-			out = append(out, '\n')
+	// The newline-joined listing, truncated to bufLen, leaves through a
+	// stack chunk.
+	var chunk [chunkSize]byte
+	var done, fill uint64
+	flush := func() bool {
+		if fill == 0 {
+			return true
 		}
-		out = append(out, n...)
+		ok := k.copyOut(buf+mem.Addr(done), chunk[:fill]) == nil
+		done, fill = done+fill, 0
+		return ok
 	}
-	if uint64(len(out)) > bufLen {
-		out = out[:bufLen]
+	put := func(s string) bool {
+		for len(s) > 0 && done+fill < bufLen {
+			if fill == chunkSize && !flush() {
+				return false
+			}
+			m := copy(chunk[fill:min(chunkSize, bufLen-done)], s)
+			fill += uint64(m)
+			s = s[m:]
+		}
+		return true
 	}
-	if len(out) > 0 {
-		if werr := k.space.WriteAt(buf, out); werr != nil {
+	for i, n := range names {
+		if i > 0 && !put("\n") || !put(n) {
 			return 0, EFAULT
 		}
 	}
-	return uint64(len(out)), OK
+	if !flush() {
+		return 0, EFAULT
+	}
+	return done, OK
 }
 
 func (k *Kernel) sysStat(p *Proc, pathAddr mem.Addr, pathLen uint64) (uint64, Errno) {
@@ -833,24 +918,34 @@ func (k *Kernel) sysDup(p *Proc, fd int) (uint64, Errno) {
 	return uint64(p.allocFD(&dup)), OK
 }
 
+// sysGetrandom fills the user buffer from the kernel's generator. A
+// faulting buffer still advances the generator by n bytes.
 func (k *Kernel) sysGetrandom(buf mem.Addr, n uint64) (uint64, Errno) {
 	if n > maxIO {
 		n = maxIO
 	}
-	out := make([]byte, n)
+	var chunk [chunkSize]byte
+	errno := OK
 	k.mu.Lock()
+	defer k.mu.Unlock()
 	x := k.rng
-	for i := range out {
-		// xorshift64*: deterministic, good enough for a simulated kernel.
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		out[i] = byte((x * 0x2545F4914F6CDD1D) >> 56)
+	for done := uint64(0); done < n; {
+		m := min(n-done, chunkSize)
+		for i := range chunk[:m] {
+			// xorshift64*: deterministic, good enough for a simulated kernel.
+			x ^= x >> 12
+			x ^= x << 25
+			x ^= x >> 27
+			chunk[i] = byte((x * 0x2545F4914F6CDD1D) >> 56)
+		}
+		if errno == OK && k.copyOut(buf+mem.Addr(done), chunk[:m]) != nil {
+			errno = EFAULT
+		}
+		done += m
 	}
 	k.rng = x
-	k.mu.Unlock()
-	if err := k.space.WriteAt(buf, out); err != nil {
-		return 0, EFAULT
+	if errno != OK {
+		return 0, errno
 	}
 	return n, OK
 }

@@ -5,8 +5,13 @@
 // operations, net for network access, or mem for calls such as mmap and
 // mprotect"), a per-program process abstraction with a file-descriptor
 // table, and handlers backed by simfs and simnet. System-call arguments
-// that name buffers are simulated virtual addresses; the kernel, being
-// trusted, copies through the address space without permission checks.
+// that name buffers are simulated virtual addresses. User bytes cross
+// into and out of the kernel in exactly one place, the copyIn/copyOut
+// pair: conn I/O copies straight between address-space pages and
+// simnet's pooled stream blocks, and file, readdir and getrandom I/O
+// goes through a fixed stack chunk, so no handler stages a heap copy.
+// The pair faults on unmapped pages but checks no permissions yet; the
+// calling environment's view check belongs there.
 package kernel
 
 import "fmt"

@@ -292,14 +292,19 @@ func (as *AddressSpace) Sections() []*Section {
 
 // ReadAt copies len(p) bytes starting at addr into p. It performs no
 // permission checks — those belong to the isolation backend — but it does
-// fault on unmapped pages.
+// fault on unmapped pages, after copying the pages before the first
+// unmapped one. The kernel reaches user memory only through its
+// copyIn/copyOut pair, which is where a view check on system-call
+// buffers belongs.
 func (as *AddressSpace) ReadAt(addr Addr, p []byte) error {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	return as.copyLocked(addr, p, false)
 }
 
-// WriteAt copies p into memory starting at addr (no permission checks).
+// WriteAt copies p into memory starting at addr. Like ReadAt it checks
+// no permissions, faults on the first unmapped page after writing the
+// pages before it, and is reached by the kernel only through copyOut.
 // A write that lands on a copy-on-write page first promotes it to a
 // private copy, so CoW clones never observe each other's writes.
 func (as *AddressSpace) WriteAt(addr Addr, p []byte) error {

@@ -52,9 +52,16 @@ type Stats struct {
 // Ring is one worker's submission/completion ring. It is not
 // concurrency-safe: each engine worker (or serial task) owns its own,
 // mirroring how io_uring rings are per-thread in practice.
+//
+// The ring reuses its storage across batches. Take lends the queued
+// batch in place and Drain hands the batch and its completion slots to
+// a callback; Reap returns the posted completions in place. Each slice
+// stays valid only as long as its method's comment says.
 type Ring struct {
 	depth int
 	sq    []Entry
+	lent  bool         // sq's storage holds a batch Take handed out
+	out   []Completion // Drain's completion slots
 	cq    []Completion
 	stats Stats
 }
@@ -81,24 +88,51 @@ func (r *Ring) Submit(e Entry) bool {
 	if len(r.sq) == r.depth {
 		return false
 	}
+	if r.lent {
+		// Copy on resubmit: the in-flight batch keeps its storage.
+		r.sq, r.lent = make([]Entry, 0, r.depth), false
+	}
 	r.sq = append(r.sq, e)
 	return true
 }
 
 // Take removes and returns the queued batch in submission order,
-// leaving the submission queue empty. The batch is a copy: a
-// completion handler that submits new entries mid-drain grows a fresh
-// submission queue and cannot corrupt the in-flight batch the drain is
-// still iterating.
+// leaving the submission queue empty. The batch is the ring's own
+// storage, not a copy. A batch Drain takes is valid only during its
+// callback. A batch taken directly keeps its storage for good: the next
+// Submit moves the submission queue to fresh storage, so a completion
+// handler that submits new entries mid-drain cannot corrupt the
+// in-flight batch.
 func (r *Ring) Take() []Entry {
 	if len(r.sq) == 0 {
 		return nil
 	}
-	batch := append([]Entry(nil), r.sq...)
-	r.sq = r.sq[:0]
+	batch := r.sq
+	r.sq, r.lent = r.sq[:0], true
 	r.stats.Batches++
 	r.stats.Entries += int64(len(batch))
 	return batch
+}
+
+// Drain takes the queued batch, hands it to fn with one zeroed,
+// ring-owned completion slot per entry, then posts the slots and
+// returns fn's error. Both slices are valid only during fn; afterwards
+// the ring reuses their storage. An empty queue returns nil without
+// calling fn.
+func (r *Ring) Drain(fn func(batch []Entry, out []Completion) error) error {
+	batch := r.Take()
+	if len(batch) == 0 {
+		return nil
+	}
+	if r.out == nil {
+		r.out = make([]Completion, r.depth)
+	}
+	out := r.out[:len(batch)]
+	clear(out)
+	err := fn(batch, out)
+	r.Post(out)
+	r.lent = false // the batch is finished: the next Submit reuses its storage
+	return err
 }
 
 // Post appends completions to the completion queue, which is bounded at
@@ -114,14 +148,22 @@ func (r *Ring) Post(cs []Completion) {
 			r.stats.CQOverflow++
 			continue
 		}
+		if r.cq == nil {
+			r.cq = make([]Completion, 0, r.depth)
+		}
 		r.cq = append(r.cq, c)
 	}
 }
 
-// Reap removes and returns every posted completion, oldest first.
+// Reap removes and returns every posted completion, oldest first, or
+// nil when none is posted. The slice is the completion queue's own
+// storage: it stays valid until the next Post, Drain or Reset.
 func (r *Ring) Reap() []Completion {
+	if len(r.cq) == 0 {
+		return nil
+	}
 	out := r.cq
-	r.cq = nil
+	r.cq = r.cq[:0]
 	return out
 }
 
@@ -132,5 +174,5 @@ func (r *Ring) Stats() Stats { return r.stats }
 // abandons in-flight state the way a domain reset abandons the task.
 func (r *Ring) Reset() {
 	r.sq = r.sq[:0]
-	r.cq = nil
+	r.cq = r.cq[:0]
 }

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -169,5 +170,60 @@ func TestTakeEmptyIsNoStat(t *testing.T) {
 	}
 	if st := r.Stats(); st.Batches != 0 {
 		t.Errorf("empty Take counted a batch: %+v", st)
+	}
+}
+
+// TestDrainInPlace: Drain hands fn the batch in place and zeroed
+// completion slots; a mid-drain Submit moves the SQ to fresh storage
+// rather than overwrite the batch fn is still reading; and once warm a
+// submit/drain/reap cycle allocates nothing.
+func TestDrainInPlace(t *testing.T) {
+	r := New(4)
+	r.Submit(Entry{Nr: kernel.NrGetpid, Tag: 1})
+	r.Submit(Entry{Nr: kernel.NrGetpid, Tag: 2})
+	echo := func(batch []Entry, out []Completion) error {
+		for i, e := range batch {
+			if out[i] != (Completion{}) {
+				return fmt.Errorf("slot %d not zeroed: %+v", i, out[i])
+			}
+			out[i] = Completion{Tag: e.Tag}
+		}
+		return nil
+	}
+	err := r.Drain(func(batch []Entry, out []Completion) error {
+		r.Submit(Entry{Nr: kernel.NrRead, Tag: 99})
+		return echo(batch, out)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Reap(); len(got) != 2 || got[0].Tag != 1 || got[1].Tag != 2 {
+		t.Fatalf("Reap = %+v, want tags 1 and 2", got)
+	}
+	if err := r.Drain(echo); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Reap(); len(got) != 1 || got[0].Tag != 99 {
+		t.Fatalf("Reap = %+v, want the entry submitted mid-drain", got)
+	}
+	if err := r.Drain(echo); err != nil || r.Reap() != nil {
+		t.Fatal("Drain of an empty ring posted completions")
+	}
+	cycle := func() {
+		r.Submit(Entry{Nr: kernel.NrGetpid, Tag: 7})
+		r.Submit(Entry{Nr: kernel.NrGetuid, Tag: 8})
+		if err := r.Drain(echo); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Reap(); len(got) != 2 || got[1].Tag != 8 {
+			t.Fatalf("Reap = %+v", got)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("submit/drain/reap allocates %.1f objects/op, want 0", allocs)
+	}
+	if st := r.Stats(); st.Batches != 104 || st.Entries != 207 {
+		t.Errorf("Stats = %+v, want 104 batches of 207 entries (AllocsPerRun runs once more)", st)
 	}
 }
