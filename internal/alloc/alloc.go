@@ -55,7 +55,8 @@ type span struct {
 	sec      *mem.Section
 	class    int // index into sizeClasses, -1 for large
 	slotSize uint64
-	free     []uint32 // free-slot stack
+	next     uint32   // slots below next have been handed out at least once
+	freed    []uint32 // freed-slot stack, reused LIFO before next
 	used     int
 	large    bool
 }
@@ -182,21 +183,14 @@ func (h *Heap) acquireSpanLocked(pkg string, class int, slotSize, bytes uint64, 
 		sp.slotSize = slotSize
 		sp.large = false
 		sp.used = 0
-		sp.free = sp.free[:0]
-		for i := sp.slots() - 1; i >= 0; i-- {
-			sp.free = append(sp.free, uint32(i))
-		}
+		sp.next = 0
+		sp.freed = sp.freed[:0]
 	} else {
 		sec, err := h.mmap(bytes)
 		if err != nil {
 			return nil, fmt.Errorf("alloc: mmap span: %w", err)
 		}
 		sp = &span{sec: sec, class: class, slotSize: slotSize, large: large}
-		if !large {
-			for i := sp.slots() - 1; i >= 0; i-- {
-				sp.free = append(sp.free, uint32(i))
-			}
-		}
 		h.spansCreated++
 		h.insertSpanLocked(sp)
 	}
@@ -283,10 +277,16 @@ func (a *Arena) Alloc(n uint64) (mem.Addr, error) {
 		}
 		a.partial[class] = append(a.partial[class], sp)
 	}
-	idx := sp.free[len(sp.free)-1]
-	sp.free = sp.free[:len(sp.free)-1]
+	var idx uint32
+	if n := len(sp.freed); n > 0 {
+		idx = sp.freed[n-1]
+		sp.freed = sp.freed[:n-1]
+	} else {
+		idx = sp.next
+		sp.next++
+	}
 	sp.used++
-	if len(sp.free) == 0 { // span now full: drop from partial list
+	if sp.used == sp.slots() { // span now full: drop from partial list
 		list := a.partial[class]
 		a.partial[class] = list[:len(list)-1]
 	}
@@ -329,13 +329,16 @@ func (a *Arena) Free(addr mem.Addr) error {
 		return fmt.Errorf("%w: %s (interior pointer)", ErrNotAllocated, addr)
 	}
 	idx := uint32(off / sp.slotSize)
-	for _, f := range sp.free {
+	if idx >= sp.next {
+		return fmt.Errorf("%w: %s", ErrDoubleFree, addr)
+	}
+	for _, f := range sp.freed {
 		if f == idx {
 			return fmt.Errorf("%w: %s", ErrDoubleFree, addr)
 		}
 	}
-	wasFull := len(sp.free) == 0
-	sp.free = append(sp.free, idx)
+	wasFull := sp.used == sp.slots()
+	sp.freed = append(sp.freed, idx)
 	sp.used--
 	a.nFrees++
 	if sp.used == 0 {

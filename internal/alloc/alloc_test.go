@@ -281,3 +281,124 @@ func TestLargeSpanReuse(t *testing.T) {
 		t.Fatal("double free of pooled large span accepted")
 	}
 }
+
+// TestSlotOrder pins the order slots are handed out in: freed slots
+// first, newest first, then never-issued slots in ascending order, and
+// a full span's freed slot before a fresh span. The expected offsets are
+// the order a span pre-filled with a free-slot stack of every index
+// produced, written out; addresses, and through them every virtual-time
+// result and probe digest, depend on it. A clone's heap continues the
+// same order.
+func TestSlotOrder(t *testing.T) {
+	h, _, _ := testHeap(t)
+	a := h.Arena("p")
+	var base mem.Addr
+	alloc := func(n uint64) uint64 {
+		t.Helper()
+		addr, err := a.Alloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base == 0 {
+			base = addr
+		}
+		return uint64(addr - base)
+	}
+	free := func(off uint64) {
+		t.Helper()
+		if err := a.Free(base + mem.Addr(off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []uint64
+	// Class 16: one span at offset 0.
+	for i := 0; i < 3; i++ {
+		got = append(got, alloc(16))
+	}
+	free(0x10)
+	got = append(got, alloc(16))
+	free(0x00)
+	free(0x20)
+	for i := 0; i < 3; i++ {
+		got = append(got, alloc(16))
+	}
+	// Class 48: the next span; class 8192 holds two slots per span.
+	got = append(got, alloc(48), alloc(48))
+	free(SpanBytes)
+	got = append(got, alloc(48), alloc(48))
+	got = append(got, alloc(8192), alloc(8192), alloc(8192))
+	free(2*SpanBytes + 8192)
+	got = append(got, alloc(8192), alloc(8192))
+	want := []uint64{
+		0x00, 0x10, 0x20, // ascending
+		0x10,             // the freed slot
+		0x20, 0x00, 0x30, // freed slots newest first, then ascending
+		0x4000, 0x4030, 0x4000, 0x4060,
+		0x8000, 0xa000, 0xc000, // the third 8192 needs a fresh span
+		0xa000, 0xe000, // a full span's freed slot, then the fresh span's next
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d allocations, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("allocation %d at +%#x, want +%#x (all: %#x)", i, got[i], want[i], got)
+		}
+	}
+
+	free(0x10)
+	c := h.CloneWith(h.mmap, h.transfer, func(s *mem.Section) *mem.Section { return s })
+	for _, want := range []uint64{0x10, 0x40} {
+		addr, err := c.Arena("p").Alloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off := uint64(addr - base); off != want {
+			t.Fatalf("clone allocated +%#x, want +%#x", off, want)
+		}
+	}
+}
+
+// TestFreeNeverIssuedSlot: a slot the span has not handed out yet is
+// not allocated, so freeing it is a double free.
+func TestFreeNeverIssuedSlot(t *testing.T) {
+	h, _, _ := testHeap(t)
+	a := h.Arena("p")
+	x, _ := a.Alloc(32)
+	for _, addr := range []mem.Addr{x + 32, x + 5*32, x + SpanBytes - 32} {
+		if err := a.Free(addr); !errors.Is(err, ErrDoubleFree) {
+			t.Fatalf("free of never-issued %s: %v", addr, err)
+		}
+	}
+	if err := a.Free(x); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPooledSpanRestartsAtSlotZero: a drained span parked in the pool
+// and taken by another arena, in another class, hands out its slots
+// from the start again.
+func TestPooledSpanRestartsAtSlotZero(t *testing.T) {
+	h, _, _ := testHeap(t)
+	a := h.Arena("a")
+	x, _ := a.Alloc(64)
+	y, _ := a.Alloc(64)
+	for _, addr := range []mem.Addr{y, x} {
+		if err := a.Free(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := h.Arena("b")
+	for i, want := range []mem.Addr{x, x + 256, x + 512} {
+		got, err := b.Alloc(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("allocation %d from the recycled span at %s, want %s", i, got, want)
+		}
+	}
+	if spans, _ := h.Stats(); spans != 1 {
+		t.Fatalf("%d spans created, want the one recycled span", spans)
+	}
+}

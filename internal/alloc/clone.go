@@ -3,7 +3,7 @@ package alloc
 import "github.com/litterbox-project/enclosure/internal/mem"
 
 // CloneWith deep-copies the heap's allocator metadata for a snapshot
-// clone: every span, arena, free-slot stack, and pool list is copied by
+// clone: every span, arena, freed-slot stack, and pool list is copied by
 // value, with each span's section translated through remap onto the
 // clone's address space and the mmap/transfer hooks rewired to the
 // clone's runtime. Allocation state (live objects, partial spans,
@@ -31,7 +31,8 @@ func (h *Heap) CloneWith(mmap MmapFunc, transfer TransferFunc, remap func(*mem.S
 			sec:      remap(sp.sec),
 			class:    sp.class,
 			slotSize: sp.slotSize,
-			free:     append([]uint32(nil), sp.free...),
+			next:     sp.next,
+			freed:    append([]uint32(nil), sp.freed...),
 			used:     sp.used,
 			large:    sp.large,
 		}

@@ -312,10 +312,50 @@ func TestCheckResponseExactBody(t *testing.T) {
 		{"view with text", view, "<p>hello</p>", true},
 		{"view without text", view, "<p>bye</p>", false},
 	}
+	var buf []byte // shared, so a short response follows a longer one
 	for _, c := range cases {
-		err := checkResponse(respond(c.body), c.rk)
+		err := checkResponse(respond(c.body), c.rk, &buf)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: err %v, want ok=%v", c.name, err, c.ok)
 		}
+	}
+}
+
+// TestCheckResponseSteadyStateAllocs pins the client side of a page
+// request: once its buffer has grown, checking a 13 KiB response
+// allocates nothing beyond what reading it takes anyway.
+func TestCheckResponseSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	resp := []byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n" + strings.Repeat("x", httpserv.PageSize13KB))
+	respond := func() *simnet.Conn {
+		client, server := simnet.Pair()
+		if _, err := server.Write(resp); err != nil {
+			t.Fatal(err)
+		}
+		server.Close()
+		return client
+	}
+	var scratch [32 * 1024]byte
+	drain := func() {
+		client := respond()
+		for {
+			if _, err := client.Read(scratch[:]); err != nil {
+				return
+			}
+		}
+	}
+	var buf []byte
+	page := requestKind{bodyLen: httpserv.PageSize13KB}
+	check := func() {
+		if err := checkResponse(respond(), page, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check() // grow the buffer
+	reading, checking := testing.AllocsPerRun(100, drain), testing.AllocsPerRun(100, check)
+	if checking > reading {
+		t.Fatalf("checking a page response allocates %.1f objects/op, reading it alone %.1f", checking, reading)
 	}
 }

@@ -1,8 +1,8 @@
 package loadgen
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 
 	"github.com/litterbox-project/enclosure/internal/apps/fasthttp"
 	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
@@ -43,6 +43,11 @@ type appTarget struct {
 	closers []func() error
 	kinds   []string
 	reqs    map[string]requestKind
+
+	// resp is the buffer every job's response check drains into. A
+	// target's engine runs in manual mode, so its jobs execute one at a
+	// time on the goroutine stepping it and never share resp at once.
+	resp []byte
 }
 
 // requestKind is one entry in a target's request table: the wire
@@ -100,36 +105,42 @@ func (a *appTarget) NewRequest(kind string) engine.Job {
 		if err := a.conn(t, fd); err != nil {
 			return err
 		}
-		return checkResponse(client, rk)
+		return checkResponse(client, rk, &a.resp)
 	}
 }
 
+var (
+	statusOK  = []byte("HTTP/1.1 200 OK")
+	headerEnd = []byte("\r\n\r\n")
+)
+
 // checkResponse drains the client half of the connection (host-side,
-// free) and validates the status and body against rk.
-func checkResponse(client *simnet.Conn, rk requestKind) error {
-	var resp []byte
-	buf := make([]byte, 32*1024)
+// free) into *buf, growing it as needed, and validates the status and
+// body against rk.
+func checkResponse(client *simnet.Conn, rk requestKind, buf *[]byte) error {
+	resp := (*buf)[:0]
 	for {
-		n, err := client.Read(buf)
-		if n > 0 {
-			resp = append(resp, buf[:n]...)
+		if len(resp) == cap(resp) {
+			resp = append(resp, make([]byte, 32*1024)...)[:len(resp)]
 		}
+		n, err := client.Read(resp[len(resp):cap(resp)])
+		resp = resp[:len(resp)+n]
 		if err != nil {
 			break // server shut the connection down: response complete
 		}
 	}
-	s := string(resp)
-	if !strings.HasPrefix(s, "HTTP/1.1 200 OK") {
-		return fmt.Errorf("loadgen: bad response: %.60q", s)
+	*buf = resp
+	if !bytes.HasPrefix(resp, statusOK) {
+		return fmt.Errorf("loadgen: bad response: %.60q", resp)
 	}
-	_, body, ok := strings.Cut(s, "\r\n\r\n")
+	_, body, ok := bytes.Cut(resp, headerEnd)
 	if !ok {
-		return fmt.Errorf("loadgen: no header/body separator: %.60q", s)
+		return fmt.Errorf("loadgen: no header/body separator: %.60q", resp)
 	}
 	if rk.bodyLen > 0 && len(body) != rk.bodyLen {
 		return fmt.Errorf("loadgen: body %d bytes, want %d", len(body), rk.bodyLen)
 	}
-	if !strings.Contains(body, rk.bodyHas) {
+	if !bytes.Contains(body, []byte(rk.bodyHas)) {
 		return fmt.Errorf("loadgen: body lacks %q: %.80q", rk.bodyHas, body)
 	}
 	return nil

@@ -1,6 +1,9 @@
 package mem
 
-import "errors"
+import (
+	"errors"
+	"sync"
+)
 
 // This file implements copy-on-write cloning of an address space — the
 // storage half of warm-enclosure snapshots. CloneCoW aliases every
@@ -11,6 +14,12 @@ import "errors"
 // page array, section list, and section values it was born with. Revert
 // walks only the dirty set, which makes recycling a pooled instance
 // O(pages actually written by the request), not O(image).
+
+// pagePool recycles the page arrays a Revert releases into later Maps
+// and promotions, process-wide so an idle pooled instance holds no
+// spare pages. Page arrays never leave this package, so a released
+// page has no other owner.
+var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
 
 // ErrNoSnapshot is returned by Revert on a space that was not created
 // by CloneCoW.
@@ -101,9 +110,8 @@ func (as *AddressSpace) promoteLocked(addr Addr, size uint64) {
 		if !as.cow[p] {
 			continue
 		}
-		shared := as.pages[p]
-		priv := new([PageSize]byte)
-		*priv = *shared
+		priv := pagePool.Get().(*[PageSize]byte)
+		*priv = *as.pages[p]
 		as.pages[p] = priv
 		delete(as.cow, p)
 		if as.snap != nil {
@@ -129,7 +137,9 @@ func (as *AddressSpace) markPagesDirtyLocked(first, last uint64) {
 // were mapped after the clone), the section list and every section's
 // field values are restored, and the bump allocator rewinds. The cost is
 // proportional to the dirty set, which is what makes pooled recycling
-// an order of magnitude cheaper than a fresh clone.
+// an order of magnitude cheaper than a fresh clone. Dirty pages the
+// clone owns privately go back to pagePool; a page still marked cow is
+// shared with a later clone of this one and is left to it.
 func (as *AddressSpace) Revert() error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -137,6 +147,9 @@ func (as *AddressSpace) Revert() error {
 		return ErrNoSnapshot
 	}
 	for p := range as.dirty {
+		if arr := as.pages[p]; arr != nil && !as.cow[p] {
+			pagePool.Put(arr)
+		}
 		if arr, ok := as.snap.pages[p]; ok {
 			as.pages[p] = arr
 			as.cow[p] = true
@@ -145,7 +158,7 @@ func (as *AddressSpace) Revert() error {
 			delete(as.cow, p)
 		}
 	}
-	as.dirty = make(map[uint64]bool)
+	clear(as.dirty)
 	as.sections = as.sections[:0]
 	as.sections = append(as.sections, as.snap.secs...)
 	for i, s := range as.snap.secs {

@@ -223,7 +223,9 @@ func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, per
 	as.next += Addr(size)
 	first, last := s.Pages()
 	for p := first; p <= last; p++ {
-		as.pages[p] = new([PageSize]byte)
+		page := pagePool.Get().(*[PageSize]byte)
+		*page = [PageSize]byte{} // a pooled page holds a reverted clone's bytes
+		as.pages[p] = page
 	}
 	as.markPagesDirtyLocked(first, last)
 	as.sections = append(as.sections, s) // bump allocation keeps order sorted

@@ -129,9 +129,16 @@ func TestUnmappedAccessFails(t *testing.T) {
 
 func TestUnmap(t *testing.T) {
 	as := NewAddressSpace(0)
-	s, _ := as.Map("x", "a", KindData, PageSize, PermR|PermW)
+	s, _ := as.Map("x", "a", KindData, 2*PageSize, PermR|PermW)
 	if err := as.Unmap(s); err != nil {
 		t.Fatal(err)
+	}
+	var b [4]byte
+	if err := as.ReadAt(s.Base+PageSize, b[:]); !errors.Is(err, ErrUnmapped) {
+		t.Fatalf("read after unmap: %v", err)
+	}
+	if err := as.WriteAt(s.Base, b[:]); !errors.Is(err, ErrUnmapped) {
+		t.Fatalf("write after unmap: %v", err)
 	}
 	if err := as.Unmap(s); !errors.Is(err, ErrDoubleUnmap) {
 		t.Fatalf("double unmap: %v", err)
