@@ -84,6 +84,11 @@ type Heap struct {
 	// Stats
 	spansCreated int
 	transfers    int
+
+	// own maps each span of the heap a clone was made from to the
+	// clone's copy (nil unless made by CloneWith); ResetTo restores the
+	// clone through it.
+	own map[*span]*span
 }
 
 // NewHeap returns a heap that maps spans with mmap and reassigns them via

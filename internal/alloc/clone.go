@@ -10,68 +10,83 @@ import "github.com/litterbox-project/enclosure/internal/mem"
 // pooled spans) carries over exactly — the clone's heap answers OwnerOf
 // and Free for addresses the template allocated before capture.
 func (h *Heap) CloneWith(mmap MmapFunc, transfer TransferFunc, remap func(*mem.Section) *mem.Section) *Heap {
+	c := &Heap{
+		mmap:      mmap,
+		transfer:  transfer,
+		arenas:    make(map[string]*Arena),
+		bySec:     make(map[*mem.Section]*span),
+		largePool: make(map[uint64][]*span),
+		own:       make(map[*span]*span),
+	}
+	c.copyFrom(h, remap)
+	return c
+}
+
+// ResetTo returns a heap cloned from t (CloneWith) to t's allocation
+// state in place, without allocating once the clone has warmed up: the
+// clone's own copy of every template span gets its fields back, the
+// indexes, pools and arena partial lists are refilled with those copies
+// in t's order, and arenas and spans created since birth are dropped.
+// The next allocation therefore lands exactly where it would in a fresh
+// clone. t must be the heap the clone was made from.
+func (h *Heap) ResetTo(t *Heap) { h.copyFrom(t, nil) }
+
+// copyFrom sets h's allocation state to t's, reusing h's copy of each t
+// span (own) and making one through remap for spans it has not seen.
+func (h *Heap) copyFrom(t *Heap, remap func(*mem.Section) *mem.Section) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	c := &Heap{
-		mmap:         mmap,
-		transfer:     transfer,
-		arenas:       make(map[string]*Arena, len(h.arenas)),
-		bySec:        make(map[*mem.Section]*span, len(h.bySec)),
-		largePool:    make(map[uint64][]*span, len(h.largePool)),
-		poolPkg:      h.poolPkg,
-		spansCreated: h.spansCreated,
-		transfers:    h.transfers,
+	clear(h.bySec)
+	h.byBase = h.translate(h.byBase[:0], t.byBase, remap)
+	for _, ns := range h.byBase {
+		h.bySec[ns.sec] = ns
 	}
-	spanOf := make(map[*span]*span, len(h.bySec)+len(h.pool))
-	cloneSpan := func(sp *span) *span {
-		if ns, ok := spanOf[sp]; ok {
-			return ns
+	h.pool = h.translate(h.pool[:0], t.pool, remap)
+	refill(h, h.largePool, t.largePool, remap)
+	for pkg := range h.arenas {
+		if _, ok := t.arenas[pkg]; !ok {
+			delete(h.arenas, pkg)
 		}
-		ns := &span{
-			sec:      remap(sp.sec),
-			class:    sp.class,
-			slotSize: sp.slotSize,
-			next:     sp.next,
-			freed:    append([]uint32(nil), sp.freed...),
-			used:     sp.used,
-			large:    sp.large,
+	}
+	for pkg, ta := range t.arenas {
+		a := h.arenas[pkg]
+		if a == nil {
+			a = &Arena{heap: h, pkg: ta.pkg, partial: make(map[int][]*span, len(ta.partial))}
+			h.arenas[pkg] = a
 		}
-		spanOf[sp] = ns
-		return ns
+		a.nAllocs, a.nFrees = ta.nAllocs, ta.nFrees
+		refill(h, a.partial, ta.partial, remap)
 	}
-	c.byBase = make([]*span, len(h.byBase))
-	for i, sp := range h.byBase {
-		ns := cloneSpan(sp)
-		c.byBase[i] = ns
-		c.bySec[ns.sec] = ns
-	}
-	c.pool = make([]*span, len(h.pool))
-	for i, sp := range h.pool {
-		c.pool[i] = cloneSpan(sp)
-	}
-	for size, list := range h.largePool {
-		nl := make([]*span, len(list))
-		for i, sp := range list {
-			nl[i] = cloneSpan(sp)
+	h.poolPkg, h.spansCreated, h.transfers = t.poolPkg, t.spansCreated, t.transfers
+}
+
+// translate appends h's copies of the template spans src to dst, each
+// with its template span's current state.
+func (h *Heap) translate(dst, src []*span, remap func(*mem.Section) *mem.Section) []*span {
+	for _, ts := range src {
+		ns := h.own[ts]
+		if ns == nil {
+			ns = &span{sec: remap(ts.sec)}
+			h.own[ts] = ns
 		}
-		c.largePool[size] = nl
+		ns.class, ns.slotSize, ns.next, ns.used, ns.large = ts.class, ts.slotSize, ts.next, ts.used, ts.large
+		ns.freed = append(ns.freed[:0], ts.freed...)
+		dst = append(dst, ns)
 	}
-	for pkg, a := range h.arenas {
-		na := &Arena{
-			heap:    c,
-			pkg:     a.pkg,
-			partial: make(map[int][]*span, len(a.partial)),
-			nAllocs: a.nAllocs,
-			nFrees:  a.nFrees,
+	return dst
+}
+
+// refill makes dst's span lists h's copies of src's, reusing dst's
+// slices and dropping keys src lacks.
+func refill[K comparable](h *Heap, dst, src map[K][]*span, remap func(*mem.Section) *mem.Section) {
+	for k := range dst {
+		if _, ok := src[k]; !ok {
+			delete(dst, k)
 		}
-		for class, list := range a.partial {
-			nl := make([]*span, len(list))
-			for i, sp := range list {
-				nl[i] = cloneSpan(sp)
-			}
-			na.partial[class] = nl
-		}
-		c.arenas[pkg] = na
 	}
-	return c
+	for k, list := range src {
+		dst[k] = h.translate(dst[k][:0], list, remap)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"github.com/litterbox-project/enclosure/internal/litterbox"
 	"github.com/litterbox-project/enclosure/internal/pkggraph"
@@ -63,6 +64,9 @@ func (t *Task) ImportDynamic(spec PackageSpec) error {
 		fns[name] = fn
 	}
 	prog.mu.Lock()
+	if prog.funcsShared {
+		prog.funcs, prog.funcsShared = maps.Clone(prog.funcs), false
+	}
 	prog.funcs[spec.Name] = fns
 	prog.mu.Unlock()
 	if err := prog.lb.Execute(t.cpu, prog.lb.Trusted(), cur); err != nil {

@@ -31,7 +31,11 @@ type Program struct {
 	heap     *alloc.Heap
 	funcs    map[string]map[string]Func
 	encls    map[string]*Enclosure
-	pw       map[string]string // program-wide policies: package -> wrapper enclosure
+	// funcsShared marks funcs as aliased with a snapshot template:
+	// ImportDynamic copies the outer map before adding a package. The
+	// per-package maps are never written after creation.
+	funcsShared bool
+	pw          map[string]string // program-wide policies: package -> wrapper enclosure
 
 	engineWorkers int
 	ringDepth     int
@@ -43,7 +47,7 @@ type Program struct {
 
 	runtimeCPU *hw.CPU
 
-	mu     sync.RWMutex // guards nextID and funcs (dynamic imports add entries)
+	mu     sync.RWMutex // guards nextID, funcs and funcsShared (dynamic imports add entries)
 	nextID int
 	wg     sync.WaitGroup
 }

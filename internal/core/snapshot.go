@@ -4,7 +4,9 @@ import (
 	"errors"
 	"sync"
 
+	"github.com/litterbox-project/enclosure/internal/alloc"
 	"github.com/litterbox-project/enclosure/internal/hw"
+	"github.com/litterbox-project/enclosure/internal/mem"
 	"github.com/litterbox-project/enclosure/internal/snapstart"
 )
 
@@ -13,12 +15,15 @@ import (
 // shared verdict tables and compiled artifacts, per-instance kernel and
 // backend state) instead of repeating Build's cold path — no linking,
 // policy validation, view computation, gadget scanning, or filter
-// compilation. The source program must be treated as frozen after
-// Snapshot: running requests on it would bleed state into instances
-// cloned later.
+// compilation. The source program may keep running after Snapshot (the
+// engine falls back to it when an instance cannot be made): every table
+// it shares with the template it copies before writing, and the
+// template's heap metadata is a private copy.
 type Template struct {
-	src  *Program
-	snap *snapstart.Template
+	src   *Program
+	snap  *snapstart.Template
+	heap  *alloc.Heap                // the source heap's metadata at capture
+	funcs map[string]map[string]Func // shared copy-on-write with every program
 }
 
 // ErrNotSnapshot reports Recycle on a program that was not produced by
@@ -37,7 +42,12 @@ func (p *Program) Snapshot() (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Template{src: p, snap: snap}, nil
+	t := &Template{src: p, snap: snap}
+	t.heap = p.heap.CloneWith(nil, nil, func(s *mem.Section) *mem.Section { return s })
+	p.mu.Lock()
+	t.funcs, p.funcsShared = p.funcs, true
+	p.mu.Unlock()
+	return t, nil
 }
 
 // Stats returns (instances cloned, instances recycled) over the
@@ -55,20 +65,26 @@ func (t *Template) Instantiate() (*Program, error) {
 	return t.wrap(inst)
 }
 
-// Recycle resets a snapshot instance to template state in place —
-// memory reverted copy-on-write, kernel and enforcement state re-cloned,
-// backend hardware adopted when generation-checked clean — and returns
-// the program wrapper for its next tenant. The old wrapper must not be
-// used again.
+// Recycle resets a snapshot instance to template state in place and
+// returns it, the same *Program, for its next tenant. Every layer
+// resets at a cost proportional to what the previous tenant changed
+// (see snapstart.Instance.Recycle); on top of that the program's
+// counters, runtime CPU, heap metadata and function table return to a
+// fresh instance's without allocating. Enclosure handles stay valid.
 func (t *Template) Recycle(prog *Program) (*Program, error) {
 	if prog.snapInst == nil {
 		return nil, ErrNotSnapshot
 	}
-	inst := prog.snapInst
-	if err := inst.Recycle(); err != nil {
+	if err := prog.snapInst.Recycle(); err != nil {
 		return nil, err
 	}
-	return t.wrap(inst)
+	prog.counters.Reset()
+	prog.runtimeCPU.Reset()
+	prog.heap.ResetTo(t.heap)
+	prog.mu.Lock()
+	prog.funcs, prog.funcsShared, prog.nextID = t.funcs, true, 0
+	prog.mu.Unlock()
+	return prog, nil
 }
 
 // wrap binds a snapstart instance into a runnable Program: fresh
@@ -76,7 +92,7 @@ func (t *Template) Recycle(prog *Program) (*Program, error) {
 // onto the instance's address space, enclosure handles re-resolved
 // against the instance's environment table. Function bodies and
 // program-wide policy routing are shared with the template — they are
-// code, not state.
+// code, not state; a dynamic import copies the function table first.
 func (t *Template) wrap(inst *snapstart.Instance) (*Program, error) {
 	p := t.src
 	np := &Program{
@@ -89,6 +105,8 @@ func (t *Template) wrap(inst *snapstart.Instance) (*Program, error) {
 		kernel:        inst.K,
 		proc:          inst.Proc,
 		lb:            inst.LB,
+		funcs:         t.funcs,
+		funcsShared:   true,
 		encls:         make(map[string]*Enclosure, len(p.encls)),
 		pw:            p.pw,
 		engineWorkers: p.engineWorkers,
@@ -96,18 +114,8 @@ func (t *Template) wrap(inst *snapstart.Instance) (*Program, error) {
 		warmPool:      p.warmPool,
 		snapInst:      inst,
 	}
-	p.mu.RLock()
-	np.funcs = make(map[string]map[string]Func, len(p.funcs))
-	for pkg, fns := range p.funcs {
-		nf := make(map[string]Func, len(fns))
-		for name, fn := range fns {
-			nf[name] = fn
-		}
-		np.funcs[pkg] = nf
-	}
-	p.mu.RUnlock()
 	np.runtimeCPU = np.newCPU()
-	np.heap = p.heap.CloneWith(np.runtimeMmap, np.runtimeTransfer, inst.Remap)
+	np.heap = t.heap.CloneWith(np.runtimeMmap, np.runtimeTransfer, inst.Remap)
 	for name, e := range p.encls {
 		env, err := np.lb.EnvForEnclosure(e.id)
 		if err != nil {

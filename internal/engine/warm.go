@@ -13,6 +13,7 @@ import (
 type warmState struct {
 	t     *core.Template
 	pools []*core.WarmPool
+	names []string // per-worker context names, "warm-cpuN"
 }
 
 // initWarm captures prog as a snapshot template and builds the
@@ -28,9 +29,10 @@ func initWarm(prog *core.Program, workers int) *warmState {
 	if err != nil {
 		return nil
 	}
-	ws := &warmState{t: t, pools: make([]*core.WarmPool, workers)}
+	ws := &warmState{t: t, pools: make([]*core.WarmPool, workers), names: make([]string, workers)}
 	for i := range ws.pools {
 		ws.pools[i] = t.NewPool(size)
+		ws.names[i] = fmt.Sprintf("warm-cpu%d", i)
 	}
 	return ws
 }
@@ -44,7 +46,7 @@ func (e *Engine) acquireWarm(w *worker, name string) (*core.Task, func(), error)
 	if err != nil {
 		return nil, nil, err
 	}
-	wctx := prog.NewWorker(fmt.Sprintf("warm-cpu%d", w.idx))
+	wctx := prog.NewWorker(e.warm.names[w.idx])
 	return prog.NewTaskOn(wctx, name), func() { pool.Put(prog) }, nil
 }
 

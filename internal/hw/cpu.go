@@ -124,6 +124,16 @@ func NewCPU(clock *Clock) *CPU {
 	return c
 }
 
+// Reset returns the CPU to NewCPU's register state — user mode, an
+// all-allowing PKRU, page table 0, no package, no injector — keeping
+// its clock and counters.
+func (c *CPU) Reset() {
+	c.Pkg, c.Inj = "", nil
+	c.pkru.Store(uint32(PKRUAllAllowed))
+	c.cr3.Store(0)
+	c.mode.Store(uint32(ModeUser))
+}
+
 // PKRU returns the current value of the protection-key rights register.
 // Reading PKRU is unprivileged, mirroring RDPKRU.
 func (c *CPU) PKRU() PKRU {

@@ -15,12 +15,14 @@ import (
 var ErrLiveFDs = errors.New("kernel: cannot clone a process with open descriptors")
 
 // Clone returns an independent kernel over the cloned address space and
-// the clone's own clock: filesystem and network namespaces are deep-
+// the clone's own clock: the filesystem is shared copy-on-write (the
+// first mutation on either side copies it), the network namespace is
 // copied, the mmap span registry is remapped through secMap (template
-// section -> clone section), the deterministic entropy cursor carries
-// over so a cloned world draws the same getrandom sequence a cold build
-// would, and the installed filter state is shared — the compiled
-// artifact is immutable, exactly the seccomp artifacts cache's contract.
+// section -> clone section; nil keeps every section) and journaled for
+// ResetTo, the deterministic entropy cursor carries over so a cloned
+// world draws the same getrandom sequence a cold build would, and the
+// installed filter state is shared — the compiled artifact is
+// immutable, exactly the seccomp artifacts cache's contract.
 func (k *Kernel) Clone(space *mem.AddressSpace, clock *hw.Clock, secMap map[*mem.Section]*mem.Section) (*Kernel, error) {
 	net, err := k.Net.Clone()
 	if err != nil {
@@ -29,13 +31,14 @@ func (k *Kernel) Clone(space *mem.AddressSpace, clock *hw.Clock, secMap map[*mem
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	c := &Kernel{
-		FS:    k.FS.Clone(),
-		Net:   net,
-		clock: clock,
-		space: space,
-		rng:   k.rng,
-		spans: make(map[mem.Addr]*mem.Section, len(k.spans)),
-		nspan: k.nspan,
+		FS:       k.FS.Share(),
+		Net:      net,
+		clock:    clock,
+		space:    space,
+		rng:      k.rng,
+		spans:    make(map[mem.Addr]*mem.Section, len(k.spans)),
+		nspan:    k.nspan,
+		spanUndo: make(map[mem.Addr]*mem.Section),
 	}
 	for base, sec := range k.spans {
 		if ns, ok := secMap[sec]; ok {
@@ -53,6 +56,39 @@ func (k *Kernel) Clone(space *mem.AddressSpace, clock *hw.Clock, secMap map[*mem
 	return c, nil
 }
 
+// ResetTo rewinds a kernel cloned from src to src's state in place, at
+// the cost of what changed since: the span journal is replayed, the
+// filesystem re-points at src's copy-on-write, the network namespace
+// and entropy and span cursors rewind, and the filter state (an
+// intersection environment may have reloaded it) and the fast-path
+// counters return to a fresh clone's. pkeys and the trace source stay:
+// they are the enforcement layer's wiring of this kernel.
+func (k *Kernel) ResetTo(src *Kernel) {
+	src.mu.Lock()
+	rng, nspan := src.rng, src.nspan
+	src.mu.Unlock()
+	k.FS.ResetTo(src.FS)
+	k.Net.ResetTo(src.Net)
+	k.mu.Lock()
+	for base, prev := range k.spanUndo {
+		if prev == nil {
+			delete(k.spans, base)
+		} else {
+			k.spans[base] = prev
+		}
+	}
+	clear(k.spanUndo)
+	k.rng, k.nspan = rng, nspan
+	k.mu.Unlock()
+	k.filter.Store(src.filter.Load())
+	k.fastOff.Store(src.fastOff.Load())
+	k.crossCheck.Store(src.crossCheck.Load())
+	k.ringCrossCheck.Store(src.ringCrossCheck.Load())
+	k.divergences.Store(0)
+	k.fastVerdicts.Store(0)
+	k.ringDivergences.Store(0)
+}
+
 // CloneInto duplicates the process identity onto a cloned kernel. Only
 // a quiescent fd table (no open descriptors) can be captured; the fd
 // cursor carries over so descriptor numbering matches a cold build.
@@ -67,4 +103,18 @@ func (p *Proc) CloneInto(k *Kernel) (*Proc, error) {
 		fds: make(map[int]*fdEntry), nextFD: p.nextFD,
 		exited: p.exited, code: p.code, nonBlock: p.nonBlock,
 	}, nil
+}
+
+// ResetTo returns a process cloned from src to src's state in place:
+// the fd table is emptied without closing what it held (the tenant's
+// descriptors die with the tenant, as a discarded clone's would) and
+// the cursor, exit status and blocking mode rewind.
+func (p *Proc) ResetTo(src *Proc) {
+	src.mu.Lock()
+	nextFD, exited, code, nonBlock := src.nextFD, src.exited, src.code, src.nonBlock
+	src.mu.Unlock()
+	p.mu.Lock()
+	clear(p.fds)
+	p.nextFD, p.exited, p.code, p.nonBlock = nextFD, exited, code, nonBlock
+	p.mu.Unlock()
 }

@@ -39,6 +39,10 @@ type Kernel struct {
 	rng   uint64
 	spans map[mem.Addr]*mem.Section
 	nspan int
+	// spanUndo is a clone's span-registry journal (nil on kernels not
+	// made by Clone): each base mapped or unmapped since birth with the
+	// span it replaced (nil when it had none). ResetTo replays it.
+	spanUndo map[mem.Addr]*mem.Section
 
 	// filter holds the installed policy in both compiled forms; an
 	// atomic pointer so the syscall hot path never takes k.mu. The
@@ -871,7 +875,7 @@ func (k *Kernel) sysMmap(size uint64) (uint64, Errno) {
 		return 0, EFAULT
 	}
 	k.mu.Lock()
-	k.spans[s.Base] = s
+	k.setSpanLocked(s.Base, s)
 	k.mu.Unlock()
 	return uint64(s.Base), OK
 }
@@ -880,7 +884,7 @@ func (k *Kernel) sysMunmap(base mem.Addr) (uint64, Errno) {
 	k.mu.Lock()
 	s, ok := k.spans[base]
 	if ok {
-		delete(k.spans, base)
+		k.setSpanLocked(base, nil)
 	}
 	k.mu.Unlock()
 	if !ok {
@@ -948,6 +952,21 @@ func (k *Kernel) sysGetrandom(buf mem.Addr, n uint64) (uint64, Errno) {
 		return 0, errno
 	}
 	return n, OK
+}
+
+// setSpanLocked registers s at base (nil unregisters), journaling the
+// first change of each base on a clone. Requires k.mu.
+func (k *Kernel) setSpanLocked(base mem.Addr, s *mem.Section) {
+	if k.spanUndo != nil {
+		if _, seen := k.spanUndo[base]; !seen {
+			k.spanUndo[base] = k.spans[base]
+		}
+	}
+	if s == nil {
+		delete(k.spans, base)
+	} else {
+		k.spans[base] = s
+	}
 }
 
 // SpanSection returns the still-mapped span starting at base, if any.

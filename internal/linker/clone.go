@@ -7,16 +7,15 @@ import (
 
 // CloneWith rebinds the image onto a copy-on-write cloned address space:
 // every placed *mem.Section is remapped through secMap (template section
-// -> clone section) so the clone's backends and Transfer paths touch
-// clone-owned section structs, never the template's. Symbol tables
-// (Funcs/Consts/Vars) are shared — they are immutable after placement —
-// while the Packages and Enclosures containers are copied so a dynamic
-// import placed into the clone stays invisible to the template.
+// -> clone section; nil maps every section to itself) so the clone's
+// backends and Transfer paths touch clone-owned section structs, never
+// the template's. Symbol tables (Funcs/Consts/Vars) and the Marked set
+// are shared — they are immutable after Link — while the Packages
+// container becomes the clone's birth table: a dynamic import placed
+// into the clone copies it first and stays invisible to the template,
+// and Reset drops such imports by re-pointing at it.
 func (img *Image) CloneWith(space *mem.AddressSpace, graph *pkggraph.Graph, secMap map[*mem.Section]*mem.Section) *Image {
 	remap := func(s *mem.Section) *mem.Section {
-		if s == nil {
-			return nil
-		}
 		if ns, ok := secMap[s]; ok {
 			return ns
 		}
@@ -25,13 +24,14 @@ func (img *Image) CloneWith(space *mem.AddressSpace, graph *pkggraph.Graph, secM
 	img.mu.RLock()
 	defer img.mu.RUnlock()
 	c := &Image{
-		Space:     space,
-		Graph:     graph,
-		Packages:  make(map[string]*PackageLayout, len(img.Packages)),
-		Marked:    make(map[string]bool, len(img.Marked)),
-		PkgsSec:   remap(img.PkgsSec),
-		RstrctSec: remap(img.RstrctSec),
-		VerifSec:  remap(img.VerifSec),
+		Space:      space,
+		Graph:      graph,
+		Packages:   make(map[string]*PackageLayout, len(img.Packages)),
+		Marked:     img.Marked,
+		PkgsSec:    remap(img.PkgsSec),
+		RstrctSec:  remap(img.RstrctSec),
+		VerifSec:   remap(img.VerifSec),
+		pkgsShared: true,
 	}
 	for name, pl := range img.Packages {
 		c.Packages[name] = &PackageLayout{
@@ -44,14 +44,23 @@ func (img *Image) CloneWith(space *mem.AddressSpace, graph *pkggraph.Graph, secM
 			Vars:   pl.Vars,
 		}
 	}
+	c.birth = c.Packages
 	c.Enclosures = make([]*EnclosureDecl, len(img.Enclosures))
 	for i, d := range img.Enclosures {
 		nd := *d
 		nd.Text = remap(d.Text)
 		c.Enclosures[i] = &nd
 	}
-	for name := range img.Marked {
-		c.Marked[name] = true
-	}
 	return c
+}
+
+// Reset forgets every package placed into a clone since CloneWith — a
+// recycled snapshot instance's dynamic imports — by re-pointing Packages
+// at the birth table. A no-op on images that were not cloned.
+func (img *Image) Reset() {
+	img.mu.Lock()
+	defer img.mu.Unlock()
+	if img.birth != nil {
+		img.Packages, img.pkgsShared = img.birth, true
+	}
 }

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
 	"sync"
 
@@ -67,6 +68,12 @@ type Image struct {
 	mu         sync.RWMutex
 	Enclosures []*EnclosureDecl
 	Marked     map[string]bool // packages appearing in ≥1 enclosure view
+
+	// birth is a snapshot clone's Packages table as CloneWith built it;
+	// while pkgsShared is set, Packages aliases it and PlaceDynamic
+	// copies before writing, so Reset can re-point to it in O(1).
+	birth      map[string]*PackageLayout
+	pkgsShared bool
 
 	PkgsSec   *mem.Section // .pkgs
 	RstrctSec *mem.Section // .rstrct
@@ -194,6 +201,10 @@ func (img *Image) PlaceDynamic(p *pkggraph.Package) (*PackageLayout, error) {
 	pl, err := placePackage(img.Space, p)
 	if err != nil {
 		return nil, err
+	}
+	if img.pkgsShared {
+		img.Packages = maps.Clone(img.Packages)
+		img.pkgsShared = false
 	}
 	img.Packages[p.Name] = pl
 	return pl, nil

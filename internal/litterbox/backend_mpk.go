@@ -3,6 +3,8 @@ package litterbox
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,6 +56,35 @@ type MPKBackend struct {
 
 	mu    sync.Mutex
 	rules map[uint32]seccomp.EnvRule // PKRU value → syscall rule
+
+	// keysShared (under stateMu: keyByMeta, keyOf, colorBySig) and
+	// rulesShared (under mu: rules) mark tables aliased with a snapshot
+	// template or clone; writers copy them first (ownKeysLocked,
+	// ownRulesLocked).
+	keysShared  bool
+	rulesShared bool
+}
+
+// ownKeysLocked gives b private copies of shared key-assignment and
+// color tables before a write. Requires stateMu.
+func (b *MPKBackend) ownKeysLocked() {
+	if !b.keysShared {
+		return
+	}
+	b.keyByMeta = slices.Clone(b.keyByMeta)
+	b.keyOf = maps.Clone(b.keyOf)
+	b.colorBySig = maps.Clone(b.colorBySig)
+	b.keysShared = false
+}
+
+// ownRulesLocked gives b a private copy of a shared rule table before
+// a write. Requires mu.
+func (b *MPKBackend) ownRulesLocked() {
+	if !b.rulesShared {
+		return
+	}
+	b.rules = maps.Clone(b.rules)
+	b.rulesShared = false
 }
 
 // NewMPK returns an LB_MPK backend over the simulated MPK unit.
@@ -264,9 +295,6 @@ func (b *MPKBackend) colorize(env *Env, base hw.PKRU) hw.PKRU {
 	if len(spares) == 0 {
 		return base
 	}
-	if b.colorBySig == nil {
-		b.colorBySig = make(map[pkruColorKey]int)
-	}
 	key := pkruColorKey{base: uint32(base), sig: policySig(env)}
 	color, ok := b.colorBySig[key]
 	if !ok {
@@ -285,6 +313,10 @@ func (b *MPKBackend) colorize(env *Env, base hw.PKRU) hw.PKRU {
 		}
 		if color >= max {
 			return base
+		}
+		b.ownKeysLocked()
+		if b.colorBySig == nil {
+			b.colorBySig = make(map[pkruColorKey]int)
 		}
 		b.colorBySig[key] = color
 	}
@@ -335,6 +367,7 @@ func (b *MPKBackend) addRule(env *Env) {
 			rule.ConnectAllow = prev.ConnectAllow
 		}
 	}
+	b.ownRulesLocked()
 	b.rules[rule.PKRU] = rule
 }
 

@@ -3,12 +3,12 @@ package litterbox
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/kernel"
 	"github.com/litterbox-project/enclosure/internal/linker"
 	"github.com/litterbox-project/enclosure/internal/obs"
-	"github.com/litterbox-project/enclosure/internal/seccomp"
 )
 
 // Warm-enclosure snapshot support: a captured template LitterBox is
@@ -16,9 +16,12 @@ import (
 // view computation, no meta-package clustering, no section validation,
 // no gadget scan, no filter compilation, and no page-table construction
 // happen on this path. Everything immutable (verification tokens,
-// compiled seccomp artifacts, symbol tables, connect allowlists) is
-// shared; everything mutable (views, env snapshot, backend hardware
-// state) is copied.
+// enclosure names, compiled seccomp artifacts, symbol tables, connect
+// allowlists) is shared outright; the rarely written tables (clustering,
+// MPK key assignment, colors and filter rules) are shared copy-on-write
+// with the template; the environments and the backend hardware state
+// are copied. ResetTo rewinds a clone to its template at the cost of
+// what the clone changed.
 
 // Errors surfaced by snapshot cloning.
 var (
@@ -32,15 +35,14 @@ var (
 	ErrCaptureAborted = errors.New("litterbox: cannot capture an aborted program as a template")
 )
 
-// BackendCloner is implemented by backends that support warm-snapshot
-// cloning. CloneFor builds this backend's state for the cloned
-// LitterBox c (whose Space/Clock/Kernel are already in place). reuse,
-// when non-nil, is a backend previously cloned from this same template
-// being recycled: implementations may adopt its hardware unit instead
-// of copying the template's again when the unit's mutation generation
-// proves it untouched since birth.
-type BackendCloner interface {
-	CloneFor(c *LitterBox, reuse Backend) (Backend, error)
+// backendCloner is implemented by backends that support warm-snapshot
+// cloning. cloneFor builds this backend's state for the cloned
+// LitterBox c (whose Space/Clock/Kernel are already in place);
+// resetFrom rewinds a backend cloneFor made from tmpl back to tmpl's
+// state in place.
+type backendCloner interface {
+	cloneFor(c *LitterBox) (Backend, error)
+	resetFrom(tmpl Backend)
 }
 
 // CloneDeps carries the per-instance state a LitterBox clone binds to:
@@ -51,23 +53,20 @@ type CloneDeps struct {
 	Kernel *kernel.Kernel
 	Proc   *kernel.Proc
 	Clock  *hw.Clock
-
-	// Reuse, when non-nil, is the LitterBox of an instance being
-	// recycled in place; its backend units may be adopted when provably
-	// untouched (see BackendCloner).
-	Reuse *LitterBox
 }
 
 // CloneInto builds an independent LitterBox from a captured template.
 // The template must be quiescent: not aborted, no in-flight intersection
 // materialisation. The clone enforces identically to a cold-built
 // LitterBox over the same image — the probe corpus proves this digest-
-// identical — but costs only map and slice copies.
+// identical. It copies only the environments and the backend's hardware
+// unit; the clustering tables are shared, and from here on either side
+// copies them before writing.
 func (lb *LitterBox) CloneInto(deps CloneDeps) (*LitterBox, error) {
 	if lb.aborted.Load() {
 		return nil, ErrCaptureAborted
 	}
-	cloner, ok := lb.backend.(BackendCloner)
+	cloner, ok := lb.backend.(backendCloner)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotCloneable, lb.backend.Name())
 	}
@@ -89,21 +88,9 @@ func (lb *LitterBox) CloneInto(deps CloneDeps) (*LitterBox, error) {
 
 	lb.mu.Lock()
 	c.nextEnv = lb.nextEnv
-	c.verif = make(map[int]uint64, len(lb.verif))
-	for k, v := range lb.verif {
-		c.verif[k] = v
-	}
-	c.enclName = make(map[int]string, len(lb.enclName))
-	for k, v := range lb.enclName {
-		c.enclName[k] = v
-	}
-	// Outer slice copied (dynamic imports append and roll back by
-	// truncation); the member groups themselves are immutable.
-	c.metaPkgs = append([][]string(nil), lb.metaPkgs...)
-	c.pkgToMeta = make(map[string]int, len(lb.pkgToMeta))
-	for k, v := range lb.pkgToMeta {
-		c.pkgToMeta[k] = v
-	}
+	c.verif, c.enclName = lb.verif, lb.enclName // written only by Init
+	c.metaPkgs, c.pkgToMeta, c.metaShared = lb.metaPkgs, lb.pkgToMeta, true
+	lb.metaShared = true
 	snap := lb.snap.Load()
 	lb.mu.Unlock()
 
@@ -113,12 +100,9 @@ func (lb *LitterBox) CloneInto(deps CloneDeps) (*LitterBox, error) {
 	}
 	c.trusted = csnap.envs[TrustedEnv]
 	c.snap.Store(csnap)
+	c.birth = csnap
 
-	var reuse Backend
-	if deps.Reuse != nil {
-		reuse = deps.Reuse.backend
-	}
-	backend, err := cloner.CloneFor(c, reuse)
+	backend, err := cloner.cloneFor(c)
 	if err != nil {
 		return nil, err
 	}
@@ -132,6 +116,49 @@ func (lb *LitterBox) CloneInto(deps CloneDeps) (*LitterBox, error) {
 		return tr, c.backend.Name(), c.workerName(cpu)
 	})
 	return c, nil
+}
+
+// ResetTo rewinds a LitterBox cloned from t (CloneInto) to t's state in
+// place, at the cost of what the clone changed since birth: the
+// clustering tables re-point at t's copy-on-write, the env snapshot
+// returns to the clone's birth snapshot (dropping materialised
+// intersections; views and PKRU values a dynamic import extended are
+// restored from t's environments), worker bindings and the program
+// abort are cleared, and the backend resets itself — MPK replays its
+// unit's journal, VTX and CHERI re-copy their unit only when its
+// generation moved. Environment pointers stay valid across the reset.
+func (lb *LitterBox) ResetTo(t *LitterBox) {
+	t.mu.Lock()
+	nextEnv, metaPkgs, pkgToMeta := t.nextEnv, t.metaPkgs, t.pkgToMeta
+	t.metaShared = true
+	tsnap := t.snap.Load()
+	t.mu.Unlock()
+
+	lb.mu.Lock()
+	lb.nextEnv = nextEnv
+	lb.metaPkgs, lb.pkgToMeta, lb.metaShared = metaPkgs, pkgToMeta, true
+	if cur := lb.snap.Load(); cur != lb.birth {
+		if cur.viewGen != lb.birth.viewGen {
+			for i, e := range lb.birth.envs {
+				e.restoreFrom(tsnap.envs[i])
+			}
+		}
+		lb.snap.Store(lb.birth)
+	}
+	lb.mu.Unlock()
+
+	lb.cpus.Range(func(k, _ any) bool {
+		lb.cpus.Delete(k)
+		return true
+	})
+	lb.fault.Store(nil)
+	lb.aborted.Store(false)
+	if tr := t.Tracer(); tr != lb.Tracer() {
+		lb.trace.Store(tr)
+	}
+	lb.lockedReads.Store(t.lockedReads.Load())
+	lb.ringSeq.Store(t.ringSeq.Load())
+	lb.backend.(backendCloner).resetFrom(t.backend)
 }
 
 // cloneSnapshot deep-copies the RCU env snapshot: every environment is
@@ -201,83 +228,116 @@ func cloneEnv(e *Env) *Env {
 	return ne
 }
 
+// restoreFrom puts back the parts of a cloned environment a dynamic
+// import rewrites in place — the view and the PKRU value — from the
+// template environment it was cloned from.
+func (e *Env) restoreFrom(t *Env) {
+	e.PKRU = t.PKRU
+	if e.View == nil {
+		return
+	}
+	t.viewMu.RLock()
+	e.viewMu.Lock()
+	clear(e.View)
+	for k, v := range t.View {
+		e.View[k] = v
+	}
+	e.viewMu.Unlock()
+	t.viewMu.RUnlock()
+}
+
 // --- Backend snapshot cloning ----------------------------------------
 
-// CloneFor implements BackendCloner: the baseline has no hardware state.
-func (b *BaselineBackend) CloneFor(c *LitterBox, _ Backend) (Backend, error) {
+func (b *BaselineBackend) cloneFor(c *LitterBox) (Backend, error) {
 	return &BaselineBackend{lb: c}, nil
 }
 
-// CloneFor implements BackendCloner for LB_MPK. The unit (key bitmap and
-// page key tags) is copied — or adopted from a recycled instance whose
-// generation proves it untouched — and the key assignment, color, and
-// filter-rule tables are copied by value. No gadget rescan runs: the
-// clone's text pages are bit-identical by CoW. No filter recompiles: the
-// cloned kernel already carries the compiled artifact pointer.
-func (b *MPKBackend) CloneFor(c *LitterBox, reuse Backend) (Backend, error) {
+func (b *BaselineBackend) resetFrom(Backend) {}
+
+// cloneFor copies the unit (key bitmap and page key tags; the copy
+// journals its own changes) and shares the key assignment, color and
+// filter-rule tables copy-on-write. No gadget rescan runs: the clone's
+// text pages are bit-identical by CoW. No filter recompiles: the cloned
+// kernel already carries the compiled artifact pointer.
+func (b *MPKBackend) cloneFor(c *LitterBox) (Backend, error) {
 	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
-	if b.virt != nil {
+	virt := b.virt != nil
+	b.stateMu.RUnlock()
+	if virt {
 		return nil, fmt.Errorf("%w: mpk with virtualised keys", ErrNotCloneable)
 	}
-	nb := &MPKBackend{
-		lb:        c,
-		keyByMeta: append([]int(nil), b.keyByMeta...),
-		keyOf:     make(map[string]int, len(b.keyOf)),
-		superKey:  b.superKey,
-	}
-	if prev, ok := reuse.(*MPKBackend); ok && prev.unit.Generation() == b.unit.Generation() {
-		nb.unit = prev.unit
-	} else {
-		nb.unit = b.unit.Clone(c.Space, c.Clock)
-	}
-	for k, v := range b.keyOf {
-		nb.keyOf[k] = v
-	}
-	if b.colorBySig != nil {
-		nb.colorBySig = make(map[pkruColorKey]int, len(b.colorBySig))
-		for k, v := range b.colorBySig {
-			nb.colorBySig[k] = v
-		}
-	}
-	b.mu.Lock()
-	nb.rules = make(map[uint32]seccomp.EnvRule, len(b.rules))
-	for k, v := range b.rules {
-		nb.rules[k] = v
-	}
-	b.mu.Unlock()
+	nb := &MPKBackend{lb: c, unit: b.unit.Clone(c.Space, c.Clock)}
+	nb.shareTables(b)
 	c.Kernel.SetPkeyOps(nb.unit)
 	return nb, nil
 }
 
-// CloneFor implements BackendCloner for LB_VTX: the machine's page
-// tables are deep-copied (or adopted on a clean recycle) and the
-// content-addressed signature registry is copied — its handle ids stay
-// valid because Machine.Clone preserves them.
-func (b *VTXBackend) CloneFor(c *LitterBox, reuse Backend) (Backend, error) {
-	nb := &VTXBackend{lb: c, sigs: make(map[string]int)}
+// resetFrom replays the unit's journal and re-points the tables at the
+// template's — no page-map or table copy.
+func (b *MPKBackend) resetFrom(tmpl Backend) {
+	b.unit.Revert()
+	b.shareTables(tmpl.(*MPKBackend))
+}
+
+// shareTables points b's key assignment, colors and filter rules at t's
+// and marks both sides copy-on-write.
+func (b *MPKBackend) shareTables(t *MPKBackend) {
+	t.stateMu.Lock()
+	b.stateMu.Lock()
+	b.keyByMeta, b.keyOf, b.superKey, b.colorBySig = t.keyByMeta, t.keyOf, t.superKey, t.colorBySig
+	t.keysShared, b.keysShared = true, true
+	b.stateMu.Unlock()
+	t.stateMu.Unlock()
+	t.mu.Lock()
+	b.mu.Lock()
+	b.rules = t.rules
+	t.rulesShared, b.rulesShared = true, true
+	b.mu.Unlock()
+	t.mu.Unlock()
+}
+
+// cloneFor deep-copies the machine's page tables and the
+// content-addressed signature registry — its handle ids stay valid
+// because Machine.Clone preserves them.
+func (b *VTXBackend) cloneFor(c *LitterBox) (Backend, error) {
+	nb := &VTXBackend{lb: c}
 	nb.noShare.Store(b.noShare.Load())
-	if prev, ok := reuse.(*VTXBackend); ok && prev.machine.Generation() == b.machine.Generation() {
-		nb.machine = prev.machine
-	} else {
-		nb.machine = b.machine.Clone(c.Space, c.Clock)
-	}
-	b.sigMu.Lock()
-	for k, v := range b.sigs {
-		nb.sigs[k] = v
-	}
-	b.sigMu.Unlock()
+	nb.copyMachine(b)
 	return nb, nil
 }
 
-// CloneFor implements BackendCloner for LB_CHERI: capability tables are
-// copied (or adopted on a clean recycle) with their ids preserved.
-func (b *CHERIBackend) CloneFor(c *LitterBox, reuse Backend) (Backend, error) {
-	nb := &CHERIBackend{lb: c}
-	if prev, ok := reuse.(*CHERIBackend); ok && prev.unit.Generation() == b.unit.Generation() {
-		nb.unit = prev.unit
-	} else {
-		nb.unit = b.unit.Clone(c.Clock)
+// resetFrom keeps the machine when its generation proves it untouched
+// since birth and re-copies it from the template otherwise: a tenant's
+// transfers and intersections rewrite shared physical tables in place,
+// which no journal short of the tables themselves could undo.
+func (b *VTXBackend) resetFrom(tmpl Backend) {
+	t := tmpl.(*VTXBackend)
+	if b.machine.Generation() != t.machine.Generation() {
+		b.copyMachine(t)
 	}
-	return nb, nil
+	b.noShare.Store(t.noShare.Load())
+}
+
+func (b *VTXBackend) copyMachine(t *VTXBackend) {
+	b.machine = t.machine.Clone(b.lb.Space, b.lb.Clock)
+	t.sigMu.Lock()
+	b.sigs = maps.Clone(t.sigs)
+	t.sigMu.Unlock()
+	if b.sigs == nil {
+		b.sigs = make(map[string]int)
+	}
+}
+
+// cloneFor copies the capability tables with their ids preserved.
+func (b *CHERIBackend) cloneFor(c *LitterBox) (Backend, error) {
+	return &CHERIBackend{lb: c, unit: b.unit.Clone(c.Clock)}, nil
+}
+
+// resetFrom keeps the unit when its generation proves it untouched
+// since birth and re-copies it from the template otherwise.
+func (b *CHERIBackend) resetFrom(tmpl Backend) {
+	t := tmpl.(*CHERIBackend)
+	if b.unit.Generation() != t.unit.Generation() {
+		b.unit = t.unit.Clone(b.lb.Clock)
+	}
 }

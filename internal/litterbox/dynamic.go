@@ -2,6 +2,8 @@ package litterbox
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -60,6 +62,7 @@ func (lb *LitterBox) AddDynamicPackage(cpu *hw.CPU, p *pkggraph.Package, secs []
 	}
 	// Track the package in the clustering tables as its own group; the
 	// MPK backend assigns it a fresh key below.
+	lb.ownMetaLocked()
 	metaIdx := len(lb.metaPkgs)
 	lb.pkgToMeta[p.Name] = metaIdx
 	lb.metaPkgs = append(lb.metaPkgs, []string{p.Name})
@@ -77,6 +80,7 @@ func (lb *LitterBox) AddDynamicPackage(cpu *hw.CPU, p *pkggraph.Package, secs []
 		// no enforcement state (MPK frees its key itself), so leaving the
 		// package in any view would advertise access no mechanism backs.
 		lb.mu.Lock()
+		lb.ownMetaLocked()
 		// Truncate only when ours is still the final group — removing an
 		// interior group would renumber every later meta-package. A
 		// retained singleton group is harmless: the package is in no
@@ -97,6 +101,17 @@ func (lb *LitterBox) AddDynamicPackage(cpu *hw.CPU, p *pkggraph.Package, secs []
 	}
 	lb.emit(cpu, obs.Event{Kind: obs.KindInit, Detail: fmt.Sprintf("dynamic package %s (+%d sections)", p.Name, len(secs))})
 	return nil
+}
+
+// ownMetaLocked gives lb private copies of shared clustering tables
+// before a write. Requires lb.mu.
+func (lb *LitterBox) ownMetaLocked() {
+	if !lb.metaShared {
+		return
+	}
+	lb.metaPkgs = slices.Clone(lb.metaPkgs)
+	lb.pkgToMeta = maps.Clone(lb.pkgToMeta)
+	lb.metaShared = false
 }
 
 // --- Baseline: nothing to enforce, nothing to map. -------------------
@@ -182,6 +197,7 @@ func (b *MPKBackend) MapDynamicPackage(cpu *hw.CPU, pkg string, secs []*mem.Sect
 	// the key space exactly as it found it.
 	fail := func(err error) error {
 		b.stateMu.Lock()
+		b.ownKeysLocked()
 		if n := len(b.keyByMeta); n > 0 && b.keyByMeta[n-1] == key {
 			b.keyByMeta = b.keyByMeta[:n-1]
 		}
@@ -191,6 +207,7 @@ func (b *MPKBackend) MapDynamicPackage(cpu *hw.CPU, pkg string, secs []*mem.Sect
 		return err
 	}
 	b.stateMu.Lock()
+	b.ownKeysLocked()
 	b.keyByMeta = append(b.keyByMeta, key)
 	b.keyOf[pkg] = key
 	b.stateMu.Unlock()
@@ -205,7 +222,7 @@ func (b *MPKBackend) MapDynamicPackage(cpu *hw.CPU, pkg string, secs []*mem.Sect
 	// trusted and the importers gain it) and re-derive the filter. The
 	// spare-key set shrank, so the color assignment restarts too.
 	b.mu.Lock()
-	b.rules = make(map[uint32]seccomp.EnvRule)
+	b.rules, b.rulesShared = make(map[uint32]seccomp.EnvRule), false
 	b.mu.Unlock()
 	b.stateMu.Lock()
 	b.colorBySig = nil

@@ -146,13 +146,19 @@ type LitterBox struct {
 	// for the contention benchmark's reference measurements.
 	snap        atomic.Pointer[envSnapshot]
 	lockedReads atomic.Bool
+	// birth is a clone's snapshot as CloneInto built it; ResetTo
+	// re-publishes it (nil on LitterBoxes not made by CloneInto).
+	birth *envSnapshot
 
 	// cpus maps *hw.Clock → *CPUState for worker CPUs (see domain.go).
 	cpus sync.Map
 
 	// Meta-package clustering results (for introspection and LB_MPK).
-	metaPkgs  [][]string
-	pkgToMeta map[string]int
+	// metaShared marks both as aliased with a snapshot template or
+	// clone: a dynamic import copies them before writing. Guarded by mu.
+	metaPkgs   [][]string
+	pkgToMeta  map[string]int
+	metaShared bool
 
 	aborted atomic.Bool
 	fault   atomic.Pointer[Fault]

@@ -53,6 +53,11 @@ type Unit struct {
 	used  [hw.NumKeys]bool
 	pages map[uint64]pte
 	muts  int64 // bumped on every key-table mutation (see clone.go)
+
+	// undo is a clone's journal (nil on units not made by Clone): the
+	// key bitmap and generation at birth, plus every page tag changed
+	// since with the entry it replaced. Revert replays it.
+	undo *journal
 }
 
 // NewUnit returns an MPK unit over the address space. Key 0 is
@@ -110,6 +115,9 @@ func (u *Unit) PkeyMprotect(base mem.Addr, size uint64, perm mem.Perm, key int) 
 	first := base.PageNumber()
 	last := (base + mem.Addr(size) - 1).PageNumber()
 	for p := first; p <= last; p++ {
+		if u.undo != nil {
+			u.undo.notePage(u.pages, p)
+		}
 		u.pages[p] = pte{perm: perm, key: key}
 	}
 	u.muts++

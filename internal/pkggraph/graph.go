@@ -10,6 +10,7 @@ package pkggraph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 )
@@ -96,6 +97,10 @@ type Graph struct {
 
 	// natural caches the natural-dependency set per package once sealed.
 	natural map[string]map[string]bool
+
+	// shared marks pkgs and natural as aliased with another graph (see
+	// Share): the next write copies both maps first.
+	shared bool
 }
 
 // New returns an empty graph.
@@ -181,6 +186,7 @@ func (g *Graph) AddIncremental(p *Package) error {
 			return fmt.Errorf("%w: %s imports %s", ErrMissingDep, p.Name, im)
 		}
 	}
+	g.ownLocked()
 	g.pkgs[p.Name] = p
 	g.natural[p.Name] = g.naturalLocked(p.Name)
 	return nil
@@ -245,26 +251,40 @@ func (g *Graph) naturalLocked(name string) map[string]bool {
 	return set
 }
 
-// Clone returns an independently mutable copy of the graph for a warm
-// snapshot clone: AddIncremental on either side is invisible to the
-// other. Package structs and cached natural-dependency sets are shared —
-// both are immutable once registered (imports are append-only and
-// existing closures never change).
-func (g *Graph) Clone() *Graph {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	c := &Graph{
-		pkgs:    make(map[string]*Package, len(g.pkgs)),
-		natural: make(map[string]map[string]bool, len(g.natural)),
-		closed:  g.closed,
+// Share returns a graph aliasing g's tables for a warm snapshot: both
+// sides copy the package and natural-dependency maps before their next
+// write, so AddIncremental on either is invisible to the other. Package
+// structs and cached natural-dependency sets are never copied — both
+// are immutable once registered (imports are append-only and existing
+// closures never change).
+func (g *Graph) Share() *Graph {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.shared = true
+	return &Graph{pkgs: g.pkgs, natural: g.natural, closed: g.closed, shared: true}
+}
+
+// ResetTo re-points g at src's tables copy-on-write on both sides,
+// discarding every package added since — how a recycled snapshot
+// instance forgets its tenant's dynamic imports in O(1).
+func (g *Graph) ResetTo(src *Graph) {
+	src.mu.Lock()
+	pkgs, natural, closed := src.pkgs, src.natural, src.closed
+	src.shared = true
+	src.mu.Unlock()
+	g.mu.Lock()
+	g.pkgs, g.natural, g.closed, g.shared = pkgs, natural, closed, true
+	g.mu.Unlock()
+}
+
+// ownLocked gives g private copies of shared tables before a write.
+func (g *Graph) ownLocked() {
+	if !g.shared {
+		return
 	}
-	for n, p := range g.pkgs {
-		c.pkgs[n] = p
-	}
-	for n, s := range g.natural {
-		c.natural[n] = s
-	}
-	return c
+	g.pkgs = maps.Clone(g.pkgs)
+	g.natural = maps.Clone(g.natural)
+	g.shared = false
 }
 
 // Lookup returns the named package.

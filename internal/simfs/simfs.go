@@ -47,6 +47,10 @@ type inode struct {
 type FS struct {
 	mu     sync.RWMutex
 	inodes map[string]*inode
+
+	// shared marks inodes (the table and every inode in it) as aliased
+	// with another FS (see Share): the next mutation copies them first.
+	shared bool
 }
 
 // New returns a filesystem containing only the root directory.
@@ -64,6 +68,7 @@ func (fs *FS) MkdirAll(p string) error {
 	p = clean(p)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.ownLocked()
 	parts := strings.Split(strings.TrimPrefix(p, "/"), "/")
 	cur := ""
 	for _, part := range parts {
@@ -93,6 +98,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.ownLocked()
 	if in, ok := fs.inodes[p]; ok {
 		if in.dir {
 			return fmt.Errorf("%w: %s", ErrIsDir, p)
@@ -128,6 +134,7 @@ func (fs *FS) Remove(p string) error {
 	p = clean(p)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.ownLocked()
 	in, ok := fs.inodes[p]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, p)
@@ -199,6 +206,10 @@ func (fs *FS) Open(p string, flags int) (*File, error) {
 		return nil, ErrBadFlags
 	}
 	fs.mu.Lock()
+	if accMode != ORdonly || flags&OCreat != 0 {
+		// Only a read-only handle may keep pointing into a shared table.
+		fs.ownLocked()
+	}
 	in, ok := fs.inodes[p]
 	if !ok {
 		if flags&OCreat == 0 {
@@ -334,18 +345,43 @@ func (f *File) Close() error {
 	return nil
 }
 
-// Clone returns a deep copy of the filesystem for a warm-enclosure
-// snapshot: inode contents are copied so writes on either side stay
-// private. Open File handles are not carried over — snapshot capture
-// requires a quiescent fd table.
-func (fs *FS) Clone() *FS {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	c := &FS{inodes: make(map[string]*inode, len(fs.inodes))}
+// Share returns a filesystem aliasing fs's inodes for a warm-enclosure
+// snapshot: both sides copy the whole namespace before their next
+// mutation (a write-mode open counts), so writes on either side stay
+// private while a side that never writes copies nothing. Open File
+// handles are not carried over — snapshot capture requires a quiescent
+// fd table.
+func (fs *FS) Share() *FS {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.shared = true
+	return &FS{inodes: fs.inodes, shared: true}
+}
+
+// ResetTo re-points fs at src's namespace copy-on-write on both sides,
+// discarding every file created or written since — a recycled snapshot
+// instance's reset in O(1).
+func (fs *FS) ResetTo(src *FS) {
+	src.mu.Lock()
+	inodes := src.inodes
+	src.shared = true
+	src.mu.Unlock()
+	fs.mu.Lock()
+	fs.inodes, fs.shared = inodes, true
+	fs.mu.Unlock()
+}
+
+// ownLocked gives fs a private deep copy of a shared namespace before a
+// mutation. Requires the write lock.
+func (fs *FS) ownLocked() {
+	if !fs.shared {
+		return
+	}
+	own := make(map[string]*inode, len(fs.inodes))
 	for p, in := range fs.inodes {
 		in.mu.RLock()
-		c.inodes[p] = &inode{data: append([]byte(nil), in.data...), dir: in.dir}
+		own[p] = &inode{data: append([]byte(nil), in.data...), dir: in.dir}
 		in.mu.RUnlock()
 	}
-	return c
+	fs.inodes, fs.shared = own, false
 }

@@ -512,3 +512,17 @@ func (n *Net) Clone() (*Net, error) {
 		nextPort:  n.nextPort,
 	}, nil
 }
+
+// ResetTo returns a namespace cloned from the quiescent src to src's
+// state in place: listeners and accept shards are dropped and the
+// ephemeral port cursor rewinds, without allocating.
+func (n *Net) ResetTo(src *Net) {
+	src.mu.Lock()
+	port := src.nextPort
+	src.mu.Unlock()
+	n.mu.Lock()
+	clear(n.listeners)
+	clear(n.shards)
+	n.nextPort = port
+	n.mu.Unlock()
+}

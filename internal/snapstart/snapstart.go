@@ -3,25 +3,32 @@
 // then serve every subsequent request from a clone instead of a cold
 // build. A clone shares everything immutable with the template —
 // copy-on-write memory pages, verification-token tables, compiled
-// seccomp artifacts, symbol tables, package closures — and freshly
-// initialises only per-instance mutable state: the address-space dirty
-// set, the clock, the kernel (file system, network, RNG cursor), the
-// process, and the backend enforcement unit.
+// seccomp artifacts, symbol tables, package closures — shares the
+// rarely written tables (package graph, clustering and MPK key tables,
+// file system) copy-on-write, and copies only what enforcement mutates
+// in place: the environments, the backend unit, and the section-bound
+// image, span and heap indexes.
 //
-// A live instance can also be recycled in place (Instance.Recycle):
-// its memory is reverted to the snapshot (O(dirty pages)), its kernel
-// and litterbox are re-cloned from the template (cheap map copies), and
-// its backend hardware unit is adopted as-is when a mutation-generation
-// check proves it untouched since birth — the expensive
-// page-tag/page-table copies are skipped entirely on the common path.
-// The bounded free-list of recycled instances the engine draws from is
-// core.WarmPool.
+// A live instance can also be recycled in place (Instance.Recycle), at
+// a cost proportional to what its tenant changed, with no layer
+// re-copied from the template: memory reverts its dirty pages, the MPK
+// unit replays its tag journal, the kernel its span journal, and the
+// copy-on-write tables re-point at the template's. VTX and CHERI keep
+// their unit when its mutation generation proves it untouched and
+// re-copy it otherwise. The bounded free-list of recycled instances the
+// engine draws from is core.WarmPool.
+//
+// Capture does not hand the live source world to its clones: it takes a
+// frozen clone of the source's non-memory layers, whose tables the
+// source from then on copies before writing, so a program that keeps
+// running after capture (the engine's cold fallback) never shows its
+// later writes to instances or recycles.
 //
 // Correctness contract, proved by the probe corpus (probe.Warm's clone
 // and recycled arms): a cloned or recycled instance is digest-identical
 // to a cold-built world, and recycling leaks nothing across tenants —
 // Revert rolls back every memory write, and kernel/process/backend
-// state is rebuilt from the pre-tenant template.
+// state returns to the pre-tenant template.
 package snapstart
 
 import (
@@ -50,9 +57,10 @@ type Parts struct {
 	Clock *hw.Clock
 }
 
-// Template is a captured post-init world. It is frozen: callers must
-// not run enclosure code against the template's litterbox after
-// capture. Instantiate may be called concurrently.
+// Template is a captured post-init world. It is frozen: its parts are
+// a clone of the source world's non-memory layers that nothing runs on,
+// over the source's address space, which instances clone copy-on-write.
+// Instantiate may be called concurrently.
 type Template struct {
 	parts Parts
 
@@ -89,7 +97,11 @@ func Capture(p Parts) (*Template, error) {
 	if p.Space == nil || p.Img == nil || p.K == nil || p.Proc == nil || p.LB == nil {
 		return nil, errors.New("snapstart: incomplete parts")
 	}
-	t := &Template{parts: p}
+	frozen, err := cloneParts(p, p.Space, nil, p.Clock)
+	if err != nil {
+		return nil, fmt.Errorf("snapstart: world is not cloneable: %w", err)
+	}
+	t := &Template{parts: frozen}
 	inst, err := t.newInstance()
 	if err != nil {
 		return nil, fmt.Errorf("snapstart: world is not cloneable: %w", err)
@@ -124,53 +136,51 @@ func (t *Template) newInstance() (*Instance, error) {
 	// CloneCoW serialises on the space's own lock; concurrent
 	// instantiations are safe.
 	space, secMap := t.parts.Space.CloneCoW()
-	clock := hw.NewClock()
-	inst := &Instance{Space: space, Clock: clock, t: t, secMap: secMap}
-	if err := t.rebuildInto(inst, nil); err != nil {
+	parts, err := cloneParts(t.parts, space, secMap, hw.NewClock())
+	if err != nil {
 		return nil, err
 	}
 	t.clones.Add(1)
-	return inst, nil
+	return &Instance{
+		Space: space, Img: parts.Img, K: parts.K, Proc: parts.Proc, LB: parts.LB, Clock: parts.Clock,
+		t: t, secMap: secMap,
+	}, nil
 }
 
-// rebuildInto wires the non-memory layers of an instance from the
-// template: image over the instance's space, kernel, process, and
-// litterbox. reuse, when non-nil, is the instance's previous litterbox
-// whose backend unit may be adopted (generation-checked) on recycle.
-func (t *Template) rebuildInto(inst *Instance, reuse *litterbox.LitterBox) error {
-	graph := t.parts.Img.Graph.Clone()
-	img := t.parts.Img.CloneWith(inst.Space, graph, inst.secMap)
-	k, err := t.parts.K.Clone(inst.Space, inst.Clock, inst.secMap)
+// cloneParts clones the non-memory layers of p onto space (whose
+// sections secMap maps from p's; nil when space is p's own) and clock:
+// graph shared copy-on-write, image rebound, kernel and process cloned,
+// and a litterbox clone with its own backend unit.
+func cloneParts(p Parts, space *mem.AddressSpace, secMap map[*mem.Section]*mem.Section, clock *hw.Clock) (Parts, error) {
+	img := p.Img.CloneWith(space, p.Img.Graph.Share(), secMap)
+	k, err := p.K.Clone(space, clock, secMap)
 	if err != nil {
-		return err
+		return Parts{}, err
 	}
-	proc, err := t.parts.Proc.CloneInto(k)
+	proc, err := p.Proc.CloneInto(k)
 	if err != nil {
-		return err
+		return Parts{}, err
 	}
-	lb, err := t.parts.LB.CloneInto(litterbox.CloneDeps{
-		Image:  img,
-		Kernel: k,
-		Proc:   proc,
-		Clock:  inst.Clock,
-		Reuse:  reuse,
-	})
+	lb, err := p.LB.CloneInto(litterbox.CloneDeps{Image: img, Kernel: k, Proc: proc, Clock: clock})
 	if err != nil {
-		return err
+		return Parts{}, err
 	}
-	inst.Img, inst.K, inst.Proc, inst.LB = img, k, proc, lb
-	return nil
+	return Parts{Space: space, Img: img, K: k, Proc: proc, LB: lb, Clock: clock}, nil
 }
 
 // Recycle resets the instance to template state in place — the warm-pool
-// fast path. Memory reverts to the snapshot in O(dirty pages); the
-// kernel, process, image binding, and litterbox are re-cloned from the
-// template (map copies); the backend's hardware unit is adopted without
-// copying when its mutation generation proves it untouched since the
-// instance's birth, and re-cloned from the template otherwise. The
-// environment snapshot is rebuilt from the template, so any views,
-// intersection environments, or dynamic imports the previous tenant
-// created are invalidated wholesale.
+// fast path — at a cost proportional to what the previous tenant
+// changed; no layer is re-copied from the template. Memory reverts its
+// dirty pages; the image and package graph drop dynamic imports by
+// re-pointing at their birth and template tables; the kernel replays
+// its span journal, re-points its file system at the template's
+// copy-on-write and rewinds its cursors; the process empties its fd
+// table; the litterbox re-publishes its birth environment snapshot,
+// clears worker bindings and the abort, and resets its backend (MPK
+// replays the unit's tag journal; VTX and CHERI keep their unit when
+// its generation proves it untouched and re-copy it otherwise). Every
+// object keeps its identity, so environment and section pointers taken
+// before the recycle stay valid.
 //
 // After Recycle the instance is indistinguishable — digest-identical on
 // the probe corpus — from a freshly instantiated clone, except that its
@@ -180,11 +190,14 @@ func (inst *Instance) Recycle() error {
 	if err := inst.Space.Revert(); err != nil {
 		return err
 	}
-	if err := inst.t.rebuildInto(inst, inst.LB); err != nil {
-		return err
-	}
+	t := inst.t
+	inst.Img.Reset()
+	inst.Img.Graph.ResetTo(t.parts.Img.Graph)
+	inst.K.ResetTo(t.parts.K)
+	inst.Proc.ResetTo(t.parts.Proc)
+	inst.LB.ResetTo(t.parts.LB)
 	inst.gen++
-	inst.t.recycles.Add(1)
+	t.recycles.Add(1)
 	return nil
 }
 
