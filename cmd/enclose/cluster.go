@@ -4,9 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 
-	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
 	"github.com/litterbox-project/enclosure/internal/bench"
 	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/core"
@@ -38,14 +36,9 @@ func runCluster(args []string) {
 		os.Exit(1)
 	}
 
-	const port = 8200
-	build := func() (*core.Program, error) { return httpserv.ConnProgram(kind) }
-	start := func(n *cluster.Node) (func(), error) {
-		srv, err := httpserv.ServeEngine(n.Engine(), port, n.Prog().MustEnclosure("handler"))
-		if err != nil {
-			return nil, err
-		}
-		return func() { srv.Close() }, nil
+	build, start, err := bench.ClusterApp("HTTP", kind)
+	if err != nil {
+		fail(err)
 	}
 
 	fmt.Printf("Building %d %s nodes (8 vCPUs each) behind the consistent-hash balancer...\n", *nodes, kind)
@@ -61,44 +54,8 @@ func runCluster(args []string) {
 	fmt.Printf("  image replication: %d blobs shipped by node0, %d deduplicated by the %d later joins (%d bytes saved)\n\n",
 		st.BlobsShipped, st.BlobsDeduped, *nodes-1, st.BytesDeduped)
 
-	get := func(session string, buf *[]byte) error {
-		n, err := c.Route(session)
-		if err != nil {
-			return err
-		}
-		got, err := bench.HTTPGet(n.Prog().Net(), port, "/", buf)
-		if err != nil {
-			return err
-		}
-		if got != httpserv.PageSize13KB {
-			return fmt.Errorf("body %dB, want %dB", got, httpserv.PageSize13KB)
-		}
-		return nil
-	}
-	drive := func(total, conc int) error {
-		var wg sync.WaitGroup
-		errs := make(chan error, conc)
-		for cl := 0; cl < conc; cl++ {
-			wg.Add(1)
-			go func(cl int) {
-				defer wg.Done()
-				session := fmt.Sprintf("client-%d", cl)
-				var buf []byte
-				for i := 0; i < total/conc; i++ {
-					if err := get(session, &buf); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(cl)
-		}
-		wg.Wait()
-		close(errs)
-		return <-errs
-	}
-
 	fmt.Printf("Driving %d closed-loop requests over %d sessions...\n", *requests, 32)
-	if err := drive(*requests, 32); err != nil {
+	if err := bench.DriveSessions(c, 32, *requests/32); err != nil {
 		fail(err)
 	}
 	fmt.Println(cluster.MetricsString(c.Metrics()))
@@ -113,24 +70,33 @@ func runCluster(args []string) {
 	fmt.Printf("Join: %s replicated its image — %d/%d blobs deduplicated, %d shipped.\n",
 		n.ID(), after.BlobsDeduped-before.BlobsDeduped, before.BlobsShipped, after.BlobsShipped-before.BlobsShipped)
 
-	// A session migrates: env state re-verified on the target, then the
-	// session pins there.
+	// A session migrates to the joined node (or, when the balancer
+	// already routes it there, to another node): env state re-verified
+	// on the target, then the session pins there.
 	session := "client-0"
 	from, err := c.Route(session)
 	if err != nil {
 		fail(err)
 	}
-	if err := c.MigrateSession(session, from.ID(), n.ID()); err != nil {
+	to := n
+	if to.ID() == from.ID() {
+		for _, m := range c.Nodes() {
+			if m.ID() != from.ID() {
+				to = m // the last other node: node0 leaves below
+			}
+		}
+	}
+	if err := c.MigrateSession(session, from.ID(), to.ID()); err != nil {
 		fail(err)
 	}
 	fmt.Printf("Migrate: session %q moved %s -> %s after policy re-verification; routing now honours the pin.\n",
-		session, from.ID(), n.ID())
+		session, from.ID(), to.ID())
 
 	// A node leaves under load: drained, not dropped.
 	if err := c.RemoveNode("node0"); err != nil {
 		fail(err)
 	}
-	if err := drive(*requests/2, 32); err != nil {
+	if err := bench.DriveSessions(c, 32, *requests/2/32); err != nil {
 		fail(err)
 	}
 	fmt.Printf("Leave: node0 drained and left; %d more requests served by the survivors.\n\n", *requests/2)

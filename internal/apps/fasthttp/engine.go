@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/core"
-	"github.com/litterbox-project/enclosure/internal/engine"
 )
 
 // engineWorker is one worker's FastHTTP state: its reused buffer set
@@ -18,34 +17,14 @@ type engineWorker struct {
 	handler *core.Handle
 }
 
-// ConnProgram builds the program NewConnHandler serves: main (holding
-// the db_password secret) importing FastHTTP, and the "server"
-// enclosure wrapping the package's ServeConn under Policy. Options
-// apply to the builder (a tracer, say).
-func ConnProgram(kind core.BackendKind, opts ...core.Option) (*core.Program, error) {
-	b := core.NewBuilder(kind, opts...)
-	b.Package(core.PackageSpec{
-		Name:    "main",
-		Imports: []string{Pkg},
-		Vars:    map[string]int{"db_password": 64},
-		Origin:  "app", LOC: 76,
-	})
-	Register(b)
-	b.Enclosure("server", "main", Policy,
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-			return t.Call(Pkg, "ServeConn", args...)
-		}, Pkg)
-	return b.Build()
-}
-
 // NewConnHandler returns the per-connection service function FastHTTP
 // runs on an engine worker — the connection is serviced *inside the
-// server enclosure* (entered per connection; server must wrap the
-// package's ServeConn), forwarding parsed requests to that worker's
-// trusted handler task — plus a stop function that shuts the per-worker
-// handlers down and returns their first error. Shared by ServeEngine
-// and the open-loop load generator; call stop after the work is
-// drained.
+// server enclosure* (entered per connection with ServeConnArgs),
+// forwarding parsed requests to that worker's trusted handler task —
+// plus a stop function that shuts the per-worker handlers down and
+// returns their first error. A sharded accept loop
+// (engine.ServeOpts.Conn) and the open-loop load generator both run it;
+// call stop after the work is drained.
 func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task, fd int) error, stop func() error) {
 	var mu sync.Mutex
 	workers := make(map[*core.WorkerCtx]*engineWorker)
@@ -82,18 +61,4 @@ func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task
 		return first
 	}
 	return conn, stop
-}
-
-// ServeEngine runs FastHTTP across an engine's workers: a sharded
-// accept loop feeds each accepted connection to the NewConnHandler
-// per-connection function. The returned stop function shuts the
-// handlers down and returns their first error; call it after the
-// accept loop and engine are drained.
-func ServeEngine(e *engine.Engine, port uint16, server *core.Enclosure, page []byte) (*engine.Server, func() error, error) {
-	conn, stop := NewConnHandler(server, page)
-	srv, err := e.Serve(engine.ServeOpts{Port: port, Conn: conn})
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, stop, nil
 }

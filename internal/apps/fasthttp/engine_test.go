@@ -22,7 +22,7 @@ const pageRequestAllocs = 40
 
 // TestEnginePageRequestAllocs pins pageRequestAllocs.
 func TestEnginePageRequestAllocs(t *testing.T) {
-	prog, err := fasthttp.ConnProgram(core.MPK, core.WithSyscallRing(32))
+	prog, err := fasthttp.Program(core.MPK, fasthttp.Policy, core.WithSyscallRing(32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,6 +92,31 @@ func Register(b *core.Builder) {
 	})
 }
 
+// Program builds the FastHTTP benchmark program: main (holding the
+// db_password secret the server must never see) importing FastHTTP,
+// and the "server" enclosure under policy. The enclosure enters the
+// package entry its argument names: ServeArgs runs Serve, the serial
+// accept loop; ServeConnArgs runs ServeConn, one engine connection.
+// Options apply to the builder (a tracer, a syscall ring).
+func Program(kind core.BackendKind, policy string, opts ...core.Option) (*core.Program, error) {
+	b := core.NewBuilder(kind, opts...)
+	b.Package(core.PackageSpec{
+		Name:    "main",
+		Imports: []string{Pkg},
+		Vars:    map[string]int{"db_password": 64},
+		Origin:  "app", LOC: 76,
+	})
+	Register(b)
+	b.Enclosure("server", "main", policy,
+		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
+			if _, ok := args[0].(ServeArgs); ok {
+				return t.Call(Pkg, "Serve", args[0])
+			}
+			return t.Call(Pkg, "ServeConn", args[0])
+		}, Pkg)
+	return b.Build()
+}
+
 // EnclosedLOC sums the public code the enclosure confines.
 func EnclosedLOC() int {
 	total := 90000

@@ -32,6 +32,11 @@ const HandlerPkg = "handler"
 // PageSize13KB is the static page size the paper serves.
 const PageSize13KB = 13 * 1024
 
+// HandlerPolicy is the Table 2 net/http row's declared enclosure
+// policy: "the request handler [is] an enclosure with no access to the
+// packages used by net/http and no system calls."
+const HandlerPolicy = "sys:none"
+
 // Modelled per-request service costs (ns) for the net/http framework,
 // calibrated so the baseline reaches the paper's 16991 req/s (≈58.8µs
 // per request): connection setup and teardown bookkeeping, request
@@ -74,6 +79,23 @@ func Register(b *core.Builder) {
 		LOC:    31,
 		Consts: map[string][]byte{"page": StaticPage()},
 	})
+}
+
+// Program builds the net/http benchmark program: main importing
+// net/http and the handler package, and the "handler" enclosure over
+// HandlerBody under handlerPolicy. Both entries serve it: the serial
+// Serve loop and the per-connection NewConnHandler. Options apply to
+// the builder (a tracer, say).
+func Program(kind core.BackendKind, handlerPolicy string, opts ...core.Option) (*core.Program, error) {
+	b := core.NewBuilder(kind, opts...)
+	b.Package(core.PackageSpec{
+		Name:    "main",
+		Imports: []string{Pkg, HandlerPkg},
+		Origin:  "app", LOC: 31,
+	})
+	Register(b)
+	b.Enclosure("handler", "main", handlerPolicy, HandlerBody, HandlerPkg)
+	return b.Build()
 }
 
 // StaticPage builds the deterministic 13KB HTML document.

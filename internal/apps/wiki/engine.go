@@ -19,33 +19,9 @@ type wikiWorker struct {
 	proxy *core.Handle
 }
 
-// ConnProgram builds the program NewConnHandler serves (the Figure 5
-// topology): main holding the secrets, the ○B "http-server" enclosure
-// wrapping mux's ServeConn, and the ○C "db-proxy" enclosure wrapping
-// pq's Proxy. Options apply to the builder (a tracer, say).
-func ConnProgram(kind core.BackendKind, opts ...core.Option) (*core.Program, error) {
-	b := core.NewBuilder(kind, opts...)
-	b.Package(core.PackageSpec{
-		Name:    "main",
-		Imports: []string{MuxPkg, PqPkg},
-		Vars:    map[string]int{"db_password": 32, "page_templates": 4096},
-		Origin:  "app", LOC: 120,
-	})
-	Register(b)
-	b.Enclosure("http-server", "main", PolicyServer,
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-			return t.Call(MuxPkg, "ServeConn", args...)
-		}, MuxPkg)
-	b.Enclosure("db-proxy", "main", PolicyProxy,
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-			return t.Call(PqPkg, "Proxy", args[0])
-		}, PqPkg)
-	return b.Build()
-}
-
 // NewConnHandler returns the per-connection service function the wiki
-// runs on an engine worker. server must be the ○B enclosure wrapping
-// mux's ServeConn; proxy must be the ○C enclosure wrapping pq's Proxy.
+// runs on an engine worker. server and proxy are Program's ○B and ○C
+// enclosures; each connection enters ○B with ServeConnArgs.
 // Each worker gets its own glue and proxy tasks (and so its own
 // database connection). The returned stop function shuts the
 // per-worker pipelines down and returns every worker error joined

@@ -120,6 +120,35 @@ func Register(b *core.Builder) {
 	})
 }
 
+// Program builds the Figure 5 program: main holding the secrets, the
+// ○B "http-server" enclosure over mux under serverPolicy, and the ○C
+// "db-proxy" enclosure over pq's Proxy under proxyPolicy. ○B enters the
+// mux entry its argument names: ServeArgs runs Serve, the serial
+// accept loop; ServeConnArgs runs ServeConn, one engine connection.
+// Options apply to the builder (a tracer, say).
+func Program(kind core.BackendKind, serverPolicy, proxyPolicy string, opts ...core.Option) (*core.Program, error) {
+	b := core.NewBuilder(kind, opts...)
+	b.Package(core.PackageSpec{
+		Name:    "main",
+		Imports: []string{MuxPkg, PqPkg},
+		Vars:    map[string]int{"db_password": 32, "page_templates": 4096},
+		Origin:  "app", LOC: 120,
+	})
+	Register(b)
+	b.Enclosure("http-server", "main", serverPolicy,
+		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
+			if _, ok := args[0].(ServeArgs); ok {
+				return t.Call(MuxPkg, "Serve", args[0])
+			}
+			return t.Call(MuxPkg, "ServeConn", args[0])
+		}, MuxPkg)
+	b.Enclosure("db-proxy", "main", proxyPolicy,
+		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
+			return t.Call(PqPkg, "Proxy", args[0])
+		}, PqPkg)
+	return b.Build()
+}
+
 // Request is ② — a parsed HTTP request forwarded to trusted code.
 type Request struct {
 	Kind string // "view", "save", "quit"

@@ -169,20 +169,7 @@ func boolMetric(b bool) float64 {
 // access signature share one — which is what keeps real programs within
 // the 16 keys.
 func runClusteringAblation() (AblationResult, error) {
-	b := core.NewBuilder(core.MPK)
-	b.Package(core.PackageSpec{
-		Name:    "main",
-		Imports: []string{"github.com/gorilla/mux", "github.com/lib/pq"},
-		Vars:    map[string]int{"db_password": 32},
-	})
-	wiki.Register(b)
-	b.Enclosure("http-server", "main", "sys:net,io; connect:none",
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) { return nil, nil },
-		"github.com/gorilla/mux")
-	b.Enclosure("db-proxy", "main", "sys:net,io; connect:10.0.0.2",
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) { return nil, nil },
-		"github.com/lib/pq")
-	prog, err := b.Build()
+	prog, err := wiki.Program(core.MPK, wiki.PolicyServer, wiki.PolicyProxy)
 	if err != nil {
 		return AblationResult{}, err
 	}

@@ -9,9 +9,12 @@ package bench
 //              compile, backend install); the pre-snapshot baseline
 //   clone    — Template.Instantiate: CoW memory clone plus shallow
 //              copies of the verdict tables and kernel state
-//   recycled — Template.Recycle of a used instance: O(dirty-pages)
-//              revert plus the clone's table rebuild, adopting the
-//              backend unit when its generation is untouched
+//   recycled — Template.Recycle of a used instance, reset in place at
+//              the cost of what the tenant changed: memory reverts its
+//              dirty pages, MPK replays its tag journal, VTX and CHERI
+//              keep their unit while its generation is untouched (and
+//              re-copy it otherwise), and the shared tables re-point at
+//              the template's
 //
 // Times are host wall-clock (instantiation is host work; the virtual
 // clock never advances during a build or clone). Every arm is

@@ -35,9 +35,9 @@ var ClusterPairs = []struct {
 	{"FastHTTP", core.MPK},
 }
 
-// clusterPort is the per-node data-plane port; every node has its own
+// ClusterPort is the per-node data-plane port; every node has its own
 // simnet, so the port does not collide across nodes.
-const clusterPort = 8200
+const ClusterPort = 8200
 
 // ClusterEntry is one cell of the cluster scaling table.
 type ClusterEntry struct {
@@ -58,27 +58,30 @@ type ClusterEntry struct {
 	BytesDeduped int64 `json:"bytes_deduped"`
 }
 
-// clusterApp returns the Build and Start hooks for one app/backend
-// pair.
-func clusterApp(app string, kind core.BackendKind) (
+// ClusterApp returns the Build and Start hooks for one app/backend
+// pair: each node builds the app's program and serves it on
+// ClusterPort through a sharded accept loop.
+func ClusterApp(app string, kind core.BackendKind) (
 	build func() (*core.Program, error),
 	start func(n *cluster.Node) (func(), error),
 	err error,
 ) {
 	switch app {
 	case "HTTP":
-		build = func() (*core.Program, error) { return httpserv.ConnProgram(kind) }
+		build = func() (*core.Program, error) { return httpserv.Program(kind, httpserv.HandlerPolicy) }
 		start = func(n *cluster.Node) (func(), error) {
-			srv, err := httpserv.ServeEngine(n.Engine(), clusterPort, n.Prog().MustEnclosure("handler"))
+			conn := httpserv.NewConnHandler(n.Prog().MustEnclosure("handler"))
+			srv, err := n.Engine().Serve(engine.ServeOpts{Port: ClusterPort, Conn: conn})
 			if err != nil {
 				return nil, err
 			}
 			return func() { srv.Close() }, nil
 		}
 	case "FastHTTP":
-		build = func() (*core.Program, error) { return fasthttp.ConnProgram(kind) }
+		build = func() (*core.Program, error) { return fasthttp.Program(kind, fasthttp.Policy) }
 		start = func(n *cluster.Node) (func(), error) {
-			srv, stop, err := fasthttp.ServeEngine(n.Engine(), clusterPort, n.Prog().MustEnclosure("server"), httpserv.StaticPage())
+			conn, stop := fasthttp.NewConnHandler(n.Prog().MustEnclosure("server"), httpserv.StaticPage())
+			srv, err := n.Engine().Serve(engine.ServeOpts{Port: ClusterPort, Conn: conn})
 			if err != nil {
 				return nil, err
 			}
@@ -93,6 +96,39 @@ func clusterApp(app string, kind core.BackendKind) (
 	return build, start, nil
 }
 
+// DriveSessions loads a cluster closed-loop: sessions concurrent
+// clients, named client-0 onward, each send perSession requests for the
+// 13KB page to whichever node the balancer routes their session to. It
+// returns the first error.
+func DriveSessions(c *cluster.Cluster, sessions, perSession int) error {
+	req, check := benchGet("/"), bodyLen(httpserv.PageSize13KB)
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for cl := 0; cl < sessions; cl++ {
+		wg.Add(1)
+		go func(session string) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < perSession; i++ {
+				n, err := c.Route(session)
+				if err == nil {
+					var body []byte
+					if body, err = HTTPGet(n.Prog().Net(), ClusterPort, req, &buf); err == nil {
+						err = check(body)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(fmt.Sprintf("client-%d", cl))
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
+
 // clusterCell drives one (app, backend, nodes) measurement: a cluster
 // of n nodes × 8 workers behind the consistent-hash balancer, loaded
 // closed-loop by 2 clients per vCPU, each client a session the ring
@@ -100,7 +136,7 @@ func clusterApp(app string, kind core.BackendKind) (
 // slowest-worker clock advance — the wall clock of a cluster whose
 // nodes run in parallel.
 func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, error) {
-	build, start, err := clusterApp(app, kind)
+	build, start, err := ClusterApp(app, kind)
 	if err != nil {
 		return ClusterEntry{}, err
 	}
@@ -118,44 +154,8 @@ func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, er
 
 	total := ClusterRequestsPerVCPU * nodes * ClusterWorkersPerNode
 	conc := 2 * nodes * ClusterWorkersPerNode
-	get := func(session string, buf *[]byte) error {
-		n, err := c.Route(session)
-		if err != nil {
-			return err
-		}
-		got, err := HTTPGet(n.Prog().Net(), clusterPort, "/", buf)
-		if err != nil {
-			return err
-		}
-		if got != httpserv.PageSize13KB {
-			return fmt.Errorf("body %dB, want %dB", got, httpserv.PageSize13KB)
-		}
-		return nil
-	}
-	drive := func(perClient int) error {
-		var wg sync.WaitGroup
-		errs := make(chan error, conc)
-		for cl := 0; cl < conc; cl++ {
-			wg.Add(1)
-			go func(cl int) {
-				defer wg.Done()
-				session := fmt.Sprintf("client-%d", cl)
-				var buf []byte
-				for i := 0; i < perClient; i++ {
-					if err := get(session, &buf); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(cl)
-		}
-		wg.Wait()
-		close(errs)
-		return <-errs
-	}
-
 	// Warm-up: one request per client primes every node's buffers.
-	if err := drive(1); err != nil {
+	if err := DriveSessions(c, conc, 1); err != nil {
 		return ClusterEntry{}, err
 	}
 	members := c.Nodes()
@@ -163,7 +163,7 @@ func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, er
 	for i, n := range members {
 		before[i] = n.Engine().Metrics()
 	}
-	if err := drive(total / conc); err != nil {
+	if err := DriveSessions(c, conc, total/conc); err != nil {
 		return ClusterEntry{}, err
 	}
 	var elapsed int64

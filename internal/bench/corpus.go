@@ -2,6 +2,7 @@ package bench
 
 import (
 	"github.com/litterbox-project/enclosure/internal/apps/fasthttp"
+	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
 	"github.com/litterbox-project/enclosure/internal/apps/wiki"
 	"github.com/litterbox-project/enclosure/internal/core"
 )
@@ -52,15 +53,15 @@ func CorpusApps() []CorpusApp {
 		},
 		{
 			Name:     "httpserv",
-			Declared: map[string]string{"handler": HTTPHandlerPolicy},
+			Declared: map[string]string{"handler": httpserv.HandlerPolicy},
 			Exercise: func(kind core.BackendKind, policies map[string]string, opts ...core.Option) (*core.Program, error) {
-				prog, err := buildHTTP(kind, policyOr(policies, "handler", HTTPHandlerPolicy), opts...)
+				prog, err := httpserv.Program(kind, policyOr(policies, "handler", httpserv.HandlerPolicy), opts...)
 				if err != nil {
 					return nil, err
 				}
 				// A short loop: the syscall footprint saturates within a
 				// few requests, and the corpus sweeps 4 backends.
-				_, _, err = driveHTTP(prog, 20)
+				_, err = runClosedLoop(prog, httpLoop(prog, 8080, 20))
 				return prog, err
 			},
 		},
@@ -68,11 +69,11 @@ func CorpusApps() []CorpusApp {
 			Name:     "fasthttp",
 			Declared: map[string]string{"server": fasthttp.Policy},
 			Exercise: func(kind core.BackendKind, policies map[string]string, opts ...core.Option) (*core.Program, error) {
-				prog, err := buildFastHTTP(kind, policyOr(policies, "server", fasthttp.Policy), opts...)
+				prog, err := fasthttp.Program(kind, policyOr(policies, "server", fasthttp.Policy), opts...)
 				if err != nil {
 					return nil, err
 				}
-				_, _, err = driveFastHTTP(prog, 20)
+				_, err = runClosedLoop(prog, fastHTTPLoop(prog, 8081, 20, "/", httpserv.PageSize13KB))
 				return prog, err
 			},
 		},
@@ -83,13 +84,13 @@ func CorpusApps() []CorpusApp {
 				"db-proxy":    wiki.PolicyProxy,
 			},
 			Exercise: func(kind core.BackendKind, policies map[string]string, opts ...core.Option) (*core.Program, error) {
-				prog, err := buildWiki(kind,
+				prog, err := wiki.Program(kind,
 					policyOr(policies, "http-server", wiki.PolicyServer),
 					policyOr(policies, "db-proxy", wiki.PolicyProxy), opts...)
 				if err != nil {
 					return nil, err
 				}
-				return prog, driveWiki(prog, AuditRequests)
+				return prog, exerciseWiki(prog)
 			},
 		},
 	}

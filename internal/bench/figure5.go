@@ -2,69 +2,68 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/litterbox-project/enclosure/internal/apps/wiki"
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/simdb"
-	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
 // WikiRequests is the measured request count (half views, half saves).
 const WikiRequests = 300
 
-// wikiPost performs one POST /save request.
-func wikiPost(net *simnet.Net, port uint16, page, body string) error {
-	conn, err := net.Dial(clientHostIP, simnet.Addr{Host: core.DefaultHostIP, Port: port})
-	if err != nil {
-		return err
+// wikiWelcome is the page the wiki's database is seeded with.
+const wikiWelcome = "hello from the enclosure wiki"
+
+// wikiLoop is the wiki's closed loop on port: the trusted glue ○A, the
+// ○C db-proxy and the ○B http-server's serial accept loop, loaded with
+// n requests that alternate saving page p<i> and viewing it back.
+func wikiLoop(prog *core.Program, port uint16, n int) closedLoop {
+	reqs := make(chan wiki.Request, 16)
+	queries := make(chan wiki.Query, 16)
+	tasks := []serialTask{
+		{"glue", func(t *core.Task, ready chan<- struct{}) error {
+			close(ready)
+			return wiki.Glue(t, reqs, queries)
+		}},
+		{"db-proxy", func(t *core.Task, ready chan<- struct{}) error {
+			_, err := prog.MustEnclosure("db-proxy").Call(t, wiki.ProxyArgs{Queries: queries, Ready: ready})
+			return err
+		}},
+		{"http-server", func(t *core.Task, ready chan<- struct{}) error {
+			_, err := prog.MustEnclosure("http-server").Call(t, wiki.ServeArgs{Port: port, Reqs: reqs, Ready: ready})
+			return err
+		}},
 	}
-	defer conn.Close()
-	req := fmt.Sprintf("POST /save/%s HTTP/1.1\r\nHost: wiki\r\nContent-Length: %d\r\n\r\n%s", page, len(body), body)
-	if _, err := conn.Write([]byte(req)); err != nil {
-		return err
+	return closedLoop{
+		port:     port,
+		tasks:    tasks,
+		requests: n,
+		next: func(i int) exchange {
+			if i%2 == 0 {
+				body := fmt.Sprintf("content-%d", i)
+				req := fmt.Sprintf("POST /save/p%d HTTP/1.1\r\nHost: wiki\r\nContent-Length: %d\r\n\r\n%s", i, len(body), body)
+				return exchange{req: []byte(req), check: bodyHas("saved")}
+			}
+			return exchange{req: wikiView(fmt.Sprintf("p%d", i-1)), check: bodyHas(fmt.Sprintf("content-%d", i-1))}
+		},
+		quit: []byte("GET /quit HTTP/1.1\r\n\r\n"),
 	}
-	resp, err := readAll(conn)
-	if err != nil {
-		return err
-	}
-	if !strings.Contains(resp, "saved") {
-		return fmt.Errorf("save %s: unexpected response %.80q", page, resp)
-	}
-	return nil
 }
 
-// wikiView performs one GET /view request and returns the HTML body.
-func wikiView(net *simnet.Net, port uint16, page string) (string, error) {
-	conn, err := net.Dial(clientHostIP, simnet.Addr{Host: core.DefaultHostIP, Port: port})
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
-	req := "GET /view/" + page + " HTTP/1.1\r\nHost: wiki\r\n\r\n"
-	if _, err := conn.Write([]byte(req)); err != nil {
-		return "", err
-	}
-	resp, err := readAll(conn)
-	if err != nil {
-		return "", err
-	}
-	_, body, _ := strings.Cut(resp, "\r\n\r\n")
-	return body, nil
+func wikiView(page string) []byte {
+	return []byte("GET /view/" + page + " HTTP/1.1\r\nHost: wiki\r\n\r\n")
 }
 
-func readAll(conn *simnet.Conn) (string, error) {
-	var resp []byte
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := conn.Read(buf)
-		if n > 0 {
-			resp = append(resp, buf[:n]...)
-		}
-		if err != nil {
-			return string(resp), nil
-		}
+// runWiki runs l on the wiki program prog against a simulated Postgres
+// seeded with the welcome page.
+func runWiki(prog *core.Program, l closedLoop) (float64, error) {
+	db, err := simdb.Start(prog.Net())
+	if err != nil {
+		return 0, err
 	}
+	defer db.Close()
+	db.Put("welcome", []byte(wikiWelcome))
+	return runClosedLoop(prog, l)
 }
 
 // RunWiki reproduces Figure 5: the wiki web-app with the HTTP server
@@ -72,107 +71,13 @@ func readAll(conn *simnet.Conn) (string, error) {
 // glued by trusted code over private Go channels. The paper reports a
 // throughput slowdown "similar to the one in the FastHTTP experiment".
 func RunWiki(kind core.BackendKind) (MacroResult, error) {
-	b := core.NewBuilder(kind)
-	b.Package(core.PackageSpec{
-		Name:    "main",
-		Imports: []string{wiki.MuxPkg, wiki.PqPkg},
-		Vars:    map[string]int{"db_password": 32, "page_templates": 4096},
-		Origin:  "app", LOC: 120,
-	})
-	wiki.Register(b)
-	b.Enclosure("http-server", "main", wiki.PolicyServer,
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-			return t.Call(wiki.MuxPkg, "Serve", args[0])
-		}, wiki.MuxPkg)
-	b.Enclosure("db-proxy", "main", wiki.PolicyProxy,
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-			return t.Call(wiki.PqPkg, "Proxy", args[0])
-		}, wiki.PqPkg)
-	prog, err := b.Build()
+	prog, err := wiki.Program(kind, wiki.PolicyServer, wiki.PolicyProxy)
 	if err != nil {
 		return MacroResult{}, err
 	}
-
-	db, err := simdb.Start(prog.Net())
-	if err != nil {
-		return MacroResult{}, err
-	}
-	defer db.Close()
-	db.Put("welcome", []byte("hello from the enclosure wiki"))
-
-	const port = 8090
-	srvReady := make(chan struct{})
-	proxyReady := make(chan struct{})
-	reqCh := make(chan wiki.Request, 16)
-	queryCh := make(chan wiki.Query, 16)
-
-	var reqs int
-	var elapsed int64
-	err = prog.Run(func(t *core.Task) error {
-		glue := t.Go("glue", func(t *core.Task) error {
-			return wiki.Glue(t, reqCh, queryCh)
-		})
-		proxy := t.Go("db-proxy", func(t *core.Task) error {
-			_, err := prog.MustEnclosure("db-proxy").Call(t, wiki.ProxyArgs{Queries: queryCh, Ready: proxyReady})
-			return err
-		})
-		srv := t.Go("http-server", func(t *core.Task) error {
-			_, err := prog.MustEnclosure("http-server").Call(t, wiki.ServeArgs{Port: port, Reqs: reqCh, Ready: srvReady})
-			return err
-		})
-		<-srvReady
-		<-proxyReady
-
-		// Warm-up: view the seeded page and verify content end to end.
-		body, err := wikiView(prog.Net(), port, "welcome")
-		if err != nil {
-			return err
-		}
-		if !strings.Contains(body, "hello from the enclosure wiki") {
-			return fmt.Errorf("wiki: warmup view mismatch: %.80q", body)
-		}
-
-		start := prog.Clock().Now()
-		for i := 0; i < WikiRequests; i++ {
-			if i%2 == 0 {
-				if err := wikiPost(prog.Net(), port, fmt.Sprintf("p%d", i), fmt.Sprintf("content-%d", i)); err != nil {
-					return err
-				}
-			} else {
-				body, err := wikiView(prog.Net(), port, fmt.Sprintf("p%d", i-1))
-				if err != nil {
-					return err
-				}
-				if !strings.Contains(body, fmt.Sprintf("content-%d", i-1)) {
-					return fmt.Errorf("wiki: view %d mismatch: %.80q", i, body)
-				}
-			}
-			reqs++
-		}
-		elapsed = prog.Clock().Now() - start
-
-		conn, err := prog.Net().Dial(clientHostIP, simnet.Addr{Host: core.DefaultHostIP, Port: port})
-		if err == nil {
-			_, _ = conn.Write([]byte("GET /quit HTTP/1.1\r\n\r\n"))
-			_, _ = readAll(conn)
-			conn.Close()
-		}
-		if err := srv.Join(); err != nil {
-			return err
-		}
-		if err := glue.Join(); err != nil {
-			return err
-		}
-		return proxy.Join()
-	})
-	if err != nil {
-		return MacroResult{}, err
-	}
-	return MacroResult{
-		Benchmark: "wiki",
-		Backend:   kind,
-		Raw:       float64(reqs) / (float64(elapsed) / 1e9),
-		Unit:      "reqs/s",
-		Counters:  prog.Counters().Snapshot(),
-	}, nil
+	l := wikiLoop(prog, 8090, WikiRequests)
+	// Warm-up: view the seeded page and verify content end to end.
+	l.warmup = []exchange{{req: wikiView("welcome"), check: bodyHas(wikiWelcome)}}
+	rate, err := runWiki(prog, l)
+	return serialResult("wiki", kind, prog, rate, err)
 }

@@ -13,9 +13,7 @@ import (
 	"strings"
 
 	"github.com/litterbox-project/enclosure/internal/apps/fasthttp"
-	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
 	"github.com/litterbox-project/enclosure/internal/core"
-	"github.com/litterbox-project/enclosure/internal/hw"
 )
 
 // RingDepth is the submission-queue depth the sweep measures — the
@@ -42,79 +40,21 @@ type RingEntry struct {
 }
 
 // runRingFastHTTP serves RingRequests closed-loop /stream requests from
-// the enclosed FastHTTP server and returns the virtual-time throughput.
-// depth 0 builds the program without the ring option: Task.SubmitSyscall
+// the enclosed FastHTTP server and returns its virtual-time throughput
+// and counters. depth 0 builds the program without the ring option: Task.SubmitSyscall
 // then executes each entry immediately through the sequential gateway,
 // so both arms run the identical application code.
-func runRingFastHTTP(kind core.BackendKind, depth int) (float64, hw.CounterSnapshot, error) {
+func runRingFastHTTP(kind core.BackendKind, depth int) (MacroResult, error) {
 	var opts []core.Option
 	if depth > 0 {
 		opts = append(opts, core.WithSyscallRing(depth))
 	}
-	b := core.NewBuilder(kind, opts...)
-	b.Package(core.PackageSpec{
-		Name:    "main",
-		Imports: []string{fasthttp.Pkg},
-		Vars:    map[string]int{"db_password": 64},
-		Origin:  "app", LOC: 76,
-	})
-	fasthttp.Register(b)
-	b.Enclosure("server", "main", fasthttp.Policy,
-		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
-			return t.Call(fasthttp.Pkg, "Serve", args[0])
-		}, fasthttp.Pkg)
-	prog, err := b.Build()
+	prog, err := fasthttp.Program(kind, fasthttp.Policy, opts...)
 	if err != nil {
-		return 0, hw.CounterSnapshot{}, err
+		return MacroResult{}, err
 	}
-
-	const port = 8082
-	ready := make(chan struct{})
-	reqCh := make(chan fasthttp.Request, 16)
-	page := httpserv.StaticPage()
-	var reqs int
-	var elapsed int64
-	var buf []byte // the closed-loop client's response buffer
-	err = prog.Run(func(t *core.Task) error {
-		handler := t.Go("trusted-handler", func(t *core.Task) error {
-			return fasthttp.HandleLoop(t, reqCh, page)
-		})
-		srv := t.Go("fasthttp-server", func(t *core.Task) error {
-			_, err := prog.MustEnclosure("server").Call(t, fasthttp.ServeArgs{
-				Port:  port,
-				Reqs:  reqCh,
-				Ready: ready,
-			})
-			return err
-		})
-		<-ready
-		if _, err := HTTPGet(prog.Net(), port, "/warmup", &buf); err != nil {
-			return err
-		}
-		start := prog.Clock().Now()
-		for i := 0; i < RingRequests; i++ {
-			n, err := HTTPGet(prog.Net(), port, "/stream", &buf)
-			if err != nil {
-				return fmt.Errorf("request %d: %w", i, err)
-			}
-			if n != fasthttp.StreamBodyBytes {
-				return fmt.Errorf("request %d: body %dB, want %dB", i, n, fasthttp.StreamBodyBytes)
-			}
-			reqs++
-		}
-		elapsed = prog.Clock().Now() - start
-		if _, err := HTTPGet(prog.Net(), port, "/quit", &buf); err != nil {
-			return err
-		}
-		if err := srv.Join(); err != nil {
-			return err
-		}
-		return handler.Join()
-	})
-	if err != nil {
-		return 0, hw.CounterSnapshot{}, err
-	}
-	return float64(reqs) / (float64(elapsed) / 1e9), prog.Counters().Snapshot(), nil
+	rate, err := runClosedLoop(prog, fastHTTPLoop(prog, 8082, RingRequests, "/stream", fasthttp.StreamBodyBytes))
+	return serialResult("FastHTTP /stream", kind, prog, rate, err)
 }
 
 // runRing sweeps the four backends over the /stream workload, ring off
@@ -122,11 +62,11 @@ func runRingFastHTTP(kind core.BackendKind, depth int) (float64, hw.CounterSnaps
 func runRing() ([]RingEntry, error) {
 	var out []RingEntry
 	for _, kind := range ProjectionBackends {
-		off, _, err := runRingFastHTTP(kind, 0)
+		off, err := runRingFastHTTP(kind, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%v ring-off: %w", kind, err)
 		}
-		on, counters, err := runRingFastHTTP(kind, RingDepth)
+		on, err := runRingFastHTTP(kind, RingDepth)
 		if err != nil {
 			return nil, fmt.Errorf("%v ring-on: %w", kind, err)
 		}
@@ -135,14 +75,14 @@ func runRing() ([]RingEntry, error) {
 			Backend:          kind.String(),
 			Depth:            RingDepth,
 			Requests:         RingRequests,
-			UnbatchedReqsSec: off,
-			BatchedReqsSec:   on,
-			Batches:          counters.RingBatches,
-			Entries:          counters.RingEntries,
-			Syscalls:         counters.Syscalls,
+			UnbatchedReqsSec: off.Raw,
+			BatchedReqsSec:   on.Raw,
+			Batches:          on.Counters.RingBatches,
+			Entries:          on.Counters.RingEntries,
+			Syscalls:         on.Counters.Syscalls,
 		}
-		if off > 0 {
-			e.Speedup = on / off
+		if off.Raw > 0 {
+			e.Speedup = on.Raw / off.Raw
 		}
 		out = append(out, e)
 	}

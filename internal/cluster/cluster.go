@@ -372,8 +372,11 @@ func (c *Cluster) Do(session, name string, fn engine.Job) error {
 // shipping the source's environment state over the control plane. The
 // target re-verifies policy state and image digests before accepting;
 // any refusal leaves the session routed to the source. On success the
-// session is pinned to the target.
+// session is pinned to the target. A node cannot be its own target.
 func (c *Cluster) MigrateSession(session, fromID, toID string) error {
+	if fromID == toID {
+		return fmt.Errorf("cluster: migrate: %s is both source and target", fromID)
+	}
 	c.mu.RLock()
 	src, sok := c.nodes[fromID]
 	dst, dok := c.nodes[toID]

@@ -223,6 +223,13 @@ func TestClusterMigrateSessionPins(t *testing.T) {
 	if pin := c.pins[session]; pin != to.ID() {
 		t.Fatalf("failed migration moved the pin to %q", pin)
 	}
+	// So does migrating a session onto the node it is already on.
+	if err := c.MigrateSession(session, from.ID(), from.ID()); err == nil {
+		t.Fatal("migration onto its own node succeeded")
+	}
+	if pin := c.pins[session]; pin != to.ID() {
+		t.Fatalf("self-migration moved the pin to %q", pin)
+	}
 }
 
 // The balancer avoids loaded nodes: with the primary wedged, a

@@ -154,7 +154,7 @@ func get(path string) string {
 // handler) on a manual-mode engine. Kinds: "page". Options apply to
 // the program (a tracer, say), as in every target constructor.
 func NewHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
-	prog, err := httpserv.ConnProgram(kind, progOpts...)
+	prog, err := httpserv.Program(kind, httpserv.HandlerPolicy, progOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func NewHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Opti
 // trusted handler) and "stream" (the syscall-dense chunked-streaming
 // path) — the heavy-tail pair of the latency table.
 func NewFastHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
-	prog, err := fasthttp.ConnProgram(kind, progOpts...)
+	prog, err := fasthttp.Program(kind, fasthttp.Policy, progOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ const wikiPage = "hello from the enclosure wiki"
 // NewWikiTarget builds the two-enclosure wiki (Figure 5 topology) with
 // a simulated Postgres on a manual-mode engine. Kinds: "view".
 func NewWikiTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
-	prog, err := wiki.ConnProgram(kind, progOpts...)
+	prog, err := wiki.Program(kind, wiki.PolicyServer, wiki.PolicyProxy, progOpts...)
 	if err != nil {
 		return nil, err
 	}

@@ -280,8 +280,11 @@ type Listener struct {
 	group  *shardGroup // non-nil when part of a ListenShards group
 	mu     sync.Mutex
 	cond   *sync.Cond
+	parked *sync.Cond // signalled when an accepter blocks on an empty queue
 	queue  []*Conn
 	closed bool
+	// waiting counts accepters blocked on an empty queue.
+	waiting int
 }
 
 // Addr returns the bound address.
@@ -301,7 +304,10 @@ func (l *Listener) AcceptFlags(f IOFlags) (*Conn, error) {
 		}
 	} else {
 		for len(l.queue) == 0 && !l.closed {
+			l.waiting++
+			l.parked.Broadcast()
 			l.cond.Wait()
+			l.waiting--
 		}
 	}
 	if len(l.queue) == 0 {
@@ -315,6 +321,29 @@ func (l *Listener) AcceptFlags(f IOFlags) (*Conn, error) {
 // Accept blocks until a connection arrives or the listener closes.
 func (l *Listener) Accept() (*Conn, error) { return l.AcceptFlags(IOFlags{}) }
 
+// AwaitAccept blocks until a server is parked in Accept on addr's
+// listener with nothing queued. It fails when nothing listens on addr
+// or the listener closes first. A closed-loop client calls it before
+// reading the virtual clock: the server's next accept is then charged,
+// whichever host goroutine ran first.
+func (n *Net) AwaitAccept(addr Addr) error {
+	n.mu.Lock()
+	l, ok := n.listeners[addr]
+	n.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrConnRefused, addr)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for (l.waiting == 0 || len(l.queue) > 0) && !l.closed {
+		l.parked.Wait()
+	}
+	if l.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
 // Close stops the listener and releases its address. For a sharded
 // listener only this shard stops; the address stays bound until the
 // last shard in the group closes.
@@ -326,6 +355,7 @@ func (l *Listener) Close() error {
 	}
 	l.closed = true
 	l.cond.Broadcast()
+	l.parked.Broadcast()
 	l.mu.Unlock()
 
 	l.net.mu.Lock()
@@ -394,6 +424,7 @@ func (n *Net) Listen(addr Addr) (*Listener, error) {
 	}
 	l := &Listener{addr: addr, net: n}
 	l.cond = sync.NewCond(&l.mu)
+	l.parked = sync.NewCond(&l.mu)
 	n.listeners[addr] = l
 	return l, nil
 }
@@ -422,6 +453,7 @@ func (n *Net) ListenShards(addr Addr, count int) ([]*Listener, error) {
 	for i := 0; i < count; i++ {
 		l := &Listener{addr: addr, net: n, group: g}
 		l.cond = sync.NewCond(&l.mu)
+		l.parked = sync.NewCond(&l.mu)
 		g.ls = append(g.ls, l)
 	}
 	n.shards[addr] = g

@@ -91,6 +91,59 @@ func TestListenerCloseReleasesAddr(t *testing.T) {
 	}
 }
 
+// AwaitAccept returns only once the server is parked in Accept with
+// nothing queued, and fails on an unbound or closing address.
+func TestAwaitAccept(t *testing.T) {
+	n := New()
+	a := Addr{Host: 1, Port: 80}
+	if err := n.AwaitAccept(a); !errors.Is(err, ErrConnRefused) {
+		t.Fatalf("unbound: %v", err)
+	}
+	ln, _ := n.Listen(a)
+	served := make(chan error, 1)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				served <- err
+				return
+			}
+			c.Close()
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		c, err := n.Dial(2, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if err := n.AwaitAccept(a); err != nil {
+			t.Fatal(err)
+		}
+		ln.mu.Lock()
+		queued, waiting := len(ln.queue), ln.waiting
+		ln.mu.Unlock()
+		if queued != 0 || waiting != 1 {
+			t.Fatalf("round %d: returned with %d queued, %d accepters parked", i, queued, waiting)
+		}
+	}
+	_ = ln.Close()
+	if err := <-served; !errors.Is(err, ErrClosed) {
+		t.Fatalf("accept after close: %v", err)
+	}
+
+	// A client waiting on a listener nobody accepts from is released
+	// by its close.
+	b := Addr{Host: 1, Port: 81}
+	idle, _ := n.Listen(b)
+	waited := make(chan error, 1)
+	go func() { waited <- n.AwaitAccept(b) }()
+	_ = idle.Close()
+	if err := <-waited; !errors.Is(err, ErrClosed) && !errors.Is(err, ErrConnRefused) {
+		t.Fatalf("await on closed listener: %v", err)
+	}
+}
+
 // TestBacklogDrainedAfterClose: connections accepted into the backlog
 // before Close must still be deliverable (regression for a race where
 // queued connections were dropped).
