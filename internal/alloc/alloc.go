@@ -227,9 +227,6 @@ type Arena struct {
 	nFrees  int64
 }
 
-// Pkg returns the owning package name.
-func (a *Arena) Pkg() string { return a.pkg }
-
 // Live returns outstanding allocation count.
 func (a *Arena) Live() int64 {
 	a.heap.mu.Lock()

@@ -39,7 +39,7 @@ func (c Cap) Covers(addr mem.Addr, size uint64, want mem.Perm) bool {
 	return c.Perm.Has(want) &&
 		addr >= c.Base &&
 		uint64(addr-c.Base) <= c.Len &&
-		uint64(addr-c.Base)+size <= c.Len
+		size <= c.Len-uint64(addr-c.Base) // offset+size could wrap past 2^64
 }
 
 // String renders the capability.

@@ -29,7 +29,8 @@ func TestCapCovers(t *testing.T) {
 		{0x1100, 1, mem.PermR, false},     // one past
 		{0x0FFF, 1, mem.PermR, false},     // one before
 		{0x1010, 8, mem.PermR | mem.PermW, true},
-		{0x1010, 8, mem.PermX, false}, // no execute right
+		{0x1010, 8, mem.PermX, false},            // no execute right
+		{0x1010, 1<<64 - 0x10, mem.PermR, false}, // offset+size wraps to 0
 	}
 	for i, tc := range cases {
 		if got := c.Covers(tc.addr, tc.size, tc.want); got != tc.ok {

@@ -164,9 +164,6 @@ func (t *Template) NewPool(max int) *WarmPool {
 	return &WarmPool{t: t, max: max}
 }
 
-// Template returns the pool's template.
-func (p *WarmPool) Template() *Template { return p.t }
-
 // Get returns a warm program: a recycled instance when the free-list
 // has one, a fresh clone otherwise.
 func (p *WarmPool) Get() (*Program, error) {

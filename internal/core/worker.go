@@ -72,10 +72,6 @@ func (w *WorkerCtx) Domain() *litterbox.FaultDomain { return w.domain }
 // EnvCache returns the worker's Prolog target cache.
 func (w *WorkerCtx) EnvCache() *litterbox.EnvCache { return w.cache }
 
-// Ring returns the worker's syscall submission ring (nil when the
-// program was built without WithSyscallRing).
-func (w *WorkerCtx) Ring() *ring.Ring { return w.ring }
-
 // newCPU returns a fresh architectural CPU charging this worker's clock
 // and counters.
 func (w *WorkerCtx) newCPU() *hw.CPU {

@@ -230,10 +230,6 @@ func (e *Engine) DequeueMode() DequeueMode { return e.opts.Dequeue }
 // Workers returns the number of worker virtual CPUs.
 func (e *Engine) Workers() int { return len(e.workers) }
 
-// WorkerCtx returns worker i's execution context (for tests and for
-// apps that pin long-lived service tasks to specific workers).
-func (e *Engine) WorkerCtx(i int) *core.WorkerCtx { return e.workers[i].ctx }
-
 // Submit is the engine's one admission entry point. It enqueues
 // spec.Fn with affinity for worker spec.Pref, spilling to the shortest
 // other queue when that one is full, and returns nil on admission or

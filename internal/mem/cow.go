@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -9,11 +10,12 @@ import (
 // storage half of warm-enclosure snapshots. CloneCoW aliases every
 // materialised page between the template and the clone; the first write
 // on either side promotes (privately copies) just the touched pages, so
-// a clone costs one map copy instead of re-materialising and re-filling
-// the image. A clone additionally keeps a revert snapshot: the exact
-// page array, section list, and section values it was born with. Revert
-// walks only the dirty set, which makes recycling a pooled instance
-// O(pages actually written by the request), not O(image).
+// a clone costs one copy of the page-pointer slice instead of
+// re-materialising and re-filling the image. A clone additionally keeps
+// a revert snapshot: the page slice and section list it was born with.
+// Revert walks only the dirty list and the sections touched since
+// birth, which makes recycling a pooled instance O(pages actually
+// written by the request), not O(image).
 
 // pagePool recycles the page arrays a Revert releases into later Maps
 // and promotions, process-wide so an idle pooled instance holds no
@@ -25,13 +27,28 @@ var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
 // by CloneCoW.
 var ErrNoSnapshot = errors.New("mem: address space has no revert snapshot")
 
-// cowSnapshot is the birth state of a cloned space: enough to rewind
-// every mutation (writes, maps, unmaps, owner transfers) in O(dirty).
+// cowSnapshot is the birth state of a cloned space, and what changed
+// since: enough to rewind every mutation (writes, maps, unmaps, owner
+// transfers) in O(dirty).
 type cowSnapshot struct {
-	pages map[uint64]*[PageSize]byte
+	pages []page     // every mapped one marked cow
 	secs  []*Section // the clone's section pointers at birth, in order
-	vals  []Section  // their field values at birth (undoes SetOwner etc.)
 	next  Addr
+
+	// dirty lists the page indexes promoted, mapped or unmapped since
+	// birth. An index may appear more than once (a page promoted again
+	// after a later CloneCoW shared it); resetting it twice is harmless.
+	dirty []int
+	// owners holds each owner transfer of a birth section with the owner
+	// it replaced, and unmapped is set once a birth section is unmapped;
+	// sections mapped since birth lie past next and need neither.
+	owners   []ownerUndo
+	unmapped bool
+}
+
+type ownerUndo struct {
+	s   *Section
+	pkg string
 }
 
 // CloneCoW returns a copy-on-write clone of the address space and the
@@ -43,57 +60,37 @@ func (as *AddressSpace) CloneCoW() (*AddressSpace, map[*Section]*Section) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 
+	for i := range as.pages {
+		as.pages[i].cow = as.pages[i].arr != nil
+	}
 	clone := &AddressSpace{
-		pages: make(map[uint64]*[PageSize]byte, len(as.pages)),
-		cow:   make(map[uint64]bool, len(as.pages)),
-		dirty: make(map[uint64]bool),
+		pages: slices.Clone(as.pages), // alias: promote-on-write splits them
 		next:  as.next,
 		limit: as.limit,
-	}
-	if as.cow == nil {
-		as.cow = make(map[uint64]bool, len(as.pages))
-	}
-	for p, arr := range as.pages {
-		clone.pages[p] = arr // alias: promote-on-write splits it
-		clone.cow[p] = true
-		as.cow[p] = true
 	}
 
 	secMap := make(map[*Section]*Section, len(as.sections))
 	clone.sections = make([]*Section, len(as.sections))
-	vals := make([]Section, len(as.sections))
 	for i, s := range as.sections {
-		ns := new(Section)
-		*ns = *s
-		clone.sections[i] = ns
-		vals[i] = *ns
-		secMap[s] = ns
+		ns := *s
+		clone.sections[i], secMap[s] = &ns, &ns
 	}
 
-	snapPages := make(map[uint64]*[PageSize]byte, len(clone.pages))
-	for p, arr := range clone.pages {
-		snapPages[p] = arr
-	}
 	clone.snap = &cowSnapshot{
-		pages: snapPages,
-		secs:  append([]*Section(nil), clone.sections...),
-		vals:  vals,
+		pages: slices.Clone(clone.pages),
+		secs:  slices.Clone(clone.sections),
 		next:  clone.next,
 	}
 	return clone, secMap
 }
 
 // needsPromoteLocked reports whether any page of [addr, addr+size) is
-// still shared copy-on-write. Called under either lock mode (the cow
-// map is only mutated under the write lock).
+// still shared copy-on-write. Called under either lock mode (cow flags
+// are only mutated under the write lock).
 func (as *AddressSpace) needsPromoteLocked(addr Addr, size uint64) bool {
-	if len(as.cow) == 0 || size == 0 {
-		return false
-	}
-	first := addr.PageNumber()
-	last := (addr + Addr(size) - 1).PageNumber()
-	for p := first; p <= last; p++ {
-		if as.cow[p] {
+	first, last, ok := PageRange(addr, size)
+	for i := PageIndex(first); ok && i <= PageIndex(last); i++ {
+		if as.pageLocked(i).cow {
 			return true
 		}
 	}
@@ -104,66 +101,69 @@ func (as *AddressSpace) needsPromoteLocked(addr Addr, size uint64) bool {
 // a subsequent write cannot leak into the other side of a CoW clone.
 // Requires the write lock.
 func (as *AddressSpace) promoteLocked(addr Addr, size uint64) {
-	first := addr.PageNumber()
-	last := (addr + Addr(size) - 1).PageNumber()
-	for p := first; p <= last; p++ {
-		if !as.cow[p] {
+	first, last, _ := PageRange(addr, size)
+	for i := PageIndex(first); i <= PageIndex(last); i++ {
+		if !as.pageLocked(i).cow {
 			continue
 		}
 		priv := pagePool.Get().(*[PageSize]byte)
-		*priv = *as.pages[p]
-		as.pages[p] = priv
-		delete(as.cow, p)
-		if as.snap != nil {
-			as.dirty[p] = true
-		}
+		*priv = *as.pages[i].arr
+		as.pages[i] = page{arr: priv}
+		as.markPagesDirtyLocked(i, i)
 	}
 }
 
-// markPagesDirtyLocked records post-clone page-map mutations (map/unmap)
-// so Revert knows to reconcile them. Requires the write lock.
-func (as *AddressSpace) markPagesDirtyLocked(first, last uint64) {
+// markPagesDirtyLocked records post-clone page-table mutations (map,
+// unmap, promotion) of indexes [first, last] so Revert knows to
+// reconcile them. Requires the write lock.
+func (as *AddressSpace) markPagesDirtyLocked(first, last int) {
 	if as.snap == nil {
 		return
 	}
-	for p := first; p <= last; p++ {
-		as.dirty[p] = true
-		delete(as.cow, p)
+	for i := first; i <= last; i++ {
+		as.snap.dirty = append(as.snap.dirty, i)
 	}
 }
 
 // Revert rewinds a cloned address space to its birth snapshot: dirty
 // pages are re-aliased to the template-shared arrays (or dropped if they
-// were mapped after the clone), the section list and every section's
-// field values are restored, and the bump allocator rewinds. The cost is
-// proportional to the dirty set, which is what makes pooled recycling
-// an order of magnitude cheaper than a fresh clone. Dirty pages the
-// clone owns privately go back to pagePool; a page still marked cow is
-// shared with a later clone of this one and is left to it.
+// were mapped after the clone), the page table is cut back to its birth
+// length, the section list and the owners SetOwner changed are
+// restored, and the bump allocator rewinds. The cost is proportional
+// to the dirty set, which is what makes pooled recycling an order of
+// magnitude cheaper than a fresh clone. Dirty pages the clone owns
+// privately go back to pagePool; a page still marked cow is shared with
+// a later clone of this one and is left to it.
 func (as *AddressSpace) Revert() error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if as.snap == nil {
+	snap := as.snap
+	if snap == nil {
 		return ErrNoSnapshot
 	}
-	for p := range as.dirty {
-		if arr := as.pages[p]; arr != nil && !as.cow[p] {
-			pagePool.Put(arr)
+	for _, i := range snap.dirty {
+		if p := as.pages[i]; p.arr != nil && !p.cow {
+			pagePool.Put(p.arr)
 		}
-		if arr, ok := as.snap.pages[p]; ok {
-			as.pages[p] = arr
-			as.cow[p] = true
+		if i < len(snap.pages) {
+			as.pages[i] = snap.pages[i]
 		} else {
-			delete(as.pages, p)
-			delete(as.cow, p)
+			as.pages[i] = page{}
 		}
 	}
-	clear(as.dirty)
-	as.sections = as.sections[:0]
-	as.sections = append(as.sections, as.snap.secs...)
-	for i, s := range as.snap.secs {
-		*s = as.snap.vals[i]
+	snap.dirty = snap.dirty[:0]
+	as.pages = as.pages[:len(snap.pages)] // every page past it was dirty, so nil
+
+	if snap.unmapped {
+		as.sections = append(as.sections[:0], snap.secs...)
+		snap.unmapped = false
+	} else { // the birth sections are still the list's prefix
+		as.sections = as.sections[:len(snap.secs)]
 	}
-	as.next = as.snap.next
+	for i := len(snap.owners) - 1; i >= 0; i-- { // the first holds the birth owner
+		snap.owners[i].s.Pkg = snap.owners[i].pkg
+	}
+	snap.owners = snap.owners[:0]
+	as.next = snap.next
 	return nil
 }

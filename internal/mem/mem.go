@@ -12,8 +12,10 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -38,6 +40,17 @@ func (a Addr) PageAligned() bool { return a.PageOffset() == 0 }
 
 // String renders the address in hex.
 func (a Addr) String() string { return fmt.Sprintf("%#x", uint64(a)) }
+
+// PageRange returns the first and last page numbers of [addr, addr+size),
+// or ok false for an empty range or one whose end wraps past 2^64, which
+// callers must refuse rather than loop over.
+func PageRange(addr Addr, size uint64) (first, last uint64, ok bool) {
+	end := uint64(addr) + size - 1
+	if size == 0 || end < uint64(addr) {
+		return 0, 0, false
+	}
+	return addr.PageNumber(), end >> PageShift, true
+}
 
 // AlignUp rounds n up to the next multiple of PageSize.
 func AlignUp(n uint64) uint64 {
@@ -94,24 +107,15 @@ const (
 	KindMeta
 )
 
+var kindNames = [...]string{KindText: "text", KindROData: "rodata", KindData: "data",
+	KindHeap: "heap", KindStack: "stack", KindMeta: "meta"}
+
 // String implements fmt.Stringer.
 func (k SectionKind) String() string {
-	switch k {
-	case KindText:
-		return "text"
-	case KindROData:
-		return "rodata"
-	case KindData:
-		return "data"
-	case KindHeap:
-		return "heap"
-	case KindStack:
-		return "stack"
-	case KindMeta:
-		return "meta"
-	default:
-		return fmt.Sprintf("SectionKind(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("SectionKind(%d)", uint8(k))
 }
 
 // DefaultPerm returns the access rights the linker assigns sections of
@@ -147,11 +151,6 @@ func (s *Section) Contains(addr Addr, size uint64) bool {
 	return addr >= s.Base && size <= s.Size && uint64(addr-s.Base) <= s.Size-size
 }
 
-// Pages returns the range of virtual page numbers [first, last] covered.
-func (s *Section) Pages() (first, last uint64) {
-	return s.Base.PageNumber(), (s.End() - 1).PageNumber()
-}
-
 // String implements fmt.Stringer.
 func (s *Section) String() string {
 	return fmt.Sprintf("%s[%s %s %s-%s]", s.Name, s.Pkg, s.Perm, s.Base, s.End())
@@ -160,12 +159,10 @@ func (s *Section) String() string {
 // Errors surfaced by the address space. Backends wrap these into faults.
 var (
 	ErrUnmapped    = errors.New("mem: access to unmapped address")
-	ErrOutOfRange  = errors.New("mem: access crosses section boundary")
 	ErrExhausted   = errors.New("mem: virtual address space exhausted")
 	ErrOverlap     = errors.New("mem: sections overlap")
 	ErrMisaligned  = errors.New("mem: section not page aligned")
 	ErrZeroSize    = errors.New("mem: zero-size section")
-	ErrNotMapped   = errors.New("mem: section not mapped in this space")
 	ErrDoubleUnmap = errors.New("mem: section already unmapped")
 )
 
@@ -173,23 +170,43 @@ var (
 // load address and keeps 0 unmapped so nil-like addresses always fault.
 const baseVA Addr = 0x400000
 
+// PageIndex returns page number p's index in a dense page table: its
+// distance from baseVA's page. A page below baseVA gets a negative
+// index, which no table holds, so it reads as unmapped.
+func PageIndex(p uint64) int { return int(p - uint64(baseVA)>>PageShift) }
+
 // AddressSpace is the single shared physical+virtual memory of a
-// simulated program. Sections are carved from a bump allocator; pages are
-// materialised lazily. It is safe for concurrent use.
+// simulated program. Sections are carved from a bump allocator starting
+// at baseVA, so page numbers are dense: the page table is a slice
+// indexed by PageIndex that reaches as far as the allocator has, with
+// nil for a page that is not mapped. It is safe for concurrent use.
 type AddressSpace struct {
 	mu       sync.RWMutex
-	pages    map[uint64]*[PageSize]byte
+	pages    []page     // len(pages) == (next-baseVA)/PageSize
 	sections []*Section // sorted by Base
 	next     Addr
 	limit    Addr
 
-	// Copy-on-write clone state (see cow.go). cow marks pages whose
-	// backing array is still shared with the other side of a CloneCoW;
-	// dirty and snap exist only on clones and record what Revert must
-	// rewind. All three are nil/empty on a space that never cloned.
-	cow   map[uint64]bool
-	dirty map[uint64]bool
-	snap  *cowSnapshot
+	// snap exists only on clones and records what Revert must rewind
+	// (see cow.go).
+	snap *cowSnapshot
+}
+
+// page is one page-table entry: the backing array, nil when the page is
+// not mapped, and whether that array is still shared copy-on-write with
+// the other side of a CloneCoW.
+type page struct {
+	arr *[PageSize]byte
+	cow bool
+}
+
+// pageLocked returns the entry at page index i; an index outside the
+// table is an unmapped page. Requires either lock mode.
+func (as *AddressSpace) pageLocked(i int) page {
+	if uint(i) < uint(len(as.pages)) {
+		return as.pages[i]
+	}
+	return page{}
 }
 
 // NewAddressSpace returns an empty address space with the given capacity
@@ -199,7 +216,6 @@ func NewAddressSpace(capacity uint64) *AddressSpace {
 		capacity = 4 << 30
 	}
 	return &AddressSpace{
-		pages: make(map[uint64]*[PageSize]byte),
 		next:  baseVA,
 		limit: baseVA + Addr(AlignUp(capacity)),
 	}
@@ -221,13 +237,13 @@ func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, per
 	}
 	s := &Section{Name: name, Pkg: pkg, Kind: kind, Base: as.next, Size: size, Perm: perm}
 	as.next += Addr(size)
-	first, last := s.Pages()
-	for p := first; p <= last; p++ {
-		page := pagePool.Get().(*[PageSize]byte)
-		*page = [PageSize]byte{} // a pooled page holds a reverted clone's bytes
-		as.pages[p] = page
+	first := len(as.pages)
+	for n := size >> PageShift; n > 0; n-- {
+		arr := pagePool.Get().(*[PageSize]byte)
+		*arr = [PageSize]byte{} // a pooled page holds a reverted clone's bytes
+		as.pages = append(as.pages, page{arr: arr})
 	}
-	as.markPagesDirtyLocked(first, last)
+	as.markPagesDirtyLocked(first, len(as.pages)-1)
 	as.sections = append(as.sections, s) // bump allocation keeps order sorted
 	return s, nil
 }
@@ -237,23 +253,19 @@ func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, per
 func (as *AddressSpace) Unmap(s *Section) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	idx := -1
-	for i, sec := range as.sections {
-		if sec == s {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(as.sections, s)
 	if idx < 0 {
 		return ErrDoubleUnmap
 	}
-	as.sections = append(as.sections[:idx], as.sections[idx+1:]...)
-	first, last := s.Pages()
-	for p := first; p <= last; p++ {
-		delete(as.pages, p)
-		delete(as.cow, p)
+	as.sections = slices.Delete(as.sections, idx, idx+1)
+	first, last, _ := PageRange(s.Base, s.Size)
+	for i := PageIndex(first); i <= PageIndex(last); i++ {
+		as.pages[i] = page{}
 	}
-	as.markPagesDirtyLocked(first, last)
+	as.markPagesDirtyLocked(PageIndex(first), PageIndex(last))
+	if as.snap != nil && s.Base < as.snap.next {
+		as.snap.unmapped = true
+	}
 	return nil
 }
 
@@ -262,6 +274,9 @@ func (as *AddressSpace) Unmap(s *Section) error {
 // their page tables / key tags separately.
 func (as *AddressSpace) SetOwner(s *Section, pkg string) {
 	as.mu.Lock()
+	if as.snap != nil && s.Base < as.snap.next {
+		as.snap.owners = append(as.snap.owners, ownerUndo{s, s.Pkg})
+	}
 	s.Pkg = pkg
 	as.mu.Unlock()
 }
@@ -287,9 +302,7 @@ func (as *AddressSpace) sectionAtLocked(addr Addr) *Section {
 func (as *AddressSpace) Sections() []*Section {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	out := make([]*Section, len(as.sections))
-	copy(out, as.sections)
-	return out
+	return slices.Clone(as.sections)
 }
 
 // ReadAt copies len(p) bytes starting at addr into p. It performs no
@@ -310,7 +323,7 @@ func (as *AddressSpace) ReadAt(addr Addr, p []byte) error {
 // A write that lands on a copy-on-write page first promotes it to a
 // private copy, so CoW clones never observe each other's writes.
 func (as *AddressSpace) WriteAt(addr Addr, p []byte) error {
-	as.mu.RLock() // page map is not mutated; page contents race is caller's
+	as.mu.RLock() // page table is not mutated; page contents race is caller's
 	if !as.needsPromoteLocked(addr, uint64(len(p))) {
 		defer as.mu.RUnlock()
 		return as.copyLocked(addr, p, true)
@@ -326,8 +339,8 @@ func (as *AddressSpace) copyLocked(addr Addr, p []byte, write bool) error {
 	done := 0
 	for done < len(p) {
 		a := addr + Addr(done)
-		page, ok := as.pages[a.PageNumber()]
-		if !ok {
+		page := as.pageLocked(PageIndex(a.PageNumber())).arr
+		if page == nil {
 			return fmt.Errorf("%w: %s", ErrUnmapped, a)
 		}
 		off := int(a.PageOffset())
@@ -366,33 +379,27 @@ func (as *AddressSpace) Load64(addr Addr) (uint64, error) {
 	if err := as.ReadAt(addr, b[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // Store64 writes a little-endian uint64.
 func (as *AddressSpace) Store64(addr Addr, v uint64) error {
 	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * uint(i)))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	return as.WriteAt(addr, b[:])
 }
 
-// Mapped reports whether every page of [addr, addr+size) is mapped.
+// Mapped reports whether every page of [addr, addr+size) is mapped. A
+// range that wraps past 2^64 is not.
 func (as *AddressSpace) Mapped(addr Addr, size uint64) bool {
-	if size == 0 {
-		return true
+	first, last, ok := PageRange(addr, size)
+	if !ok {
+		return size == 0
 	}
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	first := addr.PageNumber()
-	last := (addr + Addr(size) - 1).PageNumber()
-	for p := first; p <= last; p++ {
-		if _, ok := as.pages[p]; !ok {
+	for i := PageIndex(first); i <= PageIndex(last); i++ {
+		if as.pageLocked(i).arr == nil {
 			return false
 		}
 	}

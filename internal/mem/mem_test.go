@@ -35,6 +35,30 @@ func TestAddrHelpers(t *testing.T) {
 	}
 }
 
+func TestPageRange(t *testing.T) {
+	const top = 1<<64 - 1
+	for _, c := range []struct {
+		addr        Addr
+		size        uint64
+		first, last uint64
+		ok          bool
+	}{
+		{0x401234, 1, 0x401, 0x401, true},
+		{0x401000, PageSize, 0x401, 0x401, true},
+		{0x401fff, 2, 0x401, 0x402, true},
+		{top - PageSize + 1, PageSize, top >> PageShift, top >> PageShift, true}, // ends at 2^64-1
+		{0x401000, 0, 0, 0, false},
+		{0x401000, top - PageSize + 1, 0, 0, false}, // wraps to one page below addr
+		{top, 2, 0, 0, false},
+	} {
+		first, last, ok := PageRange(c.addr, c.size)
+		if first != c.first || last != c.last || ok != c.ok {
+			t.Errorf("PageRange(%s, %#x) = %#x, %#x, %v; want %#x, %#x, %v",
+				c.addr, c.size, first, last, ok, c.first, c.last, c.ok)
+		}
+	}
+}
+
 func TestPermString(t *testing.T) {
 	if (PermR | PermW | PermX).String() != "rwx" {
 		t.Error("rwx")

@@ -1,34 +1,39 @@
 package mpk
 
 import (
+	"slices"
+
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/mem"
 )
 
 // journal records what a cloned unit changed since birth, so Revert
-// costs O(pages the tenant retagged) instead of a full page-map copy —
-// the tag-side counterpart of mem.AddressSpace's dirty set.
+// costs O(pages the tenant retagged) instead of a full tag-table copy —
+// the tag-side counterpart of mem.AddressSpace's dirty list.
 type journal struct {
 	used  [hw.NumKeys]bool
 	muts  int64
-	pages map[uint64]pageUndo // first change of each page since birth
+	pages []pageUndo // first change of each page since birth, in order
+	seen  []bool     // by page index: the page has an entry in pages
 }
 
-// pageUndo is a page's entry before its first change: had is false when
-// the page was untracked (default key, section permissions).
+// pageUndo is a page's entry before its first change since birth.
 type pageUndo struct {
+	idx  int
 	prev pte
-	had  bool
 }
 
-// notePage saves page p's current entry unless an earlier change since
-// birth already did.
-func (j *journal) notePage(pages map[uint64]pte, p uint64) {
-	if _, seen := j.pages[p]; seen {
+// notePage saves the entry at page index i unless an earlier change
+// since birth already did.
+func (j *journal) notePage(pages []pte, i int) {
+	if i < len(j.seen) && j.seen[i] {
 		return
 	}
-	prev, had := pages[p]
-	j.pages[p] = pageUndo{prev: prev, had: had}
+	if n := i + 1 - len(j.seen); n > 0 {
+		j.seen = append(j.seen, make([]bool, n)...)
+	}
+	j.seen[i] = true
+	j.pages = append(j.pages, pageUndo{idx: i, prev: pages[i]})
 }
 
 // Clone returns an independent MPK unit over a cloned address space:
@@ -40,12 +45,8 @@ func (j *journal) notePage(pages map[uint64]pte, p uint64) {
 func (u *Unit) Clone(space *mem.AddressSpace, clock *hw.Clock) *Unit {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	c := &Unit{space: space, clock: clock, used: u.used, pages: make(map[uint64]pte, len(u.pages)), muts: u.muts}
-	for p, e := range u.pages {
-		c.pages[p] = e
-	}
-	c.undo = &journal{used: u.used, muts: u.muts, pages: make(map[uint64]pageUndo)}
-	return c
+	return &Unit{space: space, clock: clock, used: u.used, pages: slices.Clone(u.pages), muts: u.muts,
+		undo: &journal{used: u.used, muts: u.muts}}
 }
 
 // Revert rewinds a cloned unit to its birth state by replaying the
@@ -60,14 +61,11 @@ func (u *Unit) Revert() {
 	if j == nil {
 		return
 	}
-	for p, e := range j.pages {
-		if e.had {
-			u.pages[p] = e.prev
-		} else {
-			delete(u.pages, p)
-		}
+	for _, e := range j.pages {
+		u.pages[e.idx] = e.prev
+		j.seen[e.idx] = false
 	}
-	clear(j.pages)
+	j.pages = j.pages[:0]
 	u.used, u.muts = j.used, j.muts
 }
 

@@ -30,14 +30,23 @@ func taggedTemplate(t *testing.T) (u *Unit, space *mem.AddressSpace, tagged, unt
 // birth captures what Revert must restore.
 type birth struct {
 	used  [hw.NumKeys]bool
-	pages map[uint64]pte
+	pages map[int]pte
 	gen   int64
 }
 
+// birthOf reads the unit's key bitmap, generation and the set of its
+// tracked tags by page index; untracked (zero) entries are left out, so
+// a table that grew but holds the same tags compares equal.
 func birthOf(u *Unit) birth {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return birth{used: u.used, pages: maps.Clone(u.pages), gen: u.muts}
+	tags := make(map[int]pte)
+	for i, e := range u.pages {
+		if e.tracked {
+			tags[i] = e
+		}
+	}
+	return birth{used: u.used, pages: tags, gen: u.muts}
 }
 
 func (b birth) check(t *testing.T, what string, u *Unit) {

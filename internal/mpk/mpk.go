@@ -38,20 +38,25 @@ var (
 	ErrWRPKRUFound = errors.New("mpk: WRPKRU instruction in untrusted text")
 )
 
+// pte is one page's key tag. The zero entry is an untracked page: the
+// default key, with the permissions of the section holding it.
 type pte struct {
-	perm mem.Perm
-	key  int
+	perm    mem.Perm
+	key     uint8
+	tracked bool
 }
 
 // Unit is the simulated MPK-capable MMU shared by all CPUs of a
-// program. It owns the page-table key tags and enforces PKRU on access.
+// program. It owns the page-table key tags, one entry per page indexed
+// by mem.PageIndex like the address space's own page table, and
+// enforces PKRU on access.
 type Unit struct {
 	space *mem.AddressSpace
 	clock *hw.Clock
 
 	mu    sync.Mutex
 	used  [hw.NumKeys]bool
-	pages map[uint64]pte
+	pages []pte // grows to the highest page ever tagged
 	muts  int64 // bumped on every key-table mutation (see clone.go)
 
 	// undo is a clone's journal (nil on units not made by Clone): the
@@ -63,7 +68,7 @@ type Unit struct {
 // NewUnit returns an MPK unit over the address space. Key 0 is
 // pre-allocated as the default key, as on Linux.
 func NewUnit(space *mem.AddressSpace, clock *hw.Clock) *Unit {
-	u := &Unit{space: space, clock: clock, pages: make(map[uint64]pte)}
+	u := &Unit{space: space, clock: clock}
 	u.used[DefaultKey] = true
 	return u
 }
@@ -97,11 +102,13 @@ func (u *Unit) PkeyFree(key int) kernel.Errno {
 }
 
 // PkeyMprotect tags [base, base+size) with key and sets its page
-// permissions. The range must be page aligned and mapped. Implements
-// kernel.PkeyOps; LitterBox's Transfer invokes it for every span
-// reassignment (the paper's Table 1 "transfer" row).
+// permissions. The range must be page aligned, must not wrap past 2^64,
+// and must be mapped. Implements kernel.PkeyOps; LitterBox's Transfer
+// invokes it for every span reassignment (the paper's Table 1
+// "transfer" row).
 func (u *Unit) PkeyMprotect(base mem.Addr, size uint64, perm mem.Perm, key int) kernel.Errno {
-	if !base.PageAligned() || size == 0 || size%mem.PageSize != 0 {
+	first, last, ok := mem.PageRange(base, size)
+	if !ok || !base.PageAligned() || size%mem.PageSize != 0 {
 		return kernel.EINVAL
 	}
 	u.mu.Lock()
@@ -112,13 +119,15 @@ func (u *Unit) PkeyMprotect(base mem.Addr, size uint64, perm mem.Perm, key int) 
 	if !u.space.Mapped(base, size) {
 		return kernel.ENOENT
 	}
-	first := base.PageNumber()
-	last := (base + mem.Addr(size) - 1).PageNumber()
-	for p := first; p <= last; p++ {
+	lo, hi := mem.PageIndex(first), mem.PageIndex(last)
+	if n := hi + 1 - len(u.pages); n > 0 {
+		u.pages = append(u.pages, make([]pte, n)...)
+	}
+	for i := lo; i <= hi; i++ {
 		if u.undo != nil {
-			u.undo.notePage(u.pages, p)
+			u.undo.notePage(u.pages, i)
 		}
-		u.pages[p] = pte{perm: perm, key: key}
+		u.pages[i] = pte{perm: perm, key: uint8(key), tracked: true}
 	}
 	u.muts++
 	return kernel.OK
@@ -142,7 +151,8 @@ func (e *AccessError) Error() string {
 }
 
 // CheckAccess validates a data access of size bytes at addr under the
-// cpu's PKRU. Unmapped addresses fault with mem.ErrUnmapped; key
+// cpu's PKRU. Unmapped addresses fault with mem.ErrUnmapped, and so
+// does a range that wraps past 2^64 into the never-mapped page 0; key
 // violations fault with *AccessError. Page permissions (e.g. writing
 // rodata) are also enforced, as the page tables would.
 func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) error {
@@ -152,13 +162,18 @@ func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) 
 	pkru := cpu.PeekPKRU()
 	cpu.Clock.Advance(hw.CostPTWalk)
 	cpu.Counters.PTWalks.Add(1)
+	first, last, ok := mem.PageRange(addr, size)
+	if !ok {
+		return fmt.Errorf("%w: %s", mem.ErrUnmapped, addr)
+	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	first := addr.PageNumber()
-	last := (addr + mem.Addr(size) - 1).PageNumber()
 	for p := first; p <= last; p++ {
-		e, ok := u.pages[p]
-		if !ok {
+		var e pte
+		if i := mem.PageIndex(p); uint(i) < uint(len(u.pages)) {
+			e = u.pages[i]
+		}
+		if !e.tracked {
 			// Untracked page: default key, permissions from the section.
 			sec := u.space.SectionAt(mem.Addr(p << mem.PageShift))
 			if sec == nil {
@@ -166,15 +181,10 @@ func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) 
 			}
 			e = pte{perm: sec.Perm, key: DefaultKey}
 		}
-		if !e.perm.Has(mem.PermR) || (write && !e.perm.Has(mem.PermW)) {
-			return &AccessError{Addr: addr, Write: write, Key: e.key, PKRU: pkru}
-		}
-		if write {
-			if !pkru.CanWrite(e.key) {
-				return &AccessError{Addr: addr, Write: true, Key: e.key, PKRU: pkru}
-			}
-		} else if !pkru.CanRead(e.key) {
-			return &AccessError{Addr: addr, Write: false, Key: e.key, PKRU: pkru}
+		key := int(e.key)
+		pageOK := e.perm.Has(mem.PermR) && (!write || e.perm.Has(mem.PermW))
+		if keyOK := pkru.CanRead(key) && (!write || pkru.CanWrite(key)); !pageOK || !keyOK {
+			return &AccessError{Addr: addr, Write: write, Key: key, PKRU: pkru}
 		}
 	}
 	return nil

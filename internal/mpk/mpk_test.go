@@ -194,8 +194,8 @@ func TestAccessErrorMessage(t *testing.T) {
 func (u *Unit) keyOf(addr mem.Addr) int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if e, ok := u.pages[addr.PageNumber()]; ok {
-		return e.key
+	if i := mem.PageIndex(addr.PageNumber()); i >= 0 && i < len(u.pages) && u.pages[i].tracked {
+		return int(u.pages[i].key)
 	}
 	return DefaultKey
 }

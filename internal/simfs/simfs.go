@@ -190,7 +190,6 @@ func (fs *FS) ReadDir(p string) ([]string, error) {
 // File is an open file handle with its own cursor.
 type File struct {
 	fs     *FS
-	path   string
 	in     *inode
 	mu     sync.Mutex
 	off    int
@@ -234,12 +233,9 @@ func (fs *FS) Open(p string, flags int) (*File, error) {
 		in.data = in.data[:0]
 		in.mu.Unlock()
 	}
-	f := &File{fs: fs, path: p, in: in, flags: flags}
+	f := &File{fs: fs, in: in, flags: flags}
 	return f, nil
 }
-
-// Path returns the file's path.
-func (f *File) Path() string { return f.path }
 
 // Read implements io.Reader over the file cursor.
 func (f *File) Read(p []byte) (int, error) {

@@ -223,7 +223,7 @@ func (m *Machine) MapSectionShared(table int, sec *mem.Section, perm mem.Perm) e
 }
 
 func mapPages(pt *physTable, sec *mem.Section, perm mem.Perm) {
-	first, last := sec.Pages()
+	first, last, _ := mem.PageRange(sec.Base, sec.Size)
 	for p := first; p <= last; p++ {
 		pt.pages[p] = perm
 	}
@@ -258,7 +258,7 @@ func (m *Machine) UnmapSectionShared(table int, sec *mem.Section) error {
 }
 
 func unmapPages(pt *physTable, sec *mem.Section) {
-	first, last := sec.Pages()
+	first, last, _ := mem.PageRange(sec.Base, sec.Size)
 	for p := first; p <= last; p++ {
 		delete(pt.pages, p)
 	}
@@ -289,8 +289,11 @@ func (m *Machine) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write boo
 	if !ok {
 		return fmt.Errorf("%w: CR3=%d", ErrNoTable, cpu.CR3())
 	}
-	first := addr.PageNumber()
-	last := (addr + mem.Addr(size) - 1).PageNumber()
+	first, last, ok := mem.PageRange(addr, size)
+	if !ok {
+		// The range wraps past 2^64 into page 0, which no table maps.
+		return &AccessError{Addr: addr, Write: write, Table: cpu.CR3()}
+	}
 	for p := first; p <= last; p++ {
 		perm := pt.pages[p]
 		if !perm.Has(mem.PermR) || (write && !perm.Has(mem.PermW)) {
