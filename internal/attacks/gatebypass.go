@@ -108,7 +108,7 @@ func buildGateBypassWorld(kind core.BackendKind) (*gateBypassWorld, error) {
 	var backend litterbox.Backend
 	switch kind {
 	case core.MPK:
-		backend = litterbox.NewMPK(mpk.NewUnit(space, clock))
+		backend = litterbox.NewMPK(mpk.NewUnit(space))
 	case core.VTX:
 		backend = litterbox.NewVTX(vtx.NewMachine(space, clock))
 	case core.CHERI:
@@ -287,6 +287,3 @@ func firstLine(s string) string {
 	}
 	return s
 }
-
-// Space exposes the world's address space (for tests).
-func (w *gateBypassWorld) Space() *mem.AddressSpace { return w.space }

@@ -22,7 +22,7 @@ func TestGateBypassPlainScanMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unit := mpk.NewUnit(w.space, w.clock)
+			unit := mpk.NewUnit(w.space)
 			for _, sec := range secs {
 				if sec.Kind != mem.KindText {
 					continue

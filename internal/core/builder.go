@@ -277,7 +277,7 @@ func (b *Builder) Build() (*Program, error) {
 	case Baseline:
 		backend = litterbox.NewBaseline()
 	case MPK:
-		backend = litterbox.NewMPK(mpk.NewUnit(space, clock))
+		backend = litterbox.NewMPK(mpk.NewUnit(space))
 	case VTX:
 		backend = litterbox.NewVTX(vtx.NewMachine(space, clock))
 	case CHERI:

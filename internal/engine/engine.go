@@ -221,9 +221,6 @@ func New(prog *core.Program, opts Opts) *Engine {
 	return e
 }
 
-// Prog returns the program the engine executes.
-func (e *Engine) Prog() *core.Program { return e.prog }
-
 // DequeueMode returns the configured drain order.
 func (e *Engine) DequeueMode() DequeueMode { return e.opts.Dequeue }
 

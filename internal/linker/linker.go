@@ -385,7 +385,13 @@ func writeJSONSection(space *mem.AddressSpace, name string, v any) (*mem.Section
 	return sec, nil
 }
 
+// readJSONSection decodes a section writeJSONSection wrote. The bytes
+// are untrusted: a section shorter than its length prefix, or a prefix
+// claiming more than the section holds, is rejected before allocating.
 func readJSONSection(space *mem.AddressSpace, sec *mem.Section, v any) error {
+	if sec.Size < 8 {
+		return fmt.Errorf("linker: metadata section %s is shorter than its length prefix", sec.Name)
+	}
 	n, err := space.Load64(sec.Base)
 	if err != nil {
 		return err

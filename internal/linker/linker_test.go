@@ -169,6 +169,19 @@ func TestMetadataRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadRejectsShortSection: a metadata section shorter than its
+// 8-byte length prefix is corrupt. Size-8 must not underflow into a
+// bound that accepts the prefix the section's first bytes hold.
+func TestReadRejectsShortSection(t *testing.T) {
+	img := linkIt(t)
+	short := *img.PkgsSec
+	short.Size = 4
+	img.PkgsSec = &short
+	if pkgs, err := img.ReadPkgs(); err == nil {
+		t.Fatalf("decoded %d packages from a 4-byte .pkgs section", len(pkgs))
+	}
+}
+
 func TestLinkErrors(t *testing.T) {
 	g := pkggraph.New()
 	_ = g.Add(&pkggraph.Package{Name: "a"})

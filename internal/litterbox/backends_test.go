@@ -27,7 +27,7 @@ func TestBackendMatrix(t *testing.T) {
 			var backend litterbox.Backend
 			switch name {
 			case "mpk":
-				backend = litterbox.NewMPK(mpk.NewUnit(f.space, f.clock))
+				backend = litterbox.NewMPK(mpk.NewUnit(f.space))
 			case "vtx":
 				backend = litterbox.NewVTX(vtx.NewMachine(f.space, f.clock))
 			case "cheri":
@@ -94,7 +94,7 @@ func TestBackendMatrix(t *testing.T) {
 // the destination arena's visibility on every enforcing backend.
 func TestBackendTransfersVisibility(t *testing.T) {
 	mk := map[string]func(f *fixture) litterbox.Backend{
-		"mpk":   func(f *fixture) litterbox.Backend { return litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)) },
+		"mpk":   func(f *fixture) litterbox.Backend { return litterbox.NewMPK(mpk.NewUnit(f.space)) },
 		"vtx":   func(f *fixture) litterbox.Backend { return litterbox.NewVTX(vtx.NewMachine(f.space, f.clock)) },
 		"cheri": func(f *fixture) litterbox.Backend { return litterbox.NewCHERI(cheri.NewUnit(f.clock)) },
 	}
@@ -140,7 +140,7 @@ func TestNestedTargetEnvIntersection(t *testing.T) {
 	}
 	// Re-link with both enclosures so tokens exist.
 	f2 := newFixtureWithDecls(t, []string{"outer:main", "inner:lib"})
-	lb := f2.initWith(t, litterbox.NewMPK(mpk.NewUnit(f2.space, f2.clock)), specs...)
+	lb := f2.initWith(t, litterbox.NewMPK(mpk.NewUnit(f2.space)), specs...)
 	if err := lb.InstallEnv(f2.cpu, lb.Trusted()); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func newFixtureWithDecls(t *testing.T, decls []string) *fixture {
 // MPK DescribeKeys / KeyOf smoke coverage.
 func TestMPKKeyIntrospection(t *testing.T) {
 	f := newFixture(t)
-	b := litterbox.NewMPK(mpk.NewUnit(f.space, f.clock))
+	b := litterbox.NewMPK(mpk.NewUnit(f.space))
 	_ = f.initWith(t, b)
 	if b.KeyOf("lib") < 0 {
 		t.Error("lib has no key")

@@ -266,7 +266,7 @@ func (b *MPKBackend) cloneFor(c *LitterBox) (Backend, error) {
 	if virt {
 		return nil, fmt.Errorf("%w: mpk with virtualised keys", ErrNotCloneable)
 	}
-	nb := &MPKBackend{lb: c, unit: b.unit.Clone(c.Space, c.Clock)}
+	nb := &MPKBackend{lb: c, unit: b.unit.Clone(c.Space)}
 	nb.shareTables(b)
 	c.Kernel.SetPkeyOps(nb.unit)
 	return nb, nil

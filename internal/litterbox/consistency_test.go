@@ -91,7 +91,7 @@ func TestBackendsAgreeOnDataAccess(t *testing.T) {
 		}
 		var worlds []world
 		for _, mk := range []func(*mem.AddressSpace, *hw.Clock) litterbox.Backend{
-			func(s *mem.AddressSpace, c *hw.Clock) litterbox.Backend { return litterbox.NewMPK(mpk.NewUnit(s, c)) },
+			func(s *mem.AddressSpace, c *hw.Clock) litterbox.Backend { return litterbox.NewMPK(mpk.NewUnit(s)) },
 			func(s *mem.AddressSpace, c *hw.Clock) litterbox.Backend {
 				return litterbox.NewVTX(vtx.NewMachine(s, c))
 			},
@@ -157,7 +157,7 @@ func TestBackendsAgreeOnDataAccess(t *testing.T) {
 // owner's modifier grants R — on every enforcing backend.
 func TestTransferVisibilityProperty(t *testing.T) {
 	mk := []func(f *fixture) litterbox.Backend{
-		func(f *fixture) litterbox.Backend { return litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)) },
+		func(f *fixture) litterbox.Backend { return litterbox.NewMPK(mpk.NewUnit(f.space)) },
 		func(f *fixture) litterbox.Backend { return litterbox.NewVTX(vtx.NewMachine(f.space, f.clock)) },
 		func(f *fixture) litterbox.Backend { return litterbox.NewCHERI(cheri.NewUnit(f.clock)) },
 	}

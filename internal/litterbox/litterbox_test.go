@@ -91,7 +91,7 @@ func (f *fixture) initWith(t testing.TB, backend litterbox.Backend, specs ...lit
 func backends(f *fixture) map[string]litterbox.Backend {
 	return map[string]litterbox.Backend{
 		"baseline": litterbox.NewBaseline(),
-		"mpk":      litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)),
+		"mpk":      litterbox.NewMPK(mpk.NewUnit(f.space)),
 		"vtx":      litterbox.NewVTX(vtx.NewMachine(f.space, f.clock)),
 		"cheri":    litterbox.NewCHERI(cheri.NewUnit(f.clock)),
 	}
@@ -202,7 +202,7 @@ func TestPrologBadTokenFaults(t *testing.T) {
 func reuse(b litterbox.Backend, f *fixture) litterbox.Backend {
 	switch b.(type) {
 	case *litterbox.MPKBackend:
-		return litterbox.NewMPK(mpk.NewUnit(f.space, f.clock))
+		return litterbox.NewMPK(mpk.NewUnit(f.space))
 	case *litterbox.VTXBackend:
 		return litterbox.NewVTX(vtx.NewMachine(f.space, f.clock))
 	case *litterbox.CHERIBackend:
@@ -214,7 +214,7 @@ func reuse(b litterbox.Backend, f *fixture) litterbox.Backend {
 
 func TestPrologEpilogRoundTrip(t *testing.T) {
 	for _, mk := range []func(*fixture) litterbox.Backend{
-		func(f *fixture) litterbox.Backend { return litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)) },
+		func(f *fixture) litterbox.Backend { return litterbox.NewMPK(mpk.NewUnit(f.space)) },
 		func(f *fixture) litterbox.Backend { return litterbox.NewVTX(vtx.NewMachine(f.space, f.clock)) },
 	} {
 		f := newFixture(t)
@@ -246,7 +246,7 @@ func TestPrologEpilogRoundTrip(t *testing.T) {
 
 func TestEpilogRestoresCaller(t *testing.T) {
 	f := newFixture(t)
-	unit := mpk.NewUnit(f.space, f.clock)
+	unit := mpk.NewUnit(f.space)
 	lb := f.initWith(t, litterbox.NewMPK(unit))
 	if err := lb.InstallEnv(f.cpu, lb.Trusted()); err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestEpilogRestoresCaller(t *testing.T) {
 
 func TestFilterSyscall(t *testing.T) {
 	f := newFixture(t)
-	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)))
+	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space)))
 	if err := lb.InstallEnv(f.cpu, lb.Trusted()); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestMPKScanRejectsPlantedWRPKRU(t *testing.T) {
 	}
 	_, err := litterbox.Init(litterbox.Config{
 		Image: f.img, Clock: f.clock, Kernel: f.k, Proc: f.proc,
-		Backend: litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)),
+		Backend: litterbox.NewMPK(mpk.NewUnit(f.space)),
 		Specs:   nil,
 	})
 	if !errors.Is(err, mpk.ErrWRPKRUFound) {
@@ -358,7 +358,7 @@ func TestMPKScanRejectsPlantedWRPKRU(t *testing.T) {
 
 func TestRuntimeSyscallSwitchesToTrusted(t *testing.T) {
 	f := newFixture(t)
-	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)))
+	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space)))
 	if err := lb.InstallEnv(f.cpu, lb.Trusted()); err != nil {
 		t.Fatal(err)
 	}

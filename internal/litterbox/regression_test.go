@@ -165,7 +165,7 @@ func TestNestingPairRetriesAfterTransientFailure(t *testing.T) {
 // environments on the way out, exactly as Prolog refuses to enter.
 func TestEpilogRefusesAbortedWorker(t *testing.T) {
 	f := newFixture(t)
-	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)))
+	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space)))
 	if err := lb.InstallEnv(f.cpu, lb.Trusted()); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestEpilogRefusesAbortedWorker(t *testing.T) {
 // nowhere), and a framework that keeps working afterwards.
 func TestMPKKeyExhaustionFromDynamicImports(t *testing.T) {
 	f := newFixture(t)
-	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)))
+	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space)))
 	if err := lb.InstallEnv(f.cpu, lb.Trusted()); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestMPKKeyExhaustionFromDynamicImports(t *testing.T) {
 // imports still work.
 func TestDynamicImportTextIsGadgetScanned(t *testing.T) {
 	f := newFixture(t)
-	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)))
+	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space)))
 	if err := lb.InstallEnv(f.cpu, lb.Trusted()); err != nil {
 		t.Fatal(err)
 	}

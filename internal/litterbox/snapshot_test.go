@@ -39,7 +39,7 @@ func twoEnclosures() []litterbox.EnclosureSpec {
 
 func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	f := newFixture(t)
-	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)), twoEnclosures()...)
+	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space)), twoEnclosures()...)
 
 	env1, err := lb.EnvForEnclosure(1)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 
 func TestTraceRecordsEnforcementEvents(t *testing.T) {
 	f := newFixture(t)
-	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space, f.clock)))
+	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space)))
 	tr := lb.EnableTrace(64)
 	if err := lb.InstallEnv(f.cpu, lb.Trusted()); err != nil {
 		t.Fatal(err)

@@ -42,10 +42,10 @@ func (j *journal) notePage(pages []pte, i int) {
 // values remain valid in the clone, and the clone needs no fresh
 // WRPKRU gadget scan — its text pages are bit-identical by CoW. The
 // clone journals its own changes from birth for Revert.
-func (u *Unit) Clone(space *mem.AddressSpace, clock *hw.Clock) *Unit {
+func (u *Unit) Clone(space *mem.AddressSpace) *Unit {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return &Unit{space: space, clock: clock, used: u.used, pages: slices.Clone(u.pages), muts: u.muts,
+	return &Unit{space: space, used: u.used, pages: slices.Clone(u.pages), muts: u.muts,
 		undo: &journal{used: u.used, muts: u.muts}}
 }
 

@@ -70,7 +70,7 @@ func (b birth) check(t *testing.T, what string, u *Unit) {
 func TestRevertRestoresBirth(t *testing.T) {
 	tmpl, space, tagged, untagged := taggedTemplate(t)
 	tmplBirth := birthOf(tmpl)
-	c := tmpl.Clone(space, hw.NewClock())
+	c := tmpl.Clone(space)
 	cloneBirth := birthOf(c)
 	if cloneBirth.used != tmplBirth.used || !maps.Equal(cloneBirth.pages, tmplBirth.pages) || cloneBirth.gen != tmplBirth.gen {
 		t.Fatal("clone does not start from the template's state")
@@ -101,7 +101,7 @@ func TestRevertRestoresBirth(t *testing.T) {
 // unit that is not a clone at all, leaves both exactly as they were.
 func TestRevertEmptyJournal(t *testing.T) {
 	tmpl, space, _, _ := taggedTemplate(t)
-	c := tmpl.Clone(space, hw.NewClock())
+	c := tmpl.Clone(space)
 	want := birthOf(c)
 	c.Revert()
 	want.check(t, "clean clone", c)

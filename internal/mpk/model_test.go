@@ -145,7 +145,7 @@ func runUnitModel(t *testing.T, seed int64, steps int) {
 	space := mem.NewAddressSpace(64 * mem.PageSize)
 	clock := hw.NewClock()
 	cpu := hw.NewCPU(clock)
-	pairs := []*unitPair{{real: NewUnit(space, clock), model: &modelUnit{tags: map[uint64]pte{}}}}
+	pairs := []*unitPair{{real: NewUnit(space), model: &modelUnit{tags: map[uint64]pte{}}}}
 	pairs[0].model.used[DefaultKey] = true
 	base, _ := space.Map("first", "p", mem.KindData, mem.PageSize, mem.PermR|mem.PermW)
 
@@ -241,7 +241,7 @@ func runUnitModel(t *testing.T, seed int64, steps int) {
 				continue
 			}
 			what = "Clone"
-			c := &unitPair{real: p.real.Clone(space, clock), model: p.model.copy()}
+			c := &unitPair{real: p.real.Clone(space), model: p.model.copy()}
 			c.model.birth = p.model.copy()
 			pairs = append(pairs, c)
 		default:

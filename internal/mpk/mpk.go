@@ -52,7 +52,6 @@ type pte struct {
 // enforces PKRU on access.
 type Unit struct {
 	space *mem.AddressSpace
-	clock *hw.Clock
 
 	mu    sync.Mutex
 	used  [hw.NumKeys]bool
@@ -67,8 +66,8 @@ type Unit struct {
 
 // NewUnit returns an MPK unit over the address space. Key 0 is
 // pre-allocated as the default key, as on Linux.
-func NewUnit(space *mem.AddressSpace, clock *hw.Clock) *Unit {
-	u := &Unit{space: space, clock: clock}
+func NewUnit(space *mem.AddressSpace) *Unit {
+	u := &Unit{space: space}
 	u.used[DefaultKey] = true
 	return u
 }

@@ -13,8 +13,7 @@ import (
 func newUnit(t *testing.T) (*Unit, *mem.AddressSpace, *hw.CPU) {
 	t.Helper()
 	space := mem.NewAddressSpace(0)
-	clock := hw.NewClock()
-	return NewUnit(space, clock), space, hw.NewCPU(clock)
+	return NewUnit(space), space, hw.NewCPU(hw.NewClock())
 }
 
 func TestPkeyAllocFree(t *testing.T) {

@@ -18,7 +18,7 @@ func TestWrappedRangeRejected(t *testing.T) {
 	space := mem.NewAddressSpace(0)
 	clock := hw.NewClock()
 	cpu := hw.NewCPU(clock)
-	u := NewUnit(space, clock)
+	u := NewUnit(space)
 	sec, err := space.Map("d", "p", mem.KindData, 2*mem.PageSize, mem.PermR|mem.PermW)
 	if err != nil {
 		t.Fatal(err)

@@ -396,7 +396,7 @@ func (w *World) dynImport(op Op) string {
 		Vars:   map[string]int{"v": 64},
 		Consts: map[string][]byte{"c": []byte("dyn")},
 	}
-	if err := w.Graph.AddIncremental(p); err != nil {
+	if err := w.Img.Graph.AddIncremental(p); err != nil {
 		return "err:dyn"
 	}
 	pl, err := w.Img.PlaceDynamic(p)

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/litterbox-project/enclosure/internal/hw"
-	"github.com/litterbox-project/enclosure/internal/litterbox"
 	"github.com/litterbox-project/enclosure/internal/mem"
 	"github.com/litterbox-project/enclosure/internal/snapstart"
 )
@@ -49,17 +47,17 @@ func (w *Warm) Stats() (clones, recycles int64) {
 func (w *Warm) capture(spec WorldSpec) ([]*World, error) {
 	w.clones, w.recycles = w.Stats()
 	w.spec, w.templates, w.spans, w.insts = spec, nil, nil, nil
-	for _, name := range backendNames {
-		cold, err := BuildWorld(spec, name)
-		if err != nil {
-			return nil, fmt.Errorf("probe: building %s template: %w", name, err)
-		}
+	colds, err := BuildWorlds(spec)
+	if err != nil {
+		return nil, err
+	}
+	for i, cold := range colds {
 		t, err := snapstart.Capture(snapstart.Parts{
 			Space: cold.LB.Space, Img: cold.Img, K: cold.K, Proc: cold.LB.Proc,
 			LB: cold.LB, Clock: cold.Clock,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("probe: capturing %s template: %w", name, err)
+			return nil, fmt.Errorf("probe: capturing %s template: %w", backendNames[i], err)
 		}
 		w.templates = append(w.templates, t)
 		w.spans = append(w.spans, cold.Spans)
@@ -92,19 +90,9 @@ func (w *Warm) recycle(WorldSpec) ([]*World, error) {
 func (w *Warm) worlds() ([]*World, error) {
 	worlds := make([]*World, 0, len(w.insts))
 	for i, inst := range w.insts {
-		name := backendNames[i]
-		cpu := hw.NewCPU(inst.Clock)
-		cpu.Inj = hw.NewInjector()
-		dom := &litterbox.FaultDomain{}
-		inst.LB.BindWorker(inst.Clock, &litterbox.CPUState{Proc: inst.Proc, Domain: dom, Name: "probe-" + name})
-		if err := inst.LB.InstallEnv(cpu, inst.LB.Trusted()); err != nil {
-			return nil, fmt.Errorf("probe: installing trusted env in warm %s world: %w", name, err)
-		}
-		wd := &World{
-			Name: name, Spec: w.spec, LB: inst.LB, Img: inst.Img, Graph: inst.Img.Graph,
-			CPU: cpu, Clock: inst.Clock, K: inst.K, Dom: dom,
-			Cache: litterbox.NewEnvCache(),
-			stack: []frame{{env: inst.LB.Trusted(), encl: 0}},
+		wd, err := bindWorld(backendNames[i], w.spec, inst.LB)
+		if err != nil {
+			return nil, fmt.Errorf("probe: installing trusted env in warm %s world: %w", backendNames[i], err)
 		}
 		for _, sec := range w.spans[i] {
 			wd.Spans = append(wd.Spans, inst.Remap(sec))

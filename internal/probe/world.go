@@ -18,15 +18,16 @@ import (
 // World is one backend's instantiation of a WorldSpec: its own graph,
 // address space, kernel, and CPU, with a bound fault domain so a
 // probe-provoked fault aborts this world's trace position rather than a
-// shared program. All four worlds of a trace share the spec, and
-// because construction is deterministic, their section addresses are
-// identical — the property that makes verdicts comparable.
+// shared program. The four worlds of a trace share one link of the
+// spec: each is a copy-on-write fork of the same linked image, so their
+// section addresses and bytes are identical at birth — the property
+// that makes verdicts comparable — while no write, transfer or dynamic
+// import in one world is visible in another.
 type World struct {
 	Name  string
 	Spec  WorldSpec
 	LB    *litterbox.LitterBox
 	Img   *linker.Image
-	Graph *pkggraph.Graph
 	CPU   *hw.CPU
 	Clock *hw.Clock
 	K     *kernel.Kernel
@@ -61,6 +62,17 @@ func BuildWorld(spec WorldSpec, name string) (*World, error) {
 // optional audit recorder — non-nil switches the world into
 // observe-don't-enforce mode, the privilege analyzer's mining shape.
 func BuildWorldWith(spec WorldSpec, name string, policies []litterbox.Policy, audit *obs.Audit) (*World, error) {
+	img, err := link(spec)
+	if err != nil {
+		return nil, err
+	}
+	return instantiate(spec, img, name, policies, audit)
+}
+
+// link validates spec, builds and seals its package graph, and links it
+// into a fresh address space — the frontend's one link of the program
+// (§5.1), which charges no virtual time.
+func link(spec WorldSpec) (*linker.Image, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -89,19 +101,20 @@ func BuildWorldWith(spec WorldSpec, name string, policies []litterbox.Policy, au
 	if err := g.Seal(); err != nil {
 		return nil, err
 	}
-
-	space := mem.NewAddressSpace(0)
 	var decls []linker.DeclInput
 	for i, es := range spec.Encls {
 		decls = append(decls, linker.DeclInput{
 			Name: fmt.Sprintf("e%d", i+1), Pkg: pkgName(es.Pkg), Policy: "probe",
 		})
 	}
-	img, err := linker.Link(g, decls, space)
-	if err != nil {
-		return nil, err
-	}
+	return linker.Link(g, decls, mem.NewAddressSpace(0))
+}
 
+// instantiate loads the linked image under one backend, as LitterBox's
+// Init loads the executable (checking its sections and metadata), then
+// binds a CPU and fault domain and maps the heap spans into img's space.
+func instantiate(spec WorldSpec, img *linker.Image, name string, policies []litterbox.Policy, audit *obs.Audit) (*World, error) {
+	space := img.Space
 	clock := hw.NewClock()
 	k := kernel.New(space, clock)
 	proc := k.NewProc(1, 1, 1)
@@ -116,7 +129,7 @@ func BuildWorldWith(spec WorldSpec, name string, policies []litterbox.Policy, au
 	case "baseline":
 		backend = litterbox.NewBaseline()
 	case "mpk":
-		backend = litterbox.NewMPK(mpk.NewUnit(space, clock))
+		backend = litterbox.NewMPK(mpk.NewUnit(space))
 	case "vtx":
 		backend = litterbox.NewVTX(vtx.NewMachine(space, clock))
 	case "cheri":
@@ -156,19 +169,9 @@ func BuildWorldWith(spec WorldSpec, name string, policies []litterbox.Policy, au
 		return nil, err
 	}
 
-	cpu := hw.NewCPU(clock)
-	cpu.Inj = hw.NewInjector()
-	dom := &litterbox.FaultDomain{}
-	lb.BindWorker(clock, &litterbox.CPUState{Proc: proc, Domain: dom, Name: "probe-" + name})
-	if err := lb.InstallEnv(cpu, lb.Trusted()); err != nil {
+	w, err := bindWorld(name, spec, lb)
+	if err != nil {
 		return nil, err
-	}
-
-	w := &World{
-		Name: name, Spec: spec, LB: lb, Img: img, Graph: g,
-		CPU: cpu, Clock: clock, K: k, Dom: dom,
-		Cache: litterbox.NewEnvCache(),
-		stack: []frame{{env: lb.Trusted(), encl: 0}},
 	}
 
 	// Pre-map the heap spans, seed each with a file path for the
@@ -190,11 +193,30 @@ func BuildWorldWith(spec WorldSpec, name string, policies []litterbox.Policy, au
 		if spec.SpanOwners[i] >= 0 {
 			owner = pkgName(spec.SpanOwners[i])
 		}
-		if err := lb.Transfer(cpu, sec, owner); err != nil {
+		if err := lb.Transfer(w.CPU, sec, owner); err != nil {
 			return nil, err
 		}
 	}
 	return w, nil
+}
+
+// bindWorld wraps an initialised LitterBox in a probe World: a fresh
+// CPU with its own injector, a fault domain bound as the worker, the
+// trusted environment installed, and an empty env cache.
+func bindWorld(name string, spec WorldSpec, lb *litterbox.LitterBox) (*World, error) {
+	cpu := hw.NewCPU(lb.Clock)
+	cpu.Inj = hw.NewInjector()
+	dom := &litterbox.FaultDomain{}
+	lb.BindWorker(lb.Clock, &litterbox.CPUState{Proc: lb.Proc, Domain: dom, Name: "probe-" + name})
+	if err := lb.InstallEnv(cpu, lb.Trusted()); err != nil {
+		return nil, err
+	}
+	return &World{
+		Name: name, Spec: spec, LB: lb, Img: lb.Image,
+		CPU: cpu, Clock: lb.Clock, K: lb.Kernel, Dom: dom,
+		Cache: litterbox.NewEnvCache(),
+		stack: []frame{{env: lb.Trusted(), encl: 0}},
+	}, nil
 }
 
 // validate rejects a spec whose indices fall outside its own package
@@ -277,11 +299,18 @@ func (w *World) CheckOp(op Op) error {
 }
 
 // BuildWorlds instantiates the spec under all four backends, baseline
-// first.
+// first. The spec is linked once; each backend's world runs on its own
+// copy-on-write fork of that image (address space, graph and image
+// tables), and Init checks every fork as it would a fresh link.
 func BuildWorlds(spec WorldSpec) ([]*World, error) {
-	var worlds []*World
+	img, err := link(spec)
+	if err != nil {
+		return nil, err
+	}
+	worlds := make([]*World, 0, len(backendNames))
 	for _, name := range backendNames {
-		w, err := BuildWorld(spec, name)
+		space, secMap := img.Space.CloneCoW()
+		w, err := instantiate(spec, img.CloneWith(space, img.Graph.Share(), secMap), name, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("probe: building %s world: %w", name, err)
 		}

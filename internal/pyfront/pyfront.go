@@ -124,23 +124,9 @@ func NewInterp(mode Mode) *Interp {
 	return &Interp{Mode: mode, gcHeads: make(map[string]mem.Addr)}
 }
 
-// trustedMetaWrite performs a metadata store with a controlled switch
+// trustedMetaRead performs a metadata load with a controlled switch
 // to the trusted environment and back — the §5.2 escape hatch. The
 // full cost of two switches is incurred on every access.
-func (in *Interp) trustedMetaWrite(t *core.Task, addr mem.Addr, v uint64) {
-	prog := t.Prog()
-	lb := prog.LitterBox()
-	cur := t.Env()
-	if err := lb.Execute(t.CPU(), cur, lb.Trusted()); err != nil {
-		panic(err)
-	}
-	t.Store64(addr, v)
-	if err := lb.Execute(t.CPU(), lb.Trusted(), cur); err != nil {
-		panic(err)
-	}
-	in.Switches += 2
-}
-
 func (in *Interp) trustedMetaRead(t *core.Task, addr mem.Addr) uint64 {
 	prog := t.Prog()
 	lb := prog.LitterBox()

@@ -31,9 +31,6 @@ type MsgConn struct {
 // NewMsgConn wraps an established connection.
 func NewMsgConn(c *Conn) *MsgConn { return &MsgConn{c: c} }
 
-// Conn returns the underlying stream connection.
-func (m *MsgConn) Conn() *Conn { return m.c }
-
 // Send writes one framed message.
 func (m *MsgConn) Send(p []byte) error {
 	if len(p) > MaxFrame {
