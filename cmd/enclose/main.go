@@ -203,7 +203,7 @@ func runAudit(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(out)
+		fmt.Print(out.String())
 	}
 }
 

@@ -15,52 +15,70 @@ import (
 	"github.com/litterbox-project/enclosure/internal/probe"
 )
 
-// FuzzReadMetadata writes fuzzed bytes, length prefix included, over
-// the .pkgs, .rstrct and .verif sections of real linked images — a
-// probe world's and the net/http program's — and decodes them the way
-// Init does. Every input must be rejected with an error or decode to a
-// result that does not depend on when it is read; a declared length
-// past the section must be rejected before anything is allocated for
-// it; and Init must not accept metadata its own readers reject.
-func FuzzReadMetadata(f *testing.F) {
+// metadataImages links the images the metadata tests corrupt: a probe
+// world's and the net/http program's.
+func metadataImages(tb testing.TB) []*linker.Image {
+	tb.Helper()
 	w, err := probe.BuildWorld(probe.Gen(1, 0).Spec, "baseline")
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	prog, err := httpserv.Program(core.Baseline, httpserv.HandlerPolicy)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	images := []*linker.Image{w.Img, prog.Image()}
+	return []*linker.Image{w.Img, prog.Image()}
+}
+
+// edgeInputs are (.pkgs, .rstrct, .verif) contents, length prefix
+// included, that every reader must reject with an error: a length
+// prefix past the section; a zero-length payload; a record count of
+// 2^32-1 over four bytes; one record whose first string claims 2^31-1
+// bytes (a package name, and an enclosure name after its u64 ID); and
+// img's own payloads with one trailing byte.
+func edgeInputs(tb testing.TB, img *linker.Image) [][3][]byte {
+	huge := binary.LittleEndian.AppendUint64(nil, ^uint64(0))
+	empty := payload()
+	manyRecords := payload(0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)
+	longPkgName := payload(append([]byte{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F}, make([]byte, 28)...)...)
+	longEnclName := payload(append([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F}, make([]byte, 20)...)...)
+	trailing := func(sec *mem.Section) []byte {
+		return payload(append(sectionBytes(tb, img, sec)[8:], 0x5A)...)
+	}
+	return [][3][]byte{
+		{huge, huge, huge},
+		{empty, empty, empty},
+		{manyRecords, manyRecords, manyRecords},
+		{longPkgName, longEnclName, manyRecords},
+		{trailing(img.PkgsSec), trailing(img.RstrctSec), trailing(img.VerifSec)},
+	}
+}
+
+// FuzzReadMetadata writes fuzzed bytes, length prefix included, over
+// the .pkgs, .rstrct and .verif sections of real linked images and
+// decodes them the way Init does. Every input must be rejected with an
+// error or decode to a result that does not depend on when it is read;
+// a declared length, count or string length past the bytes that hold
+// it must be an error, never an allocation for it; and Init must not
+// accept metadata its own readers reject.
+func FuzzReadMetadata(f *testing.F) {
+	images := metadataImages(f)
 	for _, img := range images {
 		f.Add(sectionBytes(f, img, img.PkgsSec), sectionBytes(f, img, img.RstrctSec), sectionBytes(f, img, img.VerifSec))
 	}
-	huge := binary.LittleEndian.AppendUint64(nil, ^uint64(0))
-	f.Add(huge, huge, huge)
-	f.Add([]byte{}, []byte("\x02\x00\x00\x00\x00\x00\x00\x00{}"), []byte("\x04\x00\x00\x00\x00\x00\x00\x00null"))
+	for _, in := range edgeInputs(f, images[0]) {
+		f.Add(in[0], in[1], in[2])
+	}
 
 	f.Fuzz(func(t *testing.T, pkgs, rstrct, verif []byte) {
 		for _, tmpl := range images {
-			// A copy-on-write fork per input: no input reaches the next.
-			space, secMap := tmpl.Space.CloneCoW()
-			img := tmpl.CloneWith(space, tmpl.Graph.Share(), secMap)
-			for _, s := range []struct {
-				sec  *mem.Section
-				data []byte
-			}{{img.PkgsSec, pkgs}, {img.RstrctSec, rstrct}, {img.VerifSec, verif}} {
-				buf := make([]byte, s.sec.Size)
-				copy(buf, s.data)
-				if err := space.WriteAt(s.sec.Base, buf); err != nil {
-					t.Fatal(err)
-				}
-			}
-
+			img := forkWith(t, tmpl, pkgs, rstrct, verif)
 			pkgsOK := decodesConsistently(t, img, img.PkgsSec, func() (any, error) { return img.ReadPkgs() })
 			decodesConsistently(t, img, img.RstrctSec, func() (any, error) { return img.ReadRstrct() })
 			verifOK := decodesConsistently(t, img, img.VerifSec, func() (any, error) { return img.ReadVerif() })
 
 			clock := hw.NewClock()
-			k := kernel.New(space, clock)
+			k := kernel.New(img.Space, clock)
 			_, err := litterbox.Init(litterbox.Config{
 				Image: img, Clock: clock, Kernel: k, Proc: k.NewProc(1, 1, 1), Backend: litterbox.NewBaseline(),
 			})
@@ -69,6 +87,45 @@ func FuzzReadMetadata(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadRejectsEdgeInputs: each edge input is an error from all three
+// readers on every image.
+func TestReadRejectsEdgeInputs(t *testing.T) {
+	for _, tmpl := range metadataImages(t) {
+		for i, in := range edgeInputs(t, tmpl) {
+			img := forkWith(t, tmpl, in[0], in[1], in[2])
+			if _, err := img.ReadPkgs(); err == nil {
+				t.Errorf("edge input %d: .pkgs decoded", i)
+			}
+			if _, err := img.ReadRstrct(); err == nil {
+				t.Errorf("edge input %d: .rstrct decoded", i)
+			}
+			if _, err := img.ReadVerif(); err == nil {
+				t.Errorf("edge input %d: .verif decoded", i)
+			}
+		}
+	}
+}
+
+// forkWith forks tmpl copy-on-write, so no input reaches the next, and
+// overwrites the fork's three metadata sections with the given bytes,
+// zero-filling what they do not cover.
+func forkWith(t *testing.T, tmpl *linker.Image, pkgs, rstrct, verif []byte) *linker.Image {
+	t.Helper()
+	space, secMap := tmpl.Space.CloneCoW()
+	img := tmpl.CloneWith(space, tmpl.Graph.Share(), secMap)
+	for _, s := range []struct {
+		sec  *mem.Section
+		data []byte
+	}{{img.PkgsSec, pkgs}, {img.RstrctSec, rstrct}, {img.VerifSec, verif}} {
+		buf := make([]byte, s.sec.Size)
+		copy(buf, s.data)
+		if err := space.WriteAt(s.sec.Base, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return img
 }
 
 // decodesConsistently decodes one metadata section twice and reports
@@ -91,10 +148,16 @@ func decodesConsistently(t *testing.T, img *linker.Image, sec *mem.Section, read
 	return err1 == nil
 }
 
-// sectionBytes reads a metadata section's length prefix and the JSON it
-// declares out of the image's memory. The zero padding after it is left
-// out: the fuzz body zero-fills what an input does not cover, and a
-// shorter seed keeps the fuzzer's minimisation cheap.
+// payload prefixes p with its 8-byte little-endian length, as a metadata
+// section stores it.
+func payload(p ...byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(nil, uint64(len(p))), p...)
+}
+
+// sectionBytes reads a metadata section's length prefix and the binary
+// payload it declares out of the image's memory. The zero padding after
+// it is left out: the fuzz body zero-fills what an input does not cover,
+// and a shorter seed keeps the fuzzer's minimisation cheap.
 func sectionBytes(tb testing.TB, img *linker.Image, sec *mem.Section) []byte {
 	tb.Helper()
 	n, err := img.Space.Load64(sec.Base)

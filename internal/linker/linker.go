@@ -11,12 +11,16 @@
 //	.rstrct — enclosure configurations and direct dependencies
 //	.verif  — call-site tokens for LitterBox API verification
 //
-// LitterBox's Init later reads .pkgs and .rstrct back *from simulated
+// LitterBox's Init later reads .pkgs and .verif back *from simulated
 // memory*, exactly as the real system passes them from the executable.
+// The sections use a compact binary wire format (meta.go): an 8-byte
+// payload length, then u32 counts, u32-length strings, fixed-width
+// little-endian u8/u64 fields and name-sorted symbol tables, decoded by
+// one bounds-checked cursor that rejects any count, length or trailing
+// byte the payload cannot account for.
 package linker
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"maps"
@@ -295,115 +299,6 @@ func placePackage(space *mem.AddressSpace, p *pkggraph.Package) (*PackageLayout,
 		off += align8(size)
 	}
 	return pl, nil
-}
-
-// emitMetadata writes .pkgs, .rstrct, and .verif into the image.
-func (img *Image) emitMetadata() error {
-	var pkgs []PkgDesc
-	for _, name := range img.Graph.Names() {
-		p, err := img.Graph.Lookup(name)
-		if err != nil {
-			return err
-		}
-		pl := img.Packages[name]
-		pkgs = append(pkgs, PkgDesc{
-			Name:    name,
-			Imports: append([]string(nil), p.Imports...),
-			LOC:     p.Meta.LOC,
-			Sections: []SectionDesc{
-				sectionDesc(pl.Text),
-				sectionDesc(pl.ROData),
-				sectionDesc(pl.Data),
-			},
-			Funcs:  pl.Funcs,
-			Consts: pl.Consts,
-			Vars:   pl.Vars,
-		})
-	}
-	var encls []EnclDesc
-	var verifs []VerifEntry
-	for _, d := range img.Enclosures {
-		encls = append(encls, EnclDesc{ID: d.ID, Name: d.Name, Pkg: d.Pkg, Policy: d.Policy, TextBase: d.Text.Base})
-		verifs = append(verifs, VerifEntry{EnclID: d.ID, Token: d.Token})
-	}
-
-	var err error
-	img.PkgsSec, err = writeJSONSection(img.Space, ".pkgs", pkgs)
-	if err != nil {
-		return err
-	}
-	img.RstrctSec, err = writeJSONSection(img.Space, ".rstrct", encls)
-	if err != nil {
-		return err
-	}
-	img.VerifSec, err = writeJSONSection(img.Space, ".verif", verifs)
-	return err
-}
-
-// ReadPkgs decodes the .pkgs section back out of simulated memory.
-func (img *Image) ReadPkgs() ([]PkgDesc, error) {
-	var out []PkgDesc
-	err := readJSONSection(img.Space, img.PkgsSec, &out)
-	return out, err
-}
-
-// ReadRstrct decodes the .rstrct section from simulated memory.
-func (img *Image) ReadRstrct() ([]EnclDesc, error) {
-	var out []EnclDesc
-	err := readJSONSection(img.Space, img.RstrctSec, &out)
-	return out, err
-}
-
-// ReadVerif decodes the .verif section from simulated memory.
-func (img *Image) ReadVerif() ([]VerifEntry, error) {
-	var out []VerifEntry
-	err := readJSONSection(img.Space, img.VerifSec, &out)
-	return out, err
-}
-
-func sectionDesc(s *mem.Section) SectionDesc {
-	return SectionDesc{Name: s.Name, Kind: uint8(s.Kind), Base: s.Base, Size: s.Size, Perm: uint8(s.Perm)}
-}
-
-// writeJSONSection serialises v (length-prefixed JSON) into a fresh
-// KindMeta section owned by LitterBox's super package.
-func writeJSONSection(space *mem.AddressSpace, name string, v any) (*mem.Section, error) {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	sec, err := space.Map(name, pkggraph.SuperPkg, mem.KindMeta, uint64(len(blob))+8, mem.PermR)
-	if err != nil {
-		return nil, err
-	}
-	if err := space.Store64(sec.Base, uint64(len(blob))); err != nil {
-		return nil, err
-	}
-	if err := space.WriteAt(sec.Base+8, blob); err != nil {
-		return nil, err
-	}
-	return sec, nil
-}
-
-// readJSONSection decodes a section writeJSONSection wrote. The bytes
-// are untrusted: a section shorter than its length prefix, or a prefix
-// claiming more than the section holds, is rejected before allocating.
-func readJSONSection(space *mem.AddressSpace, sec *mem.Section, v any) error {
-	if sec.Size < 8 {
-		return fmt.Errorf("linker: metadata section %s is shorter than its length prefix", sec.Name)
-	}
-	n, err := space.Load64(sec.Base)
-	if err != nil {
-		return err
-	}
-	if n > sec.Size-8 {
-		return fmt.Errorf("linker: corrupt metadata section %s", sec.Name)
-	}
-	blob := make([]byte, n)
-	if err := space.ReadAt(sec.Base+8, blob); err != nil {
-		return err
-	}
-	return json.Unmarshal(blob, v)
 }
 
 // writeSynthetic fills [addr, addr+size) with deterministic pseudo-code

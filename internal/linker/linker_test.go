@@ -3,6 +3,7 @@ package linker
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +167,37 @@ func TestMetadataRoundTrip(t *testing.T) {
 	// Metadata sections are owned by super.
 	if img.PkgsSec.Pkg != pkggraph.SuperPkg || img.VerifSec.Pkg != pkggraph.SuperPkg {
 		t.Fatal("metadata not owned by super")
+	}
+}
+
+// TestMetadataCodec: a record decodes to exactly what was encoded, and a
+// symbol table out of name order or naming a symbol twice is rejected,
+// so every value has one encoding.
+func TestMetadataCodec(t *testing.T) {
+	d := PkgDesc{
+		Name: "lib", Imports: []string{"a", "b"}, LOC: -3,
+		Sections: []SectionDesc{{Name: "lib.text", Kind: 1, Base: 0x1000, Size: mem.PageSize, Perm: 5}},
+		Funcs:    map[string]Sym{"B": {Addr: 0x1040, Size: 64}, "A": {Addr: 0x1000, Size: 64}},
+		Vars:     map[string]Sym{"v": {Addr: 0x3000, Size: 8}},
+	}
+	e := newEncoder()
+	e.pkg(d)
+	c := &cursor{b: e.buf[8:]}
+	if got := c.pkg(); c.done() != nil || !reflect.DeepEqual(got, d) {
+		t.Fatalf("decoded %+v (%v), want %+v", got, c.done(), d)
+	}
+	for _, names := range [][2]string{{"b", "a"}, {"a", "a"}} {
+		e := newEncoder()
+		e.u32(2)
+		for _, n := range names {
+			e.str(n)
+			e.u64(0)
+			e.u64(0)
+		}
+		c := &cursor{b: e.buf[8:]}
+		if c.syms(); c.done() == nil {
+			t.Errorf("symbol table %q decoded", names)
+		}
 	}
 }
 

@@ -33,9 +33,6 @@ func NewCHERI(unit *cheri.Unit) *CHERIBackend {
 // Name implements Backend.
 func (b *CHERIBackend) Name() string { return "cheri" }
 
-// Unit exposes the capability unit (for tests).
-func (b *CHERIBackend) Unit() *cheri.Unit { return b.unit }
-
 // Setup implements Backend: one capability table per environment.
 func (b *CHERIBackend) Setup(lb *LitterBox) error {
 	b.lb = lb

@@ -60,9 +60,6 @@ func (b *VTXBackend) SetSharing(on bool) {
 	}
 }
 
-// ShareStats returns (table clones, copy-on-write splits) so far.
-func (b *VTXBackend) ShareStats() (clones, splits int64) { return b.machine.ShareStats() }
-
 // viewKey canonically renders an environment's memory view. Two
 // environments with equal keys have bit-identical page tables at every
 // point in time, whatever transfers have happened since Init: table

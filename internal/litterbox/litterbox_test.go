@@ -5,6 +5,8 @@ package litterbox_test
 // tests do not reach (bad tokens, WRPKRU scans, key exhaustion).
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -407,23 +409,69 @@ func TestFaultMessage(t *testing.T) {
 }
 
 // TestInitRejectsCorruptedPkgsSection: failure injection on the image
-// metadata — a tampered .pkgs descriptor fails Init.
+// metadata. Each case tampers with one field of the .pkgs section, or
+// with its framing, and Init must fail: the decoder rejects a wrong
+// record count, length prefix or trailing byte, and Init's cross-check
+// rejects a package name the graph does not know and a section whose
+// base, size or perm disagrees with the address space. LOC, imports and
+// symbol tables are decoded but not cross-checked against the graph, so
+// tampering with them alone goes unnoticed.
 func TestInitRejectsCorruptedPkgsSection(t *testing.T) {
-	f := newFixture(t)
-	// Flip a byte inside the JSON payload (after the length prefix).
-	var b [1]byte
-	if err := f.space.ReadAt(f.img.PkgsSec.Base+16, b[:]); err != nil {
-		t.Fatal(err)
+	// Field offsets in the section, found by their encoded bytes: the
+	// first record's name, and its first section's base, which follows
+	// the section's u32-length name and u8 kind; size and perm follow.
+	le32 := func(n int) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(n)) }
+	locate := func(t *testing.T, f *fixture, b []byte) (name, base int) {
+		descs, err := f.img.ReadPkgs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, sd := descs[0], descs[0].Sections[0]
+		name = bytes.Index(b, append(le32(len(d.Name)), d.Name...)) + 4
+		base = bytes.Index(b, append(append(le32(len(sd.Name)), sd.Name...), sd.Kind)) + 4 + len(sd.Name) + 1
+		if name < 4 || base < 4+len(sd.Name)+1 {
+			t.Fatalf("fields of %s not found in .pkgs", d.Name)
+		}
+		return name, base
 	}
-	b[0] ^= 0xFF
-	if err := f.space.WriteAt(f.img.PkgsSec.Base+16, b[:]); err != nil {
-		t.Fatal(err)
+	addLE64 := func(b []byte, d uint64) {
+		binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+d)
 	}
-	_, err := litterbox.Init(litterbox.Config{
-		Image: f.img, Clock: f.clock, Kernel: f.k, Proc: f.proc,
-		Backend: litterbox.NewBaseline(),
-	})
-	if err == nil {
-		t.Fatal("corrupted .pkgs accepted by Init")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(b []byte, name, base int)
+	}{
+		{"record count", func(b []byte, _, _ int) { b[8]++ }},
+		{"package name", func(b []byte, name, _ int) { b[name] ^= 0xFF }},
+		{"section base", func(b []byte, _, base int) { addLE64(b[base:], mem.PageSize) }},
+		{"section size", func(b []byte, _, base int) { addLE64(b[base+8:], mem.PageSize) }},
+		{"section perm", func(b []byte, _, base int) { b[base+16] ^= byte(mem.PermW) }},
+		{"length prefix", func(b []byte, _, _ int) { addLE64(b, ^uint64(0)) }},
+		{"trailing byte", func(b []byte, _, _ int) {
+			n := binary.LittleEndian.Uint64(b)
+			b[8+n] = 0x5A
+			addLE64(b, 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			sec := f.img.PkgsSec
+			b := make([]byte, sec.Size)
+			if err := f.space.ReadAt(sec.Base, b); err != nil {
+				t.Fatal(err)
+			}
+			name, base := locate(t, f, b)
+			tc.corrupt(b, name, base)
+			if err := f.space.WriteAt(sec.Base, b); err != nil {
+				t.Fatal(err)
+			}
+			_, err := litterbox.Init(litterbox.Config{
+				Image: f.img, Clock: f.clock, Kernel: f.k, Proc: f.proc,
+				Backend: litterbox.NewBaseline(),
+			})
+			if err == nil {
+				t.Fatal("corrupted .pkgs accepted by Init")
+			}
+		})
 	}
 }

@@ -20,8 +20,19 @@ import (
 // pagePool recycles the page arrays a Revert releases into later Maps
 // and promotions, process-wide so an idle pooled instance holds no
 // spare pages. Page arrays never leave this package, so a released
-// page has no other owner.
-var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
+// page has no other owner. It has no New: a page taken from it still
+// holds a reverted clone's bytes, so only such a page needs zeroing
+// before a Map hands it out, while a freshly allocated one is zero.
+var pagePool sync.Pool
+
+// getPage returns a page array from pagePool, or a new zero one when
+// the pool is empty; reused reports which.
+func getPage() (arr *[PageSize]byte, reused bool) {
+	if arr, ok := pagePool.Get().(*[PageSize]byte); ok {
+		return arr, true
+	}
+	return new([PageSize]byte), false
+}
 
 // ErrNoSnapshot is returned by Revert on a space that was not created
 // by CloneCoW.
@@ -106,7 +117,7 @@ func (as *AddressSpace) promoteLocked(addr Addr, size uint64) {
 		if !as.pageLocked(i).cow {
 			continue
 		}
-		priv := pagePool.Get().(*[PageSize]byte)
+		priv, _ := getPage() // overwritten whole below
 		*priv = *as.pages[i].arr
 		as.pages[i] = page{arr: priv}
 		as.markPagesDirtyLocked(i, i)

@@ -239,8 +239,10 @@ func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, per
 	as.next += Addr(size)
 	first := len(as.pages)
 	for n := size >> PageShift; n > 0; n-- {
-		arr := pagePool.Get().(*[PageSize]byte)
-		*arr = [PageSize]byte{} // a pooled page holds a reverted clone's bytes
+		arr, reused := getPage()
+		if reused {
+			*arr = [PageSize]byte{}
+		}
 		as.pages = append(as.pages, page{arr: arr})
 	}
 	as.markPagesDirtyLocked(first, len(as.pages)-1)

@@ -1,9 +1,12 @@
 package mpk
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/litterbox-project/enclosure/internal/mem"
 )
@@ -32,6 +35,7 @@ import (
 // Synthetic multi-byte opcodes. Immediates and displacements are
 // attacker-controlled data, so WRPKRU bytes may hide inside them.
 const (
+	opWRPKRU   = 0x0F // WRPKRUOpcode's first byte
 	opMovImm32 = 0xB8 // B8 imm32: 5 bytes, imm is data
 	opCallRel  = 0xE8 // E8 rel32: 5 bytes, target = next insn + rel
 	opJmpRel   = 0xE9 // E9 rel32: 5 bytes, target = next insn + rel
@@ -147,85 +151,103 @@ func GadgetError(fs []Finding) error {
 // sections: per-section decode + raw match, cross-section straddle
 // windows, and mid-gate transfer targets resolved against gate. The
 // returned error reports only read failures; an empty finding list
-// means the text is clean.
+// means the text is clean. Findings come section by section in address
+// order, straddles last.
 func (u *Unit) ScanGadgets(secs []*mem.Section, gate GateInfo) ([]Finding, error) {
-	var findings []Finding
 	ordered := make([]*mem.Section, len(secs))
 	copy(ordered, secs)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Base < ordered[j].Base })
+	slices.SortFunc(ordered, func(a, b *mem.Section) int { return cmp.Compare(a.Base, b.Base) })
 
-	bufs := make(map[*mem.Section][]byte, len(ordered))
+	var findings, straddles []Finding
+	var buf []byte
+	var prev *mem.Section
+	var prevTail []byte // prev's last (up to) two bytes
 	for _, sec := range ordered {
-		buf := make([]byte, sec.Size)
+		if uint64(cap(buf)) < sec.Size {
+			buf = make([]byte, sec.Size)
+		}
+		buf = buf[:sec.Size]
 		if err := u.space.ReadAt(sec.Base, buf); err != nil {
 			return nil, fmt.Errorf("mpk: gadget scan %s: %w", sec.Name, err)
 		}
-		bufs[sec] = buf
 		findings = append(findings, scanSection(sec, buf, gate)...)
-	}
 
-	// Straddle pass: a WRPKRU sequence split across two contiguous
-	// executable sections. Each section's interior was covered above,
-	// so only windows crossing the boundary are checked here.
-	for i := 0; i+1 < len(ordered); i++ {
-		a, b := ordered[i], ordered[i+1]
-		if a.End() != b.Base {
-			continue
-		}
-		ab, bb := bufs[a], bufs[b]
-		// Window: the last two bytes of a followed by the first two of
-		// b. A 3-byte match starting at window offset 0 or 1 crosses
-		// the boundary.
-		var win []byte
-		tail := 2
-		if len(ab) < tail {
-			tail = len(ab)
-		}
-		win = append(win, ab[len(ab)-tail:]...)
-		head := 2
-		if len(bb) < head {
-			head = len(bb)
-		}
-		win = append(win, bb[:head]...)
-		for off := 0; off+3 <= len(win); off++ {
-			if win[off] == WRPKRUOpcode[0] && win[off+1] == WRPKRUOpcode[1] && win[off+2] == WRPKRUOpcode[2] {
-				findings = append(findings, Finding{
-					Kind: GadgetStraddle, Section: a.Name, Pkg: a.Pkg,
-					Addr:   a.End() - mem.Addr(tail-off),
-					Detail: fmt.Sprintf("spans %s|%s", a.Name, b.Name),
+		// A WRPKRU sequence split across two contiguous executable
+		// sections. Each section's interior is covered above, so only
+		// the windows crossing the boundary are checked: the last two
+		// bytes of prev followed by the first two of sec.
+		if prev != nil && prev.End() == sec.Base {
+			// Four bytes hold at most one WRPKRU: 0F cannot follow 0F.
+			win := append(append(make([]byte, 0, 4), prevTail...), buf[:min(2, len(buf))]...)
+			if off := bytes.Index(win, WRPKRUOpcode); off >= 0 {
+				straddles = append(straddles, Finding{
+					Kind: GadgetStraddle, Section: prev.Name, Pkg: prev.Pkg,
+					Addr:   prev.End() - mem.Addr(len(prevTail)-off),
+					Detail: fmt.Sprintf("spans %s|%s", prev.Name, sec.Name),
 				})
 			}
 		}
+		prev = sec
+		prevTail = append(prevTail[:0], buf[len(buf)-min(2, len(buf)):]...)
 	}
-	return findings, nil
+	return append(findings, straddles...), nil
 }
 
-// scanSection decodes one section and reports raw/embedded WRPKRU
-// sequences and mid-gate transfers.
-func scanSection(sec *mem.Section, buf []byte, gate GateInfo) []Finding {
-	var findings []Finding
+// leadsInsn marks the bytes that can begin a multi-byte instruction:
+// WRPKRU's first byte and the 5-byte opcodes. Every other byte is a
+// one-byte instruction the decoder steps over.
+var leadsInsn = [256]bool{opWRPKRU: true, opMovImm32: true, opCallRel: true, opJmpRel: true}
 
-	// Linear-sweep decode: record instruction boundaries and resolve
-	// direct transfer targets.
-	boundary := make([]bool, len(buf))
+// scanSection decodes one section in a single linear sweep and reports
+// mid-gate transfers in decode order, then raw WRPKRU sequences by
+// offset. A WRPKRU at an instruction start is GadgetWRPKRU; one that
+// starts inside a 5-byte instruction's operand is GadgetEmbedded. No
+// other offset can start one: an instruction's other bytes are never
+// WRPKRU's first byte 0F (a WRPKRU instruction's are 01 and EF, and a
+// one-byte instruction has none).
+func scanSection(sec *mem.Section, buf []byte, gate GateInfo) []Finding {
+	var findings, wrpkru []Finding
+	isWRPKRU := func(i int) bool {
+		return i+3 <= len(buf) && buf[i] == WRPKRUOpcode[0] && buf[i+1] == WRPKRUOpcode[1] && buf[i+2] == WRPKRUOpcode[2]
+	}
 	for i := 0; i < len(buf); {
-		boundary[i] = true
-		switch {
-		case i+3 <= len(buf) && buf[i] == WRPKRUOpcode[0] && buf[i+1] == WRPKRUOpcode[1] && buf[i+2] == WRPKRUOpcode[2]:
+		// Step over runs of one-byte instructions four at a time.
+		for i+4 <= len(buf) && !(leadsInsn[buf[i]] || leadsInsn[buf[i+1]] || leadsInsn[buf[i+2]] || leadsInsn[buf[i+3]]) {
+			i += 4
+		}
+		if i == len(buf) {
+			break
+		}
+		switch op := buf[i]; {
+		case !leadsInsn[op]:
+			i++
+		case isWRPKRU(i):
+			wrpkru = append(wrpkru, Finding{
+				Kind: GadgetWRPKRU, Section: sec.Name, Pkg: sec.Pkg,
+				Addr: sec.Base + mem.Addr(i), Detail: "on an instruction boundary",
+			})
 			i += 3
-		case (buf[i] == opMovImm32 || buf[i] == opCallRel || buf[i] == opJmpRel) && i+5 <= len(buf):
-			if buf[i] == opCallRel || buf[i] == opJmpRel {
-				rel := int32(uint32(buf[i+1]) | uint32(buf[i+2])<<8 | uint32(buf[i+3])<<16 | uint32(buf[i+4])<<24)
+		case op != opWRPKRU && i+5 <= len(buf):
+			if op == opCallRel || op == opJmpRel {
+				rel := int32(binary.LittleEndian.Uint32(buf[i+1:]))
 				target := sec.Base + mem.Addr(i+5) + mem.Addr(int64(rel))
 				if r, in := gate.rangeOf(target); in && !gate.Entries[target] {
-					op := "call"
-					if buf[i] == opJmpRel {
-						op = "jmp"
+					name := "call"
+					if op == opJmpRel {
+						name = "jmp"
 					}
 					findings = append(findings, Finding{
 						Kind: GadgetMidGate, Section: sec.Name, Pkg: sec.Pkg,
 						Addr: sec.Base + mem.Addr(i), Target: target,
-						Detail: fmt.Sprintf("%s into %s at +%#x skips the gate entry check", op, r.Name, uint64(target-r.Base)),
+						Detail: fmt.Sprintf("%s into %s at +%#x skips the gate entry check", name, r.Name, uint64(target-r.Base)),
+					})
+				}
+			}
+			for j := i + 1; j < i+5; j++ {
+				if isWRPKRU(j) {
+					wrpkru = append(wrpkru, Finding{
+						Kind: GadgetEmbedded, Section: sec.Name, Pkg: sec.Pkg,
+						Addr: sec.Base + mem.Addr(j), Detail: "inside a multi-byte operand, reachable by misaligned transfer",
 					})
 				}
 			}
@@ -234,22 +256,5 @@ func scanSection(sec *mem.Section, buf []byte, gate GateInfo) []Finding {
 			i++
 		}
 	}
-
-	// Raw pass at every byte offset, classified against the decode.
-	for i := 0; i+3 <= len(buf); i++ {
-		if buf[i] != WRPKRUOpcode[0] || buf[i+1] != WRPKRUOpcode[1] || buf[i+2] != WRPKRUOpcode[2] {
-			continue
-		}
-		kind := GadgetEmbedded
-		detail := "inside a multi-byte operand, reachable by misaligned transfer"
-		if boundary[i] {
-			kind = GadgetWRPKRU
-			detail = "on an instruction boundary"
-		}
-		findings = append(findings, Finding{
-			Kind: kind, Section: sec.Name, Pkg: sec.Pkg,
-			Addr: sec.Base + mem.Addr(i), Detail: detail,
-		})
-	}
-	return findings
+	return append(findings, wrpkru...)
 }

@@ -93,3 +93,23 @@ func forkView(t *testing.T, w *World, dyn string) string {
 	fmt.Fprintf(&b, "graph has %s: %v; image lays out %s: %v\n", dyn, w.Img.Graph.Has(dyn), dyn, w.Img.Layout(dyn) != nil)
 	return b.String()
 }
+
+// BenchmarkBuildWorlds builds the four forked worlds of 64 seeded specs
+// per iteration: one link, four Inits (each decoding and cross-checking
+// its fork's .pkgs), and the MPK gadget scan, the per-trace set-up that
+// probe sweeps repeat.
+func BenchmarkBuildWorlds(b *testing.B) {
+	specs := make([]WorldSpec, 64)
+	for i := range specs {
+		specs[i] = Gen(uint64(i+1), 0).Spec
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, spec := range specs {
+			if _, err := BuildWorlds(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
