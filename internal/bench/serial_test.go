@@ -10,18 +10,30 @@ import (
 	"github.com/litterbox-project/enclosure/internal/core"
 )
 
-// serialTableLines renders every serial closed-loop result bit for bit:
-// Table 2's HTTP and FastHTTP rows and Figure 5's wiki on every
-// projection backend (throughput bits plus the full counter snapshot),
-// every ring entry, and the wiki audit's derived policies and violation
-// count.
+// serialTableLines renders every virtual-time table result bit for bit:
+// the twelve Table 1 cells, Table 2's Bild, HTTP and FastHTTP rows and
+// Figure 5's wiki on every projection backend (throughput bits plus the
+// full counter snapshot), every ring entry, and the wiki audit's derived
+// policies and violation count.
 func serialTableLines(t *testing.T) []string {
 	t.Helper()
 	var lines []string
+	for _, m := range []struct {
+		op string
+		fn func(core.BackendKind, int) (MicroResult, error)
+	}{{"call", MicroCall}, {"transfer", MicroTransfer}, {"syscall", MicroSyscall}} {
+		for _, kind := range ProjectionBackends {
+			r, err := m.fn(kind, Smoke.Iters)
+			if err != nil {
+				t.Fatalf("table1 %s/%v: %v", m.op, kind, err)
+			}
+			lines = append(lines, fmt.Sprintf("table1 %s %v ns=%#x", m.op, kind, math.Float64bits(r.NsPerOp)))
+		}
+	}
 	for _, run := range []struct {
 		name string
 		fn   func(core.BackendKind) (MacroResult, error)
-	}{{"HTTP", RunHTTP}, {"FastHTTP", RunFastHTTP}, {"wiki", RunWiki}} {
+	}{{"Bild", RunBild}, {"HTTP", RunHTTP}, {"FastHTTP", RunFastHTTP}, {"wiki", RunWiki}} {
 		for _, kind := range ProjectionBackends {
 			r, err := run.fn(kind)
 			if err != nil {
@@ -58,7 +70,7 @@ func serialTableLines(t *testing.T) []string {
 	return lines
 }
 
-// The serial tables are virtual-time results: any change to how the
+// The tables are virtual-time results: any change to how the
 // apps are built or driven must leave every bit of them alone.
 func TestSerialTablesBitIdentical(t *testing.T) {
 	got := serialTableLines(t)
@@ -74,6 +86,22 @@ func TestSerialTablesBitIdentical(t *testing.T) {
 }
 
 const serialTablesWant = `
+table1 call baseline ns=0x4046800000000000
+table1 call mpk ns=0x4055400000000000
+table1 call vtx ns=0x408d080000000000
+table1 call cheri ns=0x4058c00000000000
+table1 transfer baseline ns=0x0
+table1 transfer mpk ns=0x408f500000000000
+table1 transfer vtx ns=0x4063c00000000000
+table1 transfer cheri ns=0x4044000000000000
+table1 syscall baseline ns=0x4078300000000000
+table1 syscall mpk ns=0x4080580000000000
+table1 syscall vtx ns=0x40b01e0000000000
+table1 syscall cheri ns=0x407bf00000000000
+Bild baseline raw=0x402a7d4bf0995aaf switches=3 wrpkru=0 vmexits=0 guestsys=0 syscalls=3 bpf=0 transfers=1537 pkeymprot=0 ptwalks=0 faults=0 ringbatches=0 ringentries=0
+Bild mpk raw=0x402d9303e20ccff2 switches=3 wrpkru=3 vmexits=0 guestsys=0 syscalls=3 bpf=0 transfers=1537 pkeymprot=1537 ptwalks=2306 faults=0 ringbatches=0 ringentries=0
+Bild vtx raw=0x402afb445ed4a1ad switches=3 wrpkru=0 vmexits=0 guestsys=3 syscalls=3 bpf=0 transfers=1537 pkeymprot=0 ptwalks=2307 faults=0 ringbatches=0 ringentries=0
+Bild cheri raw=0x402a9dfb9389b520 switches=3 wrpkru=0 vmexits=0 guestsys=0 syscalls=3 bpf=0 transfers=1537 pkeymprot=0 ptwalks=2307 faults=0 ringbatches=0 ringentries=0
 HTTP baseline raw=0x40d0954666fbf85e switches=806 wrpkru=0 vmexits=0 guestsys=0 syscalls=4831 bpf=0 transfers=3 pkeymprot=0 ptwalks=0 faults=0 ringbatches=0 ringentries=0
 HTTP mpk raw=0x40d01fdd5f7a5c7c switches=806 wrpkru=806 vmexits=0 guestsys=0 syscalls=4831 bpf=4828 transfers=3 pkeymprot=3 ptwalks=1206 faults=0 ringbatches=0 ringentries=0
 HTTP vtx raw=0x40c2aa1ad4fe127e switches=806 wrpkru=0 vmexits=4828 guestsys=5634 syscalls=4831 bpf=0 transfers=3 pkeymprot=0 ptwalks=1207 faults=0 ringbatches=0 ringentries=0
