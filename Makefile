@@ -18,15 +18,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmark trajectory point (checked into the repo root): the
-# compiled-policy fast-path comparison, the scaling, ring, and cluster
-# sweeps, the differential probe and forced-migration sweeps, the
-# open-loop latency sweep, and the warm-enclosure churn sweep, as
-# machine-readable JSON.
+# Benchmark trajectory point, checked into the repo root as a new
+# BENCH_N.json (`make bench N=11`): the scaling, ring, and cluster
+# sweeps, the differential probe and forced-migration sweeps, and the
+# open-loop latency sweep, as machine-readable JSON. Every section but
+# the cluster's is virtual time and reads the same on every run. N is
+# required and the file must not exist yet: earlier points carry
+# sections later ones dropped (BENCH_10.json's churn), so none is
+# overwritten.
 bench:
-	$(GO) run ./cmd/enclosebench -trajectory BENCH_10.json
+	@test -n "$(N)" || { echo "usage: make bench N=<number of the new BENCH_N.json>" >&2; exit 2; }
+	@test ! -e BENCH_$(N).json || { echo "BENCH_$(N).json exists; pick a new N" >&2; exit 2; }
+	$(GO) run ./cmd/enclosebench -trajectory BENCH_$(N).json
 
-# Host-side Go micro-benchmarks (not checked in).
+# Host-side Go micro-benchmarks (not checked in). The simulator's own
+# host-wall costs, sampled: go test ./internal/bench/ -run '^$' -bench Host -count 5
 gobench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -1,14 +1,19 @@
 // Command enclosebench regenerates every table and figure of the
-// paper's evaluation (§6) from the simulated implementation. Each
-// -table name is one section of the evaluation:
+// paper's evaluation (§6) from the simulated implementation. Every
+// section reports virtual time, the paper's cost model, and reads the
+// same on every run; only the cluster section's closed-loop clients
+// still race on the host. Host-wall costs of the simulator itself are
+// sampled benchmarks instead:
+//
+//	go test ./internal/bench/ -run '^$' -bench Host -count 5
+//
+// Each -table name is one section of the evaluation:
 //
 //	enclosebench -table 1         # micro-benchmarks (call/transfer/syscall)
 //	enclosebench -table 2         # bild, HTTP, FastHTTP + TCB study
 //	enclosebench -table scale     # multi-core engine scaling sweep
 //	enclosebench -table probe     # adversarial differential probe sweep
-//	enclosebench -table fastpath  # compiled-policy fast path before/after
 //	enclosebench -table ring      # batched syscall ring off/on per backend
-//	enclosebench -table churn     # warm-enclosure instantiation: cold vs clone vs recycled
 //	enclosebench -table cluster   # multi-node cluster scaling + migration sweep
 //	enclosebench -table latency   # open-loop latency sweep (p50/p99/p99.9 + shed)
 //	enclosebench -table figure4   # linked executable image layout
@@ -38,7 +43,6 @@ func main() {
 	trajectory := flag.String("trajectory", "", "write the acceptance-size benchmark trajectory point to the given file")
 	jsonOut := flag.String("json", "", "write machine-readable results of the -table section (default: the whole evaluation) to the given file ('-' for stdout)")
 	all := flag.Bool("all", false, "run every section")
-	iters := flag.Int("iters", bench.Smoke.Iters, "micro-benchmark and fast-path dispatch iterations")
 	projections := flag.Bool("projections", false, "add the LB_CHERI projection column to Table 2")
 	flag.Parse()
 
@@ -53,13 +57,12 @@ func main() {
 		os.Exit(2)
 	}
 	size := bench.Smoke
-	size.Iters = *iters
 	size.Projections = *projections
 
 	switch {
 	case *trajectory != "":
 		results, err := bench.Collect(bench.Acceptance,
-			"fastpath", "scale", "ring", "probe", "cluster", "latency", "churn")
+			"scale", "ring", "probe", "cluster", "latency")
 		write(results, err, *trajectory)
 		fmt.Printf("wrote %s\n", *trajectory)
 	case *jsonOut != "":

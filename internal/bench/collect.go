@@ -13,20 +13,23 @@ import (
 // Acceptance are the two named sizes; every other sweep dimension is
 // fixed by its section.
 type Size struct {
-	Iters           int  // Table 1 and fast-path dispatch iterations
 	MigrationTraces int  // cluster migration digest sweep
-	ChurnTraces     int  // churn warm-pool digest sweep
 	LatencyRequests int  // measured arrivals per latency cell
 	Projections     bool // Table 2 adds the LB_CHERI column
 }
 
 var (
 	// Smoke is the size of CI, text mode and `enclosebench -json`.
-	Smoke = Size{Iters: 100000, MigrationTraces: 60, ChurnTraces: 40, LatencyRequests: 240}
+	Smoke = Size{MigrationTraces: 60, LatencyRequests: 240}
 	// Acceptance is the size of the checked-in trajectory point
 	// (`enclosebench -trajectory BENCH_N.json`).
-	Acceptance = Size{Iters: 200000, MigrationTraces: 300, ChurnTraces: 300, LatencyRequests: 1000}
+	Acceptance = Size{MigrationTraces: 300, LatencyRequests: 1000}
 )
+
+// table1Iters is the operation count of every Table 1 cell. The cells
+// charge virtual time per operation, so they read the same at any count
+// (TestSerialTablesBitIdentical pins them).
+const table1Iters = 1000
 
 // section is one evaluation result: run fills its field of *Results,
 // render formats that field as text.
@@ -50,20 +53,10 @@ var sections = []section{
 		r.Probe = &pr
 		return err
 	}, render: func(r *Results) string { return renderProbeTable(*r.Probe) }},
-	{name: "fastpath", run: func(r *Results, size Size) error {
-		fp, err := runFastpath(size.Iters)
-		r.Fastpath = &fp
-		return err
-	}, render: func(r *Results) string { return renderFastpathTable(*r.Fastpath) }},
 	{name: "ring", run: func(r *Results, _ Size) (err error) {
 		r.Ring, err = runRing()
 		return err
 	}, render: func(r *Results) string { return renderRingTable(r.Ring) }},
-	{name: "churn", run: func(r *Results, size Size) error {
-		churn, err := runChurn(size.ChurnTraces)
-		r.Churn = &churn
-		return err
-	}, render: func(r *Results) string { return renderChurnTable(*r.Churn) }},
 	{name: "cluster", run: collectCluster, render: renderCluster},
 	{name: "latency", run: func(r *Results, size Size) (err error) {
 		r.Latency, err = runLatency(size.LatencyRequests)
@@ -145,8 +138,8 @@ func Render(r *Results, names ...string) (string, error) {
 	return sb.String(), nil
 }
 
-func collectTable1(r *Results, size Size) error {
-	micro, err := table1(size.Iters)
+func collectTable1(r *Results, _ Size) error {
+	micro, err := table1(table1Iters)
 	for _, m := range micro {
 		r.Table1 = append(r.Table1, MicroEntry{Backend: m.Backend.String(), Op: m.Op, Ns: m.NsPerOp})
 	}

@@ -21,14 +21,9 @@ type Results struct {
 	// ClusterMigration reports the forced-migration probe sweep: its
 	// digests must match the unmigrated sweep on all four backends.
 	ClusterMigration *ClusterMigrationResult `json:"cluster_migration,omitempty"`
-	Fastpath         *FastpathResult         `json:"fastpath,omitempty"`
 	// Ring reports the batched-syscall-ring sweep: FastHTTP /stream
 	// throughput per backend with the submission ring off and on.
 	Ring []RingEntry `json:"ring,omitempty"`
-	// Churn reports the warm-enclosure instantiation sweep: cold build
-	// vs snapshot clone vs recycled instance per backend × workers,
-	// plus the clone-vs-cold digest-equivalence probe sweep.
-	Churn *ChurnResult `json:"churn,omitempty"`
 	// Latency reports the open-loop load-generator sweep:
 	// coordinated-omission-free p50/p99/p99.9 and shed rate per
 	// backend × worker count × offered load.

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/litterbox-project/enclosure/internal/probe"
 )
@@ -13,26 +12,22 @@ import (
 // a divergence is immediately reproducible.
 const ProbeSeed = 0xEC705E
 
-// ProbeBenchResult is one differential-probe sweep: coverage counters
-// plus host-side throughput (the probe runs every trace on four
-// backends, so ops/s measures the whole differential harness, not one
-// backend).
+// ProbeBenchResult is one differential-probe sweep's coverage counters.
+// Its host-side throughput is perfbench's probe-sweep workload, which
+// takes repeated samples.
 type ProbeBenchResult struct {
-	Traces          int     `json:"traces"`
-	Ops             int     `json:"ops"`
-	Faults          int     `json:"faults"`
-	DynImportTraces int     `json:"dyn_import_traces"`
-	InjectionTraces int     `json:"injection_traces"`
-	Divergences     int     `json:"divergences"` // always 0: a divergence fails the sweep
-	WallMS          float64 `json:"wall_ms"`
-	OpsPerSec       float64 `json:"ops_per_sec"`
+	Traces          int `json:"traces"`
+	Ops             int `json:"ops"`
+	Faults          int `json:"faults"`
+	DynImportTraces int `json:"dyn_import_traces"`
+	InjectionTraces int `json:"injection_traces"`
+	Divergences     int `json:"divergences"` // always 0: a divergence fails the sweep
 }
 
 // runProbeBench sweeps n seeded traces through the differential oracle
-// and reports coverage and throughput. A divergence is an error that
-// carries the shrunk, seed-addressed reproducer.
+// and reports its coverage. A divergence is an error that carries the
+// shrunk, seed-addressed reproducer.
 func runProbeBench(n, opsPerTrace int) (ProbeBenchResult, error) {
-	start := time.Now()
 	stats, div, err := probe.Sweep(ProbeSeed, n, opsPerTrace)
 	if err != nil {
 		return ProbeBenchResult{}, err
@@ -40,19 +35,13 @@ func runProbeBench(n, opsPerTrace int) (ProbeBenchResult, error) {
 	if div != nil {
 		return ProbeBenchResult{}, fmt.Errorf("differential probe found a divergence:\n%s", div)
 	}
-	wall := time.Since(start)
-	out := ProbeBenchResult{
+	return ProbeBenchResult{
 		Traces:          stats.Traces,
 		Ops:             stats.Ops,
 		Faults:          stats.Faults,
 		DynImportTraces: stats.DynImportTraces,
 		InjectionTraces: stats.InjectionTraces,
-		WallMS:          float64(wall.Microseconds()) / 1000,
-	}
-	if wall > 0 {
-		out.OpsPerSec = float64(stats.Ops) / wall.Seconds()
-	}
-	return out, nil
+	}, nil
 }
 
 // renderProbeTable renders the probe row in the evaluation's table
@@ -66,7 +55,5 @@ func renderProbeTable(r ProbeBenchResult) string {
 	fmt.Fprintf(&b, "  %-26s %12s\n", "dynamic-import traces", fmt.Sprint(r.DynImportTraces))
 	fmt.Fprintf(&b, "  %-26s %12s\n", "fault-injection traces", fmt.Sprint(r.InjectionTraces))
 	fmt.Fprintf(&b, "  %-26s %12s\n", "divergences", fmt.Sprint(r.Divergences))
-	fmt.Fprintf(&b, "  %-26s %12.1f\n", "wall ms", r.WallMS)
-	fmt.Fprintf(&b, "  %-26s %12.0f\n", "ops/s", r.OpsPerSec)
 	return b.String()
 }

@@ -23,7 +23,7 @@ func serialTableLines(t *testing.T) []string {
 		fn func(core.BackendKind, int) (MicroResult, error)
 	}{{"call", MicroCall}, {"transfer", MicroTransfer}, {"syscall", MicroSyscall}} {
 		for _, kind := range ProjectionBackends {
-			r, err := m.fn(kind, Smoke.Iters)
+			r, err := m.fn(kind, table1Iters)
 			if err != nil {
 				t.Fatalf("table1 %s/%v: %v", m.op, kind, err)
 			}

@@ -50,7 +50,9 @@ func NewVTX(machine *vtx.Machine) *VTXBackend {
 }
 
 // SetSharing toggles content-addressed page-table sharing (on by
-// default; the fastpath benchmark's reference arm turns it off).
+// default; the unshared path is the reference that
+// TestVTXSharingMatchesReferencePath and BenchmarkHostVTXInit compare
+// against).
 func (b *VTXBackend) SetSharing(on bool) {
 	b.noShare.Store(!on)
 	if !on {

@@ -83,7 +83,6 @@ func (lb *LitterBox) CloneInto(deps CloneDeps) (*LitterBox, error) {
 	if tr, _ := lb.trace.Load().(*obs.Trace); tr != nil {
 		c.trace.Store(tr)
 	}
-	c.lockedReads.Store(lb.lockedReads.Load())
 	c.ringSeq.Store(lb.ringSeq.Load())
 
 	lb.mu.Lock()
@@ -156,7 +155,6 @@ func (lb *LitterBox) ResetTo(t *LitterBox) {
 	if tr := t.Tracer(); tr != lb.Tracer() {
 		lb.trace.Store(tr)
 	}
-	lb.lockedReads.Store(t.lockedReads.Load())
 	lb.ringSeq.Store(t.ringSeq.Load())
 	lb.backend.(backendCloner).resetFrom(t.backend)
 }

@@ -52,7 +52,7 @@ type StateExport struct {
 // that executed the same operation sequence export byte-identical
 // state.
 func (lb *LitterBox) ExportState() StateExport {
-	s := lb.readSnap()
+	s := lb.snap.Load()
 	out := StateExport{
 		Backend:    lb.backend.Name(),
 		Gen:        s.gen,

@@ -142,10 +142,8 @@ type LitterBox struct {
 	verif   map[int]uint64 // enclosure ID → expected call-site token
 
 	// snap is the atomically-swapped immutable env read-path state
-	// (see snapshot.go); lockedReads reroutes readers through lb.mu
-	// for the contention benchmark's reference measurements.
-	snap        atomic.Pointer[envSnapshot]
-	lockedReads atomic.Bool
+	// (see snapshot.go).
+	snap atomic.Pointer[envSnapshot]
 	// birth is a clone's snapshot as CloneInto built it; ResetTo
 	// re-publishes it (nil on LitterBoxes not made by CloneInto).
 	birth *envSnapshot
@@ -414,7 +412,7 @@ func (lb *LitterBox) Trusted() *Env { return lb.trusted }
 // EnvForEnclosure returns the environment computed for an enclosure ID.
 // Lock-free: it resolves against the current snapshot.
 func (lb *LitterBox) EnvForEnclosure(id int) (*Env, error) {
-	s := lb.readSnap()
+	s := lb.snap.Load()
 	eid, ok := s.byEncl[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: id=%d", ErrUnknownEncl, id)
@@ -424,7 +422,7 @@ func (lb *LitterBox) EnvForEnclosure(id int) (*Env, error) {
 
 // Env returns an environment by its ID. Lock-free.
 func (lb *LitterBox) Env(id EnvID) (*Env, bool) {
-	s := lb.readSnap()
+	s := lb.snap.Load()
 	if id < 0 || int(id) >= len(s.envs) {
 		return nil, false
 	}
@@ -437,7 +435,7 @@ func (lb *LitterBox) Env(id EnvID) (*Env, bool) {
 // must not mutate it. Lock-free, allocation-free: the VTX and CHERI
 // backends call this on every Transfer.
 func (lb *LitterBox) EnvsSnapshot() []*Env {
-	return lb.readSnap().envs
+	return lb.snap.Load().envs
 }
 
 // Backend exposes the active backend (for stats and tests).
@@ -505,7 +503,7 @@ func (lb *LitterBox) targetEnv(from, to *Env) (*Env, error) {
 	key := [2]EnvID{from.ID, to.ID}
 	// Fast path: the entry is usually already in the snapshot, so the
 	// common nested Prolog resolves without the writer lock.
-	if ent, ok := lb.readSnap().inter[key]; ok {
+	if ent, ok := lb.snap.Load().inter[key]; ok {
 		<-ent.ready
 		return ent.env, ent.err
 	}
@@ -561,7 +559,7 @@ func (lb *LitterBox) PrologWith(cpu *hw.CPU, from *Env, enclID int, token uint64
 		return nil, ErrAborted
 	}
 	var target *Env
-	epoch := lb.readSnap().viewGen
+	epoch := lb.snap.Load().viewGen
 	if cache != nil {
 		target = cache.lookup(from.ID, enclID, epoch)
 	}

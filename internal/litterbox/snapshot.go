@@ -46,20 +46,6 @@ func (s *envSnapshot) clone() *envSnapshot {
 	return c
 }
 
-// readSnap returns the current snapshot. With SetLockedEnvReads(true)
-// the load additionally serialises on lb.mu — the pre-snapshot
-// reference path, kept so the fastpath benchmark can measure what the
-// lock-free read path buys under worker contention.
-func (lb *LitterBox) readSnap() *envSnapshot {
-	if lb.lockedReads.Load() {
-		lb.mu.Lock()
-		s := lb.snap.Load()
-		lb.mu.Unlock()
-		return s
-	}
-	return lb.snap.Load()
-}
-
 // publishLocked copies the current snapshot, applies mutate, and swaps
 // the result in. The caller must hold lb.mu.
 func (lb *LitterBox) publishLocked(mutate func(*envSnapshot)) {
@@ -77,11 +63,6 @@ func (lb *LitterBox) bumpViewGen() {
 	lb.publishLocked(func(s *envSnapshot) { s.viewGen++ })
 	lb.mu.Unlock()
 }
-
-// SetLockedEnvReads forces env resolution back through lb.mu. Only the
-// contention benchmark uses it; enforcement semantics are identical on
-// both paths.
-func (lb *LitterBox) SetLockedEnvReads(v bool) { lb.lockedReads.Store(v) }
 
 // SnapshotGen returns (publish generation, view generation) — test and
 // benchmark introspection.

@@ -148,23 +148,3 @@ func TestEnvCacheInvalidatesOnViewGeneration(t *testing.T) {
 		t.Fatalf("post-import misses = %d, want 2 (cache flushed)", m)
 	}
 }
-
-// TestLockedEnvReadsReferencePath pins that the benchmark's mu-guarded
-// reference path resolves identically to the lock-free one.
-func TestLockedEnvReadsReferencePath(t *testing.T) {
-	f := newFixture(t)
-	lb := f.initWith(t, litterbox.NewBaseline(), twoEnclosures()...)
-	fast, err := lb.EnvForEnclosure(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb.SetLockedEnvReads(true)
-	slow, err := lb.EnvForEnclosure(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb.SetLockedEnvReads(false)
-	if fast != slow {
-		t.Fatal("locked and lock-free reads resolved different envs")
-	}
-}
