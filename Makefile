@@ -21,8 +21,8 @@ race:
 # Benchmark trajectory point, checked into the repo root as a new
 # BENCH_N.json (`make bench N=11`): the scaling, ring, and cluster
 # sweeps, the differential probe and forced-migration sweeps, and the
-# open-loop latency sweep, as machine-readable JSON. Every section but
-# the cluster's is virtual time and reads the same on every run. N is
+# open-loop latency sweep, as machine-readable JSON. Every section is
+# virtual time and reads the same on every run. N is
 # required and the file must not exist yet: earlier points carry
 # sections later ones dropped (BENCH_10.json's churn), so none is
 # overwritten.

@@ -19,7 +19,7 @@ func runCluster(args []string) {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	backendName := fs.String("backend", "mpk", "baseline|mpk|vtx|cheri")
 	nodes := fs.Int("nodes", 4, "initial node count")
-	requests := fs.Int("requests", 400, "closed-loop requests to drive")
+	requests := fs.Int("requests", 400, "requests to route, offered past capacity on the virtual clock")
 	seed := fs.Uint64("seed", 0xC1045EED, "balancer hash seed")
 	sweep := fs.Int("sweep", 20, "migration digest sweep traces (0 to skip)")
 	_ = fs.Parse(args)
@@ -54,10 +54,12 @@ func runCluster(args []string) {
 	fmt.Printf("  image replication: %d blobs shipped by node0, %d deduplicated by the %d later joins (%d bytes saved)\n\n",
 		st.BlobsShipped, st.BlobsDeduped, *nodes-1, st.BytesDeduped)
 
-	fmt.Printf("Driving %d closed-loop requests over %d sessions...\n", *requests, 32)
-	if err := bench.DriveSessions(c, 32, *requests/32); err != nil {
+	fmt.Printf("Routing %d requests over %d sessions, stepped on the virtual clock...\n", *requests, 32)
+	rps, err := bench.DriveCluster(c, 32, *requests)
+	if err != nil {
 		fail(err)
 	}
+	fmt.Printf("  %.0f reqs/s aggregate virtual throughput\n", rps)
 	fmt.Println(cluster.MetricsString(c.Metrics()))
 
 	// A node joins live: its image dedupes 100% against the registry.
@@ -96,7 +98,7 @@ func runCluster(args []string) {
 	if err := c.RemoveNode("node0"); err != nil {
 		fail(err)
 	}
-	if err := bench.DriveSessions(c, 32, *requests/2/32); err != nil {
+	if _, err := bench.DriveCluster(c, 32, *requests/2); err != nil {
 		fail(err)
 	}
 	fmt.Printf("Leave: node0 drained and left; %d more requests served by the survivors.\n\n", *requests/2)

@@ -1,8 +1,7 @@
 // Command enclosebench regenerates every table and figure of the
 // paper's evaluation (§6) from the simulated implementation. Every
 // section reports virtual time, the paper's cost model, and reads the
-// same on every run; only the cluster section's closed-loop clients
-// still race on the host. Host-wall costs of the simulator itself are
+// same on every run. Host-wall costs of the simulator itself are
 // sampled benchmarks instead:
 //
 //	go test ./internal/bench/ -run '^$' -bench Host -count 5

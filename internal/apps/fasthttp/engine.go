@@ -22,9 +22,9 @@ type engineWorker struct {
 // server enclosure* (entered per connection with ServeConnArgs),
 // forwarding parsed requests to that worker's trusted handler task —
 // plus a stop function that shuts the per-worker handlers down and
-// returns their first error. A sharded accept loop
-// (engine.ServeOpts.Conn) and the open-loop load generator both run it;
-// call stop after the work is drained.
+// returns their first error. The open-loop load generator and the
+// cluster's nodes (cluster.Node.Handle) both run it; call stop after
+// the work is drained.
 func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task, fd int) error, stop func() error) {
 	var mu sync.Mutex
 	workers := make(map[*core.WorkerCtx]*engineWorker)

@@ -12,7 +12,7 @@ import (
 )
 
 // pageRequestAllocs bounds the heap allocations of one 13 KB page
-// request served through a manual-mode engine on MPK with a depth-32
+// request served through a stepped engine on MPK with a depth-32
 // ring: connection pair, request, job, admission, the enclosed
 // handler and the response read into a reused client buffer. It reads
 // 32 on linux/amd64 with Go 1.24, and 36 under the race detector,
@@ -27,7 +27,7 @@ func TestEnginePageRequestAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	serve, stop := fasthttp.NewConnHandler(prog.MustEnclosure("server"), httpserv.StaticPage())
-	e := engine.New(prog, engine.Opts{Manual: true, Workers: 1})
+	e := engine.New(prog, engine.Opts{Workers: 1})
 	defer func() {
 		e.Close()
 		if err := stop(); err != nil {

@@ -10,9 +10,9 @@ import (
 // net/http benchmark runs on an engine worker: the same per-request
 // trace as the serial Serve loop, dispatching into the shared handler
 // enclosure. Each worker lazily allocates its own reused buffer set, so
-// workers never contend on connection state. A sharded accept loop
-// (engine.ServeOpts.Conn) and the open-loop load generator (which
-// injects connections directly) both run it.
+// workers never contend on connection state. The open-loop load
+// generator and the cluster's nodes (cluster.Node.Handle) both run it,
+// injecting each connection into the executing worker's process.
 func NewConnHandler(handler *core.Enclosure) func(t *core.Task, fd int) error {
 	var mu sync.Mutex
 	states := make(map[*core.WorkerCtx]ConnState)

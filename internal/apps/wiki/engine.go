@@ -26,8 +26,8 @@ type wikiWorker struct {
 // database connection). The returned stop function shuts the
 // per-worker pipelines down and returns every worker error joined
 // (errors.As and AsFault see through the join); call it after the work
-// is drained. Shared by the open-loop load generator and any sharded
-// accept loop (engine.ServeOpts.Conn).
+// is drained. Shared by the open-loop load generator and the cluster's
+// nodes (cluster.Node.Handle).
 func NewConnHandler(server, proxy *core.Enclosure) (conn func(t *core.Task, fd int) error, stop func() error) {
 	var mu sync.Mutex
 	workers := make(map[*core.WorkerCtx]*wikiWorker)

@@ -64,39 +64,39 @@ func TestEngineStopSurfacesFault(t *testing.T) {
 
 			e := engine.New(prog, engine.Opts{Workers: 2})
 			defer e.Close()
-			const port = 8096
 			conn, stop := wiki.NewConnHandler(prog.MustEnclosure("http-server"), prog.MustEnclosure("db-proxy"))
-			srv, err := e.Serve(engine.ServeOpts{Port: port, Conn: conn})
-			if err != nil {
-				t.Fatal(err)
-			}
 
-			// Serve a few requests so workers (and their proxy tasks) exist.
+			// Serve a few requests on each worker so workers (and their
+			// proxy tasks) exist. Each is a connection pair injected into
+			// the stepping worker's process, as the load generator does.
 			for i := 0; i < 4; i++ {
-				conn, err := prog.Net().Dial(simnet.HostIP(10, 0, 0, 99),
-					simnet.Addr{Host: core.DefaultHostIP, Port: port})
-				if err != nil {
+				client, server := simnet.Pair()
+				if _, err := client.Write([]byte("GET /view/home HTTP/1.1\r\n\r\n")); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := conn.Write([]byte("GET /view/home HTTP/1.1\r\n\r\n")); err != nil {
+				if err := e.Submit(engine.JobSpec{Pref: i, Name: "view", Fn: func(t *core.Task) error {
+					return conn(t, t.Worker().Proc().InjectConn(server))
+				}}); err != nil {
 					t.Fatal(err)
+				}
+				if r, ok := e.StepWorker(i % 2); !ok || r.Err != nil {
+					t.Fatalf("request %d: stepped=%v err=%v", i, ok, r.Err)
 				}
 				var resp []byte
 				buf := make([]byte, 4096)
 				for {
-					n, err := conn.Read(buf)
+					n, err := client.Read(buf)
 					resp = append(resp, buf[:n]...)
 					if err != nil {
 						break
 					}
 				}
-				conn.Close()
+				client.Close()
 				if !strings.Contains(string(resp), "engine wiki page") {
 					t.Fatalf("request %d: %.120q", i, string(resp))
 				}
 			}
 
-			srv.Close()
 			e.Close()
 			err = stop()
 			if err == nil {

@@ -2,15 +2,19 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/apps/fasthttp"
 	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
 	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/engine"
+	"github.com/litterbox-project/enclosure/internal/loadgen"
 	"github.com/litterbox-project/enclosure/internal/probe"
+	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
 // ClusterNodeCounts is the node sweep of the cluster scaling table.
@@ -20,9 +24,9 @@ var ClusterNodeCounts = []int{1, 2, 4, 8}
 // the 8-node row drives 64 vCPUs aggregate.
 const ClusterWorkersPerNode = 8
 
-// ClusterRequestsPerVCPU is the measured closed-loop load per virtual
-// CPU — the per-node work is constant across the sweep, so ideal
-// scaling is linear in the node count.
+// ClusterRequestsPerVCPU is the measured load per virtual CPU — the
+// per-node work is constant across the sweep, so ideal scaling is
+// linear in the node count.
 const ClusterRequestsPerVCPU = 30
 
 // ClusterPairs are the app/backend pairs the cluster table sweeps.
@@ -34,10 +38,6 @@ var ClusterPairs = []struct {
 	{"HTTP", core.VTX},
 	{"FastHTTP", core.MPK},
 }
-
-// ClusterPort is the per-node data-plane port; every node has its own
-// simnet, so the port does not collide across nodes.
-const ClusterPort = 8200
 
 // ClusterEntry is one cell of the cluster scaling table.
 type ClusterEntry struct {
@@ -59,8 +59,8 @@ type ClusterEntry struct {
 }
 
 // ClusterApp returns the Build and Start hooks for one app/backend
-// pair: each node builds the app's program and serves it on
-// ClusterPort through a sharded accept loop.
+// pair: each node builds the app's program, and Start installs the
+// app's connection handler on the node.
 func ClusterApp(app string, kind core.BackendKind) (
 	build func() (*core.Program, error),
 	start func(n *cluster.Node) (func(), error),
@@ -70,25 +70,15 @@ func ClusterApp(app string, kind core.BackendKind) (
 	case "HTTP":
 		build = func() (*core.Program, error) { return httpserv.Program(kind, httpserv.HandlerPolicy) }
 		start = func(n *cluster.Node) (func(), error) {
-			conn := httpserv.NewConnHandler(n.Prog().MustEnclosure("handler"))
-			srv, err := n.Engine().Serve(engine.ServeOpts{Port: ClusterPort, Conn: conn})
-			if err != nil {
-				return nil, err
-			}
-			return func() { srv.Close() }, nil
+			n.Handle(httpserv.NewConnHandler(n.Prog().MustEnclosure("handler")))
+			return nil, nil
 		}
 	case "FastHTTP":
 		build = func() (*core.Program, error) { return fasthttp.Program(kind, fasthttp.Policy) }
 		start = func(n *cluster.Node) (func(), error) {
 			conn, stop := fasthttp.NewConnHandler(n.Prog().MustEnclosure("server"), httpserv.StaticPage())
-			srv, err := n.Engine().Serve(engine.ServeOpts{Port: ClusterPort, Conn: conn})
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				srv.Close()
-				_ = stop()
-			}, nil
+			n.Handle(conn)
+			return func() { _ = stop() }, nil
 		}
 	default:
 		return nil, nil, fmt.Errorf("bench: unknown cluster app %q", app)
@@ -96,45 +86,85 @@ func ClusterApp(app string, kind core.BackendKind) (
 	return build, start, nil
 }
 
-// DriveSessions loads a cluster closed-loop: sessions concurrent
-// clients, named client-0 onward, each send perSession requests for the
-// 13KB page to whichever node the balancer routes their session to. It
-// returns the first error.
-func DriveSessions(c *cluster.Cluster, sessions, perSession int) error {
-	req, check := benchGet("/"), bodyLen(httpserv.PageSize13KB)
-	var wg sync.WaitGroup
-	errs := make(chan error, sessions)
-	for cl := 0; cl < sessions; cl++ {
-		wg.Add(1)
-		go func(session string) {
-			defer wg.Done()
-			var buf []byte
-			for i := 0; i < perSession; i++ {
-				n, err := c.Route(session)
-				if err == nil {
-					var body []byte
-					if body, err = HTTPGet(n.Prog().Net(), ClusterPort, req, &buf); err == nil {
-						err = check(body)
-					}
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(fmt.Sprintf("client-%d", cl))
+// clusterArrivalNs is the mean interarrival of a cluster run: far past
+// any cell's capacity (a request costs tens of virtual µs), so every
+// arrival queues at once and every worker stays busy.
+const clusterArrivalNs = 1
+
+// DriveCluster serves GETs for the 13KB page through the balancer as
+// one discrete-event run on the virtual clock: Poisson arrivals offered
+// past capacity, one warm-up request per session (client-0 onward)
+// followed by requests more, each routed at its arrival time
+// (Cluster.Dispatch) over a simnet pair whose client half checks the
+// response, and every node stepped in virtual-time order
+// (Cluster.StepUntil). Every node's timeline restarts at zero. It
+// returns the completions per virtual second from the first measured
+// arrival to the last completion, warm-up requests that complete in
+// that window included, as loadgen counts throughput.
+func DriveCluster(c *cluster.Cluster, sessions, requests int) (float64, error) {
+	for _, n := range c.Nodes() {
+		n.Engine().ResetVT()
 	}
-	wg.Wait()
-	close(errs)
-	return <-errs
+	times := loadgen.Arrivals(loadgen.Poisson, rand.New(rand.NewSource(1)), sessions+requests, clusterArrivalNs, 0, 0)
+	windowStart := times[sessions]
+	var lastCompletion int64
+	var inWindow int
+	observe := func(r engine.StepResult) error {
+		if r.Err != nil {
+			return fmt.Errorf("bench: cluster request %s: %w", r.Name, r.Err)
+		}
+		lastCompletion = max(lastCompletion, r.CompletionVT)
+		if r.CompletionVT > windowStart {
+			inWindow++
+		}
+		return nil
+	}
+	req, check := benchGet("/"), bodyLen(httpserv.PageSize13KB)
+	var buf []byte
+	var bad error
+	for i, ta := range times {
+		if err := c.StepUntil(ta, observe); err != nil {
+			return 0, err
+		}
+		client, server := simnet.Pair()
+		if _, err := client.Write(req); err != nil {
+			return 0, err
+		}
+		// The client half runs at host level once the handler returns:
+		// nothing it does is billed to the virtual clock.
+		done := func(err error) {
+			defer client.Close()
+			if err != nil {
+				return // the step reports it
+			}
+			body, err := readBody(client, &buf)
+			if err == nil {
+				err = check(body)
+			}
+			if err != nil && bad == nil {
+				bad = err
+			}
+		}
+		if _, err := c.Dispatch("client-"+strconv.Itoa(i%sessions), ta, server, done); err != nil {
+			return 0, err
+		}
+	}
+	if err := c.StepUntil(math.MaxInt64, observe); err != nil {
+		return 0, err
+	}
+	if bad != nil {
+		return 0, fmt.Errorf("bench: cluster response: %w", bad)
+	}
+	if lastCompletion <= windowStart {
+		return 0, fmt.Errorf("bench: cluster run completed nothing after %dns", windowStart)
+	}
+	return float64(inWindow) / (float64(lastCompletion-windowStart) / 1e9), nil
 }
 
 // clusterCell drives one (app, backend, nodes) measurement: a cluster
-// of n nodes × 8 workers behind the consistent-hash balancer, loaded
-// closed-loop by 2 clients per vCPU, each client a session the ring
-// routes. Aggregate elapsed virtual time is the slowest node's
-// slowest-worker clock advance — the wall clock of a cluster whose
-// nodes run in parallel.
+// of n nodes × 8 workers behind the consistent-hash balancer, offered
+// 30 requests per vCPU past capacity from 2 sessions per vCPU
+// (DriveCluster).
 func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, error) {
 	build, start, err := ClusterApp(app, kind)
 	if err != nil {
@@ -153,27 +183,9 @@ func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, er
 	defer c.Close()
 
 	total := ClusterRequestsPerVCPU * nodes * ClusterWorkersPerNode
-	conc := 2 * nodes * ClusterWorkersPerNode
-	// Warm-up: one request per client primes every node's buffers.
-	if err := DriveSessions(c, conc, 1); err != nil {
+	rps, err := DriveCluster(c, 2*nodes*ClusterWorkersPerNode, total)
+	if err != nil {
 		return ClusterEntry{}, err
-	}
-	members := c.Nodes()
-	before := make([][]engine.WorkerMetrics, len(members))
-	for i, n := range members {
-		before[i] = n.Engine().Metrics()
-	}
-	if err := DriveSessions(c, conc, total/conc); err != nil {
-		return ClusterEntry{}, err
-	}
-	var elapsed int64
-	for i, n := range members {
-		if e := engine.ElapsedNs(before[i], n.Engine().Metrics()); e > elapsed {
-			elapsed = e
-		}
-	}
-	if elapsed <= 0 {
-		return ClusterEntry{}, fmt.Errorf("bench: cluster %s/%s/%d nodes: no virtual time elapsed", app, kind, nodes)
 	}
 	stats := c.Stats()
 	return ClusterEntry{
@@ -182,7 +194,7 @@ func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, er
 		Nodes:          nodes,
 		WorkersPerNode: ClusterWorkersPerNode,
 		Requests:       total,
-		ReqsPerSec:     float64(total) / (float64(elapsed) / 1e9),
+		ReqsPerSec:     rps,
 		BlobsShipped:   stats.BlobsShipped,
 		BlobsDeduped:   stats.BlobsDeduped,
 		BytesDeduped:   stats.BytesDeduped,
@@ -252,10 +264,11 @@ func runClusterMigration(traces int) (ClusterMigrationResult, error) {
 func renderClusterTable(entries []ClusterEntry) string {
 	var sb strings.Builder
 	sb.WriteString("Cluster: aggregate throughput across engine nodes (8 vCPUs each)\n")
-	sb.WriteString("behind the consistent-hash balancer. Elapsed virtual time is the\n")
-	sb.WriteString("slowest node's slowest-worker clock advance; speedup is relative to\n")
-	sb.WriteString("the same app and backend on one node. blobs=shipped/deduped shows\n")
-	sb.WriteString("content-addressed image replication: later identical nodes dedupe 100%.\n\n")
+	sb.WriteString("behind the consistent-hash balancer. Each cell routes every arrival\n")
+	sb.WriteString("at once, past capacity, and steps the nodes on the virtual clock;\n")
+	sb.WriteString("speedup is relative to the same app and backend on one node.\n")
+	sb.WriteString("blobs=shipped/deduped shows content-addressed image replication:\n")
+	sb.WriteString("later identical nodes dedupe 100%.\n\n")
 	fmt.Fprintf(&sb, "%-10s %-10s %6s %8s %6s %12s %9s %14s\n",
 		"App", "Backend", "Nodes", "Workers", "Reqs", "reqs/s", "speedup", "blobs")
 	var prev string

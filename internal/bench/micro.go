@@ -118,23 +118,17 @@ func MicroSyscall(kind core.BackendKind, iters int) (MicroResult, error) {
 		if _, err := encl.Call(t, 1); err != nil { // warm-up
 			return err
 		}
-		probe := prog.MustEnclosure("empty")
-		_ = probe
 		start := prog.Clock().Now()
 		if _, err := encl.Call(t, iters); err != nil {
 			return err
 		}
 		total := prog.Clock().Now() - start
 		// Subtract the enclosure call that wraps the loop.
-		callCost := int64(0)
-		{
-			s := prog.Clock().Now()
-			if _, err := encl.Call(t, 0); err != nil {
-				return err
-			}
-			callCost = prog.Clock().Now() - s
+		s := prog.Clock().Now()
+		if _, err := encl.Call(t, 0); err != nil {
+			return err
 		}
-		ns = total - callCost
+		ns = total - (prog.Clock().Now() - s)
 		return nil
 	})
 	if err != nil {

@@ -52,7 +52,7 @@ type ScaleEntry struct {
 }
 
 // scaleCell measures one (app, backend, workers) cell as a loadgen
-// discrete-event run on a manual-mode engine. The offered load is far
+// discrete-event run on a stepped engine. The offered load is far
 // past capacity, so every arrival queues at once and every worker
 // stays busy: throughput is the workers' aggregate virtual capacity,
 // and the cell is the same on every run. Options apply to the cell's

@@ -75,10 +75,9 @@ func TestTracingIsFreeInVirtualTime(t *testing.T) {
 	}
 }
 
-// TestCollectReproducible: every section but the cluster's, whose
-// closed-loop clients race on the host, is a function of the code
-// alone. A second smoke Collect of them marshals to the same bytes as
-// the shared one, except for two fields of the scale section's merged
+// TestCollectReproducible: every section, the cluster's included, is a
+// function of the code alone. A second smoke Collect marshals to the
+// same bytes as the shared one, except for two fields of the scale section's merged
 // trace that move between runs while every scale cell stays identical
 // (ROADMAP, "A perf record that can tell signal from noise"): dropped,
 // the events overwritten in the capped emission rings, which depends on
@@ -88,7 +87,7 @@ func TestTracingIsFreeInVirtualTime(t *testing.T) {
 // two the test compares only the per-kind counts.
 func TestCollectReproducible(t *testing.T) {
 	a := smokeResults(t)
-	b, err := Collect(Smoke, slices.DeleteFunc(Sections(), func(s string) bool { return s == "cluster" })...)
+	b, err := Collect(Smoke, Sections()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +97,11 @@ func TestCollectReproducible(t *testing.T) {
 	}
 }
 
-// reproducibleJSON marshals r without its cluster sections and with the
-// trace's dropped and per-kind virtual_ns zeroed, so its per-kind
-// counts still compare.
+// reproducibleJSON marshals r with the trace's dropped and per-kind
+// virtual_ns zeroed, so its per-kind counts still compare.
 func reproducibleJSON(t *testing.T, r *Results) []byte {
 	t.Helper()
 	c := *r
-	c.Cluster, c.ClusterMigration = nil, nil
 	if r.Trace != nil {
 		tr := *r.Trace
 		tr.Dropped = 0

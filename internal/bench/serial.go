@@ -19,13 +19,9 @@ import (
 // billed to the program's virtual clock.
 var clientHostIP = simnet.HostIP(10, 0, 0, 99)
 
-// HTTPGet sends one request (any method) from the load generator's host
-// and reads the response until the server closes the connection. It
-// returns the body of a 200 response as a slice of *buf, which grows
-// only when a response outgrows it, so a client that keeps its buffer
-// across requests reads each response without a new copy. Concurrent
-// clients each own their buffer.
-func HTTPGet(net *simnet.Net, port uint16, req []byte, buf *[]byte) ([]byte, error) {
+// httpGet sends one request (any method) from the load generator's host
+// and reads the response (readBody).
+func httpGet(net *simnet.Net, port uint16, req []byte, buf *[]byte) ([]byte, error) {
 	conn, err := net.Dial(clientHostIP, simnet.Addr{Host: core.DefaultHostIP, Port: port})
 	if err != nil {
 		return nil, err
@@ -34,6 +30,15 @@ func HTTPGet(net *simnet.Net, port uint16, req []byte, buf *[]byte) ([]byte, err
 	if _, err := conn.Write(req); err != nil {
 		return nil, err
 	}
+	return readBody(conn, buf)
+}
+
+// readBody reads a response from the client half of a connection until
+// the server closes it. It returns the body of a 200 response as a
+// slice of *buf, which grows only when a response outgrows it, so a
+// client that keeps its buffer across requests reads each response
+// without a new copy.
+func readBody(conn *simnet.Conn, buf *[]byte) ([]byte, error) {
 	b, n := (*buf)[:cap(*buf)], 0
 	for {
 		if n == len(b) {
@@ -127,7 +132,7 @@ func runClosedLoop(prog *core.Program, l closedLoop) (float64, error) {
 	}
 	var buf []byte // the client's response buffer
 	send := func(x exchange) error {
-		body, err := HTTPGet(net, l.port, x.req, &buf)
+		body, err := httpGet(net, l.port, x.req, &buf)
 		if err == nil && x.check != nil {
 			err = x.check(body)
 		}
@@ -164,7 +169,7 @@ func runClosedLoop(prog *core.Program, l closedLoop) (float64, error) {
 			return err
 		}
 		elapsed = end - start
-		if _, err := HTTPGet(net, l.port, l.quit, &buf); err != nil {
+		if _, err := httpGet(net, l.port, l.quit, &buf); err != nil {
 			return fmt.Errorf("quit: %w", err)
 		}
 		for i := len(handles) - 1; i >= 0; i-- {

@@ -48,10 +48,9 @@ type Opts struct {
 	// verifies for free). A program that cannot be snapshot-cloned
 	// falls back to per-node cold builds transparently.
 	WarmJoin bool
-	// Start, when non-nil, starts the node's application (e.g. an HTTP
-	// server over the node's engine) and returns a stopper invoked at
-	// drain, after in-flight requests retire and before the engine
-	// closes.
+	// Start, when non-nil, starts the node's application: it installs
+	// the node's connection handler (Node.Handle) and returns a stopper
+	// invoked at drain, after the node has stepped its queued requests.
 	Start func(n *Node) (stop func(), err error)
 	// Trace, when non-nil, receives cluster control-plane events
 	// (route, migrate, join, leave).
@@ -230,8 +229,8 @@ func (c *Cluster) registry() *Node {
 }
 
 // RemoveNode drains a node and removes it from the cluster: it leaves
-// the ring first (no new routes), finishes every in-flight and queued
-// request (the engine's Close drains its queues), and only then stops.
+// the ring first (no new routes), steps every queued request to
+// completion (the engine's Close), and only then stops.
 // Zero requests are dropped by construction; the drain test asserts the
 // conservation.
 func (c *Cluster) RemoveNode(id string) error {
@@ -297,10 +296,10 @@ func (c *Cluster) Size() int {
 // candidates returns the session's routing candidates in preference
 // order: its migration pin first (if active), then the ring's
 // Replication owners, least loaded first. Load is read on the virtual
-// timeline (Engine.PredictVT), so placement follows the cost model, not
-// which goroutines the host runs; host load breaks ties (a wedged node
-// with no service history yet), then ring order (a stable sort keeps the
-// hash order, so routing at equal load is deterministic under the seed).
+// timeline (Engine.PredictVT), which counts routed but unstepped work;
+// the queued-job count breaks ties (a node with no service history
+// yet), then ring order (a stable sort keeps the hash order, so routing
+// at equal load is deterministic under the seed).
 func (c *Cluster) candidates(session string) []*Node {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -337,35 +336,68 @@ func (c *Cluster) Route(session string) (*Node, error) {
 	return nil, ErrNoNodes
 }
 
-// Do dispatches one request for a session: consistent-hash affinity
+// Do runs one request for a session synchronously on the node the
+// balancer picks (Node.Do). The returned error is the job's own result;
+// admission failures surface only if every candidate refused.
+func (c *Cluster) Do(session, name string, fn engine.Job) error {
+	var jobErr error
+	spec := engine.JobSpec{Name: name, Fn: fn, Done: func(err error) { jobErr = err }}
+	if _, err := c.route(session, func(n *Node) error { return n.submit(spec, true) }); err != nil {
+		return err
+	}
+	return jobErr
+}
+
+// Dispatch routes one client connection for a session at its virtual
+// arrival time and admits it, unstepped, to the chosen node, whose
+// handler (Node.Handle) serves it on whichever worker steps it. done,
+// when non-nil, receives the handler's error on that worker. The
+// caller steps the cluster (StepUntil) — the discrete-event discipline
+// of a single engine, with arrivals routed across nodes.
+func (c *Cluster) Dispatch(session string, arrivalVT int64, conn *simnet.Conn, done func(error)) (*Node, error) {
+	return c.route(session, func(n *Node) error { return n.dispatch(session, arrivalVT, conn, done) })
+}
+
+// StepUntil steps every member's engine up to virtual time T
+// (engine.StepUntil), in join order. Nodes run in parallel, each on its
+// own workers' clocks, so stepping them one after another is exact.
+func (c *Cluster) StepUntil(T int64, each func(engine.StepResult) error) error {
+	for _, n := range c.Nodes() {
+		if err := n.stepUntil(T, each); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// route admits one request for a session: consistent-hash affinity
 // picks the candidates, least-loaded breaks the tie, and typed
 // backpressure falls down the candidate list — a saturated or draining
-// node re-routes instead of dropping. The returned error is the job's
-// own result; admission failures surface only if every candidate
-// refused.
-func (c *Cluster) Do(session, name string, fn engine.Job) error {
+// node re-routes instead of dropping.
+func (c *Cluster) route(session string, admit func(*Node) error) (*Node, error) {
 	var lastErr error = ErrNoNodes
 	attempt := 0
 	for _, n := range c.candidates(session) {
-		if !n.acquire() {
-			continue // raced a drain: the next candidate takes it
+		if n.State() != NodeActive {
+			continue // draining: the next candidate takes it
 		}
 		if attempt > 0 {
 			c.rerouted.Add(1)
 		}
 		attempt++
-		err := n.Do(name, fn)
-		n.release()
-		if errors.Is(err, engine.ErrBackpressure) || errors.Is(err, engine.ErrClosed) {
-			// Node saturated (or closed under us): transient, re-route.
-			lastErr = err
-			continue
+		if err := admit(n); err != nil {
+			if errors.Is(err, engine.ErrBackpressure) || errors.Is(err, engine.ErrClosed) {
+				// Node saturated (or closed under us): transient, re-route.
+				lastErr = err
+				continue
+			}
+			return nil, err
 		}
 		c.routed.Add(1)
 		c.emit(obs.Event{Kind: obs.KindRoute, Worker: n.id, Detail: session})
-		return err
+		return n, nil
 	}
-	return fmt.Errorf("cluster: session %q: every candidate refused: %w", session, lastErr)
+	return nil, fmt.Errorf("cluster: session %q: every candidate refused: %w", session, lastErr)
 }
 
 // MigrateSession moves a session's affinity from one node to another,

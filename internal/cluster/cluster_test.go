@@ -232,8 +232,9 @@ func TestClusterMigrateSessionPins(t *testing.T) {
 	}
 }
 
-// The balancer avoids loaded nodes: with the primary wedged, a
-// session's request lands on the lightly loaded replica candidate.
+// The balancer avoids loaded nodes: with work queued on the primary
+// and no service history anywhere, a session's request lands on the
+// idle replica candidate.
 func TestClusterBalancesAwayFromLoadedNode(t *testing.T) {
 	c := newTestCluster(t, Opts{Nodes: 2, Seed: 3, WorkersPerNode: 1, QueueDepth: 2})
 	const session = "s"
@@ -248,22 +249,17 @@ func TestClusterBalancesAwayFromLoadedNode(t *testing.T) {
 		}
 	}
 
-	// Wedge the primary's single worker.
-	release := make(chan struct{})
-	if err := primary.Engine().Submit(engine.JobSpec{Name: "wedge", Fn: func(tk *core.Task) error {
-		<-release
-		return nil
-	}}); err != nil {
+	// Queue a job on the primary without stepping it.
+	if err := primary.Engine().Submit(engine.JobSpec{Name: "queued", Fn: func(tk *core.Task) error { return nil }}); err != nil {
 		t.Fatal(err)
 	}
-	defer close(release)
 
 	before := other.Metrics().Requests
 	if err := c.Do(session, "job", func(tk *core.Task) error { tk.Compute(100); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := other.Metrics().Requests; got != before+1 {
-		t.Fatalf("replica ran %d requests, want %d: the balancer sent the job to the wedged primary", got, before+1)
+		t.Fatalf("replica ran %d requests, want %d: the balancer sent the job to the loaded primary", got, before+1)
 	}
 }
 
@@ -296,17 +292,7 @@ func TestClusterBackpressureSurfacesTyped(t *testing.T) {
 	c := newTestCluster(t, Opts{Nodes: 1, Seed: 3, WorkersPerNode: 1, QueueDepth: 1})
 	n := c.Nodes()[0]
 
-	release := make(chan struct{})
-	started := make(chan struct{})
-	if err := n.Engine().Submit(engine.JobSpec{Name: "wedge", Fn: func(tk *core.Task) error {
-		close(started)
-		<-release
-		return nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	<-started // the worker is busy; the queue slot is free again
-	// Fill the single queue slot behind the wedged job.
+	// Fill the single queue slot without stepping it.
 	if err := n.Engine().Submit(engine.JobSpec{Name: "fill", Fn: func(tk *core.Task) error { return nil }}); err != nil {
 		t.Fatal(err)
 	}
@@ -315,5 +301,4 @@ func TestClusterBackpressureSurfacesTyped(t *testing.T) {
 	if !errors.Is(err, engine.ErrBackpressure) {
 		t.Fatalf("saturated cluster returned %v, want ErrBackpressure", err)
 	}
-	close(release)
 }

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/litterbox-project/enclosure/internal/core"
+	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
 // Conservation under membership change: a node leaving mid-load drops
@@ -97,5 +99,50 @@ func TestClusterNoNodes(t *testing.T) {
 	err := c.Do("s", "job", func(tk *core.Task) error { return nil })
 	if err == nil {
 		t.Fatal("Do succeeded with no members")
+	}
+}
+
+// A leaving node steps the requests routed to it before it stops:
+// connections dispatched but not yet stepped all complete on the
+// departing node, through the handler Opts.Start installed.
+func TestClusterDrainStepsQueued(t *testing.T) {
+	c := newTestCluster(t, Opts{Nodes: 2, Seed: 17, WorkersPerNode: 2,
+		Start: func(n *Node) (func(), error) {
+			n.Handle(func(tk *core.Task, fd int) error { tk.Compute(1000); return nil })
+			return nil, nil
+		}})
+	const reqs = 16
+	done := map[string]int{}
+	for i := 0; i < reqs; i++ {
+		_, server := simnet.Pair()
+		n, err := c.Dispatch(fmt.Sprintf("s%d", i), int64(i), server, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done[n.ID()]++
+	}
+	leaving, _ := c.Node("node0")
+	if got := leaving.Load(); got != done["node0"] || got == 0 {
+		t.Fatalf("node0 holds %d queued requests, want the %d routed to it", got, done["node0"])
+	}
+	if err := c.RemoveNode("node0"); err != nil {
+		t.Fatal(err)
+	}
+	if got := leaving.Metrics().Requests; got != int64(done["node0"]) {
+		t.Fatalf("node0 stepped %d requests before leaving, want %d", got, done["node0"])
+	}
+	if err := c.StepUntil(math.MaxInt64, nil); err != nil {
+		t.Fatal(err)
+	}
+	var executed int64
+	for _, m := range c.Metrics() {
+		executed += m.Requests
+	}
+	if executed+leaving.Metrics().Requests != reqs {
+		t.Fatalf("%d requests executed, want %d", executed+leaving.Metrics().Requests, reqs)
 	}
 }

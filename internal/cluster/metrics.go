@@ -16,7 +16,6 @@ type NodeMetrics struct {
 	Requests   int64   `json:"requests"`
 	Routed     int64   `json:"routed"`
 	MigratedIn int64   `json:"migrated_in"`
-	Inflight   int     `json:"inflight"`
 	Load       int     `json:"load"`
 	RunQueue   []int   `json:"run_queue"`    // per-worker instantaneous depth
 	Steals     []int64 `json:"steals"`       // per-worker cumulative steals
@@ -33,7 +32,6 @@ func (n *Node) Metrics() NodeMetrics {
 		Requests:   engine.TotalRequests(ms),
 		Routed:     n.routed.Load(),
 		MigratedIn: n.migratedIn.Load(),
-		Inflight:   n.Inflight(),
 		Load:       n.Load(),
 		RunQueue:   n.eng.QueueDepths(),
 		Steals:     n.eng.StealCounts(),
@@ -89,8 +87,8 @@ func (c *Cluster) Stats() Stats {
 func MetricsString(ms []NodeMetrics) string {
 	var sb strings.Builder
 	for _, m := range ms {
-		fmt.Fprintf(&sb, "%s [%s]: reqs=%d routed=%d inflight=%d load=%d queues=%v steals=%v clock=%dns\n",
-			m.Node, m.State, m.Requests, m.Routed, m.Inflight, m.Load, m.RunQueue, m.Steals, m.MaxClockNs)
+		fmt.Fprintf(&sb, "%s [%s]: reqs=%d routed=%d load=%d queues=%v steals=%v clock=%dns\n",
+			m.Node, m.State, m.Requests, m.Routed, m.Load, m.RunQueue, m.Steals, m.MaxClockNs)
 	}
 	return sb.String()
 }

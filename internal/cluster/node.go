@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +21,7 @@ const (
 	NodeJoining NodeState = iota
 	// NodeActive: in the ring, accepting requests.
 	NodeActive
-	// NodeDraining: out of the ring, finishing in-flight requests.
+	// NodeDraining: out of the ring, stepping its queued requests.
 	NodeDraining
 	// NodeLeft: drained and stopped.
 	NodeLeft
@@ -59,14 +60,16 @@ type Node struct {
 	ctrlLn   *simnet.Listener
 	ctrlWG   sync.WaitGroup
 
-	// mu guards the lifecycle state and the in-flight count; cond
-	// signals drain waiters on every release.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	state    NodeState
-	inflight int
+	// mu serialises the node's engine: admission, stepping and drain
+	// all hold it, so one goroutine at a time steps the node. It also
+	// guards pref and conn.
+	mu    sync.Mutex
+	state atomic.Int32 // NodeState; read lock-free by the balancer
+	pref  int          // round-robin worker affinity
+	// conn serves one routed connection (Dispatch); Opts.Start installs
+	// it with Handle.
+	conn func(t *core.Task, fd int) error
 
-	pref       atomic.Int64 // round-robin worker affinity for Do
 	routed     atomic.Int64 // requests this node admitted
 	migratedIn atomic.Int64 // sessions migrated onto this node
 
@@ -96,7 +99,6 @@ func newNode(c *Cluster, idx int, prog *core.Program) (*Node, error) {
 		}),
 		store: make(map[string]blob),
 	}
-	n.cond = sync.NewCond(&n.mu)
 	var err error
 	n.manifest, err = imageManifest(prog)
 	if err != nil {
@@ -126,85 +128,92 @@ func (n *Node) Prog() *core.Program { return n.prog }
 func (n *Node) Engine() *engine.Engine { return n.eng }
 
 // State returns the node's lifecycle state.
-func (n *Node) State() NodeState {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.state
-}
+func (n *Node) State() NodeState { return NodeState(n.state.Load()) }
 
-func (n *Node) setState(s NodeState) {
-	n.mu.Lock()
-	n.state = s
-	n.cond.Broadcast()
-	n.mu.Unlock()
-}
+func (n *Node) setState(s NodeState) { n.state.Store(int32(s)) }
 
-// acquire admits one request if the node is active.
-func (n *Node) acquire() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.state != NodeActive {
-		return false
-	}
-	n.inflight++
-	return true
-}
-
-// release retires one in-flight request and wakes drain waiters.
-func (n *Node) release() {
-	n.mu.Lock()
-	n.inflight--
-	n.cond.Broadcast()
-	n.mu.Unlock()
-}
-
-// Inflight returns the instantaneous in-flight request count.
-func (n *Node) Inflight() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.inflight
-}
-
-// Load is the node's instantaneous host load: engine load (queued plus
-// executing jobs) plus requests admitted but not yet retired. The
+// Load is the node's queued requests: admitted, not yet stepped. The
 // balancer ranks by virtual-time load first and uses this to break ties.
-func (n *Node) Load() int {
-	return n.eng.Load() + n.Inflight()
+func (n *Node) Load() int { return n.eng.Load() }
+
+// Handle installs the node's connection handler: every connection
+// Cluster.Dispatch routes here is injected into the executing worker's
+// process and served by conn on that worker. Opts.Start calls it.
+func (n *Node) Handle(conn func(t *core.Task, fd int) error) {
+	n.mu.Lock()
+	n.conn = conn
+	n.mu.Unlock()
 }
 
-// Do runs one job synchronously on the node's engine, spreading
-// affinity round-robin over the workers. The typed admission errors
-// pass through: ErrBackpressure and ErrClosed tell the balancer to
-// re-route; any other error is the job's own result.
+// Do runs one job synchronously on the node: it admits the job with
+// round-robin worker affinity and steps the node's engine until its
+// queues are dry. The typed admission errors pass through:
+// ErrBackpressure and ErrClosed tell the balancer to re-route; any
+// other error is the job's own result.
 func (n *Node) Do(name string, fn engine.Job) error {
-	done := make(chan error, 1)
-	pref := int(n.pref.Add(1) - 1)
-	if err := n.eng.Submit(engine.JobSpec{Pref: pref, Name: name, Fn: fn, Done: func(err error) { done <- err }}); err != nil {
+	var jobErr error
+	if err := n.submit(engine.JobSpec{Name: name, Fn: fn, Done: func(err error) { jobErr = err }}, true); err != nil {
+		return err
+	}
+	return jobErr
+}
+
+// submit admits spec under the node lock with round-robin worker
+// affinity; with run it then steps the engine dry before unlocking.
+func (n *Node) submit(spec engine.JobSpec, run bool) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	spec.Pref = n.pref
+	n.pref++
+	if err := n.eng.Submit(spec); err != nil {
 		return err
 	}
 	n.routed.Add(1)
-	return <-done
+	if run {
+		return n.eng.StepUntil(math.MaxInt64, nil)
+	}
+	return nil
 }
 
-// drain takes the node out of service without dropping work: refuse
-// new admissions, wait for every in-flight request to retire, stop the
-// app's accept loops, then drain and join the engine (Close executes
-// everything still queued before returning).
+// dispatch admits one connection at arrivalVT, served by the node's
+// handler on whichever worker steps it.
+func (n *Node) dispatch(name string, arrivalVT int64, conn *simnet.Conn, done func(error)) error {
+	n.mu.Lock()
+	handler := n.conn
+	n.mu.Unlock()
+	if handler == nil {
+		return fmt.Errorf("cluster: %s has no connection handler (Opts.Start must call Handle)", n.id)
+	}
+	return n.submit(engine.JobSpec{Name: name, ArrivalVT: arrivalVT, Done: done, Fn: func(t *core.Task) error {
+		// Inject at exec time into the executor's proc: a stolen job
+		// runs on a different worker than its preference, and the fd
+		// must live in the fd table its syscalls resolve against.
+		return handler(t, t.Worker().Proc().InjectConn(conn))
+	}}, false)
+}
+
+// stepUntil steps the node's engine up to virtual time T under the
+// node lock (engine.StepUntil).
+func (n *Node) stepUntil(T int64, each func(engine.StepResult) error) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.eng.StepUntil(T, each)
+}
+
+// drain takes the node out of service without dropping work: under the
+// node lock it refuses new admissions, steps every queued request to
+// completion (engine.Close), then stops the app.
 func (n *Node) drain() {
 	n.mu.Lock()
-	if n.state == NodeLeft || n.state == NodeDraining {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	if s := n.State(); s == NodeLeft || s == NodeDraining {
 		return
 	}
-	n.state = NodeDraining
-	for n.inflight > 0 {
-		n.cond.Wait()
-	}
-	n.mu.Unlock()
+	n.setState(NodeDraining)
+	n.eng.Close()
 	if n.stop != nil {
 		n.stop()
 	}
-	n.eng.Close()
 	n.setState(NodeLeft)
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -16,19 +17,7 @@ func TestSubmitEBackpressureVsClosed(t *testing.T) {
 	prog := buildProg(t, core.MPK, nil)
 	e := New(prog, Opts{Workers: 1, QueueDepth: 1})
 
-	// Wedge the only worker so queued work cannot drain.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	if err := e.Submit(JobSpec{Name: "wedge", Fn: func(t *core.Task) error {
-		close(started)
-		<-release
-		return nil
-	}}); err != nil {
-		t.Fatalf("wedge submit: %v", err)
-	}
-	<-started
-
-	// Fill the single queue slot.
+	// Fill the single queue slot; nothing steps it yet.
 	if err := e.Submit(JobSpec{Name: "fill", Fn: nop}); err != nil {
 		t.Fatalf("fill submit: %v", err)
 	}
@@ -48,10 +37,11 @@ func TestSubmitEBackpressureVsClosed(t *testing.T) {
 		t.Fatalf("saturated second Submit = %v, want ErrBackpressure", err)
 	}
 
-	// Draining clears the backpressure: the same submission is admitted
+	// Stepping clears the backpressure: the same submission is admitted
 	// and its done callback fires exactly once.
-	close(release)
-	e.Quiesce()
+	if err := e.StepUntil(math.MaxInt64, nil); err != nil {
+		t.Fatal(err)
+	}
 	var doneCalls atomic.Int64
 	done := make(chan error, 1)
 	if err := e.Submit(JobSpec{Name: "after-drain", Fn: nop, Done: func(err error) {
@@ -59,6 +49,9 @@ func TestSubmitEBackpressureVsClosed(t *testing.T) {
 		done <- err
 	}}); err != nil {
 		t.Fatalf("post-drain Submit = %v, want nil", err)
+	}
+	if err := e.StepUntil(math.MaxInt64, nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("job error: %v", err)
@@ -79,8 +72,8 @@ func TestSubmitEBackpressureVsClosed(t *testing.T) {
 }
 
 // TestLoadAndQueueDepths exercises the balancer's cheap load signals:
-// Load counts queued plus executing jobs, QueueDepths and StealCounts
-// report per-worker state.
+// Load counts queued jobs, QueueDepths and StealCounts report
+// per-worker state.
 func TestLoadAndQueueDepths(t *testing.T) {
 	prog := buildProg(t, core.MPK, nil)
 	e := New(prog, Opts{Workers: 2, QueueDepth: 4})
@@ -89,46 +82,35 @@ func TestLoadAndQueueDepths(t *testing.T) {
 	if got := e.Load(); got != 0 {
 		t.Fatalf("idle Load = %d, want 0", got)
 	}
+	// Three jobs prefer worker 0, one worker 1: depths attribute them.
+	for _, pref := range []int{0, 0, 0, 1} {
+		if err := e.Submit(JobSpec{Pref: pref, Name: "queued", Fn: nop}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Load(); got != 4 {
+		t.Fatalf("Load = %d, want 4 queued", got)
+	}
+	if depths := e.QueueDepths(); len(depths) != 2 || depths[0] != 3 || depths[1] != 1 {
+		t.Fatalf("QueueDepths = %v, want [3 1]", depths)
+	}
 
-	started := make(chan struct{}, 2)
-	release := make(chan struct{})
+	// Worker 1 drains its own job, then steals from worker 0.
 	for i := 0; i < 2; i++ {
-		if err := e.Submit(JobSpec{Pref: i, Name: "busy", Fn: func(t *core.Task) error {
-			started <- struct{}{}
-			<-release
-			return nil
-		}}); err != nil {
-			t.Fatal(err)
+		if _, ok := e.StepWorker(1); !ok {
+			t.Fatal("worker 1 found nothing to step")
 		}
 	}
-	<-started
-	<-started
-
-	// Both workers executing, nothing queued: Load sees the busy pair.
-	if got := e.Load(); got != 2 {
-		t.Fatalf("busy Load = %d, want 2", got)
+	if depths := e.QueueDepths(); depths[0] != 2 || depths[1] != 0 {
+		t.Fatalf("QueueDepths after worker 1's steps = %v, want [2 0]", depths)
 	}
-
-	// Queue three more on worker 0: depths must attribute them.
-	for i := 0; i < 3; i++ {
-		if err := e.Submit(JobSpec{Name: "queued", Fn: nop}); err != nil {
-			t.Fatal(err)
-		}
+	if steals := e.StealCounts(); len(steals) != 2 || steals[0] != 0 || steals[1] != 1 {
+		t.Fatalf("StealCounts = %v, want [0 1]", steals)
 	}
-	if got := e.Load(); got != 5 {
-		t.Fatalf("Load = %d, want 5 (2 busy + 3 queued)", got)
+	if err := e.StepUntil(math.MaxInt64, nil); err != nil {
+		t.Fatal(err)
 	}
-	depths := e.QueueDepths()
-	if len(depths) != 2 || depths[0] != 3 || depths[1] != 0 {
-		t.Fatalf("QueueDepths = %v, want [3 0]", depths)
-	}
-	if steals := e.StealCounts(); len(steals) != 2 {
-		t.Fatalf("StealCounts len = %d, want 2", len(steals))
-	}
-
-	close(release)
-	e.Quiesce()
 	if got := e.Load(); got != 0 {
-		t.Fatalf("post-quiesce Load = %d, want 0", got)
+		t.Fatalf("stepped-dry Load = %d, want 0", got)
 	}
 }

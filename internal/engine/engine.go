@@ -11,9 +11,16 @@
 //     and environment tables, heap, and kernel namespaces.
 //
 // Work arrives on bounded per-worker run queues with preferred-worker
-// affinity; an idle worker steals from the longest sibling queue (front
-// first, oldest job — the fairness order), and a full engine sheds load
-// instead of queueing unboundedly, like a saturated SYN backlog.
+// affinity; a worker with an empty queue steals from the longest
+// sibling queue (front first, oldest job — the fairness order), and a
+// full engine sheds load instead of queueing unboundedly, like a
+// saturated SYN backlog.
+//
+// The engine runs no goroutines of its own. Its caller steps it as a
+// discrete-event simulation on the virtual clock (StepUntil): the
+// worker whose backlog horizon is earliest executes its next job on the
+// calling goroutine, so placement, stealing and every latency follow
+// the cost model and read the same on every run.
 //
 // Admission and dequeue are latency-aware: every queue is segregated
 // into weighted QoS classes (a low-priority enclosure cannot starve a
@@ -28,9 +35,9 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
@@ -79,19 +86,14 @@ type Opts struct {
 	// QoS classes (default {8,4,2,1}; class 0 is the highest
 	// priority).
 	ClassWeights [NumClasses]int
-	// Manual disables the worker goroutines: jobs are admitted through
-	// the usual path but execute only when the caller steps a worker
-	// (StepWorker). The open-loop load generator uses this to run the
-	// engine as a discrete-event simulation on the virtual clock —
-	// queue order, stealing, QoS weighting, and deadline admission are
-	// exactly the concurrent engine's, while the caller owns the
-	// virtual timeline.
+	// Manual is ignored: every engine is stepped by its caller
+	// (StepWorker, StepUntil). It remains for callers that still set it.
 	Manual bool
 }
 
 // JobSpec is a full submission: the job plus its admission metadata.
 type JobSpec struct {
-	// Pref is the preferred worker (the accepting shard's core).
+	// Pref is the preferred worker, whose queue Submit tries first.
 	Pref int
 	// Name labels the job's task.
 	Name string
@@ -133,12 +135,10 @@ type Engine struct {
 	opts Opts
 
 	mu     sync.Mutex
-	cond   *sync.Cond // signals "work queued", "job dequeued" and busy→idle
 	queues []*classQueue
 	closed bool
 
 	workers []*worker
-	wg      sync.WaitGroup
 
 	// warm, when non-nil, serves every job in its own snapshot-cloned
 	// program instance drawn from a per-worker pool (core.WithWarmPool).
@@ -158,18 +158,13 @@ type worker struct {
 
 	// Everything below is guarded by Engine.mu.
 	maxDepth int64
-	busy     bool      // executing a job right now
-	since    time.Time // host time the current job was dequeued (while busy)
-	// stall wakes the worker, idle, once a busy sibling it may not yet
-	// steal from has held its job for stallGrace (concurrent mode).
-	stall *time.Timer
 
 	// vtFree is the worker's virtual-time backlog horizon: the
 	// completion time of the last job it executed, on the submitters'
 	// ArrivalVT timeline. A job dequeued by this worker starts at
-	// max(job.arrival, vtFree). Deadline admission and the manual-mode
-	// stepper both read it; in the concurrent engine without arrival
-	// timestamps it degenerates to the worker's cumulative busy time.
+	// max(job.arrival, vtFree). Deadline admission and StepUntil both
+	// read it; without arrival timestamps it is the worker's cumulative
+	// busy time.
 	vtFree int64
 	// ewmaNs is the exponentially weighted moving average of the
 	// worker's virtual service time per job (α = 1/8) — the admission
@@ -183,7 +178,7 @@ type worker struct {
 	deadlineMissed   int64
 }
 
-// New starts an engine with opts.Workers parallel virtual CPUs over
+// New builds an engine with opts.Workers parallel virtual CPUs over
 // prog. Each worker owns its clock, counters, kernel proc, fault
 // domain, and environment cache (core.WorkerCtx); everything else in
 // prog is shared.
@@ -204,19 +199,12 @@ func New(prog *core.Program, opts Opts) *Engine {
 		opts.ClassWeights = defaultClassWeights
 	}
 	e := &Engine{prog: prog, opts: opts, queues: make([]*classQueue, opts.Workers)}
-	e.cond = sync.NewCond(&e.mu)
 	// Capture the warm template before binding any worker to the shared
 	// program, so the snapshot sees the program exactly as Build left it.
 	e.warm = initWarm(prog, opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		e.queues[i] = &classQueue{}
 		e.workers = append(e.workers, &worker{idx: i, ctx: prog.NewWorker(fmt.Sprintf("cpu%d", i))})
-	}
-	if !opts.Manual {
-		for _, w := range e.workers {
-			e.wg.Add(1)
-			go e.run(w)
-		}
 	}
 	return e
 }
@@ -238,9 +226,9 @@ func (e *Engine) Workers() int { return len(e.workers) }
 //     predicts the job cannot finish in time.
 //   - ErrClosed: the engine was closed. Terminal.
 //
-// Jobs admitted before Close still execute (Close drains the queues),
-// so a nil return guarantees spec.Done, when set, is called exactly
-// once.
+// Jobs admitted before Close still execute (Close steps the queues
+// dry), so a nil return guarantees spec.Done, when set, is called
+// exactly once.
 func (e *Engine) Submit(spec JobSpec) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -339,119 +327,20 @@ func (e *Engine) pushLocked(i int, j job, spilled bool) {
 	if d := int64(e.queues[i].len()); d > w.maxDepth {
 		w.maxDepth = d
 	}
-	e.cond.Broadcast()
-}
-
-// run is one worker's host goroutine: drain own queue, steal when
-// empty, exit when the engine closes with nothing left anywhere.
-func (e *Engine) run(w *worker) {
-	defer e.wg.Done()
-	defer func() {
-		if w.stall != nil {
-			w.stall.Stop()
-		}
-	}()
-	for {
-		j, ok := e.next(w)
-		if !ok {
-			return
-		}
-		e.exec(w, j)
-	}
-}
-
-// next dequeues the worker's next job: its own queue per the dequeue
-// policy, else the front (oldest job) of the longest *busy* sibling's
-// queue — a steal. Only busy victims are eligible: an idle owner is
-// about to drain its own queue, and racing it would defeat affinity (on
-// a virtual-time substrate every job looks instantaneous in real time,
-// so an unconditional steal lets one OS-favoured worker absorb the
-// whole load and serialise the virtual clocks). For the same reason a
-// thief must not be virtually ahead of its victim: see dequeueLocked.
-func (e *Engine) next(w *worker) (job, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if w.busy {
-		w.busy = false
-		e.cond.Broadcast() // wake Quiesce on the busy→idle edge
-	}
-	for {
-		if j, stolen, ok := e.dequeueLocked(w, true); ok {
-			w.busy, w.since = true, time.Now()
-			if stolen {
-				w.steals.Add(1)
-			}
-			e.cond.Broadcast()
-			return j, true
-		}
-		if e.closed {
-			return job{}, false
-		}
-		if e.queuedElsewhereLocked(w) {
-			// Work is queued that the guard kept from w: re-check once
-			// its owner may have stalled.
-			if w.stall == nil {
-				w.stall = time.AfterFunc(stallGrace, func() {
-					e.mu.Lock()
-					e.cond.Broadcast()
-					e.mu.Unlock()
-				})
-			} else {
-				w.stall.Reset(stallGrace)
-			}
-		}
-		e.cond.Wait()
-	}
-}
-
-// stallGrace is how long, in host time, a busy worker keeps its queue
-// from siblings that are virtually ahead of it. A job can block on work
-// queued behind it (two jobs that rendezvous); past the grace any idle
-// sibling takes that work, so the engine stays live. A request job can
-// wait for its client goroutine to run, under the race detector on a
-// loaded host for over 100ms, so a shorter grace lets the cluster
-// speedups follow host load again.
-const stallGrace = time.Second
-
-// queuedElsewhereLocked reports whether any sibling of w has queued work.
-func (e *Engine) queuedElsewhereLocked(w *worker) bool {
-	for i := range e.queues {
-		if i != w.idx && e.queues[i].len() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // dequeueLocked takes worker w's next job: its own queue drained per
 // the engine's policy (QoS-weighted, FIFO or LIFO-under-overload),
-// else a steal from the longest eligible sibling queue. In the
-// concurrent engine (requireBusyVictim) a victim is eligible only while
-// busy, and only if the thief's virtual horizon is not past the
-// victim's: a thief that is virtually ahead would start the job later
-// than its owner will, so the steal would only let whichever worker
-// the host schedules run ahead in virtual time, and placement would
-// follow host load instead of the model. A victim that has held one
-// job for stallGrace, or any busy victim once the engine is closing, is
-// eligible to every thief. The manual-mode
-// stepper steals from any sibling, because its caller steps every
-// virtually-idle worker eagerly — a sibling with queued work is by
-// construction virtually busy.
-func (e *Engine) dequeueLocked(w *worker, requireBusyVictim bool) (job, bool, bool) {
+// else a steal from the longest sibling queue. Any sibling is a victim:
+// StepUntil steps every virtually idle worker eagerly, so a sibling
+// with queued work is by construction virtually busy.
+func (e *Engine) dequeueLocked(w *worker) (job, bool, bool) {
 	if j, ok := e.queues[w.idx].pop(e.opts.ClassWeights, e.opts.Dequeue, e.opts.LIFOThreshold); ok {
 		return j, false, true
-	}
-	var now time.Time
-	if requireBusyVictim {
-		now = time.Now()
 	}
 	victim, depth := -1, 0
 	for i := range e.queues {
 		if i == w.idx {
-			continue
-		}
-		if v := e.workers[i]; requireBusyVictim &&
-			(!v.busy || (w.vtFree > v.vtFree && !e.closed && now.Sub(v.since) < stallGrace)) {
 			continue
 		}
 		if e.queues[i].len() > depth {
@@ -532,7 +421,7 @@ func runJob(t *core.Task, fn Job) (err error) {
 	return fn(t)
 }
 
-// StepResult is one manual-mode execution: the job's identity and its
+// StepResult is one stepped execution: the job's identity and its
 // virtual-time accounting on the submitters' ArrivalVT timeline.
 type StepResult struct {
 	Worker int
@@ -549,48 +438,79 @@ type StepResult struct {
 	Err error // the job's error (a *litterbox.Fault on a protection fault)
 }
 
-// StepWorker — manual mode only — dequeues worker i's next job per the
-// engine's policy (stealing from the longest sibling queue when its own
-// is empty) and executes it synchronously on worker i. ok is false when
-// no work is queued anywhere the worker may take from. The caller owns
-// the virtual timeline: it must step a worker only when that worker is
-// virtually idle (its previous StepResult.CompletionVT has been
-// reached), and must step eagerly so queued work never sits while a
-// worker idles — the discrete-event discipline internal/loadgen
-// implements.
+// StepWorker dequeues worker i's next job per the engine's policy
+// (stealing from the longest sibling queue when its own is empty) and
+// executes it synchronously on worker i, on the calling goroutine. ok
+// is false when no work is queued anywhere. The caller owns the
+// virtual timeline: it should step a worker only when that worker is
+// virtually idle, and eagerly, so queued work never sits while a worker
+// idles — the discipline StepUntil implements. Distinct workers may be
+// stepped from distinct goroutines at once; one worker may not.
 func (e *Engine) StepWorker(i int) (StepResult, bool) {
-	if !e.opts.Manual {
-		panic("engine: StepWorker on a concurrent engine (Opts.Manual is false)")
-	}
 	e.mu.Lock()
 	w := e.workers[i]
-	j, stolen, ok := e.dequeueLocked(w, false)
+	j, stolen, ok := e.dequeueLocked(w)
 	e.mu.Unlock()
 	if !ok {
 		return StepResult{}, false
 	}
+	return e.step(w, j, stolen), true
+}
+
+// StepUntil is the engine's discrete-event loop: while some worker's
+// backlog horizon is at or before T and work is queued, the worker with
+// the earliest horizon (ties to the lowest index) executes its next job
+// — the discipline that makes one serial loop equivalent to the workers
+// running as truly parallel cores. each, when non-nil, sees every
+// step's result; an error from it stops the loop and is returned.
+// StepUntil returns nil once no worker is free at or before T or no
+// work is queued.
+func (e *Engine) StepUntil(T int64, each func(StepResult) error) error {
+	for {
+		e.mu.Lock()
+		w := e.workers[0]
+		for _, v := range e.workers[1:] {
+			if v.vtFree < w.vtFree {
+				w = v
+			}
+		}
+		if w.vtFree > T {
+			e.mu.Unlock()
+			return nil
+		}
+		j, stolen, ok := e.dequeueLocked(w)
+		e.mu.Unlock()
+		if !ok {
+			return nil // no queued work anywhere
+		}
+		r := e.step(w, j, stolen)
+		if each != nil {
+			if err := each(r); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// step executes one dequeued job on w and reports it.
+func (e *Engine) step(w *worker, j job, stolen bool) StepResult {
 	if stolen {
 		w.steals.Add(1)
 	}
 	start, completion, service, err := e.exec(w, j)
 	return StepResult{
-		Worker: i, Name: j.name, Class: j.class, Stolen: stolen,
+		Worker: w.idx, Name: j.name, Class: j.class, Stolen: stolen,
 		ArrivalVT: j.arrival, DeadlineVT: j.deadline,
 		StartVT: start, CompletionVT: completion, ServiceNs: service,
 		Err: err,
-	}, true
+	}
 }
 
 // ResetVT zeroes every worker's virtual backlog horizon while keeping
 // the learned EWMA service estimates — the reset a load generator
 // performs between its calibration phase and the measured run, so
 // calibration work does not appear as backlog at virtual time zero.
-// Manual mode only: rewinding the horizon under concurrent workers
-// would race exec's accounting.
 func (e *Engine) ResetVT() {
-	if !e.opts.Manual {
-		panic("engine: ResetVT on a concurrent engine (Opts.Manual is false)")
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, w := range e.workers {
@@ -598,10 +518,9 @@ func (e *Engine) ResetVT() {
 	}
 }
 
-// Load returns the engine's instantaneous load: queued jobs plus
-// workers currently executing one. It is the balancer's least-loaded
-// signal — cheap enough to consult on every routing decision, unlike a
-// full Metrics snapshot.
+// Load returns the engine's queued jobs: admitted, not yet stepped.
+// It is the balancer's tiebreak — cheap enough to consult on every
+// routing decision, unlike a full Metrics snapshot.
 func (e *Engine) Load() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -609,19 +528,14 @@ func (e *Engine) Load() int {
 	for i := range e.queues {
 		n += e.queues[i].len()
 	}
-	for _, w := range e.workers {
-		if w.busy {
-			n++
-		}
-	}
 	return n
 }
 
 // PredictVT is the engine's load on the virtual timeline: the earliest
 // predicted completion, over its workers, of a job arriving now — the
-// deadline-admission predictor (predictLocked) at arrival zero. Host
-// occupancy (Load) says which jobs the host happens to be running; this
-// says which engine would serve the next job first in the model.
+// deadline-admission predictor (predictLocked) at arrival zero. It
+// counts queued work at each worker's learned service time, so work
+// routed but not yet stepped weighs on the next routing decision.
 func (e *Engine) PredictVT() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -654,47 +568,14 @@ func (e *Engine) StealCounts() []int64 {
 	return out
 }
 
-// Quiesce blocks until every run queue is empty and no worker is
-// executing a job: a drain barrier that leaves the engine open. It
-// does not stop admission; callers that need a terminal drain gate
-// submissions themselves (or use Close, which drains and joins the
-// workers). Quiesce returns immediately on a closed, drained engine.
-func (e *Engine) Quiesce() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for {
-		idle := true
-		for i := range e.queues {
-			if e.queues[i].len() > 0 {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			for _, w := range e.workers {
-				if w.busy {
-					idle = false
-					break
-				}
-			}
-		}
-		if idle {
-			return
-		}
-		e.cond.Wait()
-	}
-}
-
-// Close stops admission, drains every queued job, and joins the
-// workers. It is idempotent. A manual-mode engine has no workers to
-// join; its queued jobs are dropped, as nothing can step them.
+// Close stops admission, steps every queued job to completion on the
+// calling goroutine, and releases the warm pools. It is idempotent.
+// Like StepUntil it must not run while another goroutine steps the
+// engine.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		e.cond.Broadcast()
-	}
+	e.closed = true
 	e.mu.Unlock()
-	e.wg.Wait()
+	_ = e.StepUntil(math.MaxInt64, nil)
 	e.closeWarm()
 }

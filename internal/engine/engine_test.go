@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,6 @@ import (
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/kernel"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
-	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
 // buildProg builds a minimal program: a main package plus a "res"
@@ -49,14 +49,33 @@ func submit(t *testing.T, e *Engine, pref int, name string, fn Job) <-chan error
 
 func nop(*core.Task) error { return nil }
 
+// stepAll steps every worker on its own goroutine until no work is
+// left anywhere — distinct workers executing at once, as StepWorker
+// allows — and waits for them.
+func stepAll(e *Engine) {
+	var wg sync.WaitGroup
+	for i := 0; i < e.Workers(); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, ok := e.StepWorker(i); !ok {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestPoolRunsJobsAcrossWorkers(t *testing.T) {
 	prog := buildProg(t, core.MPK, nil)
 	e := New(prog, Opts{Workers: 4})
 	defer e.Close()
 
-	// Phase 1: four jobs that must run simultaneously — one worker runs
-	// one job at a time, so the barrier only clears with every worker
-	// engaged.
+	// Phase 1: four jobs that must run simultaneously, each worker
+	// stepped on its own goroutine — a worker runs one job at a time, so
+	// the barrier only clears with every worker engaged.
 	arrived := make(chan struct{}, 4)
 	release := make(chan struct{})
 	var barrier []<-chan error
@@ -68,17 +87,24 @@ func TestPoolRunsJobsAcrossWorkers(t *testing.T) {
 			return nil
 		}))
 	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); e.StepWorker(i) }()
+	}
 	for i := 0; i < 4; i++ {
 		<-arrived
 	}
 	close(release)
+	wg.Wait()
 	for _, done := range barrier {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Phase 2: a larger batch, checked by totals.
+	// Phase 2: a larger batch on the discrete-event loop, checked by
+	// totals.
 	const jobs = 64
 	var ran atomic.Int64
 	var batch []<-chan error
@@ -90,6 +116,9 @@ func TestPoolRunsJobsAcrossWorkers(t *testing.T) {
 			ran.Add(1)
 			return nil
 		}))
+	}
+	if err := e.StepUntil(math.MaxInt64, nil); err != nil {
+		t.Fatal(err)
 	}
 	for _, done := range batch {
 		if err := <-done; err != nil {
@@ -103,8 +132,8 @@ func TestPoolRunsJobsAcrossWorkers(t *testing.T) {
 	if got := TotalRequests(ms); got != jobs+4 {
 		t.Fatalf("metrics count %d jobs, want %d", got, jobs+4)
 	}
-	// The barrier engaged every worker: each executed at least one job
-	// and accrued virtual time on its own clock.
+	// Every worker executed jobs and accrued virtual time on its own
+	// clock.
 	for _, m := range ms {
 		if m.Requests == 0 {
 			t.Errorf("worker %d executed nothing", m.Worker)
@@ -115,98 +144,77 @@ func TestPoolRunsJobsAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestStepUntilOrdersByHorizon pins the discrete-event loop: the worker
+// with the earliest horizon steps first (ties to the lowest index), the
+// loop stops once every worker is busy past T, and an error from the
+// callback stops it at once.
+func TestStepUntilOrdersByHorizon(t *testing.T) {
+	prog := buildProg(t, core.Baseline, nil)
+	e := New(prog, Opts{Workers: 2, QueueDepth: 8})
+	defer e.Close()
+	work := func(t *core.Task) error { t.Compute(1000); return nil }
+	for _, name := range []string{"a", "b", "c"} {
+		if err := e.Submit(JobSpec{Name: name, Fn: work}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var order []string
+	each := func(r StepResult) error {
+		order = append(order, fmt.Sprintf("%s@%d", r.Name, r.Worker))
+		return nil
+	}
+	// Both workers are free at 0; once each holds a job, neither is.
+	if err := e.StepUntil(0, each); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "a@0 b@1" {
+		t.Fatalf("steps up to 0 = %q, want \"a@0 b@1\"", got)
+	}
+	if got := e.Load(); got != 1 {
+		t.Fatalf("Load = %d after stepping to 0, want 1 queued", got)
+	}
+	stop := errors.New("stop")
+	if err := e.StepUntil(math.MaxInt64, func(StepResult) error { return stop }); err != stop {
+		t.Fatalf("StepUntil = %v, want the callback's error", err)
+	}
+	if got := e.Load(); got != 0 {
+		t.Fatalf("Load = %d after the last step, want 0", got)
+	}
+}
+
 func TestWorkStealing(t *testing.T) {
 	prog := buildProg(t, core.Baseline, nil)
 	e := New(prog, Opts{Workers: 4, QueueDepth: 128})
 	defer e.Close()
 
-	// Flood worker 0's queue. Steals only target *busy* victims, so the
-	// gate opens once four jobs are in flight simultaneously: worker 0
-	// blocks on its own first job, and the only way to reach four is for
-	// every sibling to steal from its queue.
+	// Flood worker 0's queue: every sibling is virtually idle while it
+	// is busy, so stepping in horizon order spreads the flood by steals.
 	const jobs = 80
-	gate := make(chan struct{})
-	var inflight atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(jobs)
 	for i := 0; i < jobs; i++ {
-		// wg.Done runs from Done, after the engine has counted the job;
-		// from inside the body it raced the metrics read below.
-		err := e.Submit(JobSpec{Name: "flood", Fn: func(t *core.Task) error {
-			if inflight.Add(1) == 4 {
-				close(gate)
-			}
-			<-gate
+		if err := e.Submit(JobSpec{Name: "flood", Fn: func(t *core.Task) error {
 			t.Compute(5000)
 			return nil
-		}, Done: func(error) { wg.Done() }})
-		if err != nil {
+		}}); err != nil {
 			t.Fatalf("submit rejected below queue depth: %v", err)
 		}
 	}
-	wg.Wait()
+	if err := e.StepUntil(math.MaxInt64, nil); err != nil {
+		t.Fatal(err)
+	}
 	ms := e.Metrics()
 	if TotalRequests(ms) != jobs {
 		t.Fatalf("executed %d/%d", TotalRequests(ms), jobs)
 	}
-	if TotalSteals(ms) == 0 {
-		t.Fatalf("no steals despite single-queue flood:\n%s", MetricsString(ms))
+	if got, want := TotalSteals(ms), jobs-ms[0].Requests; got == 0 || got != want {
+		t.Fatalf("steals %d, want %d (every job worker 0 did not run):\n%s", got, want, MetricsString(ms))
 	}
-	if MaxQueueDepth(ms) == 0 {
-		t.Fatal("queue depth high-water mark never moved")
-	}
-}
-
-// A thief steals only from a busy victim it is not virtually ahead of.
-// A worker whose virtual horizon is past the victim's would start the
-// job later than its owner will, so the job waits for its owner until
-// the owner has held one job for stallGrace (then anyone may take it,
-// or two jobs that rendezvous would deadlock); a worker behind the
-// victim takes it at once.
-func TestStealRespectsVirtualHorizon(t *testing.T) {
-	prog := buildProg(t, core.Baseline, nil)
-	e := New(prog, Opts{Workers: 2})
-	t.Cleanup(e.Close) // after the wedges' cleanups, which release them
-
-	// Put worker 1 1ms ahead on the virtual timeline. Worker 0 cannot
-	// steal it: a victim is eligible only while busy.
-	if err := <-submit(t, e, 1, "ahead", func(tk *core.Task) error { tk.Compute(1_000_000); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// wedge blocks worker pref until released and returns when the
-	// wedge started.
-	wedge := func(pref int) (started time.Time, release func()) {
-		running, hold := make(chan time.Time), make(chan struct{})
-		submit(t, e, pref, "wedge", func(*core.Task) error { running <- time.Now(); <-hold; return nil })
-		release = sync.OnceFunc(func() { close(hold) })
-		t.Cleanup(release)
-		return <-running, release
-	}
-	// queue submits a job behind the wedge and returns when it started.
-	queue := func(pref int) time.Time {
-		ran := make(chan time.Time, 1)
-		submit(t, e, pref, "queued", func(*core.Task) error { ran <- time.Now(); return nil })
-		select {
-		case at := <-ran:
-			return at
-		case <-time.After(10 * time.Second):
-			t.Fatal("a job queued behind a wedged worker never ran")
+	for _, m := range ms {
+		if m.Requests == 0 {
+			t.Errorf("worker %d stole nothing:\n%s", m.Worker, MetricsString(ms))
 		}
-		return time.Time{}
 	}
-
-	// Worker 0 wedged: idle worker 1 is ahead, so it takes the queued
-	// job only once worker 0 has held its job for stallGrace.
-	wedged, release := wedge(0)
-	if waited := queue(0).Sub(wedged); waited < stallGrace/2 {
-		t.Fatalf("a worker virtually ahead of its victim stole after %v, before the %v grace", waited, stallGrace)
-	}
-	release()
-	// Worker 1 wedged: idle worker 0 is behind, so it takes the job.
-	wedge(1)
-	queue(1)
-	if got := e.StealCounts(); got[0] != 1 || got[1] != 1 {
-		t.Fatalf("steal counts %v, want [1 1]", got)
+	if MaxQueueDepth(ms) != jobs {
+		t.Fatalf("queue depth high-water mark %d, want %d", MaxQueueDepth(ms), jobs)
 	}
 }
 
@@ -214,25 +222,20 @@ func TestBackpressureRejects(t *testing.T) {
 	prog := buildProg(t, core.Baseline, nil)
 	e := New(prog, Opts{Workers: 1, QueueDepth: 1})
 
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	if err := e.Submit(JobSpec{Name: "blocker", Fn: func(t *core.Task) error {
-		close(started)
-		<-gate
-		return nil
-	}}); err != nil {
-		t.Fatalf("blocker rejected: %v", err)
-	}
-	<-started
-	// Worker busy; depth-1 queue takes exactly one more.
-	if err := e.Submit(JobSpec{Name: "queued", Fn: nop}); err != nil {
-		t.Fatalf("queue should have room for one job: %v", err)
+	// The depth-1 queue takes exactly one job until it is stepped.
+	if err := e.Submit(JobSpec{Name: "first", Fn: nop}); err != nil {
+		t.Fatalf("first rejected: %v", err)
 	}
 	if err := e.Submit(JobSpec{Name: "overflow", Fn: nop}); !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("full engine: err = %v, want ErrBackpressure", err)
 	}
-	close(gate)
-	e.Close()
+	if _, ok := e.StepWorker(0); !ok {
+		t.Fatal("nothing to step")
+	}
+	if err := e.Submit(JobSpec{Name: "queued", Fn: nop}); err != nil {
+		t.Fatalf("stepped queue should have room for one job: %v", err)
+	}
+	e.Close() // steps the queued job
 	ms := e.Metrics()
 	if ms[0].Rejected != 1 {
 		t.Fatalf("rejected = %d, want 1", ms[0].Rejected)
@@ -253,7 +256,8 @@ func TestBackpressureRejects(t *testing.T) {
 // two workers entering the same enclosure simultaneously get
 // independent environments and independent faults — a protection fault
 // on worker A never aborts worker B, and the program as a whole stays
-// alive. Run repeatedly to shake interleavings (and under -race).
+// alive. The two workers are stepped on two goroutines at once; run
+// repeatedly to shake interleavings (and under -race).
 func TestConcurrentEnclosureIsolation(t *testing.T) {
 	// Baseline is the paper's no-enforcement control — it cannot fault —
 	// so the property is checked on the enforcing backends.
@@ -301,14 +305,21 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 				aIn = make(chan struct{})
 				bIn = make(chan struct{})
 
+				// Each job runs on its own worker, each worker stepped on
+				// its own goroutine, so both are inside the enclosure at
+				// once.
+				var stepping sync.WaitGroup
+				step := func(i int) {
+					stepping.Add(1)
+					go func() { defer stepping.Done(); e.StepWorker(i) }()
+				}
 				running := make(chan *core.WorkerCtx, 1)
 				pa := submit(t, e, 0, "faulter", func(task *core.Task) error {
 					running <- task.Worker()
 					_, err := guard.Call(task, "fault")
 					return err
 				})
-				// The worker running the faulter is only known once it
-				// starts; the worker pool steals, so it is not fixed.
+				step(0)
 				victim = <-running
 				faultsBefore = victim.Domain().Faults()
 				pb := submit(t, e, 1, "worker", func(task *core.Task) error {
@@ -321,6 +332,7 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 					}
 					return nil
 				})
+				step(1)
 
 				// The faulting job dies with the protection fault...
 				errA := <-pa
@@ -341,6 +353,7 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 				if pf, dead := prog.Fault(); dead {
 					t.Fatalf("round %d: program-wide abort: %v", i, pf)
 				}
+				stepping.Wait()
 			}
 			ms := e.Metrics()
 			var faults int64
@@ -351,135 +364,11 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 				t.Fatalf("fault count %d, want %d\n%s", faults, rounds, MetricsString(ms))
 			}
 			// Engine still serves after every round's fault.
-			if err := <-submit(t, e, 0, "after", nop); err != nil {
+			after := submit(t, e, 0, "after", nop)
+			e.StepWorker(0)
+			if err := <-after; err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestServeShardedAccept(t *testing.T) {
-	prog := buildProg(t, core.MPK, nil)
-	e := New(prog, Opts{Workers: 4})
-	defer e.Close()
-
-	const port = 9000
-	srv, err := e.Serve(ServeOpts{
-		Port: port,
-		Conn: func(t *core.Task, fd int) error {
-			buf := t.AllocIn("main", 64)
-			n, errno := t.Syscall(kernel.NrRead, uint64(fd), uint64(buf.Addr), buf.Size)
-			if errno != kernel.OK {
-				return fmt.Errorf("read: %v", errno)
-			}
-			req := t.ReadBytes(buf.Slice(0, n))
-			resp := []byte("echo:" + string(req))
-			out := t.NewBytes(resp)
-			if _, errno := t.Syscall(kernel.NrWrite, uint64(fd), uint64(out.Addr), out.Size); errno != kernel.OK {
-				return fmt.Errorf("write: %v", errno)
-			}
-			t.Syscall(kernel.NrClose, uint64(fd))
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	client := simnet.HostIP(10, 0, 0, 99)
-	addr := simnet.Addr{Host: core.DefaultHostIP, Port: port}
-	const reqs = 32
-	for i := 0; i < reqs; i++ {
-		conn, err := prog.Net().Dial(client, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg := fmt.Sprintf("ping%d", i)
-		if _, err := conn.Write([]byte(msg)); err != nil {
-			t.Fatal(err)
-		}
-		var got []byte
-		buf := make([]byte, 256)
-		for {
-			n, err := conn.Read(buf)
-			got = append(got, buf[:n]...)
-			if err != nil {
-				break
-			}
-		}
-		if string(got) != "echo:"+msg {
-			t.Fatalf("request %d: got %q", i, got)
-		}
-		conn.Close()
-	}
-	srv.Close()
-	e.Close()
-	if srv.accepted.Load() != reqs {
-		t.Fatalf("accepted %d, want %d", srv.accepted.Load(), reqs)
-	}
-	ms := e.Metrics()
-	if TotalRequests(ms) != reqs {
-		t.Fatalf("executed %d, want %d", TotalRequests(ms), reqs)
-	}
-	// Round-robin shard dialling spreads connections over every
-	// worker's queue.
-	for _, m := range ms {
-		if m.Enqueued == 0 {
-			t.Errorf("worker %d never received a connection:\n%s", m.Worker, MetricsString(ms))
-		}
-	}
-}
-
-func TestServeBackpressureSheds(t *testing.T) {
-	prog := buildProg(t, core.Baseline, nil)
-	e := New(prog, Opts{Workers: 1, QueueDepth: 1})
-
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	var startOnce sync.Once
-	const port = 9001
-	srv, err := e.Serve(ServeOpts{
-		Port: port,
-		Conn: func(t *core.Task, fd int) error {
-			startOnce.Do(func() { close(started) })
-			<-gate
-			t.Syscall(kernel.NrClose, uint64(fd))
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := simnet.HostIP(10, 0, 0, 99)
-	addr := simnet.Addr{Host: core.DefaultHostIP, Port: port}
-
-	// First conn occupies the worker, second fills the queue; keep
-	// dialling until the engine sheds one.
-	var conns []*simnet.Conn
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
-	for i := 0; i < 8; i++ {
-		c, err := prog.Net().Dial(client, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns = append(conns, c)
-	}
-	<-started
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Shed() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no connection shed under backpressure")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	srv.Close()
-	e.Close()
-	if srv.accepted.Load()+srv.Shed() == 0 || srv.Shed() == 0 {
-		t.Fatalf("accepted=%d shed=%d", srv.accepted.Load(), srv.Shed())
 	}
 }

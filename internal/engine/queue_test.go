@@ -155,7 +155,7 @@ func TestClassQueueStealOrder(t *testing.T) {
 // backlog horizon), CompletionVT = StartVT + measured service.
 func TestManualModeStepWorker(t *testing.T) {
 	prog := buildProg(t, core.Baseline, nil)
-	e := New(prog, Opts{Manual: true, Workers: 1, QueueDepth: 8})
+	e := New(prog, Opts{Workers: 1, QueueDepth: 8})
 	defer e.Close()
 
 	work := func(t *core.Task) error { t.Compute(1000); return nil }
@@ -209,7 +209,7 @@ func TestManualModeStepWorker(t *testing.T) {
 // backlogged sibling when stepped.
 func TestManualModeStepSteals(t *testing.T) {
 	prog := buildProg(t, core.Baseline, nil)
-	e := New(prog, Opts{Manual: true, Workers: 2, QueueDepth: 8})
+	e := New(prog, Opts{Workers: 2, QueueDepth: 8})
 	defer e.Close()
 
 	work := func(t *core.Task) error { t.Compute(1000); return nil }
@@ -233,7 +233,7 @@ func TestManualModeStepSteals(t *testing.T) {
 // one is admitted.
 func TestDeadlineAdmission(t *testing.T) {
 	prog := buildProg(t, core.Baseline, nil)
-	e := New(prog, Opts{Manual: true, Workers: 1, QueueDepth: 8})
+	e := New(prog, Opts{Workers: 1, QueueDepth: 8})
 	defer e.Close()
 
 	work := func(t *core.Task) error { t.Compute(1000); return nil }
@@ -273,7 +273,7 @@ func TestDeadlineAdmission(t *testing.T) {
 // predictor that then overruns its deadline is counted as a miss.
 func TestDeadlineMissAccounting(t *testing.T) {
 	prog := buildProg(t, core.Baseline, nil)
-	e := New(prog, Opts{Manual: true, Workers: 1, QueueDepth: 8})
+	e := New(prog, Opts{Workers: 1, QueueDepth: 8})
 	defer e.Close()
 
 	// Cold EWMA predicts zero service, so a 1ns deadline is admitted —
@@ -299,7 +299,7 @@ func TestDeadlineMissAccounting(t *testing.T) {
 // corrupting the lane index.
 func TestSubmitSpecClassClamp(t *testing.T) {
 	prog := buildProg(t, core.Baseline, nil)
-	e := New(prog, Opts{Manual: true, Workers: 1, QueueDepth: 8})
+	e := New(prog, Opts{Workers: 1, QueueDepth: 8})
 	defer e.Close()
 
 	for _, class := range []int{-3, NumClasses + 5} {

@@ -2,8 +2,8 @@ package engine
 
 // End-to-end warm admission: with core.WithWarmPool active, every job
 // the engine admits runs in its own snapshot clone, so a job's writes
-// to package state are invisible to every later job. CI runs this
-// under -race.
+// to package state are invisible to every later job. The workers are
+// stepped on their own goroutines; CI runs this under -race.
 
 import (
 	"bytes"
@@ -71,7 +71,7 @@ func TestWarmAdmissionIsolatesJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Quiesce()
+	stepAll(e)
 	wg.Wait()
 	for _, err := range errs {
 		t.Error(err)
@@ -111,7 +111,7 @@ func TestWarmDisabledWithoutOption(t *testing.T) {
 	}, Done: func(error) { wg.Done() }}); err != nil {
 		t.Fatal(err)
 	}
-	e.Quiesce()
+	stepAll(e)
 	wg.Wait()
 	if !shared {
 		t.Fatal("job did not run on the shared program")

@@ -8,8 +8,8 @@
 // would have exposed it, the coordinated-omission error closed-loop
 // generators bake into their percentiles.
 //
-// The generator drives a manual-mode engine (engine.Opts.Manual) as a
-// discrete-event simulation: arrivals are admitted in time order
+// The generator drives an engine as a discrete-event simulation
+// (engine.StepUntil): arrivals are admitted in time order
 // through the real admission path (QoS class, deadline feasibility,
 // backpressure shedding), and virtually-idle workers step queued jobs
 // through the real dequeue policy (weighted classes, FIFO or
@@ -75,10 +75,11 @@ const burstFraction = 0.1
 // burstLength is the expected number of arrivals per burst sojourn.
 const burstLength = 20
 
-// genArrivals returns n strictly increasing arrival times (virtual ns
+// Arrivals returns n strictly increasing arrival times (virtual ns
 // from the start of the run) with time-averaged mean interarrival
-// meanIANs under the given process.
-func genArrivals(p ArrivalProcess, rng *rand.Rand, n int, meanIANs float64, burstFactor float64, sessions int) []int64 {
+// meanIANs under the given process. burstFactor and sessions shape MMPP
+// and SessionThink (zero: their defaults).
+func Arrivals(p ArrivalProcess, rng *rand.Rand, n int, meanIANs float64, burstFactor float64, sessions int) []int64 {
 	switch p {
 	case MMPP:
 		return genMMPP(rng, n, meanIANs, burstFactor)

@@ -12,19 +12,19 @@ import (
 	"github.com/litterbox-project/enclosure/internal/engine"
 )
 
-// Target is a system under test: an application served by a
-// manual-mode engine, plus a factory that builds one job per request
-// kind. The job carries the whole request — the client side runs at
-// host level inside the closure (writing the request before the
-// server's virtual work, draining the response after), so none of the
-// client's work is billed to the program's virtual clock, exactly like
-// the paper's external load-generating machine.
+// Target is a system under test: an application served by an engine,
+// plus a factory that builds one job per request kind. The job carries
+// the whole request — the client side runs at host level inside the
+// closure (writing the request before the server's virtual work,
+// draining the response after), so none of the client's work is billed
+// to the program's virtual clock, exactly like the paper's external
+// load-generating machine.
 type Target interface {
 	// Name labels the application in tables.
 	Name() string
 	// Backend names the enforcement backend under test.
 	Backend() string
-	// Engine returns the manual-mode engine the generator steps.
+	// Engine returns the engine the generator steps.
 	Engine() *engine.Engine
 	// Kinds lists the request kinds the target serves (the default mix
 	// weights them equally).
@@ -176,7 +176,7 @@ func Run(tg Target, spec Spec) (Result, error) {
 	// fixed here, before the first job runs.
 	meanIA := meanService / (spec.OfferedLoad * float64(W))
 	total := spec.Warmup + spec.Requests
-	times := genArrivals(spec.Arrivals, rng, total, meanIA, spec.BurstFactor, spec.Sessions)
+	times := Arrivals(spec.Arrivals, rng, total, meanIA, spec.BurstFactor, spec.Sessions)
 	picks := make([]int, total) // mix index per arrival
 	for i := range picks {
 		picks[i] = pickMix(rng, mix, weightSum)
@@ -184,10 +184,10 @@ func Run(tg Target, spec Spec) (Result, error) {
 
 	// --- Discrete-event loop -----------------------------------------
 	st := &runState{
-		e: e, warmup: spec.Warmup, windowStart: times[spec.Warmup],
-		freeAt:    make([]int64, W),
+		warmup: spec.Warmup, windowStart: times[spec.Warmup],
 		latencies: make([]int64, 0, spec.Requests),
 	}
+	observe := st.observe
 	msBefore := e.Metrics()
 	var shed, dlRejected int
 	for i := 0; i < total; i++ {
@@ -195,7 +195,7 @@ func Run(tg Target, spec Spec) (Result, error) {
 		// Workers that become virtually free before this arrival drain
 		// queued work first — the queue an overloaded dequeue policy
 		// sees never contains arrivals from the future.
-		if err := st.stepFreeUntil(ta); err != nil {
+		if err := e.StepUntil(ta, observe); err != nil {
 			return Result{}, err
 		}
 		m := mix[picks[i]]
@@ -225,11 +225,11 @@ func Run(tg Target, spec Spec) (Result, error) {
 			return Result{}, fmt.Errorf("loadgen: submit %d: %w", i, err)
 		}
 		// An idle worker serves the new arrival immediately.
-		if err := st.stepFreeUntil(ta); err != nil {
+		if err := e.StepUntil(ta, observe); err != nil {
 			return Result{}, err
 		}
 	}
-	if err := st.stepFreeUntil(math.MaxInt64); err != nil {
+	if err := e.StepUntil(math.MaxInt64, observe); err != nil {
 		return Result{}, err
 	}
 	msAfter := e.Metrics()
@@ -275,11 +275,7 @@ func Run(tg Target, spec Spec) (Result, error) {
 
 // runState is the event loop's mutable state.
 type runState struct {
-	e      *engine.Engine
-	warmup int
-	// freeAt mirrors each worker's virtual completion horizon — the
-	// time its current job finishes and it may take the next.
-	freeAt         []int64
+	warmup         int
 	latencies      []int64
 	lastCompletion int64
 	// windowStart is the first measured arrival; inWindow counts every
@@ -289,40 +285,21 @@ type runState struct {
 	inWindow    int
 }
 
-// stepFreeUntil lets every worker whose horizon is ≤ T execute queued
-// work, earliest-free worker first (ties to the lowest index) — the
-// discrete-event discipline that makes the serial loop equivalent to W
-// truly parallel cores. It returns when no worker is free before T or
-// no queued work remains.
-func (st *runState) stepFreeUntil(T int64) error {
-	for {
-		w, min := -1, int64(0)
-		for i, f := range st.freeAt {
-			if w < 0 || f < min {
-				w, min = i, f
-			}
-		}
-		if min > T {
-			return nil
-		}
-		r, ok := st.e.StepWorker(w)
-		if !ok {
-			return nil // no queued work anywhere
-		}
-		if r.Err != nil {
-			return fmt.Errorf("loadgen: request %s failed: %w", r.Name, r.Err)
-		}
-		st.freeAt[w] = r.CompletionVT
-		if r.CompletionVT > st.lastCompletion {
-			st.lastCompletion = r.CompletionVT
-		}
-		if r.CompletionVT > st.windowStart {
-			st.inWindow++
-		}
-		if idx, ok := requestIndex(r.Name); ok && idx >= st.warmup {
-			st.latencies = append(st.latencies, r.CompletionVT-r.ArrivalVT)
-		}
+// observe accounts one stepped request (engine.StepUntil's callback).
+func (st *runState) observe(r engine.StepResult) error {
+	if r.Err != nil {
+		return fmt.Errorf("loadgen: request %s failed: %w", r.Name, r.Err)
 	}
+	if r.CompletionVT > st.lastCompletion {
+		st.lastCompletion = r.CompletionVT
+	}
+	if r.CompletionVT > st.windowStart {
+		st.inWindow++
+	}
+	if idx, ok := requestIndex(r.Name); ok && idx >= st.warmup {
+		st.latencies = append(st.latencies, r.CompletionVT-r.ArrivalVT)
+	}
+	return nil
 }
 
 // requestIndex parses the arrival index out of a job name ("kind#i").

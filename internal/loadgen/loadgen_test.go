@@ -34,7 +34,7 @@ func TestArrivalSchedulesMeanAndOrder(t *testing.T) {
 	const mean = 10000.0
 	for _, p := range []ArrivalProcess{Poisson, MMPP, SessionThink} {
 		rng := rand.New(rand.NewSource(7))
-		times := genArrivals(p, rng, n, mean, 4, 16)
+		times := Arrivals(p, rng, n, mean, 4, 16)
 		if len(times) != n {
 			t.Fatalf("%s: %d arrivals, want %d", p, len(times), n)
 		}
@@ -58,7 +58,7 @@ func TestMMPPIsBurstier(t *testing.T) {
 	const mean = 10000.0
 	cv2 := func(p ArrivalProcess) float64 {
 		rng := rand.New(rand.NewSource(11))
-		times := genArrivals(p, rng, n, mean, 6, 0)
+		times := Arrivals(p, rng, n, mean, 6, 0)
 		var sum, sum2 float64
 		prev := int64(0)
 		for _, ta := range times {

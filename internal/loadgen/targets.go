@@ -13,7 +13,7 @@ import (
 	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
-// EngineOpts shapes the manual-mode engine a target runs on: the knobs
+// EngineOpts shapes the engine a target runs on: the knobs
 // the latency sweep varies, without exposing the full engine.Opts.
 type EngineOpts struct {
 	Workers       int
@@ -24,7 +24,6 @@ type EngineOpts struct {
 
 func (o EngineOpts) engineOpts() engine.Opts {
 	return engine.Opts{
-		Manual:        true,
 		Workers:       o.Workers,
 		QueueDepth:    o.QueueDepth,
 		Dequeue:       o.Dequeue,
@@ -45,8 +44,8 @@ type appTarget struct {
 	reqs    map[string]requestKind
 
 	// resp is the buffer every job's response check drains into. A
-	// target's engine runs in manual mode, so its jobs execute one at a
-	// time on the goroutine stepping it and never share resp at once.
+	// target's jobs execute one at a time on the goroutine stepping its
+	// engine, so they never share resp at once.
 	resp []byte
 }
 
@@ -99,8 +98,9 @@ func (a *appTarget) NewRequest(kind string) engine.Job {
 	}
 	return func(t *core.Task) error {
 		defer client.Close()
-		// Inject at exec time into the executor's proc — the same
-		// stolen-job rule engine.Serve follows.
+		// Inject at exec time into the executor's proc: a stolen job
+		// runs on a different worker than its preference, and the fd
+		// must live in the fd table its syscalls resolve against.
 		fd := t.Worker().Proc().InjectConn(server)
 		if err := a.conn(t, fd); err != nil {
 			return err
@@ -151,8 +151,8 @@ func get(path string) string {
 }
 
 // NewHTTPTarget builds the net/http app (13KB page behind an enclosed
-// handler) on a manual-mode engine. Kinds: "page". Options apply to
-// the program (a tracer, say), as in every target constructor.
+// handler) on an engine. Kinds: "page". Options apply to the program
+// (a tracer, say), as in every target constructor.
 func NewHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
 	prog, err := httpserv.Program(kind, httpserv.HandlerPolicy, progOpts...)
 	if err != nil {
@@ -168,8 +168,8 @@ func NewHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Opti
 	}, nil
 }
 
-// NewFastHTTPTarget builds the enclosed FastHTTP server on a
-// manual-mode engine. Kinds: "page" (13KB static page through the
+// NewFastHTTPTarget builds the enclosed FastHTTP server on an engine.
+// Kinds: "page" (13KB static page through the
 // trusted handler) and "stream" (the syscall-dense chunked-streaming
 // path) — the heavy-tail pair of the latency table.
 func NewFastHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
@@ -194,7 +194,7 @@ func NewFastHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.
 const wikiPage = "hello from the enclosure wiki"
 
 // NewWikiTarget builds the two-enclosure wiki (Figure 5 topology) with
-// a simulated Postgres on a manual-mode engine. Kinds: "view".
+// a simulated Postgres on an engine. Kinds: "view".
 func NewWikiTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Option) (Target, error) {
 	prog, err := wiki.Program(kind, wiki.PolicyServer, wiki.PolicyProxy, progOpts...)
 	if err != nil {

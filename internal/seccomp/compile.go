@@ -1,9 +1,6 @@
 package seccomp
 
-import (
-	"errors"
-	"sort"
-)
+import "sort"
 
 // EnvRule describes the system-call mask of one execution environment,
 // keyed by the PKRU value that identifies it (the paper compiles
@@ -24,12 +21,6 @@ type EnvRule struct {
 	ConnectNr    uint32
 	ConnectAllow []uint32
 }
-
-// ErrBlockTooLarge is retained for API compatibility. Oversized env
-// blocks are now reached through OpJmpJA trampolines, so CompileFilter
-// no longer returns it; only a block beyond MaxInsns can still fail,
-// surfacing as a Compile validation error.
-var ErrBlockTooLarge = errors.New("seccomp: environment rule block exceeds jump range")
 
 // sortRules returns the deterministic compilation order shared by the
 // BPF program and the verdict table: ascending PKRU, duplicates kept in

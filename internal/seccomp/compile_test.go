@@ -149,11 +149,11 @@ func TestCompileFilterProperty(t *testing.T) {
 	}
 }
 
-// TestCompileFilterLargeBlockTrampoline is the regression test at the
-// old ErrBlockTooLarge limit: a 100-entry allowlist compiles to a block
-// beyond the 8-bit conditional-jump reach, so the PKRU dispatch must
-// chain through an OpJmpJA trampoline — and still produce the right
-// verdicts on both sides of the jump.
+// TestCompileFilterLargeBlockTrampoline is the regression test for env
+// blocks past the 8-bit conditional-jump reach: a 100-entry allowlist
+// compiles to such a block, so the PKRU dispatch must chain through an
+// OpJmpJA trampoline — and still produce the right verdicts on both
+// sides of the jump.
 func TestCompileFilterLargeBlockTrampoline(t *testing.T) {
 	var nrs []uint32
 	for i := uint32(0); i < 100; i++ {

@@ -277,7 +277,6 @@ func Pair() (*Conn, *Conn) {
 type Listener struct {
 	addr   Addr
 	net    *Net
-	group  *shardGroup // non-nil when part of a ListenShards group
 	mu     sync.Mutex
 	cond   *sync.Cond
 	parked *sync.Cond // signalled when an accepter blocks on an empty queue
@@ -344,9 +343,7 @@ func (n *Net) AwaitAccept(addr Addr) error {
 	return nil
 }
 
-// Close stops the listener and releases its address. For a sharded
-// listener only this shard stops; the address stays bound until the
-// last shard in the group closes.
+// Close stops the listener and releases its address.
 func (l *Listener) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -359,14 +356,7 @@ func (l *Listener) Close() error {
 	l.mu.Unlock()
 
 	l.net.mu.Lock()
-	if l.group != nil {
-		l.group.open--
-		if l.group.open == 0 {
-			delete(l.net.shards, l.addr)
-		}
-	} else {
-		delete(l.net.listeners, l.addr)
-	}
+	delete(l.net.listeners, l.addr)
 	l.net.mu.Unlock()
 	return nil
 }
@@ -382,21 +372,10 @@ func (l *Listener) enqueue(c *Conn) error {
 	return nil
 }
 
-// shardGroup is a set of listeners sharing one address, the way
-// SO_REUSEPORT lets multiple sockets bind the same port and the kernel
-// spreads incoming connections across them. Dial round-robins over the
-// still-open shards.
-type shardGroup struct {
-	ls   []*Listener
-	next int
-	open int
-}
-
 // Net is one simulated network namespace.
 type Net struct {
 	mu        sync.Mutex
 	listeners map[Addr]*Listener
-	shards    map[Addr]*shardGroup
 	nextPort  uint16
 }
 
@@ -404,7 +383,6 @@ type Net struct {
 func New() *Net {
 	return &Net{
 		listeners: make(map[Addr]*Listener),
-		shards:    make(map[Addr]*shardGroup),
 		nextPort:  40000,
 	}
 }
@@ -419,45 +397,11 @@ func (n *Net) Listen(addr Addr) (*Listener, error) {
 	if _, ok := n.listeners[addr]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
 	}
-	if _, ok := n.shards[addr]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
-	}
 	l := &Listener{addr: addr, net: n}
 	l.cond = sync.NewCond(&l.mu)
 	l.parked = sync.NewCond(&l.mu)
 	n.listeners[addr] = l
 	return l, nil
-}
-
-// ListenShards binds count listeners to the same address, SO_REUSEPORT
-// style: each shard has its own accept queue and Dial spreads incoming
-// connections round-robin over the open shards. A multi-core server
-// gives each worker its own shard so accepts never contend on one
-// queue. A zero port picks an ephemeral one shared by the whole group.
-func (n *Net) ListenShards(addr Addr, count int) ([]*Listener, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("simnet: ListenShards count %d < 1", count)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if addr.Port == 0 {
-		addr.Port = n.ephemeralLocked()
-	}
-	if _, ok := n.listeners[addr]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
-	}
-	if _, ok := n.shards[addr]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
-	}
-	g := &shardGroup{open: count}
-	for i := 0; i < count; i++ {
-		l := &Listener{addr: addr, net: n, group: g}
-		l.cond = sync.NewCond(&l.mu)
-		l.parked = sync.NewCond(&l.mu)
-		g.ls = append(g.ls, l)
-	}
-	n.shards[addr] = g
-	return append([]*Listener(nil), g.ls...), nil
 }
 
 func (n *Net) ephemeralLocked() uint16 {
@@ -474,12 +418,6 @@ func (n *Net) ephemeralLocked() uint16 {
 				break
 			}
 		}
-		for a := range n.shards {
-			if a.Port == p {
-				inUse = true
-				break
-			}
-		}
 		if !inUse {
 			return p
 		}
@@ -487,25 +425,9 @@ func (n *Net) ephemeralLocked() uint16 {
 }
 
 // Dial connects from local (host only; port is ephemeral) to remote.
-// A sharded address picks a shard round-robin, skipping closed ones.
 func (n *Net) Dial(localHost uint32, remote Addr) (*Conn, error) {
 	n.mu.Lock()
 	l, ok := n.listeners[remote]
-	if !ok {
-		if g, sok := n.shards[remote]; sok {
-			for range g.ls {
-				cand := g.ls[g.next%len(g.ls)]
-				g.next++
-				cand.mu.Lock()
-				open := !cand.closed
-				cand.mu.Unlock()
-				if open {
-					l, ok = cand, true
-					break
-				}
-			}
-		}
-	}
 	if !ok {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, remote)
@@ -524,7 +446,7 @@ func (n *Net) Dial(localHost uint32, remote Addr) (*Conn, error) {
 }
 
 // ErrNotQuiescent is returned by Clone when the namespace still has live
-// listeners or accept shards: streams and accept queues hold goroutine
+// listeners: streams and accept queues hold goroutine
 // rendezvous state that cannot be meaningfully duplicated, so snapshot
 // capture requires a quiescent network.
 var ErrNotQuiescent = errors.New("simnet: cannot clone a namespace with live listeners")
@@ -535,18 +457,17 @@ var ErrNotQuiescent = errors.New("simnet: cannot clone a namespace with live lis
 func (n *Net) Clone() (*Net, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.listeners) > 0 || len(n.shards) > 0 {
+	if len(n.listeners) > 0 {
 		return nil, ErrNotQuiescent
 	}
 	return &Net{
 		listeners: make(map[Addr]*Listener),
-		shards:    make(map[Addr]*shardGroup),
 		nextPort:  n.nextPort,
 	}, nil
 }
 
 // ResetTo returns a namespace cloned from the quiescent src to src's
-// state in place: listeners and accept shards are dropped and the
+// state in place: listeners are dropped and the
 // ephemeral port cursor rewinds, without allocating.
 func (n *Net) ResetTo(src *Net) {
 	src.mu.Lock()
@@ -554,7 +475,6 @@ func (n *Net) ResetTo(src *Net) {
 	src.mu.Unlock()
 	n.mu.Lock()
 	clear(n.listeners)
-	clear(n.shards)
 	n.nextPort = port
 	n.mu.Unlock()
 }

@@ -286,72 +286,3 @@ func TestAddrString(t *testing.T) {
 		t.Fatalf("Addr.String = %q", a.String())
 	}
 }
-
-func TestListenShardsRoundRobin(t *testing.T) {
-	n := New()
-	addr := Addr{Host: 1, Port: 80}
-	shards, err := n.ListenShards(addr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 4 {
-		t.Fatalf("got %d shards", len(shards))
-	}
-	// The address is taken for both plain Listen and another group.
-	if _, err := n.Listen(addr); !errors.Is(err, ErrAddrInUse) {
-		t.Fatalf("Listen on sharded addr: %v", err)
-	}
-	if _, err := n.ListenShards(addr, 2); !errors.Is(err, ErrAddrInUse) {
-		t.Fatalf("ListenShards on sharded addr: %v", err)
-	}
-	// 8 dials spread 2 per shard.
-	for i := 0; i < 8; i++ {
-		c, err := n.Dial(2, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-	}
-	for i, s := range shards {
-		s.mu.Lock()
-		depth := len(s.queue)
-		s.mu.Unlock()
-		if depth != 2 {
-			t.Fatalf("shard %d queue depth %d, want 2", i, depth)
-		}
-	}
-}
-
-func TestListenShardsCloseSkipsShard(t *testing.T) {
-	n := New()
-	addr := Addr{Host: 1, Port: 80}
-	shards, err := n.ListenShards(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shards[0].Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Dials keep succeeding, all landing on the surviving shard.
-	for i := 0; i < 3; i++ {
-		if _, err := n.Dial(2, addr); err != nil {
-			t.Fatalf("dial %d after shard close: %v", i, err)
-		}
-	}
-	shards[1].mu.Lock()
-	depth := len(shards[1].queue)
-	shards[1].mu.Unlock()
-	if depth != 3 {
-		t.Fatalf("surviving shard depth %d, want 3", depth)
-	}
-	// Last shard closing releases the address.
-	if err := shards[1].Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Dial(2, addr); !errors.Is(err, ErrConnRefused) {
-		t.Fatalf("dial after all shards closed: %v", err)
-	}
-	if _, err := n.Listen(addr); err != nil {
-		t.Fatalf("address not released: %v", err)
-	}
-}
