@@ -19,7 +19,7 @@ func runCluster(args []string) {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	backendName := fs.String("backend", "mpk", "baseline|mpk|vtx|cheri")
 	nodes := fs.Int("nodes", 4, "initial node count")
-	requests := fs.Int("requests", 400, "requests to route, offered past capacity on the virtual clock")
+	requests := fs.Int("requests", 400, "requests to route at once, past capacity on the virtual clock (each node queues at most 512)")
 	seed := fs.Uint64("seed", 0xC1045EED, "balancer hash seed")
 	sweep := fs.Int("sweep", 20, "migration digest sweep traces (0 to skip)")
 	_ = fs.Parse(args)

@@ -97,10 +97,12 @@ const clusterArrivalNs = 1
 // followed by requests more, each routed at its arrival time
 // (Cluster.Dispatch) over a simnet pair whose client half checks the
 // response, and every node stepped in virtual-time order
-// (Cluster.StepUntil). Every node's timeline restarts at zero. It
-// returns the completions per virtual second from the first measured
-// arrival to the last completion, warm-up requests that complete in
-// that window included, as loadgen counts throughput.
+// (Cluster.StepUntil). Every node's timeline restarts at zero. Every
+// arrival queues at once, so the run must fit the nodes' run queues:
+// an arrival that every candidate sheds fails it. It returns the
+// completions per virtual second from the first measured arrival to the
+// last completion, warm-up requests that complete in that window
+// included, as loadgen counts throughput.
 func DriveCluster(c *cluster.Cluster, sessions, requests int) (float64, error) {
 	for _, n := range c.Nodes() {
 		n.Engine().ResetVT()
