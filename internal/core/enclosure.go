@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
 )
@@ -52,12 +54,9 @@ func (e *Enclosure) Call(t *Task, args ...Value) ([]Value, error) {
 		t.popPkg()
 		t.env = from
 		// If the body faulted, the task's domain (or the program) is
-		// dead and the switch back is moot; unwinding continues to the
-		// request or program boundary.
-		if _, dead := t.prog.lb.AbortedOn(t.cpu); dead {
-			return
-		}
-		if eerr := t.prog.lb.Epilog(t.cpu, cur, from, e.id, e.token); eerr != nil {
+		// dead: Epilog refuses the switch back with ErrAborted, and
+		// unwinding continues to the request or program boundary.
+		if eerr := t.prog.lb.Epilog(t.cpu, cur, from, e.id, e.token); eerr != nil && !errors.Is(eerr, litterbox.ErrAborted) {
 			t.fail(eerr)
 		}
 	}()

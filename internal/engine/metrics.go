@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
-	"github.com/litterbox-project/enclosure/internal/litterbox"
 )
 
 // WorkerMetrics is one worker's cumulative execution statistics.
@@ -125,13 +124,6 @@ func ElapsedNs(before, after []WorkerMetrics) int64 {
 		}
 	}
 	return max
-}
-
-// Fault returns the fault currently aborting worker i's domain, if any
-// (between Domain.Reset calls this is only visible to tests that
-// inspect mid-request state; Faults counts them durably).
-func (e *Engine) Fault(i int) (*litterbox.Fault, bool) {
-	return e.workers[i].ctx.Domain().Aborted()
 }
 
 // String renders a snapshot as one line per worker (debug helper).

@@ -170,9 +170,10 @@ func TestMetadataRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetadataCodec: a record decodes to exactly what was encoded, and a
-// symbol table out of name order or naming a symbol twice is rejected,
-// so every value has one encoding.
+// TestMetadataCodec: a record decodes to exactly what was encoded (less
+// its symbol tables when they are only walked), and a symbol table out
+// of name order or naming a symbol twice is rejected in both modes, so
+// every value has one encoding.
 func TestMetadataCodec(t *testing.T) {
 	d := PkgDesc{
 		Name: "lib", Imports: []string{"a", "b"}, LOC: -3,
@@ -186,6 +187,12 @@ func TestMetadataCodec(t *testing.T) {
 	if got := c.pkg(); c.done() != nil || !reflect.DeepEqual(got, d) {
 		t.Fatalf("decoded %+v (%v), want %+v", got, c.done(), d)
 	}
+	layout := d
+	layout.Funcs, layout.Vars = nil, nil
+	c = &cursor{b: e.buf[8:], skipSyms: true}
+	if got := c.pkg(); c.done() != nil || !reflect.DeepEqual(got, layout) {
+		t.Fatalf("walking the symbols decoded %+v (%v), want %+v", got, c.done(), layout)
+	}
 	for _, names := range [][2]string{{"b", "a"}, {"a", "a"}} {
 		e := newEncoder()
 		e.u32(2)
@@ -194,9 +201,11 @@ func TestMetadataCodec(t *testing.T) {
 			e.u64(0)
 			e.u64(0)
 		}
-		c := &cursor{b: e.buf[8:]}
-		if c.syms(); c.done() == nil {
-			t.Errorf("symbol table %q decoded", names)
+		for _, skip := range []bool{false, true} {
+			c := &cursor{b: e.buf[8:], skipSyms: skip}
+			if c.syms(); c.done() == nil {
+				t.Errorf("symbol table %q decoded (skipSyms %v)", names, skip)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package linker
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -73,8 +74,20 @@ func (img *Image) emitMetadata() error {
 }
 
 // ReadPkgs decodes the .pkgs section back out of simulated memory.
-func (img *Image) ReadPkgs() ([]PkgDesc, error) {
-	return readMetaSection(img.Space, img.PkgsSec, pkgMinSize, (*cursor).pkg)
+func (img *Image) ReadPkgs() ([]PkgDesc, error) { return img.readPkgs(false) }
+
+// ReadPkgLayout decodes .pkgs as ReadPkgs does and rejects exactly the
+// bytes ReadPkgs rejects, but leaves every descriptor's Funcs, Consts
+// and Vars nil: the same cursor walks the symbol tables, checking their
+// bounds and name order, without building the maps. Init checks each
+// package's name and sections and nothing else.
+func (img *Image) ReadPkgLayout() ([]PkgDesc, error) { return img.readPkgs(true) }
+
+func (img *Image) readPkgs(skipSyms bool) ([]PkgDesc, error) {
+	return readMetaSection(img.Space, img.PkgsSec, pkgMinSize, func(c *cursor) PkgDesc {
+		c.skipSyms = skipSyms
+		return c.pkg()
+	})
 }
 
 // ReadRstrct decodes the .rstrct section from simulated memory.
@@ -196,10 +209,12 @@ func (e *encoder) verif(v VerifEntry) {
 var errTruncated = errors.New("payload ends inside a record")
 
 // cursor decodes a payload. The first failure sticks: every later read
-// returns a zero value, and done reports the failure.
+// returns a zero value, and done reports the failure. With skipSyms set,
+// syms checks a symbol table without returning it.
 type cursor struct {
-	b   []byte
-	err error
+	b        []byte
+	err      error
+	skipSyms bool
 }
 
 func (c *cursor) fail(err error) {
@@ -283,14 +298,20 @@ func (c *cursor) syms() map[string]Sym {
 	if n == 0 {
 		return nil
 	}
-	m := make(map[string]Sym, n)
-	prev := ""
+	var m map[string]Sym
+	if !c.skipSyms {
+		m = make(map[string]Sym, n)
+	}
+	var prev []byte
 	for i := 0; i < n; i++ {
-		name := c.str()
-		if i > 0 && name <= prev {
+		name := c.take(uint64(c.u32()))
+		if i > 0 && bytes.Compare(name, prev) <= 0 {
 			c.fail(fmt.Errorf("symbol %q after %q breaks name order", name, prev))
 		}
-		m[name] = Sym{Addr: mem.Addr(c.u64()), Size: c.u64()}
+		sym := Sym{Addr: mem.Addr(c.u64()), Size: c.u64()}
+		if m != nil {
+			m[string(name)] = sym
+		}
 		prev = name
 	}
 	return m

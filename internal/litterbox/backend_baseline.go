@@ -58,15 +58,14 @@ func (b *BaselineBackend) Transfer(cpu *hw.CPU, sec *mem.Section, toPkg string) 
 // construction rather than by the accident of no filter being
 // installed — this is the unfiltered cost floor the verdict-table
 // fast path is measured against (Table 1's baseline "syscall" row).
-func (b *BaselineBackend) Syscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno) {
-	return b.lb.Kernel.InvokeUnfiltered(b.lb.ProcFor(cpu), cpu, nr, args)
+func (b *BaselineBackend) Syscall(cpu *hw.CPU, p *kernel.Proc, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno) {
+	return b.lb.Kernel.InvokeUnfiltered(p, cpu, nr, args)
 }
 
 // SyscallBatch implements Backend: one trap for the whole batch, then
 // native unfiltered dispatch per entry. The baseline never denies.
-func (b *BaselineBackend) SyscallBatch(cpu *hw.CPU, env *Env, entries []ring.Entry, out []ring.Completion) int {
+func (b *BaselineBackend) SyscallBatch(cpu *hw.CPU, p *kernel.Proc, env *Env, entries []ring.Entry, out []ring.Completion) int {
 	b.lb.Kernel.RingTrap(cpu)
-	p := b.lb.ProcFor(cpu)
 	for i, e := range entries {
 		ret, errno := b.lb.Kernel.InvokeRing(p, cpu, false, e.Nr, e.Args)
 		out[i] = ring.Completion{Tag: e.Tag, Ret: ret, Errno: errno}

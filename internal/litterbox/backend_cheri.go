@@ -137,7 +137,7 @@ func (b *CHERIBackend) Transfer(cpu *hw.CPU, sec *mem.Section, toPkg string) err
 
 // Syscall implements Backend: an in-process protected monitor checks
 // the environment's filter, then the call proceeds natively.
-func (b *CHERIBackend) Syscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno) {
+func (b *CHERIBackend) Syscall(cpu *hw.CPU, p *kernel.Proc, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno) {
 	cpu.Clock.Advance(hw.CostCapSyscallCheck)
 	if !env.AllowsSyscall(nr) {
 		return 0, kernel.ESECCOMP
@@ -145,15 +145,14 @@ func (b *CHERIBackend) Syscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint
 	if nr == kernel.NrConnect && !env.ConnectAllowed(uint32(args[1])) {
 		return 0, kernel.ESECCOMP
 	}
-	return b.lb.Kernel.InvokeUnfiltered(b.lb.ProcFor(cpu), cpu, nr, args)
+	return b.lb.Kernel.InvokeUnfiltered(p, cpu, nr, args)
 }
 
 // SyscallBatch implements Backend: the monitor walks the batch once,
 // vetting each entry against the environment's filter before its
 // dispatch — one trap for the batch, one capability check per entry.
-func (b *CHERIBackend) SyscallBatch(cpu *hw.CPU, env *Env, entries []ring.Entry, out []ring.Completion) int {
+func (b *CHERIBackend) SyscallBatch(cpu *hw.CPU, p *kernel.Proc, env *Env, entries []ring.Entry, out []ring.Completion) int {
 	b.lb.Kernel.RingTrap(cpu)
-	p := b.lb.ProcFor(cpu)
 	for i, e := range entries {
 		if !e.Runtime {
 			cpu.Clock.Advance(hw.CostCapSyscallCheck)

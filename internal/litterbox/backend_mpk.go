@@ -483,8 +483,8 @@ func (b *MPKBackend) Transfer(cpu *hw.CPU, sec *mem.Section, toPkg string) error
 
 // Syscall implements Backend: the native syscall path; the kernel's
 // PKRU-indexed seccomp filter decides (Table 1: 523ns for getuid).
-func (b *MPKBackend) Syscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno) {
-	return b.lb.Kernel.Invoke(b.lb.ProcFor(cpu), cpu, nr, args)
+func (b *MPKBackend) Syscall(cpu *hw.CPU, p *kernel.Proc, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno) {
+	return b.lb.Kernel.Invoke(p, cpu, nr, args)
 }
 
 // SyscallBatch implements Backend: one trap, then one verdict-table
@@ -493,9 +493,8 @@ func (b *MPKBackend) Syscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint64
 // entries dispatch unfiltered, as the sequential path's excursion
 // through the trusted environment (whose filter row allows everything)
 // does.
-func (b *MPKBackend) SyscallBatch(cpu *hw.CPU, env *Env, entries []ring.Entry, out []ring.Completion) int {
+func (b *MPKBackend) SyscallBatch(cpu *hw.CPU, p *kernel.Proc, env *Env, entries []ring.Entry, out []ring.Completion) int {
 	b.lb.Kernel.RingTrap(cpu)
-	p := b.lb.ProcFor(cpu)
 	for i, e := range entries {
 		ret, errno := b.lb.Kernel.InvokeRing(p, cpu, !e.Runtime, e.Nr, e.Args)
 		if errno == kernel.ESECCOMP && !e.Runtime {

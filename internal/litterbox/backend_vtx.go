@@ -282,7 +282,7 @@ func (b *VTXBackend) Transfer(cpu *hw.CPU, sec *mem.Section, toPkg string) error
 // Syscall implements Backend: a guest system call whose handler filters
 // against the environment; authorised calls VM EXIT to the host and
 // resume with the results (Table 1: 4126ns for getuid).
-func (b *VTXBackend) Syscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno) {
+func (b *VTXBackend) Syscall(cpu *hw.CPU, p *kernel.Proc, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno) {
 	prev := cpu.GuestSyscallEntry()
 	defer cpu.GuestSyscallExit(prev)
 
@@ -297,7 +297,7 @@ func (b *VTXBackend) Syscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint64
 		errno kernel.Errno
 	}
 	r := vtx.Hypercall(cpu, func() result {
-		ret, errno := b.lb.Kernel.InvokeUnfiltered(b.lb.ProcFor(cpu), cpu, nr, args)
+		ret, errno := b.lb.Kernel.InvokeUnfiltered(p, cpu, nr, args)
 		return result{ret, errno}
 	})
 	return r.ret, r.errno
@@ -308,10 +308,9 @@ func (b *VTXBackend) Syscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint64
 // kernel vets every entry against the environment's filter and the
 // host drains the authorised prefix, which is where LB_VTX's 4126ns
 // per-call overhead collapses to the per-entry ring cost.
-func (b *VTXBackend) SyscallBatch(cpu *hw.CPU, env *Env, entries []ring.Entry, out []ring.Completion) int {
+func (b *VTXBackend) SyscallBatch(cpu *hw.CPU, p *kernel.Proc, env *Env, entries []ring.Entry, out []ring.Completion) int {
 	prev := cpu.GuestSyscallEntry()
 	defer cpu.GuestSyscallExit(prev)
-	p := b.lb.ProcFor(cpu)
 	return vtx.Hypercall(cpu, func() int {
 		b.lb.Kernel.RingTrap(cpu)
 		for i, e := range entries {

@@ -146,10 +146,7 @@ func (lb *LitterBox) ResetTo(t *LitterBox) {
 	}
 	lb.mu.Unlock()
 
-	lb.cpus.Range(func(k, _ any) bool {
-		lb.cpus.Delete(k)
-		return true
-	})
+	lb.cpus.Store(nil)
 	lb.fault.Store(nil)
 	lb.aborted.Store(false)
 	if tr := t.Tracer(); tr != lb.Tracer() {

@@ -53,25 +53,52 @@ type CPUState struct {
 	// Name identifies the worker in trace events ("cpu0"); empty for
 	// the single-core main context.
 	Name string
+
+	// clock and next make the state a node of its LitterBox's binding
+	// table: BindWorker sets both before it publishes the node, and
+	// nothing writes them after.
+	clock *hw.Clock
+	next  *CPUState
 }
 
 // BindWorker associates per-worker state with a worker clock. The
-// engine calls this once per worker before any task runs on it.
+// engine calls this once per worker before any task runs on it. The
+// binding table is a list of the bound states themselves, newest first
+// (a later binding of a clock shadows an earlier one), published
+// through one atomic pointer: binding allocates nothing, and a lookup
+// takes no lock. st therefore joins the table and must not be bound a
+// second time, here or on another LitterBox. ResetTo empties the table.
 func (lb *LitterBox) BindWorker(clock *hw.Clock, st *CPUState) {
-	lb.cpus.Store(clock, st)
+	if st.clock != nil {
+		panic("litterbox: CPUState bound twice")
+	}
+	st.clock = clock
+	for {
+		head := lb.cpus.Load()
+		st.next = head
+		if lb.cpus.CompareAndSwap(head, st) {
+			return
+		}
+	}
 }
 
+// stateFor returns the state bound to cpu's worker, or nil. Hot paths
+// resolve it once per call and pass it to procOf and abortedIn.
 func (lb *LitterBox) stateFor(cpu *hw.CPU) *CPUState {
-	if st, ok := lb.cpus.Load(cpu.Clock); ok {
-		return st.(*CPUState)
+	for st := lb.cpus.Load(); st != nil; st = st.next {
+		if st.clock == cpu.Clock {
+			return st
+		}
 	}
 	return nil
 }
 
 // ProcFor resolves the kernel process context for syscalls issued on
 // cpu: the bound worker proc, or the program-wide one.
-func (lb *LitterBox) ProcFor(cpu *hw.CPU) *kernel.Proc {
-	if st := lb.stateFor(cpu); st != nil && st.Proc != nil {
+func (lb *LitterBox) ProcFor(cpu *hw.CPU) *kernel.Proc { return lb.procOf(lb.stateFor(cpu)) }
+
+func (lb *LitterBox) procOf(st *CPUState) *kernel.Proc {
+	if st != nil && st.Proc != nil {
 		return st.Proc
 	}
 	return lb.Proc
@@ -92,17 +119,24 @@ func (lb *LitterBox) workerName(cpu *hw.CPU) string {
 	if cpu == nil {
 		return ""
 	}
-	if st := lb.stateFor(cpu); st != nil {
-		return st.Name
+	return lb.stateFor(cpu).name()
+}
+
+// name is st's trace-attribution name; "" for no binding.
+func (st *CPUState) name() string {
+	if st == nil {
+		return ""
 	}
-	return ""
+	return st.Name
 }
 
 // AbortedOn reports whether execution on cpu must stop: its domain
 // faulted, or the whole program aborted.
-func (lb *LitterBox) AbortedOn(cpu *hw.CPU) (*Fault, bool) {
-	if d := lb.DomainFor(cpu); d != nil {
-		if f, ok := d.Aborted(); ok {
+func (lb *LitterBox) AbortedOn(cpu *hw.CPU) (*Fault, bool) { return lb.abortedIn(lb.stateFor(cpu)) }
+
+func (lb *LitterBox) abortedIn(st *CPUState) (*Fault, bool) {
+	if st != nil && st.Domain != nil {
+		if f, ok := st.Domain.Aborted(); ok {
 			return f, true
 		}
 	}

@@ -31,14 +31,16 @@ type SyscallReq struct {
 // trapping), so the run proceeds and the recorder learns what the
 // policy must grant.
 func (lb *LitterBox) SyscallGateway(cpu *hw.CPU, env *Env, req SyscallReq) (uint64, kernel.Errno, error) {
-	if _, dead := lb.AbortedOn(cpu); dead {
+	st := lb.stateFor(cpu)
+	if _, dead := lb.abortedIn(st); dead {
 		return 0, kernel.ESECCOMP, ErrAborted
 	}
+	p := lb.procOf(st)
 	if req.Runtime {
 		if err := lb.Execute(cpu, env, lb.trusted); err != nil {
 			return 0, kernel.ESECCOMP, err
 		}
-		ret, errno := lb.backend.Syscall(cpu, lb.trusted, req.Nr, req.Args)
+		ret, errno := lb.backend.Syscall(cpu, p, lb.trusted, req.Nr, req.Args)
 		if err := lb.Execute(cpu, lb.trusted, env); err != nil {
 			return 0, kernel.ESECCOMP, err
 		}
@@ -50,9 +52,9 @@ func (lb *LitterBox) SyscallGateway(cpu *hw.CPU, env *Env, req SyscallReq) (uint
 	// Record usage whether or not the filter would allow it: the
 	// derived SysFilter must cover the workload's full footprint.
 	lb.recordSysAttempt(env, req.Nr, req.Args)
-	ret, errno := lb.backend.Syscall(cpu, env, req.Nr, req.Args)
+	ret, errno := lb.backend.Syscall(cpu, p, env, req.Nr, req.Args)
 	if errno == kernel.ESECCOMP {
-		if ret, errno, handled := lb.auditSyscall(cpu, env, req.CallerPkg, req.Nr, req.Args); handled {
+		if ret, errno, handled := lb.auditSyscall(cpu, p, env, req.CallerPkg, req.Nr, req.Args); handled {
 			return ret, errno, nil
 		}
 		lb.emit(cpu, obs.Event{
@@ -82,7 +84,7 @@ func (lb *LitterBox) recordSysAttempt(env *Env, nr kernel.Nr, args [6]uint64) {
 // the VTX and CHERI backends filter before reaching the kernel, so the
 // uniform audit path re-enters it below the filter. handled is false
 // when enforcing (the caller faults).
-func (lb *LitterBox) auditSyscall(cpu *hw.CPU, env *Env, callerPkg string, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno, bool) {
+func (lb *LitterBox) auditSyscall(cpu *hw.CPU, p *kernel.Proc, env *Env, callerPkg string, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno, bool) {
 	if lb.audit == nil || env == nil || env.Trusted {
 		return 0, 0, false
 	}
@@ -91,7 +93,7 @@ func (lb *LitterBox) auditSyscall(cpu *hw.CPU, env *Env, callerPkg string, nr ke
 		Kind: obs.KindViolation, Env: envName(env), Pkg: callerPkg,
 		Sys: nr.Name(), Sysno: uint32(nr), Verdict: obs.VerdictAudit,
 	})
-	ret, errno := lb.Kernel.InvokeUnfiltered(lb.ProcFor(cpu), cpu, nr, args)
+	ret, errno := lb.Kernel.InvokeUnfiltered(p, cpu, nr, args)
 	return ret, errno, true
 }
 
@@ -116,7 +118,8 @@ func (lb *LitterBox) SyscallBatch(cpu *hw.CPU, env *Env, callerPkg string, entri
 	if len(out) < len(entries) {
 		panic(fmt.Sprintf("litterbox: completion queue too small: %d entries, %d slots", len(entries), len(out)))
 	}
-	if _, dead := lb.AbortedOn(cpu); dead {
+	st := lb.stateFor(cpu)
+	if _, dead := lb.abortedIn(st); dead {
 		return ErrAborted
 	}
 	if callerPkg != "" {
@@ -132,7 +135,7 @@ func (lb *LitterBox) SyscallBatch(cpu *hw.CPU, env *Env, callerPkg string, entri
 	if lb.ringSeq.Load() {
 		err = lb.syscallBatchSeq(cpu, env, callerPkg, entries, out)
 	} else {
-		err = lb.syscallBatchAmortized(cpu, env, callerPkg, entries, out)
+		err = lb.syscallBatchAmortized(cpu, lb.procOf(st), env, callerPkg, entries, out)
 	}
 	if lb.tracing() {
 		canceled := 0
@@ -153,10 +156,10 @@ func (lb *LitterBox) SyscallBatch(cpu *hw.CPU, env *Env, callerPkg string, entri
 // window of entries under one trap and reports the first denial; the
 // fault/audit decision happens here, then (audit mode only) the drain
 // resumes on the tail.
-func (lb *LitterBox) syscallBatchAmortized(cpu *hw.CPU, env *Env, callerPkg string, entries []ring.Entry, out []ring.Completion) error {
+func (lb *LitterBox) syscallBatchAmortized(cpu *hw.CPU, p *kernel.Proc, env *Env, callerPkg string, entries []ring.Entry, out []ring.Completion) error {
 	base := 0
 	for base < len(entries) {
-		denied := lb.backend.SyscallBatch(cpu, env, entries[base:], out[base:])
+		denied := lb.backend.SyscallBatch(cpu, p, env, entries[base:], out[base:])
 		if denied < 0 {
 			lb.recordBatchAttempts(env, entries[base:])
 			return nil
@@ -164,7 +167,7 @@ func (lb *LitterBox) syscallBatchAmortized(cpu *hw.CPU, env *Env, callerPkg stri
 		di := base + denied
 		lb.recordBatchAttempts(env, entries[base:di+1])
 		e := entries[di]
-		if ret, errno, handled := lb.auditSyscall(cpu, env, callerPkg, e.Nr, e.Args); handled {
+		if ret, errno, handled := lb.auditSyscall(cpu, p, env, callerPkg, e.Nr, e.Args); handled {
 			out[di] = ring.Completion{Tag: e.Tag, Ret: ret, Errno: errno}
 			base = di + 1
 			continue

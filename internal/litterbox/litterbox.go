@@ -86,8 +86,9 @@ type Backend interface {
 	CheckExec(cpu *hw.CPU, env *Env, pkg string, entry mem.Addr) error
 	// Transfer retags a heap span as belonging to pkg's arena.
 	Transfer(cpu *hw.CPU, sec *mem.Section, toPkg string) error
-	// Syscall performs a system call under env's filter.
-	Syscall(cpu *hw.CPU, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno)
+	// Syscall performs a system call under env's filter, in kernel
+	// process context p (the caller resolved it with procOf).
+	Syscall(cpu *hw.CPU, p *kernel.Proc, env *Env, nr kernel.Nr, args [6]uint64) (uint64, kernel.Errno)
 	// SyscallBatch drains one submission-ring batch under env's filter,
 	// charging the batch's single trap (and, on LB_VTX, its single
 	// VM exit) once instead of per entry. Entries execute in submission
@@ -97,7 +98,7 @@ type Backend interface {
 	// completion is left for the caller, who owns the fault/audit
 	// decision. Entries marked Runtime dispatch unfiltered, as a
 	// sequential SyscallGateway request with Runtime set does.
-	SyscallBatch(cpu *hw.CPU, env *Env, entries []ring.Entry, out []ring.Completion) int
+	SyscallBatch(cpu *hw.CPU, p *kernel.Proc, env *Env, entries []ring.Entry, out []ring.Completion) int
 }
 
 // Config assembles everything Init needs.
@@ -148,8 +149,9 @@ type LitterBox struct {
 	// re-publishes it (nil on LitterBoxes not made by CloneInto).
 	birth *envSnapshot
 
-	// cpus maps *hw.Clock → *CPUState for worker CPUs (see domain.go).
-	cpus sync.Map
+	// cpus heads the worker binding table, a list of *CPUState keyed
+	// by worker clock (see domain.go).
+	cpus atomic.Pointer[CPUState]
 
 	// Meta-package clustering results (for introspection and LB_MPK).
 	// metaShared marks both as aliased with a snapshot template or
@@ -285,7 +287,7 @@ func (lb *LitterBox) validateSections() error {
 // described section is mapped where the descriptor says with the
 // rights it claims. A corrupted image fails Init.
 func (lb *LitterBox) validatePkgsSection() error {
-	descs, err := lb.Image.ReadPkgs()
+	descs, err := lb.Image.ReadPkgLayout()
 	if err != nil {
 		return fmt.Errorf("litterbox: reading .pkgs: %w", err)
 	}
@@ -555,7 +557,8 @@ func (lb *LitterBox) Prolog(cpu *hw.CPU, from *Env, enclID int, token uint64) (*
 // (from, enclosure) pair has been resolved, subsequent entries on the
 // same worker skip the program-wide tables entirely.
 func (lb *LitterBox) PrologWith(cpu *hw.CPU, from *Env, enclID int, token uint64, cache *EnvCache) (*Env, error) {
-	if _, dead := lb.AbortedOn(cpu); dead {
+	st := lb.stateFor(cpu)
+	if _, dead := lb.abortedIn(st); dead {
 		return nil, ErrAborted
 	}
 	var target *Env
@@ -590,7 +593,7 @@ func (lb *LitterBox) PrologWith(cpu *hw.CPU, from *Env, enclID int, token uint64
 	if lb.tracing() {
 		lb.emit(cpu, obs.Event{
 			Kind: obs.KindProlog, Env: envName(target), Encl: lb.enclName[enclID],
-			Cost: cpu.Clock.Now() - start,
+			Cost: cpu.Clock.Now() - start, Worker: st.name(),
 		})
 	}
 	return target, nil
@@ -601,7 +604,8 @@ func (lb *LitterBox) PrologWith(cpu *hw.CPU, from *Env, enclID int, token uint64
 // must not keep switching environments (and so keep executing) on the
 // way out of its nesting chain.
 func (lb *LitterBox) Epilog(cpu *hw.CPU, cur, back *Env, enclID int, token uint64) error {
-	if _, dead := lb.AbortedOn(cpu); dead {
+	st := lb.stateFor(cpu)
+	if _, dead := lb.abortedIn(st); dead {
 		return ErrAborted
 	}
 	verify := func() error {
@@ -618,7 +622,7 @@ func (lb *LitterBox) Epilog(cpu *hw.CPU, cur, back *Env, enclID int, token uint6
 	if lb.tracing() {
 		lb.emit(cpu, obs.Event{
 			Kind: obs.KindEpilog, Env: envName(back), Encl: lb.enclName[enclID],
-			Cost: cpu.Clock.Now() - start,
+			Cost: cpu.Clock.Now() - start, Worker: st.name(),
 		})
 	}
 	return nil

@@ -8,7 +8,7 @@ import (
 
 // This file implements copy-on-write cloning of an address space — the
 // storage half of warm-enclosure snapshots. CloneCoW aliases every
-// materialised page between the template and the clone; the first write
+// mapped page between the template and the clone; the first write
 // on either side promotes (privately copies) just the touched pages, so
 // a clone costs one copy of the page-pointer slice instead of
 // re-materialising and re-filling the image. A clone additionally keeps
@@ -17,12 +17,17 @@ import (
 // birth, which makes recycling a pooled instance O(pages actually
 // written by the request), not O(image).
 
-// pagePool recycles the page arrays a Revert releases into later Maps
-// and promotions, process-wide so an idle pooled instance holds no
-// spare pages. Page arrays never leave this package, so a released
-// page has no other owner. It has no New: a page taken from it still
-// holds a reverted clone's bytes, so only such a page needs zeroing
-// before a Map hands it out, while a freshly allocated one is zero.
+// zeroPage backs every page Map creates until its first write. Those
+// entries are always marked cow, so every write promotes them first and
+// Revert never pools them: nothing writes this array.
+var zeroPage [PageSize]byte
+
+// pagePool recycles the page arrays a Revert releases into later
+// promotions, process-wide so an idle pooled instance holds no spare
+// pages. Page arrays never leave this package, so a released page has
+// no other owner. It has no New: a page taken from it still holds a
+// reverted clone's bytes, so only such a page needs zeroing when it
+// replaces zeroPage, while a freshly allocated one is zero.
 var pagePool sync.Pool
 
 // getPage returns a page array from pagePool, or a new zero one when
@@ -109,16 +114,22 @@ func (as *AddressSpace) needsPromoteLocked(addr Addr, size uint64) bool {
 }
 
 // promoteLocked privately copies every still-shared page of the range so
-// a subsequent write cannot leak into the other side of a CoW clone.
-// Requires the write lock.
+// a subsequent write cannot leak into the other side of a CoW clone. A
+// demand-zero page gets a zeroed private page instead of a copy of
+// zeroPage. Requires the write lock.
 func (as *AddressSpace) promoteLocked(addr Addr, size uint64) {
 	first, last, _ := PageRange(addr, size)
 	for i := PageIndex(first); i <= PageIndex(last); i++ {
-		if !as.pageLocked(i).cow {
+		p := as.pageLocked(i)
+		if !p.cow {
 			continue
 		}
-		priv, _ := getPage() // overwritten whole below
-		*priv = *as.pages[i].arr
+		priv, reused := getPage()
+		if p.arr != &zeroPage {
+			*priv = *p.arr
+		} else if reused {
+			*priv = [PageSize]byte{}
+		}
 		as.pages[i] = page{arr: priv}
 		as.markPagesDirtyLocked(i, i)
 	}
@@ -143,8 +154,8 @@ func (as *AddressSpace) markPagesDirtyLocked(first, last int) {
 // restored, and the bump allocator rewinds. The cost is proportional
 // to the dirty set, which is what makes pooled recycling an order of
 // magnitude cheaper than a fresh clone. Dirty pages the clone owns
-// privately go back to pagePool; a page still marked cow is shared with
-// a later clone of this one and is left to it.
+// privately go back to pagePool; a page still marked cow is zeroPage,
+// or shared with a later clone of this one and left to it.
 func (as *AddressSpace) Revert() error {
 	as.mu.Lock()
 	defer as.mu.Unlock()

@@ -193,8 +193,9 @@ type AddressSpace struct {
 }
 
 // page is one page-table entry: the backing array, nil when the page is
-// not mapped, and whether that array is still shared copy-on-write with
-// the other side of a CloneCoW.
+// not mapped, and whether that array is still shared copy-on-write —
+// with the other side of a CloneCoW, or, for a page no write has
+// reached yet, with every other such page (zeroPage).
 type page struct {
 	arr *[PageSize]byte
 	cow bool
@@ -222,9 +223,12 @@ func NewAddressSpace(capacity uint64) *AddressSpace {
 }
 
 // Map carves a new section of at least size bytes (rounded up to pages)
-// out of unused address space and materialises its pages. The paper's
-// equivalent is the linker laying out a segregated section or the runtime
-// mmap-ing a fresh heap span.
+// out of unused address space. Its pages are demand-zero: each one
+// points at the shared zeroPage, marked copy-on-write, so mapping
+// allocates no page array and the first write to a page gives it a
+// private one (see promoteLocked). The paper's equivalent is the linker
+// laying out a segregated section or the runtime mmap-ing a fresh heap
+// span, which the kernel backs with its shared zero page the same way.
 func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, perm Perm) (*Section, error) {
 	if size == 0 {
 		return nil, ErrZeroSize
@@ -237,13 +241,10 @@ func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, per
 	}
 	s := &Section{Name: name, Pkg: pkg, Kind: kind, Base: as.next, Size: size, Perm: perm}
 	as.next += Addr(size)
-	first := len(as.pages)
-	for n := size >> PageShift; n > 0; n-- {
-		arr, reused := getPage()
-		if reused {
-			*arr = [PageSize]byte{}
-		}
-		as.pages = append(as.pages, page{arr: arr})
+	first, n := len(as.pages), int(size>>PageShift)
+	as.pages = slices.Grow(as.pages, n)
+	for range n {
+		as.pages = append(as.pages, page{arr: &zeroPage, cow: true})
 	}
 	as.markPagesDirtyLocked(first, len(as.pages)-1)
 	as.sections = append(as.sections, s) // bump allocation keeps order sorted
