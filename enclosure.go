@@ -192,9 +192,6 @@ func WithAudit() Option { return core.WithAudit() }
 // program.
 func WithEngineWorkers(n int) Option { return core.WithEngineWorkers(n) }
 
-// WithAddressSpaceSize overrides the simulated address-space capacity.
-func WithAddressSpaceSize(bytes uint64) Option { return core.WithAddressSpaceSize(bytes) }
-
 // WithSyscallRing enables the batched syscall submission ring at the
 // given queue depth: tasks queue entries with Task.SubmitSyscall and
 // drain them with Task.FlushSyscalls, paying one amortized trap (and,
@@ -212,6 +209,14 @@ func WithSyscallRing(depth int) Option { return core.WithSyscallRing(depth) }
 // shared program transparently. n must be positive or the option
 // panics.
 func WithWarmPool(n int) Option { return core.WithWarmPool(n) }
+
+// NewHandoff returns a hand-off buffering up to n values: the channel
+// of a program's simulated goroutines. The goroutines of one program
+// take turns, and code inside an enclosure or a package function waits
+// for a sibling only through a hand-off's Send and Recv or through
+// Handle.Join, which let the sibling run for the wait. A raw channel
+// wait there would stall the sibling it waits for.
+func NewHandoff[T any](n int) *core.Handoff[T] { return core.NewHandoff[T](n) }
 
 // DefaultHostIP returns the simulated program's own network address
 // (10.0.0.1); external drivers dial simulated listeners with it.

@@ -48,7 +48,7 @@ func main() {
 
 	const port = 8081
 	ready := make(chan struct{})
-	reqCh := make(chan fasthttp.Request, 16)
+	reqCh := enclosure.NewHandoff[fasthttp.Request](16)
 	page := httpserv.StaticPage()
 
 	err = prog.Run(func(t *enclosure.Task) error {
@@ -64,9 +64,15 @@ func main() {
 		<-ready
 
 		client := simnet.HostIP(10, 0, 0, 99)
+		// Read the clock only once the server is parked in its next
+		// accept: the server's goroutine charges it until then.
+		addr := simnet.Addr{Host: enclosure.DefaultHostIP(), Port: port}
+		if err := prog.Net().AwaitAccept(addr); err != nil {
+			return err
+		}
 		start := prog.Clock().Now()
 		for i := 0; i < *requests; i++ {
-			conn, err := prog.Net().Dial(client, simnet.Addr{Host: enclosure.DefaultHostIP(), Port: port})
+			conn, err := prog.Net().Dial(client, addr)
 			if err != nil {
 				return err
 			}
@@ -87,10 +93,13 @@ func main() {
 				return fmt.Errorf("request %d failed: %.40q", i, resp)
 			}
 		}
+		if err := prog.Net().AwaitAccept(addr); err != nil {
+			return err
+		}
 		elapsed := prog.Clock().Now() - start
 
 		// Stop the server.
-		conn, err := prog.Net().Dial(client, simnet.Addr{Host: enclosure.DefaultHostIP(), Port: port})
+		conn, err := prog.Net().Dial(client, addr)
 		if err == nil {
 			fmt.Fprintf(conn, "GET /quit HTTP/1.1\r\n\r\n")
 			io := make([]byte, 32*1024)

@@ -84,8 +84,8 @@ func main() {
 	const port = 8090
 	srvReady := make(chan struct{})
 	proxyReady := make(chan struct{})
-	reqCh := make(chan wiki.Request, 16)
-	queryCh := make(chan wiki.Query, 16)
+	reqCh := enclosure.NewHandoff[wiki.Request](16)
+	queryCh := enclosure.NewHandoff[wiki.Query](16)
 
 	err = prog.Run(func(t *enclosure.Task) error {
 		glue := t.Go("glue", func(t *enclosure.Task) error { return wiki.Glue(t, reqCh, queryCh) })

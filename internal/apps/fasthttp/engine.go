@@ -7,13 +7,13 @@ import (
 )
 
 // engineWorker is one worker's FastHTTP state: its reused buffer set
-// (allocated in FastHTTP's arena) and its private channel to a trusted
+// (allocated in FastHTTP's arena) and its private hand-off to a trusted
 // handler task pinned to the same worker — the secured-callback
 // pattern, replicated per core so the handler's service time accrues
 // on the clock of the core whose request it serves.
 type engineWorker struct {
 	st      ConnState
-	reqs    chan Request
+	reqs    *core.Handoff[Request]
 	handler *core.Handle
 }
 
@@ -34,7 +34,7 @@ func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task
 		defer mu.Unlock()
 		w, ok := workers[t.Worker()]
 		if !ok {
-			w = &engineWorker{st: AllocConnState(t), reqs: make(chan Request, 16)}
+			w = &engineWorker{st: AllocConnState(t), reqs: core.NewHandoff[Request](16)}
 			w.handler = t.Go("fasthttp-handler", func(ht *core.Task) error {
 				return HandleLoop(ht, w.reqs, page)
 			})
@@ -53,7 +53,7 @@ func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task
 		defer mu.Unlock()
 		var first error
 		for _, w := range workers {
-			close(w.reqs)
+			w.reqs.Close()
 			if err := w.handler.Join(); err != nil && first == nil {
 				first = err
 			}

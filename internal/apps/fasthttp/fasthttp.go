@@ -5,8 +5,9 @@
 // sensitive resources, the *server itself* runs inside an enclosure
 // allowed only net-flavoured system calls; it forwards parsed requests
 // to a trusted handler goroutine over a Go channel (the paper's
-// secured-callback pattern) and writes the response the handler placed
-// into a reused buffer.
+// secured-callback pattern; here a core.Handoff, the channel a
+// simulated goroutine may wait on) and writes the response the handler
+// placed into a reused buffer.
 //
 // FastHTTP's object reuse across requests keeps dynamic-memory traffic
 // (and thus LB_MPK transfers) minimal: MPK lands ~1.04×, while LB_VTX
@@ -132,16 +133,16 @@ type Request struct {
 	Method string
 	Path   string
 	// Resp is the server-owned (fasthttp arena) buffer the handler
-	// fills; Len returns the response length via Done.
+	// fills; the handler returns the response length via Done.
 	Resp core.Ref
-	Done chan int
+	Done *core.Handoff[int]
 }
 
 // ServeArgs configures one Serve run.
 type ServeArgs struct {
 	Port  uint16
-	Reqs  chan<- Request  // to the trusted handler goroutine
-	Ready chan<- struct{} // closed once listening
+	Reqs  *core.Handoff[Request] // to the trusted handler goroutine
+	Ready chan<- struct{}        // closed once listening
 }
 
 // ConnState is the reused per-serving-loop buffer set — FastHTTP's
@@ -150,6 +151,9 @@ type ConnState struct {
 	ReqBuf   core.Ref
 	RespBuf  core.Ref
 	ClockOut core.Ref
+	// Done carries the handler's response length back; one request is
+	// in flight per serving loop, so the loop reuses it.
+	Done *core.Handoff[int]
 }
 
 // AllocConnState allocates the reused buffers in FastHTTP's arena (one
@@ -159,6 +163,7 @@ func AllocConnState(t *core.Task) ConnState {
 		ReqBuf:   t.AllocIn(Pkg, 4096),
 		RespBuf:  t.AllocIn(Pkg, 16*1024),
 		ClockOut: t.AllocIn(Pkg, 8),
+		Done:     core.NewHandoff[int](1),
 	}
 }
 
@@ -167,7 +172,7 @@ func AllocConnState(t *core.Task) ConnState {
 type ServeConnArgs struct {
 	State ConnState
 	Conn  uint64
-	Reqs  chan<- Request
+	Reqs  *core.Handoff[Request]
 }
 
 // serve is FastHTTP's accept loop, running entirely inside the server
@@ -213,17 +218,17 @@ func serve(t *core.Task, args ...core.Value) ([]core.Value, error) {
 			break
 		}
 	}
-	close(cfg.Reqs)
+	cfg.Reqs.Close()
 	return []core.Value{served}, nil
 }
 
 // serveConn services one accepted connection: the socket-only syscall
 // trace (recv, send, send, shutdown) with the runtime housekeeping
 // issued through the trusted runtime context, forwarding the parsed
-// request to trusted code over the channel. Shared between the serial
+// request to trusted code over the hand-off. Shared between the serial
 // enclosed accept loop and the multi-core engine (where the accept
 // happens on the sharded host acceptor).
-func serveConn(t *core.Task, st ConnState, conn uint64, reqs chan<- Request) (string, error) {
+func serveConn(t *core.Task, st ConnState, conn uint64, reqs *core.Handoff[Request]) (string, error) {
 	t.Compute(costConnSetup)
 	// Runtime housekeeping rides one ring batch: netpoller wake,
 	// deadline, entropy (executed per call when the ring is off).
@@ -246,9 +251,8 @@ func serveConn(t *core.Task, st ConnState, conn uint64, reqs chan<- Request) (st
 	}
 
 	// Secured callback: hand the parsed request to trusted code.
-	done := make(chan int, 1)
-	reqs <- Request{Method: method, Path: path, Resp: st.RespBuf, Done: done}
-	respLen := <-done
+	reqs.Send(t, Request{Method: method, Path: path, Resp: st.RespBuf, Done: st.Done})
+	respLen, _ := st.Done.Recv(t)
 
 	// The whole response tail is one batch: write-deadline clock,
 	// netpoller re-arm, header send, body send, shutdown.
@@ -342,16 +346,19 @@ func parseRequest(raw string) (method, path string) {
 // copies it into the server's reused response buffer, and reports the
 // length. In a real deployment this is where private databases and
 // other sensitive state live, completely unavailable to the enclosed
-// FastHTTP server. It returns when the server closes the channel.
-func HandleLoop(t *core.Task, reqs <-chan Request, page []byte) error {
-	for req := range reqs {
+// FastHTTP server. It returns when the server closes the hand-off.
+func HandleLoop(t *core.Task, reqs *core.Handoff[Request], page []byte) error {
+	for {
+		req, ok := reqs.Recv(t)
+		if !ok {
+			return nil
+		}
 		t.Compute(costHandler)
 		n := len(page)
 		if uint64(n) > req.Resp.Size {
 			n = int(req.Resp.Size)
 		}
 		t.WriteBytes(req.Resp.Slice(0, uint64(n)), page[:n])
-		req.Done <- n
+		req.Done.Send(t, n)
 	}
-	return nil
 }

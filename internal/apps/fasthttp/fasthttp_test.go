@@ -45,7 +45,7 @@ func TestServeEndToEnd(t *testing.T) {
 			prog := buildApp(t, kind, nil)
 			page := httpserv.StaticPage()
 			ready := make(chan struct{})
-			reqCh := make(chan fasthttp.Request, 4)
+			reqCh := core.NewHandoff[fasthttp.Request](4)
 			const port = 9000
 			err := prog.Run(func(task *core.Task) error {
 				h := task.Go("handler", func(task *core.Task) error {

@@ -47,8 +47,8 @@ func TestWikiEndToEnd(t *testing.T) {
 			const port = 8095
 			srvReady := make(chan struct{})
 			proxyReady := make(chan struct{})
-			reqCh := make(chan wiki.Request, 4)
-			queryCh := make(chan wiki.Query, 4)
+			reqCh := core.NewHandoff[wiki.Request](4)
+			queryCh := core.NewHandoff[wiki.Query](4)
 
 			request := func(raw string) string {
 				conn, err := prog.Net().Dial(simnet.HostIP(10, 0, 0, 99),

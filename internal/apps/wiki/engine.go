@@ -8,13 +8,13 @@ import (
 )
 
 // wikiWorker is one worker's replica of the Figure 5 topology: the
-// reused ○B buffer set, a private request channel to a trusted glue
-// task ○A, and a private query channel to a db-proxy task ○C with its
+// reused ○B buffer set, a private request hand-off to a trusted glue
+// task ○A, and a private query hand-off to a db-proxy task ○C with its
 // own Postgres connection — all pinned to the worker so every piece of
 // a request's work accrues on one virtual core's clock.
 type wikiWorker struct {
 	st    ConnState
-	reqs  chan Request
+	reqs  *core.Handoff[Request]
 	glue  *core.Handle
 	proxy *core.Handle
 }
@@ -37,8 +37,8 @@ func NewConnHandler(server, proxy *core.Enclosure) (conn func(t *core.Task, fd i
 		defer mu.Unlock()
 		w, ok := workers[t.Worker()]
 		if !ok {
-			w = &wikiWorker{st: AllocConnState(t), reqs: make(chan Request, 16)}
-			queries := make(chan Query, 16)
+			w = &wikiWorker{st: AllocConnState(t), reqs: core.NewHandoff[Request](16)}
+			queries := core.NewHandoff[Query](16)
 			w.proxy = t.Go("db-proxy", func(pt *core.Task) error {
 				_, err := proxy.Call(pt, ProxyArgs{Queries: queries})
 				return err
@@ -61,7 +61,7 @@ func NewConnHandler(server, proxy *core.Enclosure) (conn func(t *core.Task, fd i
 		defer mu.Unlock()
 		var errs []error
 		for _, w := range workers {
-			close(w.reqs) // glue exits and closes queries; the proxy drains and exits
+			w.reqs.Close() // glue exits and closes queries; the proxy drains and exits
 			errs = append(errs, w.glue.Join(), w.proxy.Join())
 		}
 		return errors.Join(errs...)

@@ -154,8 +154,8 @@ type Request struct {
 	Kind string // "view", "save", "quit"
 	Page string
 	Body string
-	Resp core.Ref // server-owned reused response buffer ⑦
-	Done chan int // response length ⑧
+	Resp core.Ref           // server-owned reused response buffer ⑦
+	Done *core.Handoff[int] // response length ⑧
 }
 
 // Query is ③ — a SQL request to the database proxy.
@@ -163,7 +163,7 @@ type Query struct {
 	Op    string // "get" or "set"
 	Key   string
 	Val   string
-	Reply chan QueryResult // ⑥
+	Reply *core.Handoff[QueryResult] // ⑥
 }
 
 // QueryResult is ⑥.
@@ -176,7 +176,7 @@ type QueryResult struct {
 // ServeArgs configures the enclosed HTTP server ○B.
 type ServeArgs struct {
 	Port  uint16
-	Reqs  chan<- Request
+	Reqs  *core.Handoff[Request]
 	Ready chan<- struct{}
 }
 
@@ -185,6 +185,9 @@ type ConnState struct {
 	ReqBuf   core.Ref
 	RespBuf  core.Ref
 	ClockOut core.Ref
+	// Done carries glue's response length back; one request is in
+	// flight per serving loop, so the loop reuses it.
+	Done *core.Handoff[int]
 }
 
 // AllocConnState allocates the reused buffers (one set per engine
@@ -194,6 +197,7 @@ func AllocConnState(t *core.Task) ConnState {
 		ReqBuf:   t.AllocIn(MuxPkg, 8192),
 		RespBuf:  t.AllocIn(MuxPkg, 32*1024),
 		ClockOut: t.AllocIn(MuxPkg, 8),
+		Done:     core.NewHandoff[int](1),
 	}
 }
 
@@ -202,11 +206,11 @@ func AllocConnState(t *core.Task) ConnState {
 type ServeConnArgs struct {
 	State ConnState
 	Conn  uint64
-	Reqs  chan<- Request
+	Reqs  *core.Handoff[Request]
 }
 
 // muxServe is ○B's body: gorilla/mux routing GET /view/<page> and
-// POST /save/<page>, forwarding to trusted code over the channel.
+// POST /save/<page>, forwarding to trusted code over the hand-off.
 func muxServe(t *core.Task, args ...core.Value) ([]core.Value, error) {
 	cfg := args[0].(ServeArgs)
 
@@ -242,7 +246,7 @@ func muxServe(t *core.Task, args ...core.Value) ([]core.Value, error) {
 			break
 		}
 	}
-	close(cfg.Reqs)
+	cfg.Reqs.Close()
 	return []core.Value{served}, nil
 }
 
@@ -250,7 +254,7 @@ func muxServe(t *core.Task, args ...core.Value) ([]core.Value, error) {
 // recv and routing ①, forwarding to trusted code ②, response write
 // back ⑦⑧. Shared between the serial enclosed accept loop and the
 // multi-core engine.
-func muxServeConn(t *core.Task, st ConnState, conn uint64, reqs chan<- Request) (string, error) {
+func muxServeConn(t *core.Task, st ConnState, conn uint64, reqs *core.Handoff[Request]) (string, error) {
 	t.Compute(costConnSetup)
 	// Runtime housekeeping rides one ring batch (per-call when the ring
 	// is off).
@@ -267,9 +271,8 @@ func muxServeConn(t *core.Task, st ConnState, conn uint64, reqs chan<- Request) 
 	kind, page, body := route(raw)
 	t.Compute(costMuxRoute)
 
-	done := make(chan int, 1)
-	reqs <- Request{Kind: kind, Page: page, Body: body, Resp: st.RespBuf, Done: done}
-	respLen := <-done
+	reqs.Send(t, Request{Kind: kind, Page: page, Body: body, Resp: st.RespBuf, Done: st.Done})
+	respLen, _ := st.Done.Recv(t)
 
 	// Response tail as one batch: netpoller re-arm, header send, body
 	// send, shutdown.
@@ -329,12 +332,12 @@ func route(raw string) (kind, page, body string) {
 
 // ProxyArgs configures the enclosed database proxy ○C.
 type ProxyArgs struct {
-	Queries <-chan Query
+	Queries *core.Handoff[Query]
 	Ready   chan<- struct{}
 }
 
 // pqProxy is ○C's body: it connects to Postgres through its allow-listed
-// socket and services SQL requests from the channel until it closes.
+// socket and services SQL requests from the hand-off until it closes.
 func pqProxy(t *core.Task, args ...core.Value) ([]core.Value, error) {
 	cfg := args[0].(ProxyArgs)
 
@@ -345,12 +348,17 @@ func pqProxy(t *core.Task, args ...core.Value) ([]core.Value, error) {
 	if _, errno = t.Syscall(kernel.NrConnect, sock, uint64(simdb.Addr.Host), uint64(simdb.Addr.Port)); errno != kernel.OK {
 		return nil, fmt.Errorf("pq: connect: %v", errno)
 	}
+	// Ready means set up: the wire buffer's allocation is charged
+	// before a driver that waited for Ready reads the clock.
+	wire := t.Alloc(8192)
 	if cfg.Ready != nil {
 		close(cfg.Ready)
 	}
-
-	wire := t.Alloc(8192)
-	for q := range cfg.Queries {
+	for {
+		q, ok := cfg.Queries.Recv(t)
+		if !ok {
+			break
+		}
 		t.Compute(costProxy)
 		// The channel-wake futex rides the same ring batch as the query
 		// send pqSend submits below.
@@ -364,7 +372,7 @@ func pqProxy(t *core.Task, args ...core.Value) ([]core.Value, error) {
 		default:
 			res = QueryResult{Err: "pq: unknown op " + q.Op}
 		}
-		q.Reply <- res
+		q.Reply.Send(t, res)
 	}
 	t.Syscall(kernel.NrShutdown, sock)
 	return nil, nil
@@ -449,16 +457,20 @@ func pqSet(t *core.Task, sock uint64, wire core.Ref, key, val string) QueryResul
 // Glue is ○A — the trusted application logic: it reads forwarded
 // requests ②, consults the database through the proxy ③⑥, validates
 // the result, renders the HTML page, and hands it back ⑦. It returns
-// when the server closes the request channel.
-func Glue(t *core.Task, reqs <-chan Request, queries chan<- Query) error {
-	defer close(queries)
-	for req := range reqs {
+// when the server closes the request hand-off.
+func Glue(t *core.Task, reqs *core.Handoff[Request], queries *core.Handoff[Query]) error {
+	defer queries.Close()
+	reply := core.NewHandoff[QueryResult](1) // one query in flight
+	for {
+		req, ok := reqs.Recv(t)
+		if !ok {
+			return nil
+		}
 		var html string
 		switch req.Kind {
 		case "view":
-			reply := make(chan QueryResult, 1)
-			queries <- Query{Op: "get", Key: req.Page, Reply: reply}
-			res := <-reply
+			queries.Send(t, Query{Op: "get", Key: req.Page, Reply: reply})
+			res, _ := reply.Recv(t)
 			if res.Err != "" {
 				return fmt.Errorf("wiki: db error: %s", res.Err)
 			}
@@ -469,9 +481,8 @@ func Glue(t *core.Task, reqs <-chan Request, queries chan<- Query) error {
 				html = fmt.Sprintf("<html><body><h1>%s</h1><p>page not found</p></body></html>", req.Page)
 			}
 		case "save":
-			reply := make(chan QueryResult, 1)
-			queries <- Query{Op: "set", Key: req.Page, Val: req.Body, Reply: reply}
-			res := <-reply
+			queries.Send(t, Query{Op: "set", Key: req.Page, Val: req.Body, Reply: reply})
+			res, _ := reply.Recv(t)
 			if res.Err != "" {
 				return fmt.Errorf("wiki: db error: %s", res.Err)
 			}
@@ -481,7 +492,6 @@ func Glue(t *core.Task, reqs <-chan Request, queries chan<- Query) error {
 			html = "<html><body>bye</body></html>"
 		}
 		t.WriteBytes(req.Resp.Slice(0, uint64(len(html))), []byte(html))
-		req.Done <- len(html)
+		req.Done.Send(t, len(html))
 	}
-	return nil
 }

@@ -37,13 +37,13 @@ const DjangoPolicy = "sys:net,io; connect:none"
 type djangoRequest struct {
 	Path string
 	Resp core.Ref
-	Done chan int
+	Done *core.Handoff[int]
 }
 
 // djangoServe is the (possibly infected) framework body: an accept
 // loop with routing, secured callbacks for the application logic, and
 // — in the infected variant — the malicious payload per request.
-func djangoServe(evil bool, reqs chan<- djangoRequest) core.Func {
+func djangoServe(evil bool, reqs *core.Handoff[djangoRequest]) core.Func {
 	return func(t *core.Task, args ...core.Value) ([]core.Value, error) {
 		ready := args[0].(chan struct{})
 		sock, errno := t.Syscall(kernel.NrSocket)
@@ -60,6 +60,7 @@ func djangoServe(evil bool, reqs chan<- djangoRequest) core.Func {
 
 		buf := t.Alloc(4096)
 		resp := t.Alloc(8192)
+		done := core.NewHandoff[int](1)
 		served := 0
 		for {
 			conn, errno := t.Syscall(kernel.NrAccept, sock)
@@ -84,9 +85,8 @@ func djangoServe(evil bool, reqs chan<- djangoRequest) core.Func {
 				}
 			}
 
-			done := make(chan int, 1)
-			reqs <- djangoRequest{Path: path, Resp: resp, Done: done}
-			respLen := <-done
+			reqs.Send(t, djangoRequest{Path: path, Resp: resp, Done: done})
+			respLen, _ := done.Recv(t)
 
 			hdr := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", respLen)
 			hdrRef := resp.Slice(uint64(respLen), uint64(len(hdr)))
@@ -127,7 +127,7 @@ func exerciseDjangoClone(kind core.BackendKind, protected, evil bool, policy str
 		Vars:    map[string]int{"SECRET_KEY": 50},
 		Origin:  "app", LOC: 60,
 	})
-	reqs := make(chan djangoRequest, 8)
+	reqs := core.NewHandoff[djangoRequest](8)
 	b.Package(core.PackageSpec{
 		Name: "django", Origin: "public", LOC: 350000, Stars: 70000,
 		Funcs: map[string]core.Func{"Serve": djangoServe(evil, reqs)},
@@ -145,20 +145,18 @@ func exerciseDjangoClone(kind core.BackendKind, protected, evil bool, policy str
 	}
 
 	ready := make(chan struct{})
-	stopHandler := make(chan struct{})
 	legit := make(chan bool, 4)
 	err = prog.Run(func(t *core.Task) error {
-		// Trusted application logic behind the channel.
+		// Trusted application logic behind the hand-off.
 		handler := t.Go("app", func(t *core.Task) error {
 			for {
-				select {
-				case req := <-reqs:
-					html := fmt.Sprintf("<h1>django says hi: %s</h1>", req.Path)
-					t.WriteBytes(req.Resp.Slice(0, uint64(len(html))), []byte(html))
-					req.Done <- len(html)
-				case <-stopHandler:
+				req, ok := reqs.Recv(t)
+				if !ok {
 					return nil
 				}
+				html := fmt.Sprintf("<h1>django says hi: %s</h1>", req.Path)
+				t.WriteBytes(req.Resp.Slice(0, uint64(len(html))), []byte(html))
+				req.Done.Send(t, len(html))
 			}
 		})
 		srv := t.Go("django", func(t *core.Task) error {
@@ -203,7 +201,7 @@ func exerciseDjangoClone(kind core.BackendKind, protected, evil bool, policy str
 		if srvErr == nil {
 			<-clientDone // collect the verdicts of both requests
 		}
-		close(stopHandler)
+		reqs.Close()
 		if herr := handler.Join(); herr != nil && srvErr == nil {
 			srvErr = herr
 		}

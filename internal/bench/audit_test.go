@@ -46,3 +46,26 @@ func TestWikiAuditDeriveEnforce(t *testing.T) {
 		})
 	}
 }
+
+// TestAuditOutcomeString pins the report `enclose audit` prints: the
+// derived policies come out sorted by enclosure name, whatever order
+// the map iterates in.
+func TestAuditOutcomeString(t *testing.T) {
+	o := AuditOutcome{
+		Backend: core.MPK, Requests: 4, Violations: 3, ReRunFaults: 0,
+		Derived: map[string]string{"http-server": "sys:net", "db-proxy": "connect:10.0.0.2", "b": "sys:none"},
+	}
+	want := "backend mpk: 4 requests, 3 violations recorded\n" +
+		"  b            -> \"sys:none\"\n" +
+		"  db-proxy     -> \"connect:10.0.0.2\"\n" +
+		"  http-server  -> \"sys:net\"\n" +
+		"  re-run under derived policies: 0 faults\n"
+	for i := 0; i < 5; i++ {
+		if got := o.String(); got != want {
+			t.Fatalf("String() =\n%s\nwant\n%s", got, want)
+		}
+	}
+	if got := sortedKeys(nil); len(got) != 0 {
+		t.Fatalf("sortedKeys(nil) = %v", got)
+	}
+}

@@ -18,8 +18,8 @@ const wikiWelcome = "hello from the enclosure wiki"
 // ○C db-proxy and the ○B http-server's serial accept loop, loaded with
 // n requests that alternate saving page p<i> and viewing it back.
 func wikiLoop(prog *core.Program, port uint16, n int) closedLoop {
-	reqs := make(chan wiki.Request, 16)
-	queries := make(chan wiki.Query, 16)
+	reqs := core.NewHandoff[wiki.Request](16)
+	queries := core.NewHandoff[wiki.Query](16)
 	tasks := []serialTask{
 		{"glue", func(t *core.Task, ready chan<- struct{}) error {
 			close(ready)

@@ -41,7 +41,7 @@ func RunHTTP(kind core.BackendKind) (MacroResult, error) {
 // task and the serial accept loop inside the "server" enclosure, loaded
 // with n requests for path whose bodies must be want bytes.
 func fastHTTPLoop(prog *core.Program, port uint16, n int, path string, want int) closedLoop {
-	reqs := make(chan fasthttp.Request, 16)
+	reqs := core.NewHandoff[fasthttp.Request](16)
 	page := httpserv.StaticPage()
 	handler := serialTask{"trusted-handler", func(t *core.Task, ready chan<- struct{}) error {
 		close(ready)

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -77,14 +76,14 @@ func TestTracingIsFreeInVirtualTime(t *testing.T) {
 
 // TestCollectReproducible: every section, the cluster's included, is a
 // function of the code alone. A second smoke Collect marshals to the
-// same bytes as the shared one, except for two fields of the scale section's merged
-// trace that move between runs while every scale cell stays identical
-// (ROADMAP, "A perf record that can tell signal from noise"): dropped,
-// the events overwritten in the capped emission rings, which depends on
-// how the host spreads events over its processor-local rings; and
-// per-kind virtual_ns, which on the wiki moves by a few hundred ns as
-// each worker's glue and proxy tasks interleave on the host. Of those
-// two the test compares only the per-kind counts.
+// same bytes as the shared one, except for one field of the scale
+// section's merged trace that moves between runs while every scale cell
+// stays identical (ROADMAP, "A perf record that compares by equality"):
+// dropped, the events overwritten in the capped emission rings, which
+// depends on how the host spreads events over its processor-local
+// rings. Per-kind virtual_ns compares too: a program's goroutines take
+// turns on its run token, so no sibling's charge lands inside another
+// task's Prolog, Epilog or Execute.
 func TestCollectReproducible(t *testing.T) {
 	a := smokeResults(t)
 	b, err := Collect(Smoke, Sections()...)
@@ -97,18 +96,13 @@ func TestCollectReproducible(t *testing.T) {
 	}
 }
 
-// reproducibleJSON marshals r with the trace's dropped and per-kind
-// virtual_ns zeroed, so its per-kind counts still compare.
+// reproducibleJSON marshals r with the trace's dropped count zeroed.
 func reproducibleJSON(t *testing.T, r *Results) []byte {
 	t.Helper()
 	c := *r
 	if r.Trace != nil {
 		tr := *r.Trace
 		tr.Dropped = 0
-		tr.Kinds = slices.Clone(tr.Kinds)
-		for i := range tr.Kinds {
-			tr.Kinds[i].CostNs = 0
-		}
 		c.Trace = &tr
 	}
 	blob, err := MarshalResults(&c)

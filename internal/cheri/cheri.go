@@ -174,7 +174,7 @@ func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) 
 		return nil
 	}
 	u.clock.Advance(hw.CostPTWalk) // a tag/bounds check, charged like a walk
-	cpu.Counters.PTWalks.Add(1)
+	cpu.Counters.PTWalks++
 	want := mem.PermR
 	if write {
 		want = mem.PermR | mem.PermW
@@ -194,7 +194,7 @@ func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) 
 // CheckExec validates an instruction fetch under the active table.
 func (u *Unit) CheckExec(cpu *hw.CPU, addr mem.Addr) error {
 	u.clock.Advance(hw.CostPTWalk)
-	cpu.Counters.PTWalks.Add(1)
+	cpu.Counters.PTWalks++
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	t, ok := u.tables[cpu.CR3()]

@@ -318,6 +318,7 @@ func (b *Builder) Build() (*Program, error) {
 		warmPool:      b.warmPool,
 	}
 	prog.runtimeCPU = prog.newCPU()
+	k.SetRunToken(&prog.run)
 
 	prog.heap = alloc.NewHeap(prog.runtimeMmap, prog.runtimeTransfer, kernel.HeapOwner)
 

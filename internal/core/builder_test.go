@@ -110,8 +110,8 @@ func TestNewSpanAndTransferSpan(t *testing.T) {
 	if span.Pkg != "lib" {
 		t.Fatalf("span owner after transfer %q", span.Pkg)
 	}
-	if prog.Counters().Transfers.Load() != 1 {
-		t.Fatalf("transfer count %d", prog.Counters().Transfers.Load())
+	if prog.Counters().Transfers != 1 {
+		t.Fatalf("transfer count %d", prog.Counters().Transfers)
 	}
 }
 

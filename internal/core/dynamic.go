@@ -21,6 +21,10 @@ import (
 // environment: the importer can only initialise the module with the
 // rights it already holds.
 func (t *Task) ImportDynamic(spec PackageSpec) error {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	prog := t.prog
 	if prog.hasPackageFuncs(spec.Name) {

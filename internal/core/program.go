@@ -47,6 +47,11 @@ type Program struct {
 
 	runtimeCPU *hw.CPU
 
+	// run is the program's run token: one simulated goroutine at a
+	// time holds it while it executes (see run.go). The kernel
+	// releases it around network waits.
+	run sync.Mutex
+
 	mu     sync.RWMutex // guards nextID, funcs and funcsShared (dynamic imports add entries)
 	nextID int
 	wg     sync.WaitGroup
@@ -244,7 +249,9 @@ func (p *Program) Fault() (*litterbox.Fault, bool) {
 // fault-stops-the-program semantics while keeping the host test harness
 // alive.
 func (p *Program) Run(body func(t *Task) error) (err error) {
+	p.run.Lock()
 	t := p.newTask("main", p.lb.Trusted(), "main")
+	p.run.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
 			if f, ok := r.(*litterbox.Fault); ok {
@@ -264,6 +271,8 @@ func (p *Program) Wait() { p.wg.Wait() }
 // runtime path (owned by the heap pool until transferred). Benchmarks
 // and the runtime use it; package code allocates through Task.Alloc.
 func (p *Program) NewSpan(size uint64) (*mem.Section, error) {
+	p.run.Lock()
+	defer p.run.Unlock()
 	return p.runtimeMmap(size)
 }
 
@@ -271,9 +280,13 @@ func (p *Program) NewSpan(size uint64) (*mem.Section, error) {
 // LitterBox's Transfer from the trusted runtime (the Table 1 transfer
 // micro-benchmark exercises exactly this path).
 func (p *Program) TransferSpan(sec *mem.Section, toPkg string) error {
+	p.run.Lock()
+	defer p.run.Unlock()
 	return p.runtimeTransfer(sec, toPkg)
 }
 
+// newTask makes a task on the program's own clock. The caller holds
+// the run token: installing the environment charges the clock.
 func (p *Program) newTask(name string, env *litterbox.Env, pkg string) *Task {
 	p.mu.Lock()
 	p.nextID++

@@ -52,6 +52,8 @@ func (st *SchedThread) Name() string { return st.name }
 // initially in the trusted environment.
 func (p *Program) NewScheduler() (*Sched, error) {
 	s := &Sched{prog: p, cpu: p.newCPU(), curEnv: p.lb.Trusted()}
+	p.run.Lock()
+	defer p.run.Unlock()
 	if err := p.lb.InstallEnv(s.cpu, s.curEnv); err != nil {
 		return nil, err
 	}
@@ -104,10 +106,9 @@ func (s *Sched) Run() error {
 		}
 		// Resume in the thread's current execution environment.
 		if st.task.env != s.curEnv {
-			if err := s.prog.lb.Execute(s.cpu, s.curEnv, st.task.env); err != nil {
+			if err := s.execute(st.task.env); err != nil {
 				return err
 			}
-			s.curEnv = st.task.env
 			s.resumes++
 		}
 		if !started[st] {
@@ -140,16 +141,28 @@ func (s *Sched) Run() error {
 
 	// Park the CPU back in the trusted environment.
 	if s.curEnv != s.prog.lb.Trusted() {
-		if err := s.prog.lb.Execute(s.cpu, s.curEnv, s.prog.lb.Trusted()); err != nil {
+		if err := s.execute(s.prog.lb.Trusted()); err != nil {
 			return err
 		}
-		s.curEnv = s.prog.lb.Trusted()
 	}
 	for _, st := range s.threads {
 		if st.err != nil {
 			return fmt.Errorf("thread %s: %w", st.name, st.err)
 		}
 	}
+	return nil
+}
+
+// execute switches the scheduler CPU into env through LitterBox's
+// Execute. Every thread is parked, so the scheduler takes the run
+// token for the switch itself.
+func (s *Sched) execute(env *litterbox.Env) error {
+	s.prog.run.Lock()
+	defer s.prog.run.Unlock()
+	if err := s.prog.lb.Execute(s.cpu, s.curEnv, env); err != nil {
+		return err
+	}
+	s.curEnv = env
 	return nil
 }
 
@@ -174,7 +187,8 @@ func (s *Sched) park(st *SchedThread) {
 	<-st.resume
 }
 
-// Yield cooperatively gives up the scheduler CPU. No-op on tasks not
+// Yield cooperatively gives up the scheduler CPU, releasing the run
+// token until the scheduler resumes the thread. No-op on tasks not
 // managed by a Sched (ordinary goroutines have their own CPU).
 func (t *Task) Yield() {
 	if t.sched == nil {
@@ -182,6 +196,7 @@ func (t *Task) Yield() {
 	}
 	t.checkAlive()
 	if st := t.sched.threadOf(t); st != nil {
+		defer t.unpark(t.park())
 		t.sched.park(st)
 	}
 }

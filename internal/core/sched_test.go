@@ -136,7 +136,7 @@ func TestSchedulerCountsEnvironmentSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := prog.Counters().Switches.Load()
+	before := prog.Counters().Switches
 	s.Spawn("a", func(task *Task) error {
 		_, err := prog.MustEnclosure("ea").Call(task)
 		return err
@@ -148,7 +148,7 @@ func TestSchedulerCountsEnvironmentSwitches(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	delta := prog.Counters().Switches.Load() - before
+	delta := prog.Counters().Switches - before
 	// 4 yields per thread interleaving two disjoint environments: at
 	// least one Execute per resume, plus the Prolog/Epilog pairs.
 	if delta < int64(s.Resumes())+4 {

@@ -115,6 +115,7 @@ func (t *Template) wrap(inst *snapstart.Instance) (*Program, error) {
 		snapInst:      inst,
 	}
 	np.runtimeCPU = np.newCPU()
+	np.kernel.SetRunToken(&np.run)
 	np.heap = t.heap.CloneWith(np.runtimeMmap, np.runtimeTransfer, inst.Remap)
 	for name, e := range p.encls {
 		env, err := np.lb.EnvForEnclosure(e.id)

@@ -20,6 +20,10 @@ type stackFrame struct {
 // and is released automatically when the frame pops (for the outermost
 // frame: when the task's body returns).
 func (t *Task) StackAlloc(n uint64) Ref {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	if len(t.frames) == 0 {
 		t.frames = append(t.frames, &stackFrame{})

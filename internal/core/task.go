@@ -28,6 +28,9 @@ type Task struct {
 	worker *WorkerCtx          // non-nil when pinned to an engine worker
 	cache  *litterbox.EnvCache // per-worker Prolog target cache
 	frames []*stackFrame       // split-stack segments (see stack.go)
+	// held reports whether the task holds its program's run token: it
+	// is inside a core entry point (see run.go).
+	held bool
 
 	// ring is the task-private submission ring for tasks not pinned to
 	// a worker (pinned tasks share the worker's); nil until the first
@@ -82,6 +85,10 @@ func (t *Task) checkAlive() {
 // ReadBytes copies the referenced simulated memory into a host buffer,
 // enforcing the current memory view.
 func (t *Task) ReadBytes(r Ref) []byte {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	if err := t.prog.lb.CheckRead(t.cpu, t.env, r.Addr, r.Size); err != nil {
 		t.fail(err)
@@ -95,6 +102,10 @@ func (t *Task) ReadBytes(r Ref) []byte {
 
 // WriteBytes stores data at the referenced memory, enforcing the view.
 func (t *Task) WriteBytes(r Ref, data []byte) {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	if uint64(len(data)) > r.Size {
 		t.fail(fmt.Errorf("core: write of %d bytes into %s", len(data), r))
@@ -109,6 +120,10 @@ func (t *Task) WriteBytes(r Ref, data []byte) {
 
 // Load8 reads one byte.
 func (t *Task) Load8(addr mem.Addr) byte {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	if err := t.prog.lb.CheckRead(t.cpu, t.env, addr, 1); err != nil {
 		t.fail(err)
@@ -122,6 +137,10 @@ func (t *Task) Load8(addr mem.Addr) byte {
 
 // Store8 writes one byte.
 func (t *Task) Store8(addr mem.Addr, v byte) {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	if err := t.prog.lb.CheckWrite(t.cpu, t.env, addr, 1); err != nil {
 		t.fail(err)
@@ -133,6 +152,10 @@ func (t *Task) Store8(addr mem.Addr, v byte) {
 
 // Load64 reads a little-endian uint64.
 func (t *Task) Load64(addr mem.Addr) uint64 {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	if err := t.prog.lb.CheckRead(t.cpu, t.env, addr, 8); err != nil {
 		t.fail(err)
@@ -146,6 +169,10 @@ func (t *Task) Load64(addr mem.Addr) uint64 {
 
 // Store64 writes a little-endian uint64.
 func (t *Task) Store64(addr mem.Addr, v uint64) {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	if err := t.prog.lb.CheckWrite(t.cpu, t.env, addr, 8); err != nil {
 		t.fail(err)
@@ -159,12 +186,22 @@ func (t *Task) Store64(addr mem.Addr, v uint64) {
 // clock. Workloads use it to model their compute phases on the paper's
 // hardware (Xeon Gold 6132); the isolation overheads the benchmarks
 // compare against it come from the enforcement mechanisms themselves.
-func (t *Task) Compute(ns int64) { t.cpu.Clock.Advance(ns) }
+func (t *Task) Compute(ns int64) {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
+	t.cpu.Clock.Advance(ns)
+}
 
 // --- Allocation ----------------------------------------------------
 
 // Alloc allocates n bytes in the current package's arena.
 func (t *Task) Alloc(n uint64) Ref {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	addr, err := t.prog.heap.Arena(t.CurrentPkg()).Alloc(n)
 	if err != nil {
@@ -175,6 +212,10 @@ func (t *Task) Alloc(n uint64) Ref {
 
 // AllocIn allocates in an explicit package's arena (runtime use).
 func (t *Task) AllocIn(pkg string, n uint64) Ref {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	addr, err := t.prog.heap.Arena(pkg).Alloc(n)
 	if err != nil {
@@ -185,6 +226,10 @@ func (t *Task) AllocIn(pkg string, n uint64) Ref {
 
 // Free releases an allocation made in the current package's arena.
 func (t *Task) Free(r Ref) {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	owner := t.prog.heap.OwnerOf(r.Addr)
 	if err := t.prog.heap.Arena(owner).Free(r.Addr); err != nil {
@@ -214,6 +259,10 @@ func (t *Task) ReadString(r Ref) string { return string(t.ReadBytes(r)) }
 // Packages under a program-wide policy (§3.2) are entered through their
 // auto-generated wrapper enclosure when called from non-enclosed code.
 func (t *Task) Call(pkg, fn string, args ...Value) ([]Value, error) {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	if t.env.Trusted {
 		if wrapper, ok := t.prog.pw[pkg]; ok {
@@ -247,6 +296,10 @@ func (t *Task) Call(pkg, fn string, args ...Value) ([]Value, error) {
 // filter. Filtered calls fault (panic); legitimate kernel errors come
 // back as errnos.
 func (t *Task) Syscall(nr kernel.Nr, args ...uint64) (uint64, kernel.Errno) {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	var a [6]uint64
 	copy(a[:], args)
@@ -263,6 +316,10 @@ func (t *Task) Syscall(nr kernel.Nr, args ...uint64) (uint64, kernel.Errno) {
 // back, so the enclosure's filter does not apply but every backend's
 // switch and virtualisation costs do.
 func (t *Task) RuntimeSyscall(nr kernel.Nr, args ...uint64) (uint64, kernel.Errno) {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	var a [6]uint64
 	copy(a[:], args)
@@ -318,6 +375,10 @@ func (t *Task) SubmitRuntimeSyscall(tag uint64, nr kernel.Nr, args ...uint64) {
 }
 
 func (t *Task) submitEntry(e ring.Entry) {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	r := t.syscallRing()
 	if r == nil {
@@ -346,6 +407,10 @@ func (t *Task) submitEntry(e ring.Entry) {
 // on, the slice is the ring's completion queue: it stays valid until
 // the task's next SubmitSyscall, FlushSyscalls or ReapSyscalls.
 func (t *Task) FlushSyscalls() []ring.Completion {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	r := t.syscallRing()
 	if r == nil {
@@ -365,6 +430,10 @@ func (t *Task) FlushSyscalls() []ring.Completion {
 // completions); FlushSyscalls at the end collects the final partial
 // batch. The slice has FlushSyscalls' lifetime.
 func (t *Task) ReapSyscalls() []ring.Completion {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	r := t.syscallRing()
 	if r == nil {
@@ -393,15 +462,21 @@ func (t *Task) drainRing(r *ring.Ring) {
 
 // Handle joins a spawned simulated goroutine.
 type Handle struct {
-	name string
-	done chan struct{}
-	err  error
+	name   string
+	parent *Task
+	done   chan struct{}
+	err    error
 }
 
 // Join blocks until the goroutine finishes and returns its error (a
-// *litterbox.Fault if it died to a protection violation).
+// *litterbox.Fault if it died to a protection violation). Call it from
+// the spawning task's goroutine, or from host code once that task has
+// returned: a spawner that joins from inside an entry point releases
+// its run token for the wait.
 func (h *Handle) Join() error {
+	held := h.parent.park()
 	<-h.done
+	h.parent.unpark(held)
 	return h.err
 }
 
@@ -411,6 +486,10 @@ func (h *Handle) Join() error {
 // to execute in the same environment." The scheduler installs the
 // environment on the fresh CPU via LitterBox's Execute hook.
 func (t *Task) Go(name string, fn func(t *Task) error) *Handle {
+	if !t.held {
+		t.take()
+		defer t.disown()
+	}
 	t.checkAlive()
 	var child *Task
 	if t.worker != nil {
@@ -420,7 +499,7 @@ func (t *Task) Go(name string, fn func(t *Task) error) *Handle {
 	} else {
 		child = t.prog.newTask(name, t.env, t.CurrentPkg())
 	}
-	h := &Handle{name: name, done: make(chan struct{})}
+	h := &Handle{name: name, parent: t, done: make(chan struct{})}
 	t.prog.wg.Add(1)
 	go func() {
 		defer t.prog.wg.Done()

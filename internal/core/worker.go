@@ -16,8 +16,9 @@ import (
 //
 // Simulated goroutines pinned to a worker each get their own
 // architectural CPU (PKRU/CR3 are per-register-context), but all of
-// them charge the worker's clock, so per-worker accrual is the sum of
-// the work its goroutines performed.
+// them charge the worker's clock, taking turns on the program's run
+// token, so per-worker accrual is the sum of the work its goroutines
+// performed.
 type WorkerCtx struct {
 	prog     *Program
 	name     string
@@ -84,8 +85,12 @@ func (w *WorkerCtx) newCPU() *hw.CPU {
 // CPU charges w's clock, its syscalls run under w's proc, its faults
 // abort only w's domain, and its Prologs resolve through w's cache.
 func (p *Program) NewTaskOn(w *WorkerCtx, name string) *Task {
+	p.run.Lock()
+	defer p.run.Unlock()
 	return p.newTaskOn(w, name, p.lb.Trusted(), "main")
 }
+
+// newTaskOn is NewTaskOn for a caller that holds the run token.
 
 func (p *Program) newTaskOn(w *WorkerCtx, name string, env *litterbox.Env, pkg string) *Task {
 	p.mu.Lock()

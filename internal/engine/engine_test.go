@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -253,37 +252,35 @@ func TestBackpressureRejects(t *testing.T) {
 }
 
 // TestConcurrentEnclosureIsolation is the multi-core safety property:
-// two workers entering the same enclosure simultaneously get
-// independent environments and independent faults — a protection fault
-// on worker A never aborts worker B, and the program as a whole stays
-// alive. The two workers are stepped on two goroutines at once; run
+// two workers inside the same enclosure at once get independent
+// environments and independent faults — a protection fault on worker A
+// never aborts worker B, and the program as a whole stays alive. The
+// two workers are stepped on two goroutines at once and take turns on
+// the program's run token: each waits for the other inside the
+// enclosure through a hand-off, which lets the other run. Run
 // repeatedly to shake interleavings (and under -race).
 func TestConcurrentEnclosureIsolation(t *testing.T) {
 	// Baseline is the paper's no-enforcement control — it cannot fault —
 	// so the property is checked on the enforcing backends.
 	for _, kind := range []core.BackendKind{core.MPK, core.VTX} {
 		t.Run(kind.String(), func(t *testing.T) {
-			var aIn, bIn chan struct{}
-			var faultsBefore int64
-			var victim *core.WorkerCtx
+			var aIn, bIn, landed *core.Handoff[struct{}]
 
 			body := func(task *core.Task, args ...core.Value) ([]core.Value, error) {
 				switch args[0].(string) {
 				case "fault":
-					close(aIn) // rendezvous: both sides are inside the enclosure
-					<-bIn
+					aIn.Send(task, struct{}{}) // rendezvous: both sides are inside the enclosure
+					bIn.Recv(task)
 					// "sys:none" forbids every system call: this faults and
 					// aborts only this worker's domain.
 					task.Syscall(kernel.NrGetpid)
 					return nil, fmt.Errorf("unreachable: filtered syscall returned")
 				default: // "work"
-					close(bIn)
-					<-aIn
+					bIn.Send(task, struct{}{})
+					aIn.Recv(task)
 					// Wait until the sibling worker's fault has landed, then
 					// prove this environment still works end to end.
-					for victim.Domain().Faults() == faultsBefore {
-						time.Sleep(50 * time.Microsecond)
-					}
+					landed.Recv(task)
 					page, err := task.Prog().ConstRef("res", "page")
 					if err != nil {
 						return nil, err
@@ -302,8 +299,9 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 
 			const rounds = 20
 			for i := 0; i < rounds; i++ {
-				aIn = make(chan struct{})
-				bIn = make(chan struct{})
+				aIn = core.NewHandoff[struct{}](1)
+				bIn = core.NewHandoff[struct{}](1)
+				landed = core.NewHandoff[struct{}](1)
 
 				// Each job runs on its own worker, each worker stepped on
 				// its own goroutine, so both are inside the enclosure at
@@ -313,15 +311,18 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 					stepping.Add(1)
 					go func() { defer stepping.Done(); e.StepWorker(i) }()
 				}
-				running := make(chan *core.WorkerCtx, 1)
-				pa := submit(t, e, 0, "faulter", func(task *core.Task) error {
-					running <- task.Worker()
+				pa := make(chan error, 1)
+				faulter := func(task *core.Task) error {
 					_, err := guard.Call(task, "fault")
 					return err
-				})
+				}
+				if err := e.Submit(JobSpec{Pref: 0, Name: "faulter", Fn: faulter, Done: func(err error) {
+					pa <- err
+					landed.Send(nil, struct{}{})
+				}}); err != nil {
+					t.Fatal(err)
+				}
 				step(0)
-				victim = <-running
-				faultsBefore = victim.Domain().Faults()
 				pb := submit(t, e, 1, "worker", func(task *core.Task) error {
 					res, err := guard.Call(task, "work")
 					if err != nil {

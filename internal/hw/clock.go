@@ -13,10 +13,7 @@
 // paper's hardware performed.
 package hw
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Cost model, in nanoseconds. Calibrated against Table 1 of the paper
 // (Xeon Gold 6132 @ 2.60 GHz, Linux 5.4, single-threaded):
@@ -107,11 +104,13 @@ const (
 )
 
 // Clock is a monotonically increasing virtual clock measured in
-// nanoseconds. It is safe for concurrent use; simulated goroutines all
-// charge the same program-wide clock, mirroring the paper's
-// single-threaded evaluation methodology.
+// nanoseconds. It is a plain counter, not safe for concurrent use: the
+// simulated goroutines that charge one clock take turns under their
+// program's run token (core.Program), so only one of them advances it
+// at a time, mirroring the paper's single-threaded evaluation
+// methodology. Host code reads it between simulated calls.
 type Clock struct {
-	ns atomic.Int64
+	ns int64
 }
 
 // NewClock returns a clock at time zero.
@@ -122,84 +121,44 @@ func (c *Clock) Advance(ns int64) {
 	if ns < 0 {
 		panic("hw: negative clock advance")
 	}
-	c.ns.Add(ns)
+	c.ns += ns
 }
 
 // Now returns the current virtual time in nanoseconds.
-func (c *Clock) Now() int64 { return c.ns.Load() }
+func (c *Clock) Now() int64 { return c.ns }
 
 // Reset rewinds the clock to zero (between benchmark iterations).
-func (c *Clock) Reset() { c.ns.Store(0) }
+func (c *Clock) Reset() { c.ns = 0 }
 
-// Counters tallies simulated hardware events. All fields are maintained
-// with atomic adds so concurrent simulated goroutines may share one set.
+// Counters tallies simulated hardware events. Like Clock it is plain
+// and owned by whichever simulated goroutine holds the run token; a
+// copy of the struct is a snapshot.
 type Counters struct {
-	Switches      atomic.Int64 // Prolog/Epilog/Execute environment switches
-	WRPKRUWrites  atomic.Int64 // PKRU register writes (LB_MPK)
-	VMExits       atomic.Int64 // hypercalls / VM EXITs (LB_VTX)
-	GuestSyscalls atomic.Int64 // syscalls into the LB_VTX guest kernel
-	Syscalls      atomic.Int64 // program-visible system calls
-	BPFRuns       atomic.Int64 // seccomp filter evaluations
-	Transfers     atomic.Int64 // arena span transfers
-	PkeyMprotects atomic.Int64 // pkey_mprotect invocations (LB_MPK)
-	PTWalks       atomic.Int64 // software page-table walks
-	Faults        atomic.Int64 // protection faults raised
-	RingBatches   atomic.Int64 // batched syscall ring drains
-	RingEntries   atomic.Int64 // syscall entries dispatched from ring batches
+	Switches      int64 // Prolog/Epilog/Execute environment switches
+	WRPKRUWrites  int64 // PKRU register writes (LB_MPK)
+	VMExits       int64 // hypercalls / VM EXITs (LB_VTX)
+	GuestSyscalls int64 // syscalls into the LB_VTX guest kernel
+	Syscalls      int64 // program-visible system calls
+	BPFRuns       int64 // seccomp filter evaluations
+	Transfers     int64 // arena span transfers
+	PkeyMprotects int64 // pkey_mprotect invocations (LB_MPK)
+	PTWalks       int64 // software page-table walks
+	Faults        int64 // protection faults raised
+	RingBatches   int64 // batched syscall ring drains
+	RingEntries   int64 // syscall entries dispatched from ring batches
 }
 
-// Snapshot returns a plain-struct copy of the counters.
-func (c *Counters) Snapshot() CounterSnapshot {
-	return CounterSnapshot{
-		Switches:      c.Switches.Load(),
-		WRPKRUWrites:  c.WRPKRUWrites.Load(),
-		VMExits:       c.VMExits.Load(),
-		GuestSyscalls: c.GuestSyscalls.Load(),
-		Syscalls:      c.Syscalls.Load(),
-		BPFRuns:       c.BPFRuns.Load(),
-		Transfers:     c.Transfers.Load(),
-		PkeyMprotects: c.PkeyMprotects.Load(),
-		PTWalks:       c.PTWalks.Load(),
-		Faults:        c.Faults.Load(),
-		RingBatches:   c.RingBatches.Load(),
-		RingEntries:   c.RingEntries.Load(),
-	}
-}
+// CounterSnapshot is a copy of Counters taken by Snapshot.
+type CounterSnapshot = Counters
+
+// Snapshot returns a copy of the counters.
+func (c *Counters) Snapshot() CounterSnapshot { return *c }
 
 // Reset zeroes every counter.
-func (c *Counters) Reset() {
-	c.Switches.Store(0)
-	c.WRPKRUWrites.Store(0)
-	c.VMExits.Store(0)
-	c.GuestSyscalls.Store(0)
-	c.Syscalls.Store(0)
-	c.BPFRuns.Store(0)
-	c.Transfers.Store(0)
-	c.PkeyMprotects.Store(0)
-	c.PTWalks.Store(0)
-	c.Faults.Store(0)
-	c.RingBatches.Store(0)
-	c.RingEntries.Store(0)
-}
+func (c *Counters) Reset() { *c = Counters{} }
 
-// CounterSnapshot is an immutable copy of Counters.
-type CounterSnapshot struct {
-	Switches      int64
-	WRPKRUWrites  int64
-	VMExits       int64
-	GuestSyscalls int64
-	Syscalls      int64
-	BPFRuns       int64
-	Transfers     int64
-	PkeyMprotects int64
-	PTWalks       int64
-	Faults        int64
-	RingBatches   int64
-	RingEntries   int64
-}
-
-// String renders the snapshot as a single diagnostic line.
-func (s CounterSnapshot) String() string {
+// String renders the counters as a single diagnostic line.
+func (s Counters) String() string {
 	return fmt.Sprintf(
 		"switches=%d wrpkru=%d vmexits=%d guestsys=%d syscalls=%d bpf=%d transfers=%d pkeymprot=%d ptwalks=%d faults=%d ringbatches=%d ringentries=%d",
 		s.Switches, s.WRPKRUWrites, s.VMExits, s.GuestSyscalls,

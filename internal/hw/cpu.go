@@ -95,7 +95,9 @@ func (p PKRU) String() string {
 // atomics so cross-worker observers (metrics, assertions, the race
 // detector) see consistent values — architecturally each register is
 // still owned by the one worker executing on the CPU, mirroring real
-// per-core PKRU/CR3.
+// per-core PKRU/CR3. The Clock and Counters a CPU charges are plain:
+// the simulated goroutine that charges them holds its program's run
+// token (core.Program), so the CPUs sharing one clock take turns.
 type CPU struct {
 	Clock    *Clock
 	Counters *Counters
@@ -146,7 +148,7 @@ func (c *CPU) PKRU() PKRU {
 // verification is LitterBox's job (see the paper's .verif section).
 func (c *CPU) WritePKRU(v PKRU) {
 	c.Clock.Advance(CostWRPKRU)
-	c.Counters.WRPKRUWrites.Add(1)
+	c.Counters.WRPKRUWrites++
 	if c.Inj != nil {
 		v = c.Inj.corruptPKRU(v)
 	}
@@ -180,7 +182,7 @@ func (c *CPU) SetMode(m Mode) { c.mode.Store(uint32(m)) }
 // guest-kernel mode, returning the mode to restore on exit.
 func (c *CPU) GuestSyscallEntry() Mode {
 	c.Clock.Advance(CostSyscallEntry)
-	c.Counters.GuestSyscalls.Add(1)
+	c.Counters.GuestSyscalls++
 	prev := c.Mode()
 	c.SetMode(ModeGuestKernel)
 	return prev
@@ -196,7 +198,7 @@ func (c *CPU) GuestSyscallExit(prev Mode) {
 // returning the mode to restore at VM RESUME.
 func (c *CPU) VMExit() Mode {
 	c.Clock.Advance(CostVMExit)
-	c.Counters.VMExits.Add(1)
+	c.Counters.VMExits++
 	prev := c.Mode()
 	c.SetMode(ModeRoot)
 	return prev

@@ -148,7 +148,7 @@ func TestCostAccounting(t *testing.T) {
 	if clock.Now() != CostWRPKRU {
 		t.Fatalf("WRPKRU charged %dns, want %d", clock.Now(), CostWRPKRU)
 	}
-	if cpu.Counters.WRPKRUWrites.Load() != 1 {
+	if cpu.Counters.WRPKRUWrites != 1 {
 		t.Fatal("WRPKRU not counted")
 	}
 
@@ -165,15 +165,15 @@ func TestCostAccounting(t *testing.T) {
 	if clock.Now() != CostVMExit {
 		t.Fatalf("VM exit charged %dns, want %d", clock.Now(), CostVMExit)
 	}
-	if cpu.Counters.VMExits.Load() != 1 {
+	if cpu.Counters.VMExits != 1 {
 		t.Fatal("VM exit not counted")
 	}
 }
 
 func TestCountersSnapshotAndReset(t *testing.T) {
 	var c Counters
-	c.Switches.Add(3)
-	c.Faults.Add(1)
+	c.Switches += 3
+	c.Faults++
 	s := c.Snapshot()
 	if s.Switches != 3 || s.Faults != 1 {
 		t.Fatalf("snapshot %+v", s)

@@ -34,6 +34,11 @@ type Kernel struct {
 	clock *hw.Clock
 	space *mem.AddressSpace
 
+	// run is the owning program's run token (nil outside a program).
+	// The caller of a system call holds it; a wait on the network
+	// releases it (see SetRunToken).
+	run sync.Locker
+
 	mu    sync.Mutex
 	pkeys PkeyOps
 	rng   uint64
@@ -190,6 +195,21 @@ func (k *Kernel) SetPkeyOps(ops PkeyOps) {
 	k.mu.Unlock()
 }
 
+// SetRunToken hands the kernel its program's run token, the lock each
+// simulated goroutine of the program holds while it executes. Every
+// system call arrives holding it. Accept on an empty backlog, recv on
+// an empty socket and send into a full one release it for the length of
+// the wait, so the sibling that will wake the caller can run; the copy
+// to or from user memory stays under it. Call it before the program
+// runs.
+func (k *Kernel) SetRunToken(run sync.Locker) { k.run = run }
+
+// readFlags is the simnet flag set for one read or accept of p; a
+// write only yields, since Nonblock does not apply to it.
+func (k *Kernel) readFlags(p *Proc) simnet.IOFlags {
+	return simnet.IOFlags{Nonblock: p.nonBlocking(), Yield: k.run}
+}
+
 // HeapOwner is the pseudo-package owning freshly mmap-ed spans until the
 // runtime Transfers them into a real package's arena.
 const HeapOwner = "runtime/heap"
@@ -304,14 +324,14 @@ const maxIO = 1 << 20
 func (k *Kernel) Invoke(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, Errno) {
 	start := cpu.Clock.Now()
 	cpu.Clock.Advance(hw.CostSyscall)
-	cpu.Counters.Syscalls.Add(1)
+	cpu.Counters.Syscalls++
 
 	if fs := k.filter.Load(); fs != nil {
 		// The virtual machine still pays the filter tax per call — the
 		// verdict table changes which host mechanism computes the
 		// verdict, not what the simulated hardware charges.
 		cpu.Clock.Advance(hw.CostBPFFilter)
-		cpu.Counters.BPFRuns.Add(1)
+		cpu.Counters.BPFRuns++
 		d := &seccomp.Data{
 			Nr:   uint32(nr),
 			Arch: seccomp.AuditArchSim,
@@ -366,7 +386,7 @@ func (k *Kernel) runFilter(fs *filterState, d *seccomp.Data) (uint32, error) {
 func (k *Kernel) InvokeUnfiltered(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, Errno) {
 	start := cpu.Clock.Now()
 	cpu.Clock.Advance(hw.CostSyscall)
-	cpu.Counters.Syscalls.Add(1)
+	cpu.Counters.Syscalls++
 	if e, ok := injectedErrno(cpu); ok {
 		k.emitSyscall(cpu, nr, e, obs.VerdictAllow, start)
 		return 0, e
@@ -382,7 +402,7 @@ func (k *Kernel) InvokeUnfiltered(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (
 // charged by InvokeRing as the drain loop walks the batch.
 func (k *Kernel) RingTrap(cpu *hw.CPU) {
 	cpu.Clock.Advance(hw.CostSyscall)
-	cpu.Counters.RingBatches.Add(1)
+	cpu.Counters.RingBatches++
 }
 
 // InvokeRing dispatches one entry of a drained submission batch. It is
@@ -396,15 +416,15 @@ func (k *Kernel) RingTrap(cpu *hw.CPU) {
 func (k *Kernel) InvokeRing(p *Proc, cpu *hw.CPU, filtered bool, nr Nr, args [6]uint64) (uint64, Errno) {
 	start := cpu.Clock.Now()
 	cpu.Clock.Advance(hw.CostRingEntry)
-	cpu.Counters.Syscalls.Add(1)
-	cpu.Counters.RingEntries.Add(1)
+	cpu.Counters.Syscalls++
+	cpu.Counters.RingEntries++
 	if filtered {
 		if fs := k.filter.Load(); fs != nil {
 			// One verdict-table lookup per entry: the whole batch runs
 			// under one filter pass, but each entry still pays the
 			// (table-sized, not program-sized) verdict tax.
 			cpu.Clock.Advance(hw.CostBPFFilter)
-			cpu.Counters.BPFRuns.Add(1)
+			cpu.Counters.BPFRuns++
 			d := &seccomp.Data{
 				Nr:   uint32(nr),
 				Arch: seccomp.AuditArchSim,
@@ -609,7 +629,7 @@ func (k *Kernel) sysRead(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errno
 	case e.file != nil:
 		return k.readFile(e.file, buf, n)
 	case e.conn != nil:
-		got, err := e.conn.ReadTo(int(n), simnet.IOFlags{Nonblock: p.nonBlocking()}, func(src []byte, off int) error {
+		got, err := e.conn.ReadTo(int(n), k.readFlags(p), func(src []byte, off int) error {
 			return k.copyOut(buf+mem.Addr(off), src)
 		})
 		switch {
@@ -673,7 +693,7 @@ func (k *Kernel) sysWrite(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errn
 	case e.file != nil:
 		return k.writeFile(e.file, buf, n)
 	case e.conn != nil:
-		wrote, err := e.conn.WriteFrom(int(n), func(dst []byte, off int) error {
+		wrote, err := e.conn.WriteFrom(int(n), simnet.IOFlags{Yield: k.run}, func(dst []byte, off int) error {
 			return k.copyIn(dst, buf+mem.Addr(off))
 		})
 		switch {
@@ -835,7 +855,7 @@ func (k *Kernel) sysAccept(p *Proc, fd int) (uint64, Errno) {
 	if e.ln == nil {
 		return 0, ENOTSOCK
 	}
-	c, err := e.ln.AcceptFlags(simnet.IOFlags{Nonblock: p.nonBlocking()})
+	c, err := e.ln.AcceptFlags(k.readFlags(p))
 	if err == simnet.ErrWouldBlock {
 		return 0, EAGAIN
 	}

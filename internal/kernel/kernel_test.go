@@ -284,7 +284,7 @@ func TestSeccompFilterIntegration(t *testing.T) {
 		t.Fatalf("filtered getpid: %v", errno)
 	}
 	// Costs: filtered path charged syscall+BPF.
-	if got := w.cpu.Counters.BPFRuns.Load(); got != 2 {
+	if got := w.cpu.Counters.BPFRuns; got != 2 {
 		t.Fatalf("BPF runs = %d", got)
 	}
 	// Unfiltered entry point bypasses.

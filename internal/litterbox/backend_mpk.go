@@ -474,7 +474,7 @@ func (b *MPKBackend) Transfer(cpu *hw.CPU, sec *mem.Section, toPkg string) error
 	key := b.currentKeyOf(toPkg)
 	b.stateMu.RUnlock()
 	cpu.Clock.Advance(hw.CostPkeyMprotect)
-	cpu.Counters.PkeyMprotects.Add(1)
+	cpu.Counters.PkeyMprotects++
 	if errno := b.unit.PkeyMprotect(sec.Base, sec.Size, sec.Perm, key); errno != kernel.OK {
 		return fmt.Errorf("litterbox/mpk: transfer %s to %s: %v", sec, toPkg, errno)
 	}

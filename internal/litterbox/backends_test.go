@@ -250,12 +250,12 @@ func TestVTXFaultTriggersVMExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := f.cpu.Counters.VMExits.Load()
+	before := f.cpu.Counters.VMExits
 	sec := f.img.Packages["secrets"].Data
 	if err := lb.CheckWrite(f.cpu, env, sec.Base, 1); err == nil {
 		t.Fatal("violation not detected")
 	}
-	if f.cpu.Counters.VMExits.Load() != before+1 {
-		t.Fatalf("fault did not VM EXIT: %d -> %d", before, f.cpu.Counters.VMExits.Load())
+	if f.cpu.Counters.VMExits != before+1 {
+		t.Fatalf("fault did not VM EXIT: %d -> %d", before, f.cpu.Counters.VMExits)
 	}
 }

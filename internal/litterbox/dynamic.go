@@ -213,7 +213,7 @@ func (b *MPKBackend) MapDynamicPackage(cpu *hw.CPU, pkg string, secs []*mem.Sect
 	b.stateMu.Unlock()
 	for _, sec := range secs {
 		b.lb.Clock.Advance(hw.CostPkeyMprotect)
-		cpu.Counters.PkeyMprotects.Add(1)
+		cpu.Counters.PkeyMprotects++
 		if errno := b.unit.PkeyMprotect(sec.Base, sec.Size, sec.Perm, key); errno != kernel.OK {
 			return fail(fmt.Errorf("litterbox/mpk: tagging %s: %v", sec, errno))
 		}

@@ -458,7 +458,7 @@ func (lb *LitterBox) Aborted() (*Fault, bool) {
 // CPU's domain when one is bound (a worker CPU under the engine), or
 // the whole program otherwise — the paper's single-core semantics.
 func (lb *LitterBox) RaiseFault(cpu *hw.CPU, f *Fault) *Fault {
-	cpu.Counters.Faults.Add(1)
+	cpu.Counters.Faults++
 	lb.emit(cpu, obs.Event{Kind: obs.KindFault, Env: envName(f.Env), Detail: f.Op + " " + f.Detail})
 	if d := lb.DomainFor(cpu); d != nil {
 		d.faults.Add(1)
@@ -589,7 +589,7 @@ func (lb *LitterBox) PrologWith(cpu *hw.CPU, from *Env, enclID int, token uint64
 	if err := lb.backend.Switch(cpu, from, target, verify); err != nil {
 		return nil, lb.RaiseFault(cpu, &Fault{Env: from, Op: "switch", Detail: err.Error(), Cause: err})
 	}
-	cpu.Counters.Switches.Add(1)
+	cpu.Counters.Switches++
 	if lb.tracing() {
 		lb.emit(cpu, obs.Event{
 			Kind: obs.KindProlog, Env: envName(target), Encl: lb.enclName[enclID],
@@ -618,7 +618,7 @@ func (lb *LitterBox) Epilog(cpu *hw.CPU, cur, back *Env, enclID int, token uint6
 	if err := lb.backend.Switch(cpu, cur, back, verify); err != nil {
 		return lb.RaiseFault(cpu, &Fault{Env: cur, Op: "switch", Detail: err.Error(), Cause: err})
 	}
-	cpu.Counters.Switches.Add(1)
+	cpu.Counters.Switches++
 	if lb.tracing() {
 		lb.emit(cpu, obs.Event{
 			Kind: obs.KindEpilog, Env: envName(back), Encl: lb.enclName[enclID],
@@ -636,7 +636,7 @@ func (lb *LitterBox) InstallEnv(cpu *hw.CPU, env *Env) error {
 	if err := lb.backend.Switch(cpu, nil, env, nil); err != nil {
 		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "switch", Detail: err.Error(), Cause: err})
 	}
-	cpu.Counters.Switches.Add(1)
+	cpu.Counters.Switches++
 	return nil
 }
 
@@ -652,7 +652,7 @@ func (lb *LitterBox) Execute(cpu *hw.CPU, from, to *Env) error {
 	if err := lb.backend.Switch(cpu, from, to, nil); err != nil {
 		return lb.RaiseFault(cpu, &Fault{Env: from, Op: "switch", Detail: err.Error(), Cause: err})
 	}
-	cpu.Counters.Switches.Add(1)
+	cpu.Counters.Switches++
 	if lb.tracing() {
 		lb.emit(cpu, obs.Event{
 			Kind: obs.KindExecute, Env: envName(to),
@@ -750,7 +750,7 @@ func (lb *LitterBox) Transfer(cpu *hw.CPU, sec *mem.Section, toPkg string) error
 		}
 		return err
 	}
-	cpu.Counters.Transfers.Add(1)
+	cpu.Counters.Transfers++
 	if lb.tracing() {
 		lb.emit(cpu, obs.Event{
 			Kind: obs.KindTransfer, Pkg: toPkg,

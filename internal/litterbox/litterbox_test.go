@@ -336,8 +336,8 @@ func TestTransferUpdatesBackends(t *testing.T) {
 	if span.Pkg != "secrets" {
 		t.Fatal("ownership not updated")
 	}
-	if f.cpu.Counters.Transfers.Load() != 3 {
-		t.Fatalf("transfer count %d", f.cpu.Counters.Transfers.Load())
+	if f.cpu.Counters.Transfers != 3 {
+		t.Fatalf("transfer count %d", f.cpu.Counters.Transfers)
 	}
 }
 

@@ -230,7 +230,7 @@ func (b *MPKBackend) retagMeta(cpu *hw.CPU, metas [][]string, meta, key int) err
 			continue
 		}
 		cpu.Clock.Advance(hw.CostPkeyMprotect)
-		cpu.Counters.PkeyMprotects.Add(1)
+		cpu.Counters.PkeyMprotects++
 		if errno := b.unit.PkeyMprotect(sec.Base, sec.Size, sec.Perm, key); errno != kernel.OK {
 			return fmt.Errorf("litterbox/mpk: retag %s -> key %d: %v", sec, key, errno)
 		}

@@ -69,12 +69,13 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	}
 	// Writers: nested Prologs race to materialise the e1&e2 intersection
 	// (one creator, the rest wait on the ready channel), each on its own
-	// CPU and worker cache.
+	// CPU, clock and worker cache: concurrent goroutines are separate
+	// owners, and a clock belongs to one owner at a time.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cpu := hw.NewCPU(f.clock)
+			cpu := hw.NewCPU(hw.NewClock())
 			cache := litterbox.NewEnvCache()
 			if err := lb.InstallEnv(cpu, env1); err != nil {
 				t.Error(err)

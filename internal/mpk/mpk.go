@@ -160,7 +160,7 @@ func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) 
 	}
 	pkru := cpu.PeekPKRU()
 	cpu.Clock.Advance(hw.CostPTWalk)
-	cpu.Counters.PTWalks.Add(1)
+	cpu.Counters.PTWalks++
 	first, last, ok := mem.PageRange(addr, size)
 	if !ok {
 		return fmt.Errorf("%w: %s", mem.ErrUnmapped, addr)

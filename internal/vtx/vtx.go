@@ -282,7 +282,7 @@ func (m *Machine) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write boo
 		return nil
 	}
 	cpu.Clock.Advance(hw.CostPTWalk)
-	cpu.Counters.PTWalks.Add(1)
+	cpu.Counters.PTWalks++
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	pt, ok := m.handles[cpu.CR3()]
@@ -307,7 +307,7 @@ func (m *Machine) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write boo
 // table. LB_VTX enforces execute rights in the page tables, unlike MPK.
 func (m *Machine) CheckExec(cpu *hw.CPU, addr mem.Addr) error {
 	cpu.Clock.Advance(hw.CostPTWalk)
-	cpu.Counters.PTWalks.Add(1)
+	cpu.Counters.PTWalks++
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	pt, ok := m.handles[cpu.CR3()]

@@ -141,7 +141,7 @@ func TestHypercall(t *testing.T) {
 	if clock.Now()-start != hw.CostVMExit {
 		t.Fatalf("hypercall cost %d", clock.Now()-start)
 	}
-	if cpu.Counters.VMExits.Load() != 1 {
+	if cpu.Counters.VMExits != 1 {
 		t.Fatal("VM exit not counted")
 	}
 }
