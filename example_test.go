@@ -219,7 +219,7 @@ func ExampleNewHandoff() {
 		}
 		fmt.Println("reply:", out[0])
 		reqs.Close()
-		return handler.Join()
+		return handler.Join(t)
 	})
 	if err != nil {
 		panic(err)

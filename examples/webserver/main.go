@@ -110,10 +110,10 @@ func main() {
 			}
 			conn.Close()
 		}
-		if err := srv.Join(); err != nil {
+		if err := srv.Join(t); err != nil {
 			return err
 		}
-		if err := handler.Join(); err != nil {
+		if err := handler.Join(t); err != nil {
 			return err
 		}
 

@@ -123,13 +123,13 @@ func main() {
 		if _, err := request(prog, port, "GET /quit HTTP/1.1\r\n\r\n"); err != nil {
 			return err
 		}
-		if err := srv.Join(); err != nil {
+		if err := srv.Join(t); err != nil {
 			return err
 		}
-		if err := glue.Join(); err != nil {
+		if err := glue.Join(t); err != nil {
 			return err
 		}
-		if err := proxy.Join(); err != nil {
+		if err := proxy.Join(t); err != nil {
 			return err
 		}
 

@@ -165,7 +165,7 @@ func invertParallel(t *core.Task, args ...core.Value) ([]core.Value, error) {
 		}))
 	}
 	for _, h := range handles {
-		if err := h.Join(); err != nil {
+		if err := h.Join(t); err != nil {
 			return nil, err
 		}
 	}

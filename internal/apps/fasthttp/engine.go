@@ -54,7 +54,7 @@ func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task
 		var first error
 		for _, w := range workers {
 			w.reqs.Close()
-			if err := w.handler.Join(); err != nil && first == nil {
+			if err := w.handler.Join(nil); err != nil && first == nil {
 				first = err
 			}
 		}

@@ -94,10 +94,10 @@ func TestServeEndToEnd(t *testing.T) {
 					}
 					conn.Close()
 				}
-				if err := srv.Join(); err != nil {
+				if err := srv.Join(task); err != nil {
 					return err
 				}
-				return h.Join()
+				return h.Join(task)
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -55,7 +55,7 @@ func TestServeEndToEnd(t *testing.T) {
 						t.Fatalf("request %d: body %dB", i, len(body))
 					}
 				}
-				res, err := srv.Join(), error(nil)
+				res, err := srv.Join(task), error(nil)
 				_ = err
 				return res
 			})

@@ -105,13 +105,13 @@ func TestWikiEndToEnd(t *testing.T) {
 				}
 				request("GET /quit HTTP/1.1\r\n\r\n")
 
-				if err := srv.Join(); err != nil {
+				if err := srv.Join(task); err != nil {
 					return err
 				}
-				if err := glue.Join(); err != nil {
+				if err := glue.Join(task); err != nil {
 					return err
 				}
-				return proxy.Join()
+				return proxy.Join(task)
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -62,7 +62,7 @@ func NewConnHandler(server, proxy *core.Enclosure) (conn func(t *core.Task, fd i
 		var errs []error
 		for _, w := range workers {
 			w.reqs.Close() // glue exits and closes queries; the proxy drains and exits
-			errs = append(errs, w.glue.Join(), w.proxy.Join())
+			errs = append(errs, w.glue.Join(nil), w.proxy.Join(nil))
 		}
 		return errors.Join(errs...)
 	}

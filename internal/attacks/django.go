@@ -197,12 +197,12 @@ func exerciseDjangoClone(kind core.BackendKind, protected, evil bool, policy str
 			}
 		}()
 
-		srvErr := srv.Join()
+		srvErr := srv.Join(t)
 		if srvErr == nil {
 			<-clientDone // collect the verdicts of both requests
 		}
 		reqs.Close()
-		if herr := handler.Join(); herr != nil && srvErr == nil {
+		if herr := handler.Join(t); herr != nil && srvErr == nil {
 			srvErr = herr
 		}
 		return srvErr

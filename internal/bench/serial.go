@@ -173,7 +173,7 @@ func runClosedLoop(prog *core.Program, l closedLoop) (float64, error) {
 			return fmt.Errorf("quit: %w", err)
 		}
 		for i := len(handles) - 1; i >= 0; i-- {
-			if err := handles[i].Join(); err != nil {
+			if err := handles[i].Join(t); err != nil {
 				return err
 			}
 		}

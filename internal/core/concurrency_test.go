@@ -73,7 +73,7 @@ func TestConcurrentDynamicImportAndCalls(t *testing.T) {
 			}
 		}
 		for _, h := range handles {
-			if err := h.Join(); err != nil {
+			if err := h.Join(task); err != nil {
 				return err
 			}
 		}

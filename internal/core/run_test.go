@@ -87,7 +87,7 @@ func TestOwnershipTotalsMatchSequential(t *testing.T) {
 					for c := 1; c <= 2; c++ {
 						h := task.Go(fmt.Sprintf("child%d", c), func(ct *Task) error { return hammer(ct, c) })
 						if !concurrent {
-							if err := h.Join(); err != nil {
+							if err := h.Join(task); err != nil {
 								return err
 							}
 						}
@@ -97,7 +97,7 @@ func TestOwnershipTotalsMatchSequential(t *testing.T) {
 						return err
 					}
 					for _, h := range hs {
-						if err := h.Join(); err != nil {
+						if err := h.Join(task); err != nil {
 							return err
 						}
 					}
@@ -218,7 +218,7 @@ func TestBlockingPointsLetSiblingsRun(t *testing.T) {
 							if got := task.ReadString(buf.Slice(0, n)); got != "ping" {
 								return fmt.Errorf("recv %q", got)
 							}
-							return h.Join()
+							return h.Join(task)
 						})
 					})
 				})
@@ -260,7 +260,7 @@ func TestBlockingPointsLetSiblingsRun(t *testing.T) {
 							if err != nil || n != total {
 								return fmt.Errorf("send %d of %d: %v", n, total, err)
 							}
-							return h.Join()
+							return h.Join(task)
 						})
 					})
 				})
@@ -291,7 +291,7 @@ func TestBlockingPointsLetSiblingsRun(t *testing.T) {
 								}
 							}
 							req.Close()
-							return h.Join()
+							return h.Join(task)
 						})
 					})
 				})
@@ -324,15 +324,17 @@ func TestBlockingPointsLetSiblingsRun(t *testing.T) {
 
 // TestHandoffRoundTripAllocs pins a hand-off round trip — a request
 // from a task inside an entry point to a sibling, which charges the
-// clock and replies — at zero allocations: both directions block and
-// so release and retake the run token.
+// clock and replies — at zero allocations. The hand-offs are
+// unbuffered, so every Send waits for its Recv: whichever side gets
+// there first parks, releasing and retaking the run token, on the
+// Send path as well as the Recv path.
 func TestHandoffRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on synchronisation")
 	}
 	prog := ownedProgram(t, MPK)
 	err := prog.Run(func(task *Task) error {
-		req, rep := NewHandoff[int](1), NewHandoff[int](1)
+		req, rep := NewHandoff[int](0), NewHandoff[int](0)
 		h := task.Go("echo", func(ct *Task) error {
 			for {
 				v, ok := req.Recv(ct)
@@ -350,7 +352,7 @@ func TestHandoffRoundTripAllocs(t *testing.T) {
 		})
 		task.disown()
 		req.Close()
-		if err := h.Join(); err != nil {
+		if err := h.Join(task); err != nil {
 			return err
 		}
 		if allocs != 0 {

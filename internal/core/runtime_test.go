@@ -144,7 +144,7 @@ func TestGoroutineInheritsEnvironment(t *testing.T) {
 					_ = task.ReadBytes(ref) // must fault: main not in view
 					return nil
 				})
-				return nil, h.Join()
+				return nil, h.Join(task)
 			}, "lib")
 		prog, err := b.Build()
 		if err != nil {
@@ -178,7 +178,7 @@ func TestTrustedGoroutineKeepsFullAccess(t *testing.T) {
 				}
 				return nil
 			})
-			return h.Join()
+			return h.Join(task)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -462,21 +462,18 @@ func (t *Task) drainRing(r *ring.Ring) {
 
 // Handle joins a spawned simulated goroutine.
 type Handle struct {
-	name   string
-	parent *Task
-	done   chan struct{}
-	err    error
+	done chan struct{}
+	err  error
 }
 
 // Join blocks until the goroutine finishes and returns its error (a
-// *litterbox.Fault if it died to a protection violation). Call it from
-// the spawning task's goroutine, or from host code once that task has
-// returned: a spawner that joins from inside an entry point releases
-// its run token for the wait.
-func (h *Handle) Join() error {
-	held := h.parent.park()
+// *litterbox.Fault if it died to a protection violation). t is the
+// waiting task, or nil for host code; a task that joins from inside an
+// entry point releases its run token for the wait, as a Handoff does.
+func (h *Handle) Join(t *Task) error {
+	held := t.park()
 	<-h.done
-	h.parent.unpark(held)
+	t.unpark(held)
 	return h.err
 }
 
@@ -499,7 +496,7 @@ func (t *Task) Go(name string, fn func(t *Task) error) *Handle {
 	} else {
 		child = t.prog.newTask(name, t.env, t.CurrentPkg())
 	}
-	h := &Handle{name: name, parent: t, done: make(chan struct{})}
+	h := &Handle{done: make(chan struct{})}
 	t.prog.wg.Add(1)
 	go func() {
 		defer t.prog.wg.Done()

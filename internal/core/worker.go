@@ -91,7 +91,6 @@ func (p *Program) NewTaskOn(w *WorkerCtx, name string) *Task {
 }
 
 // newTaskOn is NewTaskOn for a caller that holds the run token.
-
 func (p *Program) newTaskOn(w *WorkerCtx, name string, env *litterbox.Env, pkg string) *Task {
 	p.mu.Lock()
 	p.nextID++

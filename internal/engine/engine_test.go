@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -257,7 +258,9 @@ func TestBackpressureRejects(t *testing.T) {
 // never aborts worker B, and the program as a whole stays alive. The
 // two workers are stepped on two goroutines at once and take turns on
 // the program's run token: each waits for the other inside the
-// enclosure through a hand-off, which lets the other run. Run
+// enclosure through a hand-off, which lets the other run. B goes on as
+// soon as A's fault lands and finishes its call before A's domain is
+// reset, so a worker bound to the wrong domain fails every round. Run
 // repeatedly to shake interleavings (and under -race).
 func TestConcurrentEnclosureIsolation(t *testing.T) {
 	// Baseline is the paper's no-enforcement control — it cannot fault —
@@ -311,19 +314,32 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 					stepping.Add(1)
 					go func() { defer stepping.Done(); e.StepWorker(i) }()
 				}
-				pa := make(chan error, 1)
-				faulter := func(task *core.Task) error {
+				running := make(chan *core.WorkerCtx, 1)
+				workDone := make(chan struct{})
+				pa := submit(t, e, 0, "faulter", func(task *core.Task) error {
+					running <- task.Worker()
+					// The engine resets A's domain only once this job
+					// returns, and the fault unwinds it as a panic: a
+					// deferred wait (host code, no token) keeps A aborted
+					// for the whole of B's enclosure call.
+					defer func() { <-workDone }()
 					_, err := guard.Call(task, "fault")
 					return err
-				}
-				if err := e.Submit(JobSpec{Pref: 0, Name: "faulter", Fn: faulter, Done: func(err error) {
-					pa <- err
-					landed.Send(nil, struct{}{})
-				}}); err != nil {
-					t.Fatal(err)
-				}
+				})
 				step(0)
+				victim := <-running
+				faultsBefore := victim.Domain().Faults()
+				// The fault count moves in RaiseFault, while A still holds
+				// the token: a host goroutine watching it lets B go on
+				// as soon as A unwinds and lets go, before A's Reset.
+				go func() {
+					for victim.Domain().Faults() == faultsBefore {
+						time.Sleep(50 * time.Microsecond)
+					}
+					landed.Send(nil, struct{}{})
+				}()
 				pb := submit(t, e, 1, "worker", func(task *core.Task) error {
+					defer close(workDone)
 					res, err := guard.Call(task, "work")
 					if err != nil {
 						return err

@@ -204,12 +204,6 @@ func (k *Kernel) SetPkeyOps(ops PkeyOps) {
 // runs.
 func (k *Kernel) SetRunToken(run sync.Locker) { k.run = run }
 
-// readFlags is the simnet flag set for one read or accept of p; a
-// write only yields, since Nonblock does not apply to it.
-func (k *Kernel) readFlags(p *Proc) simnet.IOFlags {
-	return simnet.IOFlags{Nonblock: p.nonBlocking(), Yield: k.run}
-}
-
 // HeapOwner is the pseudo-package owning freshly mmap-ed spans until the
 // runtime Transfers them into a real package's arena.
 const HeapOwner = "runtime/heap"
@@ -629,7 +623,7 @@ func (k *Kernel) sysRead(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errno
 	case e.file != nil:
 		return k.readFile(e.file, buf, n)
 	case e.conn != nil:
-		got, err := e.conn.ReadTo(int(n), k.readFlags(p), func(src []byte, off int) error {
+		got, err := e.conn.ReadTo(int(n), simnet.IOFlags{Nonblock: p.nonBlocking(), Yield: k.run}, func(src []byte, off int) error {
 			return k.copyOut(buf+mem.Addr(off), src)
 		})
 		switch {
@@ -693,7 +687,7 @@ func (k *Kernel) sysWrite(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errn
 	case e.file != nil:
 		return k.writeFile(e.file, buf, n)
 	case e.conn != nil:
-		wrote, err := e.conn.WriteFrom(int(n), simnet.IOFlags{Yield: k.run}, func(dst []byte, off int) error {
+		wrote, err := e.conn.WriteFrom(int(n), k.run, func(dst []byte, off int) error {
 			return k.copyIn(dst, buf+mem.Addr(off))
 		})
 		switch {
@@ -855,7 +849,7 @@ func (k *Kernel) sysAccept(p *Proc, fd int) (uint64, Errno) {
 	if e.ln == nil {
 		return 0, ENOTSOCK
 	}
-	c, err := e.ln.AcceptFlags(k.readFlags(p))
+	c, err := e.ln.AcceptFlags(simnet.IOFlags{Nonblock: p.nonBlocking(), Yield: k.run})
 	if err == simnet.ErrWouldBlock {
 		return 0, EAGAIN
 	}

@@ -59,19 +59,19 @@ type IOFlags struct {
 	Yield sync.Locker
 }
 
-// wait blocks on c, whose lock mu the caller holds, releasing f.Yield
-// for the length of the wait. The yield lock is taken before mu, so it
-// is retaken with mu dropped; the caller re-checks its condition after
-// every wait anyway.
-func (f IOFlags) wait(c *sync.Cond, mu *sync.Mutex) {
-	if f.Yield == nil {
+// wait blocks on c, whose lock mu the caller holds, releasing yield
+// (if set) for the length of the wait. The yield lock is taken before
+// mu, so it is retaken with mu dropped; the caller re-checks its
+// condition after every wait anyway.
+func wait(c *sync.Cond, mu *sync.Mutex, yield sync.Locker) {
+	if yield == nil {
 		c.Wait()
 		return
 	}
-	f.Yield.Unlock()
+	yield.Unlock()
 	c.Wait()
 	mu.Unlock()
-	f.Yield.Lock()
+	yield.Lock()
 	mu.Lock()
 }
 
@@ -138,14 +138,14 @@ func (s *stream) pop() {
 // the tail block's free space piece by piece, and blocks while the
 // buffer holds streamBufSize bytes. A piece is committed only when fill
 // returns nil; a failed piece is discarded and the pieces before it
-// stay delivered.
-func (s *stream) writeFrom(n int, f IOFlags, fill func(dst []byte, off int) error) (int, error) {
+// stay delivered. yield is released for each wait, as IOFlags.Yield.
+func (s *stream) writeFrom(n int, yield sync.Locker, fill func(dst []byte, off int) error) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	written := 0
 	for written < n {
 		for !s.closed && s.n >= streamBufSize {
-			f.wait(s.cond, &s.mu)
+			wait(s.cond, &s.mu, yield)
 		}
 		if s.closed {
 			return written, ErrClosed
@@ -194,7 +194,7 @@ func (s *stream) readTo(n int, f IOFlags, drain func(src []byte, off int) error)
 		}
 	} else {
 		for s.n == 0 && !s.closed {
-			f.wait(s.cond, &s.mu)
+			wait(s.cond, &s.mu, f.Yield)
 		}
 	}
 	if s.n == 0 {
@@ -259,21 +259,22 @@ func (c *Conn) ReadFlags(p []byte, f IOFlags) (int, error) {
 // Read receives bytes from the peer, blocking until data or EOF.
 func (c *Conn) Read(p []byte) (int, error) { return c.ReadFlags(p, IOFlags{}) }
 
-// WriteFrom sends n bytes to the peer under the given flags without an
-// intermediate buffer: fill is handed the stream's own storage piece by
-// piece and must fill dst with the bytes at offset off of this write.
-// It blocks while the peer's buffer is full (Nonblock does not apply). A piece is delivered only when fill returns
+// WriteFrom sends n bytes to the peer without an intermediate buffer:
+// fill is handed the stream's own storage piece by piece and must fill
+// dst with the bytes at offset off of this write. It blocks while the
+// peer's buffer is full, releasing yield (if set) for each wait as
+// IOFlags.Yield does. A piece is delivered only when fill returns
 // nil; on an error WriteFrom returns the bytes delivered before the
 // failing piece along with the error. dst is valid only during the
 // call, and fill runs under the stream's lock: it must not block or use
 // this connection.
-func (c *Conn) WriteFrom(n int, f IOFlags, fill func(dst []byte, off int) error) (int, error) {
-	return c.wr.writeFrom(n, f, fill)
+func (c *Conn) WriteFrom(n int, yield sync.Locker, fill func(dst []byte, off int) error) (int, error) {
+	return c.wr.writeFrom(n, yield, fill)
 }
 
 // Write sends bytes to the peer.
 func (c *Conn) Write(p []byte) (int, error) {
-	return c.WriteFrom(len(p), IOFlags{}, func(dst []byte, off int) error { copy(dst, p[off:]); return nil })
+	return c.WriteFrom(len(p), nil, func(dst []byte, off int) error { copy(dst, p[off:]); return nil })
 }
 
 // Close shuts down both directions.
@@ -327,7 +328,7 @@ func (l *Listener) AcceptFlags(f IOFlags) (*Conn, error) {
 		for len(l.queue) == 0 && !l.closed {
 			l.waiting++
 			l.parked.Broadcast()
-			f.wait(l.cond, &l.mu)
+			wait(l.cond, &l.mu, f.Yield)
 			l.waiting--
 		}
 	}

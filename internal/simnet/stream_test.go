@@ -53,7 +53,7 @@ func FuzzStream(f *testing.F) {
 					n, err = w.Write(p)
 				} else {
 					failAt = size / 2
-					n, err = w.WriteFrom(size, IOFlags{}, func(dst []byte, off int) error {
+					n, err = w.WriteFrom(size, nil, func(dst []byte, off int) error {
 						if off+len(dst) > failAt {
 							copy(dst, p[off:failAt]) // part of the piece, then fail
 							return errCallback
@@ -157,7 +157,7 @@ func TestStreamBackpressureRace(t *testing.T) {
 				}
 				_, err = w.Write(p)
 			} else {
-				_, err = w.WriteFrom(n, IOFlags{}, func(dst []byte, off int) error {
+				_, err = w.WriteFrom(n, nil, func(dst []byte, off int) error {
 					for i := range dst {
 						dst[i], next = next, next+1
 					}
