@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/mem"
 )
@@ -73,7 +72,6 @@ type Heap struct {
 	mmap     MmapFunc
 	transfer TransferFunc
 
-	mu        sync.Mutex
 	arenas    map[string]*Arena
 	bySec     map[*mem.Section]*span
 	byBase    []*span            // sorted by section base, for OwnerOf/FreeAddr lookup
@@ -107,8 +105,6 @@ func NewHeap(mmap MmapFunc, transfer TransferFunc, poolPkg string) *Heap {
 
 // Arena returns (creating on first use) the named package's arena.
 func (h *Heap) Arena(pkg string) *Arena {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	a, ok := h.arenas[pkg]
 	if !ok {
 		a = &Arena{heap: h, pkg: pkg, partial: make(map[int][]*span)}
@@ -119,22 +115,18 @@ func (h *Heap) Arena(pkg string) *Arena {
 
 // Stats returns (spans created, transfers performed).
 func (h *Heap) Stats() (spans, transfers int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.spansCreated, h.transfers
 }
 
 // OwnerOf returns the package arena owning addr, or "" if unallocated.
 func (h *Heap) OwnerOf(addr mem.Addr) string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if sp := h.spanAtLocked(addr); sp != nil {
+	if sp := h.spanAt(addr); sp != nil {
 		return sp.sec.Pkg
 	}
 	return ""
 }
 
-func (h *Heap) spanAtLocked(addr mem.Addr) *span {
+func (h *Heap) spanAt(addr mem.Addr) *span {
 	i := sort.Search(len(h.byBase), func(i int) bool {
 		return h.byBase[i].sec.End() > addr
 	})
@@ -144,7 +136,7 @@ func (h *Heap) spanAtLocked(addr mem.Addr) *span {
 	return nil
 }
 
-func (h *Heap) insertSpanLocked(sp *span) {
+func (h *Heap) insertSpan(sp *span) {
 	h.bySec[sp.sec] = sp
 	i := sort.Search(len(h.byBase), func(i int) bool {
 		return h.byBase[i].sec.Base > sp.sec.Base
@@ -154,7 +146,7 @@ func (h *Heap) insertSpanLocked(sp *span) {
 	h.byBase[i] = sp
 }
 
-func (h *Heap) removeSpanLocked(sp *span) {
+func (h *Heap) removeSpan(sp *span) {
 	delete(h.bySec, sp.sec)
 	for i, s := range h.byBase {
 		if s == sp {
@@ -164,16 +156,16 @@ func (h *Heap) removeSpanLocked(sp *span) {
 	}
 }
 
-// acquireSpanLocked obtains a span for pkg: pooled first, fresh second.
+// acquireSpan obtains a span for pkg: pooled first, fresh second.
 // Either way the span is Transferred into pkg's arena.
-func (h *Heap) acquireSpanLocked(pkg string, class int, slotSize, bytes uint64, large bool) (*span, error) {
+func (h *Heap) acquireSpan(pkg string, class int, slotSize, bytes uint64, large bool) (*span, error) {
 	var sp *span
 	if large {
 		if free := h.largePool[bytes]; len(free) > 0 {
 			sp = free[len(free)-1]
 			h.largePool[bytes] = free[:len(free)-1]
 			sp.used = 0
-			h.insertSpanLocked(sp)
+			h.insertSpan(sp)
 			if err := h.transfer(sp.sec, pkg); err != nil {
 				return nil, fmt.Errorf("alloc: transfer span to %s: %w", pkg, err)
 			}
@@ -197,7 +189,7 @@ func (h *Heap) acquireSpanLocked(pkg string, class int, slotSize, bytes uint64, 
 		}
 		sp = &span{sec: sec, class: class, slotSize: slotSize, large: large}
 		h.spansCreated++
-		h.insertSpanLocked(sp)
+		h.insertSpan(sp)
 	}
 	if err := h.transfer(sp.sec, pkg); err != nil {
 		return nil, fmt.Errorf("alloc: transfer span to %s: %w", pkg, err)
@@ -206,8 +198,8 @@ func (h *Heap) acquireSpanLocked(pkg string, class int, slotSize, bytes uint64, 
 	return sp, nil
 }
 
-// releaseSpanLocked parks a fully free small span in the central pool.
-func (h *Heap) releaseSpanLocked(sp *span) error {
+// releaseSpan parks a fully free small span in the central pool.
+func (h *Heap) releaseSpan(sp *span) error {
 	if err := h.transfer(sp.sec, h.poolPkg); err != nil {
 		return err
 	}
@@ -229,8 +221,6 @@ type Arena struct {
 
 // Live returns outstanding allocation count.
 func (a *Arena) Live() int64 {
-	a.heap.mu.Lock()
-	defer a.heap.mu.Unlock()
 	return a.nAllocs - a.nFrees
 }
 
@@ -252,11 +242,9 @@ func (a *Arena) Alloc(n uint64) (mem.Addr, error) {
 		return 0, ErrSizeZero
 	}
 	h := a.heap
-	h.mu.Lock()
-	defer h.mu.Unlock()
 
 	if n > MaxSmall {
-		sp, err := h.acquireSpanLocked(a.pkg, -1, mem.AlignUp(n), mem.AlignUp(n), true)
+		sp, err := h.acquireSpan(a.pkg, -1, mem.AlignUp(n), mem.AlignUp(n), true)
 		if err != nil {
 			return 0, err
 		}
@@ -273,7 +261,7 @@ func (a *Arena) Alloc(n uint64) (mem.Addr, error) {
 		sp = spans[len(spans)-1]
 	} else {
 		var err error
-		sp, err = h.acquireSpanLocked(a.pkg, class, slot, SpanBytes, false)
+		sp, err = h.acquireSpan(a.pkg, class, slot, SpanBytes, false)
 		if err != nil {
 			return 0, err
 		}
@@ -301,9 +289,7 @@ func (a *Arena) Alloc(n uint64) (mem.Addr, error) {
 // package.
 func (a *Arena) Free(addr mem.Addr) error {
 	h := a.heap
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	sp := h.spanAtLocked(addr)
+	sp := h.spanAt(addr)
 	if sp == nil {
 		return fmt.Errorf("%w: %s", ErrNotAllocated, addr)
 	}
@@ -318,7 +304,7 @@ func (a *Arena) Free(addr mem.Addr) error {
 		a.nFrees++
 		// Park the span in the size-keyed large pool for reuse; a later
 		// allocation of the same (page-rounded) size reclaims it.
-		h.removeSpanLocked(sp)
+		h.removeSpan(sp)
 		if err := h.transfer(sp.sec, h.poolPkg); err != nil {
 			return err
 		}
@@ -352,7 +338,7 @@ func (a *Arena) Free(addr mem.Addr) error {
 				break
 			}
 		}
-		return h.releaseSpanLocked(sp)
+		return h.releaseSpan(sp)
 	}
 	if wasFull {
 		a.partial[sp.class] = append(a.partial[sp.class], sp)

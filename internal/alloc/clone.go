@@ -34,10 +34,6 @@ func (h *Heap) ResetTo(t *Heap) { h.copyFrom(t, nil) }
 // copyFrom sets h's allocation state to t's, reusing h's copy of each t
 // span (own) and making one through remap for spans it has not seen.
 func (h *Heap) copyFrom(t *Heap, remap func(*mem.Section) *mem.Section) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	clear(h.bySec)
 	h.byBase = h.translate(h.byBase[:0], t.byBase, remap)
 	for _, ns := range h.byBase {

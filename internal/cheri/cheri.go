@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/mem"
@@ -110,7 +109,6 @@ func (t *table) removeRange(base mem.Addr, length uint64) {
 type Unit struct {
 	clock *hw.Clock
 
-	mu     sync.Mutex
 	tables map[int]*table
 	next   int
 	muts   int64 // bumped on every capability mutation (see clone.go)
@@ -123,8 +121,6 @@ func NewUnit(clock *hw.Clock) *Unit {
 
 // CreateTable allocates an empty capability table and returns its id.
 func (u *Unit) CreateTable() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	id := u.next
 	u.next++
 	u.tables[id] = &table{}
@@ -134,8 +130,6 @@ func (u *Unit) CreateTable() int {
 
 // Grant installs a capability in a table.
 func (u *Unit) Grant(tableID int, c Cap) error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	t, ok := u.tables[tableID]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTable, tableID)
@@ -147,8 +141,6 @@ func (u *Unit) Grant(tableID int, c Cap) error {
 
 // RevokeRange removes capabilities wholly inside the range.
 func (u *Unit) RevokeRange(tableID int, base mem.Addr, length uint64) error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	t, ok := u.tables[tableID]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTable, tableID)
@@ -160,8 +152,6 @@ func (u *Unit) RevokeRange(tableID int, base mem.Addr, length uint64) error {
 
 // Count returns the number of capabilities in a table.
 func (u *Unit) Count(tableID int) int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	if t, ok := u.tables[tableID]; ok {
 		return len(t.caps)
 	}
@@ -179,8 +169,6 @@ func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) 
 	if write {
 		want = mem.PermR | mem.PermW
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	t, ok := u.tables[cpu.CR3()]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTable, cpu.CR3())
@@ -195,8 +183,6 @@ func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) 
 func (u *Unit) CheckExec(cpu *hw.CPU, addr mem.Addr) error {
 	u.clock.Advance(hw.CostPTWalk)
 	cpu.Counters.PTWalks++
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	t, ok := u.tables[cpu.CR3()]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTable, cpu.CR3())
@@ -210,9 +196,7 @@ func (u *Unit) CheckExec(cpu *hw.CPU, addr mem.Addr) error {
 // Switch installs a table on the CPU, charging the projected
 // capability-table switch cost.
 func (u *Unit) Switch(cpu *hw.CPU, tableID int) error {
-	u.mu.Lock()
 	_, ok := u.tables[tableID]
-	u.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTable, tableID)
 	}

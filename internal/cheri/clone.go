@@ -6,8 +6,6 @@ import "github.com/litterbox-project/enclosure/internal/hw"
 // capability list copied. Table ids (and the id cursor) are preserved so
 // environments' published Table values remain valid in the clone.
 func (u *Unit) Clone(clock *hw.Clock) *Unit {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	c := &Unit{clock: clock, tables: make(map[int]*table, len(u.tables)), next: u.next, muts: u.muts}
 	for id, t := range u.tables {
 		c.tables[id] = &table{caps: append([]Cap(nil), t.caps...)}
@@ -20,7 +18,5 @@ func (u *Unit) Clone(clock *hw.Clock) *Unit {
 // generation still matches its birth value can be recycled without
 // rebuilding capability tables.
 func (u *Unit) Generation() int64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	return u.muts
 }

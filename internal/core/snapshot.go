@@ -6,7 +6,6 @@ import (
 
 	"github.com/litterbox-project/enclosure/internal/alloc"
 	"github.com/litterbox-project/enclosure/internal/hw"
-	"github.com/litterbox-project/enclosure/internal/mem"
 	"github.com/litterbox-project/enclosure/internal/snapstart"
 )
 
@@ -16,9 +15,11 @@ import (
 // backend state) instead of repeating Build's cold path — no linking,
 // policy validation, view computation, gadget scanning, or filter
 // compilation. The source program may keep running after Snapshot (the
-// engine falls back to it when an instance cannot be made): every table
-// it shares with the template it copies before writing, and the
-// template's heap metadata is a private copy.
+// engine falls back to it when an instance cannot be made): the
+// template's memory is a frozen copy-on-write clone of the source's,
+// every table the source shares with the template it copies before
+// writing, and the template's heap metadata is a private copy over the
+// frozen sections.
 type Template struct {
 	src   *Program
 	snap  *snapstart.Template
@@ -35,15 +36,16 @@ var ErrNotSnapshot = errors.New("core: program is not a snapshot instance")
 // cloneable: an MPK program with virtualised keys, live file
 // descriptors, or a non-quiescent network.
 func (p *Program) Snapshot() (*Template, error) {
+	p.run.Lock()
+	defer p.run.Unlock()
 	snap, err := snapstart.Capture(snapstart.Parts{
-		Space: p.space, Img: p.image, K: p.kernel, Proc: p.proc,
-		LB: p.lb, Clock: p.clock,
+		Space: p.space, Img: p.image, K: p.kernel, Proc: p.proc, LB: p.lb,
 	})
 	if err != nil {
 		return nil, err
 	}
 	t := &Template{src: p, snap: snap}
-	t.heap = p.heap.CloneWith(nil, nil, func(s *mem.Section) *mem.Section { return s })
+	t.heap = p.heap.CloneWith(nil, nil, snap.Remap)
 	p.mu.Lock()
 	t.funcs, p.funcsShared = p.funcs, true
 	p.mu.Unlock()

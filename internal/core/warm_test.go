@@ -191,6 +191,61 @@ func TestRecycleTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestInstanceIgnoresSourceWritesAfterSnapshot: the engine's cold
+// fallback keeps running the captured source, so what the source
+// writes after Snapshot must not reach instances made afterwards. The
+// template's memory is a frozen copy-on-write clone of the source's,
+// not the source's live space.
+func TestInstanceIgnoresSourceWritesAfterSnapshot(t *testing.T) {
+	for _, kind := range warmBackends {
+		t.Run(kind.String(), func(t *testing.T) {
+			prog := buildWarmProgram(t, kind)
+			tmpl, err := prog.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			readSecret := func(p *Program) []byte {
+				ref, err := p.VarRef("main", "secret")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []byte
+				if err := p.Run(func(task *Task) error {
+					got = task.ReadBytes(ref)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			first, err := tmpl.Instantiate() // the spare validation instance
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := readSecret(first)
+
+			srcVar, err := prog.VarRef("main", "secret")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prog.Run(func(task *Task) error {
+				task.WriteBytes(srcVar, bytes.Repeat([]byte{0xA5}, 64))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			second, err := tmpl.Instantiate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := readSecret(second); !bytes.Equal(got, want) {
+				t.Fatalf("instance made after the source's write reads %x, want the template's %x", got, want)
+			}
+		})
+	}
+}
+
 // TestSnapshotRefusesLiveFDs: capture requires a quiescent world — a
 // program holding an open descriptor cannot be templated, because the
 // clone would alias live kernel object state.

@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Mode is the privilege mode of a virtual CPU. The LB_VTX backend runs
 // application code in non-root user mode, its guest kernel in non-root
@@ -91,13 +88,10 @@ func (p PKRU) String() string {
 // to the isolation backends. The single-core runtime binds one CPU per
 // simulated program and multiplexes simulated goroutines over it exactly
 // as the paper's single-threaded evaluation does; the multi-core engine
-// (internal/engine) binds one CPU per worker. Register state is held in
-// atomics so cross-worker observers (metrics, assertions, the race
-// detector) see consistent values — architecturally each register is
-// still owned by the one worker executing on the CPU, mirroring real
-// per-core PKRU/CR3. The Clock and Counters a CPU charges are plain:
-// the simulated goroutine that charges them holds its program's run
-// token (core.Program), so the CPUs sharing one clock take turns.
+// (internal/engine) binds one CPU per worker. Its registers, like the
+// Clock and Counters it charges, are plain: the simulated goroutine
+// that uses a CPU holds its program's run token (core.Program), so the
+// CPUs of one program take turns.
 type CPU struct {
 	Clock    *Clock
 	Counters *Counters
@@ -113,17 +107,15 @@ type CPU struct {
 	// probe engine arms it to check fault containment.
 	Inj *Injector
 
-	pkru atomic.Uint32
-	cr3  atomic.Int64 // identifier of the active page table (LB_VTX)
-	mode atomic.Uint32
+	pkru PKRU
+	cr3  int // identifier of the active page table (LB_VTX)
+	mode Mode
 }
 
 // NewCPU returns a CPU in user mode with an all-allowing PKRU and page
 // table 0 active, sharing the given clock.
 func NewCPU(clock *Clock) *CPU {
-	c := &CPU{Clock: clock, Counters: &Counters{}}
-	c.pkru.Store(uint32(PKRUAllAllowed))
-	return c
+	return &CPU{Clock: clock, Counters: &Counters{}, pkru: PKRUAllAllowed}
 }
 
 // Reset returns the CPU to NewCPU's register state — user mode, an
@@ -131,16 +123,14 @@ func NewCPU(clock *Clock) *CPU {
 // its clock and counters.
 func (c *CPU) Reset() {
 	c.Pkg, c.Inj = "", nil
-	c.pkru.Store(uint32(PKRUAllAllowed))
-	c.cr3.Store(0)
-	c.mode.Store(uint32(ModeUser))
+	c.pkru, c.cr3, c.mode = PKRUAllAllowed, 0, ModeUser
 }
 
 // PKRU returns the current value of the protection-key rights register.
 // Reading PKRU is unprivileged, mirroring RDPKRU.
 func (c *CPU) PKRU() PKRU {
 	c.Clock.Advance(CostRDPKRU)
-	return PKRU(c.pkru.Load())
+	return c.pkru
 }
 
 // WritePKRU sets the protection-key rights register, charging the WRPKRU
@@ -152,14 +142,14 @@ func (c *CPU) WritePKRU(v PKRU) {
 	if c.Inj != nil {
 		v = c.Inj.corruptPKRU(v)
 	}
-	c.pkru.Store(uint32(v))
+	c.pkru = v
 }
 
 // PeekPKRU returns PKRU without charging the clock (for assertions).
-func (c *CPU) PeekPKRU() PKRU { return PKRU(c.pkru.Load()) }
+func (c *CPU) PeekPKRU() PKRU { return c.pkru }
 
 // CR3 returns the identifier of the active page table.
-func (c *CPU) CR3() int { return int(c.cr3.Load()) }
+func (c *CPU) CR3() int { return c.cr3 }
 
 // WriteCR3 installs a new page-table root. Only kernel modes may do so.
 func (c *CPU) WriteCR3(pt int) error {
@@ -167,16 +157,16 @@ func (c *CPU) WriteCR3(pt int) error {
 		return fmt.Errorf("hw: #GP: WriteCR3 from user mode")
 	}
 	c.Clock.Advance(CostCR3Switch)
-	c.cr3.Store(int64(pt))
+	c.cr3 = pt
 	return nil
 }
 
 // Mode returns the current privilege mode.
-func (c *CPU) Mode() Mode { return Mode(c.mode.Load()) }
+func (c *CPU) Mode() Mode { return c.mode }
 
 // SetMode transitions privilege mode without charging costs; the callers
 // (guest syscall and VM EXIT paths) charge their own entry costs.
-func (c *CPU) SetMode(m Mode) { c.mode.Store(uint32(m)) }
+func (c *CPU) SetMode(m Mode) { c.mode = m }
 
 // GuestSyscallEntry charges one kernel-entry leg and moves the CPU into
 // guest-kernel mode, returning the mode to restore on exit.

@@ -1,7 +1,5 @@
 package hw
 
-import "sync"
-
 // Injector scripts transient hardware and kernel misbehaviour into one
 // CPU's execution: a bit-flip in the PKRU register mid-switch, a
 // spurious errno out of the kernel, an interrupted arena transfer. The
@@ -13,10 +11,10 @@ import "sync"
 // All arms are counted one-shots: ArmX(n, ...) fires on the n-th
 // subsequent occurrence of X (1-based) and then disarms. Counting makes
 // injections deterministic for a fixed trace, which the differential
-// oracle and the shrinking reproducer both depend on.
+// oracle and the shrinking reproducer both depend on. An injector
+// belongs to its CPU and is used, like the CPU, under its program's run
+// token.
 type Injector struct {
-	mu sync.Mutex
-
 	// PKRU corruption: on the n-th WritePKRU, the stored value is XORed
 	// with flip — a transient bit error in the register write path.
 	pkruIn   int
@@ -47,37 +45,29 @@ func NewInjector() *Injector { return &Injector{} }
 
 // ArmPKRUCorrupt fires on the n-th subsequent WritePKRU (n >= 1),
 // XORing the written value with flip.
-func (in *Injector) ArmPKRUCorrupt(n int, flip PKRU) {
-	in.mu.Lock()
-	in.pkruIn, in.pkruFlip = n, flip
-	in.mu.Unlock()
-}
+func (in *Injector) ArmPKRUCorrupt(n int, flip PKRU) { in.pkruIn, in.pkruFlip = n, flip }
 
 // ArmSyscallErrno fires on the n-th subsequent dispatched system call
 // (n >= 1), which returns errno without reaching its handler.
-func (in *Injector) ArmSyscallErrno(n int, errno uint32) {
-	in.mu.Lock()
-	in.errnoIn, in.errno = n, errno
-	in.mu.Unlock()
-}
+func (in *Injector) ArmSyscallErrno(n int, errno uint32) { in.errnoIn, in.errno = n, errno }
 
 // ArmTransferFault fires on the n-th subsequent arena transfer (n >= 1).
-func (in *Injector) ArmTransferFault(n int) {
-	in.mu.Lock()
-	in.transferIn = n
-	in.mu.Unlock()
+func (in *Injector) ArmTransferFault(n int) { in.transferIn = n }
+
+// fire counts one occurrence against an arm's countdown and reports
+// whether it was the armed one, which leaves the arm at 0, disarmed.
+func fire(countdown *int) bool {
+	if *countdown == 0 {
+		return false
+	}
+	*countdown--
+	return *countdown == 0
 }
 
 // corruptPKRU is consulted by CPU.WritePKRU: it returns the value the
 // register actually receives.
 func (in *Injector) corruptPKRU(v PKRU) PKRU {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.pkruIn == 0 {
-		return v
-	}
-	in.pkruIn--
-	if in.pkruIn > 0 {
+	if !fire(&in.pkruIn) {
 		return v
 	}
 	in.fired.PKRUFlips++
@@ -87,13 +77,7 @@ func (in *Injector) corruptPKRU(v PKRU) PKRU {
 // SyscallErrno is consulted by the kernel after the filter but before
 // dispatch: when it fires, the call returns the armed errno.
 func (in *Injector) SyscallErrno() (uint32, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.errnoIn == 0 {
-		return 0, false
-	}
-	in.errnoIn--
-	if in.errnoIn > 0 {
+	if !fire(&in.errnoIn) {
 		return 0, false
 	}
 	in.fired.SyscallErrnos++
@@ -104,13 +88,7 @@ func (in *Injector) SyscallErrno() (uint32, bool) {
 // fires the transfer must fail (partway through, where the backend
 // updates multiple environments).
 func (in *Injector) TransferFault() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.transferIn == 0 {
-		return false
-	}
-	in.transferIn--
-	if in.transferIn > 0 {
+	if !fire(&in.transferIn) {
 		return false
 	}
 	in.fired.TransferFaults++
@@ -118,8 +96,4 @@ func (in *Injector) TransferFault() bool {
 }
 
 // Fired returns how many injections of each kind have actually fired.
-func (in *Injector) Fired() InjectStats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.fired
-}
+func (in *Injector) Fired() InjectStats { return in.fired }

@@ -28,8 +28,6 @@ func (k *Kernel) Clone(space *mem.AddressSpace, clock *hw.Clock, secMap map[*mem
 	if err != nil {
 		return nil, err
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	c := &Kernel{
 		FS:       k.FS.Share(),
 		Net:      net,
@@ -47,10 +45,7 @@ func (k *Kernel) Clone(space *mem.AddressSpace, clock *hw.Clock, secMap map[*mem
 			c.spans[base] = sec
 		}
 	}
-	c.filter.Store(k.filter.Load())
-	c.fastOff.Store(k.fastOff.Load())
-	c.crossCheck.Store(k.crossCheck.Load())
-	c.ringCrossCheck.Store(k.ringCrossCheck.Load())
+	c.filter, c.fastOff, c.crossCheck, c.ringCrossCheck = k.filter, k.fastOff, k.crossCheck, k.ringCrossCheck
 	// pkeys and the trace source are backend wiring: the enforcement
 	// layer's clone re-installs both against the new kernel.
 	return c, nil
@@ -64,12 +59,8 @@ func (k *Kernel) Clone(space *mem.AddressSpace, clock *hw.Clock, secMap map[*mem
 // counters return to a fresh clone's. pkeys and the trace source stay:
 // they are the enforcement layer's wiring of this kernel.
 func (k *Kernel) ResetTo(src *Kernel) {
-	src.mu.Lock()
-	rng, nspan := src.rng, src.nspan
-	src.mu.Unlock()
 	k.FS.ResetTo(src.FS)
 	k.Net.ResetTo(src.Net)
-	k.mu.Lock()
 	for base, prev := range k.spanUndo {
 		if prev == nil {
 			delete(k.spans, base)
@@ -78,23 +69,15 @@ func (k *Kernel) ResetTo(src *Kernel) {
 		}
 	}
 	clear(k.spanUndo)
-	k.rng, k.nspan = rng, nspan
-	k.mu.Unlock()
-	k.filter.Store(src.filter.Load())
-	k.fastOff.Store(src.fastOff.Load())
-	k.crossCheck.Store(src.crossCheck.Load())
-	k.ringCrossCheck.Store(src.ringCrossCheck.Load())
-	k.divergences.Store(0)
-	k.fastVerdicts.Store(0)
-	k.ringDivergences.Store(0)
+	k.rng, k.nspan = src.rng, src.nspan
+	k.filter, k.fastOff, k.crossCheck, k.ringCrossCheck = src.filter, src.fastOff, src.crossCheck, src.ringCrossCheck
+	k.divergences, k.fastVerdicts, k.ringDivergences = 0, 0, 0
 }
 
 // CloneInto duplicates the process identity onto a cloned kernel. Only
 // a quiescent fd table (no open descriptors) can be captured; the fd
 // cursor carries over so descriptor numbering matches a cold build.
 func (p *Proc) CloneInto(k *Kernel) (*Proc, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.fds) > 0 {
 		return nil, ErrLiveFDs
 	}
@@ -110,11 +93,6 @@ func (p *Proc) CloneInto(k *Kernel) (*Proc, error) {
 // descriptors die with the tenant, as a discarded clone's would) and
 // the cursor, exit status and blocking mode rewind.
 func (p *Proc) ResetTo(src *Proc) {
-	src.mu.Lock()
-	nextFD, exited, code, nonBlock := src.nextFD, src.exited, src.code, src.nonBlock
-	src.mu.Unlock()
-	p.mu.Lock()
 	clear(p.fds)
-	p.nextFD, p.exited, p.code, p.nonBlock = nextFD, exited, code, nonBlock
-	p.mu.Unlock()
+	p.nextFD, p.exited, p.code, p.nonBlock = src.nextFD, src.exited, src.code, src.nonBlock
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/litterbox-project/enclosure/internal/seccomp"
@@ -29,7 +30,7 @@ func (w *world) filtered(nr Nr, args ...uint64) (uint64, Errno) {
 
 func TestCompiledFilterFastPath(t *testing.T) {
 	w := fastWorld(t)
-	if w.k.fastOff.Load() {
+	if w.k.fastOff {
 		t.Fatal("fast path should default on")
 	}
 	if ret, errno := w.filtered(NrGetpid); errno != OK || ret != 42 {
@@ -92,8 +93,10 @@ func TestFastPathCrossCheck(t *testing.T) {
 	}
 }
 
-// TestSetCompiledFilterSwap exercises concurrent filter swaps against
-// the lock-free read path (meaningful under -race).
+// TestSetCompiledFilterSwap interleaves filter swaps with filtered
+// calls from two goroutines. Like a program's simulated goroutines they
+// take turns on one mutex, which stands in for the run token (the
+// kernel itself takes no lock); run under -race.
 func TestSetCompiledFilterSwap(t *testing.T) {
 	w := fastWorld(t)
 	artA, _ := seccomp.CompileArtifacts([]seccomp.EnvRule{
@@ -103,19 +106,25 @@ func TestSetCompiledFilterSwap(t *testing.T) {
 		{PKRU: 0, Allowed: []uint32{uint32(NrGetpid), uint32(NrGetuid)}},
 	}, seccomp.RetTrap, seccomp.RetTrap)
 
+	var run sync.Mutex
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 2000; i++ {
+			run.Lock()
 			if i%2 == 0 {
 				w.k.SetCompiledFilter(artA)
 			} else {
 				w.k.SetCompiledFilter(artB)
 			}
+			run.Unlock()
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		if _, errno := w.filtered(NrGetpid); errno != OK {
+		run.Lock()
+		_, errno := w.filtered(NrGetpid)
+		run.Unlock()
+		if errno != OK {
 			t.Fatalf("getpid allowed under both filters: %v", errno)
 		}
 	}

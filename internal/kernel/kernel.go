@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/mem"
@@ -36,10 +35,10 @@ type Kernel struct {
 
 	// run is the owning program's run token (nil outside a program).
 	// The caller of a system call holds it; a wait on the network
-	// releases it (see SetRunToken).
+	// releases it (see SetRunToken). Everything below is the program's
+	// own and is touched only under it.
 	run sync.Locker
 
-	mu    sync.Mutex
 	pkeys PkeyOps
 	rng   uint64
 	spans map[mem.Addr]*mem.Section
@@ -49,32 +48,32 @@ type Kernel struct {
 	// span it replaced (nil when it had none). ResetTo replays it.
 	spanUndo map[mem.Addr]*mem.Section
 
-	// filter holds the installed policy in both compiled forms; an
-	// atomic pointer so the syscall hot path never takes k.mu. The
-	// pointee is immutable: installs swap the whole state.
-	filter atomic.Pointer[filterState]
+	// filter holds the installed policy in both compiled forms (nil
+	// when none is). The pointee is immutable: installs swap the whole
+	// state.
+	filter *filterState
 
 	// fastOff disables the verdict-table fast path (zero value = fast
 	// path on whenever a table is installed); crossCheck additionally
 	// runs the BPF interpreter on every fast-path verdict and counts
 	// disagreements — the runtime differential oracle behind the fuzzed
 	// one in internal/seccomp.
-	fastOff      atomic.Bool
-	crossCheck   atomic.Bool
-	divergences  atomic.Int64
-	fastVerdicts atomic.Int64
+	fastOff      bool
+	crossCheck   bool
+	divergences  int64
+	fastVerdicts int64
 
 	// ringCrossCheck mirrors crossCheck for the batched ring drain: every
 	// verdict the batch loop takes from the table is re-derived by the BPF
 	// interpreter, which stays authoritative. Kept separate so a ring-on
 	// sweep can cross-check batches without also slowing the sequential
 	// path.
-	ringCrossCheck  atomic.Bool
-	ringDivergences atomic.Int64
+	ringCrossCheck  bool
+	ringDivergences int64
 
-	// trace holds a *TraceSource; atomic so the syscall hot path reads
-	// it without taking the kernel lock.
-	trace atomic.Value
+	// trace is installed only while a tracer is attached, so an untraced
+	// system call pays one nil check for it.
+	trace TraceSource
 }
 
 // filterState pairs the reference BPF program with its O(1) verdict
@@ -87,25 +86,24 @@ type filterState struct {
 // TraceSource resolves the tracer and attribution for one dispatched
 // system call: the active obs.Trace (nil disables tracing), the
 // enforcement backend's name, and the worker the cpu is bound to.
-// LitterBox installs one at Init so the kernel can stamp every syscall
-// event with context only the enforcement layer knows.
+// LitterBox installs one while a tracer is attached so the kernel can
+// stamp every syscall event with context only the enforcement layer
+// knows.
 type TraceSource func(cpu *hw.CPU) (*obs.Trace, string, string)
 
-// SetTraceSource installs (or clears) the syscall event tracer hook.
-func (k *Kernel) SetTraceSource(src TraceSource) {
-	k.trace.Store(&src)
-}
+// SetTraceSource installs (or, with nil, clears) the syscall event
+// tracer hook.
+func (k *Kernel) SetTraceSource(src TraceSource) { k.trace = src }
 
 // emitSyscall records one dispatched syscall: number, name, caller
 // package (from the CPU's attribution field, "runtime" when unset),
 // the filter verdict, and the virtual time the call charged. Host-side
 // only — it never advances the clock.
 func (k *Kernel) emitSyscall(cpu *hw.CPU, nr Nr, errno Errno, verdict string, start int64) {
-	srcp, _ := k.trace.Load().(*TraceSource)
-	if srcp == nil || *srcp == nil {
+	if k.trace == nil {
 		return
 	}
-	tr, backend, worker := (*srcp)(cpu)
+	tr, backend, worker := k.trace(cpu)
 	if tr == nil {
 		return
 	}
@@ -142,10 +140,10 @@ func New(space *mem.AddressSpace, clock *hw.Clock) *Kernel {
 // interpreter-only form; every verdict runs Program.Run.
 func (k *Kernel) SetSeccompFilter(p *seccomp.Program) {
 	if p == nil {
-		k.filter.Store(nil)
+		k.filter = nil
 		return
 	}
-	k.filter.Store(&filterState{prog: p})
+	k.filter = &filterState{prog: p}
 }
 
 // SetCompiledFilter installs both artifact forms of a filter: the BPF
@@ -153,10 +151,10 @@ func (k *Kernel) SetSeccompFilter(p *seccomp.Program) {
 // in O(1) unless SetFastPath(false) forces interpretation.
 func (k *Kernel) SetCompiledFilter(art *seccomp.Artifacts) {
 	if art == nil {
-		k.filter.Store(nil)
+		k.filter = nil
 		return
 	}
-	k.filter.Store(&filterState{prog: art.Prog, table: art.Table})
+	k.filter = &filterState{prog: art.Prog, table: art.Table}
 }
 
 // SetFastPath enables or disables verdict-table dispatch. The virtual
@@ -164,36 +162,32 @@ func (k *Kernel) SetCompiledFilter(art *seccomp.Artifacts) {
 // filtered call regardless): the toggle only selects which host-side
 // mechanism computes the verdict, so differential runs can compare the
 // two paths bit-for-bit.
-func (k *Kernel) SetFastPath(enabled bool) { k.fastOff.Store(!enabled) }
+func (k *Kernel) SetFastPath(enabled bool) { k.fastOff = !enabled }
 
 // SetCrossCheck makes every fast-path verdict also run the BPF
 // interpreter; disagreements are counted (and the interpreter, being
 // the reference, wins).
-func (k *Kernel) SetCrossCheck(enabled bool) { k.crossCheck.Store(enabled) }
+func (k *Kernel) SetCrossCheck(enabled bool) { k.crossCheck = enabled }
 
 // FilterDivergences returns how many cross-checked verdicts disagreed
 // with the reference interpreter (must stay zero).
-func (k *Kernel) FilterDivergences() int64 { return k.divergences.Load() }
+func (k *Kernel) FilterDivergences() int64 { return k.divergences }
 
 // FastVerdicts returns how many verdicts the table answered.
-func (k *Kernel) FastVerdicts() int64 { return k.fastVerdicts.Load() }
+func (k *Kernel) FastVerdicts() int64 { return k.fastVerdicts }
 
 // SetRingCrossCheck makes every batched-ring verdict also run the BPF
 // interpreter — the retained slow path — with disagreements counted and
 // the interpreter's answer winning, exactly like SetCrossCheck does for
 // the sequential path.
-func (k *Kernel) SetRingCrossCheck(enabled bool) { k.ringCrossCheck.Store(enabled) }
+func (k *Kernel) SetRingCrossCheck(enabled bool) { k.ringCrossCheck = enabled }
 
 // RingDivergences returns how many cross-checked ring verdicts disagreed
 // with the reference interpreter (must stay zero).
-func (k *Kernel) RingDivergences() int64 { return k.ringDivergences.Load() }
+func (k *Kernel) RingDivergences() int64 { return k.ringDivergences }
 
 // SetPkeyOps wires in the MPK unit's key management.
-func (k *Kernel) SetPkeyOps(ops PkeyOps) {
-	k.mu.Lock()
-	k.pkeys = ops
-	k.mu.Unlock()
-}
+func (k *Kernel) SetPkeyOps(ops PkeyOps) { k.pkeys = ops }
 
 // SetRunToken hands the kernel its program's run token, the lock each
 // simulated goroutine of the program holds while it executes. Every
@@ -216,7 +210,6 @@ type Proc struct {
 	PID    uint32
 	HostIP uint32
 
-	mu       sync.Mutex
 	fds      map[int]*fdEntry
 	nextFD   int
 	exited   bool
@@ -230,17 +223,7 @@ type Proc struct {
 // Single-threaded harnesses (the adversarial probe engine) run their
 // processes non-blocking so no generated trace can wedge the sweep on a
 // data-less pipe or an empty accept backlog.
-func (p *Proc) SetNonBlocking(v bool) {
-	p.mu.Lock()
-	p.nonBlock = v
-	p.mu.Unlock()
-}
-
-func (p *Proc) nonBlocking() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.nonBlock
-}
+func (p *Proc) SetNonBlocking(v bool) { p.nonBlock = v }
 
 type fdEntry struct {
 	file *simfs.File
@@ -260,8 +243,6 @@ func (k *Kernel) NewProc(uid, pid, hostIP uint32) *Proc {
 }
 
 func (p *Proc) allocFD(e *fdEntry) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	fd := p.nextFD
 	p.nextFD++
 	p.fds[fd] = e
@@ -269,8 +250,6 @@ func (p *Proc) allocFD(e *fdEntry) int {
 }
 
 func (p *Proc) lookupFD(fd int) (*fdEntry, Errno) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	e, ok := p.fds[fd]
 	if !ok {
 		return nil, EBADF
@@ -279,15 +258,11 @@ func (p *Proc) lookupFD(fd int) (*fdEntry, Errno) {
 }
 
 func (p *Proc) closeFD(fd int) Errno {
-	p.mu.Lock()
 	e, ok := p.fds[fd]
-	if ok {
-		delete(p.fds, fd)
-	}
-	p.mu.Unlock()
 	if !ok {
 		return EBADF
 	}
+	delete(p.fds, fd)
 	switch {
 	case e.file != nil:
 		_ = e.file.Close()
@@ -320,7 +295,7 @@ func (k *Kernel) Invoke(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, Er
 	cpu.Clock.Advance(hw.CostSyscall)
 	cpu.Counters.Syscalls++
 
-	if fs := k.filter.Load(); fs != nil {
+	if fs := k.filter; fs != nil {
 		// The virtual machine still pays the filter tax per call — the
 		// verdict table changes which host mechanism computes the
 		// verdict, not what the simulated hardware charges.
@@ -332,7 +307,7 @@ func (k *Kernel) Invoke(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, Er
 			Args: args,
 			PKRU: uint32(cpu.PeekPKRU()),
 		}
-		verdict, err := k.runFilter(fs, d)
+		verdict, err := k.runFilter(fs, d, k.crossCheck, &k.divergences)
 		if err != nil {
 			return 0, EINVAL
 		}
@@ -353,21 +328,23 @@ func (k *Kernel) Invoke(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, Er
 
 // runFilter computes the installed filter's verdict for d: one verdict
 // table load when the fast path is live, the BPF interpreter otherwise.
-// Under cross-check mode both run and the interpreter's answer is
-// authoritative.
-func (k *Kernel) runFilter(fs *filterState, d *seccomp.Data) (uint32, error) {
-	if fs.table == nil || k.fastOff.Load() {
+// Under cross-check mode both run, a disagreement is counted in
+// divergences, and the interpreter's answer is authoritative. The
+// sequential path and the batch drain pass their own toggle and
+// counter, so a ring-on sweep can cross-check batches alone.
+func (k *Kernel) runFilter(fs *filterState, d *seccomp.Data, crossCheck bool, divergences *int64) (uint32, error) {
+	if fs.table == nil || k.fastOff {
 		return fs.prog.Run(d)
 	}
 	v := fs.table.Verdict(d)
-	k.fastVerdicts.Add(1)
-	if k.crossCheck.Load() && fs.prog != nil {
+	k.fastVerdicts++
+	if crossCheck && fs.prog != nil {
 		ref, err := fs.prog.Run(d)
 		if err != nil {
 			return 0, err
 		}
 		if ref != v {
-			k.divergences.Add(1)
+			*divergences++
 			return ref, nil
 		}
 	}
@@ -413,7 +390,7 @@ func (k *Kernel) InvokeRing(p *Proc, cpu *hw.CPU, filtered bool, nr Nr, args [6]
 	cpu.Counters.Syscalls++
 	cpu.Counters.RingEntries++
 	if filtered {
-		if fs := k.filter.Load(); fs != nil {
+		if fs := k.filter; fs != nil {
 			// One verdict-table lookup per entry: the whole batch runs
 			// under one filter pass, but each entry still pays the
 			// (table-sized, not program-sized) verdict tax.
@@ -425,7 +402,7 @@ func (k *Kernel) InvokeRing(p *Proc, cpu *hw.CPU, filtered bool, nr Nr, args [6]
 				Args: args,
 				PKRU: uint32(cpu.PeekPKRU()),
 			}
-			verdict, err := k.runRingFilter(fs, d)
+			verdict, err := k.runFilter(fs, d, k.ringCrossCheck, &k.ringDivergences)
 			if err != nil {
 				return 0, EINVAL
 			}
@@ -441,29 +418,6 @@ func (k *Kernel) InvokeRing(p *Proc, cpu *hw.CPU, filtered bool, nr Nr, args [6]
 	ret, errno := k.dispatch(p, cpu, nr, args)
 	k.emitSyscall(cpu, nr, errno, obs.VerdictAllow, start)
 	return ret, errno
-}
-
-// runRingFilter is runFilter for the batch drain, with its own
-// cross-check toggle and divergence counter so ring runs can keep the
-// interpreter as the cross-checked slow path independently of the
-// sequential path's mode.
-func (k *Kernel) runRingFilter(fs *filterState, d *seccomp.Data) (uint32, error) {
-	if fs.table == nil || k.fastOff.Load() {
-		return fs.prog.Run(d)
-	}
-	v := fs.table.Verdict(d)
-	k.fastVerdicts.Add(1)
-	if k.ringCrossCheck.Load() && fs.prog != nil {
-		ref, err := fs.prog.Run(d)
-		if err != nil {
-			return 0, err
-		}
-		if ref != v {
-			k.ringDivergences.Add(1)
-			return ref, nil
-		}
-	}
-	return v, nil
 }
 
 // injectedErrno consults the CPU's fault injector (internal/hw) after
@@ -540,9 +494,7 @@ func (k *Kernel) dispatch(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, 
 	case NrGetpid:
 		return uint64(p.PID), OK
 	case NrExit:
-		p.mu.Lock()
 		p.exited, p.code = true, int(args[0])
-		p.mu.Unlock()
 		return 0, OK
 	case NrKill:
 		return 0, EPERM // single-process world: nothing to signal
@@ -586,8 +538,7 @@ func (k *Kernel) dispatch(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, 
 // pieces no larger than a stream block or a stack chunk, so no handler
 // allocates a staging copy. Both fault on unmapped pages and check no
 // permissions yet; a per-view check of the calling environment belongs
-// here and nowhere else. Callers may hold a stream's lock but never
-// wait while holding the address space's.
+// here and nowhere else. Callers may hold a stream's lock.
 func (k *Kernel) copyIn(dst []byte, src mem.Addr) error { return k.space.ReadAt(src, dst) }
 
 func (k *Kernel) copyOut(dst mem.Addr, src []byte) error { return k.space.WriteAt(dst, src) }
@@ -623,7 +574,7 @@ func (k *Kernel) sysRead(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errno
 	case e.file != nil:
 		return k.readFile(e.file, buf, n)
 	case e.conn != nil:
-		got, err := e.conn.ReadTo(int(n), simnet.IOFlags{Nonblock: p.nonBlocking(), Yield: k.run}, func(src []byte, off int) error {
+		got, err := e.conn.ReadTo(int(n), simnet.IOFlags{Nonblock: p.nonBlock, Yield: k.run}, func(src []byte, off int) error {
 			return k.copyOut(buf+mem.Addr(off), src)
 		})
 		switch {
@@ -849,7 +800,7 @@ func (k *Kernel) sysAccept(p *Proc, fd int) (uint64, Errno) {
 	if e.ln == nil {
 		return 0, ENOTSOCK
 	}
-	c, err := e.ln.AcceptFlags(simnet.IOFlags{Nonblock: p.nonBlocking(), Yield: k.run})
+	c, err := e.ln.AcceptFlags(simnet.IOFlags{Nonblock: p.nonBlock, Yield: k.run})
 	if err == simnet.ErrWouldBlock {
 		return 0, EAGAIN
 	}
@@ -880,30 +831,21 @@ func (k *Kernel) sysMmap(size uint64) (uint64, Errno) {
 	if size == 0 {
 		return 0, EINVAL
 	}
-	k.mu.Lock()
 	k.nspan++
-	name := spanName(k.nspan)
-	k.mu.Unlock()
-	s, err := k.space.Map(name, HeapOwner, mem.KindHeap, size, mem.PermR|mem.PermW)
+	s, err := k.space.Map(spanName(k.nspan), HeapOwner, mem.KindHeap, size, mem.PermR|mem.PermW)
 	if err != nil {
 		return 0, EFAULT
 	}
-	k.mu.Lock()
-	k.setSpanLocked(s.Base, s)
-	k.mu.Unlock()
+	k.setSpan(s.Base, s)
 	return uint64(s.Base), OK
 }
 
 func (k *Kernel) sysMunmap(base mem.Addr) (uint64, Errno) {
-	k.mu.Lock()
 	s, ok := k.spans[base]
-	if ok {
-		k.setSpanLocked(base, nil)
-	}
-	k.mu.Unlock()
 	if !ok {
 		return 0, EINVAL
 	}
+	k.setSpan(base, nil)
 	if err := k.space.Unmap(s); err != nil {
 		return 0, EINVAL
 	}
@@ -944,8 +886,6 @@ func (k *Kernel) sysGetrandom(buf mem.Addr, n uint64) (uint64, Errno) {
 	}
 	var chunk [chunkSize]byte
 	errno := OK
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	x := k.rng
 	for done := uint64(0); done < n; {
 		m := min(n-done, chunkSize)
@@ -968,9 +908,9 @@ func (k *Kernel) sysGetrandom(buf mem.Addr, n uint64) (uint64, Errno) {
 	return n, OK
 }
 
-// setSpanLocked registers s at base (nil unregisters), journaling the
-// first change of each base on a clone. Requires k.mu.
-func (k *Kernel) setSpanLocked(base mem.Addr, s *mem.Section) {
+// setSpan registers s at base (nil unregisters), journaling the first
+// change of each base on a clone.
+func (k *Kernel) setSpan(base mem.Addr, s *mem.Section) {
 	if k.spanUndo != nil {
 		if _, seen := k.spanUndo[base]; !seen {
 			k.spanUndo[base] = k.spans[base]
@@ -984,11 +924,7 @@ func (k *Kernel) setSpanLocked(base mem.Addr, s *mem.Section) {
 }
 
 // SpanSection returns the still-mapped span starting at base, if any.
-func (k *Kernel) SpanSection(base mem.Addr) *mem.Section {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.spans[base]
-}
+func (k *Kernel) SpanSection(base mem.Addr) *mem.Section { return k.spans[base] }
 
 func spanName(i int) string {
 	// fmt.Sprintf would be fine; this is on the allocation path, so keep

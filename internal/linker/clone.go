@@ -21,8 +21,6 @@ func (img *Image) CloneWith(space *mem.AddressSpace, graph *pkggraph.Graph, secM
 		}
 		return s
 	}
-	img.mu.RLock()
-	defer img.mu.RUnlock()
 	c := &Image{
 		Space:      space,
 		Graph:      graph,
@@ -58,8 +56,6 @@ func (img *Image) CloneWith(space *mem.AddressSpace, graph *pkggraph.Graph, secM
 // recycled snapshot instance's dynamic imports — by re-pointing Packages
 // at the birth table. A no-op on images that were not cloned.
 func (img *Image) Reset() {
-	img.mu.Lock()
-	defer img.mu.Unlock()
 	if img.birth != nil {
 		img.Packages, img.pkgsShared = img.birth, true
 	}

@@ -25,7 +25,6 @@ import (
 	"hash/fnv"
 	"maps"
 	"sort"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/mem"
 	"github.com/litterbox-project/enclosure/internal/pkggraph"
@@ -66,10 +65,8 @@ type Image struct {
 	Space *mem.AddressSpace
 	Graph *pkggraph.Graph
 	// Packages maps names to placed layouts. Static entries are fixed
-	// after Link; dynamic imports add entries under mu — concurrent
-	// readers should use Layout.
+	// after Link; dynamic imports add entries.
 	Packages   map[string]*PackageLayout
-	mu         sync.RWMutex
 	Enclosures []*EnclosureDecl
 	Marked     map[string]bool // packages appearing in ≥1 enclosure view
 
@@ -197,8 +194,6 @@ func Link(graph *pkggraph.Graph, decls []DeclInput, space *mem.AddressSpace) (*I
 // language's lazy module load, §5.2) and registers it in the image.
 // The graph entry must already exist (pkggraph.AddIncremental).
 func (img *Image) PlaceDynamic(p *pkggraph.Package) (*PackageLayout, error) {
-	img.mu.Lock()
-	defer img.mu.Unlock()
 	if _, dup := img.Packages[p.Name]; dup {
 		return nil, fmt.Errorf("linker: package %s already placed", p.Name)
 	}
@@ -214,11 +209,8 @@ func (img *Image) PlaceDynamic(p *pkggraph.Package) (*PackageLayout, error) {
 	return pl, nil
 }
 
-// Layout returns a placed package's layout (nil if absent); safe
-// against concurrent dynamic imports.
+// Layout returns a placed package's layout (nil if absent).
 func (img *Image) Layout(name string) *PackageLayout {
-	img.mu.RLock()
-	defer img.mu.RUnlock()
 	return img.Packages[name]
 }
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -31,11 +30,6 @@ type MPKBackend struct {
 	unit *mpk.Unit
 	lb   *LitterBox
 
-	// stateMu guards the key assignment (keyByMeta, keyOf, superKey,
-	// virt) and every Env's PKRU against the libmpk remap slow path,
-	// which rewrites all of them while other workers switch. Switches
-	// take the read lock; remaps and lazy CreateEnv take the write lock.
-	stateMu   sync.RWMutex
 	keyByMeta []int          // meta-package index → protection key
 	keyOf     map[string]int // package → protection key
 	superKey  int
@@ -51,23 +45,21 @@ type MPKBackend struct {
 	// meta-package tag no pages, so their PKRU bits are architecturally
 	// inert for memory access yet still distinguish filter rows —
 	// exactly how real PKU sandboxes burn a key as a domain tag.
-	// Guarded by stateMu with keyByMeta (spare-key set derives from it).
+	// The spare-key set it draws on derives from keyByMeta.
 	colorBySig map[pkruColorKey]int
 
-	mu    sync.Mutex
 	rules map[uint32]seccomp.EnvRule // PKRU value → syscall rule
 
-	// keysShared (under stateMu: keyByMeta, keyOf, colorBySig) and
-	// rulesShared (under mu: rules) mark tables aliased with a snapshot
-	// template or clone; writers copy them first (ownKeysLocked,
-	// ownRulesLocked).
+	// keysShared (keyByMeta, keyOf, colorBySig) and rulesShared (rules)
+	// mark tables aliased with a snapshot template or clone; writers
+	// copy them first (ownKeys, ownRules).
 	keysShared  bool
 	rulesShared bool
 }
 
-// ownKeysLocked gives b private copies of shared key-assignment and
-// color tables before a write. Requires stateMu.
-func (b *MPKBackend) ownKeysLocked() {
+// ownKeys gives b private copies of shared key-assignment and
+// color tables before a write.
+func (b *MPKBackend) ownKeys() {
 	if !b.keysShared {
 		return
 	}
@@ -77,9 +69,9 @@ func (b *MPKBackend) ownKeysLocked() {
 	b.keysShared = false
 }
 
-// ownRulesLocked gives b a private copy of a shared rule table before
-// a write. Requires mu.
-func (b *MPKBackend) ownRulesLocked() {
+// ownRules gives b a private copy of a shared rule table before
+// a write.
+func (b *MPKBackend) ownRules() {
 	if !b.rulesShared {
 		return
 	}
@@ -258,11 +250,11 @@ func policySig(env *Env) string {
 	return s
 }
 
-// spareKeysLocked returns the protection keys allocated to no
+// spareKeys returns the protection keys allocated to no
 // meta-package (candidates for color bits), ascending. Key 0 — the
 // default key of untracked pages — is never spare. Empty under key
 // virtualisation, which claims every key.
-func (b *MPKBackend) spareKeysLocked() []int {
+func (b *MPKBackend) spareKeys() []int {
 	if b.virt != nil {
 		return nil
 	}
@@ -291,7 +283,7 @@ var colorDigitBits = [4]uint32{0b01, 0b10, 0b00, 0b11}
 // cannot encode another color the base is returned unchanged and the
 // aliased rows fall back to the conservative mask intersection.
 func (b *MPKBackend) colorize(env *Env, base hw.PKRU) hw.PKRU {
-	spares := b.spareKeysLocked()
+	spares := b.spareKeys()
 	if len(spares) == 0 {
 		return base
 	}
@@ -314,7 +306,7 @@ func (b *MPKBackend) colorize(env *Env, base hw.PKRU) hw.PKRU {
 		if color >= max {
 			return base
 		}
-		b.ownKeysLocked()
+		b.ownKeys()
 		if b.colorBySig == nil {
 			b.colorBySig = make(map[pkruColorKey]int)
 		}
@@ -333,8 +325,6 @@ func (b *MPKBackend) colorize(env *Env, base hw.PKRU) hw.PKRU {
 // environments sharing a PKRU but disagreeing on categories intersect —
 // the conservative, never-escalating resolution.
 func (b *MPKBackend) addRule(env *Env) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var nrs []uint32
 	if env.Trusted {
 		for _, n := range kernel.Numbers() {
@@ -367,7 +357,7 @@ func (b *MPKBackend) addRule(env *Env) {
 			rule.ConnectAllow = prev.ConnectAllow
 		}
 	}
-	b.ownRulesLocked()
+	b.ownRules()
 	b.rules[rule.PKRU] = rule
 }
 
@@ -391,12 +381,10 @@ func intersectNrs(a, c []uint32) []uint32 {
 // intersection) and full re-derivations after dynamic imports reuse
 // earlier compilations whenever the effective rule set is unchanged.
 func (b *MPKBackend) reloadFilter() error {
-	b.mu.Lock()
 	rules := make([]seccomp.EnvRule, 0, len(b.rules))
 	for _, r := range b.rules {
 		rules = append(rules, r)
 	}
-	b.mu.Unlock()
 	art, err := seccomp.CompileArtifactsCached(rules, seccomp.RetTrap, seccomp.RetTrap)
 	if err != nil {
 		return fmt.Errorf("litterbox/mpk: compiling seccomp filter: %w", err)
@@ -410,9 +398,7 @@ func (b *MPKBackend) reloadFilter() error {
 // uniform under intersection (members shared modifiers in both parents),
 // so the PKRU derivation is unchanged.
 func (b *MPKBackend) CreateEnv(env *Env) error {
-	b.stateMu.Lock()
 	b.derivePKRU(env, b.lb.MetaPackages())
-	b.stateMu.Unlock()
 	b.addRule(env)
 	return b.reloadFilter()
 }
@@ -426,23 +412,12 @@ func (b *MPKBackend) Switch(cpu *hw.CPU, from, to *Env, verify func() error) err
 			return err
 		}
 	}
-	var pkru hw.PKRU
 	if b.virt != nil {
-		// The slow path rewrites the global key assignment; it is
-		// serialised against every other switch.
-		b.stateMu.Lock()
-		_, err := b.ensureCached(cpu, to)
-		pkru = to.PKRU
-		b.stateMu.Unlock()
-		if err != nil {
+		if _, err := b.ensureCached(cpu, to); err != nil {
 			return err
 		}
-	} else {
-		b.stateMu.RLock()
-		pkru = to.PKRU
-		b.stateMu.RUnlock()
 	}
-	cpu.WritePKRU(pkru)
+	cpu.WritePKRU(to.PKRU)
 	return nil
 }
 
@@ -470,9 +445,7 @@ func (b *MPKBackend) Transfer(cpu *hw.CPU, sec *mem.Section, toPkg string) error
 	if transferInterrupted(cpu) {
 		return ErrInjectedTransfer
 	}
-	b.stateMu.RLock()
 	key := b.currentKeyOf(toPkg)
-	b.stateMu.RUnlock()
 	cpu.Clock.Advance(hw.CostPkeyMprotect)
 	cpu.Counters.PkeyMprotects++
 	if errno := b.unit.PkeyMprotect(sec.Base, sec.Size, sec.Perm, key); errno != kernel.OK {
@@ -507,8 +480,6 @@ func (b *MPKBackend) SyscallBatch(cpu *hw.CPU, p *kernel.Proc, env *Env, entries
 
 // KeyOf exposes a package's protection key (for tests; -1 if untagged).
 func (b *MPKBackend) KeyOf(pkg string) int {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
 	if k, ok := b.keyOf[pkg]; ok {
 		return k
 	}
@@ -518,8 +489,6 @@ func (b *MPKBackend) KeyOf(pkg string) int {
 // DescribeKeys renders the key assignment for diagnostics.
 func (b *MPKBackend) DescribeKeys() string {
 	metas := b.lb.MetaPackages()
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
 	var sb strings.Builder
 	for i, group := range metas {
 		key := 0

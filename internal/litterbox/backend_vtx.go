@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -28,7 +26,7 @@ type VTXBackend struct {
 	// noShare disables content-addressed page-table sharing (the
 	// benchmark's reference path: every environment builds its table
 	// from scratch and transfers walk every table individually).
-	noShare atomic.Bool
+	noShare bool
 
 	// sigs is the content-addressed registry: canonical memory-view key
 	// → the table handle of the first environment built with that view.
@@ -40,8 +38,7 @@ type VTXBackend struct {
 	// function of the view and the current section owners, and shared
 	// transfers update every sharer) but not across dynamic imports,
 	// which mutate views in place; those clear it.
-	sigMu sync.Mutex
-	sigs  map[string]int
+	sigs map[string]int
 }
 
 // NewVTX returns an LB_VTX backend over the simulated machine.
@@ -54,11 +51,9 @@ func NewVTX(machine *vtx.Machine) *VTXBackend {
 // TestVTXSharingMatchesReferencePath and BenchmarkHostVTXInit compare
 // against).
 func (b *VTXBackend) SetSharing(on bool) {
-	b.noShare.Store(!on)
+	b.noShare = !on
 	if !on {
-		b.sigMu.Lock()
 		b.sigs = make(map[string]int)
-		b.sigMu.Unlock()
 	}
 }
 
@@ -73,10 +68,9 @@ func viewKey(env *Env) string {
 	if env.Trusted {
 		return "T" // the trusted view is unique by construction
 	}
-	view := env.viewSnapshot()
-	names := make([]string, 0, len(view))
-	for n := range view {
-		if view[n] != ModU {
+	names := make([]string, 0, len(env.View))
+	for n, m := range env.View {
+		if m != ModU {
 			names = append(names, n)
 		}
 	}
@@ -85,7 +79,7 @@ func viewKey(env *Env) string {
 	for _, n := range names {
 		sb.WriteString(n)
 		sb.WriteByte(0)
-		sb.WriteByte(byte(view[n]))
+		sb.WriteByte(byte(env.View[n]))
 		sb.WriteByte(0)
 	}
 	return sb.String()
@@ -119,7 +113,7 @@ func (b *VTXBackend) Setup(lb *LitterBox) error {
 // one exists (O(1), copy-on-write); otherwise build the table from the
 // view and register it.
 func (b *VTXBackend) CreateEnv(env *Env) error {
-	if b.noShare.Load() {
+	if b.noShare {
 		table, err := b.buildTable(env)
 		if err != nil {
 			return err
@@ -128,9 +122,7 @@ func (b *VTXBackend) CreateEnv(env *Env) error {
 		return nil
 	}
 	key := viewKey(env)
-	b.sigMu.Lock()
 	src, hit := b.sigs[key]
-	b.sigMu.Unlock()
 	if hit {
 		table, err := b.machine.CloneTable(src)
 		if err != nil {
@@ -144,13 +136,7 @@ func (b *VTXBackend) CreateEnv(env *Env) error {
 		return err
 	}
 	env.Table = table
-	b.sigMu.Lock()
-	// First builder wins if another goroutine raced us here — both built
-	// correct tables, we only lose the sharing opportunity.
-	if _, exists := b.sigs[key]; !exists {
-		b.sigs[key] = table
-	}
-	b.sigMu.Unlock()
+	b.sigs[key] = table
 	return nil
 }
 
@@ -172,9 +158,7 @@ func (b *VTXBackend) buildTable(env *Env) (int, error) {
 // invalidateSignatures clears the registry; dynamic imports mutate
 // views in place, so registered keys no longer describe their tables.
 func (b *VTXBackend) invalidateSignatures() {
-	b.sigMu.Lock()
 	b.sigs = make(map[string]int)
-	b.sigMu.Unlock()
 }
 
 // rightsIn computes the page rights env grants on a section.
@@ -229,7 +213,7 @@ func (b *VTXBackend) CheckExec(cpu *hw.CPU, env *Env, pkg string, entry mem.Addr
 func (b *VTXBackend) Transfer(cpu *hw.CPU, sec *mem.Section, toPkg string) error {
 	cpu.Clock.Advance(hw.CostEPTToggle)
 	envs := b.lb.EnvsSnapshot()
-	share := !b.noShare.Load()
+	share := !b.noShare
 	// Environments sharing a physical table need the presence bits
 	// toggled only once: sharing implies identical views, and transfer
 	// rights are a function of the view, so one shared update is exact

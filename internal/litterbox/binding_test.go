@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
@@ -99,8 +98,9 @@ func TestBindingNewestWins(t *testing.T) {
 
 // TestBindingConcurrentReaders binds workers while readers resolve
 // them: every reader sees each published binding whole, and an unbound
-// clock's program-wide fallback, with no lock on the read path. Run it
-// under -race.
+// clock's program-wide fallback. Like a program's simulated goroutines,
+// binder and readers take turns on one mutex, which stands in for the
+// run token. Run it under -race.
 func TestBindingConcurrentReaders(t *testing.T) {
 	f := newFixture(t)
 	lb := f.initWith(t, litterbox.NewBaseline())
@@ -113,37 +113,47 @@ func TestBindingConcurrentReaders(t *testing.T) {
 			Proc: f.k.NewProc(1, uint32(100+i), 3), Domain: &litterbox.FaultDomain{}, Name: fmt.Sprint("cpu", i),
 		}
 	}
-	var bound atomic.Int64
+	var run sync.Mutex
+	bound := 0
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
+	// pass resolves every binding made so far and reports how many.
+	pass := func(stray *hw.CPU) (int, error) {
+		run.Lock()
+		defer run.Unlock()
+		for j := 0; j < bound; j++ {
+			cpu := hw.NewCPU(clocks[j])
+			if lb.ProcFor(cpu) != states[j].Proc || lb.DomainFor(cpu) != states[j].Domain {
+				return 0, fmt.Errorf("worker %d resolves another binding", j)
+			}
+			if _, dead := lb.AbortedOn(cpu); dead {
+				return 0, fmt.Errorf("worker %d reads as aborted", j)
+			}
+		}
+		if lb.ProcFor(stray) != lb.Proc || lb.DomainFor(stray) != nil {
+			return 0, errors.New("an unbound CPU resolves a binding")
+		}
+		return bound, nil
+	}
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			stray := hw.NewCPU(hw.NewClock())
-			for n := int64(0); n < workers; {
-				n = bound.Load()
-				for j := int64(0); j < n; j++ {
-					cpu := hw.NewCPU(clocks[j])
-					if lb.ProcFor(cpu) != states[j].Proc || lb.DomainFor(cpu) != states[j].Domain {
-						errs <- fmt.Errorf("worker %d resolves another binding", j)
-						return
-					}
-					if _, dead := lb.AbortedOn(cpu); dead {
-						errs <- fmt.Errorf("worker %d reads as aborted", j)
-						return
-					}
-				}
-				if lb.ProcFor(stray) != lb.Proc || lb.DomainFor(stray) != nil {
-					errs <- errors.New("an unbound CPU resolves a binding")
+			for n := 0; n < workers; {
+				var err error
+				if n, err = pass(stray); err != nil {
+					errs <- err
 					return
 				}
 			}
 		}()
 	}
 	for i := range states {
+		run.Lock()
 		lb.BindWorker(clocks[i], states[i])
-		bound.Store(int64(i + 1))
+		bound = i + 1
+		run.Unlock()
 	}
 	wg.Wait()
 	close(errs)

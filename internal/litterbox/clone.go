@@ -8,7 +8,6 @@ import (
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/kernel"
 	"github.com/litterbox-project/enclosure/internal/linker"
-	"github.com/litterbox-project/enclosure/internal/obs"
 )
 
 // Warm-enclosure snapshot support: a captured template LitterBox is
@@ -55,11 +54,10 @@ type CloneDeps struct {
 	Clock  *hw.Clock
 }
 
-// CloneInto builds an independent LitterBox from a captured template.
-// The template must be quiescent: not aborted, no in-flight intersection
-// materialisation. The clone enforces identically to a cold-built
-// LitterBox over the same image — the probe corpus proves this digest-
-// identical. It copies only the environments and the backend's hardware
+// CloneInto builds an independent LitterBox from a captured template,
+// which must not be aborted. The clone enforces identically to a
+// cold-built LitterBox over the same image — the probe corpus proves
+// this digest-identical. It copies only the environments and the backend's hardware
 // unit; the clustering tables are shared, and from here on either side
 // copies them before writing.
 func (lb *LitterBox) CloneInto(deps CloneDeps) (*LitterBox, error) {
@@ -72,48 +70,36 @@ func (lb *LitterBox) CloneInto(deps CloneDeps) (*LitterBox, error) {
 	}
 
 	c := &LitterBox{
-		Image:  deps.Image,
-		Space:  deps.Image.Space,
-		Clock:  deps.Clock,
-		Kernel: deps.Kernel,
-		Proc:   deps.Proc,
-		graph:  deps.Image.Graph,
-		audit:  lb.audit,
+		Image:    deps.Image,
+		Space:    deps.Image.Space,
+		Clock:    deps.Clock,
+		Kernel:   deps.Kernel,
+		Proc:     deps.Proc,
+		graph:    deps.Image.Graph,
+		audit:    lb.audit,
+		ringSeq:  lb.ringSeq,
+		nextEnv:  lb.nextEnv,
+		verif:    lb.verif,    // written only by Init
+		enclName: lb.enclName, // likewise
 	}
-	if tr, _ := lb.trace.Load().(*obs.Trace); tr != nil {
-		c.trace.Store(tr)
-	}
-	c.ringSeq.Store(lb.ringSeq.Load())
-
-	lb.mu.Lock()
-	c.nextEnv = lb.nextEnv
-	c.verif, c.enclName = lb.verif, lb.enclName // written only by Init
 	c.metaPkgs, c.pkgToMeta, c.metaShared = lb.metaPkgs, lb.pkgToMeta, true
-	lb.metaShared = true
-	snap := lb.snap.Load()
-	lb.mu.Unlock()
+	if !lb.metaShared { // a template's are shared already: cloning one writes nothing to it
+		lb.metaShared = true
+	}
 
-	csnap, err := cloneSnapshot(snap)
+	csnap, err := cloneSnapshot(lb.snap)
 	if err != nil {
 		return nil, err
 	}
 	c.trusted = csnap.envs[TrustedEnv]
-	c.snap.Store(csnap)
-	c.birth = csnap
+	c.snap, c.birth = csnap, csnap
 
 	backend, err := cloner.cloneFor(c)
 	if err != nil {
 		return nil, err
 	}
 	c.backend = backend
-
-	c.Kernel.SetTraceSource(func(cpu *hw.CPU) (*obs.Trace, string, string) {
-		tr, _ := c.trace.Load().(*obs.Trace)
-		if tr == nil {
-			return nil, "", ""
-		}
-		return tr, c.backend.Name(), c.workerName(cpu)
-	})
+	c.setTrace(lb.trace)
 	return c, nil
 }
 
@@ -126,37 +112,29 @@ func (lb *LitterBox) CloneInto(deps CloneDeps) (*LitterBox, error) {
 // abort are cleared, and the backend resets itself — MPK replays its
 // unit's journal, VTX and CHERI re-copy their unit only when its
 // generation moved. Environment pointers stay valid across the reset.
+// t, the template, is only read.
 func (lb *LitterBox) ResetTo(t *LitterBox) {
-	t.mu.Lock()
-	nextEnv, metaPkgs, pkgToMeta := t.nextEnv, t.metaPkgs, t.pkgToMeta
-	t.metaShared = true
-	tsnap := t.snap.Load()
-	t.mu.Unlock()
-
-	lb.mu.Lock()
-	lb.nextEnv = nextEnv
-	lb.metaPkgs, lb.pkgToMeta, lb.metaShared = metaPkgs, pkgToMeta, true
-	if cur := lb.snap.Load(); cur != lb.birth {
-		if cur.viewGen != lb.birth.viewGen {
+	lb.nextEnv = t.nextEnv
+	lb.metaPkgs, lb.pkgToMeta, lb.metaShared = t.metaPkgs, t.pkgToMeta, true
+	if lb.snap != lb.birth {
+		if lb.snap.viewGen != lb.birth.viewGen {
 			for i, e := range lb.birth.envs {
-				e.restoreFrom(tsnap.envs[i])
+				e.restoreFrom(t.snap.envs[i])
 			}
 		}
-		lb.snap.Store(lb.birth)
+		lb.snap = lb.birth
 	}
-	lb.mu.Unlock()
-
-	lb.cpus.Store(nil)
+	lb.cpus = nil
 	lb.fault.Store(nil)
 	lb.aborted.Store(false)
-	if tr := t.Tracer(); tr != lb.Tracer() {
-		lb.trace.Store(tr)
+	if t.trace != lb.trace {
+		lb.setTrace(t.trace)
 	}
-	lb.ringSeq.Store(t.ringSeq.Load())
+	lb.ringSeq = t.ringSeq
 	lb.backend.(backendCloner).resetFrom(t.backend)
 }
 
-// cloneSnapshot deep-copies the RCU env snapshot: every environment is
+// cloneSnapshot deep-copies the env snapshot: every environment is
 // copied (views are mutable via dynamic imports, so they cannot be
 // shared), intersection cache entries are remapped onto the cloned
 // environments, and generations carry over so per-worker EnvCaches
@@ -167,7 +145,7 @@ func cloneSnapshot(s *envSnapshot) (*envSnapshot, error) {
 		viewGen: s.viewGen,
 		envs:    make([]*Env, len(s.envs)),
 		byEncl:  make(map[int]EnvID, len(s.byEncl)),
-		inter:   make(map[[2]EnvID]*interEntry, len(s.inter)),
+		inter:   make(map[[2]EnvID]*Env, len(s.inter)),
 	}
 	for i, e := range s.envs {
 		ne := cloneEnv(e)
@@ -179,21 +157,8 @@ func cloneSnapshot(s *envSnapshot) (*envSnapshot, error) {
 	for k, v := range s.byEncl {
 		c.byEncl[k] = v
 	}
-	for k, ent := range s.inter {
-		select {
-		case <-ent.ready:
-		default:
-			// In-flight materialisation: capture is supposed to be
-			// quiescent, but an unresolved entry is merely a cache miss
-			// for the clone — drop it and let the clone re-materialise.
-			continue
-		}
-		if ent.err != nil || ent.env == nil {
-			continue // failed entries are retried by design; don't clone them
-		}
-		ready := make(chan struct{})
-		close(ready)
-		c.inter[k] = &interEntry{ready: ready, env: c.envs[ent.env.ID]}
+	for k, e := range s.inter {
+		c.inter[k] = c.envs[e.ID]
 	}
 	return c, nil
 }
@@ -211,14 +176,7 @@ func cloneEnv(e *Env) *Env {
 		Trusted:      e.Trusted,
 		PKRU:         e.PKRU,
 		Table:        e.Table,
-	}
-	if e.View != nil {
-		e.viewMu.RLock()
-		ne.View = make(map[string]AccessMod, len(e.View))
-		for k, v := range e.View {
-			ne.View[k] = v
-		}
-		e.viewMu.RUnlock()
+		View:         maps.Clone(e.View),
 	}
 	return ne
 }
@@ -231,14 +189,8 @@ func (e *Env) restoreFrom(t *Env) {
 	if e.View == nil {
 		return
 	}
-	t.viewMu.RLock()
-	e.viewMu.Lock()
 	clear(e.View)
-	for k, v := range t.View {
-		e.View[k] = v
-	}
-	e.viewMu.Unlock()
-	t.viewMu.RUnlock()
+	maps.Copy(e.View, t.View)
 }
 
 // --- Backend snapshot cloning ----------------------------------------
@@ -255,10 +207,7 @@ func (b *BaselineBackend) resetFrom(Backend) {}
 // text pages are bit-identical by CoW. No filter recompiles: the cloned
 // kernel already carries the compiled artifact pointer.
 func (b *MPKBackend) cloneFor(c *LitterBox) (Backend, error) {
-	b.stateMu.RLock()
-	virt := b.virt != nil
-	b.stateMu.RUnlock()
-	if virt {
+	if b.virt != nil {
 		return nil, fmt.Errorf("%w: mpk with virtualised keys", ErrNotCloneable)
 	}
 	nb := &MPKBackend{lb: c, unit: b.unit.Clone(c.Space)}
@@ -275,28 +224,22 @@ func (b *MPKBackend) resetFrom(tmpl Backend) {
 }
 
 // shareTables points b's key assignment, colors and filter rules at t's
-// and marks both sides copy-on-write.
+// and marks both sides copy-on-write. A template's tables are marked
+// already, so sharing them writes nothing to it.
 func (b *MPKBackend) shareTables(t *MPKBackend) {
-	t.stateMu.Lock()
-	b.stateMu.Lock()
 	b.keyByMeta, b.keyOf, b.superKey, b.colorBySig = t.keyByMeta, t.keyOf, t.superKey, t.colorBySig
-	t.keysShared, b.keysShared = true, true
-	b.stateMu.Unlock()
-	t.stateMu.Unlock()
-	t.mu.Lock()
-	b.mu.Lock()
 	b.rules = t.rules
-	t.rulesShared, b.rulesShared = true, true
-	b.mu.Unlock()
-	t.mu.Unlock()
+	b.keysShared, b.rulesShared = true, true
+	if !t.keysShared || !t.rulesShared {
+		t.keysShared, t.rulesShared = true, true
+	}
 }
 
 // cloneFor deep-copies the machine's page tables and the
 // content-addressed signature registry — its handle ids stay valid
 // because Machine.Clone preserves them.
 func (b *VTXBackend) cloneFor(c *LitterBox) (Backend, error) {
-	nb := &VTXBackend{lb: c}
-	nb.noShare.Store(b.noShare.Load())
+	nb := &VTXBackend{lb: c, noShare: b.noShare}
 	nb.copyMachine(b)
 	return nb, nil
 }
@@ -310,14 +253,12 @@ func (b *VTXBackend) resetFrom(tmpl Backend) {
 	if b.machine.Generation() != t.machine.Generation() {
 		b.copyMachine(t)
 	}
-	b.noShare.Store(t.noShare.Load())
+	b.noShare = t.noShare
 }
 
 func (b *VTXBackend) copyMachine(t *VTXBackend) {
 	b.machine = t.machine.Clone(b.lb.Space, b.lb.Clock)
-	t.sigMu.Lock()
 	b.sigs = maps.Clone(t.sigs)
-	t.sigMu.Unlock()
 	if b.sigs == nil {
 		b.sigs = make(map[string]int)
 	}

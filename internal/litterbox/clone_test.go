@@ -20,9 +20,7 @@ func TestMPKTablesCopyOnWrite(t *testing.T) {
 		rules:     map[uint32]seccomp.EnvRule{},
 	}
 	derive := func(b *MPKBackend, env *Env) {
-		b.stateMu.Lock()
 		env.PKRU = b.colorize(env, hw.PKRUAllDenied)
-		b.stateMu.Unlock()
 		b.addRule(env)
 	}
 	derive(tmpl, &Env{ID: 1, Name: "io", Cats: kernel.CatIO})
@@ -34,11 +32,9 @@ func TestMPKTablesCopyOnWrite(t *testing.T) {
 	clone := &MPKBackend{}
 	clone.shareTables(tmpl)
 	derive(clone, &Env{ID: 2, Name: "net", Cats: kernel.CatNet})
-	clone.stateMu.Lock()
-	clone.ownKeysLocked()
+	clone.ownKeys()
 	clone.keyByMeta = append(clone.keyByMeta, 3)
 	clone.keyOf["c"] = 3
-	clone.stateMu.Unlock()
 	if got := sizes(tmpl); got != want {
 		t.Fatalf("clone writes reached the template: tables %v, want %v", got, want)
 	}

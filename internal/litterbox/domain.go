@@ -1,7 +1,6 @@
 package litterbox
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
@@ -64,28 +63,22 @@ type CPUState struct {
 // BindWorker associates per-worker state with a worker clock. The
 // engine calls this once per worker before any task runs on it. The
 // binding table is a list of the bound states themselves, newest first
-// (a later binding of a clock shadows an earlier one), published
-// through one atomic pointer: binding allocates nothing, and a lookup
-// takes no lock. st therefore joins the table and must not be bound a
-// second time, here or on another LitterBox. ResetTo empties the table.
+// (a later binding of a clock shadows an earlier one): binding
+// allocates nothing. st therefore joins the table and must not be bound
+// a second time, here or on another LitterBox. ResetTo empties the
+// table.
 func (lb *LitterBox) BindWorker(clock *hw.Clock, st *CPUState) {
 	if st.clock != nil {
 		panic("litterbox: CPUState bound twice")
 	}
-	st.clock = clock
-	for {
-		head := lb.cpus.Load()
-		st.next = head
-		if lb.cpus.CompareAndSwap(head, st) {
-			return
-		}
-	}
+	st.clock, st.next = clock, lb.cpus
+	lb.cpus = st
 }
 
 // stateFor returns the state bound to cpu's worker, or nil. Hot paths
 // resolve it once per call and pass it to procOf and abortedIn.
 func (lb *LitterBox) stateFor(cpu *hw.CPU) *CPUState {
-	for st := lb.cpus.Load(); st != nil; st = st.next {
+	for st := lb.cpus; st != nil; st = st.next {
 		if st.clock == cpu.Clock {
 			return st
 		}
@@ -145,13 +138,10 @@ func (lb *LitterBox) abortedIn(st *CPUState) (*Fault, bool) {
 
 // EnvCache memoises Prolog target-environment resolution per worker:
 // the environment a switch from `from` into enclosure `encl` lands in
-// is a pure function of the pair, so after the first (program-wide,
-// lock-taking) resolution each worker answers from its own cache and
-// the hot path touches no shared mutable state. The mutex is
-// worker-local — only tasks pinned to the same worker contend on it.
+// is a pure function of the pair, so after the first program-wide
+// resolution each worker answers from its own cache.
 type EnvCache struct {
-	mu sync.Mutex
-	m  map[envCacheKey]*Env
+	m map[envCacheKey]*Env
 	// epoch is the LitterBox view epoch the entries were resolved
 	// under; a dynamic import moves the program's epoch and the next
 	// lookup flushes the map. Without this, a worker that cached a
@@ -159,8 +149,8 @@ type EnvCache struct {
 	// pre-import environment — resolution and enforcement disagreeing
 	// about the view.
 	epoch  uint64
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits   int64
+	misses int64
 }
 
 type envCacheKey struct {
@@ -174,41 +164,31 @@ func NewEnvCache() *EnvCache {
 }
 
 func (c *EnvCache) lookup(from EnvID, encl int, epoch uint64) *Env {
-	c.mu.Lock()
 	if c.epoch != epoch {
 		c.m = make(map[envCacheKey]*Env)
 		c.epoch = epoch
 	}
 	e := c.m[envCacheKey{from, encl}]
-	c.mu.Unlock()
 	if e != nil {
-		c.hits.Add(1)
+		c.hits++
 	} else {
-		c.misses.Add(1)
+		c.misses++
 	}
 	return e
 }
 
 func (c *EnvCache) store(from EnvID, encl int, e *Env, epoch uint64) {
-	c.mu.Lock()
 	// Entries resolved under a superseded epoch are stale on arrival: a
 	// dynamic import completed between lookup and store.
 	if c.epoch == epoch {
 		c.m[envCacheKey{from, encl}] = e
 	}
-	c.mu.Unlock()
 }
 
 // Stats returns (hits, misses) since creation.
-func (c *EnvCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
+func (c *EnvCache) Stats() (hits, misses int64) { return c.hits, c.misses }
 
 // Generation returns the snapshot view generation the cache's entries
 // were resolved under — engine metrics surface it per worker, so a
 // worker still answering from a pre-import generation is visible.
-func (c *EnvCache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
+func (c *EnvCache) Generation() uint64 { return c.epoch }

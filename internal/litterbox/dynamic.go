@@ -53,7 +53,6 @@ func (lb *LitterBox) AddDynamicPackage(cpu *hw.CPU, p *pkggraph.Package, secs []
 		return fmt.Errorf("%w: %s", ErrNoDynamicSupport, lb.backend.Name())
 	}
 
-	lb.mu.Lock()
 	for _, env := range visibleTo {
 		if env.Trusted {
 			continue
@@ -62,11 +61,10 @@ func (lb *LitterBox) AddDynamicPackage(cpu *hw.CPU, p *pkggraph.Package, secs []
 	}
 	// Track the package in the clustering tables as its own group; the
 	// MPK backend assigns it a fresh key below.
-	lb.ownMetaLocked()
+	lb.ownMeta()
 	metaIdx := len(lb.metaPkgs)
 	lb.pkgToMeta[p.Name] = metaIdx
 	lb.metaPkgs = append(lb.metaPkgs, []string{p.Name})
-	lb.mu.Unlock()
 
 	// The views changed shape: per-worker Prolog caches resolved under
 	// the old views must flush (they would otherwise keep entering
@@ -79,8 +77,7 @@ func (lb *LitterBox) AddDynamicPackage(cpu *hw.CPU, p *pkggraph.Package, secs []
 		// Roll the views and clustering tables back: the backend created
 		// no enforcement state (MPK frees its key itself), so leaving the
 		// package in any view would advertise access no mechanism backs.
-		lb.mu.Lock()
-		lb.ownMetaLocked()
+		lb.ownMeta()
 		// Truncate only when ours is still the final group — removing an
 		// interior group would renumber every later meta-package. A
 		// retained singleton group is harmless: the package is in no
@@ -89,7 +86,6 @@ func (lb *LitterBox) AddDynamicPackage(cpu *hw.CPU, p *pkggraph.Package, secs []
 			lb.metaPkgs = lb.metaPkgs[:last]
 		}
 		delete(lb.pkgToMeta, p.Name)
-		lb.mu.Unlock()
 		for _, env := range visibleTo {
 			if env.Trusted {
 				continue
@@ -103,9 +99,9 @@ func (lb *LitterBox) AddDynamicPackage(cpu *hw.CPU, p *pkggraph.Package, secs []
 	return nil
 }
 
-// ownMetaLocked gives lb private copies of shared clustering tables
-// before a write. Requires lb.mu.
-func (lb *LitterBox) ownMetaLocked() {
+// ownMeta gives lb private copies of shared clustering tables before a
+// write.
+func (lb *LitterBox) ownMeta() {
 	if !lb.metaShared {
 		return
 	}
@@ -196,21 +192,17 @@ func (b *MPKBackend) MapDynamicPackage(cpu *hw.CPU, pkg string, secs []*mem.Sect
 	// assignment tables forget the package, so a failed import leaves
 	// the key space exactly as it found it.
 	fail := func(err error) error {
-		b.stateMu.Lock()
-		b.ownKeysLocked()
+		b.ownKeys()
 		if n := len(b.keyByMeta); n > 0 && b.keyByMeta[n-1] == key {
 			b.keyByMeta = b.keyByMeta[:n-1]
 		}
 		delete(b.keyOf, pkg)
-		b.stateMu.Unlock()
 		b.unit.PkeyFree(key)
 		return err
 	}
-	b.stateMu.Lock()
-	b.ownKeysLocked()
+	b.ownKeys()
 	b.keyByMeta = append(b.keyByMeta, key)
 	b.keyOf[pkg] = key
-	b.stateMu.Unlock()
 	for _, sec := range secs {
 		b.lb.Clock.Advance(hw.CostPkeyMprotect)
 		cpu.Counters.PkeyMprotects++
@@ -221,16 +213,12 @@ func (b *MPKBackend) MapDynamicPackage(cpu *hw.CPU, pkg string, secs []*mem.Sect
 	// Refresh every environment's PKRU (the new key defaults to denied;
 	// trusted and the importers gain it) and re-derive the filter. The
 	// spare-key set shrank, so the color assignment restarts too.
-	b.mu.Lock()
 	b.rules, b.rulesShared = make(map[uint32]seccomp.EnvRule), false
-	b.mu.Unlock()
-	b.stateMu.Lock()
 	b.colorBySig = nil
 	metas := b.lb.MetaPackages()
 	for _, env := range b.lb.EnvsSnapshot() {
 		b.derivePKRU(env, metas)
 		b.addRule(env)
 	}
-	b.stateMu.Unlock()
 	return b.reloadFilter()
 }

@@ -27,10 +27,8 @@ type Env struct {
 
 	// View is the complete memory view: every package granted any
 	// access appears here; absent packages are unmapped. It is fixed at
-	// Init except for dynamic imports, which extend it under viewMu
-	// (reads on the Call path take the read lock).
-	View   map[string]AccessMod
-	viewMu sync.RWMutex
+	// Init except for dynamic imports, which extend it.
+	View map[string]AccessMod
 
 	// Cats is the permitted system-call category mask.
 	Cats kernel.Category
@@ -63,53 +61,16 @@ func (e *Env) ModOf(pkg string) AccessMod {
 		}
 		return ModRWX
 	}
-	e.viewMu.RLock()
-	m := e.View[pkg]
-	e.viewMu.RUnlock()
-	return m
+	return e.View[pkg]
 }
 
 // extendView adds a package to the view (dynamic imports only).
-func (e *Env) extendView(pkg string, mod AccessMod) {
-	e.viewMu.Lock()
-	e.View[pkg] = mod
-	e.viewMu.Unlock()
-}
+func (e *Env) extendView(pkg string, mod AccessMod) { e.View[pkg] = mod }
 
 // removeFromView undoes extendView when a dynamic import fails after
 // the view was already extended: enforcement state (keys, tables) was
 // never created, so the view must not advertise the package either.
-func (e *Env) removeFromView(pkg string) {
-	e.viewMu.Lock()
-	delete(e.View, pkg)
-	e.viewMu.Unlock()
-}
-
-// viewSnapshot copies the view for race-free iteration. Hot paths that
-// only need to iterate two views together use readLockViews instead —
-// the copy is for callers that retain the map past the lock.
-func (e *Env) viewSnapshot() map[string]AccessMod {
-	e.viewMu.RLock()
-	out := make(map[string]AccessMod, len(e.View))
-	for k, v := range e.View {
-		out[k] = v
-	}
-	e.viewMu.RUnlock()
-	return out
-}
-
-// viewLockOrder returns the two environments in view-lock order: both
-// locks are always taken in ascending EnvID (IDs are unique, allocated
-// from one counter), so two concurrent opposite-order comparisons can
-// never interleave with a pending writer into a deadlock. Callers
-// lock/unlock explicitly rather than through a returned closure — the
-// closure would heap-escape on every env switch.
-func viewLockOrder(a, b *Env) (*Env, *Env) {
-	if b.ID < a.ID {
-		return b, a
-	}
-	return a, b
-}
+func (e *Env) removeFromView(pkg string) { delete(e.View, pkg) }
 
 // CanExec reports whether the environment may invoke pkg's functions.
 func (e *Env) CanExec(pkg string) bool { return e.ModOf(pkg) == ModRWX }
@@ -160,29 +121,12 @@ func (e *Env) MoreRestrictiveThan(t *Env) bool {
 	if e.Trusted {
 		return false
 	}
-	x, y := viewLockOrder(e, t)
-	x.viewMu.RLock()
-	if y != x {
-		y.viewMu.RLock()
-	}
-	ok := true
 	for pkg, m := range e.View {
 		if m > t.View[pkg] {
-			ok = false
-			break
+			return false
 		}
 	}
-	if y != x {
-		y.viewMu.RUnlock()
-	}
-	x.viewMu.RUnlock()
-	if !ok {
-		return false
-	}
-	if e.Cats&^t.Cats != 0 {
-		return false
-	}
-	return true
+	return e.Cats&^t.Cats == 0
 }
 
 // String summarises the environment.
@@ -190,9 +134,8 @@ func (e *Env) String() string {
 	if e.Trusted {
 		return fmt.Sprintf("env#%d(trusted)", e.ID)
 	}
-	view := e.viewSnapshot()
-	names := make([]string, 0, len(view))
-	for n := range view {
+	names := make([]string, 0, len(e.View))
+	for n := range e.View {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -201,7 +144,7 @@ func (e *Env) String() string {
 		if i > 0 {
 			out += " "
 		}
-		out += n + ":" + view[n].String()
+		out += n + ":" + e.View[n].String()
 	}
 	return fmt.Sprintf("env#%d(%s | sys:%s)", e.ID, out, e.Cats)
 }
@@ -220,15 +163,6 @@ func intersect(e, f *Env) *Env {
 		Name: e.Name + "&" + f.Name,
 		Cats: e.Cats & f.Cats,
 	}
-	// Iterate both views under their read locks instead of copying each
-	// into a throwaway snapshot map — nested Prologs materialise an
-	// intersection per environment pair and the copies dominated its
-	// cost.
-	x, y := viewLockOrder(e, f)
-	x.viewMu.RLock()
-	if y != x {
-		y.viewMu.RLock()
-	}
 	out.View = make(map[string]AccessMod, min(len(e.View), len(f.View)))
 	for pkg, m := range e.View {
 		if fm, ok := f.View[pkg]; ok {
@@ -237,10 +171,6 @@ func intersect(e, f *Env) *Env {
 			}
 		}
 	}
-	if y != x {
-		y.viewMu.RUnlock()
-	}
-	x.viewMu.RUnlock()
 	switch {
 	case e.ConnectAllow == nil:
 		// Only nil means unrestricted — a non-nil empty list is the

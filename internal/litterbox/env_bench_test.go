@@ -6,7 +6,6 @@ package litterbox
 // allowlists per call. The alloc pins keep the fix from regressing.
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -61,37 +60,6 @@ func TestIntersectSharesConnectAllow(t *testing.T) {
 	if len(out.ConnectAllow) != 1 || out.ConnectAllow[0] != 9 {
 		t.Fatalf("intersection = %v, want [9]", out.ConnectAllow)
 	}
-}
-
-// TestIntersectConcurrentOrders drives opposite-order intersections
-// and comparisons concurrently with view extensions: the ID-ordered
-// readLockViews must neither deadlock nor race (run under -race).
-func TestIntersectConcurrentOrders(t *testing.T) {
-	e, f := benchEnvPair()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for n := 0; n < 200; n++ {
-				switch i {
-				case 0:
-					intersect(e, f)
-				case 1:
-					intersect(f, e)
-				case 2:
-					e.MoreRestrictiveThan(f)
-					f.MoreRestrictiveThan(e)
-				default:
-					e.extendView("dyn", ModR)
-					f.extendView("dyn", ModR)
-					e.removeFromView("dyn")
-					f.removeFromView("dyn")
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
 }
 
 // BenchmarkEnvIntersect measures the nested-switch intersection; run

@@ -2,6 +2,7 @@ package litterbox
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -37,8 +38,6 @@ type EnvExport struct {
 
 // StateExport is a consistent snapshot of a program's whole environment
 // table plus the heap-span ownership the views are evaluated against.
-// It is read from one RCU snapshot load, so a concurrent dynamic import
-// either appears completely or not at all — never torn.
 type StateExport struct {
 	Backend    string            `json:"backend"`
 	Gen        uint64            `json:"gen"`
@@ -52,7 +51,7 @@ type StateExport struct {
 // that executed the same operation sequence export byte-identical
 // state.
 func (lb *LitterBox) ExportState() StateExport {
-	s := lb.snap.Load()
+	s := lb.snap
 	out := StateExport{
 		Backend:    lb.backend.Name(),
 		Gen:        s.gen,
@@ -75,7 +74,7 @@ func exportEnv(env *Env) EnvExport {
 		ID:      int(env.ID),
 		Name:    env.Name,
 		Trusted: env.Trusted,
-		View:    env.viewSnapshot(),
+		View:    maps.Clone(env.View),
 		Cats:    env.Cats,
 		Connect: cloneHosts(env.ConnectAllow),
 		ViewKey: viewKey(env),

@@ -100,7 +100,7 @@ func (lb *LitterBox) auditSyscall(cpu *hw.CPU, p *kernel.Proc, env *Env, callerP
 // SetRingBatching toggles the amortized batch drain (on by default).
 // Off routes SyscallBatch through the sequential per-entry gateway —
 // the reference arm ring-off probe sweeps diff against.
-func (lb *LitterBox) SetRingBatching(on bool) { lb.ringSeq.Store(!on) }
+func (lb *LitterBox) SetRingBatching(on bool) { lb.ringSeq = !on }
 
 // SyscallBatch drains one submission-ring batch on behalf of env,
 // writing one completion per entry into out. The batch executes in
@@ -132,7 +132,7 @@ func (lb *LitterBox) SyscallBatch(cpu *hw.CPU, env *Env, callerPkg string, entri
 		})
 	}
 	var err error
-	if lb.ringSeq.Load() {
+	if lb.ringSeq {
 		err = lb.syscallBatchSeq(cpu, env, callerPkg, entries, out)
 	} else {
 		err = lb.syscallBatchAmortized(cpu, lb.procOf(st), env, callerPkg, entries, out)

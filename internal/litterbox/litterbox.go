@@ -3,7 +3,6 @@ package litterbox
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
@@ -123,7 +122,9 @@ type Config struct {
 	Audit *obs.Audit
 }
 
-// LitterBox is one program's enforcement state.
+// LitterBox is one program's enforcement state. It is used under the
+// program's run token, so only aborted and fault, which host code polls
+// while the program runs, are atomic.
 type LitterBox struct {
 	Image  *linker.Image
 	Space  *mem.AddressSpace
@@ -134,41 +135,36 @@ type LitterBox struct {
 	backend Backend
 	graph   *pkggraph.Graph
 
-	// mu is the env-state *writer* lock: snapshot publication, ID
-	// allocation, and the clustering tables serialise on it. Readers
-	// never take it — they load lb.snap.
-	mu      sync.Mutex
 	nextEnv EnvID
 	trusted *Env
 	verif   map[int]uint64 // enclosure ID → expected call-site token
 
-	// snap is the atomically-swapped immutable env read-path state
-	// (see snapshot.go).
-	snap atomic.Pointer[envSnapshot]
+	// snap is the current immutable env state (see snapshot.go).
+	snap *envSnapshot
 	// birth is a clone's snapshot as CloneInto built it; ResetTo
 	// re-publishes it (nil on LitterBoxes not made by CloneInto).
 	birth *envSnapshot
 
 	// cpus heads the worker binding table, a list of *CPUState keyed
 	// by worker clock (see domain.go).
-	cpus atomic.Pointer[CPUState]
+	cpus *CPUState
 
 	// Meta-package clustering results (for introspection and LB_MPK).
 	// metaShared marks both as aliased with a snapshot template or
-	// clone: a dynamic import copies them before writing. Guarded by mu.
+	// clone: a dynamic import copies them before writing.
 	metaPkgs   [][]string
 	pkgToMeta  map[string]int
 	metaShared bool
 
 	aborted atomic.Bool
 	fault   atomic.Pointer[Fault]
-	trace   atomic.Value // *Trace, nil when disabled
-	audit   *obs.Audit   // nil when enforcing
+	trace   *Trace     // nil when disabled
+	audit   *obs.Audit // nil when enforcing
 
 	// ringSeq routes SyscallBatch through the sequential per-entry
 	// gateway instead of the backend's amortized drain — the reference
 	// arm the probe sweep's ring-off runs diff against.
-	ringSeq atomic.Bool
+	ringSeq bool
 
 	// enclName maps enclosure IDs to names for event attribution.
 	enclName map[int]string
@@ -188,14 +184,12 @@ func Init(cfg Config) (*LitterBox, error) {
 		graph:    img.Graph,
 		verif:    make(map[int]uint64),
 		audit:    cfg.Audit,
+		trace:    cfg.Trace,
 		enclName: make(map[int]string),
 	}
 	snap := &envSnapshot{
 		byEncl: make(map[int]EnvID),
-		inter:  make(map[[2]EnvID]*interEntry),
-	}
-	if cfg.Trace != nil {
-		lb.trace.Store(cfg.Trace)
+		inter:  make(map[[2]EnvID]*Env),
 	}
 
 	if err := lb.validateSections(); err != nil {
@@ -237,8 +231,8 @@ func Init(cfg Config) (*LitterBox, error) {
 		lb.enclName[spec.ID] = spec.Name
 	}
 	// Publish before clustering and backend setup: both resolve envs
-	// through the snapshot read path.
-	lb.snap.Store(snap)
+	// through the snapshot.
+	lb.snap = snap
 
 	// Cluster packages across all memory views into meta-packages.
 	lb.cluster()
@@ -247,16 +241,7 @@ func Init(cfg Config) (*LitterBox, error) {
 		return nil, err
 	}
 
-	// The kernel traces syscall dispatch itself (it knows the verdict
-	// and the virtual time spent); LitterBox supplies the tracer and the
-	// backend/worker attribution it cannot know.
-	lb.Kernel.SetTraceSource(func(cpu *hw.CPU) (*obs.Trace, string, string) {
-		tr, _ := lb.trace.Load().(*obs.Trace)
-		if tr == nil {
-			return nil, "", ""
-		}
-		return tr, lb.backend.Name(), lb.workerName(cpu)
-	})
+	lb.setTrace(lb.trace)
 
 	lb.emit(nil, obs.Event{
 		Kind:   obs.KindInit,
@@ -355,7 +340,7 @@ func (lb *LitterBox) computeView(spec EnclosureSpec) (*Env, error) {
 // across every environment; each group is a meta-package and, under
 // LB_MPK, receives one protection key (§5.3).
 func (lb *LitterBox) cluster() {
-	envs := lb.snap.Load().envs
+	envs := lb.snap.envs
 	sig := make(map[string]string)
 	for _, name := range lb.graph.Names() {
 		s := ""
@@ -391,8 +376,6 @@ func (lb *LitterBox) cluster() {
 // MetaPackages returns the clustering result: each element is one
 // meta-package's member list.
 func (lb *LitterBox) MetaPackages() [][]string {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
 	out := make([][]string, len(lb.metaPkgs))
 	for i, g := range lb.metaPkgs {
 		out[i] = append([]string(nil), g...)
@@ -412,9 +395,8 @@ func (lb *LitterBox) MetaOf(pkg string) int {
 func (lb *LitterBox) Trusted() *Env { return lb.trusted }
 
 // EnvForEnclosure returns the environment computed for an enclosure ID.
-// Lock-free: it resolves against the current snapshot.
 func (lb *LitterBox) EnvForEnclosure(id int) (*Env, error) {
-	s := lb.snap.Load()
+	s := lb.snap
 	eid, ok := s.byEncl[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: id=%d", ErrUnknownEncl, id)
@@ -422,9 +404,9 @@ func (lb *LitterBox) EnvForEnclosure(id int) (*Env, error) {
 	return s.envs[eid], nil
 }
 
-// Env returns an environment by its ID. Lock-free.
+// Env returns an environment by its ID.
 func (lb *LitterBox) Env(id EnvID) (*Env, bool) {
-	s := lb.snap.Load()
+	s := lb.snap
 	if id < 0 || int(id) >= len(s.envs) {
 		return nil, false
 	}
@@ -434,11 +416,9 @@ func (lb *LitterBox) Env(id EnvID) (*Env, bool) {
 // EnvsSnapshot returns all current environments (trusted, per-enclosure,
 // and materialised intersections) in ID order. The returned slice is
 // the snapshot's own immutable backing array — callers iterate it, they
-// must not mutate it. Lock-free, allocation-free: the VTX and CHERI
-// backends call this on every Transfer.
-func (lb *LitterBox) EnvsSnapshot() []*Env {
-	return lb.snap.Load().envs
-}
+// must not mutate it. Allocation-free: the VTX and CHERI backends call
+// this on every Transfer.
+func (lb *LitterBox) EnvsSnapshot() []*Env { return lb.snap.envs }
 
 // Backend exposes the active backend (for stats and tests).
 func (lb *LitterBox) Backend() Backend { return lb.backend }
@@ -471,25 +451,10 @@ func (lb *LitterBox) RaiseFault(cpu *hw.CPU, f *Fault) *Fault {
 	return f
 }
 
-// interEntry is one lazily materialised intersection environment. The
-// creator publishes env/err and closes ready; concurrent workers that
-// hit the cache entry wait on ready before touching the environment, so
-// no worker can observe an Env whose backend state (PKRU, page table)
-// has not been created yet.
-type interEntry struct {
-	ready chan struct{}
-	env   *Env
-	err   error
-}
-
 // targetEnv resolves the environment a switch into enclosure env `to`
 // enters from `from`: the intersection, materialised lazily and cached.
 // Entering can only restrict; returning to the caller's environment is
 // always permitted because Epilog restores the saved `from`.
-//
-// lb.mu is released before backend.CreateEnv runs — the MPK backend
-// re-enters the LitterBox (MetaPackages) while deriving the PKRU — so
-// the entry's ready channel carries the happens-before edge instead.
 func (lb *LitterBox) targetEnv(from, to *Env) (*Env, error) {
 	if from.Trusted {
 		return to, nil
@@ -503,46 +468,25 @@ func (lb *LitterBox) targetEnv(from, to *Env) (*Env, error) {
 		return to, nil
 	}
 	key := [2]EnvID{from.ID, to.ID}
-	// Fast path: the entry is usually already in the snapshot, so the
-	// common nested Prolog resolves without the writer lock.
-	if ent, ok := lb.snap.Load().inter[key]; ok {
-		<-ent.ready
-		return ent.env, ent.err
+	if e, ok := lb.snap.inter[key]; ok {
+		return e, nil
 	}
-	lb.mu.Lock()
-	// Re-check under the writer lock: another worker may have published
-	// the entry between our snapshot load and acquiring mu.
-	if ent, ok := lb.snap.Load().inter[key]; ok {
-		lb.mu.Unlock()
-		<-ent.ready
-		return ent.env, ent.err
-	}
-	ent := &interEntry{ready: make(chan struct{})}
-	lb.publishLocked(func(s *envSnapshot) { s.inter[key] = ent })
 	e := intersect(from, to)
-	lb.mu.Unlock()
-
 	if err := lb.backend.CreateEnv(e); err != nil {
-		// Drop the entry so the next Prolog of this pair retries: a
+		// Nothing is cached, so the next Prolog of this pair retries: a
 		// transient backend failure (key pressure, table exhaustion) must
 		// not poison the nesting pair forever. The EnvID is only
 		// allocated on success, so none leaks here.
-		lb.mu.Lock()
-		lb.publishLocked(func(s *envSnapshot) { delete(s.inter, key) })
-		lb.mu.Unlock()
-		ent.err = err
-		close(ent.ready)
 		return nil, err
 	}
-	lb.mu.Lock()
 	e.ID = lb.nextEnv
 	lb.nextEnv++
-	// Append keeps the snapshot's envs slice dense: e.ID == the new
-	// index because IDs are allocated in publication order under mu.
-	lb.publishLocked(func(s *envSnapshot) { s.envs = append(s.envs, e) })
-	lb.mu.Unlock()
-	ent.env = e
-	close(ent.ready)
+	// Append keeps the snapshot's envs slice dense: e.ID is the new
+	// index because IDs are allocated in append order.
+	lb.publish(func(s *envSnapshot) {
+		s.envs = append(s.envs, e)
+		s.inter[key] = e
+	})
 	return e, nil
 }
 
@@ -562,7 +506,7 @@ func (lb *LitterBox) PrologWith(cpu *hw.CPU, from *Env, enclID int, token uint64
 		return nil, ErrAborted
 	}
 	var target *Env
-	epoch := lb.snap.Load().viewGen
+	epoch := lb.snap.viewGen
 	if cache != nil {
 		target = cache.lookup(from.ID, enclID, epoch)
 	}

@@ -181,9 +181,7 @@ func (b *MPKBackend) ensureCached(cpu *hw.CPU, env *Env) (bool, error) {
 				b.keyOf[pkg] = b.virt.physOf[i]
 			}
 		}
-		b.mu.Lock()
 		b.rules = make(map[uint32]seccomp.EnvRule)
-		b.mu.Unlock()
 		for _, e := range b.lb.EnvsSnapshot() {
 			b.derivePKRU(e, metas)
 			b.addRule(e)
@@ -240,8 +238,6 @@ func (b *MPKBackend) retagMeta(cpu *hw.CPU, metas [][]string, meta, key int) err
 
 // Remaps reports how many libmpk eviction slow paths have run.
 func (b *MPKBackend) Remaps() int64 {
-	b.stateMu.RLock()
-	defer b.stateMu.RUnlock()
 	if b.virt == nil {
 		return 0
 	}

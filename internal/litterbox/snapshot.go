@@ -1,14 +1,11 @@
 package litterbox
 
-// The env read path is RCU-style: all state a worker needs to resolve
-// environments — the env table, the enclosure index, and the lazily
-// materialised intersection entries — lives in one immutable
-// envSnapshot behind an atomic pointer. Readers load the pointer and
-// walk plain maps and slices with no lock and no contention; writers
-// (Init, intersection materialisation, dynamic imports) serialise on
-// lb.mu, copy the snapshot, mutate the copy, and swap it in. A reader
-// that raced a writer simply sees the previous snapshot, which is
-// always internally consistent.
+// All state a worker needs to resolve environments — the env table, the
+// enclosure index, and the lazily materialised intersections — lives in
+// one immutable envSnapshot. Writers (Init, intersection
+// materialisation, dynamic imports) copy the snapshot, mutate the copy,
+// and swap it in, so a snapshot once published never changes: a clone's
+// birth snapshot stays intact for ResetTo to re-publish.
 type envSnapshot struct {
 	// gen counts publishes (diagnostics only).
 	gen uint64
@@ -22,10 +19,9 @@ type envSnapshot struct {
 	envs []*Env
 	// byEncl maps enclosure ID → environment ID.
 	byEncl map[int]EnvID
-	// inter holds the lazily materialised intersection environments;
-	// the entry's ready channel carries the happens-before edge from
-	// creator to concurrent waiters.
-	inter map[[2]EnvID]*interEntry
+	// inter holds the materialised intersection environments, keyed by
+	// the (from, to) pair that entered them.
+	inter map[[2]EnvID]*Env
 }
 
 // clone copies the snapshot's containers for a copy-on-write update.
@@ -35,7 +31,7 @@ func (s *envSnapshot) clone() *envSnapshot {
 		viewGen: s.viewGen,
 		envs:    append([]*Env(nil), s.envs...),
 		byEncl:  make(map[int]EnvID, len(s.byEncl)),
-		inter:   make(map[[2]EnvID]*interEntry, len(s.inter)),
+		inter:   make(map[[2]EnvID]*Env, len(s.inter)),
 	}
 	for k, v := range s.byEncl {
 		c.byEncl[k] = v
@@ -46,12 +42,12 @@ func (s *envSnapshot) clone() *envSnapshot {
 	return c
 }
 
-// publishLocked copies the current snapshot, applies mutate, and swaps
-// the result in. The caller must hold lb.mu.
-func (lb *LitterBox) publishLocked(mutate func(*envSnapshot)) {
-	next := lb.snap.Load().clone()
+// publish copies the current snapshot, applies mutate, and swaps the
+// result in.
+func (lb *LitterBox) publish(mutate func(*envSnapshot)) {
+	next := lb.snap.clone()
 	mutate(next)
-	lb.snap.Store(next)
+	lb.snap = next
 }
 
 // bumpViewGen publishes a snapshot with the view generation advanced,
@@ -59,14 +55,11 @@ func (lb *LitterBox) publishLocked(mutate func(*envSnapshot)) {
 // dynamic imports before and independent of the backend mapping's
 // outcome, so no cache refilled mid-import survives it.
 func (lb *LitterBox) bumpViewGen() {
-	lb.mu.Lock()
-	lb.publishLocked(func(s *envSnapshot) { s.viewGen++ })
-	lb.mu.Unlock()
+	lb.publish(func(s *envSnapshot) { s.viewGen++ })
 }
 
 // SnapshotGen returns (publish generation, view generation) — test and
 // benchmark introspection.
 func (lb *LitterBox) SnapshotGen() (gen, viewGen uint64) {
-	s := lb.snap.Load()
-	return s.gen, s.viewGen
+	return lb.snap.gen, lb.snap.viewGen
 }

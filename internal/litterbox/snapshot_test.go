@@ -1,8 +1,8 @@
 package litterbox_test
 
-// Concurrency tests for the RCU-style env read path: lock-free readers
-// racing snapshot publications (intersection materialisation, dynamic
-// imports). Run under -race in CI.
+// Tests for the env snapshot: readers interleaved with snapshot
+// publications (intersection materialisation, dynamic imports). Run
+// under -race in CI.
 
 import (
 	"sync"
@@ -37,6 +37,10 @@ func twoEnclosures() []litterbox.EnclosureSpec {
 	}
 }
 
+// TestSnapshotConcurrentReadersAndWriters interleaves readers with
+// nested Prologs that materialise an intersection. Like a program's
+// simulated goroutines, the goroutines take turns on one mutex, which
+// stands in for the run token: the LitterBox itself takes no lock.
 func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	f := newFixture(t)
 	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space)), twoEnclosures()...)
@@ -46,55 +50,68 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var run sync.Mutex
 	var wg sync.WaitGroup
 	// Readers: resolve envs and iterate the snapshot continuously.
+	read := func(i int) bool {
+		run.Lock()
+		defer run.Unlock()
+		if _, err := lb.EnvForEnclosure(1 + i%2); err != nil {
+			t.Error(err)
+			return false
+		}
+		for _, e := range lb.EnvsSnapshot() {
+			_ = e.ModOf("lib")
+		}
+		if _, ok := lb.Env(litterbox.TrustedEnv); !ok {
+			t.Error("trusted env vanished")
+			return false
+		}
+		return true
+	}
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 3000; i++ {
-				if _, err := lb.EnvForEnclosure(1 + i%2); err != nil {
-					t.Error(err)
-					return
-				}
-				for _, e := range lb.EnvsSnapshot() {
-					_ = e.ModOf("lib")
-				}
-				if _, ok := lb.Env(litterbox.TrustedEnv); !ok {
-					t.Error("trusted env vanished")
-					return
-				}
+			for i := 0; i < 3000 && read(i); i++ {
 			}
 		}()
 	}
-	// Writers: nested Prologs race to materialise the e1&e2 intersection
-	// (one creator, the rest wait on the ready channel), each on its own
-	// CPU, clock and worker cache: concurrent goroutines are separate
-	// owners, and a clock belongs to one owner at a time.
+	// Writers: nested Prologs materialise the e1&e2 intersection once
+	// (the first) and reuse it (the rest), each on its own CPU, clock
+	// and worker cache, like the workers of one program.
+	nest := func(cpu *hw.CPU, cache *litterbox.EnvCache) bool {
+		run.Lock()
+		defer run.Unlock()
+		tgt, err := lb.PrologWith(cpu, env1, 2, 0, cache)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		if tgt.Name != "e1&e2" {
+			t.Errorf("nested Prolog landed in %s", tgt.Name)
+			return false
+		}
+		if err := lb.Epilog(cpu, tgt, env1, 2, 0); err != nil {
+			t.Error(err)
+			return false
+		}
+		return true
+	}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			cpu := hw.NewCPU(hw.NewClock())
 			cache := litterbox.NewEnvCache()
-			if err := lb.InstallEnv(cpu, env1); err != nil {
+			run.Lock()
+			err := lb.InstallEnv(cpu, env1)
+			run.Unlock()
+			if err != nil {
 				t.Error(err)
 				return
 			}
-			for i := 0; i < 500; i++ {
-				tgt, err := lb.PrologWith(cpu, env1, 2, 0, cache)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if tgt.Name != "e1&e2" {
-					t.Errorf("nested Prolog landed in %s", tgt.Name)
-					return
-				}
-				if err := lb.Epilog(cpu, tgt, env1, 2, 0); err != nil {
-					t.Error(err)
-					return
-				}
+			for i := 0; i < 500 && nest(cpu, cache); i++ {
 			}
 		}()
 	}

@@ -19,26 +19,36 @@ type (
 // and returns the trace.
 func (lb *LitterBox) EnableTrace(capacity int) *Trace {
 	tr := obs.New(capacity)
-	lb.trace.Store(tr)
+	lb.setTrace(tr)
 	return tr
 }
 
 // DisableTrace stops recording.
-func (lb *LitterBox) DisableTrace() { lb.trace.Store((*Trace)(nil)) }
+func (lb *LitterBox) DisableTrace() { lb.setTrace(nil) }
+
+// setTrace attaches tr (nil detaches it). The kernel traces syscall
+// dispatch itself (it knows the verdict and the virtual time spent);
+// LitterBox hands it a trace source, which supplies the tracer and the
+// backend/worker attribution the kernel cannot know, only while a
+// tracer is attached, so an untraced syscall pays one nil check.
+func (lb *LitterBox) setTrace(tr *Trace) {
+	lb.trace = tr
+	if tr == nil {
+		lb.Kernel.SetTraceSource(nil)
+		return
+	}
+	lb.Kernel.SetTraceSource(func(cpu *hw.CPU) (*obs.Trace, string, string) {
+		return lb.trace, lb.backend.Name(), lb.workerName(cpu)
+	})
+}
 
 // Tracer returns the attached trace, or nil when tracing is disabled.
-func (lb *LitterBox) Tracer() *Trace {
-	tr, _ := lb.trace.Load().(*Trace)
-	return tr
-}
+func (lb *LitterBox) Tracer() *Trace { return lb.trace }
 
 // tracing is the hot-path guard: callers check it before building an
 // Event so an untraced run never pays for event construction, and a
 // traced one skips it exactly once per emit.
-func (lb *LitterBox) tracing() bool {
-	tr, _ := lb.trace.Load().(*Trace)
-	return tr != nil
-}
+func (lb *LitterBox) tracing() bool { return lb.trace != nil }
 
 // Audit returns the attached audit recorder, or nil when enforcing.
 func (lb *LitterBox) Audit() *obs.Audit { return lb.audit }
@@ -59,7 +69,7 @@ func envName(env *Env) string {
 // and the worker bound to the CPU. Tracing is host-side — nothing here
 // advances the virtual clock.
 func (lb *LitterBox) emit(cpu *hw.CPU, e obs.Event) {
-	tr, _ := lb.trace.Load().(*Trace)
+	tr := lb.trace
 	if tr == nil {
 		return
 	}

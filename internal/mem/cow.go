@@ -71,13 +71,15 @@ type ownerUndo struct {
 // section identity map (template section -> clone section). The clone
 // sees bit-identical contents at identical addresses; neither side can
 // observe the other's subsequent writes. Both sides pay promote-on-first-
-// write for pages that were shared at clone time.
+// write for pages that were shared at clone time. A space whose mapped
+// pages are all shared already — a clone no write has reached, such as a
+// snapshot template's frozen space — is only read, so several owners
+// may clone it at once.
 func (as *AddressSpace) CloneCoW() (*AddressSpace, map[*Section]*Section) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-
-	for i := range as.pages {
-		as.pages[i].cow = as.pages[i].arr != nil
+	for i, p := range as.pages {
+		if p.arr != nil && !p.cow {
+			as.pages[i].cow = true
+		}
 	}
 	clone := &AddressSpace{
 		pages: slices.Clone(as.pages), // alias: promote-on-write splits them
@@ -100,27 +102,14 @@ func (as *AddressSpace) CloneCoW() (*AddressSpace, map[*Section]*Section) {
 	return clone, secMap
 }
 
-// needsPromoteLocked reports whether any page of [addr, addr+size) is
-// still shared copy-on-write. Called under either lock mode (cow flags
-// are only mutated under the write lock).
-func (as *AddressSpace) needsPromoteLocked(addr Addr, size uint64) bool {
+// promote privately copies every still-shared page of [addr,
+// addr+size) so a subsequent write cannot leak into the other side of a
+// CoW clone. A demand-zero page gets a zeroed private page instead of a
+// copy of zeroPage.
+func (as *AddressSpace) promote(addr Addr, size uint64) {
 	first, last, ok := PageRange(addr, size)
 	for i := PageIndex(first); ok && i <= PageIndex(last); i++ {
-		if as.pageLocked(i).cow {
-			return true
-		}
-	}
-	return false
-}
-
-// promoteLocked privately copies every still-shared page of the range so
-// a subsequent write cannot leak into the other side of a CoW clone. A
-// demand-zero page gets a zeroed private page instead of a copy of
-// zeroPage. Requires the write lock.
-func (as *AddressSpace) promoteLocked(addr Addr, size uint64) {
-	first, last, _ := PageRange(addr, size)
-	for i := PageIndex(first); i <= PageIndex(last); i++ {
-		p := as.pageLocked(i)
+		p := as.page(i)
 		if !p.cow {
 			continue
 		}
@@ -131,14 +120,13 @@ func (as *AddressSpace) promoteLocked(addr Addr, size uint64) {
 			*priv = [PageSize]byte{}
 		}
 		as.pages[i] = page{arr: priv}
-		as.markPagesDirtyLocked(i, i)
+		as.markPagesDirty(i, i)
 	}
 }
 
-// markPagesDirtyLocked records post-clone page-table mutations (map,
-// unmap, promotion) of indexes [first, last] so Revert knows to
-// reconcile them. Requires the write lock.
-func (as *AddressSpace) markPagesDirtyLocked(first, last int) {
+// markPagesDirty records post-clone page-table mutations (map, unmap,
+// promotion) of indexes [first, last] so Revert knows to reconcile them.
+func (as *AddressSpace) markPagesDirty(first, last int) {
 	if as.snap == nil {
 		return
 	}
@@ -157,8 +145,6 @@ func (as *AddressSpace) markPagesDirtyLocked(first, last int) {
 // privately go back to pagePool; a page still marked cow is zeroPage,
 // or shared with a later clone of this one and left to it.
 func (as *AddressSpace) Revert() error {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	snap := as.snap
 	if snap == nil {
 		return ErrNoSnapshot

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // PageSize is the page granularity of the simulated MMU (4 KiB).
@@ -179,9 +178,9 @@ func PageIndex(p uint64) int { return int(p - uint64(baseVA)>>PageShift) }
 // simulated program. Sections are carved from a bump allocator starting
 // at baseVA, so page numbers are dense: the page table is a slice
 // indexed by PageIndex that reaches as far as the allocator has, with
-// nil for a page that is not mapped. It is safe for concurrent use.
+// nil for a page that is not mapped. It belongs to one program and is
+// used under that program's run token.
 type AddressSpace struct {
-	mu       sync.RWMutex
 	pages    []page     // len(pages) == (next-baseVA)/PageSize
 	sections []*Section // sorted by Base
 	next     Addr
@@ -201,9 +200,9 @@ type page struct {
 	cow bool
 }
 
-// pageLocked returns the entry at page index i; an index outside the
-// table is an unmapped page. Requires either lock mode.
-func (as *AddressSpace) pageLocked(i int) page {
+// page returns the entry at page index i; an index outside the table is
+// an unmapped page.
+func (as *AddressSpace) page(i int) page {
 	if uint(i) < uint(len(as.pages)) {
 		return as.pages[i]
 	}
@@ -226,7 +225,7 @@ func NewAddressSpace(capacity uint64) *AddressSpace {
 // out of unused address space. Its pages are demand-zero: each one
 // points at the shared zeroPage, marked copy-on-write, so mapping
 // allocates no page array and the first write to a page gives it a
-// private one (see promoteLocked). The paper's equivalent is the linker
+// private one (see promote). The paper's equivalent is the linker
 // laying out a segregated section or the runtime mmap-ing a fresh heap
 // span, which the kernel backs with its shared zero page the same way.
 func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, perm Perm) (*Section, error) {
@@ -234,8 +233,6 @@ func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, per
 		return nil, ErrZeroSize
 	}
 	size = AlignUp(size)
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	if as.next+Addr(size) > as.limit || as.next+Addr(size) < as.next {
 		return nil, ErrExhausted
 	}
@@ -246,7 +243,7 @@ func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, per
 	for range n {
 		as.pages = append(as.pages, page{arr: &zeroPage, cow: true})
 	}
-	as.markPagesDirtyLocked(first, len(as.pages)-1)
+	as.markPagesDirty(first, len(as.pages)-1)
 	as.sections = append(as.sections, s) // bump allocation keeps order sorted
 	return s, nil
 }
@@ -254,8 +251,6 @@ func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, per
 // Unmap removes a section and releases its pages. Subsequent accesses to
 // the range fault with ErrUnmapped.
 func (as *AddressSpace) Unmap(s *Section) error {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	idx := slices.Index(as.sections, s)
 	if idx < 0 {
 		return ErrDoubleUnmap
@@ -265,7 +260,7 @@ func (as *AddressSpace) Unmap(s *Section) error {
 	for i := PageIndex(first); i <= PageIndex(last); i++ {
 		as.pages[i] = page{}
 	}
-	as.markPagesDirtyLocked(PageIndex(first), PageIndex(last))
+	as.markPagesDirty(PageIndex(first), PageIndex(last))
 	if as.snap != nil && s.Base < as.snap.next {
 		as.snap.unmapped = true
 	}
@@ -276,22 +271,14 @@ func (as *AddressSpace) Unmap(s *Section) error {
 // the storage-level half of LitterBox's Transfer; the backends update
 // their page tables / key tags separately.
 func (as *AddressSpace) SetOwner(s *Section, pkg string) {
-	as.mu.Lock()
 	if as.snap != nil && s.Base < as.snap.next {
 		as.snap.owners = append(as.snap.owners, ownerUndo{s, s.Pkg})
 	}
 	s.Pkg = pkg
-	as.mu.Unlock()
 }
 
 // SectionAt returns the section containing addr, or nil.
 func (as *AddressSpace) SectionAt(addr Addr) *Section {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return as.sectionAtLocked(addr)
-}
-
-func (as *AddressSpace) sectionAtLocked(addr Addr) *Section {
 	i := sort.Search(len(as.sections), func(i int) bool {
 		return as.sections[i].End() > addr
 	})
@@ -303,8 +290,6 @@ func (as *AddressSpace) sectionAtLocked(addr Addr) *Section {
 
 // Sections returns a snapshot of all mapped sections in address order.
 func (as *AddressSpace) Sections() []*Section {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	return slices.Clone(as.sections)
 }
 
@@ -315,9 +300,7 @@ func (as *AddressSpace) Sections() []*Section {
 // copyIn/copyOut pair, which is where a view check on system-call
 // buffers belongs.
 func (as *AddressSpace) ReadAt(addr Addr, p []byte) error {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return as.copyLocked(addr, p, false)
+	return as.copy(addr, p, false)
 }
 
 // WriteAt copies p into memory starting at addr. Like ReadAt it checks
@@ -326,23 +309,15 @@ func (as *AddressSpace) ReadAt(addr Addr, p []byte) error {
 // A write that lands on a copy-on-write page first promotes it to a
 // private copy, so CoW clones never observe each other's writes.
 func (as *AddressSpace) WriteAt(addr Addr, p []byte) error {
-	as.mu.RLock() // page table is not mutated; page contents race is caller's
-	if !as.needsPromoteLocked(addr, uint64(len(p))) {
-		defer as.mu.RUnlock()
-		return as.copyLocked(addr, p, true)
-	}
-	as.mu.RUnlock()
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.promoteLocked(addr, uint64(len(p)))
-	return as.copyLocked(addr, p, true)
+	as.promote(addr, uint64(len(p)))
+	return as.copy(addr, p, true)
 }
 
-func (as *AddressSpace) copyLocked(addr Addr, p []byte, write bool) error {
+func (as *AddressSpace) copy(addr Addr, p []byte, write bool) error {
 	done := 0
 	for done < len(p) {
 		a := addr + Addr(done)
-		page := as.pageLocked(PageIndex(a.PageNumber())).arr
+		page := as.page(PageIndex(a.PageNumber())).arr
 		if page == nil {
 			return fmt.Errorf("%w: %s", ErrUnmapped, a)
 		}
@@ -399,10 +374,8 @@ func (as *AddressSpace) Mapped(addr Addr, size uint64) bool {
 	if !ok {
 		return size == 0
 	}
-	as.mu.RLock()
-	defer as.mu.RUnlock()
 	for i := PageIndex(first); i <= PageIndex(last); i++ {
-		if as.pageLocked(i).arr == nil {
+		if as.page(i).arr == nil {
 			return false
 		}
 	}

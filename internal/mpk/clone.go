@@ -43,8 +43,6 @@ func (j *journal) notePage(pages []pte, i int) {
 // WRPKRU gadget scan — its text pages are bit-identical by CoW. The
 // clone journals its own changes from birth for Revert.
 func (u *Unit) Clone(space *mem.AddressSpace) *Unit {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	return &Unit{space: space, used: u.used, pages: slices.Clone(u.pages), muts: u.muts,
 		undo: &journal{used: u.used, muts: u.muts}}
 }
@@ -55,8 +53,6 @@ func (u *Unit) Clone(space *mem.AddressSpace) *Unit {
 // number of pages changed since birth (or the last Revert); reverting an
 // unchanged unit, or one not made by Clone, does nothing.
 func (u *Unit) Revert() {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	j := u.undo
 	if j == nil {
 		return
@@ -72,7 +68,5 @@ func (u *Unit) Revert() {
 // Generation returns a counter bumped by every key-table mutation
 // (alloc/free/mprotect); Revert rewinds it with the rest of the unit.
 func (u *Unit) Generation() int64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	return u.muts
 }

@@ -38,8 +38,6 @@ type birth struct {
 // tracked tags by page index; untracked (zero) entries are left out, so
 // a table that grew but holds the same tags compares equal.
 func birthOf(u *Unit) birth {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	tags := make(map[int]pte)
 	for i, e := range u.pages {
 		if e.tracked {

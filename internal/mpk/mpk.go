@@ -15,7 +15,6 @@ package mpk
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -53,7 +52,6 @@ type pte struct {
 type Unit struct {
 	space *mem.AddressSpace
 
-	mu    sync.Mutex
 	used  [hw.NumKeys]bool
 	pages []pte // grows to the highest page ever tagged
 	muts  int64 // bumped on every key-table mutation (see clone.go)
@@ -74,8 +72,6 @@ func NewUnit(space *mem.AddressSpace) *Unit {
 
 // PkeyAlloc reserves a fresh key. Implements kernel.PkeyOps.
 func (u *Unit) PkeyAlloc() (int, kernel.Errno) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	for k := 1; k < hw.NumKeys; k++ {
 		if !u.used[k] {
 			u.used[k] = true
@@ -90,8 +86,6 @@ func (u *Unit) PkeyAlloc() (int, kernel.Errno) {
 // semantics only after an explicit retag; freeing a key in use is the
 // caller's bug, as on Linux.
 func (u *Unit) PkeyFree(key int) kernel.Errno {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	if key <= 0 || key >= hw.NumKeys || !u.used[key] {
 		return kernel.EINVAL
 	}
@@ -110,8 +104,6 @@ func (u *Unit) PkeyMprotect(base mem.Addr, size uint64, perm mem.Perm, key int) 
 	if !ok || !base.PageAligned() || size%mem.PageSize != 0 {
 		return kernel.EINVAL
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	if key < 0 || key >= hw.NumKeys || !u.used[key] {
 		return kernel.EINVAL
 	}
@@ -165,8 +157,6 @@ func (u *Unit) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) 
 	if !ok {
 		return fmt.Errorf("%w: %s", mem.ErrUnmapped, addr)
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	for p := first; p <= last; p++ {
 		var e pte
 		if i := mem.PageIndex(p); uint(i) < uint(len(u.pages)) {

@@ -191,8 +191,6 @@ func TestAccessErrorMessage(t *testing.T) {
 
 // keyOf returns the key tagging the page containing addr.
 func (u *Unit) keyOf(addr mem.Addr) int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	if i := mem.PageIndex(addr.PageNumber()); i >= 0 && i < len(u.pages) && u.pages[i].tracked {
 		return int(u.pages[i].key)
 	}

@@ -18,7 +18,7 @@ import (
 type Warm struct {
 	spec      WorldSpec
 	templates []*snapstart.Template // per backend, backendNames order
-	spans     [][]*mem.Section      // template-side heap spans per backend
+	spans     [][]*mem.Section      // the cold source worlds' heap spans per backend
 	insts     []*snapstart.Instance
 
 	clones, recycles int64 // counts of earlier traces' templates
@@ -53,8 +53,7 @@ func (w *Warm) capture(spec WorldSpec) ([]*World, error) {
 	}
 	for i, cold := range colds {
 		t, err := snapstart.Capture(snapstart.Parts{
-			Space: cold.LB.Space, Img: cold.Img, K: cold.K, Proc: cold.LB.Proc,
-			LB: cold.LB, Clock: cold.Clock,
+			Space: cold.LB.Space, Img: cold.Img, K: cold.K, Proc: cold.LB.Proc, LB: cold.LB,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("probe: capturing %s template: %w", backendNames[i], err)
@@ -85,8 +84,8 @@ func (w *Warm) recycle(WorldSpec) ([]*World, error) {
 }
 
 // worlds binds each instance into a probe World: fresh CPU, injector,
-// fault domain, and env cache; heap spans remapped from the template's
-// sections onto the clone's.
+// fault domain, and env cache; heap spans remapped from the source
+// world's sections through the template's onto the clone's.
 func (w *Warm) worlds() ([]*World, error) {
 	worlds := make([]*World, 0, len(w.insts))
 	for i, inst := range w.insts {
@@ -95,7 +94,7 @@ func (w *Warm) worlds() ([]*World, error) {
 			return nil, fmt.Errorf("probe: installing trusted env in warm %s world: %w", backendNames[i], err)
 		}
 		for _, sec := range w.spans[i] {
-			wd.Spans = append(wd.Spans, inst.Remap(sec))
+			wd.Spans = append(wd.Spans, inst.Remap(w.templates[i].Remap(sec)))
 		}
 		worlds = append(worlds, wd)
 	}

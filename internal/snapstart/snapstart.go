@@ -19,10 +19,10 @@
 // engine draws from is core.WarmPool.
 //
 // Capture does not hand the live source world to its clones: it takes a
-// frozen clone of the source's non-memory layers, whose tables the
-// source from then on copies before writing, so a program that keeps
-// running after capture (the engine's cold fallback) never shows its
-// later writes to instances or recycles.
+// frozen clone of the whole world, memory included, whose shared tables
+// the source from then on copies before writing, so a program that
+// keeps running after capture (the engine's cold fallback) never shows
+// its later writes to instances or recycles.
 //
 // Correctness contract, proved by the probe corpus (probe.Warm's clone
 // and recycled arms): a cloned or recycled instance is digest-identical
@@ -54,15 +54,17 @@ type Parts struct {
 	K     *kernel.Kernel
 	Proc  *kernel.Proc
 	LB    *litterbox.LitterBox
-	Clock *hw.Clock
 }
 
 // Template is a captured post-init world. It is frozen: its parts are
-// a clone of the source world's non-memory layers that nothing runs on,
-// over the source's address space, which instances clone copy-on-write.
-// Instantiate may be called concurrently.
+// a clone of the source world that nothing runs on or writes, over a
+// copy-on-write clone of the source's address space, which instances
+// clone copy-on-write in turn. Instantiate, Remap and its instances'
+// Recycle only read it (the spare instance is under mu), so any number
+// of owners may call them at once.
 type Template struct {
-	parts Parts
+	parts  Parts
+	secMap map[*mem.Section]*mem.Section // source section -> template section
 
 	mu    sync.Mutex
 	spare *Instance // the validation instance, handed to the first Instantiate
@@ -87,7 +89,9 @@ type Instance struct {
 	gen    int64 // recycle count, for tests and stats
 }
 
-// Capture freezes a built world as a template. It validates the world
+// Capture freezes a built world as a template. The caller must own the
+// source world for the length of the call (in core, hold its run
+// token): the frozen copy is taken from it. Capture validates the world
 // by producing one clone immediately — a backend that cannot be
 // snapshot-cloned (litterbox.ErrNotCloneable), a non-quiescent network,
 // or live file descriptors surface here, so callers can fall back to
@@ -97,11 +101,12 @@ func Capture(p Parts) (*Template, error) {
 	if p.Space == nil || p.Img == nil || p.K == nil || p.Proc == nil || p.LB == nil {
 		return nil, errors.New("snapstart: incomplete parts")
 	}
-	frozen, err := cloneParts(p, p.Space, nil, p.Clock)
+	space, secMap := p.Space.CloneCoW()
+	frozen, err := cloneParts(p, space, secMap, hw.NewClock())
 	if err != nil {
 		return nil, fmt.Errorf("snapstart: world is not cloneable: %w", err)
 	}
-	t := &Template{parts: frozen}
+	t := &Template{parts: frozen, secMap: secMap}
 	inst, err := t.newInstance()
 	if err != nil {
 		return nil, fmt.Errorf("snapstart: world is not cloneable: %w", err)
@@ -133,22 +138,21 @@ func (t *Template) Stats() (clones, recycles int64) {
 }
 
 func (t *Template) newInstance() (*Instance, error) {
-	// CloneCoW serialises on the space's own lock; concurrent
-	// instantiations are safe.
 	space, secMap := t.parts.Space.CloneCoW()
-	parts, err := cloneParts(t.parts, space, secMap, hw.NewClock())
+	clock := hw.NewClock()
+	parts, err := cloneParts(t.parts, space, secMap, clock)
 	if err != nil {
 		return nil, err
 	}
 	t.clones.Add(1)
 	return &Instance{
-		Space: space, Img: parts.Img, K: parts.K, Proc: parts.Proc, LB: parts.LB, Clock: parts.Clock,
+		Space: space, Img: parts.Img, K: parts.K, Proc: parts.Proc, LB: parts.LB, Clock: clock,
 		t: t, secMap: secMap,
 	}, nil
 }
 
 // cloneParts clones the non-memory layers of p onto space (whose
-// sections secMap maps from p's; nil when space is p's own) and clock:
+// sections secMap maps from p's) and clock:
 // graph shared copy-on-write, image rebound, kernel and process cloned,
 // and a litterbox clone with its own backend unit.
 func cloneParts(p Parts, space *mem.AddressSpace, secMap map[*mem.Section]*mem.Section, clock *hw.Clock) (Parts, error) {
@@ -165,7 +169,7 @@ func cloneParts(p Parts, space *mem.AddressSpace, secMap map[*mem.Section]*mem.S
 	if err != nil {
 		return Parts{}, err
 	}
-	return Parts{Space: space, Img: img, K: k, Proc: proc, LB: lb, Clock: clock}, nil
+	return Parts{Space: space, Img: img, K: k, Proc: proc, LB: lb}, nil
 }
 
 // Recycle resets the instance to template state in place — the warm-pool
@@ -204,12 +208,18 @@ func (inst *Instance) Recycle() error {
 // Recycles returns how many times this instance has been recycled.
 func (inst *Instance) Recycles() int64 { return inst.gen }
 
+// Remap translates a section of the source world to the template's
+// copy of it (identity for sections capture did not copy). Callers use
+// it, then Instance.Remap, to carry source-relative section handles —
+// heap spans, probe buffers — into a clone.
+func (t *Template) Remap(sec *mem.Section) *mem.Section { return remap(t.secMap, sec) }
+
 // Remap translates a template section to this instance's corresponding
 // cloned section (identity for sections the clone did not remap).
-// Callers use it to carry template-relative section handles — heap
-// spans, probe buffers — into a clone.
-func (inst *Instance) Remap(sec *mem.Section) *mem.Section {
-	if ns, ok := inst.secMap[sec]; ok {
+func (inst *Instance) Remap(sec *mem.Section) *mem.Section { return remap(inst.secMap, sec) }
+
+func remap(m map[*mem.Section]*mem.Section, sec *mem.Section) *mem.Section {
+	if ns, ok := m[sec]; ok {
 		return ns
 	}
 	return sec

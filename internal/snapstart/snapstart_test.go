@@ -19,7 +19,7 @@ func capture(t *testing.T, backend string) (*snapstart.Template, *probe.World) {
 		t.Fatal(err)
 	}
 	tmpl, err := snapstart.Capture(snapstart.Parts{
-		Space: w.LB.Space, Img: w.Img, K: w.K, Proc: w.LB.Proc, LB: w.LB, Clock: w.Clock,
+		Space: w.LB.Space, Img: w.Img, K: w.K, Proc: w.LB.Proc, LB: w.LB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestRecycleRevertsInstanceWrite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			addr := inst.Remap(span).Base
+			addr := inst.Remap(tmpl.Remap(span)).Base
 			secret := []byte("tenant-0-secret!")
 			if err := inst.Space.WriteAt(addr, secret); err != nil {
 				t.Fatal(err)

@@ -14,8 +14,6 @@ import (
 // values and the content-address registry built over PhysOf stay valid
 // in the clone.
 func (m *Machine) Clone(space *mem.AddressSpace, clock *hw.Clock) *Machine {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c := &Machine{
 		space:   space,
 		clock:   clock,
@@ -49,7 +47,5 @@ func (m *Machine) Clone(space *mem.AddressSpace, clock *hw.Clock) *Machine {
 // still matches its birth value can be recycled without rebuilding page
 // tables.
 func (m *Machine) Generation() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.muts
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/mem"
@@ -71,7 +70,6 @@ type Machine struct {
 	space *mem.AddressSpace
 	clock *hw.Clock
 
-	mu      sync.Mutex
 	handles map[int]*physTable
 	next    int
 	nphys   int
@@ -88,16 +86,14 @@ func NewMachine(space *mem.AddressSpace, clock *hw.Clock) *Machine {
 
 // CreateTable allocates an empty page table and returns its handle.
 func (m *Machine) CreateTable() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	id := m.next
 	m.next++
-	m.handles[id] = m.newPhysLocked()
+	m.handles[id] = m.newPhys()
 	m.muts++
 	return id
 }
 
-func (m *Machine) newPhysLocked() *physTable {
+func (m *Machine) newPhys() *physTable {
 	pt := &physTable{id: m.nphys, pages: make(map[uint64]mem.Perm), refs: 1}
 	m.nphys++
 	return pt
@@ -106,8 +102,6 @@ func (m *Machine) newPhysLocked() *physTable {
 // CloneTable allocates a new handle sharing src's physical table. The
 // clone costs O(1) — no pages are copied until a copy-on-write split.
 func (m *Machine) CloneTable(src int) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pt, ok := m.handles[src]
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoTable, src)
@@ -124,8 +118,6 @@ func (m *Machine) CloneTable(src int) (int, error) {
 // PhysOf returns the physical-table id a handle resolves to (-1 when
 // the handle is unknown). Handles with equal PhysOf share storage.
 func (m *Machine) PhysOf(table int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if pt, ok := m.handles[table]; ok {
 		return pt.id
 	}
@@ -143,8 +135,6 @@ type PageEntry struct {
 // nodes (and the CoW-split tests use to prove a sharer's table did not
 // follow an exclusive update).
 func (m *Machine) ExportTable(table int) ([]PageEntry, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pt, ok := m.handles[table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoTable, table)
@@ -159,15 +149,13 @@ func (m *Machine) ExportTable(table int) ([]PageEntry, error) {
 
 // ShareStats returns (clones created, copy-on-write splits performed).
 func (m *Machine) ShareStats() (clones, splits int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.clones, m.splits
 }
 
-// exclusiveLocked returns the handle's physical table, first splitting
+// exclusive returns the handle's physical table, first splitting
 // it off shared storage (full page copy) when other handles reference
 // it — the copy-on-write fault of a real shared page-table scheme.
-func (m *Machine) exclusiveLocked(table int) (*physTable, error) {
+func (m *Machine) exclusive(table int) (*physTable, error) {
 	pt, ok := m.handles[table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoTable, table)
@@ -176,7 +164,7 @@ func (m *Machine) exclusiveLocked(table int) (*physTable, error) {
 		return pt, nil
 	}
 	pt.refs--
-	split := m.newPhysLocked()
+	split := m.newPhys()
 	for p, perm := range pt.pages {
 		split.pages[p] = perm
 	}
@@ -191,9 +179,7 @@ func (m *Machine) MapSection(table int, sec *mem.Section, perm mem.Perm) error {
 	if uint64(sec.End()) >= 1<<PhysAddrBits {
 		return fmt.Errorf("%w: %s", ErrTooHigh, sec)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pt, err := m.exclusiveLocked(table)
+	pt, err := m.exclusive(table)
 	if err != nil {
 		return err
 	}
@@ -211,8 +197,6 @@ func (m *Machine) MapSectionShared(table int, sec *mem.Section, perm mem.Perm) e
 	if uint64(sec.End()) >= 1<<PhysAddrBits {
 		return fmt.Errorf("%w: %s", ErrTooHigh, sec)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pt, ok := m.handles[table]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTable, table)
@@ -232,9 +216,7 @@ func mapPages(pt *physTable, sec *mem.Section, perm mem.Perm) {
 // UnmapSection clears the present bits for a section's pages in this
 // handle's view only (copy-on-write, like MapSection).
 func (m *Machine) UnmapSection(table int, sec *mem.Section) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pt, err := m.exclusiveLocked(table)
+	pt, err := m.exclusive(table)
 	if err != nil {
 		return err
 	}
@@ -246,8 +228,6 @@ func (m *Machine) UnmapSection(table int, sec *mem.Section) error {
 // UnmapSectionShared clears the present bits in the shared physical
 // table (see MapSectionShared for the sharing contract).
 func (m *Machine) UnmapSectionShared(table int, sec *mem.Section) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pt, ok := m.handles[table]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTable, table)
@@ -266,8 +246,6 @@ func unmapPages(pt *physTable, sec *mem.Section) {
 
 // Mapped reports the rights table grants on addr (PermNone if absent).
 func (m *Machine) Mapped(table int, addr mem.Addr) mem.Perm {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pt, ok := m.handles[table]
 	if !ok {
 		return mem.PermNone
@@ -283,8 +261,6 @@ func (m *Machine) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write boo
 	}
 	cpu.Clock.Advance(hw.CostPTWalk)
 	cpu.Counters.PTWalks++
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pt, ok := m.handles[cpu.CR3()]
 	if !ok {
 		return fmt.Errorf("%w: CR3=%d", ErrNoTable, cpu.CR3())
@@ -308,8 +284,6 @@ func (m *Machine) CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write boo
 func (m *Machine) CheckExec(cpu *hw.CPU, addr mem.Addr) error {
 	cpu.Clock.Advance(hw.CostPTWalk)
 	cpu.Counters.PTWalks++
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	pt, ok := m.handles[cpu.CR3()]
 	if !ok {
 		return fmt.Errorf("%w: CR3=%d", ErrNoTable, cpu.CR3())
@@ -325,9 +299,7 @@ func (m *Machine) CheckExec(cpu *hw.CPU, addr mem.Addr) error {
 // against the .verif specification held in super) and, if it passes,
 // swaps CR3 to the target table and irets.
 func (m *Machine) GuestSwitch(cpu *hw.CPU, target int, verify func() error) error {
-	m.mu.Lock()
 	_, ok := m.handles[target]
-	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTable, target)
 	}
