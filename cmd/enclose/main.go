@@ -55,6 +55,7 @@ import (
 	"github.com/litterbox-project/enclosure/internal/bench"
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
+	"github.com/litterbox-project/enclosure/internal/obs"
 	"github.com/litterbox-project/enclosure/internal/spec"
 )
 
@@ -130,7 +131,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var tr *litterbox.Trace
+	var tr *obs.Trace
 	if *trace {
 		tr = prog.LitterBox().EnableTrace(256)
 	}
@@ -207,7 +208,7 @@ func runAudit(args []string) {
 	}
 }
 
-func printTrace(tr *litterbox.Trace) {
+func printTrace(tr *obs.Trace) {
 	if tr == nil {
 		return
 	}

@@ -173,9 +173,9 @@ const (
 // were introduced.
 func New(backend Backend, opts ...Option) *Builder { return core.NewBuilder(backend, opts...) }
 
-// NewTrace returns an event collector retaining a bounded window of
-// recent events — the last capacity per emission buffer — plus
-// aggregates over all of them; pass it to WithTracer.
+// NewTrace returns an event collector retaining the last capacity
+// events verbatim plus aggregates over all of them; pass it to
+// WithTracer.
 func NewTrace(capacity int) *Trace { return obs.New(capacity) }
 
 // WithTracer attaches an event trace to the program under

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
@@ -150,13 +149,12 @@ type worker struct {
 	idx int
 	ctx *core.WorkerCtx
 
-	requests atomic.Int64
-	steals   atomic.Int64
-	enqueued atomic.Int64
-	spills   atomic.Int64
-	rejected atomic.Int64
-
 	// Everything below is guarded by Engine.mu.
+	requests int64
+	steals   int64
+	enqueued int64
+	spills   int64
+	rejected int64
 	maxDepth int64
 
 	// vtFree is the worker's virtual-time backlog horizon: the
@@ -269,7 +267,7 @@ func (e *Engine) admitLocked(spec JobSpec) error {
 			}
 		}
 		if best < 0 {
-			e.workers[pref].rejected.Add(1)
+			e.workers[pref].rejected++
 			return ErrBackpressure
 		}
 		e.pushLocked(best, j, true)
@@ -291,7 +289,7 @@ func (e *Engine) admitLocked(spec JobSpec) error {
 		}
 	}
 	if best < 0 {
-		e.workers[pref].rejected.Add(1)
+		e.workers[pref].rejected++
 		return ErrBackpressure
 	}
 	if bestDone > spec.DeadlineVT {
@@ -320,9 +318,9 @@ func (e *Engine) predictLocked(i int, arrival int64) int64 {
 func (e *Engine) pushLocked(i int, j job, spilled bool) {
 	e.queues[i].push(j)
 	w := e.workers[i]
-	w.enqueued.Add(1)
+	w.enqueued++
 	if spilled {
-		w.spills.Add(1)
+		w.spills++
 	}
 	if d := int64(e.queues[i].len()); d > w.maxDepth {
 		w.maxDepth = d
@@ -349,6 +347,7 @@ func (e *Engine) dequeueLocked(w *worker) (job, bool, bool) {
 	}
 	if victim >= 0 {
 		if j, ok := e.queues[victim].steal(); ok {
+			w.steals++
 			return j, true, true
 		}
 	}
@@ -383,9 +382,9 @@ func (e *Engine) exec(w *worker, j job) (start, completion, service int64, err e
 	} else {
 		w.ctx.Domain().Reset()
 	}
-	w.requests.Add(1)
 
 	e.mu.Lock()
+	w.requests++
 	start = w.vtFree
 	if j.arrival > start {
 		start = j.arrival
@@ -494,9 +493,6 @@ func (e *Engine) StepUntil(T int64, each func(StepResult) error) error {
 
 // step executes one dequeued job on w and reports it.
 func (e *Engine) step(w *worker, j job, stolen bool) StepResult {
-	if stolen {
-		w.steals.Add(1)
-	}
 	start, completion, service, err := e.exec(w, j)
 	return StepResult{
 		Worker: w.idx, Name: j.name, Class: j.class, Stolen: stolen,
@@ -561,9 +557,11 @@ func (e *Engine) QueueDepths() []int {
 // StealCounts returns every worker's cumulative steal count, indexed by
 // worker.
 func (e *Engine) StealCounts() []int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	out := make([]int64, len(e.workers))
 	for i, w := range e.workers {
-		out[i] = w.steals.Load()
+		out[i] = w.steals
 	}
 	return out
 }

@@ -49,11 +49,11 @@ func (e *Engine) Metrics() []WorkerMetrics {
 		out[i] = WorkerMetrics{
 			Worker:   i,
 			Name:     w.ctx.Name(),
-			Requests: w.requests.Load(),
-			Steals:   w.steals.Load(),
-			Enqueued: w.enqueued.Load(),
-			Spills:   w.spills.Load(),
-			Rejected: w.rejected.Load(),
+			Requests: w.requests,
+			Steals:   w.steals,
+			Enqueued: w.enqueued,
+			Spills:   w.spills,
+			Rejected: w.rejected,
 			MaxDepth: w.maxDepth,
 
 			DeadlineRejects: w.deadlineRejected,

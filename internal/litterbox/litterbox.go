@@ -158,7 +158,7 @@ type LitterBox struct {
 
 	aborted atomic.Bool
 	fault   atomic.Pointer[Fault]
-	trace   *Trace     // nil when disabled
+	trace   *obs.Trace // nil when disabled
 	audit   *obs.Audit // nil when enforcing
 
 	// ringSeq routes SyscallBatch through the sequential per-entry

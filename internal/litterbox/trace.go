@@ -5,19 +5,11 @@ import (
 	"github.com/litterbox-project/enclosure/internal/obs"
 )
 
-// Trace and TraceEvent are the observability layer's collector and
-// event, re-exported under their historical names: LitterBox threads
-// every enforcement event (the six API calls plus faults and audited
-// violations) through one obs.Trace shared by all workers.
-type (
-	Trace      = obs.Trace
-	TraceEvent = obs.Event
-)
-
-// EnableTrace starts recording enforcement events — a bounded window
-// of recent ones verbatim plus running aggregates over all of them —
-// and returns the trace.
-func (lb *LitterBox) EnableTrace(capacity int) *Trace {
+// EnableTrace starts recording enforcement events — the six API calls
+// plus faults and audited violations, a bounded window of recent ones
+// verbatim plus running aggregates over all of them — into one
+// obs.Trace shared by all workers, and returns the trace.
+func (lb *LitterBox) EnableTrace(capacity int) *obs.Trace {
 	tr := obs.New(capacity)
 	lb.setTrace(tr)
 	return tr
@@ -31,7 +23,7 @@ func (lb *LitterBox) DisableTrace() { lb.setTrace(nil) }
 // LitterBox hands it a trace source, which supplies the tracer and the
 // backend/worker attribution the kernel cannot know, only while a
 // tracer is attached, so an untraced syscall pays one nil check.
-func (lb *LitterBox) setTrace(tr *Trace) {
+func (lb *LitterBox) setTrace(tr *obs.Trace) {
 	lb.trace = tr
 	if tr == nil {
 		lb.Kernel.SetTraceSource(nil)
@@ -43,7 +35,7 @@ func (lb *LitterBox) setTrace(tr *Trace) {
 }
 
 // Tracer returns the attached trace, or nil when tracing is disabled.
-func (lb *LitterBox) Tracer() *Trace { return lb.trace }
+func (lb *LitterBox) Tracer() *obs.Trace { return lb.trace }
 
 // tracing is the hot-path guard: callers check it before building an
 // Event so an untraced run never pays for event construction, and a

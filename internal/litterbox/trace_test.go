@@ -78,19 +78,17 @@ func TestTraceRingWraps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The retention contract: at least the last capacity events survive
-	// (emission buffers are pooled per-processor, so a split across
-	// buffers may retain more — each keeps its own window), and the
-	// aggregates still cover every emission.
+	// The retention contract: exactly the last capacity events survive,
+	// and the aggregates still cover every emission.
 	events := tr.Events()
-	if len(events) < 4 {
-		t.Fatalf("ring kept %d events, want at least capacity 4", len(events))
+	if len(events) != 4 {
+		t.Fatalf("ring kept %d events, want capacity 4", len(events))
 	}
 	s := tr.Snapshot()
 	if s.Events < 10 {
 		t.Fatalf("aggregates counted %d events, want all >= 10", s.Events)
 	}
-	if s.Dropped != s.Events-int64(len(events)) {
-		t.Errorf("Dropped = %d, want Events-retained = %d", s.Dropped, s.Events-int64(len(events)))
+	if s.Dropped != s.Events-4 {
+		t.Errorf("Dropped = %d, want Events-capacity = %d", s.Dropped, s.Events-4)
 	}
 }

@@ -11,11 +11,12 @@ import (
 // mapped page between the template and the clone; the first write
 // on either side promotes (privately copies) just the touched pages, so
 // a clone costs one copy of the page-pointer slice instead of
-// re-materialising and re-filling the image. A clone additionally keeps
-// a revert snapshot: the page slice and section list it was born with.
-// Revert walks only the dirty list and the sections touched since
-// birth, which makes recycling a pooled instance O(pages actually
-// written by the request), not O(image).
+// re-materialising and re-filling the image. A space that will be
+// recycled additionally keeps a revert snapshot (Checkpoint): the page
+// slice and section list it was born with. Revert walks only the dirty
+// list and the sections touched since birth, which makes recycling a
+// pooled instance O(pages actually written by the request), not
+// O(image).
 
 // zeroPage backs every page Map creates until its first write. Those
 // entries are always marked cow, so every write promotes them first and
@@ -39,11 +40,11 @@ func getPage() (arr *[PageSize]byte, reused bool) {
 	return new([PageSize]byte), false
 }
 
-// ErrNoSnapshot is returned by Revert on a space that was not created
-// by CloneCoW.
+// ErrNoSnapshot is returned by Revert on a space that has no
+// Checkpoint.
 var ErrNoSnapshot = errors.New("mem: address space has no revert snapshot")
 
-// cowSnapshot is the birth state of a cloned space, and what changed
+// cowSnapshot is the birth state of a checkpointed space, and what changed
 // since: enough to rewind every mutation (writes, maps, unmaps, owner
 // transfers) in O(dirty).
 type cowSnapshot struct {
@@ -76,11 +77,7 @@ type ownerUndo struct {
 // snapshot template's frozen space — is only read, so several owners
 // may clone it at once.
 func (as *AddressSpace) CloneCoW() (*AddressSpace, map[*Section]*Section) {
-	for i, p := range as.pages {
-		if p.arr != nil && !p.cow {
-			as.pages[i].cow = true
-		}
-	}
+	as.share()
 	clone := &AddressSpace{
 		pages: slices.Clone(as.pages), // alias: promote-on-write splits them
 		next:  as.next,
@@ -93,13 +90,32 @@ func (as *AddressSpace) CloneCoW() (*AddressSpace, map[*Section]*Section) {
 		ns := *s
 		clone.sections[i], secMap[s] = &ns, &ns
 	}
-
-	clone.snap = &cowSnapshot{
-		pages: slices.Clone(clone.pages),
-		secs:  slices.Clone(clone.sections),
-		next:  clone.next,
-	}
 	return clone, secMap
+}
+
+// share marks every mapped page copy-on-write, so the next write on any
+// side promotes it instead of changing the array in place.
+func (as *AddressSpace) share() {
+	for i, p := range as.pages {
+		if p.arr != nil && !p.cow {
+			as.pages[i].cow = true
+		}
+	}
+}
+
+// Checkpoint records the space's current state as the birth state
+// Revert rewinds to, replacing any earlier checkpoint. Only a space
+// that will be recycled needs one — a warm instance's clone, not a
+// template's frozen space or a one-shot fork — since the snapshot costs
+// a copy of the page slice and every later page-table change appends
+// to its dirty list.
+func (as *AddressSpace) Checkpoint() {
+	as.share()
+	as.snap = &cowSnapshot{
+		pages: slices.Clone(as.pages),
+		secs:  slices.Clone(as.sections),
+		next:  as.next,
+	}
 }
 
 // promote privately copies every still-shared page of [addr,
@@ -135,7 +151,7 @@ func (as *AddressSpace) markPagesDirty(first, last int) {
 	}
 }
 
-// Revert rewinds a cloned address space to its birth snapshot: dirty
+// Revert rewinds a checkpointed address space to its birth snapshot: dirty
 // pages are re-aliased to the template-shared arrays (or dropped if they
 // were mapped after the clone), the page table is cut back to its birth
 // length, the section list and the owners SetOwner changed are

@@ -49,6 +49,7 @@ func TestRevertedPagesDoNotLeakIntoNextClone(t *testing.T) {
 	tpl, ts := template(t)
 	for round := 0; round < 4; round++ {
 		a, secs := tpl.CloneCoW()
+		a.Checkpoint()
 		mustWrite(t, a, secs[ts].Base, fill(0xAA, PageSize))
 		as, err := a.Map("a.heap", "a", KindHeap, 4*PageSize, PermR|PermW)
 		if err != nil {
@@ -63,6 +64,7 @@ func TestRevertedPagesDoNotLeakIntoNextClone(t *testing.T) {
 		}
 
 		b, secs := tpl.CloneCoW()
+		b.Checkpoint()
 		bs, err := b.Map("b.heap", "b", KindHeap, 4*PageSize, PermR|PermW)
 		if err != nil {
 			t.Fatal(err)
@@ -96,6 +98,7 @@ func TestRevertedPagesDoNotLeakIntoNextClone(t *testing.T) {
 func TestGrandchildKeepsPagesAcrossRevert(t *testing.T) {
 	tpl, ts := template(t)
 	a, secs := tpl.CloneCoW()
+	a.Checkpoint()
 	mustWrite(t, a, secs[ts].Base, fill(0x11, PageSize)) // promoted in A
 	kept, err := a.Map("a.kept", "a", KindHeap, 2*PageSize, PermR|PermW)
 	if err != nil {
@@ -109,6 +112,7 @@ func TestGrandchildKeepsPagesAcrossRevert(t *testing.T) {
 	mustWrite(t, a, over.Base, fill(0x33, 2*PageSize))
 
 	g, _ := a.CloneCoW()
+	g.Checkpoint()
 	// A overwrites half of what it shares with g and leaves the rest.
 	mustWrite(t, a, over.Base, fill(0x44, 2*PageSize))
 	if err := a.Revert(); err != nil {
@@ -157,6 +161,7 @@ func TestRevertCycleReusesPages(t *testing.T) {
 	}
 	tpl, ts := template(t)
 	c, secs := tpl.CloneCoW()
+	c.Checkpoint()
 	data := fill(0x77, 4*PageSize)
 	cycle := func() {
 		s, err := c.Map("span", "p", KindHeap, 4*PageSize, PermR|PermW)
@@ -206,6 +211,7 @@ func TestRevertUndoesSetOwner(t *testing.T) {
 	tpl := NewAddressSpace(0)
 	ts, _ := tpl.Map("span", "a", KindHeap, PageSize, PermR|PermW)
 	c, secs := tpl.CloneCoW()
+	c.Checkpoint()
 	c.SetOwner(secs[ts], "b")
 	if secs[ts].Pkg != "b" || ts.Pkg != "a" {
 		t.Fatalf("after SetOwner: clone %q, template %q", secs[ts].Pkg, ts.Pkg)
@@ -218,11 +224,16 @@ func TestRevertUndoesSetOwner(t *testing.T) {
 	}
 }
 
-// TestRevertWithoutSnapshot: only a CloneCoW clone can revert.
+// TestRevertWithoutSnapshot: only a checkpointed space can revert; a
+// clone takes no snapshot until Checkpoint.
 func TestRevertWithoutSnapshot(t *testing.T) {
 	as, _ := template(t)
 	if err := as.Revert(); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("Revert on a non-clone: %v", err)
+	}
+	c, _ := as.CloneCoW()
+	if err := c.Revert(); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("Revert on a clone without Checkpoint: %v", err)
 	}
 }
 
@@ -231,6 +242,7 @@ func TestRevertWithoutSnapshot(t *testing.T) {
 func TestRevertRestoresUnmappedSection(t *testing.T) {
 	tpl, ts := template(t)
 	c, secs := tpl.CloneCoW()
+	c.Checkpoint()
 	cs := secs[ts]
 	if err := c.Unmap(cs); err != nil {
 		t.Fatal(err)

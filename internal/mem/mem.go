@@ -186,8 +186,8 @@ type AddressSpace struct {
 	next     Addr
 	limit    Addr
 
-	// snap exists only on clones and records what Revert must rewind
-	// (see cow.go).
+	// snap exists only on checkpointed spaces and records what Revert
+	// must rewind (see cow.go).
 	snap *cowSnapshot
 }
 

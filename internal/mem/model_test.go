@@ -284,6 +284,7 @@ func runSpaceModel(t *testing.T, seed int64, steps int) {
 			}
 			what = "CloneCoW"
 			rc, secMap := sp.real.CloneCoW()
+			rc.Checkpoint()
 			c := &spacePair{real: rc, model: sp.model.clone(), secs: map[*Section]*modelSec{}}
 			cur := sp.real.Sections()
 			for i, ms := range sp.model.secs {

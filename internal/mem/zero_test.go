@@ -70,6 +70,7 @@ func TestZeroPageNeverWritten(t *testing.T) {
 	fresh, _ := tpl.Map("tpl.fresh", "tpl", KindHeap, 2*PageSize, PermR|PermW)
 	for round := 0; round < 4; round++ {
 		c, secs := tpl.CloneCoW()
+		c.Checkpoint()
 		s, err := c.Map("span", "p", KindHeap, 4*PageSize, PermR|PermW)
 		if err != nil {
 			t.Fatal(err)
@@ -78,6 +79,7 @@ func TestZeroPageNeverWritten(t *testing.T) {
 		mustWrite(t, c, secs[fresh].Base, fill(0xEF, PageSize+1))
 		mustWrite(t, c, secs[ts].Base, []byte{0xF0})
 		g, _ := c.CloneCoW()
+		g.Checkpoint()
 		mustWrite(t, g, s.Base, fill(0xF1, 4*PageSize))
 		if err := c.Revert(); err != nil {
 			t.Fatal(err)

@@ -4,8 +4,8 @@
 // plus faults, the simulated kernel's syscall dispatch, and the
 // multi-core engine's workers. Events are keyed by backend so MPK
 // PKRU-write switches and VTX VM-exit switches are attributed
-// separately, and by worker so the engine's per-core streams merge into
-// one snapshot.
+// separately, and by worker so the engine's per-core streams are told
+// apart in one snapshot.
 //
 // Tracing is host-side: recording an event never advances the virtual
 // clock, so the simulated program's measured cost is identical with and
@@ -21,7 +21,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Event kinds, one per traced runtime operation. The first six mirror
@@ -122,139 +121,76 @@ type sysAgg struct {
 	audited int64
 }
 
-// shard is one emission buffer: a ring of recent events, running
-// aggregates, and a lock that is only ever contended by snapshots.
-// Shards are handed out through a sync.Pool, so on the hot path each
-// one is written by a single processor at a time and its cache lines
-// stay local — the alternative (sharding by worker name) ping-pongs
-// lines between host threads on every event, because consecutive
-// events for one virtual CPU are emitted by different goroutines (task,
-// scheduler, stealing workers).
-type shard struct {
+// Trace collects events: the last capacity of them verbatim, running
+// aggregates for all of them, and optionally a JSON-lines copy of every
+// event to a sink. One Trace serves a whole program — engine workers
+// share it, their streams distinguished by Event.Worker — and warm
+// instances share their template's; the mutex serialises them and the
+// host-side control plane.
+type Trace struct {
 	mu      sync.Mutex
 	ring    []Event
 	next    int
-	full    bool
 	total   int64
 	kinds   map[kindKey]*kindAgg
 	sys     map[string]*sysAgg
 	workers map[string]int64
-}
-
-func (s *shard) retained() int64 {
-	if s.full {
-		return int64(len(s.ring))
-	}
-	return int64(s.next)
-}
-
-// Trace collects events: a bounded window of recent ones verbatim (the
-// last capacity per emission buffer), running aggregates for all of
-// them, and optionally a JSON-lines copy of every event to a sink. One
-// Trace serves a whole program — engine workers share it, their streams
-// distinguished by Event.Worker in the merged snapshot.
-type Trace struct {
-	capacity int
-
-	// pool hands out emission buffers processor-locally; registry keeps
-	// every buffer ever created so aggregates survive pool eviction at
-	// GC (an evicted buffer stops being written but is still merged).
-	// reuse picks the registered buffer a pool miss gets once the
-	// registry is full.
-	pool     sync.Pool
-	regMu    sync.Mutex
-	registry []*shard
-	reuse    int
-
-	hasSink atomic.Bool
-	sinkMu  sync.Mutex
 	jsonl   io.Writer
 	jerr    error
 }
 
-// maxShards bounds the emission buffers one trace allocates. The pool
-// drops buffers at every GC, and under the race detector on a quarter of
-// its Puts; past the bound a pool miss is handed a registered buffer
-// (round-robin, its lock makes sharing safe) instead of a fresh ring, so
-// a trace's memory stays bounded however long the traced run.
-const maxShards = 64
-
-// New returns a trace keeping a bounded window of recent events
-// verbatim — the last capacity (default 256 when capacity <= 0) per
-// emission buffer — plus aggregates covering every event ever emitted.
+// New returns a trace keeping the last capacity events verbatim
+// (default 256 when capacity <= 0) plus aggregates covering every event
+// ever emitted.
 func New(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	t := &Trace{capacity: capacity}
-	t.pool.New = func() any {
-		t.regMu.Lock()
-		defer t.regMu.Unlock()
-		if len(t.registry) >= maxShards {
-			t.reuse++
-			return t.registry[t.reuse%len(t.registry)]
-		}
-		s := &shard{
-			ring:    make([]Event, t.capacity),
-			kinds:   make(map[kindKey]*kindAgg),
-			sys:     make(map[string]*sysAgg),
-			workers: make(map[string]int64),
-		}
-		t.registry = append(t.registry, s)
-		return s
+	return &Trace{
+		ring:    make([]Event, capacity),
+		kinds:   make(map[kindKey]*kindAgg),
+		sys:     make(map[string]*sysAgg),
+		workers: make(map[string]int64),
 	}
-	return t
-}
-
-// shards returns every emission buffer ever created.
-func (t *Trace) shards() []*shard {
-	t.regMu.Lock()
-	defer t.regMu.Unlock()
-	return append([]*shard(nil), t.registry...)
 }
 
 // SetJSONL streams every subsequent event to w as one JSON object per
 // line. The first write error stops the stream (and is reported by
 // SinkErr); tracing itself continues.
 func (t *Trace) SetJSONL(w io.Writer) {
-	t.sinkMu.Lock()
+	t.mu.Lock()
 	t.jsonl = w
 	t.jerr = nil
-	t.sinkMu.Unlock()
-	t.hasSink.Store(w != nil)
+	t.mu.Unlock()
 }
 
 // SinkErr reports the first JSON-lines sink write error, if any.
 func (t *Trace) SinkErr() error {
-	t.sinkMu.Lock()
-	defer t.sinkMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.jerr
 }
 
 // Emit records one event.
 func (t *Trace) Emit(e Event) {
-	s := t.pool.Get().(*shard)
-	s.mu.Lock()
-	s.total++
-	s.ring[s.next] = e
-	s.next++
-	if s.next == len(s.ring) {
-		s.next = 0
-		s.full = true
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ring[t.next] = e
+	t.next = (t.next + 1) % len(t.ring)
+	t.total++
 	k := kindKey{e.Kind, e.Backend}
-	ka := s.kinds[k]
+	ka := t.kinds[k]
 	if ka == nil {
 		ka = &kindAgg{}
-		s.kinds[k] = ka
+		t.kinds[k] = ka
 	}
 	ka.count++
 	ka.cost += e.Cost
 	if e.Sys != "" {
-		sa := s.sys[e.Sys]
+		sa := t.sys[e.Sys]
 		if sa == nil {
 			sa = &sysAgg{}
-			s.sys[e.Sys] = sa
+			t.sys[e.Sys] = sa
 		}
 		sa.count++
 		switch e.Verdict {
@@ -265,48 +201,33 @@ func (t *Trace) Emit(e Event) {
 		}
 	}
 	if e.Worker != "" {
-		s.workers[e.Worker]++
+		t.workers[e.Worker]++
 	}
-	s.mu.Unlock()
-	t.pool.Put(s)
-	if t.hasSink.Load() {
-		t.sink(e)
-	}
-}
-
-func (t *Trace) sink(e Event) {
-	t.sinkMu.Lock()
-	defer t.sinkMu.Unlock()
-	if t.jsonl == nil || t.jerr != nil {
-		return
-	}
-	blob, err := json.Marshal(e)
-	if err == nil {
-		blob = append(blob, '\n')
-		_, err = t.jsonl.Write(blob)
-	}
-	if err != nil {
+	if t.jsonl != nil && t.jerr == nil {
+		blob, err := json.Marshal(e)
+		if err == nil {
+			blob = append(blob, '\n')
+			_, err = t.jsonl.Write(blob)
+		}
 		t.jerr = err
 	}
 }
 
-// Events returns the retained events: each buffer oldest first, buffers
-// merged by virtual timestamp (stable, so a single-buffer trace comes
-// back exactly in emission order).
+// retained is how many events the ring holds; t.mu must be held.
+func (t *Trace) retained() int {
+	return int(min(t.total, int64(len(t.ring))))
+}
+
+// Events returns the retained events — the last capacity emitted —
+// oldest first, in emission order.
 func (t *Trace) Events() []Event {
-	var out []Event
-	for _, s := range t.shards() {
-		s.mu.Lock()
-		if s.full {
-			out = append(out, s.ring[s.next:]...)
-			out = append(out, s.ring[:s.next]...)
-		} else {
-			out = append(out, s.ring[:s.next]...)
-		}
-		s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.retained()
+	if n < len(t.ring) {
+		return append([]Event(nil), t.ring[:n]...)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
+	return append(append([]Event(nil), t.ring[t.next:]...), t.ring[:t.next]...)
 }
 
 // String renders the retained events, one line each.
@@ -346,8 +267,7 @@ type WorkerStat struct {
 // downstream tooling can golden-test the schema.
 type Snapshot struct {
 	// Events counts every event ever emitted; Dropped is how many of
-	// them have already been overwritten in the per-buffer verbatim
-	// rings.
+	// them the verbatim ring has already overwritten.
 	Events   int64        `json:"events"`
 	Dropped  int64        `json:"dropped"`
 	Kinds    []KindStat   `json:"kinds"`
@@ -355,42 +275,12 @@ type Snapshot struct {
 	Workers  []WorkerStat `json:"workers"`
 }
 
-// Snapshot returns the current aggregates, merged across all emission
-// buffers.
+// Snapshot returns the current aggregates.
 func (t *Trace) Snapshot() Snapshot {
-	var s Snapshot
-	kinds := make(map[kindKey]*kindAgg)
-	sys := make(map[string]*sysAgg)
-	workers := make(map[string]int64)
-	for _, sh := range t.shards() {
-		sh.mu.Lock()
-		s.Events += sh.total
-		s.Dropped += sh.total - sh.retained()
-		for k, a := range sh.kinds {
-			ka := kinds[k]
-			if ka == nil {
-				ka = &kindAgg{}
-				kinds[k] = ka
-			}
-			ka.count += a.count
-			ka.cost += a.cost
-		}
-		for name, a := range sh.sys {
-			sa := sys[name]
-			if sa == nil {
-				sa = &sysAgg{}
-				sys[name] = sa
-			}
-			sa.count += a.count
-			sa.denied += a.denied
-			sa.audited += a.audited
-		}
-		for name, n := range sh.workers {
-			workers[name] += n
-		}
-		sh.mu.Unlock()
-	}
-	for k, a := range kinds {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := Snapshot{Events: t.total, Dropped: t.total - int64(t.retained())}
+	for k, a := range t.kinds {
 		s.Kinds = append(s.Kinds, KindStat{Kind: k.kind, Backend: k.backend, Count: a.count, CostNs: a.cost})
 	}
 	sort.Slice(s.Kinds, func(i, j int) bool {
@@ -399,11 +289,11 @@ func (t *Trace) Snapshot() Snapshot {
 		}
 		return s.Kinds[i].Backend < s.Kinds[j].Backend
 	})
-	for name, a := range sys {
+	for name, a := range t.sys {
 		s.Syscalls = append(s.Syscalls, SysStat{Sys: name, Count: a.count, Denied: a.denied, Audited: a.audited})
 	}
 	sort.Slice(s.Syscalls, func(i, j int) bool { return s.Syscalls[i].Sys < s.Syscalls[j].Sys })
-	for name, n := range workers {
+	for name, n := range t.workers {
 		s.Workers = append(s.Workers, WorkerStat{Worker: name, Count: n})
 	}
 	sort.Slice(s.Workers, func(i, j int) bool { return s.Workers[i].Worker < s.Workers[j].Worker })

@@ -8,35 +8,32 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestRingWrapKeepsCapacity pins the retention contract: the last
-// capacity events are always retained. Emission buffers are pooled
-// per-processor, so more than capacity may survive when emission
-// splits across buffers (each keeps its own window) — but never fewer,
-// and the newest window is always intact.
+// TestRingWrapKeepsCapacity pins the retention contract: exactly the
+// last capacity events are retained, oldest first, and every older one
+// counts as dropped.
 func TestRingWrapKeepsCapacity(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 10; i++ {
 		tr.Emit(Event{At: int64(i), Kind: KindSyscall, Sys: "read"})
 	}
 	evs := tr.Events()
-	if len(evs) < 4 {
-		t.Fatalf("retained %d events, want at least capacity 4", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("retained %d events, want capacity 4", len(evs))
 	}
-	for i, e := range evs[len(evs)-4:] {
+	for i, e := range evs {
 		if want := int64(6 + i); e.At != want {
-			t.Errorf("tail event %d: At = %d, want %d (last capacity retained, oldest first)", i, e.At, want)
+			t.Errorf("event %d: At = %d, want %d (last capacity retained, oldest first)", i, e.At, want)
 		}
 	}
-	s := tr.Snapshot()
-	if s.Events != 10 || s.Dropped != 10-int64(len(evs)) {
-		t.Errorf("Events/Dropped = %d/%d, want 10/%d", s.Events, s.Dropped, 10-len(evs))
+	if s := tr.Snapshot(); s.Events != 10 || s.Dropped != 10-4 {
+		t.Errorf("Events/Dropped = %d/%d, want 10/6", s.Events, s.Dropped)
 	}
 }
 
@@ -126,9 +123,7 @@ func TestEventString(t *testing.T) {
 }
 
 // fixedSnapshot builds a deterministic snapshot exercising every field.
-// Capacity 8 exceeds the event count so Dropped is 0 no matter how
-// emission splits across pooled buffers — aggregates are split-
-// invariant, which keeps the golden byte-stable.
+// Capacity 8 exceeds the event count, so Dropped is 0.
 func fixedSnapshot() Snapshot {
 	tr := New(8)
 	tr.Emit(Event{At: 100, Kind: KindInit, Backend: "mpk", Detail: "2 environments, 3 meta-packages"})
@@ -241,20 +236,37 @@ func TestSummaryAndHistogram(t *testing.T) {
 	_ = fmt.Sprintf("%v", s) // snapshots are plain data
 }
 
-// TestShardRegistryBounded pins the emission-buffer bound: the pool
-// drops buffers at every GC, and each miss used to allocate (and
-// register forever) a fresh ring.
-func TestShardRegistryBounded(t *testing.T) {
-	tr := New(16)
-	for i := 0; i < 4*maxShards; i++ {
-		tr.Emit(Event{Kind: KindSyscall, Backend: "mpk"})
-		runtime.GC()
-		runtime.GC()
+// TestConcurrentEmitters pins the retention contract with emitters on
+// separate goroutines (the cluster's host-side control plane, warm
+// instances sharing a template's tracer): the counts are exact and the
+// ring holds exactly its capacity, under -race too.
+func TestConcurrentEmitters(t *testing.T) {
+	const workers, perWorker, capacity = 8, 1000, 64
+	tr := New(capacity)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				tr.Emit(Event{At: int64(i), Kind: KindSyscall, Backend: "mpk", Sys: "read", Worker: name})
+			}
+		}(fmt.Sprintf("cpu%d", w))
 	}
-	if n := len(tr.shards()); n > maxShards {
-		t.Errorf("%d emission buffers, want at most %d", n, maxShards)
+	wg.Wait()
+	s := tr.Snapshot()
+	if s.Events != workers*perWorker || s.Dropped != workers*perWorker-capacity {
+		t.Errorf("Events/Dropped = %d/%d, want %d/%d", s.Events, s.Dropped, workers*perWorker, workers*perWorker-capacity)
 	}
-	if s := tr.Snapshot(); s.Events != 4*maxShards {
-		t.Errorf("snapshot counts %d events, want %d", s.Events, 4*maxShards)
+	if n := len(tr.Events()); n != capacity {
+		t.Errorf("retained %d events, want %d", n, capacity)
+	}
+	if len(s.Workers) != workers {
+		t.Fatalf("worker aggregate = %+v, want %d workers", s.Workers, workers)
+	}
+	for _, w := range s.Workers {
+		if w.Count != perWorker {
+			t.Errorf("worker %s counted %d events, want %d", w.Worker, w.Count, perWorker)
+		}
 	}
 }

@@ -139,6 +139,7 @@ func (t *Template) Stats() (clones, recycles int64) {
 
 func (t *Template) newInstance() (*Instance, error) {
 	space, secMap := t.parts.Space.CloneCoW()
+	space.Checkpoint() // Recycle reverts to it
 	clock := hw.NewClock()
 	parts, err := cloneParts(t.parts, space, secMap, clock)
 	if err != nil {
