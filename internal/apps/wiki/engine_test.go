@@ -1,6 +1,7 @@
 package wiki_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -115,5 +116,90 @@ func TestEngineStopSurfacesFault(t *testing.T) {
 				t.Errorf("whole-program abort leaked out of the worker domain: %v", f)
 			}
 		})
+	}
+}
+
+// viewRequestAllocs bounds the heap allocations of one wiki view
+// request served through a stepped engine on VTX: connection pair,
+// request, job, admission, the http-server enclosure, the glue and
+// db-proxy hand-offs, the simulated Postgres round trip and the
+// response read into a reused client buffer. The view is a page the
+// database does not hold, as in the benchmark's wiki workload. It
+// reads 22 on linux/amd64 with Go 1.24, 20 of them in the wiki and
+// simdb code and the request's own task, pair and job. A task with its
+// CPU, package stack, stack frames and completion queue in separate
+// allocations, a token-check closure per switch, a block-queue slice
+// per stream and run-queue lanes that reallocate made it 46.
+const viewRequestAllocs = 24
+
+// TestEngineViewRequestAllocs pins viewRequestAllocs.
+func TestEngineViewRequestAllocs(t *testing.T) {
+	b := core.NewBuilder(core.VTX)
+	b.Package(core.PackageSpec{
+		Name:    "main",
+		Imports: []string{wiki.MuxPkg, wiki.PqPkg},
+		Vars:    map[string]int{"db_password": 32, "page_templates": 4096},
+		Origin:  "app",
+	})
+	wiki.Register(b)
+	b.Enclosure("http-server", "main", wiki.PolicyServer,
+		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
+			return t.Call(wiki.MuxPkg, "ServeConn", args...)
+		}, wiki.MuxPkg)
+	b.Enclosure("db-proxy", "main", wiki.PolicyProxy,
+		func(t *core.Task, args ...core.Value) ([]core.Value, error) {
+			return t.Call(wiki.PqPkg, "Proxy", args[0])
+		}, wiki.PqPkg)
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := simdb.Start(prog.Net())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	serve, stop := wiki.NewConnHandler(prog.MustEnclosure("http-server"), prog.MustEnclosure("db-proxy"))
+	e := engine.New(prog, engine.Opts{Workers: 1})
+	defer func() {
+		e.Close()
+		if err := stop(); err != nil {
+			t.Error(err)
+		}
+	}()
+	req := []byte("GET /view/welcome HTTP/1.1\r\nHost: pin\r\n\r\n")
+	resp := make([]byte, 4096)
+	request := func() {
+		client, server := simnet.Pair()
+		defer client.Close()
+		if _, err := client.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Submit(engine.JobSpec{Name: "view", Fn: func(t *core.Task) error {
+			return serve(t, t.Worker().Proc().InjectConn(server))
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := e.StepWorker(0); !ok || r.Err != nil {
+			t.Fatalf("step: ran %v, err %v", ok, r.Err)
+		}
+		n := 0
+		for {
+			m, err := client.Read(resp[n:])
+			n += m
+			if err != nil {
+				break
+			}
+		}
+		if !bytes.Contains(resp[:n], []byte("page not found")) {
+			t.Fatalf("response %.120q is not the missing page", resp[:n])
+		}
+	}
+	request() // start the worker's glue and proxy tasks, warm the block pool
+	allocs := testing.AllocsPerRun(50, request)
+	t.Logf("%.1f allocs per view request", allocs)
+	const want = viewRequestAllocs + poolDropAllocs
+	if allocs > want {
+		t.Fatalf("one view request allocates %.1f objects, want at most %d", allocs, want)
 	}
 }

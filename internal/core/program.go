@@ -82,9 +82,8 @@ func (p *Program) hasPackageFuncs(pkg string) bool {
 // counters, starting in the trusted hardware state (all-allowing PKRU,
 // page table 0).
 func (p *Program) newCPU() *hw.CPU {
-	cpu := hw.NewCPU(p.clock)
-	cpu.Counters = p.counters
-	return cpu
+	cpu := hw.CPUOn(p.clock, p.counters)
+	return &cpu
 }
 
 // runtimeMmap is the allocator's span source: a trusted mmap syscall.
@@ -292,14 +291,9 @@ func (p *Program) newTask(name string, env *litterbox.Env, pkg string) *Task {
 	p.nextID++
 	id := p.nextID
 	p.mu.Unlock()
-	t := &Task{
-		prog: p,
-		cpu:  p.newCPU(),
-		env:  env,
-		id:   id,
-		name: name,
-	}
-	t.pkgs = append(t.pkgs, pkg)
+	t := newTask(p, id, name, env, pkg)
+	t.ownCPU = hw.CPUOn(p.clock, p.counters)
+	t.cpu = &t.ownCPU
 	// Scheduler hook: place the fresh hardware thread into its
 	// environment (fresh CPUs boot with indeterminate PKRU/CR3).
 	if err := p.lb.InstallEnv(t.cpu, env); err != nil {

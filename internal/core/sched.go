@@ -70,15 +70,9 @@ func (s *Sched) Resumes() int64 { return s.resumes }
 func (s *Sched) Spawn(name string, body func(*Task) error) *SchedThread {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := &Task{
-		prog:  s.prog,
-		cpu:   s.cpu, // all threads share the scheduler's CPU
-		env:   s.prog.lb.Trusted(),
-		id:    -len(s.threads) - 1,
-		name:  name,
-		sched: s,
-	}
-	t.pkgs = append(t.pkgs, "main")
+	t := newTask(s.prog, -len(s.threads)-1, name, s.prog.lb.Trusted(), "main")
+	t.cpu = s.cpu // all threads share the scheduler's CPU
+	t.sched = s
 	st := &SchedThread{name: name, task: t, body: body, resume: make(chan struct{})}
 	s.threads = append(s.threads, st)
 	return st

@@ -26,17 +26,24 @@ func (t *Task) StackAlloc(n uint64) Ref {
 	}
 	t.checkAlive()
 	if len(t.frames) == 0 {
-		t.frames = append(t.frames, &stackFrame{})
+		t.pushFrame()
 	}
 	r := t.Alloc(n)
-	f := t.frames[len(t.frames)-1]
+	f := &t.frames[len(t.frames)-1]
 	f.refs = append(f.refs, r)
 	return r
 }
 
-// pushFrame starts a fresh split-stack segment (enclosure entry).
+// pushFrame starts a fresh split-stack segment (enclosure entry). A
+// segment slot popped earlier is reused with its refs array emptied.
 func (t *Task) pushFrame() {
-	t.frames = append(t.frames, &stackFrame{})
+	n := len(t.frames)
+	if n == cap(t.frames) {
+		t.frames = append(t.frames, stackFrame{})
+		return
+	}
+	t.frames = t.frames[:n+1]
+	t.frames[n].refs = t.frames[n].refs[:0]
 }
 
 // popFrame releases the segment's allocations (enclosure return). The
@@ -45,7 +52,7 @@ func (t *Task) popFrame() {
 	if len(t.frames) == 0 {
 		return
 	}
-	f := t.frames[len(t.frames)-1]
+	f := &t.frames[len(t.frames)-1]
 	t.frames = t.frames[:len(t.frames)-1]
 	if _, dead := t.prog.lb.Aborted(); dead {
 		return

@@ -19,7 +19,7 @@ import (
 // it into an error for the host.
 type Task struct {
 	prog   *Program
-	cpu    *hw.CPU
+	cpu    *hw.CPU // &ownCPU, or a Sched's CPU its threads share
 	env    *litterbox.Env
 	pkgs   []string
 	id     int
@@ -27,7 +27,7 @@ type Task struct {
 	sched  *Sched              // non-nil for user-level threads on a Sched CPU
 	worker *WorkerCtx          // non-nil when pinned to an engine worker
 	cache  *litterbox.EnvCache // per-worker Prolog target cache
-	frames []*stackFrame       // split-stack segments (see stack.go)
+	frames []stackFrame        // split-stack segments (see stack.go)
 	// held reports whether the task holds its program's run token: it
 	// is inside a core entry point (see run.go).
 	held bool
@@ -38,8 +38,27 @@ type Task struct {
 	ring *ring.Ring
 	// cqOff holds ring-off completions: with no ring configured the
 	// submit API executes entries immediately and queues results here
-	// so callers reap identical Completion values either way.
+	// so callers reap identical Completion values either way. Flush and
+	// reap keep its backing array for the next batch.
 	cqOff []ring.Completion
+
+	// The task's own storage: its CPU, and the first arrays behind
+	// pkgs, frames and cqOff. A task whose enclosure nesting and
+	// syscall batches fit them is one allocation.
+	ownCPU   hw.CPU
+	pkgBuf   [4]string
+	frameBuf [2]stackFrame
+	cqBuf    [4]ring.Completion
+}
+
+// newTask returns a task of p running pkg's code under env, its slices
+// backed by its inline arrays. The caller sets its CPU.
+func newTask(p *Program, id int, name string, env *litterbox.Env, pkg string) *Task {
+	t := &Task{prog: p, env: env, id: id, name: name}
+	t.pkgs = append(t.pkgBuf[:0], pkg)
+	t.frames = t.frameBuf[:0]
+	t.cqOff = t.cqBuf[:0]
+	return t
 }
 
 // Worker returns the worker context the task is pinned to (nil for
@@ -403,9 +422,10 @@ func (t *Task) submitEntry(e ring.Entry) {
 // FlushSyscalls drains every queued entry and returns all posted
 // completions, oldest first. A mid-batch denial faults (panics with
 // the *litterbox.Fault) after the batch's completions post, exactly
-// like the corresponding sequence of Task.Syscall calls. With the ring
-// on, the slice is the ring's completion queue: it stays valid until
-// the task's next SubmitSyscall, FlushSyscalls or ReapSyscalls.
+// like the corresponding sequence of Task.Syscall calls. The slice is
+// the task's completion queue, the ring's when it is on: it stays
+// valid until the task's next SubmitSyscall, FlushSyscalls or
+// ReapSyscalls.
 func (t *Task) FlushSyscalls() []ring.Completion {
 	if !t.held {
 		t.take()
@@ -414,9 +434,7 @@ func (t *Task) FlushSyscalls() []ring.Completion {
 	t.checkAlive()
 	r := t.syscallRing()
 	if r == nil {
-		out := t.cqOff
-		t.cqOff = nil
-		return out
+		return t.reapOff()
 	}
 	t.drainRing(r)
 	return r.Reap()
@@ -437,11 +455,18 @@ func (t *Task) ReapSyscalls() []ring.Completion {
 	t.checkAlive()
 	r := t.syscallRing()
 	if r == nil {
-		out := t.cqOff
-		t.cqOff = nil
-		return out
+		return t.reapOff()
 	}
 	return r.Reap()
+}
+
+// reapOff returns the queued ring-off completions and empties the
+// queue, keeping its backing array: the next submit overwrites the
+// returned slice, as the ring's own completion queue does.
+func (t *Task) reapOff() []ring.Completion {
+	out := t.cqOff
+	t.cqOff = t.cqOff[:0]
+	return out
 }
 
 // drainRing pushes the ring's queued batch through the LitterBox batch

@@ -20,19 +20,23 @@ import (
 // token, so per-worker accrual is the sum of the work its goroutines
 // performed.
 type WorkerCtx struct {
-	prog     *Program
-	name     string
-	clock    *hw.Clock
-	counters *hw.Counters
-	proc     *kernel.Proc
-	domain   *litterbox.FaultDomain
-	cache    *litterbox.EnvCache
+	prog  *Program
+	name  string
+	proc  *kernel.Proc
+	cache *litterbox.EnvCache
 
 	// ring is the worker's syscall submission ring (nil when the
 	// program was built without WithSyscallRing). Per-worker ownership
 	// mirrors io_uring's per-thread rings: tasks pinned to this worker
 	// share it, under the engine's one-request-at-a-time discipline.
 	ring *ring.Ring
+
+	// The worker's own state, inline: a warm engine makes a worker for
+	// every request.
+	clock    hw.Clock
+	counters hw.Counters
+	domain   litterbox.FaultDomain
+	state    litterbox.CPUState
 }
 
 // NewWorker creates a parallel worker context. Faults raised by tasks
@@ -40,18 +44,16 @@ type WorkerCtx struct {
 // other workers.
 func (p *Program) NewWorker(name string) *WorkerCtx {
 	w := &WorkerCtx{
-		prog:     p,
-		name:     name,
-		clock:    hw.NewClock(),
-		counters: &hw.Counters{},
-		proc:     p.kernel.NewProc(p.proc.UID, p.proc.PID, p.proc.HostIP),
-		domain:   &litterbox.FaultDomain{},
-		cache:    litterbox.NewEnvCache(),
+		prog:  p,
+		name:  name,
+		proc:  p.kernel.NewProc(p.proc.UID, p.proc.PID, p.proc.HostIP),
+		cache: litterbox.NewEnvCache(),
 	}
 	if p.ringDepth > 0 {
 		w.ring = ring.New(p.ringDepth)
 	}
-	p.lb.BindWorker(w.clock, &litterbox.CPUState{Proc: w.proc, Domain: w.domain, Name: name})
+	w.state = litterbox.CPUState{Proc: w.proc, Domain: &w.domain, Name: name}
+	p.lb.BindWorker(&w.clock, &w.state)
 	return w
 }
 
@@ -59,27 +61,19 @@ func (p *Program) NewWorker(name string) *WorkerCtx {
 func (w *WorkerCtx) Name() string { return w.name }
 
 // Clock returns the worker's virtual clock.
-func (w *WorkerCtx) Clock() *hw.Clock { return w.clock }
+func (w *WorkerCtx) Clock() *hw.Clock { return &w.clock }
 
 // Counters returns the worker's hardware event counters.
-func (w *WorkerCtx) Counters() *hw.Counters { return w.counters }
+func (w *WorkerCtx) Counters() *hw.Counters { return &w.counters }
 
 // Proc returns the worker's kernel process context.
 func (w *WorkerCtx) Proc() *kernel.Proc { return w.proc }
 
 // Domain returns the worker's fault domain.
-func (w *WorkerCtx) Domain() *litterbox.FaultDomain { return w.domain }
+func (w *WorkerCtx) Domain() *litterbox.FaultDomain { return &w.domain }
 
 // EnvCache returns the worker's Prolog target cache.
 func (w *WorkerCtx) EnvCache() *litterbox.EnvCache { return w.cache }
-
-// newCPU returns a fresh architectural CPU charging this worker's clock
-// and counters.
-func (w *WorkerCtx) newCPU() *hw.CPU {
-	cpu := hw.NewCPU(w.clock)
-	cpu.Counters = w.counters
-	return cpu
-}
 
 // NewTaskOn creates a trusted-environment task pinned to worker w: its
 // CPU charges w's clock, its syscalls run under w's proc, its faults
@@ -96,16 +90,10 @@ func (p *Program) newTaskOn(w *WorkerCtx, name string, env *litterbox.Env, pkg s
 	p.nextID++
 	id := p.nextID
 	p.mu.Unlock()
-	t := &Task{
-		prog:   p,
-		cpu:    w.newCPU(),
-		env:    env,
-		id:     id,
-		name:   name,
-		worker: w,
-		cache:  w.cache,
-	}
-	t.pkgs = append(t.pkgs, pkg)
+	t := newTask(p, id, name, env, pkg)
+	t.ownCPU = hw.CPUOn(&w.clock, &w.counters)
+	t.cpu = &t.ownCPU
+	t.worker, t.cache = w, w.cache
 	if err := p.lb.InstallEnv(t.cpu, env); err != nil {
 		panic(err)
 	}

@@ -43,14 +43,64 @@ var defaultClassWeights = [NumClasses]int{8, 4, 2, 1}
 // round-robin, so relative progress follows the class weights no matter
 // how lopsided the backlog is. All access is guarded by Engine.mu.
 type classQueue struct {
-	jobs   [NumClasses][]job
+	jobs   [NumClasses]lane
 	depth  int
 	credit [NumClasses]int // SWRR running credit
 }
 
+// lane is one class's queue: a ring over a backing array it keeps, so
+// in steady state a push reuses the slot an earlier pop vacated. The
+// oldest job is at buf[head].
+type lane struct {
+	buf  []job
+	head int
+	n    int
+}
+
+// push appends j at the back, doubling the array when it is full.
+func (l *lane) push(j job) {
+	if l.n == len(l.buf) {
+		grown := make([]job, max(8, 2*len(l.buf)))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.buf[(l.head+i)%len(l.buf)]
+		}
+		l.buf, l.head = grown, 0
+	}
+	l.buf[(l.head+l.n)%len(l.buf)] = j
+	l.n++
+}
+
+// laneKeep is the most slots an emptied lane keeps: a burst's larger
+// array goes once the burst drains, so an idle engine holds none.
+const laneKeep = 64
+
+// take removes the job in slot i, which must be the front or the back.
+// The slot is cleared: the array outlives the pop, and a stale copy
+// would keep the job's closure (and the request state it captures)
+// reachable.
+func (l *lane) take(i int) job {
+	j := l.buf[i]
+	l.buf[i] = job{}
+	l.n--
+	if l.n == 0 && len(l.buf) > laneKeep {
+		l.buf, l.head = nil, 0
+	}
+	return j
+}
+
+// popFront removes the oldest job.
+func (l *lane) popFront() job {
+	i := l.head
+	l.head = (l.head + 1) % len(l.buf)
+	return l.take(i)
+}
+
+// popBack removes the newest job.
+func (l *lane) popBack() job { return l.take((l.head + l.n - 1) % len(l.buf)) }
+
 // push appends j to its class's lane.
 func (q *classQueue) push(j job) {
-	q.jobs[j.class] = append(q.jobs[j.class], j)
+	q.jobs[j.class].push(j)
 	q.depth++
 }
 
@@ -70,7 +120,7 @@ func (q *classQueue) pop(weights [NumClasses]int, mode DequeueMode, lifoThreshol
 	// the higher-priority (lower-index) class, deterministically.
 	total, best := 0, -1
 	for c := range q.jobs {
-		if len(q.jobs[c]) == 0 {
+		if q.jobs[c].n == 0 {
 			continue
 		}
 		q.credit[c] += weights[c]
@@ -80,19 +130,11 @@ func (q *classQueue) pop(weights [NumClasses]int, mode DequeueMode, lifoThreshol
 		}
 	}
 	q.credit[best] -= total
-	lane := q.jobs[best]
 	var j job
-	// Clear the vacated slot before reslicing: the backing array
-	// outlives the pop, and a stale copy would keep the job's closure
-	// (and the request state it captures) reachable.
 	if mode == LIFOUnderOverload && q.depth > lifoThreshold {
-		j = lane[len(lane)-1]
-		lane[len(lane)-1] = job{}
-		q.jobs[best] = lane[:len(lane)-1]
+		j = q.jobs[best].popBack()
 	} else {
-		j = lane[0]
-		lane[0] = job{}
-		q.jobs[best] = lane[1:]
+		j = q.jobs[best].popFront()
 	}
 	q.depth--
 	return j, true
@@ -106,14 +148,11 @@ func (q *classQueue) steal() (job, bool) {
 		return job{}, false
 	}
 	for c := range q.jobs {
-		if len(q.jobs[c]) == 0 {
+		if q.jobs[c].n == 0 {
 			continue
 		}
-		j := q.jobs[c][0]
-		q.jobs[c][0] = job{} // as in pop
-		q.jobs[c] = q.jobs[c][1:]
 		q.depth--
-		return j, true
+		return q.jobs[c].popFront(), true
 	}
 	return job{}, false
 }

@@ -45,7 +45,7 @@ func TestClassQueueClearsPoppedSlots(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		q.push(job{name: "j", fn: fn})
 	}
-	lane := q.jobs[0] // the original slice header over the backing array
+	lane := q.jobs[0].buf // the lane's backing array
 
 	if _, ok := q.pop(defaultClassWeights, FIFO, 0); !ok {
 		t.Fatal("FIFO pop failed")
@@ -67,6 +67,55 @@ func TestClassQueueClearsPoppedSlots(t *testing.T) {
 	}
 	if lane[2].fn == nil {
 		t.Error("the still-queued job in slot 2 was cleared")
+	}
+}
+
+// TestLaneMatchesSliceModel drives one lane through pushes and front
+// and back pops that wrap its ring and grow it past laneKeep, against a
+// plain slice, then checks that a drained burst's array is dropped
+// while a steady-state lane keeps its array and allocates nothing.
+func TestLaneMatchesSliceModel(t *testing.T) {
+	var l lane
+	var model []int64
+	x := uint64(0x9E3779B97F4A7C15)
+	for step := 0; step < 20000; step++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		switch op := x % 8; {
+		case op < 4 || len(model) == 0:
+			l.push(job{arrival: int64(step)})
+			model = append(model, int64(step))
+		case op < 6:
+			if got := l.popFront().arrival; got != model[0] {
+				t.Fatalf("step %d: front pop %d, model %d", step, got, model[0])
+			}
+			model = model[1:]
+		default:
+			if got := l.popBack().arrival; got != model[len(model)-1] {
+				t.Fatalf("step %d: back pop %d, model %d", step, got, model[len(model)-1])
+			}
+			model = model[:len(model)-1]
+		}
+		if l.n != len(model) {
+			t.Fatalf("step %d: lane holds %d jobs, model %d", step, l.n, len(model))
+		}
+	}
+	if len(l.buf) <= laneKeep {
+		t.Fatalf("the walk never grew the lane past %d slots", laneKeep)
+	}
+	for l.n > 0 {
+		l.popFront()
+	}
+	if l.buf != nil {
+		t.Errorf("a drained lane kept %d slots", len(l.buf))
+	}
+	l.push(job{})
+	if allocs := testing.AllocsPerRun(100, func() {
+		l.push(job{})
+		l.popFront()
+	}); allocs != 0 || len(l.buf) > laneKeep {
+		t.Errorf("a steady-state push and pop allocate %.0f objects over %d slots", allocs, len(l.buf))
 	}
 }
 

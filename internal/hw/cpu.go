@@ -113,9 +113,18 @@ type CPU struct {
 }
 
 // NewCPU returns a CPU in user mode with an all-allowing PKRU and page
-// table 0 active, sharing the given clock.
+// table 0 active, sharing the given clock and charging counters of its
+// own.
 func NewCPU(clock *Clock) *CPU {
-	return &CPU{Clock: clock, Counters: &Counters{}, pkru: PKRUAllAllowed}
+	c := CPUOn(clock, &Counters{})
+	return &c
+}
+
+// CPUOn returns NewCPU's register state charging the given clock and
+// counters, as a value its owner can embed: a simulated goroutine
+// carries its CPU inline instead of in an allocation of its own.
+func CPUOn(clock *Clock, counters *Counters) CPU {
+	return CPU{Clock: clock, Counters: counters, pkru: PKRUAllAllowed}
 }
 
 // Reset returns the CPU to NewCPU's register state — user mode, an

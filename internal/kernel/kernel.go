@@ -74,6 +74,60 @@ type Kernel struct {
 	// trace is installed only while a tracer is attached, so an untraced
 	// system call pays one nil check for it.
 	trace TraceSource
+	// While a tracer is attached, a network wait releases the run token
+	// through a tokenWait from waits (a free list), and the call's
+	// parked time is left in parked for emitSyscall to subtract.
+	waits  []*tokenWait
+	parked int64
+}
+
+// tokenWait is the run token as one traced network wait releases it:
+// it reads the waiting CPU's clock at release and again once the token
+// is retaken, and sums the advance, the virtual time siblings charged
+// to that clock meanwhile, in parked.
+type tokenWait struct {
+	run      sync.Locker
+	clock    *hw.Clock
+	released int64
+	parked   int64
+}
+
+func (w *tokenWait) Unlock() {
+	w.released = w.clock.Now()
+	w.run.Unlock()
+}
+
+func (w *tokenWait) Lock() {
+	w.run.Lock()
+	w.parked += w.clock.Now() - w.released
+}
+
+// yield returns the lock a network wait of a system call on cpu
+// releases: the run token (nil outside a program), or, while a tracer
+// is attached, a tokenWait over it. The caller hands it back to
+// endWait once the wait is over.
+func (k *Kernel) yield(cpu *hw.CPU) sync.Locker {
+	if k.run == nil || k.trace == nil {
+		return k.run
+	}
+	var w *tokenWait
+	if n := len(k.waits); n > 0 {
+		w, k.waits = k.waits[n-1], k.waits[:n-1]
+	} else {
+		w = &tokenWait{}
+	}
+	w.run, w.clock, w.parked = k.run, cpu.Clock, 0
+	return w
+}
+
+// endWait records a traced wait's parked time for the call's event and
+// returns its tokenWait to the free list.
+func (k *Kernel) endWait(l sync.Locker) {
+	if w, ok := l.(*tokenWait); ok {
+		k.parked += w.parked
+		w.clock = nil
+		k.waits = append(k.waits, w)
+	}
 }
 
 // filterState pairs the reference BPF program with its O(1) verdict
@@ -97,9 +151,13 @@ func (k *Kernel) SetTraceSource(src TraceSource) { k.trace = src }
 
 // emitSyscall records one dispatched syscall: number, name, caller
 // package (from the CPU's attribution field, "runtime" when unset),
-// the filter verdict, and the virtual time the call charged. Host-side
-// only — it never advances the clock.
+// the filter verdict, and the virtual time the call charged. A call
+// that waited on the network leaves out what siblings charged to its
+// clock while it waited without the run token. Host-side only — it
+// never advances the clock.
 func (k *Kernel) emitSyscall(cpu *hw.CPU, nr Nr, errno Errno, verdict string, start int64) {
+	parked := k.parked
+	k.parked = 0
 	if k.trace == nil {
 		return
 	}
@@ -119,7 +177,7 @@ func (k *Kernel) emitSyscall(cpu *hw.CPU, nr Nr, errno Errno, verdict string, st
 	tr.Emit(obs.Event{
 		At: now, Kind: obs.KindSyscall, Backend: backend, Worker: worker,
 		Pkg: pkg, Sys: nr.Name(), Sysno: uint32(nr), Verdict: verdict,
-		Cost: now - start, Detail: detail,
+		Cost: now - start - parked, Detail: detail,
 	})
 }
 
@@ -436,9 +494,9 @@ func injectedErrno(cpu *hw.CPU) (Errno, bool) {
 func (k *Kernel) dispatch(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, Errno) {
 	switch nr {
 	case NrRead:
-		return k.sysRead(p, int(args[0]), mem.Addr(args[1]), args[2])
+		return k.sysRead(p, cpu, int(args[0]), mem.Addr(args[1]), args[2])
 	case NrWrite:
-		return k.sysWrite(p, int(args[0]), mem.Addr(args[1]), args[2])
+		return k.sysWrite(p, cpu, int(args[0]), mem.Addr(args[1]), args[2])
 	case NrClose:
 		return 0, p.closeFD(int(args[0]))
 	case NrOpen:
@@ -458,15 +516,15 @@ func (k *Kernel) dispatch(p *Proc, cpu *hw.CPU, nr Nr, args [6]uint64) (uint64, 
 	case NrListen:
 		return k.sysListen(p, int(args[0]))
 	case NrAccept:
-		return k.sysAccept(p, int(args[0]))
+		return k.sysAccept(p, cpu, int(args[0]))
 	case NrConnect:
 		return k.sysConnect(p, int(args[0]), uint32(args[1]), uint16(args[2]))
 	case NrShutdown:
 		return 0, p.closeFD(int(args[0]))
 	case NrSend:
-		return k.sysWrite(p, int(args[0]), mem.Addr(args[1]), args[2])
+		return k.sysWrite(p, cpu, int(args[0]), mem.Addr(args[1]), args[2])
 	case NrRecv:
-		return k.sysRead(p, int(args[0]), mem.Addr(args[1]), args[2])
+		return k.sysRead(p, cpu, int(args[0]), mem.Addr(args[1]), args[2])
 	case NrMmap:
 		return k.sysMmap(args[0])
 	case NrMunmap:
@@ -562,7 +620,7 @@ func (k *Kernel) readPath(addr mem.Addr, n uint64) (string, Errno) {
 // first piece faults returns EFAULT and consumes nothing: the bytes
 // stay readable, as with Linux recv. A fault after the first piece
 // ends the read short.
-func (k *Kernel) sysRead(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errno) {
+func (k *Kernel) sysRead(p *Proc, cpu *hw.CPU, fd int, buf mem.Addr, n uint64) (uint64, Errno) {
 	if n > maxIO {
 		n = maxIO
 	}
@@ -574,9 +632,11 @@ func (k *Kernel) sysRead(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errno
 	case e.file != nil:
 		return k.readFile(e.file, buf, n)
 	case e.conn != nil:
-		got, err := e.conn.ReadTo(int(n), simnet.IOFlags{Nonblock: p.nonBlock, Yield: k.run}, func(src []byte, off int) error {
+		yield := k.yield(cpu)
+		got, err := e.conn.ReadTo(int(n), simnet.IOFlags{Nonblock: p.nonBlock, Yield: yield}, func(src []byte, off int) error {
 			return k.copyOut(buf+mem.Addr(off), src)
 		})
+		k.endWait(yield)
 		switch {
 		case err == nil || got > 0:
 			return uint64(got), OK
@@ -623,7 +683,7 @@ func (k *Kernel) readFile(f *simfs.File, buf mem.Addr, n uint64) (uint64, Errno)
 // sysWrite copies n bytes from the user buffer to fd. A source that is
 // not fully mapped returns EFAULT before the first byte, so a faulting
 // write delivers nothing.
-func (k *Kernel) sysWrite(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errno) {
+func (k *Kernel) sysWrite(p *Proc, cpu *hw.CPU, fd int, buf mem.Addr, n uint64) (uint64, Errno) {
 	if n > maxIO {
 		n = maxIO
 	}
@@ -638,9 +698,11 @@ func (k *Kernel) sysWrite(p *Proc, fd int, buf mem.Addr, n uint64) (uint64, Errn
 	case e.file != nil:
 		return k.writeFile(e.file, buf, n)
 	case e.conn != nil:
-		wrote, err := e.conn.WriteFrom(int(n), k.run, func(dst []byte, off int) error {
+		yield := k.yield(cpu)
+		wrote, err := e.conn.WriteFrom(int(n), yield, func(dst []byte, off int) error {
 			return k.copyIn(dst, buf+mem.Addr(off))
 		})
+		k.endWait(yield)
 		switch {
 		case errors.Is(err, simnet.ErrClosed):
 			return uint64(wrote), EBADF
@@ -792,7 +854,7 @@ func (k *Kernel) sysListen(p *Proc, fd int) (uint64, Errno) {
 	return 0, OK
 }
 
-func (k *Kernel) sysAccept(p *Proc, fd int) (uint64, Errno) {
+func (k *Kernel) sysAccept(p *Proc, cpu *hw.CPU, fd int) (uint64, Errno) {
 	e, errno := p.lookupFD(fd)
 	if errno != OK {
 		return 0, errno
@@ -800,7 +862,9 @@ func (k *Kernel) sysAccept(p *Proc, fd int) (uint64, Errno) {
 	if e.ln == nil {
 		return 0, ENOTSOCK
 	}
-	c, err := e.ln.AcceptFlags(simnet.IOFlags{Nonblock: p.nonBlock, Yield: k.run})
+	yield := k.yield(cpu)
+	c, err := e.ln.AcceptFlags(simnet.IOFlags{Nonblock: p.nonBlock, Yield: yield})
+	k.endWait(yield)
 	if err == simnet.ErrWouldBlock {
 		return 0, EAGAIN
 	}

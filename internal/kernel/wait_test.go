@@ -8,6 +8,7 @@ import (
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/mem"
+	"github.com/litterbox-project/enclosure/internal/obs"
 	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
@@ -155,6 +156,52 @@ func TestBlockingSendWaitsForRoom(t *testing.T) {
 	}
 	if !bytes.Equal(read, want) {
 		t.Fatal("the peer read other bytes than were sent")
+	}
+}
+
+// TestBlockingRecvEventCostsOnlyTheKernel: a traced recv that waits
+// while a sibling charges the same clock records only what the kernel
+// charged, exactly what the same recv costs with its data already
+// there; the clock itself keeps the sibling's charge.
+func TestBlockingRecvEventCostsOnlyTheKernel(t *testing.T) {
+	w, run := tokenWorld(t)
+	tr := obs.New(16)
+	w.k.SetTraceSource(func(*hw.CPU) (*obs.Trace, string, string) { return tr, "test", "cpu0" })
+	a, b := simnet.Pair()
+	fd := uint64(w.p.InjectConn(a))
+	out := uint64(w.buf.Base)
+
+	// The kernel's own charge: a recv that finds its data waiting.
+	if _, err := b.Write([]byte("ready")); err != nil {
+		t.Fatal(err)
+	}
+	if r := result(t, heldCall(w, run, NrRecv, fd, out, 64)); r.errno != OK || r.ret != 5 {
+		t.Fatalf("recv: %d %v", r.ret, r.errno)
+	}
+
+	// The same recv, waiting while a sibling runs and charges the clock.
+	const sibling = 1_000_000
+	clock0 := w.cpu.Clock.Now()
+	got := heldCall(w, run, NrRecv, fd, out, 64)
+	awaitRelease(t, run)
+	w.cpu.Clock.Advance(sibling)
+	if _, err := b.Write([]byte("later")); err != nil {
+		t.Fatal(err)
+	}
+	run.Unlock()
+	if r := result(t, got); r.errno != OK || r.ret != 5 {
+		t.Fatalf("recv: %d %v", r.ret, r.errno)
+	}
+
+	evs := tr.Events()
+	if len(evs) != 2 || evs[0].Kind != obs.KindSyscall || evs[1].Kind != obs.KindSyscall {
+		t.Fatalf("want two syscall events, got %+v", evs)
+	}
+	if evs[0].Cost <= 0 || evs[1].Cost != evs[0].Cost {
+		t.Errorf("the waiting recv's event costs %d ns, the recv that did not wait %d ns", evs[1].Cost, evs[0].Cost)
+	}
+	if adv := w.cpu.Clock.Now() - clock0; adv != sibling+evs[0].Cost {
+		t.Errorf("the clock advanced %d ns over the waiting recv, want the sibling's %d plus the kernel's %d", adv, sibling, evs[0].Cost)
 	}
 }
 

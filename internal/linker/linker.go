@@ -164,7 +164,7 @@ func Link(graph *pkggraph.Graph, decls []DeclInput, space *mem.AddressSpace) (*I
 		if err != nil {
 			return nil, err
 		}
-		fillText(space, text, "closure:"+d.Name)
+		fillText(space, text, "closure:", d.Name)
 		decl := &EnclosureDecl{
 			ID:     i + 1,
 			Name:   d.Name,
@@ -240,7 +240,7 @@ func placePackage(space *mem.AddressSpace, p *pkggraph.Package) (*PackageLayout,
 	off := uint64(0)
 	for _, fn := range funcs {
 		pl.Funcs[fn] = Sym{Addr: text.Base + mem.Addr(off), Size: 64}
-		writeSynthetic(space, text.Base+mem.Addr(off), 64, p.Name+"."+fn)
+		writeSynthetic(space, text.Base+mem.Addr(off), 64, p.Name, ".", fn)
 		off += 64
 	}
 
@@ -294,25 +294,38 @@ func placePackage(space *mem.AddressSpace, p *pkggraph.Package) (*PackageLayout,
 }
 
 // writeSynthetic fills [addr, addr+size) with deterministic pseudo-code
-// derived from the seed. Bytes are kept in 0x10..0x8f so a WRPKRU
-// sequence (0F 01 EF) can never occur by accident — only tests that
-// deliberately plant one trip the scanner.
-func writeSynthetic(space *mem.AddressSpace, addr mem.Addr, size uint64, seed string) {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(seed))
-	x := h.Sum64()
-	buf := make([]byte, size)
-	for i := range buf {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		buf[i] = byte(0x10 + (x>>57)&0x7f)
+// derived from the seed, the concatenation of the seed parts. Bytes are
+// kept in 0x10..0x8f so a WRPKRU sequence (0F 01 EF) can never occur by
+// accident — only tests that deliberately plant one trip the scanner.
+// The bytes are generated a stack chunk at a time, so a fill allocates
+// nothing.
+func writeSynthetic(space *mem.AddressSpace, addr mem.Addr, size uint64, seed ...string) {
+	// FNV-1a over the seed, as hash/fnv's New64a computes it.
+	x := uint64(14695981039346656037)
+	for _, part := range seed {
+		for i := 0; i < len(part); i++ {
+			x ^= uint64(part[i])
+			x *= 1099511628211
+		}
 	}
-	_ = space.WriteAt(addr, buf)
+	var chunk [512]byte
+	for done := uint64(0); done < size; {
+		piece := chunk[:min(size-done, uint64(len(chunk)))]
+		for i := range piece {
+			x ^= x >> 12
+			x ^= x << 25
+			x ^= x >> 27
+			piece[i] = byte(0x10 + (x>>57)&0x7f)
+		}
+		if space.WriteAt(addr+mem.Addr(done), piece) != nil {
+			return
+		}
+		done += uint64(len(piece))
+	}
 }
 
-func fillText(space *mem.AddressSpace, sec *mem.Section, seed string) {
-	writeSynthetic(space, sec.Base, sec.Size, seed)
+func fillText(space *mem.AddressSpace, sec *mem.Section, seed ...string) {
+	writeSynthetic(space, sec.Base, sec.Size, seed...)
 }
 
 func tokenFor(id int, name, pkg string) uint64 {

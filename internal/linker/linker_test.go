@@ -3,7 +3,9 @@ package linker
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +254,61 @@ func TestSyntheticTextNeverContainsWRPKRU(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceSynthetic is writeSynthetic's bytes as first written: a
+// fresh hash/fnv hasher over the seed and a fresh buffer per call.
+func referenceSynthetic(size uint64, seed string) []byte {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(seed))
+	x := h.Sum64()
+	buf := make([]byte, size)
+	for i := range buf {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		buf[i] = byte(0x10 + (x>>57)&0x7f)
+	}
+	return buf
+}
+
+// TestSyntheticMatchesReference: the chunked, allocation-free fill
+// writes the reference bytes for short function fills, sizes around
+// its chunk, whole-page closure fills and fills that cross pages, with
+// the seed given whole or in parts; and it allocates nothing.
+func TestSyntheticMatchesReference(t *testing.T) {
+	space := mem.NewAddressSpace(0)
+	sec, err := space.Map("t", "p", mem.KindText, 4*mem.PageSize, mem.PermR|mem.PermX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		off, size uint64
+		parts     []string
+	}{
+		{0, 0, []string{"empty"}},
+		{0, 1, []string{"one"}},
+		{64, 64, []string{"libFx", ".", "Render"}},
+		{0, 511, []string{"chunk-1"}},
+		{0, 512, []string{"chunk"}},
+		{0, 513, []string{"chunk+1"}},
+		{0, mem.PageSize, []string{"closure:", "worker"}},
+		{mem.PageSize - 100, 2*mem.PageSize + 300, []string{"across pages"}},
+	} {
+		writeSynthetic(space, sec.Base+mem.Addr(c.off), c.size, c.parts...)
+		got := make([]byte, c.size)
+		if err := space.ReadAt(sec.Base+mem.Addr(c.off), got); err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceSynthetic(c.size, strings.Join(c.parts, "")); !bytes.Equal(got, want) {
+			t.Errorf("%d bytes seeded %q differ from the reference", c.size, c.parts)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		writeSynthetic(space, sec.Base, mem.PageSize, "closure:", "worker")
+	}); allocs != 0 {
+		t.Errorf("a whole-page fill allocates %.0f objects", allocs)
 	}
 }
 

@@ -31,7 +31,7 @@ func (b *BaselineBackend) Setup(lb *LitterBox) error {
 func (b *BaselineBackend) CreateEnv(*Env) error { return nil }
 
 // Switch implements Backend: a vanilla closure call switches nothing.
-func (b *BaselineBackend) Switch(cpu *hw.CPU, from, to *Env, verify func() error) error {
+func (b *BaselineBackend) Switch(cpu *hw.CPU, from, to *Env, gate Gate) error {
 	return nil
 }
 

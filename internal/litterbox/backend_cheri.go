@@ -87,11 +87,9 @@ func (b *CHERIBackend) GrantCapability(env *Env, base mem.Addr, size uint64, per
 
 // Switch implements Backend: verify the call-site, then install the
 // target's capability table.
-func (b *CHERIBackend) Switch(cpu *hw.CPU, from, to *Env, verify func() error) error {
-	if verify != nil {
-		if err := verify(); err != nil {
-			return err
-		}
+func (b *CHERIBackend) Switch(cpu *hw.CPU, from, to *Env, gate Gate) error {
+	if err := gate.Check(); err != nil {
+		return err
 	}
 	return b.unit.Switch(cpu, to.Table)
 }

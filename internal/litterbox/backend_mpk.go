@@ -406,11 +406,9 @@ func (b *MPKBackend) CreateEnv(env *Env) error {
 // Switch implements Backend: validate the call-site, then one WRPKRU.
 // Under key virtualisation, a target view touching cold meta-packages
 // first takes the libmpk slow path that pages them into the key cache.
-func (b *MPKBackend) Switch(cpu *hw.CPU, from, to *Env, verify func() error) error {
-	if verify != nil {
-		if err := verify(); err != nil {
-			return err
-		}
+func (b *MPKBackend) Switch(cpu *hw.CPU, from, to *Env, gate Gate) error {
+	if err := gate.Check(); err != nil {
+		return err
 	}
 	if b.virt != nil {
 		if _, err := b.ensureCached(cpu, to); err != nil {

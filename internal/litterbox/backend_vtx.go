@@ -181,8 +181,8 @@ func (b *VTXBackend) rightsIn(env *Env, sec *mem.Section) mem.Perm {
 // Switch implements Backend: a guest system call validates the
 // call-site and swaps CR3 (Table 1: two of these cost ~880ns on top of
 // the 45ns closure call).
-func (b *VTXBackend) Switch(cpu *hw.CPU, from, to *Env, verify func() error) error {
-	return b.machine.GuestSwitch(cpu, to.Table, verify)
+func (b *VTXBackend) Switch(cpu *hw.CPU, from, to *Env, gate Gate) error {
+	return b.machine.GuestSwitch(cpu, to.Table, gate.Check)
 }
 
 // CheckAccess implements Backend via the active page table. A

@@ -63,6 +63,26 @@ func (f *Fault) Error() string {
 // Unwrap exposes the backend-level cause.
 func (f *Fault) Unwrap() error { return f.Cause }
 
+// Gate is the call-site check a Prolog or Epilog hands to
+// Backend.Switch, as data rather than a closure: the token the call
+// site presents for an enclosure, checked against the .verif table.
+// The zero Gate checks nothing; the trusted scheduler's Execute and
+// InstallEnv switches carry no token.
+type Gate struct {
+	verif map[int]uint64
+	encl  int
+	token uint64
+}
+
+// Check returns ErrBadToken when the gate's token is not the one .verif
+// records for its enclosure.
+func (g Gate) Check() error {
+	if g.verif != nil && g.verif[g.encl] != g.token {
+		return ErrBadToken
+	}
+	return nil
+}
+
 // Backend is one hardware enforcement mechanism. LitterBox
 // differentiates between the selected hardware only for: creating and
 // enforcing execution environments, extending a package's arena, and
@@ -75,9 +95,10 @@ type Backend interface {
 	// CreateEnv materialises hardware state for one (possibly lazily
 	// created intersection) environment.
 	CreateEnv(e *Env) error
-	// Switch moves the cpu from environment `from` into `to`. verify is
-	// the call-site check and runs inside the privileged path.
-	Switch(cpu *hw.CPU, from, to *Env, verify func() error) error
+	// Switch moves the cpu from environment `from` into `to`. gate is
+	// the call-site check; the backend runs gate.Check inside its
+	// privileged path.
+	Switch(cpu *hw.CPU, from, to *Env, gate Gate) error
 	// CheckAccess enforces the current hardware state on a data access.
 	CheckAccess(cpu *hw.CPU, addr mem.Addr, size uint64, write bool) error
 	// CheckExec enforces instruction-fetch rights for a call into pkg
@@ -523,14 +544,8 @@ func (lb *LitterBox) PrologWith(cpu *hw.CPU, from *Env, enclID int, token uint64
 			cache.store(from.ID, enclID, target, epoch)
 		}
 	}
-	verify := func() error {
-		if lb.verif[enclID] != token {
-			return ErrBadToken
-		}
-		return nil
-	}
 	start := cpu.Clock.Now()
-	if err := lb.backend.Switch(cpu, from, target, verify); err != nil {
+	if err := lb.backend.Switch(cpu, from, target, Gate{lb.verif, enclID, token}); err != nil {
 		return nil, lb.RaiseFault(cpu, &Fault{Env: from, Op: "switch", Detail: err.Error(), Cause: err})
 	}
 	cpu.Counters.Switches++
@@ -552,14 +567,8 @@ func (lb *LitterBox) Epilog(cpu *hw.CPU, cur, back *Env, enclID int, token uint6
 	if _, dead := lb.abortedIn(st); dead {
 		return ErrAborted
 	}
-	verify := func() error {
-		if lb.verif[enclID] != token {
-			return ErrBadToken
-		}
-		return nil
-	}
 	start := cpu.Clock.Now()
-	if err := lb.backend.Switch(cpu, cur, back, verify); err != nil {
+	if err := lb.backend.Switch(cpu, cur, back, Gate{lb.verif, enclID, token}); err != nil {
 		return lb.RaiseFault(cpu, &Fault{Env: cur, Op: "switch", Detail: err.Error(), Cause: err})
 	}
 	cpu.Counters.Switches++
@@ -577,7 +586,7 @@ func (lb *LitterBox) Epilog(cpu *hw.CPU, cur, back *Env, enclID int, token uint6
 // it never short-circuits: a new hardware thread boots with an
 // indeterminate PKRU/CR3 and must be placed into its environment.
 func (lb *LitterBox) InstallEnv(cpu *hw.CPU, env *Env) error {
-	if err := lb.backend.Switch(cpu, nil, env, nil); err != nil {
+	if err := lb.backend.Switch(cpu, nil, env, Gate{}); err != nil {
 		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "switch", Detail: err.Error(), Cause: err})
 	}
 	cpu.Counters.Switches++
@@ -593,7 +602,7 @@ func (lb *LitterBox) Execute(cpu *hw.CPU, from, to *Env) error {
 		return nil
 	}
 	start := cpu.Clock.Now()
-	if err := lb.backend.Switch(cpu, from, to, nil); err != nil {
+	if err := lb.backend.Switch(cpu, from, to, Gate{}); err != nil {
 		return lb.RaiseFault(cpu, &Fault{Env: from, Op: "switch", Detail: err.Error(), Cause: err})
 	}
 	cpu.Counters.Switches++

@@ -80,11 +80,13 @@ func wait(c *sync.Cond, mu *sync.Mutex, yield sync.Locker) {
 // blockPool. blocks[head] is read from offset r, the last block is
 // written up to offset w, and n counts the buffered bytes. A block goes
 // back to the pool as soon as the reader drains it, so an idle stream
-// holds none.
+// holds none. The queue starts in the stream's inline array, so a
+// message of up to len(inline) blocks allocates no queue.
 type stream struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond // cond.L is &mu
 	blocks []*block
+	inline [2]*block
 	head   int
 	r, w   int
 	n      int
@@ -102,22 +104,30 @@ type block [blockSize]byte
 // blockPool is shared by every stream in the process.
 var blockPool = sync.Pool{New: func() any { return new(block) }}
 
-func newStream() *stream {
-	s := &stream{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+// init readies a zero stream in place: the stream must not move after.
+func (s *stream) init() {
+	s.cond.L = &s.mu
+	s.blocks = s.inline[:0]
 }
+
+// grownQueue is the capacity a queue takes once it outgrows the inline
+// array: a 13 KB page spans 13 blocks.
+const grownQueue = 16
 
 // push appends a fresh tail block, compacting the drained front of the
 // queue before growing it.
 func (s *stream) push(b *block) {
-	if len(s.blocks) == cap(s.blocks) && s.head > 0 {
-		k := copy(s.blocks, s.blocks[s.head:])
-		clear(s.blocks[k:])
-		s.blocks, s.head = s.blocks[:k], 0
-	}
-	if s.blocks == nil {
-		s.blocks = make([]*block, 0, 16)
+	if len(s.blocks) == cap(s.blocks) {
+		if s.head > 0 {
+			k := copy(s.blocks, s.blocks[s.head:])
+			clear(s.blocks[k:])
+			s.blocks, s.head = s.blocks[:k], 0
+		} else if cap(s.blocks) < grownQueue {
+			grown := make([]*block, len(s.blocks), grownQueue)
+			copy(grown, s.blocks)
+			clear(s.blocks)
+			s.blocks = grown
+		}
 	}
 	s.blocks = append(s.blocks, b)
 	s.w = 0
@@ -145,7 +155,7 @@ func (s *stream) writeFrom(n int, yield sync.Locker, fill func(dst []byte, off i
 	written := 0
 	for written < n {
 		for !s.closed && s.n >= streamBufSize {
-			wait(s.cond, &s.mu, yield)
+			wait(&s.cond, &s.mu, yield)
 		}
 		if s.closed {
 			return written, ErrClosed
@@ -194,7 +204,7 @@ func (s *stream) readTo(n int, f IOFlags, drain func(src []byte, off int) error)
 		}
 	} else {
 		for s.n == 0 && !s.closed {
-			wait(s.cond, &s.mu, f.Yield)
+			wait(&s.cond, &s.mu, f.Yield)
 		}
 	}
 	if s.n == 0 {
@@ -286,15 +296,26 @@ func (c *Conn) Close() error {
 	return nil
 }
 
+// pair is a connection's two endpoints and two directions in one
+// allocation.
+type pair struct {
+	a2b, b2a stream
+	a, b     Conn
+}
+
+// newPair connects endpoint a at addrA to endpoint b at addrB.
+func newPair(addrA, addrB Addr) (*Conn, *Conn) {
+	p := &pair{}
+	p.a2b.init()
+	p.b2a.init()
+	p.a = Conn{local: addrA, remote: addrB, rd: &p.b2a, wr: &p.a2b}
+	p.b = Conn{local: addrB, remote: addrA, rd: &p.a2b, wr: &p.b2a}
+	return &p.a, &p.b
+}
+
 // Pair returns two connected endpoints with no listener involved — the
 // substrate behind pipe(2) and socketpair(2) in the simulated kernel.
-func Pair() (*Conn, *Conn) {
-	a2b := newStream()
-	b2a := newStream()
-	a := &Conn{rd: b2a, wr: a2b}
-	b := &Conn{rd: a2b, wr: b2a}
-	return a, b
-}
+func Pair() (*Conn, *Conn) { return newPair(Addr{}, Addr{}) }
 
 // Listener accepts incoming connections on a bound address.
 type Listener struct {
@@ -458,10 +479,7 @@ func (n *Net) Dial(localHost uint32, remote Addr) (*Conn, error) {
 	local := Addr{Host: localHost, Port: n.ephemeralLocked()}
 	n.mu.Unlock()
 
-	a2b := newStream()
-	b2a := newStream()
-	clientSide := &Conn{local: local, remote: remote, rd: b2a, wr: a2b}
-	serverSide := &Conn{local: remote, remote: local, rd: a2b, wr: b2a}
+	clientSide, serverSide := newPair(local, remote)
 	if err := l.enqueue(serverSide); err != nil {
 		return nil, err
 	}
