@@ -218,7 +218,7 @@ func ExampleNewHandoff() {
 			return err
 		}
 		fmt.Println("reply:", out[0])
-		reqs.Close()
+		reqs.Close(t)
 		return handler.Join(t)
 	})
 	if err != nil {

@@ -28,6 +28,7 @@ type engineWorker struct {
 func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task, fd int) error, stop func() error) {
 	var mu sync.Mutex
 	workers := make(map[*core.WorkerCtx]*engineWorker)
+	var order []*engineWorker // creation order, so stop is the same on every run
 
 	workerFor := func(t *core.Task) *engineWorker {
 		mu.Lock()
@@ -39,6 +40,7 @@ func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task
 				return HandleLoop(ht, w.reqs, page)
 			})
 			workers[t.Worker()] = w
+			order = append(order, w)
 		}
 		return w
 	}
@@ -52,8 +54,8 @@ func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task
 		mu.Lock()
 		defer mu.Unlock()
 		var first error
-		for _, w := range workers {
-			w.reqs.Close()
+		for _, w := range order {
+			w.reqs.Close(nil)
 			if err := w.handler.Join(nil); err != nil && first == nil {
 				first = err
 			}

@@ -218,7 +218,7 @@ func serve(t *core.Task, args ...core.Value) ([]core.Value, error) {
 			break
 		}
 	}
-	cfg.Reqs.Close()
+	cfg.Reqs.Close(t)
 	return []core.Value{served}, nil
 }
 

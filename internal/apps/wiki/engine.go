@@ -31,6 +31,7 @@ type wikiWorker struct {
 func NewConnHandler(server, proxy *core.Enclosure) (conn func(t *core.Task, fd int) error, stop func() error) {
 	var mu sync.Mutex
 	workers := make(map[*core.WorkerCtx]*wikiWorker)
+	var order []*wikiWorker // creation order, so stop is the same on every run
 
 	workerFor := func(t *core.Task) *wikiWorker {
 		mu.Lock()
@@ -47,6 +48,7 @@ func NewConnHandler(server, proxy *core.Enclosure) (conn func(t *core.Task, fd i
 				return Glue(gt, w.reqs, queries)
 			})
 			workers[t.Worker()] = w
+			order = append(order, w)
 		}
 		return w
 	}
@@ -60,8 +62,8 @@ func NewConnHandler(server, proxy *core.Enclosure) (conn func(t *core.Task, fd i
 		mu.Lock()
 		defer mu.Unlock()
 		var errs []error
-		for _, w := range workers {
-			w.reqs.Close() // glue exits and closes queries; the proxy drains and exits
+		for _, w := range order {
+			w.reqs.Close(nil) // glue exits and closes queries; the proxy drains and exits
 			errs = append(errs, w.glue.Join(nil), w.proxy.Join(nil))
 		}
 		return errors.Join(errs...)

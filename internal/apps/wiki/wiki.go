@@ -246,7 +246,7 @@ func muxServe(t *core.Task, args ...core.Value) ([]core.Value, error) {
 			break
 		}
 	}
-	cfg.Reqs.Close()
+	cfg.Reqs.Close(t)
 	return []core.Value{served}, nil
 }
 
@@ -459,7 +459,7 @@ func pqSet(t *core.Task, sock uint64, wire core.Ref, key, val string) QueryResul
 // the result, renders the HTML page, and hands it back ⑦. It returns
 // when the server closes the request hand-off.
 func Glue(t *core.Task, reqs *core.Handoff[Request], queries *core.Handoff[Query]) error {
-	defer queries.Close()
+	defer queries.Close(t)
 	reply := core.NewHandoff[QueryResult](1) // one query in flight
 	for {
 		req, ok := reqs.Recv(t)

@@ -201,7 +201,7 @@ func exerciseDjangoClone(kind core.BackendKind, protected, evil bool, policy str
 		if srvErr == nil {
 			<-clientDone // collect the verdicts of both requests
 		}
-		reqs.Close()
+		reqs.Close(t)
 		if herr := handler.Join(t); herr != nil && srvErr == nil {
 			srvErr = herr
 		}

@@ -318,7 +318,7 @@ func (b *Builder) Build() (*Program, error) {
 		warmPool:      b.warmPool,
 	}
 	prog.runtimeCPU = prog.newCPU()
-	k.SetRunToken(&prog.run)
+	k.SetRunToken(prog.waitToken)
 
 	prog.heap = alloc.NewHeap(prog.runtimeMmap, prog.runtimeTransfer, kernel.HeapOwner)
 

@@ -86,7 +86,6 @@ func TestProgramAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog.Wait()
 }
 
 func TestNewSpanAndTransferSpan(t *testing.T) {

@@ -82,5 +82,4 @@ func TestConcurrentDynamicImportAndCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog.Wait()
 }

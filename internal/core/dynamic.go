@@ -21,10 +21,7 @@ import (
 // environment: the importer can only initialise the module with the
 // rights it already holds.
 func (t *Task) ImportDynamic(spec PackageSpec) error {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	prog := t.prog
 	if prog.hasPackageFuncs(spec.Name) {
@@ -67,12 +64,10 @@ func (t *Task) ImportDynamic(spec PackageSpec) error {
 	for name, fn := range spec.Funcs {
 		fns[name] = fn
 	}
-	prog.mu.Lock()
 	if prog.funcsShared {
 		prog.funcs, prog.funcsShared = maps.Clone(prog.funcs), false
 	}
 	prog.funcs[spec.Name] = fns
-	prog.mu.Unlock()
 	if err := prog.lb.Execute(t.cpu, prog.lb.Trusted(), cur); err != nil {
 		return err
 	}

@@ -38,10 +38,7 @@ func (e *Enclosure) Env() *litterbox.Env { return e.env }
 // current package, and Epilog restores the caller's environment on
 // return. Every execution is subject to the same policy.
 func (e *Enclosure) Call(t *Task, args ...Value) ([]Value, error) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	t.cpu.Clock.Advance(hw.CostClosureCall)
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/alloc"
 	"github.com/litterbox-project/enclosure/internal/hw"
@@ -47,21 +46,17 @@ type Program struct {
 
 	runtimeCPU *hw.CPU
 
-	// run is the program's run token: one simulated goroutine at a
-	// time holds it while it executes (see run.go). The kernel
-	// releases it around network waits.
-	run sync.Mutex
-
-	mu     sync.RWMutex // guards nextID, funcs and funcsShared (dynamic imports add entries)
-	nextID int
-	wg     sync.WaitGroup
+	// q is the program's run queue: its run token and the tasks
+	// waiting for it (see run.go). The kernel releases the token around
+	// network waits (waitToken).
+	q runq
+	// scheds are the program's schedulers, each with the CPU its
+	// threads share.
+	scheds []*Sched
 }
 
-// lookupFunc resolves pkg.fn under the funcs lock (imports may add
-// packages concurrently).
+// lookupFunc resolves pkg.fn.
 func (p *Program) lookupFunc(pkg, fn string) (Func, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	fns, ok := p.funcs[pkg]
 	if !ok {
 		return nil, false
@@ -72,8 +67,6 @@ func (p *Program) lookupFunc(pkg, fn string) (Func, bool) {
 
 // hasPackageFuncs reports whether the package has registered code.
 func (p *Program) hasPackageFuncs(pkg string) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	_, ok := p.funcs[pkg]
 	return ok
 }
@@ -248,9 +241,9 @@ func (p *Program) Fault() (*litterbox.Fault, bool) {
 // fault-stops-the-program semantics while keeping the host test harness
 // alive.
 func (p *Program) Run(body func(t *Task) error) (err error) {
-	p.run.Lock()
-	t := p.newTask("main", p.lb.Trusted(), "main")
-	p.run.Unlock()
+	p.q.Lock()
+	t := p.newTaskOn(nil, "main", p.lb.Trusted(), "main")
+	p.q.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
 			if f, ok := r.(*litterbox.Fault); ok {
@@ -263,15 +256,12 @@ func (p *Program) Run(body func(t *Task) error) (err error) {
 	return body(t)
 }
 
-// Wait blocks until every goroutine spawned with Task.Go has finished.
-func (p *Program) Wait() { p.wg.Wait() }
-
 // NewSpan maps a fresh heap span of the given size via the trusted
 // runtime path (owned by the heap pool until transferred). Benchmarks
 // and the runtime use it; package code allocates through Task.Alloc.
 func (p *Program) NewSpan(size uint64) (*mem.Section, error) {
-	p.run.Lock()
-	defer p.run.Unlock()
+	p.q.Lock()
+	defer p.q.Unlock()
 	return p.runtimeMmap(size)
 }
 
@@ -279,25 +269,7 @@ func (p *Program) NewSpan(size uint64) (*mem.Section, error) {
 // LitterBox's Transfer from the trusted runtime (the Table 1 transfer
 // micro-benchmark exercises exactly this path).
 func (p *Program) TransferSpan(sec *mem.Section, toPkg string) error {
-	p.run.Lock()
-	defer p.run.Unlock()
+	p.q.Lock()
+	defer p.q.Unlock()
 	return p.runtimeTransfer(sec, toPkg)
-}
-
-// newTask makes a task on the program's own clock. The caller holds
-// the run token: installing the environment charges the clock.
-func (p *Program) newTask(name string, env *litterbox.Env, pkg string) *Task {
-	p.mu.Lock()
-	p.nextID++
-	id := p.nextID
-	p.mu.Unlock()
-	t := newTask(p, id, name, env, pkg)
-	t.ownCPU = hw.CPUOn(p.clock, p.counters)
-	t.cpu = &t.ownCPU
-	// Scheduler hook: place the fresh hardware thread into its
-	// environment (fresh CPUs boot with indeterminate PKRU/CR3).
-	if err := p.lb.InstallEnv(t.cpu, env); err != nil {
-		panic(err)
-	}
-	return t
 }

@@ -290,7 +290,7 @@ func TestBlockingPointsLetSiblingsRun(t *testing.T) {
 									return fmt.Errorf("echo %d -> %d", i, v)
 								}
 							}
-							req.Close()
+							req.Close(task)
 							return h.Join(task)
 						})
 					})
@@ -345,13 +345,13 @@ func TestHandoffRoundTripAllocs(t *testing.T) {
 				rep.Send(ct, v)
 			}
 		})
-		task.take()
+		took := task.enter()
 		allocs := testing.AllocsPerRun(200, func() {
 			req.Send(task, 1)
 			rep.Recv(task)
 		})
-		task.disown()
-		req.Close()
+		task.leave(took)
+		req.Close(task)
 		if err := h.Join(task); err != nil {
 			return err
 		}

@@ -183,7 +183,6 @@ func TestTrustedGoroutineKeepsFullAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog.Wait()
 	})
 }
 

@@ -15,48 +15,46 @@ import (
 // protection environments. The language's scheduler calls Execute to
 // transition from one user thread execution environment to another."
 //
-// Threads yield explicitly (Task.Yield); on every resume of a thread
-// whose current environment differs from the CPU's, the scheduler
-// invokes LitterBox's Execute, so preempted enclosures always resume
-// under their own restrictions.
+// It is a thin layer over the program's run queue (run.go): Run queues
+// the threads in Spawn order and Task.Yield re-queues a thread at the
+// tail. A thread resumes at its first turn and whenever a wait (a
+// yield, a hand-off, a join, a kernel network wait) hands it the token
+// back; when its environment differs from the one the CPU is in, the
+// scheduler invokes LitterBox's Execute, so preempted enclosures always
+// resume under their own restrictions.
 type Sched struct {
-	prog *Program
-	cpu  *hw.CPU
-
-	mu      sync.Mutex
+	prog    *Program
+	cpu     *hw.CPU
 	threads []*SchedThread
-	rr      int // round-robin cursor
-
-	curEnv  *litterbox.Env
+	// last is the thread whose turn started last: the CPU is in its
+	// environment (trusted while last is nil).
+	last    *Task
 	resumes int64 // Execute-mediated environment installs
-	events  chan yieldEvent
 }
 
 // SchedThread is one user-level thread managed by a Sched.
 type SchedThread struct {
-	name   string
-	task   *Task
-	body   func(*Task) error
-	resume chan struct{}
-	done   bool
-	err    error
+	task *Task
+	body func(*Task) error
+	err  error
 }
 
 // Err returns the thread's result after Sched.Run.
 func (st *SchedThread) Err() error { return st.err }
 
 // Name returns the thread's name.
-func (st *SchedThread) Name() string { return st.name }
+func (st *SchedThread) Name() string { return st.task.name }
 
 // NewScheduler returns a scheduler with its own single virtual CPU,
 // initially in the trusted environment.
 func (p *Program) NewScheduler() (*Sched, error) {
-	s := &Sched{prog: p, cpu: p.newCPU(), curEnv: p.lb.Trusted()}
-	p.run.Lock()
-	defer p.run.Unlock()
-	if err := p.lb.InstallEnv(s.cpu, s.curEnv); err != nil {
+	s := &Sched{prog: p, cpu: p.newCPU()}
+	p.q.Lock()
+	defer p.q.Unlock()
+	if err := p.lb.InstallEnv(s.cpu, p.lb.Trusted()); err != nil {
 		return nil, err
 	}
+	p.scheds = append(p.scheds, s)
 	return s, nil
 }
 
@@ -66,142 +64,110 @@ func (s *Sched) Resumes() int64 { return s.resumes }
 
 // Spawn registers a user-level thread starting in the trusted
 // environment (entering enclosures inside the body restricts it, and
-// the restriction is preserved across yields).
+// the restriction is preserved across yields). Threads start in Spawn
+// order when Run is called.
 func (s *Sched) Spawn(name string, body func(*Task) error) *SchedThread {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := newTask(s.prog, -len(s.threads)-1, name, s.prog.lb.Trusted(), "main")
+	t := newTask(s.prog, name, s.prog.lb.Trusted(), "main")
 	t.cpu = s.cpu // all threads share the scheduler's CPU
 	t.sched = s
-	st := &SchedThread{name: name, task: t, body: body, resume: make(chan struct{})}
+	st := &SchedThread{task: t, body: body}
 	s.threads = append(s.threads, st)
 	return st
 }
 
-// yieldEvent is what a running thread reports back to the scheduler.
-type yieldEvent struct {
-	st       *SchedThread
-	finished bool
-}
-
-// Run drives all threads round-robin until every one finishes. It is
-// the scheduler loop: pick the next runnable thread, Execute into its
-// environment if it differs from the CPU's, hand over the baton, wait
-// for the yield.
+// Run queues every thread, waits until all of them finish, and parks
+// the CPU back in the trusted environment.
 func (s *Sched) Run() error {
-	s.events = make(chan yieldEvent)
-	events := s.events
-	started := make(map[*SchedThread]bool)
-
-	for {
-		st := s.next()
-		if st == nil {
-			break // all done
-		}
-		// Resume in the thread's current execution environment.
-		if st.task.env != s.curEnv {
-			if err := s.execute(st.task.env); err != nil {
-				return err
-			}
-			s.resumes++
-		}
-		if !started[st] {
-			started[st] = true
-			go func(st *SchedThread) {
-				defer func() {
-					if r := recover(); r != nil {
-						if f, ok := r.(*litterbox.Fault); ok {
-							st.err = f
-							events <- yieldEvent{st: st, finished: true}
-							return
-						}
-						panic(r)
-					}
-				}()
-				<-st.resume
-				st.err = st.body(st.task)
-				events <- yieldEvent{st: st, finished: true}
-			}(st)
-		}
-		st.resume <- struct{}{}
-		ev := <-events
-		if ev.finished {
-			ev.st.done = true
-		}
-		// After the thread paused, the CPU keeps whatever environment
-		// the thread was in; curEnv tracks it for the next dispatch.
-		s.curEnv = ev.st.task.env
+	q := &s.prog.q
+	hs := make([]*Handle, len(s.threads))
+	q.Lock()
+	for i, st := range s.threads {
+		hs[i] = s.prog.start(st.task, st.body)
+	}
+	q.Unlock()
+	for i, h := range hs {
+		s.threads[i].err = h.Join(nil)
 	}
 
-	// Park the CPU back in the trusted environment.
-	if s.curEnv != s.prog.lb.Trusted() {
-		if err := s.execute(s.prog.lb.Trusted()); err != nil {
+	q.Lock()
+	defer q.Unlock()
+	if from := s.env(); from != s.prog.lb.Trusted() {
+		if err := s.prog.lb.Execute(s.cpu, from, s.prog.lb.Trusted()); err != nil {
 			return err
 		}
 	}
+	s.last = nil
 	for _, st := range s.threads {
 		if st.err != nil {
-			return fmt.Errorf("thread %s: %w", st.name, st.err)
+			return fmt.Errorf("thread %s: %w", st.Name(), st.err)
 		}
 	}
 	return nil
 }
 
-// execute switches the scheduler CPU into env through LitterBox's
-// Execute. Every thread is parked, so the scheduler takes the run
-// token for the switch itself.
-func (s *Sched) execute(env *litterbox.Env) error {
-	s.prog.run.Lock()
-	defer s.prog.run.Unlock()
-	if err := s.prog.lb.Execute(s.cpu, s.curEnv, env); err != nil {
+// env returns the environment the scheduler CPU is in.
+func (s *Sched) env() *litterbox.Env {
+	if s.last == nil {
+		return s.prog.lb.Trusted()
+	}
+	return s.last.env
+}
+
+// resume starts a turn of t on the scheduler CPU: at its start and
+// after every wait, whatever ran meanwhile. When the thread that ran
+// last left the CPU in another environment, Execute switches it into
+// t's.
+func (s *Sched) resume(t *Task) error {
+	from := s.env()
+	s.last = t
+	if t.env == from {
+		return nil
+	}
+	if err := s.prog.lb.Execute(s.cpu, from, t.env); err != nil {
 		return err
 	}
-	s.curEnv = env
+	s.resumes++
 	return nil
 }
 
-// next picks the next unfinished thread round-robin.
-func (s *Sched) next() *SchedThread {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.threads)
-	for i := 0; i < n; i++ {
-		st := s.threads[(s.rr+i)%n]
-		if !st.done {
-			s.rr = (s.rr + i + 1) % n
-			return st
+// threadWait is the run token as a Sched thread's kernel network wait
+// releases it: retaking it resumes the thread, whose system call goes
+// on, on the scheduler CPU. A failed switch has aborted the thread's
+// domain already, and its next entry point faults.
+type threadWait struct{ t *Task }
+
+func (w threadWait) Unlock() { w.t.prog.q.Unlock() }
+
+func (w threadWait) Lock() {
+	w.t.prog.q.Lock()
+	_ = w.t.sched.resume(w.t)
+	w.t.cpu.Pkg = w.t.CurrentPkg()
+}
+
+// waitToken is the program's run-token hook in its kernel
+// (kernel.Kernel.SetRunToken): the lock a network wait of a system call
+// on cpu releases and retakes. On a scheduler's CPU, the caller is the
+// thread whose turn started last.
+func (p *Program) waitToken(cpu *hw.CPU) sync.Locker {
+	for _, s := range p.scheds {
+		if s.cpu == cpu {
+			return threadWait{s.last}
 		}
 	}
-	return nil
+	return &p.q
 }
 
-// park hands control back to Run and blocks until rescheduled.
-func (s *Sched) park(st *SchedThread) {
-	s.events <- yieldEvent{st: st}
-	<-st.resume
-}
-
-// Yield cooperatively gives up the scheduler CPU, releasing the run
-// token until the scheduler resumes the thread. No-op on tasks not
-// managed by a Sched (ordinary goroutines have their own CPU).
+// Yield cooperatively gives up the scheduler CPU: the thread joins the
+// tail of the run queue and resumes once every task queued before it
+// has had a turn. No-op on tasks not managed by a Sched (ordinary
+// goroutines have their own CPU).
 func (t *Task) Yield() {
 	if t.sched == nil {
 		return
 	}
 	t.checkAlive()
-	if st := t.sched.threadOf(t); st != nil {
-		defer t.unpark(t.park())
-		t.sched.park(st)
-	}
-}
-
-func (s *Sched) threadOf(t *Task) *SchedThread {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, st := range s.threads {
-		if st.task == t {
-			return st
-		}
-	}
-	return nil
+	q := &t.prog.q
+	w := q.waiter(t)
+	q.ready(w)
+	q.block(w)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/litterbox-project/enclosure/internal/kernel"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
 	"github.com/litterbox-project/enclosure/internal/mem"
 )
@@ -195,5 +196,75 @@ func TestSchedulerManyThreads(t *testing.T) {
 			t.Error("no thread made progress")
 		}
 		return nil
+	})
+}
+
+// TestSchedulerResumesAfterBlockingWait: a thread blocked inside an
+// enclosure, on a hand-off or in the kernel on an empty accept backlog,
+// lets a trusted sibling run on the scheduler CPU. Once woken it
+// resumes under its own view: the scheduler Executes the CPU back, and
+// the thread's read of a variable outside that view faults.
+func TestSchedulerResumesAfterBlockingWait(t *testing.T) {
+	forEachEnforcing(t, func(t *testing.T, kind BackendKind) {
+		for _, wait := range []string{"hand-off", "accept"} {
+			t.Run(wait, func(t *testing.T) {
+				const port = 7071
+				prog := ownedProgram(t, kind)
+				slots, err := prog.VarRef("main", "slots")
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := prog.NewScheduler()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wake := NewHandoff[int](0)
+				boxed := s.Spawn("boxed", func(task *Task) error {
+					_, err := prog.MustEnclosure("box").Call(task, func(task *Task) ([]Value, error) {
+						if wait == "hand-off" {
+							wake.Recv(task)
+						} else {
+							ln, err := sysOK(task, kernel.NrSocket)
+							if err != nil {
+								return nil, err
+							}
+							if _, err := sysOK(task, kernel.NrBind, ln, uint64(DefaultHostIP), port); err != nil {
+								return nil, err
+							}
+							if _, err := sysOK(task, kernel.NrListen, ln); err != nil {
+								return nil, err
+							}
+							if _, err := sysOK(task, kernel.NrAccept, ln); err != nil {
+								return nil, err
+							}
+						}
+						_ = task.Load64(slots.Addr) // outside the box's view
+						return nil, fmt.Errorf("read outside the view after the %s wait did not fault", wait)
+					})
+					return err
+				})
+				s.Spawn("trusted", func(task *Task) error {
+					task.Store64(slots.Addr, 1) // trusted may write anything
+					if wait == "hand-off" {
+						wake.Send(task, 1)
+						return nil
+					}
+					c, err := sysOK(task, kernel.NrSocket)
+					if err != nil {
+						return err
+					}
+					_, err = sysOK(task, kernel.NrConnect, c, uint64(DefaultHostIP), port)
+					return err
+				})
+				err = s.Run()
+				var fault *litterbox.Fault
+				if !errors.As(err, &fault) || fault.Op != "read" {
+					t.Fatalf("Run: %v (boxed: %v), want the boxed thread's read fault", err, boxed.Err())
+				}
+				if s.Resumes() < 2 {
+					t.Fatalf("%d Execute resumes, want one into the trusted thread and one back", s.Resumes())
+				}
+			})
+		}
 	})
 }

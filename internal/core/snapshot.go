@@ -36,8 +36,8 @@ var ErrNotSnapshot = errors.New("core: program is not a snapshot instance")
 // cloneable: an MPK program with virtualised keys, live file
 // descriptors, or a non-quiescent network.
 func (p *Program) Snapshot() (*Template, error) {
-	p.run.Lock()
-	defer p.run.Unlock()
+	p.q.Lock()
+	defer p.q.Unlock()
 	snap, err := snapstart.Capture(snapstart.Parts{
 		Space: p.space, Img: p.image, K: p.kernel, Proc: p.proc, LB: p.lb,
 	})
@@ -46,9 +46,7 @@ func (p *Program) Snapshot() (*Template, error) {
 	}
 	t := &Template{src: p, snap: snap}
 	t.heap = p.heap.CloneWith(nil, nil, snap.Remap)
-	p.mu.Lock()
 	t.funcs, p.funcsShared = p.funcs, true
-	p.mu.Unlock()
 	return t, nil
 }
 
@@ -83,9 +81,7 @@ func (t *Template) Recycle(prog *Program) (*Program, error) {
 	prog.counters.Reset()
 	prog.runtimeCPU.Reset()
 	prog.heap.ResetTo(t.heap)
-	prog.mu.Lock()
-	prog.funcs, prog.funcsShared, prog.nextID = t.funcs, true, 0
-	prog.mu.Unlock()
+	prog.funcs, prog.funcsShared = t.funcs, true
 	return prog, nil
 }
 
@@ -117,7 +113,7 @@ func (t *Template) wrap(inst *snapstart.Instance) (*Program, error) {
 		snapInst:      inst,
 	}
 	np.runtimeCPU = np.newCPU()
-	np.kernel.SetRunToken(&np.run)
+	np.kernel.SetRunToken(np.waitToken)
 	np.heap = t.heap.CloneWith(np.runtimeMmap, np.runtimeTransfer, inst.Remap)
 	for name, e := range p.encls {
 		env, err := np.lb.EnvForEnclosure(e.id)

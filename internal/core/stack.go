@@ -20,10 +20,7 @@ type stackFrame struct {
 // and is released automatically when the frame pops (for the outermost
 // frame: when the task's body returns).
 func (t *Task) StackAlloc(n uint64) Ref {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	if len(t.frames) == 0 {
 		t.pushFrame()

@@ -22,7 +22,6 @@ type Task struct {
 	cpu    *hw.CPU // &ownCPU, or a Sched's CPU its threads share
 	env    *litterbox.Env
 	pkgs   []string
-	id     int
 	name   string
 	sched  *Sched              // non-nil for user-level threads on a Sched CPU
 	worker *WorkerCtx          // non-nil when pinned to an engine worker
@@ -53,8 +52,8 @@ type Task struct {
 
 // newTask returns a task of p running pkg's code under env, its slices
 // backed by its inline arrays. The caller sets its CPU.
-func newTask(p *Program, id int, name string, env *litterbox.Env, pkg string) *Task {
-	t := &Task{prog: p, env: env, id: id, name: name}
+func newTask(p *Program, name string, env *litterbox.Env, pkg string) *Task {
+	t := &Task{prog: p, env: env, name: name}
 	t.pkgs = append(t.pkgBuf[:0], pkg)
 	t.frames = t.frameBuf[:0]
 	t.cqOff = t.cqBuf[:0]
@@ -104,10 +103,7 @@ func (t *Task) checkAlive() {
 // ReadBytes copies the referenced simulated memory into a host buffer,
 // enforcing the current memory view.
 func (t *Task) ReadBytes(r Ref) []byte {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	if err := t.prog.lb.CheckRead(t.cpu, t.env, r.Addr, r.Size); err != nil {
 		t.fail(err)
@@ -121,10 +117,7 @@ func (t *Task) ReadBytes(r Ref) []byte {
 
 // WriteBytes stores data at the referenced memory, enforcing the view.
 func (t *Task) WriteBytes(r Ref, data []byte) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	if uint64(len(data)) > r.Size {
 		t.fail(fmt.Errorf("core: write of %d bytes into %s", len(data), r))
@@ -139,10 +132,7 @@ func (t *Task) WriteBytes(r Ref, data []byte) {
 
 // Load8 reads one byte.
 func (t *Task) Load8(addr mem.Addr) byte {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	if err := t.prog.lb.CheckRead(t.cpu, t.env, addr, 1); err != nil {
 		t.fail(err)
@@ -156,10 +146,7 @@ func (t *Task) Load8(addr mem.Addr) byte {
 
 // Store8 writes one byte.
 func (t *Task) Store8(addr mem.Addr, v byte) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	if err := t.prog.lb.CheckWrite(t.cpu, t.env, addr, 1); err != nil {
 		t.fail(err)
@@ -171,10 +158,7 @@ func (t *Task) Store8(addr mem.Addr, v byte) {
 
 // Load64 reads a little-endian uint64.
 func (t *Task) Load64(addr mem.Addr) uint64 {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	if err := t.prog.lb.CheckRead(t.cpu, t.env, addr, 8); err != nil {
 		t.fail(err)
@@ -188,10 +172,7 @@ func (t *Task) Load64(addr mem.Addr) uint64 {
 
 // Store64 writes a little-endian uint64.
 func (t *Task) Store64(addr mem.Addr, v uint64) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	if err := t.prog.lb.CheckWrite(t.cpu, t.env, addr, 8); err != nil {
 		t.fail(err)
@@ -206,10 +187,7 @@ func (t *Task) Store64(addr mem.Addr, v uint64) {
 // hardware (Xeon Gold 6132); the isolation overheads the benchmarks
 // compare against it come from the enforcement mechanisms themselves.
 func (t *Task) Compute(ns int64) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.cpu.Clock.Advance(ns)
 }
 
@@ -217,10 +195,7 @@ func (t *Task) Compute(ns int64) {
 
 // Alloc allocates n bytes in the current package's arena.
 func (t *Task) Alloc(n uint64) Ref {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	addr, err := t.prog.heap.Arena(t.CurrentPkg()).Alloc(n)
 	if err != nil {
@@ -231,10 +206,7 @@ func (t *Task) Alloc(n uint64) Ref {
 
 // AllocIn allocates in an explicit package's arena (runtime use).
 func (t *Task) AllocIn(pkg string, n uint64) Ref {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	addr, err := t.prog.heap.Arena(pkg).Alloc(n)
 	if err != nil {
@@ -245,10 +217,7 @@ func (t *Task) AllocIn(pkg string, n uint64) Ref {
 
 // Free releases an allocation made in the current package's arena.
 func (t *Task) Free(r Ref) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	owner := t.prog.heap.OwnerOf(r.Addr)
 	if err := t.prog.heap.Arena(owner).Free(r.Addr); err != nil {
@@ -278,10 +247,7 @@ func (t *Task) ReadString(r Ref) string { return string(t.ReadBytes(r)) }
 // Packages under a program-wide policy (§3.2) are entered through their
 // auto-generated wrapper enclosure when called from non-enclosed code.
 func (t *Task) Call(pkg, fn string, args ...Value) ([]Value, error) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	if t.env.Trusted {
 		if wrapper, ok := t.prog.pw[pkg]; ok {
@@ -315,10 +281,7 @@ func (t *Task) Call(pkg, fn string, args ...Value) ([]Value, error) {
 // filter. Filtered calls fault (panic); legitimate kernel errors come
 // back as errnos.
 func (t *Task) Syscall(nr kernel.Nr, args ...uint64) (uint64, kernel.Errno) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	var a [6]uint64
 	copy(a[:], args)
@@ -335,10 +298,7 @@ func (t *Task) Syscall(nr kernel.Nr, args ...uint64) (uint64, kernel.Errno) {
 // back, so the enclosure's filter does not apply but every backend's
 // switch and virtualisation costs do.
 func (t *Task) RuntimeSyscall(nr kernel.Nr, args ...uint64) (uint64, kernel.Errno) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	var a [6]uint64
 	copy(a[:], args)
@@ -394,10 +354,7 @@ func (t *Task) SubmitRuntimeSyscall(tag uint64, nr kernel.Nr, args ...uint64) {
 }
 
 func (t *Task) submitEntry(e ring.Entry) {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	r := t.syscallRing()
 	if r == nil {
@@ -427,10 +384,7 @@ func (t *Task) submitEntry(e ring.Entry) {
 // valid until the task's next SubmitSyscall, FlushSyscalls or
 // ReapSyscalls.
 func (t *Task) FlushSyscalls() []ring.Completion {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	r := t.syscallRing()
 	if r == nil {
@@ -448,10 +402,7 @@ func (t *Task) FlushSyscalls() []ring.Completion {
 // completions); FlushSyscalls at the end collects the final partial
 // batch. The slice has FlushSyscalls' lifetime.
 func (t *Task) ReapSyscalls() []ring.Completion {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
 	r := t.syscallRing()
 	if r == nil {
@@ -487,8 +438,10 @@ func (t *Task) drainRing(r *ring.Ring) {
 
 // Handle joins a spawned simulated goroutine.
 type Handle struct {
-	done chan struct{}
-	err  error
+	q       *runq // the run queue of the goroutine's program, which guards the rest
+	done    bool
+	err     error
+	joiners waitq
 }
 
 // Join blocks until the goroutine finishes and returns its error (a
@@ -496,9 +449,12 @@ type Handle struct {
 // waiting task, or nil for host code; a task that joins from inside an
 // entry point releases its run token for the wait, as a Handoff does.
 func (h *Handle) Join(t *Task) error {
-	held := t.park()
-	<-h.done
-	t.unpark(held)
+	defer h.q.leave(t, h.q.enter(t))
+	if !h.done {
+		w := h.q.waiter(t)
+		h.joiners.push(w)
+		h.q.block(w)
+	}
 	return h.err
 }
 
@@ -508,34 +464,50 @@ func (h *Handle) Join(t *Task) error {
 // to execute in the same environment." The scheduler installs the
 // environment on the fresh CPU via LitterBox's Execute hook.
 func (t *Task) Go(name string, fn func(t *Task) error) *Handle {
-	if !t.held {
-		t.take()
-		defer t.disown()
-	}
+	defer t.leave(t.enter())
 	t.checkAlive()
-	var child *Task
-	if t.worker != nil {
-		// Goroutines spawned on a worker stay pinned to it: they charge
-		// its clock and fault into its domain.
-		child = t.prog.newTaskOn(t.worker, name, t.env, t.CurrentPkg())
-	} else {
-		child = t.prog.newTask(name, t.env, t.CurrentPkg())
-	}
-	h := &Handle{done: make(chan struct{})}
-	t.prog.wg.Add(1)
+	// Goroutines spawned on a worker stay pinned to it: they charge its
+	// clock and fault into its domain.
+	return t.prog.start(t.prog.newTaskOn(t.worker, name, t.env, t.CurrentPkg()), fn)
+}
+
+// start runs fn on t as a simulated goroutine. The caller holds the run
+// token; t joins the tail of the run queue and holds the token for each
+// turn, from the release that hands it over until t blocks or exits. On
+// exit it queues its joiners.
+func (p *Program) start(t *Task, fn func(t *Task) error) *Handle {
+	q := &p.q
+	h, w := &Handle{q: q}, q.waiter(nil)
+	q.ready(w)
 	go func() {
-		defer t.prog.wg.Done()
-		defer close(h.done)
-		defer func() {
-			if r := recover(); r != nil {
-				if f, ok := r.(*litterbox.Fault); ok {
-					h.err = f
-					return
-				}
-				panic(r)
-			}
-		}()
-		h.err = fn(child)
+		q.sleep(w)
+		t.held = true
+		h.err, h.done = t.turn(fn), true
+		for w := h.joiners.pop(); w != nil; w = h.joiners.pop() {
+			q.ready(w)
+		}
+		t.held = false
+		q.Unlock()
 	}()
 	return h
+}
+
+// turn runs a simulated goroutine's body, returning the fault that
+// kills it as its error.
+func (t *Task) turn(fn func(t *Task) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(*litterbox.Fault)
+			if !ok {
+				panic(r)
+			}
+			err = f
+		}
+	}()
+	if t.sched != nil {
+		if err := t.sched.resume(t); err != nil {
+			t.fail(err)
+		}
+	}
+	return fn(t)
 }

@@ -79,21 +79,25 @@ func (w *WorkerCtx) EnvCache() *litterbox.EnvCache { return w.cache }
 // CPU charges w's clock, its syscalls run under w's proc, its faults
 // abort only w's domain, and its Prologs resolve through w's cache.
 func (p *Program) NewTaskOn(w *WorkerCtx, name string) *Task {
-	p.run.Lock()
-	defer p.run.Unlock()
+	p.q.Lock()
+	defer p.q.Unlock()
 	return p.newTaskOn(w, name, p.lb.Trusted(), "main")
 }
 
-// newTaskOn is NewTaskOn for a caller that holds the run token.
+// newTaskOn makes a task pinned to w, or on the program's own clock
+// when w is nil. The caller holds the run token: installing the
+// environment charges the clock.
 func (p *Program) newTaskOn(w *WorkerCtx, name string, env *litterbox.Env, pkg string) *Task {
-	p.mu.Lock()
-	p.nextID++
-	id := p.nextID
-	p.mu.Unlock()
-	t := newTask(p, id, name, env, pkg)
-	t.ownCPU = hw.CPUOn(&w.clock, &w.counters)
+	t := newTask(p, name, env, pkg)
+	if w == nil {
+		t.ownCPU = hw.CPUOn(p.clock, p.counters)
+	} else {
+		t.ownCPU = hw.CPUOn(&w.clock, &w.counters)
+		t.worker, t.cache = w, w.cache
+	}
 	t.cpu = &t.ownCPU
-	t.worker, t.cache = w, w.cache
+	// Scheduler hook: place the fresh hardware thread into its
+	// environment (fresh CPUs boot with indeterminate PKRU/CR3).
 	if err := p.lb.InstallEnv(t.cpu, env); err != nil {
 		panic(err)
 	}

@@ -96,6 +96,10 @@ type JobSpec struct {
 	Pref int
 	// Name labels the job's task.
 	Name string
+	// Index is the submitter's own number for the job (the load
+	// generator's arrival index), handed back in StepResult.Index. It
+	// must fit in 32 bits: a queued job keeps it as an int32.
+	Index int
 	// Class is the QoS class, clamped to [0, NumClasses); class 0 is
 	// the highest priority.
 	Class int
@@ -122,7 +126,8 @@ type job struct {
 	name     string
 	fn       Job
 	done     func(error) // nil for fire-and-forget
-	class    int
+	index    int32
+	class    int32
 	arrival  int64
 	deadline int64
 }
@@ -249,8 +254,8 @@ func (e *Engine) admitLocked(spec JobSpec) error {
 		class = NumClasses - 1
 	}
 	j := job{
-		name: spec.Name, fn: spec.Fn, done: spec.Done,
-		class: class, arrival: spec.ArrivalVT, deadline: spec.DeadlineVT,
+		name: spec.Name, index: int32(spec.Index), fn: spec.Fn, done: spec.Done,
+		class: int32(class), arrival: spec.ArrivalVT, deadline: spec.DeadlineVT,
 	}
 
 	if spec.DeadlineVT == 0 {
@@ -425,6 +430,7 @@ func runJob(t *core.Task, fn Job) (err error) {
 type StepResult struct {
 	Worker int
 	Name   string
+	Index  int // JobSpec.Index
 	Class  int
 	Stolen bool
 
@@ -495,7 +501,7 @@ func (e *Engine) StepUntil(T int64, each func(StepResult) error) error {
 func (e *Engine) step(w *worker, j job, stolen bool) StepResult {
 	start, completion, service, err := e.exec(w, j)
 	return StepResult{
-		Worker: w.idx, Name: j.name, Class: j.class, Stolen: stolen,
+		Worker: w.idx, Name: j.name, Index: int(j.index), Class: int(j.class), Stolen: stolen,
 		ArrivalVT: j.arrival, DeadlineVT: j.deadline,
 		StartVT: start, CompletionVT: completion, ServiceNs: service,
 		Err: err,

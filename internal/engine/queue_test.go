@@ -9,7 +9,7 @@ import (
 
 func pushN(q *classQueue, class, n int, prefix string) {
 	for i := 0; i < n; i++ {
-		q.push(job{name: prefix, class: class})
+		q.push(job{name: prefix, class: int32(class)})
 	}
 }
 

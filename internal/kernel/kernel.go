@@ -33,11 +33,11 @@ type Kernel struct {
 	clock *hw.Clock
 	space *mem.AddressSpace
 
-	// run is the owning program's run token (nil outside a program).
-	// The caller of a system call holds it; a wait on the network
-	// releases it (see SetRunToken). Everything below is the program's
-	// own and is touched only under it.
-	run sync.Locker
+	// run returns the owning program's run token as a network wait
+	// releases it (nil outside a program). The caller of a system call
+	// holds the token (see SetRunToken). Everything below is the
+	// program's own and is touched only under it.
+	run func(cpu *hw.CPU) sync.Locker
 
 	pkeys PkeyOps
 	rng   uint64
@@ -107,8 +107,11 @@ func (w *tokenWait) Lock() {
 // is attached, a tokenWait over it. The caller hands it back to
 // endWait once the wait is over.
 func (k *Kernel) yield(cpu *hw.CPU) sync.Locker {
-	if k.run == nil || k.trace == nil {
-		return k.run
+	if k.run == nil {
+		return nil
+	}
+	if k.trace == nil {
+		return k.run(cpu)
 	}
 	var w *tokenWait
 	if n := len(k.waits); n > 0 {
@@ -116,7 +119,7 @@ func (k *Kernel) yield(cpu *hw.CPU) sync.Locker {
 	} else {
 		w = &tokenWait{}
 	}
-	w.run, w.clock, w.parked = k.run, cpu.Clock, 0
+	w.run, w.clock, w.parked = k.run(cpu), cpu.Clock, 0
 	return w
 }
 
@@ -247,14 +250,15 @@ func (k *Kernel) RingDivergences() int64 { return k.ringDivergences }
 // SetPkeyOps wires in the MPK unit's key management.
 func (k *Kernel) SetPkeyOps(ops PkeyOps) { k.pkeys = ops }
 
-// SetRunToken hands the kernel its program's run token, the lock each
-// simulated goroutine of the program holds while it executes. Every
-// system call arrives holding it. Accept on an empty backlog, recv on
-// an empty socket and send into a full one release it for the length of
-// the wait, so the sibling that will wake the caller can run; the copy
-// to or from user memory stays under it. Call it before the program
-// runs.
-func (k *Kernel) SetRunToken(run sync.Locker) { k.run = run }
+// SetRunToken hands the kernel its program's run token: run returns
+// the lock that a network wait of a system call on cpu releases, handing
+// the token to the next task in the program's run queue, and retakes at
+// the tail of that queue. Every system call arrives holding the token.
+// Accept on an empty backlog, recv on an empty socket and send into a
+// full one release it for the length of the wait, so the sibling that
+// will wake the caller can run; the copy to or from user memory stays
+// under it. Call it before the program runs.
+func (k *Kernel) SetRunToken(run func(cpu *hw.CPU) sync.Locker) { k.run = run }
 
 // HeapOwner is the pseudo-package owning freshly mmap-ed spans until the
 // runtime Transfers them into a real package's arena.

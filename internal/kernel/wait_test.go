@@ -21,7 +21,7 @@ func tokenWorld(t *testing.T) (*world, *sync.Mutex) {
 	t.Helper()
 	w := newWorld(t)
 	run := new(sync.Mutex)
-	w.k.SetRunToken(run)
+	w.k.SetRunToken(func(*hw.CPU) sync.Locker { return run })
 	return w, run
 }
 

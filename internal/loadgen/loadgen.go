@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/litterbox-project/enclosure/internal/engine"
 )
@@ -205,7 +203,8 @@ func Run(tg Target, spec Spec) (Result, error) {
 		}
 		err := e.Submit(engine.JobSpec{
 			Pref:       i % W,
-			Name:       m.Kind + "#" + strconv.Itoa(i),
+			Name:       m.Kind,
+			Index:      i,
 			Class:      m.Class,
 			ArrivalVT:  ta,
 			DeadlineVT: deadline,
@@ -288,7 +287,7 @@ type runState struct {
 // observe accounts one stepped request (engine.StepUntil's callback).
 func (st *runState) observe(r engine.StepResult) error {
 	if r.Err != nil {
-		return fmt.Errorf("loadgen: request %s failed: %w", r.Name, r.Err)
+		return fmt.Errorf("loadgen: request %s#%d failed: %w", r.Name, r.Index, r.Err)
 	}
 	if r.CompletionVT > st.lastCompletion {
 		st.lastCompletion = r.CompletionVT
@@ -296,20 +295,10 @@ func (st *runState) observe(r engine.StepResult) error {
 	if r.CompletionVT > st.windowStart {
 		st.inWindow++
 	}
-	if idx, ok := requestIndex(r.Name); ok && idx >= st.warmup {
+	if r.Index >= st.warmup {
 		st.latencies = append(st.latencies, r.CompletionVT-r.ArrivalVT)
 	}
 	return nil
-}
-
-// requestIndex parses the arrival index out of a job name ("kind#i").
-func requestIndex(name string) (int, bool) {
-	_, num, ok := strings.Cut(name, "#")
-	if !ok {
-		return 0, false
-	}
-	idx, err := strconv.Atoi(num)
-	return idx, err == nil
 }
 
 // calibrate runs one kind request synchronously on worker w; observe,

@@ -359,3 +359,23 @@ func TestCheckResponseSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("checking a page response allocates %.1f objects/op, reading it alone %.1f", checking, reading)
 	}
 }
+
+// TestObserveSplitsWarmupByIndex: a step counts toward latency by its
+// arrival index (engine.StepResult.Index), not by its name, and a
+// failed request's error names the kind and the index.
+func TestObserveSplitsWarmupByIndex(t *testing.T) {
+	st := &runState{warmup: 2}
+	for i := 0; i < 4; i++ {
+		r := engine.StepResult{Name: "page", Index: i, ArrivalVT: 10, CompletionVT: int64(100 + i)}
+		if err := st.observe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []int64{92, 93}; len(st.latencies) != 2 || st.latencies[0] != want[0] || st.latencies[1] != want[1] {
+		t.Fatalf("latencies %v, want %v (arrivals 2 and 3)", st.latencies, want)
+	}
+	err := st.observe(engine.StepResult{Name: "page", Index: 7, Err: simnet.ErrClosed})
+	if err == nil || !strings.Contains(err.Error(), "request page#7 failed") {
+		t.Fatalf("failure %v does not name the request", err)
+	}
+}
