@@ -87,6 +87,12 @@ type Heap struct {
 	// clone's copy (nil unless made by CloneWith); ResetTo restores the
 	// clone through it.
 	own map[*span]*span
+	// made lists, on a clone, the spans mapped since birth or the last
+	// ResetTo, in order; ResetTo moves them to spare, and the next
+	// tenant's mmap of the same section (mem.AddressSpace.Map hands it
+	// back) takes its span from there, spare[:reused] being taken.
+	made, spare []*span
+	reused      int
 }
 
 // NewHeap returns a heap that maps spans with mmap and reassigns them via
@@ -187,7 +193,8 @@ func (h *Heap) acquireSpan(pkg string, class int, slotSize, bytes uint64, large 
 		if err != nil {
 			return nil, fmt.Errorf("alloc: mmap span: %w", err)
 		}
-		sp = &span{sec: sec, class: class, slotSize: slotSize, large: large}
+		sp = h.spanOver(sec)
+		*sp = span{sec: sec, class: class, slotSize: slotSize, large: large, freed: sp.freed[:0]}
 		h.spansCreated++
 		h.insertSpan(sp)
 	}
@@ -196,6 +203,28 @@ func (h *Heap) acquireSpan(pkg string, class int, slotSize, bytes uint64, large 
 	}
 	h.transfers++
 	return sp, nil
+}
+
+// spanOver returns a span for a freshly mapped section: on a clone, the
+// previous tenant's span over the same section, if one is spare.
+func (h *Heap) spanOver(sec *mem.Section) *span {
+	if h.own == nil {
+		return new(span)
+	}
+	var sp *span
+	for i := h.reused; i < len(h.spare); i++ {
+		if h.spare[i].sec == sec {
+			h.spare[i], h.spare[h.reused] = h.spare[h.reused], h.spare[i]
+			sp = h.spare[h.reused]
+			h.reused++
+			break
+		}
+	}
+	if sp == nil {
+		sp = new(span)
+	}
+	h.made = append(h.made, sp)
+	return sp
 }
 
 // releaseSpan parks a fully free small span in the central pool.

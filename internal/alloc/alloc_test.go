@@ -402,3 +402,56 @@ func TestPooledSpanRestartsAtSlotZero(t *testing.T) {
 		t.Fatalf("%d spans created, want the one recycled span", spans)
 	}
 }
+
+// TestResetToAllocs pins the heap of a recycled warm instance: a
+// tenant that allocates a small and a large object in an arena its
+// template lacks maps two spans and builds the arena; after the address
+// space reverts and the heap resets, the next tenant doing the same
+// lands at the same addresses and allocates nothing.
+func TestResetToAllocs(t *testing.T) {
+	space := mem.NewAddressSpace(0)
+	mmap := func(size uint64) (*mem.Section, error) {
+		return space.Map("span", "pool", mem.KindHeap, size, mem.PermR|mem.PermW)
+	}
+	transfer := func(s *mem.Section, toPkg string) error {
+		space.SetOwner(s, toPkg)
+		return nil
+	}
+	tmpl := NewHeap(mmap, transfer, "pool")
+	if _, err := tmpl.Arena("main").Alloc(64); err != nil {
+		t.Fatal(err)
+	}
+	space.Checkpoint()
+	h := tmpl.CloneWith(mmap, transfer, func(s *mem.Section) *mem.Section { return s })
+	var small, large mem.Addr
+	tenant := func() {
+		a := h.Arena("tenant")
+		s, err := a.Alloc(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := a.Alloc(3 * MaxSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if small == 0 {
+			small, large = s, l
+		} else if s != small || l != large {
+			t.Fatalf("tenant allocated at %s and %s, the first at %s and %s", s, l, small, large)
+		}
+		if err := space.Revert(); err != nil {
+			t.Fatal(err)
+		}
+		h.ResetTo(tmpl)
+		if live := h.Arena("tenant").Live(); live != 0 {
+			t.Fatalf("the tenant's arena holds %d objects after ResetTo", live)
+		}
+	}
+	tenant()
+	if allocs := testing.AllocsPerRun(100, tenant); allocs != 0 {
+		t.Fatalf("allocating in a fresh arena and resetting allocates %.1f objects/op, want 0", allocs)
+	}
+	if owner := h.OwnerOf(small); owner != "" {
+		t.Fatalf("a span mapped since birth is still indexed after ResetTo (owner %q)", owner)
+	}
+}

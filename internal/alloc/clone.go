@@ -26,10 +26,17 @@ func (h *Heap) CloneWith(mmap MmapFunc, transfer TransferFunc, remap func(*mem.S
 // state in place, without allocating once the clone has warmed up: the
 // clone's own copy of every template span gets its fields back, the
 // indexes, pools and arena partial lists are refilled with those copies
-// in t's order, and arenas and spans created since birth are dropped.
-// The next allocation therefore lands exactly where it would in a fresh
-// clone. t must be the heap the clone was made from.
-func (h *Heap) ResetTo(t *Heap) { h.copyFrom(t, nil) }
+// in t's order, and arenas and spans created since birth leave every
+// index but are kept, emptied: an arena t lacks holds nothing, as an
+// absent one would, and a span mapped since birth waits for the next
+// tenant's mmap of its section. The next allocation therefore lands
+// exactly where it would in a fresh clone, and a tenant that allocates
+// what the previous one did builds no arena or span. t must be the
+// heap the clone was made from.
+func (h *Heap) ResetTo(t *Heap) {
+	h.copyFrom(t, nil)
+	h.spare, h.made, h.reused = h.made, h.spare[:0], 0
+}
 
 // copyFrom sets h's allocation state to t's, reusing h's copy of each t
 // span (own) and making one through remap for spans it has not seen.
@@ -41,9 +48,10 @@ func (h *Heap) copyFrom(t *Heap, remap func(*mem.Section) *mem.Section) {
 	}
 	h.pool = h.translate(h.pool[:0], t.pool, remap)
 	refill(h, h.largePool, t.largePool, remap)
-	for pkg := range h.arenas {
+	for pkg, a := range h.arenas {
 		if _, ok := t.arenas[pkg]; !ok {
-			delete(h.arenas, pkg)
+			a.nAllocs, a.nFrees = 0, 0
+			refill(h, a.partial, nil, remap)
 		}
 	}
 	for pkg, ta := range t.arenas {
@@ -75,11 +83,11 @@ func (h *Heap) translate(dst, src []*span, remap func(*mem.Section) *mem.Section
 }
 
 // refill makes dst's span lists h's copies of src's, reusing dst's
-// slices and dropping keys src lacks.
+// slices and emptying, not dropping, the lists of keys src lacks.
 func refill[K comparable](h *Heap, dst, src map[K][]*span, remap func(*mem.Section) *mem.Section) {
-	for k := range dst {
+	for k, list := range dst {
 		if _, ok := src[k]; !ok {
-			delete(dst, k)
+			dst[k] = list[:0]
 		}
 	}
 	for k, list := range src {

@@ -1,10 +1,6 @@
 package fasthttp
 
-import (
-	"sync"
-
-	"github.com/litterbox-project/enclosure/internal/core"
-)
+import "github.com/litterbox-project/enclosure/internal/core"
 
 // engineWorker is one worker's FastHTTP state: its reused buffer set
 // (allocated in FastHTTP's arena) and its private hand-off to a trusted
@@ -22,45 +18,23 @@ type engineWorker struct {
 // server enclosure* (entered per connection with ServeConnArgs),
 // forwarding parsed requests to that worker's trusted handler task —
 // plus a stop function that shuts the per-worker handlers down and
-// returns their first error. The open-loop load generator and the
+// returns their errors joined. The open-loop load generator and the
 // cluster's nodes (cluster.Node.Handle) both run it; call stop after
-// the work is drained.
+// the work is drained. On a warm instance's worker the handler lives
+// for one request (core.PerWorker).
 func NewConnHandler(server *core.Enclosure, page []byte) (conn func(t *core.Task, fd int) error, stop func() error) {
-	var mu sync.Mutex
-	workers := make(map[*core.WorkerCtx]*engineWorker)
-	var order []*engineWorker // creation order, so stop is the same on every run
-
-	workerFor := func(t *core.Task) *engineWorker {
-		mu.Lock()
-		defer mu.Unlock()
-		w, ok := workers[t.Worker()]
-		if !ok {
-			w = &engineWorker{st: AllocConnState(t), reqs: core.NewHandoff[Request](16)}
-			w.handler = t.Go("fasthttp-handler", func(ht *core.Task) error {
-				return HandleLoop(ht, w.reqs, page)
-			})
-			workers[t.Worker()] = w
-			order = append(order, w)
-		}
+	workers := core.NewPerWorker(func(t *core.Task) *engineWorker {
+		w := &engineWorker{st: AllocConnState(t), reqs: core.NewHandoff[Request](16)}
+		w.handler = t.Go("fasthttp-handler", func(ht *core.Task) error {
+			return HandleLoop(ht, w.reqs, page)
+		})
 		return w
-	}
-
-	conn = func(t *core.Task, fd int) error {
-		w := workerFor(t)
+	}, func(t *core.Task, w *engineWorker) error {
+		w.reqs.Close(t)
+		return w.handler.Join(t)
+	})
+	return workers.Conn(func(t *core.Task, w *engineWorker, fd int) error {
 		_, err := server.Call(t, ServeConnArgs{State: w.st, Conn: uint64(fd), Reqs: w.reqs})
 		return err
-	}
-	stop = func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		var first error
-		for _, w := range order {
-			w.reqs.Close(nil)
-			if err := w.handler.Join(nil); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	return conn, stop
+	}), workers.Stop
 }

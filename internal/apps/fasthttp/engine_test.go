@@ -2,6 +2,8 @@ package fasthttp_test
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/litterbox-project/enclosure/internal/apps/fasthttp"
@@ -72,5 +74,61 @@ func TestEnginePageRequestAllocs(t *testing.T) {
 	const want = pageRequestAllocs + poolDropAllocs
 	if allocs > want {
 		t.Fatalf("one page request allocates %.1f objects, want at most %d", allocs, want)
+	}
+}
+
+// TestWarmConnHandler: on a warm engine every request runs in its own
+// recycled instance, so the handler's per-worker state, its handler
+// task included, must live for one request. Fifty requests on one
+// worker serve the page and leave no task behind.
+func TestWarmConnHandler(t *testing.T) {
+	prog, err := fasthttp.Program(core.MPK, fasthttp.Policy, core.WithWarmPool(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve, stop := fasthttp.NewConnHandler(prog.MustEnclosure("server"), httpserv.StaticPage())
+	e := engine.New(prog, engine.Opts{Workers: 1})
+	defer e.Close()
+	if e.WarmTemplate() == nil {
+		t.Fatal("the engine did not capture a warm template")
+	}
+	req := []byte("GET / HTTP/1.1\r\nHost: warm\r\n\r\n")
+	sep := []byte("\r\n\r\n")
+	resp := make([]byte, 32*1024)
+	goroutines := runtime.NumGoroutine()
+	for i := range 50 {
+		client, server := simnet.Pair()
+		if _, err := client.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Submit(engine.JobSpec{Name: "page", Fn: func(t *core.Task) error {
+			if !t.Prog().IsSnapshotInstance() {
+				return errors.New("job ran outside a warm instance")
+			}
+			return serve(t, t.Worker().Proc().InjectConn(server))
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := e.StepWorker(0); !ok || r.Err != nil {
+			t.Fatalf("request %d: ran %v, err %v", i, ok, r.Err)
+		}
+		n := 0
+		for {
+			m, err := client.Read(resp[n:])
+			n += m
+			if err != nil {
+				break
+			}
+		}
+		client.Close()
+		if at := bytes.Index(resp[:n], sep); at < 0 || n-at-len(sep) != httpserv.PageSize13KB {
+			t.Fatalf("request %d: response of %d bytes is not the 13 KB page", i, n)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > goroutines+2 {
+		t.Fatalf("50 warm requests left %d goroutines running, %d before them", n, goroutines)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 }

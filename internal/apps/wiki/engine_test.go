@@ -2,6 +2,8 @@ package wiki_test
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -201,5 +203,69 @@ func TestEngineViewRequestAllocs(t *testing.T) {
 	const want = viewRequestAllocs + poolDropAllocs
 	if allocs > want {
 		t.Fatalf("one view request allocates %.1f objects, want at most %d", allocs, want)
+	}
+}
+
+// TestWarmConnHandler: on a warm engine every request runs in its own
+// recycled instance, so the handler's per-worker pipeline — its buffer
+// set and its glue and db-proxy tasks — must live for one request.
+// Each job starts a database on its instance's network, as a fresh
+// instance has none. Fifty requests on one worker render the page and
+// leave no task behind.
+func TestWarmConnHandler(t *testing.T) {
+	prog, err := wiki.Program(core.VTX, wiki.PolicyServer, wiki.PolicyProxy, core.WithWarmPool(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve, stop := wiki.NewConnHandler(prog.MustEnclosure("http-server"), prog.MustEnclosure("db-proxy"))
+	e := engine.New(prog, engine.Opts{Workers: 1})
+	defer e.Close()
+	if e.WarmTemplate() == nil {
+		t.Fatal("the engine did not capture a warm template")
+	}
+	req := []byte("GET /view/home HTTP/1.1\r\nHost: warm\r\n\r\n")
+	resp := make([]byte, 4096)
+	goroutines := runtime.NumGoroutine()
+	for i := range 50 {
+		client, server := simnet.Pair()
+		if _, err := client.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Submit(engine.JobSpec{Name: "view", Fn: func(t *core.Task) error {
+			p := t.Prog()
+			if !p.IsSnapshotInstance() {
+				return errors.New("job ran outside a warm instance")
+			}
+			db, err := simdb.Start(p.Net())
+			if err != nil {
+				return err
+			}
+			defer db.Close()
+			db.Put("home", []byte("warm wiki page"))
+			return serve(t, t.Worker().Proc().InjectConn(server))
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := e.StepWorker(0); !ok || r.Err != nil {
+			t.Fatalf("request %d: ran %v, err %v", i, ok, r.Err)
+		}
+		n := 0
+		for {
+			m, err := client.Read(resp[n:])
+			n += m
+			if err != nil {
+				break
+			}
+		}
+		client.Close()
+		if !bytes.Contains(resp[:n], []byte("warm wiki page")) {
+			t.Fatalf("request %d: response %.120q is not the page", i, resp[:n])
+		}
+	}
+	if n := runtime.NumGoroutine(); n > goroutines+2 {
+		t.Fatalf("50 warm requests left %d goroutines running, %d before them", n, goroutines)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 }

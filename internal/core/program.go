@@ -43,6 +43,9 @@ type Program struct {
 	// snapInst is non-nil when this program is a warm clone produced by
 	// Template.Instantiate; Template.Recycle resets it in place.
 	snapInst *snapstart.Instance
+	// worker is the worker context a snapshot instance owns (nil until
+	// InstanceWorker makes it); Template.Recycle resets it.
+	worker *WorkerCtx
 
 	runtimeCPU *hw.CPU
 

@@ -70,7 +70,11 @@ func (t *Template) Instantiate() (*Program, error) {
 // resets at a cost proportional to what the previous tenant changed
 // (see snapstart.Instance.Recycle); on top of that the program's
 // counters, runtime CPU, heap metadata and function table return to a
-// fresh instance's without allocating. Enclosure handles stay valid.
+// fresh instance's, and the instance's own worker (InstanceWorker) to
+// a fresh worker's, without allocating. Enclosure handles and the
+// worker stay valid. So do the host objects of the heap spans the
+// tenant mapped: the next tenant's allocations land at the same
+// addresses, and take them back instead of building them again.
 func (t *Template) Recycle(prog *Program) (*Program, error) {
 	if prog.snapInst == nil {
 		return nil, ErrNotSnapshot
@@ -82,6 +86,9 @@ func (t *Template) Recycle(prog *Program) (*Program, error) {
 	prog.runtimeCPU.Reset()
 	prog.heap.ResetTo(t.heap)
 	prog.funcs, prog.funcsShared = t.funcs, true
+	if prog.worker != nil {
+		prog.worker.reset()
+	}
 	return prog, nil
 }
 

@@ -651,3 +651,141 @@ func TestRecycleAllocs(t *testing.T) {
 		})
 	}
 }
+
+// workerView is what one tenant observes on the worker it runs on.
+type workerView struct {
+	stale    kernel.Errno // close(3) before the tenant opens anything
+	fd       uint64       // the descriptor open returned, left open
+	faulted  bool         // peek at vault.key faulted
+	clock    int64        // the worker's clock after the script
+	counters hw.CounterSnapshot
+}
+
+// workerTenant runs a tenant script on worker w of prog: it opens a
+// file and leaves it open, enters outer (which nests inner, so an
+// intersection environment is materialised), dynamically imports from
+// inside plot, and peeks at vault.key, which faults on every enforcing
+// backend and aborts only w's fault domain.
+func workerTenant(t *testing.T, prog *Program, w *WorkerCtx) workerView {
+	t.Helper()
+	var v workerView
+	task := prog.NewTaskOn(w, "tenant")
+	_, v.stale = task.Syscall(kernel.NrClose, 3)
+	path := task.NewString("/tenant")
+	fd, errno := task.Syscall(kernel.NrOpen, uint64(path.Addr), path.Size, uint64(kernel.OCreat|kernel.OWronly))
+	if errno != kernel.OK {
+		t.Fatalf("open: %v", errno)
+	}
+	v.fd = fd
+	for _, name := range []string{"outer", "plot"} {
+		if _, err := prog.MustEnclosure(name).Call(task); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	vault, err := prog.VarRef("vault", "key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(*litterbox.Fault); !ok {
+					panic(r)
+				}
+				v.faulted = true
+			}
+		}()
+		if _, err := prog.MustEnclosure("peek").Call(task, vault.Addr); err != nil {
+			v.faulted = true
+		}
+	}()
+	if v.faulted != (prog.Backend() != Baseline) {
+		t.Fatalf("peek at vault.key faulted: %v", v.faulted)
+	}
+	if f, aborted := prog.Fault(); aborted {
+		t.Fatalf("the fault aborted the whole program (%v), not the worker's domain", f)
+	}
+	v.clock, v.counters = w.Clock().Now(), w.Counters().Snapshot()
+	return v
+}
+
+// TestRecycledWorkerStartsFresh: the worker context a warm instance
+// owns outlives its recycles, so a tenant's open descriptor, clock,
+// counters, fault and environments must all be gone when the next
+// tenant starts on it. That tenant observes exactly what a tenant on a
+// fresh instance's fresh worker does. The worker's Prolog cache keeps
+// its entries across a recycle only when the tenant left the
+// environment table as it was born: an intersection or a dynamic
+// import flushes it.
+func TestRecycledWorkerStartsFresh(t *testing.T) {
+	for _, kind := range warmBackends {
+		t.Run(kind.String(), func(t *testing.T) {
+			tmpl, err := buildTenantProgram(t, kind).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := tmpl.Instantiate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := workerTenant(t, fresh, fresh.InstanceWorker("warm"))
+			if want.stale != kernel.EBADF {
+				t.Fatalf("close(3) on a fresh worker: %v, want EBADF", want.stale)
+			}
+
+			inst, err := tmpl.Instantiate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := inst.InstanceWorker("warm")
+			recycle := func() {
+				t.Helper()
+				if _, err := tmpl.Recycle(inst); err != nil {
+					t.Fatal(err)
+				}
+				if inst.InstanceWorker("other") != w {
+					t.Fatal("the recycle replaced the instance's worker")
+				}
+			}
+			workerTenant(t, inst, w)
+			recycle()
+			if now := w.Clock().Now(); now != 0 {
+				t.Errorf("recycled worker's clock reads %d, want 0", now)
+			}
+			if c := w.Counters().Snapshot(); c != (hw.CounterSnapshot{}) {
+				t.Errorf("recycled worker's counters %+v, want zero", c)
+			}
+			if f, aborted := w.Domain().Aborted(); aborted {
+				t.Errorf("recycled worker's domain is still aborted by %v", f)
+			}
+			_, misses := w.EnvCache().Stats()
+			if got := workerTenant(t, inst, w); got != want {
+				t.Errorf("tenant on the recycled worker observed %+v, on a fresh one %+v", got, want)
+			}
+			if _, m := w.EnvCache().Stats(); m == misses {
+				t.Error("after a dynamic import, the recycled worker's first Prolog hit its cache")
+			}
+
+			// enter runs one tenant that enters name from the trusted
+			// environment and returns its cache hits and misses.
+			enter := func(name string) (hits, misses int64) {
+				t.Helper()
+				recycle()
+				h0, m0 := w.EnvCache().Stats()
+				if _, err := inst.MustEnclosure(name).Call(inst.NewTaskOn(w, name)); err != nil {
+					t.Fatal(err)
+				}
+				h, m := w.EnvCache().Stats()
+				return h - h0, m - m0
+			}
+			enter("inner")
+			if hits, misses := enter("inner"); hits != 1 || misses != 0 {
+				t.Errorf("entering inner after a tenant that did the same: %d hits, %d misses, want the cached entry", hits, misses)
+			}
+			enter("outer") // materialises the (outer, inner) intersection
+			if _, misses := enter("outer"); misses != 2 {
+				t.Errorf("entering outer after a tenant made an intersection: %d misses, want 2 (a flushed cache)", misses)
+			}
+		})
+	}
+}

@@ -19,6 +19,13 @@ import (
 // them charge the worker's clock, taking turns on the program's run
 // token, so per-worker accrual is the sum of the work its goroutines
 // performed.
+//
+// A warm snapshot instance owns one worker (Program.InstanceWorker),
+// which lives as long as the instance: Template.Recycle gives it back
+// NewWorker's state for the next tenant — clock, counters and ring
+// queues zeroed, fd table emptied, fault domain live again — but keeps
+// its host objects and its EnvCache, whose entries stay valid (see
+// litterbox.LitterBox.ResetTo for when they are flushed).
 type WorkerCtx struct {
 	prog  *Program
 	name  string
@@ -31,8 +38,8 @@ type WorkerCtx struct {
 	// share it, under the engine's one-request-at-a-time discipline.
 	ring *ring.Ring
 
-	// The worker's own state, inline: a warm engine makes a worker for
-	// every request.
+	// The worker's own state, inline, so a worker is one allocation
+	// besides its proc, cache and ring.
 	clock    hw.Clock
 	counters hw.Counters
 	domain   litterbox.FaultDomain
@@ -52,9 +59,38 @@ func (p *Program) NewWorker(name string) *WorkerCtx {
 	if p.ringDepth > 0 {
 		w.ring = ring.New(p.ringDepth)
 	}
-	w.state = litterbox.CPUState{Proc: w.proc, Domain: &w.domain, Name: name}
+	w.state = litterbox.CPUState{Proc: w.proc, Domain: &w.domain, Name: name, Cache: w.cache}
 	p.lb.BindWorker(&w.clock, &w.state)
 	return w
+}
+
+// InstanceWorker returns the worker context a snapshot instance owns,
+// making it, named name, on the first call; later calls return it
+// whatever name they pass. The engine runs every job it gives the
+// instance on this worker, so a recycled instance serves its next
+// tenant without building a worker, a process or a cache.
+func (p *Program) InstanceWorker(name string) *WorkerCtx {
+	if p.worker == nil {
+		p.worker = p.NewWorker(name)
+	}
+	return p.worker
+}
+
+// reset gives an instance's worker NewWorker's state back after its
+// program was recycled: the fd table is emptied without closing what
+// it held (the descriptors die with the tenant), the clock, counters
+// and ring queues zero, the fault domain's abort clears (its count of
+// faults stays cumulative), and the state is bound again, since the
+// recycle unbound it.
+func (w *WorkerCtx) reset() {
+	w.proc.Reset()
+	w.clock.Reset()
+	w.counters.Reset()
+	w.domain.Reset()
+	if w.ring != nil {
+		w.ring.Reset()
+	}
+	w.prog.lb.BindWorker(&w.clock, &w.state)
 }
 
 // Name returns the worker's diagnostic name.

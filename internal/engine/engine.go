@@ -161,6 +161,9 @@ type worker struct {
 	spills   int64
 	rejected int64
 	maxDepth int64
+	// The Prolog cache hits and misses and the faults of the jobs w ran
+	// on warm instances, whose worker contexts are not w.ctx.
+	warmHits, warmMisses, warmFaults int64
 
 	// vtFree is the worker's virtual-time backlog horizon: the
 	// completion time of the last job it executed, on the submitters'
@@ -366,14 +369,17 @@ func (e *Engine) dequeueLocked(w *worker) (job, bool, bool) {
 // timeline plus the measured service time.
 func (e *Engine) exec(w *worker, j job) (start, completion, service int64, err error) {
 	var t *core.Task
-	var release func()
+	var inst *core.Program
+	var hits, misses, faults int64 // the warm instance's worker's, before the job
 	clock := w.ctx.Clock()
 	if e.warm != nil {
 		// Warm admission: the job gets its own snapshot instance; a
 		// failed clone falls back to the shared program below.
-		if wt, rel, werr := e.acquireWarm(w, j.name); werr == nil {
-			t, release = wt, rel
+		if p, wt, werr := e.acquireWarm(w, j.name); werr == nil {
+			inst, t = p, wt
 			clock = t.Worker().Clock()
+			hits, misses = t.Worker().EnvCache().Stats()
+			faults = t.Worker().Domain().Faults()
 		}
 	}
 	if t == nil {
@@ -382,14 +388,21 @@ func (e *Engine) exec(w *worker, j job) (start, completion, service int64, err e
 	clock0 := clock.Now()
 	err = runJob(t, j.fn)
 	service = clock.Now() - clock0
-	if release != nil {
-		release()
+	if inst != nil {
+		// Fold the job's cache and fault counts into w's before the
+		// recycle, which may discard the instance.
+		h, m := t.Worker().EnvCache().Stats()
+		hits, misses, faults = h-hits, m-misses, t.Worker().Domain().Faults()-faults
+		e.warm.pools[w.idx].Put(inst)
 	} else {
 		w.ctx.Domain().Reset()
 	}
 
 	e.mu.Lock()
 	w.requests++
+	w.warmHits += hits
+	w.warmMisses += misses
+	w.warmFaults += faults
 	start = w.vtFree
 	if j.arrival > start {
 		start = j.arrival

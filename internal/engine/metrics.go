@@ -60,10 +60,10 @@ func (e *Engine) Metrics() []WorkerMetrics {
 			DeadlineMisses:  w.deadlineMissed,
 
 			Depth:    e.queues[i].len(),
-			Faults:   w.ctx.Domain().Faults(),
+			Faults:   w.ctx.Domain().Faults() + w.warmFaults,
 			ClockNs:  w.ctx.Clock().Now(),
-			EnvHits:  hits,
-			EnvMiss:  misses,
+			EnvHits:  hits + w.warmHits,
+			EnvMiss:  misses + w.warmMisses,
 			EnvGen:   w.ctx.EnvCache().Generation(),
 			Counters: w.ctx.Counters().Snapshot(),
 		}

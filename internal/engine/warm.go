@@ -37,17 +37,15 @@ func initWarm(prog *core.Program, workers int) *warmState {
 	return ws
 }
 
-// acquireWarm draws a warm program instance for worker w and binds a
-// fresh worker context on it. The release closure recycles the instance
-// back into w's pool (or discards it when the pool is full).
-func (e *Engine) acquireWarm(w *worker, name string) (*core.Task, func(), error) {
-	pool := e.warm.pools[w.idx]
-	prog, err := pool.Get()
+// acquireWarm draws a warm program instance for worker w and a task on
+// the worker context the instance owns. exec puts the instance back
+// into w's pool, which recycles it (or discards it when full).
+func (e *Engine) acquireWarm(w *worker, name string) (*core.Program, *core.Task, error) {
+	prog, err := e.warm.pools[w.idx].Get()
 	if err != nil {
 		return nil, nil, err
 	}
-	wctx := prog.NewWorker(e.warm.names[w.idx])
-	return prog.NewTaskOn(wctx, name), func() { pool.Put(prog) }, nil
+	return prog, prog.NewTaskOn(prog.InstanceWorker(e.warm.names[w.idx]), name), nil
 }
 
 // WarmTemplate returns the engine's snapshot template (nil when warm

@@ -117,3 +117,62 @@ func TestWarmDisabledWithoutOption(t *testing.T) {
 		t.Fatal("job did not run on the shared program")
 	}
 }
+
+// TestWarmMetricsFoldInstanceWorkers: a warm job runs on the worker
+// context its instance owns, not on the engine worker's, so the
+// engine must fold that context's Prolog cache counts and faults into
+// its worker's metrics. Ten jobs enter an enclosure once each on one
+// worker: each instance misses once, on its first job, and hits on
+// every later one. An eleventh job faults.
+func TestWarmMetricsFoldInstanceWorkers(t *testing.T) {
+	b := core.NewBuilder(core.MPK, core.WithWarmPool(2))
+	b.Package(core.PackageSpec{
+		Name: "main", Imports: []string{"lib"}, Vars: map[string]int{"secret": 8}, Origin: "app",
+	})
+	b.Package(core.PackageSpec{Name: "lib", Origin: "public"})
+	b.Enclosure("peek", "main", "sys:none", func(task *core.Task, args ...core.Value) ([]core.Value, error) {
+		if len(args) > 0 {
+			task.Load64(args[0].(core.Ref).Addr)
+		}
+		return nil, nil
+	}, "lib")
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(prog, Opts{Workers: 1})
+	defer e.Close()
+	submit := func(fn Job) {
+		t.Helper()
+		if err := e.Submit(JobSpec{Name: "peek", Fn: fn}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.StepWorker(0); !ok {
+			t.Fatal("no job ran")
+		}
+	}
+	const jobs = 10
+	for range jobs {
+		submit(func(task *core.Task) error {
+			_, err := task.Prog().MustEnclosure("peek").Call(task)
+			return err
+		})
+	}
+	m := e.Metrics()[0]
+	clones, _ := e.WarmTemplate().Stats()
+	if m.EnvMiss != clones || m.EnvHits != jobs-clones {
+		t.Fatalf("metrics read %d cache hits and %d misses over %d jobs on %d instances, want %d and %d",
+			m.EnvHits, m.EnvMiss, jobs, clones, jobs-clones, clones)
+	}
+	submit(func(task *core.Task) error {
+		secret, err := task.Prog().VarRef("main", "secret")
+		if err != nil {
+			return err
+		}
+		_, err = task.Prog().MustEnclosure("peek").Call(task, secret)
+		return err
+	})
+	if m := e.Metrics()[0]; m.Faults != 1 {
+		t.Fatalf("metrics read %d faults after a warm job faulted, want 1", m.Faults)
+	}
+}

@@ -29,14 +29,15 @@ func (k *Kernel) Clone(space *mem.AddressSpace, clock *hw.Clock, secMap map[*mem
 		return nil, err
 	}
 	c := &Kernel{
-		FS:       k.FS.Share(),
-		Net:      net,
-		clock:    clock,
-		space:    space,
-		rng:      k.rng,
-		spans:    make(map[mem.Addr]*mem.Section, len(k.spans)),
-		nspan:    k.nspan,
-		spanUndo: make(map[mem.Addr]*mem.Section),
+		FS:        k.FS.Share(),
+		Net:       net,
+		clock:     clock,
+		space:     space,
+		rng:       k.rng,
+		spans:     make(map[mem.Addr]*mem.Section, len(k.spans)),
+		nspan:     k.nspan,
+		spanUndo:  make(map[mem.Addr]*mem.Section),
+		spanBirth: k.nspan,
 	}
 	for base, sec := range k.spans {
 		if ns, ok := secMap[sec]; ok {
@@ -52,9 +53,10 @@ func (k *Kernel) Clone(space *mem.AddressSpace, clock *hw.Clock, secMap map[*mem
 }
 
 // ResetTo rewinds a kernel cloned from src to src's state in place, at
-// the cost of what changed since: the span journal is replayed, the
-// filesystem re-points at src's copy-on-write, the network namespace
-// and entropy and span cursors rewind, and the filter state (an
+// the cost of what changed since: the span journal is replayed (the
+// names of the spans mapped since birth are kept for the next tenant's
+// mmaps), the filesystem re-points at src's copy-on-write, the network
+// namespace and entropy and span cursors rewind, and the filter state (an
 // intersection environment may have reloaded it) and the fast-path
 // counters return to a fresh clone's. pkeys and the trace source stay:
 // they are the enforcement layer's wiring of this kernel.
@@ -95,4 +97,13 @@ func (p *Proc) CloneInto(k *Kernel) (*Proc, error) {
 func (p *Proc) ResetTo(src *Proc) {
 	clear(p.fds)
 	p.nextFD, p.exited, p.code, p.nonBlock = src.nextFD, src.exited, src.code, src.nonBlock
+}
+
+// Reset returns a process made by NewProc to NewProc's state in place:
+// the fd table is emptied without closing what it held, the next
+// descriptor is 3 again, and the exit status and blocking mode clear.
+// A recycled warm instance resets its worker's process this way.
+func (p *Proc) Reset() {
+	clear(p.fds)
+	p.nextFD, p.exited, p.code, p.nonBlock = 3, false, 0, false
 }

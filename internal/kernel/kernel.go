@@ -47,6 +47,11 @@ type Kernel struct {
 	// made by Clone): each base mapped or unmapped since birth with the
 	// span it replaced (nil when it had none). ResetTo replays it.
 	spanUndo map[mem.Addr]*mem.Section
+	// spanNames are a clone's names of the spans mapped since birth,
+	// span-(birth+1) first: each tenant after a ResetTo maps under the
+	// same names, so they are made once.
+	spanNames []string
+	spanBirth int
 
 	// filter holds the installed policy in both compiled forms (nil
 	// when none is). The pointee is immutable: installs swap the whole
@@ -899,8 +904,7 @@ func (k *Kernel) sysMmap(size uint64) (uint64, Errno) {
 	if size == 0 {
 		return 0, EINVAL
 	}
-	k.nspan++
-	s, err := k.space.Map(spanName(k.nspan), HeapOwner, mem.KindHeap, size, mem.PermR|mem.PermW)
+	s, err := k.space.Map(k.nextSpanName(), HeapOwner, mem.KindHeap, size, mem.PermR|mem.PermW)
 	if err != nil {
 		return 0, EFAULT
 	}
@@ -993,6 +997,20 @@ func (k *Kernel) setSpan(base mem.Addr, s *mem.Section) {
 
 // SpanSection returns the still-mapped span starting at base, if any.
 func (k *Kernel) SpanSection(base mem.Addr) *mem.Section { return k.spans[base] }
+
+// nextSpanName advances the span cursor and returns the new span's
+// name, from spanNames on a clone.
+func (k *Kernel) nextSpanName() string {
+	k.nspan++
+	if k.spanUndo == nil {
+		return spanName(k.nspan)
+	}
+	i := k.nspan - k.spanBirth - 1
+	if i >= len(k.spanNames) {
+		k.spanNames = append(k.spanNames, spanName(k.nspan))
+	}
+	return k.spanNames[i]
+}
 
 func spanName(i int) string {
 	// fmt.Sprintf would be fine; this is on the allocation path, so keep

@@ -108,21 +108,33 @@ func (lb *LitterBox) CloneInto(deps CloneDeps) (*LitterBox, error) {
 // clustering tables re-point at t's copy-on-write, the env snapshot
 // returns to the clone's birth snapshot (dropping materialised
 // intersections; views and PKRU values a dynamic import extended are
-// restored from t's environments), worker bindings and the program
-// abort are cleared, and the backend resets itself — MPK replays its
-// unit's journal, VTX and CHERI re-copy their unit only when its
-// generation moved. Environment pointers stay valid across the reset.
-// t, the template, is only read.
+// restored from t's environments), every worker state is unbound, so
+// its owner may bind it again, and the program abort is cleared, and
+// the backend resets itself — MPK replays its unit's journal, VTX and
+// CHERI re-copy their unit only when its generation moved. Environment
+// pointers stay valid across the reset, so a bound worker's EnvCache
+// keeps its entries unless the snapshot moved since birth: then an
+// entry may name an environment the reset drops, and the cache is
+// flushed. t, the template, is only read.
 func (lb *LitterBox) ResetTo(t *LitterBox) {
 	lb.nextEnv = t.nextEnv
 	lb.metaPkgs, lb.pkgToMeta, lb.metaShared = t.metaPkgs, t.pkgToMeta, true
-	if lb.snap != lb.birth {
+	moved := lb.snap != lb.birth
+	if moved {
 		if lb.snap.viewGen != lb.birth.viewGen {
 			for i, e := range lb.birth.envs {
 				e.restoreFrom(t.snap.envs[i])
 			}
 		}
 		lb.snap = lb.birth
+	}
+	for st := lb.cpus; st != nil; {
+		if moved && st.Cache != nil {
+			st.Cache.flush()
+		}
+		next := st.next
+		st.clock, st.next = nil, nil
+		st = next
 	}
 	lb.cpus = nil
 	lb.fault.Store(nil)

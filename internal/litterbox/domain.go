@@ -52,10 +52,14 @@ type CPUState struct {
 	// Name identifies the worker in trace events ("cpu0"); empty for
 	// the single-core main context.
 	Name string
+	// Cache is the worker's Prolog cache, if it has one: ResetTo
+	// flushes it when the reset drops environments its entries may
+	// name.
+	Cache *EnvCache
 
 	// clock and next make the state a node of its LitterBox's binding
 	// table: BindWorker sets both before it publishes the node, and
-	// nothing writes them after.
+	// only ResetTo, which unbinds every node, writes them after.
 	clock *hw.Clock
 	next  *CPUState
 }
@@ -65,8 +69,8 @@ type CPUState struct {
 // binding table is a list of the bound states themselves, newest first
 // (a later binding of a clock shadows an earlier one): binding
 // allocates nothing. st therefore joins the table and must not be bound
-// a second time, here or on another LitterBox. ResetTo empties the
-// table.
+// a second time, here or on another LitterBox, until ResetTo, which
+// empties the table, has unbound it.
 func (lb *LitterBox) BindWorker(clock *hw.Clock, st *CPUState) {
 	if st.clock != nil {
 		panic("litterbox: CPUState bound twice")
@@ -184,6 +188,9 @@ func (c *EnvCache) store(from EnvID, encl int, e *Env, epoch uint64) {
 		c.m[envCacheKey{from, encl}] = e
 	}
 }
+
+// flush drops every entry.
+func (c *EnvCache) flush() { clear(c.m) }
 
 // Stats returns (hits, misses) since creation.
 func (c *EnvCache) Stats() (hits, misses int64) { return c.hits, c.misses }

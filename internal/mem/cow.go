@@ -61,6 +61,14 @@ type cowSnapshot struct {
 	// sections mapped since birth lie past next and need neither.
 	owners   []ownerUndo
 	unmapped bool
+
+	// spare holds, in address order, the sections mapped since birth
+	// that the last Revert cut off, and reclaimed how many of them Map
+	// has passed since. A tenant of a recycled instance maps what the
+	// previous one did, at the same addresses, so Map hands each one
+	// back instead of allocating a new Section.
+	spare     []*Section
+	reclaimed int
 }
 
 type ownerUndo struct {
@@ -140,6 +148,29 @@ func (as *AddressSpace) promote(addr Addr, size uint64) {
 	}
 }
 
+// reclaim returns the section the last Revert cut off at the bump
+// cursor, if it has the given size, or nil.
+func (as *AddressSpace) reclaim(size uint64) *Section {
+	snap := as.snap
+	if snap == nil {
+		return nil
+	}
+	for ; snap.reclaimed < len(snap.spare); snap.reclaimed++ {
+		s := snap.spare[snap.reclaimed]
+		if s.Base > as.next {
+			return nil
+		}
+		if s.Base == as.next {
+			if s.Size != size {
+				return nil
+			}
+			snap.reclaimed++
+			return s
+		}
+	}
+	return nil
+}
+
 // markPagesDirty records post-clone page-table mutations (map, unmap,
 // promotion) of indexes [first, last] so Revert knows to reconcile them.
 func (as *AddressSpace) markPagesDirty(first, last int) {
@@ -155,11 +186,14 @@ func (as *AddressSpace) markPagesDirty(first, last int) {
 // pages are re-aliased to the template-shared arrays (or dropped if they
 // were mapped after the clone), the page table is cut back to its birth
 // length, the section list and the owners SetOwner changed are
-// restored, and the bump allocator rewinds. The cost is proportional
-// to the dirty set, which is what makes pooled recycling an order of
-// magnitude cheaper than a fresh clone. Dirty pages the clone owns
-// privately go back to pagePool; a page still marked cow is zeroPage,
-// or shared with a later clone of this one and left to it.
+// restored, and the bump allocator rewinds. The *Sections mapped since
+// birth are kept for Map to hand back at the same base and size, so a
+// pointer to one taken before the Revert names whatever the next tenant
+// maps there. The cost is proportional to the dirty set, which is what
+// makes pooled recycling an order of magnitude cheaper than a fresh
+// clone. Dirty pages the clone owns privately go back to pagePool; a
+// page still marked cow is zeroPage, or shared with a later clone of
+// this one and left to it.
 func (as *AddressSpace) Revert() error {
 	snap := as.snap
 	if snap == nil {
@@ -178,6 +212,12 @@ func (as *AddressSpace) Revert() error {
 	snap.dirty = snap.dirty[:0]
 	as.pages = as.pages[:len(snap.pages)] // every page past it was dirty, so nil
 
+	born := len(as.sections) // the sections mapped since birth lie past snap.next
+	for born > 0 && as.sections[born-1].Base >= snap.next {
+		born--
+	}
+	snap.spare = append(snap.spare[:0], as.sections[born:]...)
+	snap.reclaimed = 0
 	if snap.unmapped {
 		as.sections = append(as.sections[:0], snap.secs...)
 		snap.unmapped = false

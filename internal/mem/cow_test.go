@@ -153,8 +153,8 @@ func TestGrandchildKeepsPagesAcrossRevert(t *testing.T) {
 
 // TestRevertCycleReusesPages pins the warm recycle: once one cycle has
 // stocked the page pool, mapping four pages, writing them and a shared
-// template page, and reverting allocates only the new Section — no page
-// array.
+// template page, and reverting allocates nothing — no page array, and
+// no Section, since Map hands back the one Revert cut off.
 func TestRevertCycleReusesPages(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -175,8 +175,61 @@ func TestRevertCycleReusesPages(t *testing.T) {
 		}
 	}
 	cycle() // stock the pool and size the bookkeeping maps
-	if allocs := testing.AllocsPerRun(100, cycle); allocs > 1 {
-		t.Fatalf("Map+write+Revert allocates %.1f objects/op, want at most 1 (the Section)", allocs)
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("Map+write+Revert allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestMapAfterRevertAllocs pins the section a recycled instance's
+// tenant maps: a Map at the base and size of a section Revert cut off
+// returns that *Section, with the new name, owner and rights, and
+// allocates nothing. A Map of another size at that base gets a new
+// Section.
+func TestMapAfterRevertAllocs(t *testing.T) {
+	tpl, _ := template(t)
+	c, _ := tpl.CloneCoW()
+	c.Checkpoint()
+	first, err := c.Map("span-1", "p", KindHeap, 2*PageSize, PermR|PermW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Map("span-2", "p", KindHeap, 4*PageSize, PermR|PermW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetOwner(first, "q")
+	remap := func() {
+		if err := c.Revert(); err != nil {
+			t.Fatal(err)
+		}
+		s1, err := c.Map("span-1", "p", KindHeap, 2*PageSize, PermR|PermW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := c.Map("span-2", "p", KindHeap, 4*PageSize, PermR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s1 != first || s2 != second {
+			t.Fatal("Map after Revert did not hand back the sections Revert cut off")
+		}
+	}
+	remap()
+	if first.Pkg != "p" || second.Perm != PermR || c.SectionAt(second.Base) != second {
+		t.Fatalf("a reclaimed section keeps its old fields: %v, %v", first, second)
+	}
+	if allocs := testing.AllocsPerRun(100, remap); allocs != 0 {
+		t.Fatalf("Revert+Map allocates %.1f objects/op, want 0", allocs)
+	}
+	if err := c.Revert(); err != nil {
+		t.Fatal(err)
+	}
+	other, err := c.Map("span-1", "p", KindHeap, 3*PageSize, PermR|PermW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == first {
+		t.Fatal("a Map of another size reclaimed the cut-off section")
 	}
 }
 

@@ -228,6 +228,8 @@ func NewAddressSpace(capacity uint64) *AddressSpace {
 // private one (see promote). The paper's equivalent is the linker
 // laying out a segregated section or the runtime mmap-ing a fresh heap
 // span, which the kernel backs with its shared zero page the same way.
+// On a reverted space, a Map at the base and size of a section Revert
+// cut off returns that *Section again, with its fields set anew.
 func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, perm Perm) (*Section, error) {
 	if size == 0 {
 		return nil, ErrZeroSize
@@ -236,7 +238,11 @@ func (as *AddressSpace) Map(name, pkg string, kind SectionKind, size uint64, per
 	if as.next+Addr(size) > as.limit || as.next+Addr(size) < as.next {
 		return nil, ErrExhausted
 	}
-	s := &Section{Name: name, Pkg: pkg, Kind: kind, Base: as.next, Size: size, Perm: perm}
+	s := as.reclaim(size)
+	if s == nil {
+		s = new(Section)
+	}
+	*s = Section{Name: name, Pkg: pkg, Kind: kind, Base: as.next, Size: size, Perm: perm}
 	as.next += Addr(size)
 	first, n := len(as.pages), int(size>>PageShift)
 	as.pages = slices.Grow(as.pages, n)

@@ -181,11 +181,13 @@ func cloneParts(p Parts, space *mem.AddressSpace, secMap map[*mem.Section]*mem.S
 // its span journal, re-points its file system at the template's
 // copy-on-write and rewinds its cursors; the process empties its fd
 // table; the litterbox re-publishes its birth environment snapshot,
-// clears worker bindings and the abort, and resets its backend (MPK
+// unbinds its workers, clears the abort, and resets its backend (MPK
 // replays the unit's tag journal; VTX and CHERI keep their unit when
 // its generation proves it untouched and re-copy it otherwise). Every
 // object keeps its identity, so environment and section pointers taken
-// before the recycle stay valid.
+// before the recycle stay valid; memory and kernel also keep what
+// they made for the sections mapped since birth, which the next
+// tenant's mmaps take back.
 //
 // After Recycle the instance is indistinguishable — digest-identical on
 // the probe corpus — from a freshly instantiated clone, except that its
