@@ -32,7 +32,7 @@ func buildVariant(payload string) (*core.Program, error) {
 	return b.Build()
 }
 
-func newTestCluster(t *testing.T, opts Opts) *Cluster {
+func newTestCluster(t testing.TB, opts Opts) *Cluster {
 	t.Helper()
 	if opts.Build == nil {
 		opts.Build = testBuild

@@ -262,17 +262,26 @@ func (n *Node) ctrlConn(mc *simnet.MsgConn) {
 		if err != nil {
 			return
 		}
-		var req ctrlMsg
-		if err := json.Unmarshal(raw, &req); err != nil {
-			n.reply(mc, ctrlMsg{Kind: "err", Error: "malformed control message"})
-			return
-		}
-		resp := n.ctrlHandle(req)
-		if !n.reply(mc, resp) {
+		resp, ok := n.ctrlDecode(raw)
+		if !n.reply(mc, resp) || !ok {
 			return
 		}
 	}
 }
+
+// ctrlDecode answers one raw control message. A malformed one gets an
+// error reply and ok false: the connection ends after it.
+func (n *Node) ctrlDecode(raw []byte) (resp ctrlMsg, ok bool) {
+	var req ctrlMsg
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return ctrlMsg{Kind: "err", Error: "malformed control message"}, false
+	}
+	return n.ctrlHandle(req), true
+}
+
+// shortDigest is a digest's first twelve characters, for messages; a
+// peer's claimed digest may be shorter.
+func shortDigest(d string) string { return d[:min(len(d), 12)] }
 
 func (n *Node) reply(mc *simnet.MsgConn, m ctrlMsg) bool {
 	raw, err := json.Marshal(m)
@@ -302,7 +311,7 @@ func (n *Node) ctrlHandle(req ctrlMsg) ctrlMsg {
 		// must hash to its claimed digest or the store rejects it.
 		if got := blobDigest(req.Data); got != req.Digest {
 			return ctrlMsg{Kind: "err", Error: fmt.Sprintf(
-				"blob %s: content hashes to %s", req.Digest[:12], got[:12])}
+				"blob %s: content hashes to %s", shortDigest(req.Digest), shortDigest(got))}
 		}
 		n.putBlob(req.Digest, blob{name: req.Name, data: req.Data})
 		return ctrlMsg{Kind: "ok", Node: n.id}

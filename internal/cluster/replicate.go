@@ -224,23 +224,16 @@ func (n *Node) replicateTo(registry *Node) (shipped, deduped int, shippedBytes, 
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	var remote []blobMeta
-	if err := json.Unmarshal(resp.Data, &remote); err != nil {
+	remote, err := manifestDigests(resp.Data)
+	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("cluster: %s: malformed registry manifest: %w", n.id, err)
-	}
-	remoteByName := make(map[string]blobMeta, len(remote))
-	for _, m := range remote {
-		remoteByName[m.Name] = m
 	}
 
 	for _, b := range local {
 		digest := blobDigest(b.data)
-		if have, ok := remoteByName[b.name]; ok {
-			if have.Digest != digest {
-				return shipped, deduped, shippedBytes, dedupedBytes, fmt.Errorf(
-					"cluster: %s: image mismatch with registry on blob %q: %s != %s — heterogeneous node rejected",
-					n.id, b.name, digest[:12], have.Digest[:12])
-			}
+		if has, err := n.registryHas(remote, b.name, digest); err != nil {
+			return shipped, deduped, shippedBytes, dedupedBytes, err
+		} else if has {
 			deduped++
 			dedupedBytes += int64(len(b.data))
 			n.putBlob(digest, b) // the node holds what it built
@@ -254,6 +247,31 @@ func (n *Node) replicateTo(registry *Node) (shipped, deduped int, shippedBytes, 
 		shippedBytes += int64(len(b.data))
 	}
 	return shipped, deduped, shippedBytes, dedupedBytes, nil
+}
+
+// manifestDigests decodes a manifest into each blob's digest by name.
+func manifestDigests(data []byte) (map[string]string, error) {
+	var ms []blobMeta
+	if err := json.Unmarshal(data, &ms); err != nil {
+		return nil, err
+	}
+	byName := make(map[string]string, len(ms))
+	for _, m := range ms {
+		byName[m.Name] = m.Digest
+	}
+	return byName, nil
+}
+
+// registryHas reports whether the registry's manifest holds the blob
+// named name; naming it with another digest is an image divergence.
+func (n *Node) registryHas(remote map[string]string, name, digest string) (bool, error) {
+	have, ok := remote[name]
+	if ok && have != digest {
+		return false, fmt.Errorf(
+			"cluster: %s: image mismatch with registry on blob %q: %s != %s — heterogeneous node rejected",
+			n.id, name, shortDigest(digest), shortDigest(have))
+	}
+	return ok, nil
 }
 
 // verifyImageDigests checks a migration source's manifest against this
@@ -274,7 +292,7 @@ func (n *Node) verifyImageDigests(src []blobMeta) error {
 		}
 		if local != m.Digest {
 			return fmt.Errorf("cluster: %s: migration image blob %q digest %s != local %s",
-				n.id, m.Name, m.Digest[:12], local[:12])
+				n.id, m.Name, shortDigest(m.Digest), shortDigest(local))
 		}
 	}
 	return nil

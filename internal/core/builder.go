@@ -318,7 +318,7 @@ func (b *Builder) Build() (*Program, error) {
 		warmPool:      b.warmPool,
 	}
 	prog.runtimeCPU = prog.newCPU()
-	k.SetRunToken(prog.waitToken)
+	k.SetScheduler(&prog.q)
 
 	prog.heap = alloc.NewHeap(prog.runtimeMmap, prog.runtimeTransfer, kernel.HeapOwner)
 

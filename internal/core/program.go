@@ -50,12 +50,9 @@ type Program struct {
 	runtimeCPU *hw.CPU
 
 	// q is the program's run queue: its run token and the tasks
-	// waiting for it (see run.go). The kernel releases the token around
-	// network waits (waitToken).
+	// waiting for it (see run.go). The kernel's network waits go
+	// through it.
 	q runq
-	// scheds are the program's schedulers, each with the CPU its
-	// threads share.
-	scheds []*Sched
 }
 
 // lookupFunc resolves pkg.fn.

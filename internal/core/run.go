@@ -1,8 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
 // The ownership rule (DESIGN §18). One user-level scheduler picks which
@@ -11,40 +14,51 @@ import (
 // lists of tasks waiting for it. The token makes the program's clocks,
 // counters, per-task state and hand-offs plain data.
 //
-// A simulated goroutine (a Task.Go child or a Sched thread) holds the
-// token for its whole turn, until it blocks or exits; a host-driven task
-// (an engine job, Program.Run's root task, a test's bare goroutine) and
-// host code take it per core entry point. Code sets the order of the
-// tasks that wait for a sibling, never the host: Task.Go queues the
-// child, a Handoff send, receive or close queues the task it wakes, a
-// finishing child queues its joiners, and Task.Yield re-queues a Sched
-// thread, each at the tail of the holder's list. A kernel network wait re-enters
-// at the tail of the second list, behind host-driven tasks' entry
-// points. Every release hands the token to the head of the first list,
-// else of the second, and a Sched thread that gets it back resumes on
-// its CPU.
+// A simulated goroutine (a Task.Go child or a Sched thread) is a
+// coroutine that holds the token for its whole turn: until it blocks or
+// exits, and yields to the host goroutine that resumed it, the driver.
+// A host-driven task (an engine job, Program.Run's root task, host
+// code) drives when it blocks, or leaves an entry point with tasks
+// ready, resuming them until its own wait is over. It parks only when
+// nothing is ready; a host goroutine that then wakes a task from
+// outside the program drives it instead. A host goroutine's wait gets
+// the token over a one-slot channel.
 //
-// A task waits for a sibling only at a blocking point, which releases
-// the token for the wait: Handle.Join, Task.Yield, a Handoff that must
-// block, and the kernel's network waits (kernel.Kernel.SetRunToken). A
-// raw channel or host lock would keep it, and deadlock the program.
+// Code sets the order, never the host: Task.Go, a Handoff send, receive
+// or close, a finishing child's joiners, Task.Yield and a network call
+// ready the tasks they wake at the tail of the holder's list; a wake
+// from outside and a host-driven task's entry point wait at the tail of
+// the second. Each turn goes to the head of the first list, else of the
+// second. A task waits only at a blocking point: Handle.Join,
+// Task.Yield, a Handoff that must block, and the kernel's network waits
+// (kernel.Kernel.SetScheduler). A raw channel or host lock would block
+// the driver and deadlock the program.
 
-// runq is a program's run token and the two FIFO lists of waits for
-// it. Taking a free token and releasing one nobody waits for are one
-// atomic operation each.
+// runq is a program's run token, the two FIFO lists of waits for it,
+// and its scheduler as the kernel's network waits see it
+// (simnet.Sched). Taking a free token and releasing one nobody waits
+// for are one atomic operation each.
 type runq struct {
 	// next holds the waits the token's holder readied, in the order it
 	// readied them; they get the token before queue. Only the holder
-	// touches next, and free, which keeps waiters for reuse so that a
-	// blocking wait allocates nothing.
+	// touches next, cur, and free, which keeps waiters for reuse so
+	// that a blocking wait allocates nothing.
 	next waitq
 	free *waiter
-	// queue holds the waits that arrived without the token: a kernel
-	// network wait retaking it, a host-driven task's entry point.
+	// cur is the coroutine whose turn it is, nil while a host goroutine
+	// holds the token; turns counts the turns drivers have resumed.
+	cur   *Task
+	turns uint32
+	// queue holds the waits that arrived without the token: a wake
+	// from outside the program, a host-driven task's entry point.
 	state int32      // tokenFree, tokenHeld or tokenQueued, read and written atomically
 	mu    sync.Mutex // guards queue and every move to or from tokenQueued
 	queue waitq
 }
+
+// yieldEvery is how many coroutine turns a program's drivers resume
+// between two yields of their host thread to the Go scheduler.
+const yieldEvery = 64
 
 const (
 	tokenFree int32 = iota
@@ -53,11 +67,12 @@ const (
 )
 
 // waiter is one blocked wait for the token, on one list at a time: a
-// hand-off's or a handle's, then the run queue.
+// hand-off's, a handle's or a simnet stream's, then the run queue.
 type waiter struct {
-	wake chan struct{} // one slot
+	q    *runq
+	t    *Task         // the coroutine to resume, nil for a host goroutine's wait
+	wake chan struct{} // a host goroutine's wait's one slot
 	next *waiter
-	t    *Task // the waiting task, nil for host code
 }
 
 // waitq is a FIFO list of waiters linked through next; tail is stale
@@ -81,46 +96,107 @@ func (l *waitq) pop() *waiter {
 	return w
 }
 
-// Lock takes the token, waiting at the tail of queue while another
-// task holds it. With Unlock it is the sync.Locker the kernel releases
-// for a network wait. Its waiter is new: the caller holds no token to
-// take one from free.
+// Lock takes the token for host code, waiting at the tail of queue
+// while another task holds it. Its waiter is new: the caller holds no
+// token to take one from free.
 func (q *runq) Lock() {
 	if atomic.CompareAndSwapInt32(&q.state, tokenFree, tokenHeld) {
 		return
 	}
-	w := &waiter{wake: make(chan struct{}, 1)}
+	w := &waiter{q: q, wake: make(chan struct{}, 1)}
+	if !q.enqueue(w) {
+		<-w.wake
+	}
+}
+
+// enqueue queues w at the tail of queue for a caller that does not
+// hold the token, or takes the free token for w and reports true.
+func (q *runq) enqueue(w *waiter) bool {
+	if atomic.CompareAndSwapInt32(&q.state, tokenFree, tokenHeld) {
+		return true
+	}
 	q.mu.Lock()
 	for !atomic.CompareAndSwapInt32(&q.state, tokenFree, tokenHeld) {
 		if atomic.LoadInt32(&q.state) == tokenQueued || atomic.CompareAndSwapInt32(&q.state, tokenHeld, tokenQueued) {
 			q.queue.push(w)
 			q.mu.Unlock()
-			<-w.wake
-			return
+			return false
 		}
 	}
 	q.mu.Unlock()
+	return true
 }
 
-// Unlock hands the token to the head of next, else of queue, or frees
-// it. The hand-off is out of line, so that the free path inlines.
+// Unlock ends a host goroutine's hold on the token: it drives the ready
+// tasks, then frees the token or hands it to a host goroutine's wait.
+// The drive is out of line, so that the free path inlines.
 func (q *runq) Unlock() {
 	if q.next.head != nil || !atomic.CompareAndSwapInt32(&q.state, tokenHeld, tokenFree) {
-		q.handOff()
+		q.drive(nil)
 	}
 }
 
-func (q *runq) handOff() {
-	w := q.next.pop()
-	if w == nil {
-		q.mu.Lock()
-		w = q.queue.pop()
-		if q.queue.head == nil {
-			atomic.StoreInt32(&q.state, tokenHeld) // by w now
-		}
-		q.mu.Unlock()
+// pop removes the head of next, else of queue, for the holder. With
+// both empty it frees the token and returns nil.
+func (q *runq) pop() *waiter {
+	if w := q.next.pop(); w != nil {
+		return w
 	}
-	w.wake <- struct{}{} // one slot and one wake per wait: never blocks
+	if atomic.CompareAndSwapInt32(&q.state, tokenHeld, tokenFree) {
+		return nil
+	}
+	q.mu.Lock()
+	w := q.queue.pop()
+	if q.queue.head == nil {
+		atomic.StoreInt32(&q.state, tokenHeld) // by w now
+	}
+	q.mu.Unlock()
+	return w
+}
+
+// drive runs the program on the calling host goroutine, which holds the
+// token: it resumes ready coroutines in order until own (nil: none) is
+// handed the token, and returns holding it then. When a host
+// goroutine's wait or nothing is ready, it hands the token on or frees
+// it, and waits on own's channel.
+func (q *runq) drive(own *waiter) {
+	for {
+		w := q.pop()
+		switch {
+		case w == nil:
+		case w == own:
+			q.put(own)
+			return
+		case w.t != nil:
+			q.resume(w)
+			continue
+		default:
+			w.wake <- struct{}{} // one slot and one wake per wait: never blocks
+		}
+		if own != nil {
+			<-own.wake
+			q.put(own)
+		}
+		return
+	}
+}
+
+// resume runs the turn w was handed on its coroutine. A coroutine
+// switch never enters the Go scheduler, so on one host thread the
+// collector's background mark worker would get no turn while a driver
+// runs: assists then do the marking, and a cycle's mark phase (write
+// barriers on) lasted 1.4–4.8 ms instead of 0.3 ms in a page-request
+// loop at GOMAXPROCS(1). Every yieldEvery turns the driver yields its
+// thread.
+func (q *runq) resume(w *waiter) {
+	t := w.t
+	q.put(w)
+	if q.turns++; q.turns%yieldEvery == 0 {
+		runtime.Gosched()
+	}
+	q.cur = t
+	t.resume()
+	q.cur = nil
 }
 
 // enter takes the token for t (nil for host code) unless t holds it
@@ -146,40 +222,85 @@ func (q *runq) leave(t *Task, took bool) {
 	}
 }
 
-// waiter returns a waiter for t's next wait (nil: host code's). The
-// caller holds the token.
+// waiter returns a waiter whose wake resumes coroutine t, or, with t
+// nil, hands the token to a host goroutine. The caller holds the token.
 func (q *runq) waiter(t *Task) *waiter {
 	w := q.free
 	if w == nil {
-		w = &waiter{wake: make(chan struct{}, 1)}
+		w = &waiter{q: q}
 	} else {
 		q.free, w.next = w.next, nil
 	}
 	w.t = t
+	if t == nil && w.wake == nil {
+		w.wake = make(chan struct{}, 1)
+	}
 	return w
 }
+
+// put keeps w for reuse. The caller holds the token.
+func (q *runq) put(w *waiter) { w.t, w.next, q.free = nil, q.free, w }
 
 // ready queues w at the tail of next. The caller holds the token.
 func (q *runq) ready(w *waiter) { q.next.push(w) }
 
-// block releases the token for a wait on w, which the caller has put
-// where its wake will come from, and returns holding the token again.
-func (q *runq) block(w *waiter) {
-	q.Unlock()
-	q.sleep(w)
+// wait ends the caller's turn for a wait on w, which the caller has put
+// where its wake will come from, and returns on its next turn: a
+// coroutine yields to its driver, and a host goroutine drives.
+func (q *runq) wait(w *waiter) {
+	if t := w.t; t != nil {
+		t.yield(struct{}{})
+	} else {
+		q.drive(w)
+	}
 }
 
-// sleep blocks until w is handed the token and keeps w for reuse. A
-// Sched thread then resumes on the scheduler CPU, faulting if the
-// switch into its environment fails.
-func (q *runq) sleep(w *waiter) {
-	<-w.wake
+// block is wait at a core blocking point. A Sched thread then resumes
+// on the scheduler CPU, faulting if the switch into its environment
+// fails.
+func (q *runq) block(w *waiter) {
 	t := w.t
-	w.t, w.next, q.free = nil, q.free, w
+	q.wait(w)
 	if t != nil && t.sched != nil {
 		if err := t.sched.resume(t); err != nil {
 			t.fail(err)
 		}
+	}
+}
+
+// Waiter returns a wait for the task whose turn it is (simnet.Sched).
+func (q *runq) Waiter() simnet.Waiter { return q.waiter(q.cur) }
+
+// Block is wait for a kernel network wait (simnet.Sched). A Sched
+// thread then resumes on the scheduler CPU, where its system call goes
+// on; a failed switch has aborted the thread's domain already, and its
+// next entry point faults.
+func (q *runq) Block(sw simnet.Waiter) {
+	t := q.cur
+	q.wait(sw.(*waiter))
+	if t != nil && t.sched != nil {
+		_ = t.sched.resume(t)
+		t.cpu.Pkg = t.CurrentPkg()
+	}
+}
+
+// Wake readies w for the token's holder (simnet.Sched): at the tail of
+// next when it waits in this program, from outside it otherwise.
+func (q *runq) Wake(sw simnet.Waiter) {
+	if w, ok := sw.(*waiter); ok && w.q == q {
+		q.ready(w)
+		return
+	}
+	sw.Wake()
+}
+
+// Wake readies w from outside its program (simnet.Waiter): at the tail
+// of queue while the token is held, else at once, the caller driving
+// the program until its turn is over.
+func (w *waiter) Wake() {
+	if q := w.q; q.enqueue(w) {
+		q.ready(w)
+		q.drive(nil)
 	}
 }
 
@@ -267,7 +388,7 @@ func (h *Handoff[T]) Send(t *Task, v T) {
 		h.reserved++
 		q.ready(w)
 	} else if h.n-h.reserved > h.cap {
-		w = q.waiter(t)
+		w = q.waiter(q.cur)
 		h.sendq.push(w)
 		q.block(w) // until a Recv makes room for v
 	}
@@ -283,7 +404,7 @@ func (h *Handoff[T]) Recv(t *Task) (v T, ok bool) {
 		if h.closed {
 			return v, false
 		}
-		w := q.waiter(t)
+		w := q.waiter(q.cur)
 		h.recvq.push(w)
 		q.block(w)
 		if h.reserved == 0 {

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/kernel"
+	"github.com/litterbox-project/enclosure/internal/litterbox"
 	"github.com/litterbox-project/enclosure/internal/mem"
+	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
 // The ownership tests: a program's simulated goroutines take turns on
@@ -16,7 +20,7 @@ import (
 // ownedProgram builds a program whose "box" enclosure may use the
 // network and run lib's functions; lib.Work charges every kind of cost
 // a simulated goroutine can.
-func ownedProgram(t *testing.T, kind BackendKind, opts ...Option) *Program {
+func ownedProgram(t testing.TB, kind BackendKind, opts ...Option) *Program {
 	t.Helper()
 	b := NewBuilder(kind, opts...)
 	b.Package(PackageSpec{Name: "main", Imports: []string{"lib"}, Vars: map[string]int{"slots": 64}})
@@ -357,6 +361,257 @@ func TestHandoffRoundTripAllocs(t *testing.T) {
 		}
 		if allocs != 0 {
 			return fmt.Errorf("hand-off round trip allocates %.1f times", allocs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkHandoffRoundTrip measures one switch pair: a request from a
+// task inside an entry point to a sibling, which charges the clock and
+// replies, over two unbuffered hand-offs, on one host thread.
+func BenchmarkHandoffRoundTrip(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prog := ownedProgram(b, MPK)
+	err := prog.Run(func(task *Task) error {
+		req, rep := NewHandoff[int](0), NewHandoff[int](0)
+		h := task.Go("echo", func(ct *Task) error {
+			for {
+				v, ok := req.Recv(ct)
+				if !ok {
+					return nil
+				}
+				ct.Compute(1)
+				rep.Send(ct, v)
+			}
+		})
+		took := task.enter()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			req.Send(task, 1)
+			rep.Recv(task)
+		}
+		b.StopTimer()
+		task.leave(took)
+		req.Close(task)
+		return h.Join(task)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// The driver tests: a simulated goroutine is a coroutine, and the host
+// goroutine that blocks or wakes it drives the program (run.go). CI
+// runs them under -race with -count=20.
+
+// TestDriverInProgramNetwork: a server and a client task of one
+// program talk over the simulated network, each waiting in the kernel
+// in turn. A coroutine that blocked its host goroutine on the network
+// would stall the root task driving both, and deadlock.
+func TestDriverInProgramNetwork(t *testing.T) {
+	const port = 7072
+	prog := ownedProgram(t, MPK)
+	within(t, "client and server", func() error {
+		return prog.Run(func(task *Task) error {
+			server := task.Go("server", func(st *Task) error {
+				return inBox(st, func(st *Task) error {
+					buf := st.Alloc(64)
+					s, err := sysOK(st, kernel.NrSocket)
+					if err != nil {
+						return err
+					}
+					if _, err := sysOK(st, kernel.NrBind, s, uint64(DefaultHostIP), port); err != nil {
+						return err
+					}
+					if _, err := sysOK(st, kernel.NrListen, s); err != nil {
+						return err
+					}
+					conn, err := sysOK(st, kernel.NrAccept, s)
+					if err != nil {
+						return err
+					}
+					for i := 0; i < 3; i++ {
+						n, err := sysOK(st, kernel.NrRecv, conn, uint64(buf.Addr), buf.Size)
+						if err != nil {
+							return err
+						}
+						if _, err := sysOK(st, kernel.NrSend, conn, uint64(buf.Addr), n); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			})
+			client := task.Go("client", func(ct *Task) error {
+				return inBox(ct, func(ct *Task) error {
+					buf := ct.Alloc(64)
+					c, err := sysOK(ct, kernel.NrSocket)
+					if err != nil {
+						return err
+					}
+					if _, err := sysOK(ct, kernel.NrConnect, c, uint64(DefaultHostIP), port); err != nil {
+						return err
+					}
+					for i := 0; i < 3; i++ {
+						msg := ct.NewString(fmt.Sprintf("ping%d", i))
+						if _, err := sysOK(ct, kernel.NrSend, c, uint64(msg.Addr), msg.Size); err != nil {
+							return err
+						}
+						n, err := sysOK(ct, kernel.NrRecv, c, uint64(buf.Addr), buf.Size)
+						if err != nil {
+							return err
+						}
+						if got := ct.ReadString(buf.Slice(0, n)); got != fmt.Sprintf("ping%d", i) {
+							return fmt.Errorf("echo %d read %q", i, got)
+						}
+					}
+					return nil
+				})
+			})
+			if err := client.Join(task); err != nil {
+				return err
+			}
+			return server.Join(task)
+		})
+	})
+}
+
+// TestDriverWokenFromHost: a task waits for a reply from a host
+// goroutine outside the program, simdb-style, while the root task that
+// drives the program has nothing else to run and parks. The host
+// goroutine's write wakes the task; the task's exit then wakes the
+// root's Join.
+func TestDriverWokenFromHost(t *testing.T) {
+	addr := simnet.Addr{Host: simnet.HostIP(10, 0, 0, 9), Port: 5433}
+	prog := ownedProgram(t, MPK)
+	ln, err := prog.Net().Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			buf := make([]byte, 64)
+			n, err := conn.Read(buf)
+			if err != nil {
+				return err
+			}
+			// Let the root park first: nothing in the program is
+			// ready until this write.
+			time.Sleep(time.Millisecond)
+			_, err = conn.Write(append([]byte("re:"), buf[:n]...))
+			return err
+		}()
+	}()
+	within(t, "wake from a host goroutine", func() error {
+		return prog.Run(func(task *Task) error {
+			h := task.Go("query", func(ct *Task) error {
+				return inBox(ct, func(ct *Task) error {
+					buf := ct.Alloc(64)
+					c, err := sysOK(ct, kernel.NrSocket)
+					if err != nil {
+						return err
+					}
+					if _, err := sysOK(ct, kernel.NrConnect, c, uint64(addr.Host), uint64(addr.Port)); err != nil {
+						return err
+					}
+					q := ct.NewString("GET k")
+					if _, err := sysOK(ct, kernel.NrSend, c, uint64(q.Addr), q.Size); err != nil {
+						return err
+					}
+					n, err := sysOK(ct, kernel.NrRecv, c, uint64(buf.Addr), buf.Size)
+					if err != nil {
+						return err
+					}
+					if got := ct.ReadString(buf.Slice(0, n)); got != "re:GET k" {
+						return fmt.Errorf("reply %q", got)
+					}
+					return nil
+				})
+			})
+			return h.Join(task)
+		})
+	})
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDriverFaultReachesJoin: a protection fault inside a coroutine
+// ends its body, and Join returns the *litterbox.Fault.
+func TestDriverFaultReachesJoin(t *testing.T) {
+	prog := ownedProgram(t, MPK)
+	slots, err := prog.VarRef("main", "slots")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = prog.Run(func(task *Task) error {
+		h := task.Go("intruder", func(ct *Task) error {
+			return inBox(ct, func(ct *Task) error {
+				_ = ct.Load64(slots.Addr) // outside the box's view
+				return errors.New("a read outside the view did not fault")
+			})
+		})
+		var fault *litterbox.Fault
+		if err := h.Join(task); !errors.As(err, &fault) || fault.Op != "read" {
+			return fmt.Errorf("Join: %v, want the child's read fault", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNetworkWaitWakeAllocs pins a network round trip between two
+// tasks of one program at zero allocations: the root task's send wakes
+// a sibling waiting in recv, and the root's own recv waits, driving the
+// sibling, until the echo wakes it.
+func TestNetworkWaitWakeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on synchronisation")
+	}
+	prog := ownedProgram(t, MPK)
+	a, b := simnet.Pair()
+	fa, fb := uint64(prog.Proc().InjectConn(a)), uint64(prog.Proc().InjectConn(b))
+	err := prog.Run(func(task *Task) error {
+		h := task.Go("echo", func(ct *Task) error {
+			buf := ct.Alloc(8)
+			for {
+				n, err := sysOK(ct, kernel.NrRecv, fb, uint64(buf.Addr), buf.Size)
+				if err != nil || n == 0 {
+					return err
+				}
+				if _, err := sysOK(ct, kernel.NrSend, fb, uint64(buf.Addr), n); err != nil {
+					return err
+				}
+			}
+		})
+		buf := task.Alloc(8)
+		took := task.enter()
+		allocs := testing.AllocsPerRun(200, func() {
+			task.Syscall(kernel.NrSend, fa, uint64(buf.Addr), 1)
+			task.Syscall(kernel.NrRecv, fa, uint64(buf.Addr), buf.Size)
+		})
+		task.leave(took)
+		if _, err := sysOK(task, kernel.NrClose, fa); err != nil {
+			return err
+		}
+		if err := h.Join(task); err != nil {
+			return err
+		}
+		if allocs != 0 {
+			return fmt.Errorf("network wait-and-wake round trip allocates %.1f times", allocs)
 		}
 		return nil
 	})

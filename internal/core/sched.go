@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
@@ -54,7 +53,6 @@ func (p *Program) NewScheduler() (*Sched, error) {
 	if err := p.lb.InstallEnv(s.cpu, p.lb.Trusted()); err != nil {
 		return nil, err
 	}
-	p.scheds = append(p.scheds, s)
 	return s, nil
 }
 
@@ -128,33 +126,6 @@ func (s *Sched) resume(t *Task) error {
 	}
 	s.resumes++
 	return nil
-}
-
-// threadWait is the run token as a Sched thread's kernel network wait
-// releases it: retaking it resumes the thread, whose system call goes
-// on, on the scheduler CPU. A failed switch has aborted the thread's
-// domain already, and its next entry point faults.
-type threadWait struct{ t *Task }
-
-func (w threadWait) Unlock() { w.t.prog.q.Unlock() }
-
-func (w threadWait) Lock() {
-	w.t.prog.q.Lock()
-	_ = w.t.sched.resume(w.t)
-	w.t.cpu.Pkg = w.t.CurrentPkg()
-}
-
-// waitToken is the program's run-token hook in its kernel
-// (kernel.Kernel.SetRunToken): the lock a network wait of a system call
-// on cpu releases and retakes. On a scheduler's CPU, the caller is the
-// thread whose turn started last.
-func (p *Program) waitToken(cpu *hw.CPU) sync.Locker {
-	for _, s := range p.scheds {
-		if s.cpu == cpu {
-			return threadWait{s.last}
-		}
-	}
-	return &p.q
 }
 
 // Yield cooperatively gives up the scheduler CPU: the thread joins the

@@ -120,7 +120,7 @@ func (t *Template) wrap(inst *snapstart.Instance) (*Program, error) {
 		snapInst:      inst,
 	}
 	np.runtimeCPU = np.newCPU()
-	np.kernel.SetRunToken(np.waitToken)
+	np.kernel.SetScheduler(&np.q)
 	np.heap = t.heap.CloneWith(np.runtimeMmap, np.runtimeTransfer, inst.Remap)
 	for name, e := range p.encls {
 		env, err := np.lb.EnvForEnclosure(e.id)

@@ -28,8 +28,12 @@ type Task struct {
 	cache  *litterbox.EnvCache // per-worker Prolog target cache
 	frames []stackFrame        // split-stack segments (see stack.go)
 	// held reports whether the task holds its program's run token: it
-	// is inside a core entry point (see run.go).
+	// is inside a core entry point, or is a coroutine (see run.go).
 	held bool
+	// resume runs a coroutine's next turn; it returns when the turn
+	// calls yield or the body exits. Both are nil for host-driven tasks.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 
 	// ring is the task-private submission ring for tasks not pinned to
 	// a worker (pinned tasks share the worker's); nil until the first
@@ -451,7 +455,7 @@ type Handle struct {
 func (h *Handle) Join(t *Task) error {
 	defer h.q.leave(t, h.q.enter(t))
 	if !h.done {
-		w := h.q.waiter(t)
+		w := h.q.waiter(h.q.cur)
 		h.joiners.push(w)
 		h.q.block(w)
 	}
@@ -471,24 +475,21 @@ func (t *Task) Go(name string, fn func(t *Task) error) *Handle {
 	return t.prog.start(t.prog.newTaskOn(t.worker, name, t.env, t.CurrentPkg()), fn)
 }
 
-// start runs fn on t as a simulated goroutine. The caller holds the run
-// token; t joins the tail of the run queue and holds the token for each
-// turn, from the release that hands it over until t blocks or exits. On
+// start makes fn t's coroutine. The caller holds the run token; t
+// joins the tail of the run queue, and each of its turns holds the
+// token, from the resume that starts it until t blocks or exits. On
 // exit it queues its joiners.
 func (p *Program) start(t *Task, fn func(t *Task) error) *Handle {
 	q := &p.q
-	h, w := &Handle{q: q}, q.waiter(nil)
-	q.ready(w)
-	go func() {
-		q.sleep(w)
-		t.held = true
+	h := &Handle{q: q}
+	t.held = true
+	t.startCoroutine(func() {
 		h.err, h.done = t.turn(fn), true
 		for w := h.joiners.pop(); w != nil; w = h.joiners.pop() {
 			q.ready(w)
 		}
-		t.held = false
-		q.Unlock()
-	}()
+	})
+	q.ready(q.waiter(t))
 	return h
 }
 

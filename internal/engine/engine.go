@@ -39,6 +39,7 @@ import (
 	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/core"
+	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/litterbox"
 )
 
@@ -146,7 +147,9 @@ type Engine struct {
 
 	// warm, when non-nil, serves every job in its own snapshot-cloned
 	// program instance drawn from a per-worker pool (core.WithWarmPool).
-	warm *warmState
+	// warmErr is why it is nil when the program asked for one.
+	warm    *warmState
+	warmErr error
 }
 
 // worker is one virtual CPU's engine-side state.
@@ -161,9 +164,12 @@ type worker struct {
 	spills   int64
 	rejected int64
 	maxDepth int64
-	// The Prolog cache hits and misses and the faults of the jobs w ran
-	// on warm instances, whose worker contexts are not w.ctx.
+	// The Prolog cache hits and misses, the faults, the virtual time
+	// and the hardware events of the jobs w ran on warm instances,
+	// whose worker contexts are not w.ctx.
 	warmHits, warmMisses, warmFaults int64
+	warmClockNs                      int64
+	warmCounters                     hw.Counters
 
 	// vtFree is the worker's virtual-time backlog horizon: the
 	// completion time of the last job it executed, on the submitters'
@@ -207,7 +213,7 @@ func New(prog *core.Program, opts Opts) *Engine {
 	e := &Engine{prog: prog, opts: opts, queues: make([]*classQueue, opts.Workers)}
 	// Capture the warm template before binding any worker to the shared
 	// program, so the snapshot sees the program exactly as Build left it.
-	e.warm = initWarm(prog, opts.Workers)
+	e.warm, e.warmErr = initWarm(prog, opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		e.queues[i] = &classQueue{}
 		e.workers = append(e.workers, &worker{idx: i, ctx: prog.NewWorker(fmt.Sprintf("cpu%d", i))})
@@ -370,7 +376,9 @@ func (e *Engine) dequeueLocked(w *worker) (job, bool, bool) {
 func (e *Engine) exec(w *worker, j job) (start, completion, service int64, err error) {
 	var t *core.Task
 	var inst *core.Program
-	var hits, misses, faults int64 // the warm instance's worker's, before the job
+	// The warm instance's worker's counts before the job, then the job's.
+	var hits, misses, faults int64
+	var counters, countersAfter hw.Counters
 	clock := w.ctx.Clock()
 	if e.warm != nil {
 		// Warm admission: the job gets its own snapshot instance; a
@@ -380,6 +388,7 @@ func (e *Engine) exec(w *worker, j job) (start, completion, service int64, err e
 			clock = t.Worker().Clock()
 			hits, misses = t.Worker().EnvCache().Stats()
 			faults = t.Worker().Domain().Faults()
+			counters = t.Worker().Counters().Snapshot()
 		}
 	}
 	if t == nil {
@@ -393,6 +402,7 @@ func (e *Engine) exec(w *worker, j job) (start, completion, service int64, err e
 		// recycle, which may discard the instance.
 		h, m := t.Worker().EnvCache().Stats()
 		hits, misses, faults = h-hits, m-misses, t.Worker().Domain().Faults()-faults
+		countersAfter = t.Worker().Counters().Snapshot()
 		e.warm.pools[w.idx].Put(inst)
 	} else {
 		w.ctx.Domain().Reset()
@@ -403,6 +413,10 @@ func (e *Engine) exec(w *worker, j job) (start, completion, service int64, err e
 	w.warmHits += hits
 	w.warmMisses += misses
 	w.warmFaults += faults
+	if inst != nil {
+		w.warmClockNs += service
+		w.warmCounters.AddDelta(countersAfter, counters)
+	}
 	start = w.vtFree
 	if j.arrival > start {
 		start = j.arrival

@@ -389,3 +389,70 @@ func TestConcurrentEnclosureIsolation(t *testing.T) {
 		})
 	}
 }
+
+// TestDriversShareOneProgram: several host goroutines step distinct
+// workers of one engine at once, so each drives the one program's
+// coroutines while the others wait for its run token. Every job
+// spawns a task, trades hand-offs with it and joins it; every job
+// completes, and the workers' clocks add up to what the same jobs run
+// one at a time charge.
+func TestDriversShareOneProgram(t *testing.T) {
+	const workers, jobs, trips = 4, 32, 5
+	run := func(concurrent bool) []WorkerMetrics {
+		prog := buildProg(t, core.MPK, nil)
+		e := New(prog, Opts{Workers: workers, QueueDepth: jobs})
+		defer e.Close()
+		var dones []<-chan error
+		for j := 0; j < jobs; j++ {
+			dones = append(dones, submit(t, e, j%workers, fmt.Sprintf("job%d", j), func(task *core.Task) error {
+				req, rep := core.NewHandoff[int](0), core.NewHandoff[int](0)
+				h := task.Go("echo", func(ct *core.Task) error {
+					for {
+						v, ok := req.Recv(ct)
+						if !ok {
+							return nil
+						}
+						ct.Compute(10)
+						rep.Send(ct, v+1)
+					}
+				})
+				for i := 0; i < trips; i++ {
+					req.Send(task, i)
+					if v, _ := rep.Recv(task); v != i+1 {
+						return fmt.Errorf("echo %d -> %d", i, v)
+					}
+				}
+				req.Close(task)
+				return h.Join(task)
+			}))
+		}
+		if concurrent {
+			stepAll(e)
+		} else {
+			for i := 0; i < workers; i++ {
+				for {
+					if _, ok := e.StepWorker(i); !ok {
+						break
+					}
+				}
+			}
+		}
+		for _, done := range dones {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.Metrics()
+	}
+	total := func(ms []WorkerMetrics) (n int64) {
+		for _, m := range ms {
+			n += m.ClockNs
+		}
+		return n
+	}
+	seq, par := run(false), run(true)
+	if TotalRequests(par) != jobs || total(par) != total(seq) {
+		t.Fatalf("stepped at once: %d jobs charging %d ns; one at a time: %d jobs charging %d ns",
+			TotalRequests(par), total(par), TotalRequests(seq), total(seq))
+	}
+}

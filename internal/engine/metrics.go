@@ -46,6 +46,8 @@ func (e *Engine) Metrics() []WorkerMetrics {
 	out := make([]WorkerMetrics, len(e.workers))
 	for i, w := range e.workers {
 		hits, misses := w.ctx.EnvCache().Stats()
+		counters := w.ctx.Counters().Snapshot()
+		counters.AddDelta(w.warmCounters, hw.Counters{})
 		out[i] = WorkerMetrics{
 			Worker:   i,
 			Name:     w.ctx.Name(),
@@ -61,11 +63,11 @@ func (e *Engine) Metrics() []WorkerMetrics {
 
 			Depth:    e.queues[i].len(),
 			Faults:   w.ctx.Domain().Faults() + w.warmFaults,
-			ClockNs:  w.ctx.Clock().Now(),
+			ClockNs:  w.ctx.Clock().Now() + w.warmClockNs,
 			EnvHits:  hits + w.warmHits,
 			EnvMiss:  misses + w.warmMisses,
 			EnvGen:   w.ctx.EnvCache().Generation(),
-			Counters: w.ctx.Counters().Snapshot(),
+			Counters: counters,
 		}
 	}
 	return out

@@ -18,23 +18,24 @@ type warmState struct {
 
 // initWarm captures prog as a snapshot template and builds the
 // per-worker pools. A program that cannot be snapshot-cloned (MPK with
-// virtualised keys, live fds) leaves warm mode off and the engine
-// falls back to running jobs on the shared program — the cold path.
-func initWarm(prog *core.Program, workers int) *warmState {
+// virtualised keys, live fds, a live listener) leaves warm mode off
+// and the engine falls back to running jobs on the shared program —
+// the cold path — with the capture's error kept for WarmErr.
+func initWarm(prog *core.Program, workers int) (*warmState, error) {
 	size := prog.WarmPoolSize()
 	if size <= 0 {
-		return nil
+		return nil, nil
 	}
 	t, err := prog.Snapshot()
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	ws := &warmState{t: t, pools: make([]*core.WarmPool, workers), names: make([]string, workers)}
 	for i := range ws.pools {
 		ws.pools[i] = t.NewPool(size)
 		ws.names[i] = fmt.Sprintf("warm-cpu%d", i)
 	}
-	return ws
+	return ws, nil
 }
 
 // acquireWarm draws a warm program instance for worker w and a task on
@@ -56,6 +57,11 @@ func (e *Engine) WarmTemplate() *core.Template {
 	}
 	return e.warm.t
 }
+
+// WarmErr returns why warm mode is off although the program asked for
+// a warm pool (core.WithWarmPool): the snapshot capture's error. It is
+// nil when warm mode is on or was never asked for.
+func (e *Engine) WarmErr() error { return e.warmErr }
 
 // WarmStats aggregates the per-worker pool counters. ok is false when
 // warm mode is off.

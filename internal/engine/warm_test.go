@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/litterbox-project/enclosure/internal/core"
+	"github.com/litterbox-project/enclosure/internal/kernel"
 )
 
 func buildWarmEngineProgram(t *testing.T, opts ...core.Option) *core.Program {
@@ -174,5 +175,46 @@ func TestWarmMetricsFoldInstanceWorkers(t *testing.T) {
 	})
 	if m := e.Metrics()[0]; m.Faults != 1 {
 		t.Fatalf("metrics read %d faults after a warm job faulted, want 1", m.Faults)
+	}
+}
+
+// TestWarmMetricsFoldInstanceClock: a warm job charges the clock and
+// counters of its instance's worker, which the recycle zeroes, so the
+// engine folds each job's clock advance and counter deltas into its
+// worker's metrics. Five jobs of 1,000 ns, each making one system
+// call, read 5,000 ns and five system calls, and ElapsedNs over the
+// window reads the same 5,000 ns.
+func TestWarmMetricsFoldInstanceClock(t *testing.T) {
+	prog := buildWarmEngineProgram(t, core.WithWarmPool(2))
+	e := New(prog, Opts{Workers: 1})
+	defer e.Close()
+	if e.WarmTemplate() == nil {
+		t.Fatal("warm mode is off")
+	}
+	before := e.Metrics()
+	const jobs, jobNs = 5, 1000
+	for range jobs {
+		err := e.Submit(JobSpec{Name: "tick", Fn: func(task *core.Task) error {
+			clock := task.CPU().Clock
+			from := clock.Now()
+			task.Syscall(kernel.NrGetpid)
+			task.Compute(jobNs - (clock.Now() - from))
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.StepWorker(0); !ok {
+			t.Fatal("no job ran")
+		}
+	}
+	after := e.Metrics()
+	m := after[0]
+	if m.ClockNs != jobs*jobNs || m.Counters.Syscalls != jobs {
+		t.Fatalf("metrics read %d ns and %d syscalls over %d warm jobs, want %d and %d",
+			m.ClockNs, m.Counters.Syscalls, jobs, jobs*jobNs, jobs)
+	}
+	if got := ElapsedNs(before, after); got != jobs*jobNs {
+		t.Fatalf("ElapsedNs over the warm jobs reads %d, want %d", got, jobs*jobNs)
 	}
 }

@@ -151,6 +151,22 @@ type Counters struct {
 // CounterSnapshot is a copy of Counters taken by Snapshot.
 type CounterSnapshot = Counters
 
+// AddDelta adds the counts from before to after to c.
+func (c *Counters) AddDelta(after, before Counters) {
+	c.Switches += after.Switches - before.Switches
+	c.WRPKRUWrites += after.WRPKRUWrites - before.WRPKRUWrites
+	c.VMExits += after.VMExits - before.VMExits
+	c.GuestSyscalls += after.GuestSyscalls - before.GuestSyscalls
+	c.Syscalls += after.Syscalls - before.Syscalls
+	c.BPFRuns += after.BPFRuns - before.BPFRuns
+	c.Transfers += after.Transfers - before.Transfers
+	c.PkeyMprotects += after.PkeyMprotects - before.PkeyMprotects
+	c.PTWalks += after.PTWalks - before.PTWalks
+	c.Faults += after.Faults - before.Faults
+	c.RingBatches += after.RingBatches - before.RingBatches
+	c.RingEntries += after.RingEntries - before.RingEntries
+}
+
 // Snapshot returns a copy of the counters.
 func (c *Counters) Snapshot() CounterSnapshot { return *c }
 

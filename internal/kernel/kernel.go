@@ -3,7 +3,6 @@ package kernel
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
 
 	"github.com/litterbox-project/enclosure/internal/hw"
 	"github.com/litterbox-project/enclosure/internal/mem"
@@ -33,11 +32,11 @@ type Kernel struct {
 	clock *hw.Clock
 	space *mem.AddressSpace
 
-	// run returns the owning program's run token as a network wait
-	// releases it (nil outside a program). The caller of a system call
-	// holds the token (see SetRunToken). Everything below is the
-	// program's own and is touched only under it.
-	run func(cpu *hw.CPU) sync.Locker
+	// sched is the owning program's scheduler (nil outside a program).
+	// The caller of a system call holds its run token (see
+	// SetScheduler). Everything below is the program's own and is
+	// touched only under it.
+	sched simnet.Sched
 
 	pkeys PkeyOps
 	rng   uint64
@@ -79,61 +78,52 @@ type Kernel struct {
 	// trace is installed only while a tracer is attached, so an untraced
 	// system call pays one nil check for it.
 	trace TraceSource
-	// While a tracer is attached, a network wait releases the run token
-	// through a tokenWait from waits (a free list), and the call's
-	// parked time is left in parked for emitSyscall to subtract.
-	waits  []*tokenWait
+	// While a tracer is attached, a network wait goes through a
+	// tracedWait from waits (a free list), and the call's parked time
+	// is left in parked for emitSyscall to subtract.
+	waits  []*tracedWait
 	parked int64
 }
 
-// tokenWait is the run token as one traced network wait releases it:
-// it reads the waiting CPU's clock at release and again once the token
-// is retaken, and sums the advance, the virtual time siblings charged
-// to that clock meanwhile, in parked.
-type tokenWait struct {
-	run      sync.Locker
-	clock    *hw.Clock
-	released int64
-	parked   int64
+// tracedWait is the scheduler as one traced system call's network
+// waits see it: it sums, in parked, how far the waiting CPU's clock
+// advanced over each Block, the virtual time siblings charged to that
+// clock meanwhile.
+type tracedWait struct {
+	simnet.Sched
+	clock  *hw.Clock
+	parked int64
 }
 
-func (w *tokenWait) Unlock() {
-	w.released = w.clock.Now()
-	w.run.Unlock()
+func (w *tracedWait) Block(sw simnet.Waiter) {
+	from := w.clock.Now()
+	w.Sched.Block(sw)
+	w.parked += w.clock.Now() - from
 }
 
-func (w *tokenWait) Lock() {
-	w.run.Lock()
-	w.parked += w.clock.Now() - w.released
-}
-
-// yield returns the lock a network wait of a system call on cpu
-// releases: the run token (nil outside a program), or, while a tracer
-// is attached, a tokenWait over it. The caller hands it back to
-// endWait once the wait is over.
-func (k *Kernel) yield(cpu *hw.CPU) sync.Locker {
-	if k.run == nil {
-		return nil
+// io returns the flags of a network call on cpu: its scheduler (nil
+// outside a program), or, while a tracer is attached, a tracedWait over
+// it. The caller hands them back to endWait once the call is over.
+func (k *Kernel) io(cpu *hw.CPU, nonblock bool) simnet.IOFlags {
+	if k.sched == nil || k.trace == nil {
+		return simnet.IOFlags{Nonblock: nonblock, Sched: k.sched}
 	}
-	if k.trace == nil {
-		return k.run(cpu)
-	}
-	var w *tokenWait
+	var w *tracedWait
 	if n := len(k.waits); n > 0 {
 		w, k.waits = k.waits[n-1], k.waits[:n-1]
 	} else {
-		w = &tokenWait{}
+		w = &tracedWait{}
 	}
-	w.run, w.clock, w.parked = k.run(cpu), cpu.Clock, 0
-	return w
+	w.Sched, w.clock, w.parked = k.sched, cpu.Clock, 0
+	return simnet.IOFlags{Nonblock: nonblock, Sched: w}
 }
 
-// endWait records a traced wait's parked time for the call's event and
-// returns its tokenWait to the free list.
-func (k *Kernel) endWait(l sync.Locker) {
-	if w, ok := l.(*tokenWait); ok {
+// endWait records a traced call's parked time for its event and
+// returns its tracedWait to the free list.
+func (k *Kernel) endWait(f simnet.IOFlags) {
+	if w, ok := f.Sched.(*tracedWait); ok {
 		k.parked += w.parked
-		w.clock = nil
+		w.Sched, w.clock = nil, nil
 		k.waits = append(k.waits, w)
 	}
 }
@@ -255,15 +245,14 @@ func (k *Kernel) RingDivergences() int64 { return k.ringDivergences }
 // SetPkeyOps wires in the MPK unit's key management.
 func (k *Kernel) SetPkeyOps(ops PkeyOps) { k.pkeys = ops }
 
-// SetRunToken hands the kernel its program's run token: run returns
-// the lock that a network wait of a system call on cpu releases, handing
-// the token to the next task in the program's run queue, and retakes at
-// the tail of that queue. Every system call arrives holding the token.
-// Accept on an empty backlog, recv on an empty socket and send into a
-// full one release it for the length of the wait, so the sibling that
-// will wake the caller can run; the copy to or from user memory stays
-// under it. Call it before the program runs.
-func (k *Kernel) SetRunToken(run func(cpu *hw.CPU) sync.Locker) { k.run = run }
+// SetScheduler hands the kernel its program's scheduler. Every system
+// call arrives holding the program's run token. Accept on an empty
+// backlog, recv on an empty socket and send into a full one wait
+// through s, so the sibling that will wake the caller can run; the
+// copy to or from user memory never waits. A send, recv or connect
+// readies the program's tasks it wakes in the program's order. Call it
+// before the program runs.
+func (k *Kernel) SetScheduler(s simnet.Sched) { k.sched = s }
 
 // HeapOwner is the pseudo-package owning freshly mmap-ed spans until the
 // runtime Transfers them into a real package's arena.
@@ -641,11 +630,11 @@ func (k *Kernel) sysRead(p *Proc, cpu *hw.CPU, fd int, buf mem.Addr, n uint64) (
 	case e.file != nil:
 		return k.readFile(e.file, buf, n)
 	case e.conn != nil:
-		yield := k.yield(cpu)
-		got, err := e.conn.ReadTo(int(n), simnet.IOFlags{Nonblock: p.nonBlock, Yield: yield}, func(src []byte, off int) error {
+		f := k.io(cpu, p.nonBlock)
+		got, err := e.conn.ReadTo(int(n), f, func(src []byte, off int) error {
 			return k.copyOut(buf+mem.Addr(off), src)
 		})
-		k.endWait(yield)
+		k.endWait(f)
 		switch {
 		case err == nil || got > 0:
 			return uint64(got), OK
@@ -707,11 +696,11 @@ func (k *Kernel) sysWrite(p *Proc, cpu *hw.CPU, fd int, buf mem.Addr, n uint64) 
 	case e.file != nil:
 		return k.writeFile(e.file, buf, n)
 	case e.conn != nil:
-		yield := k.yield(cpu)
-		wrote, err := e.conn.WriteFrom(int(n), yield, func(dst []byte, off int) error {
+		f := k.io(cpu, false)
+		wrote, err := e.conn.WriteFrom(int(n), f, func(dst []byte, off int) error {
 			return k.copyIn(dst, buf+mem.Addr(off))
 		})
-		k.endWait(yield)
+		k.endWait(f)
 		switch {
 		case errors.Is(err, simnet.ErrClosed):
 			return uint64(wrote), EBADF
@@ -871,9 +860,9 @@ func (k *Kernel) sysAccept(p *Proc, cpu *hw.CPU, fd int) (uint64, Errno) {
 	if e.ln == nil {
 		return 0, ENOTSOCK
 	}
-	yield := k.yield(cpu)
-	c, err := e.ln.AcceptFlags(simnet.IOFlags{Nonblock: p.nonBlock, Yield: yield})
-	k.endWait(yield)
+	f := k.io(cpu, p.nonBlock)
+	c, err := e.ln.AcceptFlags(f)
+	k.endWait(f)
 	if err == simnet.ErrWouldBlock {
 		return 0, EAGAIN
 	}
@@ -891,7 +880,7 @@ func (k *Kernel) sysConnect(p *Proc, fd int, host uint32, port uint16) (uint64, 
 	if e.sock == nil {
 		return 0, ENOTSOCK
 	}
-	c, err := k.Net.Dial(p.HostIP, simnet.Addr{Host: host, Port: port})
+	c, err := k.Net.DialFlags(p.HostIP, simnet.Addr{Host: host, Port: port}, simnet.IOFlags{Sched: k.sched})
 	if err != nil {
 		return 0, ECONNREFUSED
 	}

@@ -12,16 +12,34 @@ import (
 	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
-// The kernel-wait tests: a blocking accept, recv or send releases the
-// program's run token for the wait and holds it again when the call
-// returns (SetRunToken). CI runs them under -race with -count=20.
+// The kernel-wait tests: a blocking accept, recv or send waits through
+// the program's scheduler, which releases the run token for the wait
+// and holds it again when the call returns (SetScheduler). CI runs
+// them under -race with -count=20.
+
+// mutexSched stands in for a program's scheduler: its run token is a
+// mutex, which a wait releases for its length and takes again.
+type mutexSched struct{ run *sync.Mutex }
+
+// chanWaiter is a mutexSched wait: a one-slot wake.
+type chanWaiter chan struct{}
+
+func (w chanWaiter) Wake() { w <- struct{}{} }
+
+func (s mutexSched) Waiter() simnet.Waiter { return make(chanWaiter, 1) }
+func (s mutexSched) Wake(w simnet.Waiter)  { w.Wake() }
+func (s mutexSched) Block(w simnet.Waiter) {
+	s.run.Unlock()
+	<-w.(chanWaiter)
+	s.run.Lock()
+}
 
 // tokenWorld is a world whose kernel has a run token.
 func tokenWorld(t *testing.T) (*world, *sync.Mutex) {
 	t.Helper()
 	w := newWorld(t)
 	run := new(sync.Mutex)
-	w.k.SetRunToken(func(*hw.CPU) sync.Locker { return run })
+	w.k.SetScheduler(mutexSched{run})
 	return w, run
 }
 

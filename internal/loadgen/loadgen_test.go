@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -262,6 +263,32 @@ func TestWikiTargetServes(t *testing.T) {
 				t.Fatalf("completed %d/60", res.Completed)
 			}
 		})
+	}
+}
+
+// TestWarmTargetFallbackIsLoud: a target whose program asks for a warm
+// pool either runs on the captured template or fails with the
+// capture's error. The wiki's database listens on the program's
+// network before the engine starts, so its capture fails with
+// simnet.ErrNotQuiescent; HTTP and FastHTTP keep their template.
+func TestWarmTargetFallbackIsLoud(t *testing.T) {
+	if tg, err := NewWikiTarget(core.MPK, EngineOpts{Workers: 1}, core.WithWarmPool(2)); !errors.Is(err, simnet.ErrNotQuiescent) {
+		if err == nil {
+			tg.Close()
+		}
+		t.Fatalf("warm wiki target: %v, want %v", err, simnet.ErrNotQuiescent)
+	}
+	for _, app := range []string{"HTTP", "FastHTTP"} {
+		tg, err := NewTarget(app, core.MPK, EngineOpts{Workers: 1}, core.WithWarmPool(2))
+		if err != nil {
+			t.Fatalf("warm %s target: %v", app, err)
+		}
+		if tg.Engine().WarmTemplate() == nil {
+			t.Errorf("warm %s target runs without its template", app)
+		}
+		if err := tg.Close(); err != nil {
+			t.Errorf("close %s: %v", app, err)
+		}
 	}
 }
 

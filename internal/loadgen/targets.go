@@ -158,8 +158,12 @@ func NewHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Opti
 	if err != nil {
 		return nil, err
 	}
+	eng, err := newEngine(prog, opts)
+	if err != nil {
+		return nil, err
+	}
 	return &appTarget{
-		name: "HTTP", backend: kind, eng: engine.New(prog, opts.engineOpts()),
+		name: "HTTP", backend: kind, eng: eng,
 		conn:  httpserv.NewConnHandler(prog.MustEnclosure("handler")),
 		kinds: []string{"page"},
 		reqs: map[string]requestKind{
@@ -177,9 +181,13 @@ func NewFastHTTPTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.
 	if err != nil {
 		return nil, err
 	}
+	eng, err := newEngine(prog, opts)
+	if err != nil {
+		return nil, err
+	}
 	conn, stop := fasthttp.NewConnHandler(prog.MustEnclosure("server"), httpserv.StaticPage())
 	return &appTarget{
-		name: "FastHTTP", backend: kind, eng: engine.New(prog, opts.engineOpts()),
+		name: "FastHTTP", backend: kind, eng: eng,
 		conn: conn, stop: stop,
 		kinds: []string{"page", "stream"},
 		reqs: map[string]requestKind{
@@ -204,10 +212,17 @@ func NewWikiTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Opti
 	if err != nil {
 		return nil, err
 	}
+	// The database's listener keeps the network live, so a warm pool
+	// cannot capture the program: newEngine refuses it.
+	eng, err := newEngine(prog, opts)
+	if err != nil {
+		db.Close()
+		return nil, err
+	}
 	db.Put("welcome", []byte(wikiPage))
 	conn, stop := wiki.NewConnHandler(prog.MustEnclosure("http-server"), prog.MustEnclosure("db-proxy"))
 	return &appTarget{
-		name: "wiki", backend: kind, eng: engine.New(prog, opts.engineOpts()),
+		name: "wiki", backend: kind, eng: eng,
 		conn: conn, stop: stop,
 		closers: []func() error{func() error { db.Close(); return nil }},
 		kinds:   []string{"view"},
@@ -215,6 +230,18 @@ func NewWikiTarget(kind core.BackendKind, opts EngineOpts, progOpts ...core.Opti
 			"view": {wire: get("/view/welcome"), bodyHas: wikiPage},
 		},
 	}, nil
+}
+
+// newEngine starts a target's engine over prog. A program that asks
+// for a warm pool the engine cannot capture fails with the capture's
+// error rather than running every job on the shared program.
+func newEngine(prog *core.Program, opts EngineOpts) (*engine.Engine, error) {
+	e := engine.New(prog, opts.engineOpts())
+	if err := e.WarmErr(); err != nil {
+		e.Close()
+		return nil, fmt.Errorf("loadgen: warm pool: %w", err)
+	}
+	return e, nil
 }
 
 // NewTarget resolves an app name ("HTTP", "FastHTTP", "wiki") to its

@@ -1,8 +1,10 @@
 // Package simdb stands in for the PostgreSQL instance of the paper's
-// wiki web-app usability study (§6.3, Figure 5). The database runs as a
-// host-level goroutine on the simulated network — a separate machine,
-// like the load generator — speaking a tiny line-oriented key-value
-// protocol:
+// wiki web-app usability study (§6.3, Figure 5). The database runs at
+// host level on the simulated network — a separate machine, like the
+// load generator — speaking a tiny line-oriented key-value protocol.
+// Its accept loop is a goroutine, and each connection's handler a
+// simnet.Go coroutine that answers on the goroutine of whoever sends
+// it a command:
 //
 //	GET <key>\n                → VAL <len>\n<len bytes>  |  NIL\n
 //	SET <key> <len>\n<bytes>   → OK\n
@@ -85,14 +87,16 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.done.Add(1)
-		go func() {
+		simnet.Go(func(sched simnet.Sched) {
 			defer s.done.Done()
-			s.serveConn(conn)
-		}()
+			s.serveConn(conn, simnet.IOFlags{Sched: sched})
+		})
 	}
 }
 
-func (s *Server) serveConn(conn *simnet.Conn) {
+// serveConn answers one connection's commands. It runs as a simnet.Go
+// coroutine whose every wait goes through f.
+func (s *Server) serveConn(conn *simnet.Conn, f simnet.IOFlags) {
 	defer conn.Close()
 	var buf []byte
 	tmp := make([]byte, 4096)
@@ -100,7 +104,7 @@ func (s *Server) serveConn(conn *simnet.Conn) {
 		// Read until we can satisfy one command.
 		line, rest, ok := cutLine(buf)
 		if !ok {
-			n, err := conn.Read(tmp)
+			n, err := conn.ReadFlags(tmp, f)
 			if n > 0 {
 				buf = append(buf, tmp[:n]...)
 			}
@@ -117,7 +121,7 @@ func (s *Server) serveConn(conn *simnet.Conn) {
 			val, found := s.data[fields[1]]
 			s.mu.Unlock()
 			if !found {
-				if _, err := conn.Write([]byte("NIL\n")); err != nil {
+				if _, err := conn.WriteFlags([]byte("NIL\n"), f); err != nil {
 					return
 				}
 				continue
@@ -127,19 +131,19 @@ func (s *Server) serveConn(conn *simnet.Conn) {
 			// it needs (each one charged in virtual time) would depend
 			// on host scheduling.
 			resp := append([]byte(fmt.Sprintf("VAL %d\n", len(val))), val...)
-			if _, err := conn.Write(resp); err != nil {
+			if _, err := conn.WriteFlags(resp, f); err != nil {
 				return
 			}
 		case len(fields) == 3 && fields[0] == "SET":
 			n, err := strconv.Atoi(fields[2])
 			if err != nil || n < 0 || n > 1<<20 {
-				if _, err := conn.Write([]byte("ERR\n")); err != nil {
+				if _, err := conn.WriteFlags([]byte("ERR\n"), f); err != nil {
 					return
 				}
 				continue
 			}
 			for len(buf) < n {
-				m, err := conn.Read(tmp)
+				m, err := conn.ReadFlags(tmp, f)
 				if m > 0 {
 					buf = append(buf, tmp[:m]...)
 				}
@@ -151,11 +155,11 @@ func (s *Server) serveConn(conn *simnet.Conn) {
 			s.data[fields[1]] = append([]byte(nil), buf[:n]...)
 			s.mu.Unlock()
 			buf = buf[n:]
-			if _, err := conn.Write([]byte("OK\n")); err != nil {
+			if _, err := conn.WriteFlags([]byte("OK\n"), f); err != nil {
 				return
 			}
 		default:
-			if _, err := conn.Write([]byte("ERR\n")); err != nil {
+			if _, err := conn.WriteFlags([]byte("ERR\n"), f); err != nil {
 				return
 			}
 		}

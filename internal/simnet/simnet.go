@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Addr is a simulated IPv4-style endpoint: a 32-bit host plus a port.
@@ -51,29 +52,104 @@ type IOFlags struct {
 	// Nonblock makes the operation return ErrWouldBlock instead of
 	// waiting, like O_NONBLOCK.
 	Nonblock bool
-	// Yield, when set, is a lock the caller holds that the operation
-	// releases for the length of each wait and takes again before it
-	// continues. The simulated kernel passes its program's run token,
-	// so a simulated goroutine blocked on the network lets its
-	// siblings run. Only the wait releases it, never a copy.
-	Yield sync.Locker
+	// Sched is the scheduler of the simulated program whose task makes
+	// the call (nil for a host goroutine, whose wait blocks it).
+	// The operation waits through it, and readies the waits it ends
+	// in that program's order.
+	Sched Sched
 }
 
-// wait blocks on c, whose lock mu the caller holds, releasing yield
-// (if set) for the length of the wait. The yield lock is taken before
-// mu, so it is retaken with mu dropped; the caller re-checks its
-// condition after every wait anyway.
-func wait(c *sync.Cond, mu *sync.Mutex, yield sync.Locker) {
-	if yield == nil {
-		c.Wait()
-		return
+// Sched is how the caller of a network operation waits and wakes: a
+// simulated program's run queue (internal/core), a Go coroutine, or a
+// host goroutine's (a nil IOFlags.Sched). A task never blocks its host
+// goroutine on the network: it lists a Waiter where the wake will come
+// from, and Block lets the program's other tasks run until the wake.
+type Sched interface {
+	// Waiter returns a wait for the calling task.
+	Waiter() Waiter
+	// Block lets the program's other tasks run until w is woken and
+	// returns on the calling task's next turn.
+	Block(w Waiter)
+	// Wake readies w for the calling task: behind the waits it readied
+	// before when w waits in the same program, as w.Wake otherwise.
+	Wake(w Waiter)
+}
+
+// Waiter is one wait on a stream or listener.
+type Waiter interface {
+	// Wake readies the wait from outside its program.
+	Wake()
+}
+
+// waiters are the waits on one condition guarded by a stream's or a
+// listener's lock. A broadcast ends them all once the broadcaster
+// drops the lock, since readying a simulated task may run it.
+type waiters struct {
+	list  []Waiter
+	woken bool // a broadcast ended the waits in list
+}
+
+// broadcast ends every wait. The caller holds the lock.
+func (ws *waiters) broadcast() { ws.woken = len(ws.list) > 0 }
+
+// wait blocks the caller, which holds mu, until a broadcast, through s
+// (nil: a host goroutine's wait), and returns holding mu; the caller
+// re-checks its condition. Wakes a broadcast still owes go out first,
+// and the caller returns at once.
+func (ws *waiters) wait(mu *sync.Mutex, s Sched) {
+	s = orHost(s)
+	if ws.woken {
+		ws.unlock(mu, s)
+	} else {
+		w := s.Waiter()
+		ws.list = append(ws.list, w)
+		mu.Unlock()
+		s.Block(w)
 	}
-	yield.Unlock()
-	c.Wait()
-	mu.Unlock()
-	yield.Lock()
 	mu.Lock()
 }
+
+// unlock drops mu and readies the waits a broadcast ended, on behalf of
+// by's running task (nil: a host goroutine).
+func (ws *waiters) unlock(mu *sync.Mutex, by Sched) {
+	if !ws.woken {
+		mu.Unlock()
+		return
+	}
+	var buf [2]Waiter
+	woken := append(buf[:0], ws.list...)
+	clear(ws.list)
+	ws.list, ws.woken = ws.list[:0], false
+	mu.Unlock()
+	by = orHost(by)
+	for _, w := range woken {
+		by.Wake(w)
+	}
+}
+
+// hostSched is the Sched of a host goroutine outside any program: a
+// wait blocks the goroutine on a one-slot channel from hostWaits.
+type hostSched struct{}
+
+type hostWaiter chan struct{}
+
+var hostWaits = sync.Pool{New: func() any { return make(hostWaiter, 1) }}
+
+func orHost(s Sched) Sched {
+	if s == nil {
+		return hostSched{}
+	}
+	return s
+}
+
+func (hostSched) Waiter() Waiter { return hostWaits.Get().(hostWaiter) }
+func (hostSched) Wake(w Waiter)  { w.Wake() }
+func (hostSched) Block(w Waiter) {
+	<-w.(hostWaiter)
+	hostWaits.Put(w)
+}
+
+func (w hostWaiter) Wake() { w <- struct{}{} }
 
 // stream is one direction of a connection: a bounded in-memory pipe
 // that holds its bytes in a queue of fixed-size blocks drawn from
@@ -84,7 +160,7 @@ func wait(c *sync.Cond, mu *sync.Mutex, yield sync.Locker) {
 // message of up to len(inline) blocks allocates no queue.
 type stream struct {
 	mu     sync.Mutex
-	cond   sync.Cond // cond.L is &mu
+	ws     waiters // readers and writers
 	blocks []*block
 	inline [2]*block
 	head   int
@@ -106,7 +182,6 @@ var blockPool = sync.Pool{New: func() any { return new(block) }}
 
 // init readies a zero stream in place: the stream must not move after.
 func (s *stream) init() {
-	s.cond.L = &s.mu
 	s.blocks = s.inline[:0]
 }
 
@@ -148,14 +223,14 @@ func (s *stream) pop() {
 // the tail block's free space piece by piece, and blocks while the
 // buffer holds streamBufSize bytes. A piece is committed only when fill
 // returns nil; a failed piece is discarded and the pieces before it
-// stay delivered. yield is released for each wait, as IOFlags.Yield.
-func (s *stream) writeFrom(n int, yield sync.Locker, fill func(dst []byte, off int) error) (int, error) {
+// stay delivered. f.Sched waits and wakes as IOFlags says.
+func (s *stream) writeFrom(n int, f IOFlags, fill func(dst []byte, off int) error) (int, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.ws.unlock(&s.mu, f.Sched)
 	written := 0
 	for written < n {
 		for !s.closed && s.n >= streamBufSize {
-			wait(&s.cond, &s.mu, yield)
+			s.ws.wait(&s.mu, f.Sched)
 		}
 		if s.closed {
 			return written, ErrClosed
@@ -174,7 +249,7 @@ func (s *stream) writeFrom(n int, yield sync.Locker, fill func(dst []byte, off i
 				if fresh {
 					blockPool.Put(b)
 				}
-				s.cond.Broadcast()
+				s.ws.broadcast()
 				return written, err
 			}
 			if fresh {
@@ -185,7 +260,7 @@ func (s *stream) writeFrom(n int, yield sync.Locker, fill func(dst []byte, off i
 			written += len(piece)
 			room -= len(piece)
 		}
-		s.cond.Broadcast()
+		s.ws.broadcast()
 	}
 	return written, nil
 }
@@ -197,14 +272,14 @@ func (s *stream) writeFrom(n int, yield sync.Locker, fill func(dst []byte, off i
 // everything after it stay readable.
 func (s *stream) readTo(n int, f IOFlags, drain func(src []byte, off int) error) (int, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.ws.unlock(&s.mu, f.Sched)
 	if f.Nonblock {
 		if s.n == 0 && !s.closed {
 			return 0, ErrWouldBlock
 		}
 	} else {
 		for s.n == 0 && !s.closed {
-			wait(&s.cond, &s.mu, f.Yield)
+			s.ws.wait(&s.mu, f.Sched)
 		}
 	}
 	if s.n == 0 {
@@ -218,7 +293,7 @@ func (s *stream) readTo(n int, f IOFlags, drain func(src []byte, off int) error)
 		}
 		piece := s.blocks[s.head][s.r:min(end, s.r+n-read)]
 		if err := drain(piece, read); err != nil {
-			s.cond.Broadcast()
+			s.ws.broadcast()
 			return read, err
 		}
 		read += len(piece)
@@ -228,22 +303,22 @@ func (s *stream) readTo(n int, f IOFlags, drain func(src []byte, off int) error)
 			s.pop()
 		}
 	}
-	s.cond.Broadcast()
+	s.ws.broadcast()
 	return read, nil
 }
 
 func (s *stream) close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.ws.broadcast()
+	s.ws.unlock(&s.mu, nil)
 }
 
 // Conn is one endpoint of an established connection.
 type Conn struct {
 	local, remote Addr
 	rd, wr        *stream
-	once          sync.Once
+	closed        atomic.Bool
 }
 
 // ReadTo receives up to n bytes from the peer under the given flags
@@ -272,27 +347,31 @@ func (c *Conn) Read(p []byte) (int, error) { return c.ReadFlags(p, IOFlags{}) }
 // WriteFrom sends n bytes to the peer without an intermediate buffer:
 // fill is handed the stream's own storage piece by piece and must fill
 // dst with the bytes at offset off of this write. It blocks while the
-// peer's buffer is full, releasing yield (if set) for each wait as
-// IOFlags.Yield does. A piece is delivered only when fill returns
+// peer's buffer is full, through f.Sched when set. A piece is delivered only when fill returns
 // nil; on an error WriteFrom returns the bytes delivered before the
 // failing piece along with the error. dst is valid only during the
 // call, and fill runs under the stream's lock: it must not block or use
 // this connection.
-func (c *Conn) WriteFrom(n int, yield sync.Locker, fill func(dst []byte, off int) error) (int, error) {
-	return c.wr.writeFrom(n, yield, fill)
+func (c *Conn) WriteFrom(n int, f IOFlags, fill func(dst []byte, off int) error) (int, error) {
+	return c.wr.writeFrom(n, f, fill)
+}
+
+// WriteFlags sends bytes to the peer, waiting through f.Sched while
+// its buffer is full.
+func (c *Conn) WriteFlags(p []byte, f IOFlags) (int, error) {
+	return c.WriteFrom(len(p), f, func(dst []byte, off int) error { copy(dst, p[off:]); return nil })
 }
 
 // Write sends bytes to the peer.
-func (c *Conn) Write(p []byte) (int, error) {
-	return c.WriteFrom(len(p), nil, func(dst []byte, off int) error { copy(dst, p[off:]); return nil })
-}
+func (c *Conn) Write(p []byte) (int, error) { return c.WriteFlags(p, IOFlags{}) }
 
-// Close shuts down both directions.
+// Close shuts down both directions. The tasks it wakes may run before
+// it returns, and may close c too.
 func (c *Conn) Close() error {
-	c.once.Do(func() {
+	if c.closed.CompareAndSwap(false, true) {
 		c.rd.close()
 		c.wr.close()
-	})
+	}
 	return nil
 }
 
@@ -322,8 +401,8 @@ type Listener struct {
 	addr   Addr
 	net    *Net
 	mu     sync.Mutex
-	cond   *sync.Cond
-	parked *sync.Cond // signalled when an accepter blocks on an empty queue
+	ws     waiters   // accepters
+	parked sync.Cond // signalled when an accepter blocks on an empty queue
 	queue  []*Conn
 	closed bool
 	// waiting counts accepters blocked on an empty queue.
@@ -340,7 +419,7 @@ func (l *Listener) Addr() Addr { return l.addr }
 // established backlog.
 func (l *Listener) AcceptFlags(f IOFlags) (*Conn, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.ws.unlock(&l.mu, f.Sched)
 	if f.Nonblock {
 		if len(l.queue) == 0 && !l.closed {
 			return nil, ErrWouldBlock
@@ -349,7 +428,7 @@ func (l *Listener) AcceptFlags(f IOFlags) (*Conn, error) {
 		for len(l.queue) == 0 && !l.closed {
 			l.waiting++
 			l.parked.Broadcast()
-			wait(l.cond, &l.mu, f.Yield)
+			l.ws.wait(&l.mu, f.Sched)
 			l.waiting--
 		}
 	}
@@ -395,9 +474,9 @@ func (l *Listener) Close() error {
 		return ErrClosed
 	}
 	l.closed = true
-	l.cond.Broadcast()
+	l.ws.broadcast()
 	l.parked.Broadcast()
-	l.mu.Unlock()
+	l.ws.unlock(&l.mu, nil)
 
 	l.net.mu.Lock()
 	delete(l.net.listeners, l.addr)
@@ -405,14 +484,14 @@ func (l *Listener) Close() error {
 	return nil
 }
 
-func (l *Listener) enqueue(c *Conn) error {
+func (l *Listener) enqueue(c *Conn, by Sched) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.ws.unlock(&l.mu, by)
 	if l.closed || len(l.queue) >= acceptQueueSize {
 		return ErrConnRefused
 	}
 	l.queue = append(l.queue, c)
-	l.cond.Broadcast()
+	l.ws.broadcast()
 	return nil
 }
 
@@ -442,8 +521,7 @@ func (n *Net) Listen(addr Addr) (*Listener, error) {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
 	}
 	l := &Listener{addr: addr, net: n}
-	l.cond = sync.NewCond(&l.mu)
-	l.parked = sync.NewCond(&l.mu)
+	l.parked.L = &l.mu
 	n.listeners[addr] = l
 	return l, nil
 }
@@ -470,6 +548,12 @@ func (n *Net) ephemeralLocked() uint16 {
 
 // Dial connects from local (host only; port is ephemeral) to remote.
 func (n *Net) Dial(localHost uint32, remote Addr) (*Conn, error) {
+	return n.DialFlags(localHost, remote, IOFlags{})
+}
+
+// DialFlags is Dial for a caller that may be a simulated task: f.Sched
+// readies the accept it ends, as a write does.
+func (n *Net) DialFlags(localHost uint32, remote Addr, f IOFlags) (*Conn, error) {
 	n.mu.Lock()
 	l, ok := n.listeners[remote]
 	if !ok {
@@ -480,7 +564,7 @@ func (n *Net) Dial(localHost uint32, remote Addr) (*Conn, error) {
 	n.mu.Unlock()
 
 	clientSide, serverSide := newPair(local, remote)
-	if err := l.enqueue(serverSide); err != nil {
+	if err := l.enqueue(serverSide, f.Sched); err != nil {
 		return nil, err
 	}
 	return clientSide, nil
