@@ -109,8 +109,8 @@ func TestEngineStopSurfacesFault(t *testing.T) {
 			if !ok {
 				t.Fatalf("AsFault missed the fault inside the joined stop error: %v", err)
 			}
-			if fault.Op != "syscall" || fault.Detail != "connect" {
-				t.Errorf("fault = %s %s, want a denied connect", fault.Op, fault.Detail)
+			if fault.Op != "syscall" || fault.Detail() != "connect" {
+				t.Errorf("fault = %s %s, want a denied connect", fault.Op, fault.Detail())
 			}
 			// The requests themselves all succeeded: the fault fired after
 			// the drain, inside the worker's own fault domain.

@@ -221,7 +221,7 @@ func exerciseDjangoClone(kind core.BackendKind, protected, evil bool, policy str
 	var fault *litterbox.Fault
 	if errors.As(err, &fault) {
 		rep.Blocked = true
-		rep.FaultOp = fault.Op + ":" + fault.Detail
+		rep.FaultOp = fault.Op + ":" + fault.Detail()
 	} else if err != nil {
 		return rep, prog, err
 	}

@@ -179,7 +179,7 @@ func exerciseSSHDecorator(kind core.BackendKind, mit Mitigation, policy string, 
 		// below by the fault branch); completing means nothing faulted.
 	case errors.As(err, &fault):
 		rep.Blocked = true
-		rep.FaultOp = fault.Op + ":" + fault.Detail
+		rep.FaultOp = fault.Op + ":" + fault.Detail()
 		// The legitimate half ran before the malicious half faulted.
 		rep.LegitOK = true
 	default:
@@ -331,7 +331,7 @@ func exerciseKeyStealer(kind core.BackendKind, protected bool, policy string, op
 	var fault *litterbox.Fault
 	if errors.As(err, &fault) {
 		rep.Blocked = true
-		rep.FaultOp = fault.Op + ":" + fault.Detail
+		rep.FaultOp = fault.Op + ":" + fault.Detail()
 	} else if err != nil {
 		return rep, prog, err
 	}
@@ -405,7 +405,7 @@ func exerciseBackdoor(kind core.BackendKind, protected bool, initPolicy string, 
 	if errors.As(err, &fault) {
 		// Init ran enclosed and faulted at Build (package load) time.
 		rep.Blocked = true
-		rep.FaultOp = fault.Op + ":" + fault.Detail
+		rep.FaultOp = fault.Op + ":" + fault.Detail()
 		return rep, nil, nil
 	}
 	if err != nil {
@@ -508,7 +508,7 @@ func exerciseMemoryThief(kind core.BackendKind, protected bool, policy string, o
 	var fault *litterbox.Fault
 	if errors.As(err, &fault) {
 		rep.Blocked = true
-		rep.FaultOp = fault.Op + ":" + fault.Detail
+		rep.FaultOp = fault.Op + ":" + fault.Detail()
 	} else if err != nil {
 		return rep, prog, err
 	}

@@ -109,8 +109,8 @@ func TestRingMidBatchDenial(t *testing.T) {
 			if !errors.As(err, &fault) {
 				t.Fatalf("denied batch entry did not fault: %v", err)
 			}
-			if fault.Op != "syscall" || fault.Detail != "socket" {
-				t.Errorf("fault = op %q detail %q, want syscall/socket", fault.Op, fault.Detail)
+			if fault.Op != "syscall" || fault.Detail() != "socket" {
+				t.Errorf("fault = op %q detail %q, want syscall/socket", fault.Op, fault.Detail())
 			}
 			// Only the entries up to and including the denial attempt may
 			// have entered the kernel; the canceled tail must not dispatch.

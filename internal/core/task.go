@@ -91,7 +91,7 @@ func (t *Task) fail(err error) {
 	if f, ok := err.(*litterbox.Fault); ok {
 		panic(f)
 	}
-	panic(t.prog.lb.RaiseFault(t.cpu, &litterbox.Fault{Env: t.env, Op: "runtime", Detail: err.Error(), Cause: err}))
+	panic(t.prog.lb.RaiseFault(t.cpu, &litterbox.Fault{Env: t.env, Op: "runtime", Cause: err}))
 }
 
 // checkAlive panics if an earlier fault killed this task's fault domain

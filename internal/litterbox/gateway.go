@@ -61,7 +61,7 @@ func (lb *LitterBox) SyscallGateway(cpu *hw.CPU, env *Env, req SyscallReq) (uint
 			Kind: obs.KindSyscall, Env: envName(env), Pkg: req.CallerPkg,
 			Sys: req.Nr.Name(), Sysno: uint32(req.Nr), Verdict: obs.VerdictDeny,
 		})
-		f := lb.RaiseFault(cpu, &Fault{Env: env, Op: "syscall", Detail: req.Nr.Name()})
+		f := lb.RaiseFault(cpu, &Fault{Env: env, Op: "syscall", Note: req.Nr.Name()})
 		return 0, errno, f
 	}
 	return ret, errno, nil
@@ -180,7 +180,7 @@ func (lb *LitterBox) syscallBatchAmortized(cpu *hw.CPU, p *kernel.Proc, env *Env
 		for j := di + 1; j < len(entries); j++ {
 			out[j] = ring.Completion{Tag: entries[j].Tag, Errno: kernel.ECANCELED}
 		}
-		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "syscall", Detail: e.Nr.Name()})
+		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "syscall", Note: e.Nr.Name()})
 	}
 	return nil
 }

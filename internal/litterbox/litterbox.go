@@ -48,16 +48,39 @@ func transferInterrupted(cpu *hw.CPU) bool {
 // a filtered system call. Per the paper it stops the closure and aborts
 // the program; the enclosure runtime converts it into a program-level
 // error the host harness observes.
+//
+// A fault keeps what it needs to describe itself, and Detail renders the
+// text only when someone reads it: most faults (every denied probe
+// access) are counted and reset, never printed.
 type Fault struct {
-	Env    *Env
-	Op     string // "read", "write", "exec", "syscall", "switch"
-	Detail string
-	Cause  error
+	Env *Env
+	Op  string // "read", "write", "exec", "syscall", "switch"
+	// Note is the detail text of a fault that names it outright, such
+	// as the system call a filter denied.
+	Note string
+	// Addr and Size locate a denied data access (a "read" or "write").
+	Addr  mem.Addr
+	Size  uint64
+	Cause error
+}
+
+// Detail returns the fault's detail text: Note when set; else, for a
+// denied read or write, "addr+size: cause"; else the cause's text.
+func (f *Fault) Detail() string {
+	switch {
+	case f.Note != "":
+		return f.Note
+	case f.Op == "read" || f.Op == "write":
+		return fmt.Sprintf("%s+%d: %v", f.Addr, f.Size, f.Cause)
+	case f.Cause != nil:
+		return f.Cause.Error()
+	}
+	return ""
 }
 
 // Error implements the error interface.
 func (f *Fault) Error() string {
-	return fmt.Sprintf("litterbox: fault in %s: %s %s", f.Env, f.Op, f.Detail)
+	return fmt.Sprintf("litterbox: fault in %s: %s %s", f.Env, f.Op, f.Detail())
 }
 
 // Unwrap exposes the backend-level cause.
@@ -460,7 +483,9 @@ func (lb *LitterBox) Aborted() (*Fault, bool) {
 // the whole program otherwise — the paper's single-core semantics.
 func (lb *LitterBox) RaiseFault(cpu *hw.CPU, f *Fault) *Fault {
 	cpu.Counters.Faults++
-	lb.emit(cpu, obs.Event{Kind: obs.KindFault, Env: envName(f.Env), Detail: f.Op + " " + f.Detail})
+	if lb.tracing() {
+		lb.emit(cpu, obs.Event{Kind: obs.KindFault, Env: envName(f.Env), Detail: f.Op + " " + f.Detail()})
+	}
 	if d := lb.DomainFor(cpu); d != nil {
 		d.faults.Add(1)
 		d.fault.CompareAndSwap(nil, f)
@@ -546,7 +571,7 @@ func (lb *LitterBox) PrologWith(cpu *hw.CPU, from *Env, enclID int, token uint64
 	}
 	start := cpu.Clock.Now()
 	if err := lb.backend.Switch(cpu, from, target, Gate{lb.verif, enclID, token}); err != nil {
-		return nil, lb.RaiseFault(cpu, &Fault{Env: from, Op: "switch", Detail: err.Error(), Cause: err})
+		return nil, lb.RaiseFault(cpu, &Fault{Env: from, Op: "switch", Cause: err})
 	}
 	cpu.Counters.Switches++
 	if lb.tracing() {
@@ -569,7 +594,7 @@ func (lb *LitterBox) Epilog(cpu *hw.CPU, cur, back *Env, enclID int, token uint6
 	}
 	start := cpu.Clock.Now()
 	if err := lb.backend.Switch(cpu, cur, back, Gate{lb.verif, enclID, token}); err != nil {
-		return lb.RaiseFault(cpu, &Fault{Env: cur, Op: "switch", Detail: err.Error(), Cause: err})
+		return lb.RaiseFault(cpu, &Fault{Env: cur, Op: "switch", Cause: err})
 	}
 	cpu.Counters.Switches++
 	if lb.tracing() {
@@ -587,7 +612,7 @@ func (lb *LitterBox) Epilog(cpu *hw.CPU, cur, back *Env, enclID int, token uint6
 // indeterminate PKRU/CR3 and must be placed into its environment.
 func (lb *LitterBox) InstallEnv(cpu *hw.CPU, env *Env) error {
 	if err := lb.backend.Switch(cpu, nil, env, Gate{}); err != nil {
-		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "switch", Detail: err.Error(), Cause: err})
+		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "switch", Cause: err})
 	}
 	cpu.Counters.Switches++
 	return nil
@@ -603,7 +628,7 @@ func (lb *LitterBox) Execute(cpu *hw.CPU, from, to *Env) error {
 	}
 	start := cpu.Clock.Now()
 	if err := lb.backend.Switch(cpu, from, to, Gate{}); err != nil {
-		return lb.RaiseFault(cpu, &Fault{Env: from, Op: "switch", Detail: err.Error(), Cause: err})
+		return lb.RaiseFault(cpu, &Fault{Env: from, Op: "switch", Cause: err})
 	}
 	cpu.Counters.Switches++
 	if lb.tracing() {
@@ -645,7 +670,7 @@ func (lb *LitterBox) CheckRead(cpu *hw.CPU, env *Env, addr mem.Addr, size uint64
 		if lb.auditAccess(cpu, env, "read", addr, "", obs.NeedRead, err) {
 			return nil
 		}
-		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "read", Detail: fmt.Sprintf("%s+%d: %v", addr, size, err), Cause: err})
+		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "read", Addr: addr, Size: size, Cause: err})
 	}
 	return nil
 }
@@ -659,7 +684,7 @@ func (lb *LitterBox) CheckWrite(cpu *hw.CPU, env *Env, addr mem.Addr, size uint6
 		if lb.auditAccess(cpu, env, "write", addr, "", obs.NeedWrite, err) {
 			return nil
 		}
-		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "write", Detail: fmt.Sprintf("%s+%d: %v", addr, size, err), Cause: err})
+		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "write", Addr: addr, Size: size, Cause: err})
 	}
 	return nil
 }
@@ -680,7 +705,7 @@ func (lb *LitterBox) CheckExec(cpu *hw.CPU, env *Env, pkg string, entry mem.Addr
 		if lb.auditAccess(cpu, env, "exec", entry, pkg, obs.NeedExec, err) {
 			return nil
 		}
-		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "exec", Detail: err.Error(), Cause: err})
+		return lb.RaiseFault(cpu, &Fault{Env: env, Op: "exec", Cause: err})
 	}
 	return nil
 }

@@ -402,7 +402,7 @@ func TestFaultMessage(t *testing.T) {
 	f := newFixture(t)
 	lb := f.initWith(t, litterbox.NewBaseline())
 	env, _ := lb.EnvForEnclosure(1)
-	fault := &litterbox.Fault{Env: env, Op: "read", Detail: "secrets"}
+	fault := &litterbox.Fault{Env: env, Op: "read", Note: "secrets"}
 	if !strings.Contains(fault.Error(), "read") || !strings.Contains(fault.Error(), "secrets") {
 		t.Fatalf("fault message %q", fault.Error())
 	}

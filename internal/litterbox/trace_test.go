@@ -1,6 +1,8 @@
 package litterbox_test
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -90,5 +92,38 @@ func TestTraceRingWraps(t *testing.T) {
 	}
 	if s.Dropped != s.Events-4 {
 		t.Errorf("Dropped = %d, want Events-capacity = %d", s.Dropped, s.Events-4)
+	}
+}
+
+// TestFaultDetailRenderedOnDemand: a denied access keeps its address,
+// size and cause, and the detail Error, the trace and Detail render
+// from them is the "addr+size: cause" text, byte for byte.
+func TestFaultDetailRenderedOnDemand(t *testing.T) {
+	f := newFixture(t)
+	lb := f.initWith(t, litterbox.NewMPK(mpk.NewUnit(f.space)))
+	tr := lb.EnableTrace(64)
+	if err := lb.InstallEnv(f.cpu, lb.Trusted()); err != nil {
+		t.Fatal(err)
+	}
+	token := f.img.Enclosures[0].Token
+	env, err := lb.Prolog(f.cpu, lb.Trusted(), 1, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := f.img.Packages["secrets"].Data // read-only in e1
+	var flt *litterbox.Fault
+	if err := lb.CheckWrite(f.cpu, env, sec.Base+8, 4); !errors.As(err, &flt) {
+		t.Fatalf("write to read-only secrets: %v, want fault", err)
+	}
+	want := fmt.Sprintf("%s+%d: %v", sec.Base+8, 4, flt.Cause)
+	if got := flt.Detail(); got != want {
+		t.Fatalf("Detail() = %q, want %q", got, want)
+	}
+	if got, wantErr := flt.Error(), fmt.Sprintf("litterbox: fault in %s: write %s", env, want); got != wantErr {
+		t.Fatalf("Error() = %q, want %q", got, wantErr)
+	}
+	events := tr.Events()
+	if last := events[len(events)-1]; last.Kind != "fault" || last.Detail != "write "+want {
+		t.Fatalf("fault event %q %q, want detail %q", last.Kind, last.Detail, "write "+want)
 	}
 }

@@ -23,12 +23,12 @@ import (
 // Revert never pools them: nothing writes this array.
 var zeroPage [PageSize]byte
 
-// pagePool recycles the page arrays a Revert releases into later
-// promotions, process-wide so an idle pooled instance holds no spare
-// pages. Page arrays never leave this package, so a released page has
-// no other owner. It has no New: a page taken from it still holds a
-// reverted clone's bytes, so only such a page needs zeroing when it
-// replaces zeroPage, while a freshly allocated one is zero.
+// pagePool recycles the page arrays Revert and ReleaseFamily release
+// into later promotions, process-wide so an idle pooled instance holds
+// no spare pages. Page arrays never leave this package, so a released
+// page has no other owner. It has no New: a page taken from it still
+// holds its last owner's bytes, so only such a page needs zeroing when
+// it replaces zeroPage, while a freshly allocated one is zero.
 var pagePool sync.Pool
 
 // getPage returns a page array from pagePool, or a new zero one when
@@ -39,6 +39,10 @@ func getPage() (arr *[PageSize]byte, reused bool) {
 	}
 	return new([PageSize]byte), false
 }
+
+// ErrCloneRoot is returned by ReleaseFamily for a root that is itself
+// a clone: such a space aliases arrays its own template owns.
+var ErrCloneRoot = errors.New("mem: release: root space is a clone")
 
 // ErrNoSnapshot is returned by Revert on a space that has no
 // Checkpoint.
@@ -90,6 +94,7 @@ func (as *AddressSpace) CloneCoW() (*AddressSpace, map[*Section]*Section) {
 		pages: slices.Clone(as.pages), // alias: promote-on-write splits them
 		next:  as.next,
 		limit: as.limit,
+		clone: true,
 	}
 
 	secMap := make(map[*Section]*Section, len(as.sections))
@@ -230,4 +235,51 @@ func (as *AddressSpace) Revert() error {
 	snap.owners = snap.owners[:0]
 	as.next = snap.next
 	return nil
+}
+
+// ReleaseFamily gives every page array of a family of spaces back to
+// pagePool, each once, and empties every member. The family is a root
+// space, built by NewAddressSpace and never itself a clone, and the
+// CloneCoW forks of it listed after it. Ownership follows from how
+// CloneCoW and promote hand arrays out: the root owns every array in
+// its table but zeroPage — a cow entry is one its forks still alias —
+// and a fork owns exactly its entries with cow unset, the arrays it
+// promoted. An array shared only between forks, as when one fork was
+// cloned again, is left to the garbage collector.
+//
+// Only the owner of the whole family may call it, once no member is
+// used again and every other space cloned from a member is gone too:
+// such a clone would read the next owner's bytes through an array it
+// still aliases. A released space holds no page and no section, so an
+// access to it fails with ErrUnmapped; it keeps no revert snapshot.
+func ReleaseFamily(root *AddressSpace, forks ...*AddressSpace) error {
+	return releaseFamily(putPage, root, forks...)
+}
+
+// putPage hands a page array to pagePool.
+func putPage(arr *[PageSize]byte) { pagePool.Put(arr) }
+
+// releaseFamily is ReleaseFamily with the pool's Put as a parameter, so
+// a test can see which arrays go back.
+func releaseFamily(put func(*[PageSize]byte), root *AddressSpace, forks ...*AddressSpace) error {
+	if root.clone {
+		return ErrCloneRoot
+	}
+	root.release(put, true)
+	for _, f := range forks {
+		f.release(put, false)
+	}
+	return nil
+}
+
+// release puts the arrays the space owns — all but zeroPage for a root,
+// the private ones for a fork — and leaves it as empty as a new space
+// of its capacity.
+func (as *AddressSpace) release(put func(*[PageSize]byte), root bool) {
+	for _, p := range as.pages {
+		if p.arr != nil && p.arr != &zeroPage && (root || !p.cow) {
+			put(p.arr)
+		}
+	}
+	*as = AddressSpace{next: baseVA, limit: as.limit, clone: as.clone}
 }

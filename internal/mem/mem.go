@@ -189,6 +189,9 @@ type AddressSpace struct {
 	// snap exists only on checkpointed spaces and records what Revert
 	// must rewind (see cow.go).
 	snap *cowSnapshot
+	// clone is set by CloneCoW: the space aliases arrays it does not
+	// own, so ReleaseFamily refuses it as a root.
+	clone bool
 }
 
 // page is one page-table entry: the backing array, nil when the page is

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/litterbox-project/enclosure/internal/kernel"
@@ -177,8 +178,33 @@ var injectableErrnos = []uint32{
 	uint32(kernel.EAGAIN), uint32(kernel.EINVAL),
 }
 
-func pkgName(i int) string { return fmt.Sprintf("p%d", i) }
-func dynName(i int) string { return fmt.Sprintf("dyn%d", i) }
+// pkgNames and dynNames spell the package names a generated trace
+// uses (at most 8 static packages, 2 dynamic imports), which every
+// link, model and operation looks up again; a larger index, as in a
+// spec from the wire, builds its name.
+var pkgNames, dynNames = indexedNames("p", 8), indexedNames("dyn", 2)
+
+func indexedNames(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
+}
+
+func pkgName(i int) string {
+	if uint(i) < uint(len(pkgNames)) {
+		return pkgNames[i]
+	}
+	return "p" + strconv.Itoa(i)
+}
+
+func dynName(i int) string {
+	if uint(i) < uint(len(dynNames)) {
+		return dynNames[i]
+	}
+	return "dyn" + strconv.Itoa(i)
+}
 
 // genSpec derives a world layout from the rng.
 func genSpec(r *rng) WorldSpec {

@@ -136,6 +136,7 @@ func minable(m *Model, op Op) bool {
 // nesting follows the same more-restrictive-vs-intersection branch the
 // enforcing world takes for the same policies, iterating mine → union →
 // re-mine converges on policies whose enforcing replay is fault-free.
+// The world's pages go back to the pool once the walk ends.
 func MineTraceWith(tr Trace, backend string, policies []litterbox.Policy) (*obs.Audit, MineStats, error) {
 	audit := obs.NewAudit()
 	w, err := BuildWorldWith(tr.Spec, backend, policies, audit)
@@ -143,6 +144,7 @@ func MineTraceWith(tr Trace, backend string, policies []litterbox.Policy) (*obs.
 		return nil, MineStats{}, fmt.Errorf("probe: mining %s world: %w", backend, err)
 	}
 	stats, faults := mineWalk(tr, w)
+	release(w.LB.Space)
 	if faults > 0 {
 		// Audit mode never faults on policy; anything here is an
 		// integrity or harness bug the caller must see.
@@ -181,12 +183,14 @@ func BackendNames() []string { return append([]string{}, backendNames...) }
 // ReplayDerived re-runs the mined walk of tr enforcing the given
 // per-enclosure policies (indexed like tr.Spec.Encls) and returns the
 // number of faults observed — zero exactly when the policies cover the
-// walk's footprint.
+// walk's footprint. The world's pages go back to the pool once the
+// walk ends.
 func ReplayDerived(tr Trace, backend string, policies []litterbox.Policy) (faults int, stats MineStats, err error) {
 	w, err := BuildWorldWith(tr.Spec, backend, policies, nil)
 	if err != nil {
 		return 0, MineStats{}, fmt.Errorf("probe: replay %s world: %w", backend, err)
 	}
 	stats, faults = mineWalk(tr, w)
+	release(w.LB.Space)
 	return faults, stats, nil
 }

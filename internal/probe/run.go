@@ -68,7 +68,10 @@ type Arm struct {
 	// nil means BuildWorlds.
 	Build func(WorldSpec) ([]*World, error)
 	// Configure, if set, runs on every world after it is built and
-	// before the first operation.
+	// before the first operation. A world does not outlive its trace:
+	// once the trace ends, a cold-built world's memory goes to the next
+	// trace, so the hook may keep the world's Clock and CPU counters but
+	// nothing that reads its address space.
 	Configure func(*World)
 	// Swap, if set, receives every world and its journal after SwapAt
 	// executed operations and returns the world to continue on — a
@@ -157,17 +160,31 @@ func executedOps(tr Trace) int {
 	return n
 }
 
-// run replays the trace under this arm alone.
+// run replays the trace under this arm alone. An arm that builds its
+// worlds cold and never swaps them owns their whole copy-on-write
+// family, so it releases the family's pages when the trace ends; warm
+// worlds live on across traces, and swapped-in ones come from another
+// link.
 func (a Arm) run(tr Trace) (*Divergence, TraceStats, error) {
 	var stats TraceStats
-	build, swap, migrateAt := a.Build, a.Swap, a.SwapAt
-	if build == nil {
-		build = BuildWorlds
-	}
+	swap, migrateAt := a.Swap, a.SwapAt
 	if swap != nil && migrateAt == 0 {
 		migrateAt = executedOps(tr) / 2
 	}
-	worlds, err := build(tr.Spec)
+	var worlds []*World
+	var err error
+	switch {
+	case a.Build != nil:
+		worlds, err = a.Build(tr.Spec)
+	case swap != nil:
+		worlds, err = BuildWorlds(tr.Spec)
+	default:
+		var template *mem.AddressSpace
+		worlds, template, err = buildWorlds(tr.Spec)
+		if err == nil {
+			defer release(template, worlds...)
+		}
+	}
 	if err != nil {
 		return nil, stats, fmt.Errorf("%s arm: %w", a.name(), err)
 	}

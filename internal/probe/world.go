@@ -2,6 +2,7 @@ package probe
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/litterbox-project/enclosure/internal/cheri"
 	"github.com/litterbox-project/enclosure/internal/hw"
@@ -44,6 +45,10 @@ type frame struct {
 	env  *litterbox.Env
 	encl int
 }
+
+// spanNames and spanPaths are each pre-mapped heap span's section name
+// and the simfs path seeded into it.
+var spanNames, spanPaths = indexedNames("probe-span-", NSpans), indexedNames("/probe-", NSpans)
 
 // bogusAddr is a never-mapped address used for EFAULT probes.
 const bogusAddr = mem.Addr(1) << 40
@@ -104,7 +109,7 @@ func link(spec WorldSpec) (*linker.Image, error) {
 	var decls []linker.DeclInput
 	for i, es := range spec.Encls {
 		decls = append(decls, linker.DeclInput{
-			Name: fmt.Sprintf("e%d", i+1), Pkg: pkgName(es.Pkg), Policy: "probe",
+			Name: "e" + strconv.Itoa(i+1), Pkg: pkgName(es.Pkg), Policy: "probe",
 		})
 	}
 	return linker.Link(g, decls, mem.NewAddressSpace(0))
@@ -157,7 +162,7 @@ func instantiate(spec WorldSpec, img *linker.Image, name string, policies []litt
 			}
 		}
 		specs = append(specs, litterbox.EnclosureSpec{
-			ID: i + 1, Name: fmt.Sprintf("e%d", i+1), Pkg: pkgName(es.Pkg), Policy: pol,
+			ID: i + 1, Name: "e" + strconv.Itoa(i+1), Pkg: pkgName(es.Pkg), Policy: pol,
 		})
 	}
 
@@ -180,12 +185,12 @@ func instantiate(spec WorldSpec, img *linker.Image, name string, policies []litt
 	// section mapped after Init is otherwise invisible to the page-table
 	// backends while MPK's default key would let trusted touch it.
 	for i := 0; i < NSpans; i++ {
-		sec, err := space.Map(fmt.Sprintf("probe-span-%d", i), kernel.HeapOwner,
+		sec, err := space.Map(spanNames[i], kernel.HeapOwner,
 			mem.KindHeap, mem.PageSize, mem.PermR|mem.PermW)
 		if err != nil {
 			return nil, err
 		}
-		if err := space.WriteAt(sec.Base, []byte(fmt.Sprintf("/probe-%d", i))); err != nil {
+		if err := space.WriteAt(sec.Base, []byte(spanPaths[i])); err != nil {
 			return nil, err
 		}
 		w.Spans = append(w.Spans, sec)
@@ -303,20 +308,41 @@ func (w *World) CheckOp(op Op) error {
 // copy-on-write fork of that image (address space, graph and image
 // tables), and Init checks every fork as it would a fresh link.
 func BuildWorlds(spec WorldSpec) ([]*World, error) {
+	worlds, _, err := buildWorlds(spec)
+	return worlds, err
+}
+
+// buildWorlds is BuildWorlds that also returns the linked image's
+// space, the root of the copy-on-write family the worlds' spaces fork,
+// so a caller that owns the worlds can release the family with them.
+func buildWorlds(spec WorldSpec) ([]*World, *mem.AddressSpace, error) {
 	img, err := link(spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	worlds := make([]*World, 0, len(backendNames))
 	for _, name := range backendNames {
 		space, secMap := img.Space.CloneCoW()
 		w, err := instantiate(spec, img.CloneWith(space, img.Graph.Share(), secMap), name, nil, nil)
 		if err != nil {
-			return nil, fmt.Errorf("probe: building %s world: %w", name, err)
+			return nil, nil, fmt.Errorf("probe: building %s world: %w", name, err)
 		}
 		worlds = append(worlds, w)
 	}
-	return worlds, nil
+	return worlds, img.Space, nil
+}
+
+// release gives the page arrays of a trace's worlds back for the next
+// trace to reuse: template is the family's root, and every world's
+// space one of its forks. No world may be used afterwards.
+func release(template *mem.AddressSpace, worlds ...*World) {
+	forks := make([]*mem.AddressSpace, len(worlds))
+	for i, w := range worlds {
+		forks[i] = w.LB.Space
+	}
+	if err := mem.ReleaseFamily(template, forks...); err != nil {
+		panic(err) // link maps every image into a new space
+	}
 }
 
 // top returns the current frame.
