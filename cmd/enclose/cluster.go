@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/litterbox-project/enclosure/internal/bench"
 	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/core"
+	"github.com/litterbox-project/enclosure/internal/loadgen"
 	"github.com/litterbox-project/enclosure/internal/probe"
 )
 
@@ -19,7 +19,7 @@ func runCluster(args []string) {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	backendName := fs.String("backend", "mpk", "baseline|mpk|vtx|cheri")
 	nodes := fs.Int("nodes", 4, "initial node count")
-	requests := fs.Int("requests", 400, "requests to route at once, past capacity on the virtual clock (each node queues at most 512)")
+	requests := fs.Int("requests", 400, "requests to route at once, past capacity on the virtual clock; what the run queues cannot hold is shed")
 	seed := fs.Uint64("seed", 0xC1045EED, "balancer hash seed")
 	sweep := fs.Int("sweep", 20, "migration digest sweep traces (0 to skip)")
 	_ = fs.Parse(args)
@@ -36,30 +36,26 @@ func runCluster(args []string) {
 		os.Exit(1)
 	}
 
-	build, start, err := bench.ClusterApp("HTTP", kind)
-	if err != nil {
-		fail(err)
-	}
-
 	fmt.Printf("Building %d %s nodes (8 vCPUs each) behind the consistent-hash balancer...\n", *nodes, kind)
-	c, err := cluster.New(cluster.Opts{
-		Nodes: *nodes, WorkersPerNode: 8, Seed: *seed,
-		Build: build, Start: start,
-	})
+	tg, c, err := loadgen.NewClusterTarget("HTTP", kind, cluster.Opts{Nodes: *nodes, WorkersPerNode: 8, Seed: *seed})
 	if err != nil {
 		fail(err)
 	}
-	defer c.Close()
+	defer tg.Close()
 	st := c.Stats()
 	fmt.Printf("  image replication: %d blobs shipped by node0, %d deduplicated by the %d later joins (%d bytes saved)\n\n",
 		st.BlobsShipped, st.BlobsDeduped, *nodes-1, st.BytesDeduped)
 
-	fmt.Printf("Routing %d requests over %d sessions, stepped on the virtual clock...\n", *requests, 32)
-	rps, err := bench.DriveCluster(c, 32, *requests)
+	// Every arrival lands at once (far past capacity), routed by session
+	// through the balancer; what no candidate's run queues can hold is shed.
+	spec := loadgen.Spec{Seed: 1, Requests: *requests, OfferedLoad: 1e6, Sessions: 32}
+	fmt.Printf("Routing %d requests over %d sessions, stepped on the virtual clock...\n", spec.Requests, spec.Sessions)
+	res, err := loadgen.Run(tg, spec)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("  %.0f reqs/s aggregate virtual throughput\n", rps)
+	fmt.Printf("  %.0f reqs/s aggregate virtual throughput; %d served, %d shed by full run queues\n",
+		res.ThroughputRPS, res.Completed, res.Shed)
 	fmt.Println(cluster.MetricsString(c.Metrics()))
 
 	// A node joins live: its image dedupes 100% against the registry.
@@ -98,10 +94,11 @@ func runCluster(args []string) {
 	if err := c.RemoveNode("node0"); err != nil {
 		fail(err)
 	}
-	if _, err := bench.DriveCluster(c, 32, *requests/2); err != nil {
+	spec.Requests = *requests / 2
+	if res, err = loadgen.Run(tg, spec); err != nil {
 		fail(err)
 	}
-	fmt.Printf("Leave: node0 drained and left; %d more requests served by the survivors.\n\n", *requests/2)
+	fmt.Printf("Leave: node0 drained and left; %d more requests served by the survivors, %d shed.\n\n", res.Completed, res.Shed)
 
 	if *sweep > 0 {
 		fmt.Printf("Migration digest sweep: %d probe traces, every world force-migrated mid-trace...\n", *sweep)

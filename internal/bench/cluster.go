@@ -2,19 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"strconv"
 	"strings"
 
-	"github.com/litterbox-project/enclosure/internal/apps/fasthttp"
-	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
 	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/core"
-	"github.com/litterbox-project/enclosure/internal/engine"
 	"github.com/litterbox-project/enclosure/internal/loadgen"
 	"github.com/litterbox-project/enclosure/internal/probe"
-	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
 // ClusterNodeCounts is the node sweep of the cluster scaling table.
@@ -58,136 +51,40 @@ type ClusterEntry struct {
 	BytesDeduped int64 `json:"bytes_deduped"`
 }
 
-// ClusterApp returns the Build and Start hooks for one app/backend
-// pair: each node builds the app's program, and Start installs the
-// app's connection handler on the node.
-func ClusterApp(app string, kind core.BackendKind) (
-	build func() (*core.Program, error),
-	start func(n *cluster.Node) (func(), error),
-	err error,
-) {
-	switch app {
-	case "HTTP":
-		build = func() (*core.Program, error) { return httpserv.Program(kind, httpserv.HandlerPolicy) }
-		start = func(n *cluster.Node) (func(), error) {
-			n.Handle(httpserv.NewConnHandler(n.Prog().MustEnclosure("handler")))
-			return nil, nil
-		}
-	case "FastHTTP":
-		build = func() (*core.Program, error) { return fasthttp.Program(kind, fasthttp.Policy) }
-		start = func(n *cluster.Node) (func(), error) {
-			conn, stop := fasthttp.NewConnHandler(n.Prog().MustEnclosure("server"), httpserv.StaticPage())
-			n.Handle(conn)
-			return func() { _ = stop() }, nil
-		}
-	default:
-		return nil, nil, fmt.Errorf("bench: unknown cluster app %q", app)
-	}
-	return build, start, nil
-}
-
-// clusterArrivalNs is the mean interarrival of a cluster run: far past
-// any cell's capacity (a request costs tens of virtual µs), so every
-// arrival queues at once and every worker stays busy.
-const clusterArrivalNs = 1
-
-// DriveCluster serves GETs for the 13KB page through the balancer as
-// one discrete-event run on the virtual clock: Poisson arrivals offered
-// past capacity, one warm-up request per session (client-0 onward)
-// followed by requests more, each routed at its arrival time
-// (Cluster.Dispatch) over a simnet pair whose client half checks the
-// response, and every node stepped in virtual-time order
-// (Cluster.StepUntil). Every node's timeline restarts at zero. Every
-// arrival queues at once, so the run must fit the nodes' run queues:
-// an arrival that every candidate sheds fails it. It returns the
-// completions per virtual second from the first measured arrival to the
-// last completion, warm-up requests that complete in that window
-// included, as loadgen counts throughput.
-func DriveCluster(c *cluster.Cluster, sessions, requests int) (float64, error) {
-	for _, n := range c.Nodes() {
-		n.Engine().ResetVT()
-	}
-	times := loadgen.Arrivals(loadgen.Poisson, rand.New(rand.NewSource(1)), sessions+requests, clusterArrivalNs, 0, 0)
-	windowStart := times[sessions]
-	var lastCompletion int64
-	var inWindow int
-	observe := func(r engine.StepResult) error {
-		if r.Err != nil {
-			return fmt.Errorf("bench: cluster request %s: %w", r.Name, r.Err)
-		}
-		lastCompletion = max(lastCompletion, r.CompletionVT)
-		if r.CompletionVT > windowStart {
-			inWindow++
-		}
-		return nil
-	}
-	req, check := benchGet("/"), bodyLen(httpserv.PageSize13KB)
-	var buf []byte
-	var bad error
-	for i, ta := range times {
-		if err := c.StepUntil(ta, observe); err != nil {
-			return 0, err
-		}
-		client, server := simnet.Pair()
-		if _, err := client.Write(req); err != nil {
-			return 0, err
-		}
-		// The client half runs at host level once the handler returns:
-		// nothing it does is billed to the virtual clock.
-		done := func(err error) {
-			defer client.Close()
-			if err != nil {
-				return // the step reports it
-			}
-			body, err := readBody(client, &buf)
-			if err == nil {
-				err = check(body)
-			}
-			if err != nil && bad == nil {
-				bad = err
-			}
-		}
-		if _, err := c.Dispatch("client-"+strconv.Itoa(i%sessions), ta, server, done); err != nil {
-			return 0, err
-		}
-	}
-	if err := c.StepUntil(math.MaxInt64, observe); err != nil {
-		return 0, err
-	}
-	if bad != nil {
-		return 0, fmt.Errorf("bench: cluster response: %w", bad)
-	}
-	if lastCompletion <= windowStart {
-		return 0, fmt.Errorf("bench: cluster run completed nothing after %dns", windowStart)
-	}
-	return float64(inWindow) / (float64(lastCompletion-windowStart) / 1e9), nil
-}
-
-// clusterCell drives one (app, backend, nodes) measurement: a cluster
-// of n nodes × 8 workers behind the consistent-hash balancer, offered
-// 30 requests per vCPU past capacity from 2 sessions per vCPU
-// (DriveCluster).
-func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, error) {
-	build, start, err := ClusterApp(app, kind)
-	if err != nil {
-		return ClusterEntry{}, err
-	}
-	c, err := cluster.New(cluster.Opts{
+// clusterCell measures one (app, backend, nodes) cell as a loadgen
+// discrete-event run on a cluster of n nodes × 8 workers behind the
+// consistent-hash balancer: 30 requests per vCPU offered far past
+// capacity, as in a scale cell, routed over 2 sessions per vCPU. Every
+// arrival queues at once on the nodes' run queues, which hold them all:
+// a cell that sheds fails.
+func clusterCell(app string, kind core.BackendKind, nodes int) (entry ClusterEntry, err error) {
+	tg, c, err := loadgen.NewClusterTarget(app, kind, cluster.Opts{
 		Nodes:          nodes,
 		WorkersPerNode: ClusterWorkersPerNode,
 		Seed:           0xC1045EED,
-		Build:          build,
-		Start:          start,
 	})
 	if err != nil {
 		return ClusterEntry{}, err
 	}
-	defer c.Close()
-
-	total := ClusterRequestsPerVCPU * nodes * ClusterWorkersPerNode
-	rps, err := DriveCluster(c, 2*nodes*ClusterWorkersPerNode, total)
+	defer func() {
+		if cerr := tg.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
+	vcpus := nodes * ClusterWorkersPerNode
+	total := ClusterRequestsPerVCPU * vcpus
+	res, err := loadgen.Run(tg, loadgen.Spec{
+		Seed:        1,
+		Requests:    total,
+		OfferedLoad: 1e6,
+		Sessions:    2 * vcpus,
+		Mix:         []loadgen.MixEntry{{Kind: "page", Weight: 1}},
+	})
 	if err != nil {
 		return ClusterEntry{}, err
+	}
+	if res.Shed > 0 {
+		return ClusterEntry{}, fmt.Errorf("bench: cluster run shed %d of %d arrivals", res.Shed, total)
 	}
 	stats := c.Stats()
 	return ClusterEntry{
@@ -196,7 +93,7 @@ func clusterCell(app string, kind core.BackendKind, nodes int) (ClusterEntry, er
 		Nodes:          nodes,
 		WorkersPerNode: ClusterWorkersPerNode,
 		Requests:       total,
-		ReqsPerSec:     rps,
+		ReqsPerSec:     res.ThroughputRPS,
 		BlobsShipped:   stats.BlobsShipped,
 		BlobsDeduped:   stats.BlobsDeduped,
 		BytesDeduped:   stats.BytesDeduped,
@@ -266,9 +163,9 @@ func runClusterMigration(traces int) (ClusterMigrationResult, error) {
 func renderClusterTable(entries []ClusterEntry) string {
 	var sb strings.Builder
 	sb.WriteString("Cluster: aggregate throughput across engine nodes (8 vCPUs each)\n")
-	sb.WriteString("behind the consistent-hash balancer. Each cell routes every arrival\n")
-	sb.WriteString("at once, past capacity, and steps the nodes on the virtual clock;\n")
-	sb.WriteString("speedup is relative to the same app and backend on one node.\n")
+	sb.WriteString("behind the consistent-hash balancer. Each cell is a loadgen run past\n")
+	sb.WriteString("capacity: every arrival is routed at once and the nodes step on the\n")
+	sb.WriteString("virtual clock; speedup is relative to the same app and backend on one node.\n")
 	sb.WriteString("blobs=shipped/deduped shows content-addressed image replication:\n")
 	sb.WriteString("later identical nodes dedupe 100%.\n\n")
 	fmt.Fprintf(&sb, "%-10s %-10s %6s %8s %6s %12s %9s %14s\n",

@@ -5,6 +5,7 @@ import (
 
 	"github.com/litterbox-project/enclosure/internal/apps/wiki"
 	"github.com/litterbox-project/enclosure/internal/core"
+	"github.com/litterbox-project/enclosure/internal/loadgen"
 	"github.com/litterbox-project/enclosure/internal/simdb"
 )
 
@@ -42,9 +43,9 @@ func wikiLoop(prog *core.Program, port uint16, n int) closedLoop {
 			if i%2 == 0 {
 				body := fmt.Sprintf("content-%d", i)
 				req := fmt.Sprintf("POST /save/p%d HTTP/1.1\r\nHost: wiki\r\nContent-Length: %d\r\n\r\n%s", i, len(body), body)
-				return exchange{req: []byte(req), check: bodyHas("saved")}
+				return exchange{req: []byte(req), want: loadgen.Expect{Has: "saved"}}
 			}
-			return exchange{req: wikiView(fmt.Sprintf("p%d", i-1)), check: bodyHas(fmt.Sprintf("content-%d", i-1))}
+			return exchange{req: wikiView(fmt.Sprintf("p%d", i-1)), want: loadgen.Expect{Has: fmt.Sprintf("content-%d", i-1)}}
 		},
 		quit: []byte("GET /quit HTTP/1.1\r\n\r\n"),
 	}
@@ -77,7 +78,7 @@ func RunWiki(kind core.BackendKind) (MacroResult, error) {
 	}
 	l := wikiLoop(prog, 8090, WikiRequests)
 	// Warm-up: view the seeded page and verify content end to end.
-	l.warmup = []exchange{{req: wikiView("welcome"), check: bodyHas(wikiWelcome)}}
+	l.warmup = []exchange{{req: wikiView("welcome"), want: loadgen.Expect{Has: wikiWelcome}}}
 	rate, err := runWiki(prog, l)
 	return serialResult("wiki", kind, prog, rate, err)
 }

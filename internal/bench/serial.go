@@ -6,10 +6,10 @@ package bench
 // a request, reads the whole response, and sends the next.
 
 import (
-	"bytes"
 	"fmt"
 
 	"github.com/litterbox-project/enclosure/internal/core"
+	"github.com/litterbox-project/enclosure/internal/loadgen"
 	"github.com/litterbox-project/enclosure/internal/simnet"
 )
 
@@ -20,81 +20,30 @@ import (
 var clientHostIP = simnet.HostIP(10, 0, 0, 99)
 
 // httpGet sends one request (any method) from the load generator's host
-// and reads the response (readBody).
-func httpGet(net *simnet.Net, port uint16, req []byte, buf *[]byte) ([]byte, error) {
+// and reads the response, which must be a 200 meeting want
+// (loadgen.CheckResponse).
+func httpGet(net *simnet.Net, port uint16, req []byte, want loadgen.Expect, buf *[]byte) error {
 	conn, err := net.Dial(clientHostIP, simnet.Addr{Host: core.DefaultHostIP, Port: port})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer conn.Close()
 	if _, err := conn.Write(req); err != nil {
-		return nil, err
+		return err
 	}
-	return readBody(conn, buf)
+	return loadgen.CheckResponse(conn, want, buf)
 }
-
-// readBody reads a response from the client half of a connection until
-// the server closes it. It returns the body of a 200 response as a
-// slice of *buf, which grows only when a response outgrows it, so a
-// client that keeps its buffer across requests reads each response
-// without a new copy.
-func readBody(conn *simnet.Conn, buf *[]byte) ([]byte, error) {
-	b, n := (*buf)[:cap(*buf)], 0
-	for {
-		if n == len(b) {
-			b = append(b, make([]byte, max(len(b), 32<<10))...)
-		}
-		m, err := conn.Read(b[n:])
-		n += m
-		if err != nil {
-			break // server closed: response complete
-		}
-	}
-	*buf = b
-	resp := b[:n]
-	if !bytes.HasPrefix(resp, statusOK) {
-		return nil, fmt.Errorf("bad response: %.60q", resp)
-	}
-	_, body, ok := bytes.Cut(resp, headerEnd)
-	if !ok {
-		return nil, fmt.Errorf("no header/body separator")
-	}
-	return body, nil
-}
-
-var (
-	statusOK  = []byte("HTTP/1.1 200 OK")
-	headerEnd = []byte("\r\n\r\n")
-)
 
 // benchGet is the load generator's GET request for path.
 func benchGet(path string) []byte {
 	return []byte("GET " + path + " HTTP/1.1\r\nHost: bench\r\n\r\n")
 }
 
-// exchange is one request of a closed loop and the check its response
-// body must pass (nil accepts any 200 response).
+// exchange is one request of a closed loop and what its response body
+// must be (the zero Expect accepts any 200 response).
 type exchange struct {
-	req   []byte
-	check func(body []byte) error
-}
-
-func bodyLen(want int) func([]byte) error {
-	return func(body []byte) error {
-		if len(body) != want {
-			return fmt.Errorf("body %dB, want %dB", len(body), want)
-		}
-		return nil
-	}
-}
-
-func bodyHas(want string) func([]byte) error {
-	return func(body []byte) error {
-		if !bytes.Contains(body, []byte(want)) {
-			return fmt.Errorf("body lacks %q: %.80q", want, body)
-		}
-		return nil
-	}
+	req  []byte
+	want loadgen.Expect
 }
 
 // serialTask is one task an app starts to serve a closed loop. run
@@ -131,13 +80,7 @@ func runClosedLoop(prog *core.Program, l closedLoop) (float64, error) {
 		return prog.Clock().Now(), err
 	}
 	var buf []byte // the client's response buffer
-	send := func(x exchange) error {
-		body, err := httpGet(net, l.port, x.req, &buf)
-		if err == nil && x.check != nil {
-			err = x.check(body)
-		}
-		return err
-	}
+	send := func(x exchange) error { return httpGet(net, l.port, x.req, x.want, &buf) }
 	var elapsed int64
 	err := prog.Run(func(t *core.Task) error {
 		handles := make([]*core.Handle, len(l.tasks))
@@ -169,7 +112,7 @@ func runClosedLoop(prog *core.Program, l closedLoop) (float64, error) {
 			return err
 		}
 		elapsed = end - start
-		if _, err := httpGet(net, l.port, l.quit, &buf); err != nil {
+		if err := httpGet(net, l.port, l.quit, loadgen.Expect{}, &buf); err != nil {
 			return fmt.Errorf("quit: %w", err)
 		}
 		for i := len(handles) - 1; i >= 0; i-- {
@@ -188,7 +131,7 @@ func runClosedLoop(prog *core.Program, l closedLoop) (float64, error) {
 // pageLoop is the Table 2 request sequence: a /warmup request, then n
 // requests for path whose bodies must be want bytes, then /quit.
 func pageLoop(port uint16, tasks []serialTask, n int, path string, want int) closedLoop {
-	x := exchange{req: benchGet(path), check: bodyLen(want)}
+	x := exchange{req: benchGet(path), want: loadgen.Expect{Len: want}}
 	return closedLoop{
 		port:     port,
 		tasks:    tasks,

@@ -48,9 +48,9 @@ type Opts struct {
 	// verifies for free). A program that cannot be snapshot-cloned
 	// falls back to per-node cold builds transparently.
 	WarmJoin bool
-	// Start, when non-nil, starts the node's application: it installs
-	// the node's connection handler (Node.Handle) and returns a stopper
-	// invoked at drain, after the node has stepped its queued requests.
+	// Start, when non-nil, starts the node's application on its
+	// program (Node.Prog) and returns a stopper invoked at drain, after
+	// the node has stepped its queued requests.
 	Start func(n *Node) (stop func(), err error)
 	// Trace, when non-nil, receives cluster control-plane events
 	// (route, migrate, join, leave).
@@ -336,45 +336,18 @@ func (c *Cluster) Route(session string) (*Node, error) {
 	return nil, ErrNoNodes
 }
 
-// Do runs one request for a session synchronously on the node the
-// balancer picks (Node.Do). The returned error is the job's own result;
-// admission failures surface only if every candidate refused.
-func (c *Cluster) Do(session, name string, fn engine.Job) error {
-	var jobErr error
-	spec := engine.JobSpec{Name: name, Fn: fn, Done: func(err error) { jobErr = err }}
-	if _, err := c.route(session, func(n *Node) error { return n.submit(spec, true) }); err != nil {
-		return err
-	}
-	return jobErr
-}
-
-// Dispatch routes one client connection for a session at its virtual
-// arrival time and admits it, unstepped, to the chosen node, whose
-// handler (Node.Handle) serves it on whichever worker steps it. done,
-// when non-nil, receives the handler's error on that worker. The
-// caller steps the cluster (StepUntil) — the discrete-event discipline
-// of a single engine, with arrivals routed across nodes.
-func (c *Cluster) Dispatch(session string, arrivalVT int64, conn *simnet.Conn, done func(error)) (*Node, error) {
-	return c.route(session, func(n *Node) error { return n.dispatch(session, arrivalVT, conn, done) })
-}
-
-// StepUntil steps every member's engine up to virtual time T
-// (engine.StepUntil), in join order. Nodes run in parallel, each on its
-// own workers' clocks, so stepping them one after another is exact.
-func (c *Cluster) StepUntil(T int64, each func(engine.StepResult) error) error {
-	for _, n := range c.Nodes() {
-		if err := n.stepUntil(T, each); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// route admits one request for a session: consistent-hash affinity
-// picks the candidates, least-loaded breaks the tie, and typed
-// backpressure falls down the candidate list — a saturated or draining
-// node re-routes instead of dropping.
-func (c *Cluster) route(session string, admit func(*Node) error) (*Node, error) {
+// Submit is the cluster's one admission entry point, the balancer in
+// front of engine.Submit: it routes spec by session and admits it,
+// unstepped, to a node, which serves it on whichever of its workers
+// steps it. Consistent-hash affinity picks the candidates and
+// least-loaded ranks them (candidates); typed backpressure or a closing
+// engine falls down the list, so a saturated or draining node re-routes
+// instead of dropping. The node sets spec.Pref round-robin over its
+// workers. When every candidate refuses, the error wraps the last
+// refusal (ErrNoNodes when there was no active candidate), to be told
+// apart with errors.Is as on an engine. The caller steps the cluster
+// (StepUntil).
+func (c *Cluster) Submit(session string, spec engine.JobSpec) (*Node, error) {
 	var lastErr error = ErrNoNodes
 	attempt := 0
 	for _, n := range c.candidates(session) {
@@ -385,7 +358,7 @@ func (c *Cluster) route(session string, admit func(*Node) error) (*Node, error) 
 			c.rerouted.Add(1)
 		}
 		attempt++
-		if err := admit(n); err != nil {
+		if err := n.submit(spec); err != nil {
 			if errors.Is(err, engine.ErrBackpressure) || errors.Is(err, engine.ErrClosed) {
 				// Node saturated (or closed under us): transient, re-route.
 				lastErr = err
@@ -398,6 +371,18 @@ func (c *Cluster) route(session string, admit func(*Node) error) (*Node, error) 
 		return n, nil
 	}
 	return nil, fmt.Errorf("cluster: session %q: every candidate refused: %w", session, lastErr)
+}
+
+// StepUntil steps every member's engine up to virtual time T
+// (engine.StepUntil), in join order. Nodes run in parallel, each on its
+// own workers' clocks, so stepping them one after another is exact.
+func (c *Cluster) StepUntil(T int64, each func(engine.StepResult) error) error {
+	for _, n := range c.Nodes() {
+		if err := n.stepUntil(T, each); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MigrateSession moves a session's affinity from one node to another,

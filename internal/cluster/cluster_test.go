@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -45,6 +46,21 @@ func newTestCluster(t testing.TB, opts Opts) *Cluster {
 	return c
 }
 
+// do runs fn for session through the cluster's admission entry point
+// (Submit) and steps the node that admitted it until its queues are
+// dry. It returns the admission error, or else the job's own.
+func do(c *Cluster, session string, fn engine.Job) error {
+	var jobErr error
+	n, err := c.Submit(session, engine.JobSpec{Name: "job", Fn: fn, Done: func(err error) { jobErr = err }})
+	if err != nil {
+		return err
+	}
+	if err := n.stepUntil(math.MaxInt64, nil); err != nil {
+		return err
+	}
+	return jobErr
+}
+
 // Routing is deterministic under a fixed seed: two clusters with the
 // same seed and membership route every idle session identically, and
 // routing is stable across repeated lookups.
@@ -71,14 +87,14 @@ func TestClusterRoutingDeterministic(t *testing.T) {
 	}
 }
 
-// Requests dispatch and run: every session's job executes on its routed
+// Requests route and run: every session's job executes on its routed
 // node and the cluster counters add up.
 func TestClusterDoRunsJobs(t *testing.T) {
 	c := newTestCluster(t, Opts{Nodes: 2, Seed: 1})
 	const reqs = 40
 	for i := 0; i < reqs; i++ {
 		ran := false
-		err := c.Do(fmt.Sprintf("s%d", i), "job", func(tk *core.Task) error {
+		err := do(c, fmt.Sprintf("s%d", i), func(tk *core.Task) error {
 			tk.Compute(500)
 			ran = true
 			return nil
@@ -87,7 +103,7 @@ func TestClusterDoRunsJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !ran {
-			t.Fatal("Do returned before the job ran")
+			t.Fatal("the job did not run")
 		}
 	}
 	if got := c.Stats().Routed; got != reqs {
@@ -102,14 +118,14 @@ func TestClusterDoRunsJobs(t *testing.T) {
 	}
 }
 
-// The job's own error passes through Do untouched — it is the request's
+// The job's own error reaches its Done untouched — it is the request's
 // result, not a routing failure, so it must not trigger a re-route.
 func TestClusterDoReturnsJobError(t *testing.T) {
 	c := newTestCluster(t, Opts{Nodes: 2, Seed: 1})
 	want := errors.New("application failure")
-	err := c.Do("s", "job", func(tk *core.Task) error { return want })
+	err := do(c, "s", func(tk *core.Task) error { return want })
 	if !errors.Is(err, want) {
-		t.Fatalf("Do returned %v, want the job's own error", err)
+		t.Fatalf("job returned %v, want its own error", err)
 	}
 	if got := c.Stats().Rerouted; got != 0 {
 		t.Fatalf("job error caused %d re-routes", got)
@@ -255,7 +271,7 @@ func TestClusterBalancesAwayFromLoadedNode(t *testing.T) {
 	}
 
 	before := other.Metrics().Requests
-	if err := c.Do(session, "job", func(tk *core.Task) error { tk.Compute(100); return nil }); err != nil {
+	if err := do(c, session, func(tk *core.Task) error { tk.Compute(100); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := other.Metrics().Requests; got != before+1 {
@@ -273,7 +289,10 @@ func TestClusterRoutesByVirtualLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.Do("busy", func(tk *core.Task) error { tk.Compute(1_000_000); return nil }); err != nil {
+	if err := primary.submit(engine.JobSpec{Name: "busy", Fn: func(tk *core.Task) error { tk.Compute(1_000_000); return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.stepUntil(math.MaxInt64, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Route(session)
@@ -297,8 +316,35 @@ func TestClusterBackpressureSurfacesTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err := c.Do("s", "job", func(tk *core.Task) error { return nil })
+	_, err := c.Submit("s", engine.JobSpec{Name: "job", Fn: func(tk *core.Task) error { return nil }})
 	if !errors.Is(err, engine.ErrBackpressure) {
 		t.Fatalf("saturated cluster returned %v, want ErrBackpressure", err)
+	}
+}
+
+// Backpressure falls through: a session whose first candidate is full
+// is admitted by the next one, and the cluster counts the re-route. The
+// session is pinned to the full node (a migration), so the balancer
+// tries it first whatever its load.
+func TestClusterBackpressureFallsThrough(t *testing.T) {
+	c := newTestCluster(t, Opts{Nodes: 2, Seed: 3, WorkersPerNode: 1, QueueDepth: 1})
+	const session = "s"
+	full, other := c.Nodes()[0], c.Nodes()[1]
+	if err := c.MigrateSession(session, other.ID(), full.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Engine().Submit(engine.JobSpec{Name: "fill", Fn: func(tk *core.Task) error { return nil }}); err != nil {
+		t.Fatal(err)
+	}
+
+	n, err := c.Submit(session, engine.JobSpec{Name: "job", Fn: func(tk *core.Task) error { return nil }})
+	if err != nil {
+		t.Fatalf("a full first candidate refused the session outright: %v", err)
+	}
+	if n != other {
+		t.Fatalf("admitted on %s, want the next candidate %s", n.ID(), other.ID())
+	}
+	if got := c.Stats().Rerouted; got != 1 {
+		t.Fatalf("%d re-routes counted, want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -9,11 +10,11 @@ import (
 	"time"
 
 	"github.com/litterbox-project/enclosure/internal/core"
-	"github.com/litterbox-project/enclosure/internal/simnet"
+	"github.com/litterbox-project/enclosure/internal/engine"
 )
 
 // Conservation under membership change: a node leaving mid-load drops
-// zero requests. Every Do returns nil, every job runs exactly once, and
+// zero requests. Every admission succeeds, every job runs exactly once, and
 // the per-node engine counters sum to the offered load — the departing
 // node finishes what it admitted before it stops.
 func TestClusterDrainDropsNothing(t *testing.T) {
@@ -33,7 +34,7 @@ func TestClusterDrainDropsNothing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perC; i++ {
 				session := fmt.Sprintf("s%d", (g*perC+i)%24)
-				err := c.Do(session, "req", func(tk *core.Task) error {
+				err := do(c, session, func(tk *core.Task) error {
 					tk.Compute(2000)
 					time.Sleep(20 * time.Microsecond) // widen the drain window
 					ran.Add(1)
@@ -84,41 +85,44 @@ func TestClusterDrainDropsNothing(t *testing.T) {
 	}
 
 	// The survivors still serve.
-	if err := c.Do("after-leave", "req", func(tk *core.Task) error { return nil }); err != nil {
+	if err := do(c, "after-leave", func(tk *core.Task) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Removing every node leaves a routable-to-nothing cluster: Do fails
-// with ErrNoNodes rather than hanging or panicking.
+// Removing every node leaves a routable-to-nothing cluster: admission
+// fails with ErrNoNodes rather than hanging or panicking.
 func TestClusterNoNodes(t *testing.T) {
 	c := newTestCluster(t, Opts{Nodes: 1, Seed: 2})
 	if err := c.RemoveNode("node0"); err != nil {
 		t.Fatal(err)
 	}
-	err := c.Do("s", "job", func(tk *core.Task) error { return nil })
-	if err == nil {
-		t.Fatal("Do succeeded with no members")
+	_, err := c.Submit("s", engine.JobSpec{Name: "job", Fn: func(tk *core.Task) error { return nil }})
+	if !errors.Is(err, ErrNoNodes) {
+		t.Fatalf("admission with no members returned %v, want ErrNoNodes", err)
 	}
 }
 
 // A leaving node steps the requests routed to it before it stops:
-// connections dispatched but not yet stepped all complete on the
-// departing node, through the handler Opts.Start installed.
+// jobs admitted but not yet stepped all complete on the departing node,
+// and only then does the stopper Opts.Start returned run.
 func TestClusterDrainStepsQueued(t *testing.T) {
+	stoppedAt := map[string]int64{} // node → requests stepped when its app stopped
 	c := newTestCluster(t, Opts{Nodes: 2, Seed: 17, WorkersPerNode: 2,
 		Start: func(n *Node) (func(), error) {
-			n.Handle(func(tk *core.Task, fd int) error { tk.Compute(1000); return nil })
-			return nil, nil
+			return func() { stoppedAt[n.ID()] = n.Metrics().Requests }, nil
 		}})
 	const reqs = 16
 	done := map[string]int{}
 	for i := 0; i < reqs; i++ {
-		_, server := simnet.Pair()
-		n, err := c.Dispatch(fmt.Sprintf("s%d", i), int64(i), server, func(err error) {
-			if err != nil {
-				t.Error(err)
-			}
+		n, err := c.Submit(fmt.Sprintf("s%d", i), engine.JobSpec{
+			Name: "req", ArrivalVT: int64(i),
+			Fn: func(tk *core.Task) error { tk.Compute(1000); return nil },
+			Done: func(err error) {
+				if err != nil {
+					t.Error(err)
+				}
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -134,6 +138,9 @@ func TestClusterDrainStepsQueued(t *testing.T) {
 	}
 	if got := leaving.Metrics().Requests; got != int64(done["node0"]) {
 		t.Fatalf("node0 stepped %d requests before leaving, want %d", got, done["node0"])
+	}
+	if got := stoppedAt["node0"]; got != int64(done["node0"]) {
+		t.Fatalf("node0's app stopped after %d of its %d requests", got, done["node0"])
 	}
 	if err := c.StepUntil(math.MaxInt64, nil); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -62,13 +61,10 @@ type Node struct {
 
 	// mu serialises the node's engine: admission, stepping and drain
 	// all hold it, so one goroutine at a time steps the node. It also
-	// guards pref and conn.
+	// guards pref.
 	mu    sync.Mutex
 	state atomic.Int32 // NodeState; read lock-free by the balancer
 	pref  int          // round-robin worker affinity
-	// conn serves one routed connection (Dispatch); Opts.Start installs
-	// it with Handle.
-	conn func(t *core.Task, fd int) error
 
 	routed     atomic.Int64 // requests this node admitted
 	migratedIn atomic.Int64 // sessions migrated onto this node
@@ -136,31 +132,9 @@ func (n *Node) setState(s NodeState) { n.state.Store(int32(s)) }
 // balancer ranks by virtual-time load first and uses this to break ties.
 func (n *Node) Load() int { return n.eng.Load() }
 
-// Handle installs the node's connection handler: every connection
-// Cluster.Dispatch routes here is injected into the executing worker's
-// process and served by conn on that worker. Opts.Start calls it.
-func (n *Node) Handle(conn func(t *core.Task, fd int) error) {
-	n.mu.Lock()
-	n.conn = conn
-	n.mu.Unlock()
-}
-
-// Do runs one job synchronously on the node: it admits the job with
-// round-robin worker affinity and steps the node's engine until its
-// queues are dry. The typed admission errors pass through:
-// ErrBackpressure and ErrClosed tell the balancer to re-route; any
-// other error is the job's own result.
-func (n *Node) Do(name string, fn engine.Job) error {
-	var jobErr error
-	if err := n.submit(engine.JobSpec{Name: name, Fn: fn, Done: func(err error) { jobErr = err }}, true); err != nil {
-		return err
-	}
-	return jobErr
-}
-
 // submit admits spec under the node lock with round-robin worker
-// affinity; with run it then steps the engine dry before unlocking.
-func (n *Node) submit(spec engine.JobSpec, run bool) error {
+// affinity.
+func (n *Node) submit(spec engine.JobSpec) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	spec.Pref = n.pref
@@ -169,27 +143,7 @@ func (n *Node) submit(spec engine.JobSpec, run bool) error {
 		return err
 	}
 	n.routed.Add(1)
-	if run {
-		return n.eng.StepUntil(math.MaxInt64, nil)
-	}
 	return nil
-}
-
-// dispatch admits one connection at arrivalVT, served by the node's
-// handler on whichever worker steps it.
-func (n *Node) dispatch(name string, arrivalVT int64, conn *simnet.Conn, done func(error)) error {
-	n.mu.Lock()
-	handler := n.conn
-	n.mu.Unlock()
-	if handler == nil {
-		return fmt.Errorf("cluster: %s has no connection handler (Opts.Start must call Handle)", n.id)
-	}
-	return n.submit(engine.JobSpec{Name: name, ArrivalVT: arrivalVT, Done: done, Fn: func(t *core.Task) error {
-		// Inject at exec time into the executor's proc: a stolen job
-		// runs on a different worker than its preference, and the fd
-		// must live in the fd table its syscalls resolve against.
-		return handler(t, t.Worker().Proc().InjectConn(conn))
-	}}, false)
 }
 
 // stepUntil steps the node's engine up to virtual time T under the

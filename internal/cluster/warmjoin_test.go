@@ -42,7 +42,7 @@ func TestWarmJoinInstantiatesNodesFromTemplate(t *testing.T) {
 		t.Fatalf("warm joins = %d, want 4", got)
 	}
 	done := make(chan error, 1)
-	if err := c.Do("session-1", "probe", func(task *core.Task) error {
+	if err := do(c, "session-1", func(task *core.Task) error {
 		out, err := task.Prog().MustEnclosure("guard").Call(task)
 		_ = out
 		done <- err

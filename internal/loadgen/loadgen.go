@@ -6,12 +6,15 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 
+	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/engine"
 )
 
-// Target is a system under test: an application served by an engine,
-// plus a factory that builds one job per request kind. The job carries
+// Target is a system under test: an application served by an engine
+// or by a cluster of engine nodes (NewClusterTarget), plus a factory
+// that builds one job per request kind. The job carries
 // the whole request — the client side runs at host level inside the
 // closure (writing the request before the server's virtual work,
 // draining the response after), so none of the client's work is billed
@@ -22,7 +25,8 @@ type Target interface {
 	Name() string
 	// Backend names the enforcement backend under test.
 	Backend() string
-	// Engine returns the engine the generator steps.
+	// Engine returns the engine the generator steps: nil on a cluster
+	// target, whose nodes it steps through the balancer instead.
 	Engine() *engine.Engine
 	// Kinds lists the request kinds the target serves (the default mix
 	// weights them equally).
@@ -66,7 +70,9 @@ type Spec struct {
 	Arrivals ArrivalProcess
 	// BurstFactor is the MMPP burst-state rate multiplier (default 4).
 	BurstFactor float64
-	// Sessions is the SessionThink population size (default 16).
+	// Sessions is the SessionThink population size, and on a cluster
+	// target the number of sessions the balancer routes arrivals by:
+	// arrival i belongs to session i mod Sessions (default 16).
 	Sessions int
 	// Mix weights the request kinds; empty means every target kind
 	// equally at class 0 with no deadline.
@@ -110,14 +116,90 @@ type Result struct {
 	Steals        int64   `json:"steals"`
 }
 
+// stepper is what Run's event loop drives: one engine, or a cluster's
+// nodes behind its balancer.
+type stepper interface {
+	// engines lists the engines to calibrate, rewind and meter.
+	engines() []*engine.Engine
+	// submit admits arrival i, or refuses it with the engine's typed
+	// errors.
+	submit(i int, spec engine.JobSpec) error
+	// StepUntil steps every engine up to virtual time T.
+	StepUntil(T int64, each func(engine.StepResult) error) error
+}
+
+// engineStepper admits arrival i with affinity for worker i mod W.
+type engineStepper struct{ *engine.Engine }
+
+func (e engineStepper) engines() []*engine.Engine { return []*engine.Engine{e.Engine} }
+
+func (e engineStepper) submit(i int, spec engine.JobSpec) error {
+	spec.Pref = i % e.Workers()
+	return e.Submit(spec)
+}
+
+// clusterStepper routes arrival i by its session; an arrival every
+// candidate node refuses is shed as on a full engine.
+type clusterStepper struct {
+	*cluster.Cluster
+	sessions []string
+}
+
+func (c clusterStepper) engines() []*engine.Engine {
+	var out []*engine.Engine
+	for _, n := range c.Nodes() {
+		out = append(out, n.Engine())
+	}
+	return out
+}
+
+func (c clusterStepper) submit(i int, spec engine.JobSpec) error {
+	_, err := c.Submit(c.sessions[i%len(c.sessions)], spec)
+	return err
+}
+
+// newStepper returns the stepper serving tg; sessions sizes a cluster's
+// session population.
+func newStepper(tg Target, sessions int) stepper {
+	a, ok := tg.(*appTarget)
+	if !ok || a.cl == nil {
+		return engineStepper{tg.Engine()}
+	}
+	if sessions <= 0 {
+		sessions = 16
+	}
+	names := make([]string, sessions)
+	for i := range names {
+		names[i] = "client-" + strconv.Itoa(i)
+	}
+	return clusterStepper{a.cl, names}
+}
+
+// metrics concatenates the engines' worker metrics.
+func metrics(engs []*engine.Engine) []engine.WorkerMetrics {
+	var ms []engine.WorkerMetrics
+	for _, e := range engs {
+		ms = append(ms, e.Metrics()...)
+	}
+	return ms
+}
+
 // Run drives one open-loop measurement: calibrate the target's service
 // times, pre-generate the arrival schedule (independent of everything
 // the server will do), then admit arrivals in time order while
 // virtually-idle workers step queued jobs — a discrete-event
-// simulation over the engine's real admission and dequeue machinery.
+// simulation over the engines' real admission and dequeue machinery,
+// behind the cluster's balancer on a cluster target.
 func Run(tg Target, spec Spec) (Result, error) {
-	e := tg.Engine()
-	W := e.Workers()
+	s := newStepper(tg, spec.Sessions)
+	engs := s.engines()
+	W := 0
+	for _, e := range engs {
+		W += e.Workers()
+	}
+	if W == 0 {
+		return Result{}, errors.New("loadgen: the target has no workers")
+	}
 	if spec.Requests <= 0 {
 		return Result{}, errors.New("loadgen: Spec.Requests must be positive")
 	}
@@ -138,18 +220,21 @@ func Run(tg Target, spec Spec) (Result, error) {
 	// --- Calibration: observed service time per kind -----------------
 	// One throwaway request per kind on every worker primes lazily
 	// allocated per-worker state (buffer arenas, handler tasks), then a
-	// measured request per kind gives the steady-state service time.
+	// measured request per kind on the first engine's first worker gives
+	// the steady-state service time.
 	service := make(map[string]int64, len(mix))
 	for _, m := range mix {
 		if _, ok := service[m.Kind]; ok {
 			continue
 		}
-		for w := 0; w < W; w++ {
-			if err := calibrate(e, tg, m.Kind, w, nil); err != nil {
-				return Result{}, err
+		for _, e := range engs {
+			for w := 0; w < e.Workers(); w++ {
+				if err := calibrate(e, tg, m.Kind, w, nil); err != nil {
+					return Result{}, err
+				}
 			}
 		}
-		if err := calibrate(e, tg, m.Kind, 0, func(ns int64) { service[m.Kind] = ns }); err != nil {
+		if err := calibrate(engs[0], tg, m.Kind, 0, func(ns int64) { service[m.Kind] = ns }); err != nil {
 			return Result{}, err
 		}
 	}
@@ -166,7 +251,9 @@ func Run(tg Target, spec Spec) (Result, error) {
 	// Calibration advanced the workers' virtual horizons; rewind them
 	// so the measured timeline starts at zero (the learned admission
 	// EWMAs survive).
-	e.ResetVT()
+	for _, e := range engs {
+		e.ResetVT()
+	}
 
 	// --- Arrival schedule (the open-loop guarantee) ------------------
 	// Capacity is W workers each retiring one request per meanService;
@@ -186,14 +273,14 @@ func Run(tg Target, spec Spec) (Result, error) {
 		latencies: make([]int64, 0, spec.Requests),
 	}
 	observe := st.observe
-	msBefore := e.Metrics()
+	msBefore := metrics(engs)
 	var shed, dlRejected int
 	for i := 0; i < total; i++ {
 		ta := times[i]
 		// Workers that become virtually free before this arrival drain
 		// queued work first — the queue an overloaded dequeue policy
 		// sees never contains arrivals from the future.
-		if err := e.StepUntil(ta, observe); err != nil {
+		if err := s.StepUntil(ta, observe); err != nil {
 			return Result{}, err
 		}
 		m := mix[picks[i]]
@@ -201,8 +288,7 @@ func Run(tg Target, spec Spec) (Result, error) {
 		if m.DeadlineMult > 0 {
 			deadline = ta + int64(m.DeadlineMult*float64(service[m.Kind]))
 		}
-		err := e.Submit(engine.JobSpec{
-			Pref:       i % W,
+		err := s.submit(i, engine.JobSpec{
 			Name:       m.Kind,
 			Index:      i,
 			Class:      m.Class,
@@ -224,20 +310,20 @@ func Run(tg Target, spec Spec) (Result, error) {
 			return Result{}, fmt.Errorf("loadgen: submit %d: %w", i, err)
 		}
 		// An idle worker serves the new arrival immediately.
-		if err := e.StepUntil(ta, observe); err != nil {
+		if err := s.StepUntil(ta, observe); err != nil {
 			return Result{}, err
 		}
 	}
-	if err := e.StepUntil(math.MaxInt64, observe); err != nil {
+	if err := s.StepUntil(math.MaxInt64, observe); err != nil {
 		return Result{}, err
 	}
-	msAfter := e.Metrics()
+	msAfter := metrics(engs)
 
 	// --- Statistics ---------------------------------------------------
 	res := Result{
 		Target:           tg.Name(),
 		Backend:          tg.Backend(),
-		Dequeue:          e.DequeueMode().String(),
+		Dequeue:          engs[0].DequeueMode().String(),
 		Workers:          W,
 		OfferedLoad:      spec.OfferedLoad,
 		Arrivals:         spec.Arrivals.String(),

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/litterbox-project/enclosure/internal/apps/httpserv"
+	"github.com/litterbox-project/enclosure/internal/cluster"
 	"github.com/litterbox-project/enclosure/internal/core"
 	"github.com/litterbox-project/enclosure/internal/engine"
 	"github.com/litterbox-project/enclosure/internal/simnet"
@@ -15,7 +16,7 @@ import (
 
 func httpTarget(t *testing.T, kind core.BackendKind, opts EngineOpts) Target {
 	t.Helper()
-	tg, err := NewHTTPTarget(kind, opts)
+	tg, err := NewTarget("HTTP", kind, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestDeadlineAdmissionRejectsLateWork(t *testing.T) {
 // across QoS classes at overload, both classes make progress (weighted,
 // not strict priority) and the run completes cleanly.
 func TestQoSClassesUnderOverload(t *testing.T) {
-	tg, err := NewFastHTTPTarget(core.MPK, EngineOpts{Workers: 2, QueueDepth: 64})
+	tg, err := NewTarget("FastHTTP", core.MPK, EngineOpts{Workers: 2, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestQoSClassesUnderOverload(t *testing.T) {
 func TestWikiTargetServes(t *testing.T) {
 	for _, kind := range []core.BackendKind{core.Baseline, core.MPK, core.VTX} {
 		t.Run(kind.String(), func(t *testing.T) {
-			tg, err := NewWikiTarget(kind, EngineOpts{Workers: 2})
+			tg, err := NewTarget("wiki", kind, EngineOpts{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +273,7 @@ func TestWikiTargetServes(t *testing.T) {
 // network before the engine starts, so its capture fails with
 // simnet.ErrNotQuiescent; HTTP and FastHTTP keep their template.
 func TestWarmTargetFallbackIsLoud(t *testing.T) {
-	if tg, err := NewWikiTarget(core.MPK, EngineOpts{Workers: 1}, core.WithWarmPool(2)); !errors.Is(err, simnet.ErrNotQuiescent) {
+	if tg, err := NewTarget("wiki", core.MPK, EngineOpts{Workers: 1}, core.WithWarmPool(2)); !errors.Is(err, simnet.ErrNotQuiescent) {
 		if err == nil {
 			tg.Close()
 		}
@@ -325,11 +326,11 @@ func TestCheckResponseExactBody(t *testing.T) {
 		server.Close()
 		return client
 	}
-	page := requestKind{bodyLen: httpserv.PageSize13KB}
-	view := requestKind{bodyHas: "hello"}
+	page := Expect{Len: httpserv.PageSize13KB}
+	view := Expect{Has: "hello"}
 	cases := []struct {
 		name string
-		rk   requestKind
+		want Expect
 		body string
 		ok   bool
 	}{
@@ -341,7 +342,7 @@ func TestCheckResponseExactBody(t *testing.T) {
 	}
 	var buf []byte // shared, so a short response follows a longer one
 	for _, c := range cases {
-		err := checkResponse(respond(c.body), c.rk, &buf)
+		err := CheckResponse(respond(c.body), c.want, &buf)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: err %v, want ok=%v", c.name, err, c.ok)
 		}
@@ -374,9 +375,9 @@ func TestCheckResponseSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	var buf []byte
-	page := requestKind{bodyLen: httpserv.PageSize13KB}
+	page := Expect{Len: httpserv.PageSize13KB}
 	check := func() {
-		if err := checkResponse(respond(), page, &buf); err != nil {
+		if err := CheckResponse(respond(), page, &buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,5 +405,64 @@ func TestObserveSplitsWarmupByIndex(t *testing.T) {
 	err := st.observe(engine.StepResult{Name: "page", Index: 7, Err: simnet.ErrClosed})
 	if err == nil || !strings.Contains(err.Error(), "request page#7 failed") {
 		t.Fatalf("failure %v does not name the request", err)
+	}
+}
+
+// TestClusterOverloadSheds: a one-node cluster offered more arrivals at
+// once than its run queues hold sheds the rest through the balancer's
+// typed backpressure, as one engine does, and the run still succeeds;
+// the same cluster run twice gives the same Result.
+func TestClusterOverloadSheds(t *testing.T) {
+	run := func() Result {
+		tg, _, err := NewClusterTarget("HTTP", core.MPK, cluster.Opts{Nodes: 1, WorkersPerNode: 2, QueueDepth: 8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := tg.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}()
+		res, err := Run(tg, Spec{Seed: 3, Requests: 200, Warmup: 8, OfferedLoad: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a != b {
+		t.Fatalf("two identical cluster runs diverged:\n%+v\n%+v", a, b)
+	}
+	if a.Shed == 0 || a.Completed+a.Shed != a.Requests {
+		t.Fatalf("a depth-16 cluster offered 208 arrivals at once: %d completed, %d shed of %d", a.Completed, a.Shed, a.Requests)
+	}
+	if a.Workers != 2 || a.ThroughputRPS <= 0 {
+		t.Fatalf("implausible cluster result: %+v", a)
+	}
+}
+
+// TestClusterTargetMatchesEngine: a one-node cluster serves the same
+// requests as the app's engine target with as many workers, so at
+// saturation both read the same calibrated service time and capacity.
+func TestClusterTargetMatchesEngine(t *testing.T) {
+	spec := Spec{Seed: 1, Requests: 64, OfferedLoad: 1e6}
+	one, err := Run(httpTarget(t, core.MPK, EngineOpts{Workers: 2, QueueDepth: 512}), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, _, err := NewClusterTarget("HTTP", core.MPK, cluster.Opts{Nodes: 1, WorkersPerNode: 2, QueueDepth: 512, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tg.Close()
+	cl, err := Run(tg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.MeanServiceNs != one.MeanServiceNs || cl.Completed != one.Completed || cl.Shed != 0 {
+		t.Fatalf("one-node cluster %+v\nengine %+v", cl, one)
+	}
+	if _, _, err := NewClusterTarget("wiki", core.MPK, cluster.Opts{}); err == nil {
+		t.Fatal("the wiki, which keeps a database, got a cluster target")
 	}
 }

@@ -275,7 +275,7 @@ func genSpec(r *rng) WorldSpec {
 func Gen(seed uint64, nOps int) Trace {
 	r := newRNG(seed)
 	spec := genSpec(r)
-	tr := Trace{Seed: seed, Spec: spec}
+	tr := Trace{Seed: seed, Spec: spec, Ops: make([]Op, 0, max(nOps, 0))}
 
 	depth := 0
 	dyn := 0
