@@ -75,11 +75,14 @@ const burstFraction = 0.1
 // burstLength is the expected number of arrivals per burst sojourn.
 const burstLength = 20
 
-// Arrivals returns n strictly increasing arrival times (virtual ns
+// defaultSessions is the session population when Spec.Sessions is zero.
+const defaultSessions = 16
+
+// arrivals returns n strictly increasing arrival times (virtual ns
 // from the start of the run) with time-averaged mean interarrival
 // meanIANs under the given process. burstFactor and sessions shape MMPP
 // and SessionThink (zero: their defaults).
-func Arrivals(p ArrivalProcess, rng *rand.Rand, n int, meanIANs float64, burstFactor float64, sessions int) []int64 {
+func arrivals(p ArrivalProcess, rng *rand.Rand, n int, meanIANs float64, burstFactor float64, sessions int) []int64 {
 	switch p {
 	case MMPP:
 		return genMMPP(rng, n, meanIANs, burstFactor)
@@ -152,7 +155,7 @@ func genMMPP(rng *rand.Rand, n int, meanIANs float64, burstFactor float64) []int
 // one think time to avoid a thundering herd at t=0.
 func genSessions(rng *rand.Rand, n int, meanIANs float64, sessions int) []int64 {
 	if sessions <= 0 {
-		sessions = 16
+		sessions = defaultSessions
 	}
 	if sessions > n {
 		sessions = n

@@ -166,7 +166,7 @@ func newStepper(tg Target, sessions int) stepper {
 		return engineStepper{tg.Engine()}
 	}
 	if sessions <= 0 {
-		sessions = 16
+		sessions = defaultSessions
 	}
 	names := make([]string, sessions)
 	for i := range names {
@@ -261,7 +261,7 @@ func Run(tg Target, spec Spec) (Result, error) {
 	// fixed here, before the first job runs.
 	meanIA := meanService / (spec.OfferedLoad * float64(W))
 	total := spec.Warmup + spec.Requests
-	times := Arrivals(spec.Arrivals, rng, total, meanIA, spec.BurstFactor, spec.Sessions)
+	times := arrivals(spec.Arrivals, rng, total, meanIA, spec.BurstFactor, spec.Sessions)
 	picks := make([]int, total) // mix index per arrival
 	for i := range picks {
 		picks[i] = pickMix(rng, mix, weightSum)
